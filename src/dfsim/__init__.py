@@ -29,13 +29,12 @@ from .dfs import (
 from .noise import (
     ErrorModelSpec,
     KrausChannel,
-    ShotRecord,
     apply_channel,
+    draw_flips,
     engineered_channel,
     engineered_model,
     monte_carlo_run,
     run_plan_exact,
-    sample_shot,
     verify_error_model,
 )
 from .circuits import (
@@ -75,13 +74,12 @@ __all__ = [
     "lift_logical_unitary",
     "ErrorModelSpec",
     "KrausChannel",
-    "ShotRecord",
     "apply_channel",
+    "draw_flips",
     "engineered_channel",
     "engineered_model",
     "monte_carlo_run",
     "run_plan_exact",
-    "sample_shot",
     "verify_error_model",
     "ExperimentPlan",
     "assemble_protected",

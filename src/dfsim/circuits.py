@@ -288,7 +288,12 @@ class PointDamage:
     point: int
     boundary: int
     state: str          # Pauli letters of the deviation, or "flip-invariant"
-    hits: int           # how many of the two error operators would damage it
+    damaging: tuple[bool, bool]  # whether XXII, IIXX would negate the deviation
+
+    @property
+    def hits(self) -> int:
+        """How many of the two error operators would damage the deviation."""
+        return sum(self.damaging)
 
 
 def damage_audit(
@@ -311,13 +316,14 @@ def damage_audit(
     for point, boundary in enumerate(plan.decoherence_points):
         rho = devs[boundary]
         scale = frobenius_norm(rho)
-        hits = 0
+        damaging = []
         for flip in flips:
             conj = flip @ rho @ flip
             if frobenius_norm(conj - rho) <= tol * scale:
+                damaging.append(False)
                 continue
             if frobenius_norm(conj + rho) <= tol * scale:
-                hits += 1
+                damaging.append(True)
                 continue
             raise ValueError(
                 f"deviation at point {point} (boundary {boundary}) is not a "
@@ -325,8 +331,24 @@ def damage_audit(
             )
         coeffs = pauli_decompose(rho, tol=tol * scale)
         state = next(iter(coeffs)) if len(coeffs) == 1 else "flip-invariant"
-        audit.append(PointDamage(point=point, boundary=boundary, state=state, hits=hits))
+        audit.append(
+            PointDamage(point=point, boundary=boundary, state=state, damaging=tuple(damaging))
+        )
     return audit
+
+
+def damage_mask(
+    plan: ExperimentPlan,
+    preparation: PreparationStep | None = None,
+    tol: float = 1e-10,
+) -> np.ndarray:
+    """Boolean (points, 2): whether XXII / IIXX at that point negates the ideal deviation.
+
+    Every other flip leaves it unchanged (damage_audit raises otherwise), so a
+    shot's signal is (-1) to the number of its flips on true entries.
+    """
+    audit = damage_audit(plan, preparation, tol)
+    return np.array([entry.damaging for entry in audit], dtype=bool).reshape(len(audit), 2)
 
 
 def count_damaging_errors(
@@ -335,4 +357,4 @@ def count_damaging_errors(
     tol: float = 1e-10,
 ) -> int:
     """Total damage count n; the exact-channel signal then equals (1-2e)^n."""
-    return sum(entry.hits for entry in damage_audit(plan, preparation, tol))
+    return int(damage_mask(plan, preparation, tol).sum())

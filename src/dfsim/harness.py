@@ -56,6 +56,8 @@ class SweepConfig:
                 raise ConfigError(f"e_grid values must lie in [0, 0.5], got {e}")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         for mode in self.modes:
             if mode not in circuits.MODES:
                 raise ConfigError(f"unknown mode {mode!r}")
@@ -103,18 +105,19 @@ def _plan_for(cfg: SweepConfig, mode: str, step: readout.PreparationStep) -> cir
     )
 
 
-def _mc_signal(
-    plan: circuits.ExperimentPlan,
-    e: float,
-    reference: np.ndarray,
-    shots: int,
-    seed: int,
-) -> tuple[float, float]:
-    finals = noise.monte_carlo_finals(plan, e, shots, seed)
-    norm = qcore.hs_overlap(reference, reference).real
-    signals = np.einsum("ij,kij->k", reference.conj(), finals).real / norm
-    mean = float(signals.mean())
-    stderr = float(signals.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+def _mc_signal(mask: np.ndarray, e: float, shots: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo signal and its standard error by Pauli-frame sampling.
+
+    ``mask`` is the plan's circuits.damage_mask: a shot's final deviation is
+    the ideal one negated once per damaging flip drawn, so its signal is
+    exactly +1 or -1 by the parity of those flips.  The mean is then
+    1 - 2 (odd shots) / shots, and the standard error is the sample standard
+    deviation (ddof 1) of the +-1 shot signals over sqrt(shots).
+    """
+    flips = noise.draw_flips(e, seed, shots, len(mask))
+    odd = int(np.count_nonzero((flips & mask).sum(axis=(1, 2)) % 2))
+    mean = 1.0 - 2.0 * odd / shots
+    stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
     return mean, stderr
 
 
@@ -126,12 +129,12 @@ def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
         for step_idx, step in enumerate(steps):
             plan = _plan_for(cfg, mode, step)
             reference = noise.run_plan_exact(plan, 0.0)
-            n = circuits.count_damaging_errors(plan)
+            mask = circuits.damage_mask(plan)
+            n = int(mask.sum())
             for e_idx, e in enumerate(cfg.e_grid):
                 exact = readout.signal_intensity(noise.run_plan_exact(plan, e), reference)
                 mc_mean, mc_stderr = _mc_signal(
-                    plan, e, reference, cfg.shots,
-                    _cell_seed(cfg.seed, mode_idx, step_idx, e_idx),
+                    mask, e, cfg.shots, _cell_seed(cfg.seed, mode_idx, step_idx, e_idx)
                 )
                 rows.append(
                     SignalResult(
@@ -310,22 +313,29 @@ def _damage_values_residual(cfg: SweepConfig) -> float:
 
 
 def _mc_convergence_residual(cfg: SweepConfig) -> tuple[float, str]:
+    """Worst margin of the dense shot mean over its 5-sigma bound around the exact state.
+
+    Every shot is a unitary conjugation of the preparation rho0, so its
+    Frobenius variance is known: ||rho0||^2 - ||rho_exact||^2.  Using it,
+    rather than the sample variance (0 whenever all shots agree), keeps the
+    bound valid at any shot count.  Differences at rounding level are clamped
+    to 0, so noise-free cells keep the bare NUMERICAL_FLOOR.
+    """
     worst = -np.inf
     worst_cell = ""
     for mode_idx, mode in enumerate(cfg.modes):
         for step_idx, step in enumerate(readout.steps_for_mode(mode)):
             plan = _plan_for(cfg, mode, step)
+            prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
             for e_idx, e in enumerate(cfg.e_grid):
                 exact = noise.run_plan_exact(plan, e)
-                finals = noise.monte_carlo_finals(
+                mean = noise.monte_carlo_run(
                     plan, e, cfg.shots, _cell_seed(cfg.seed, mode_idx, step_idx, e_idx)
                 )
-                mean = finals.mean(axis=0)
-                if cfg.shots > 1:
-                    var = float(np.sum(np.abs(finals - mean) ** 2) / (cfg.shots - 1))
-                    sigma = np.sqrt(var / cfg.shots)
-                else:
-                    sigma = 0.0
+                var = prep_sq - qcore.frobenius_norm(exact) ** 2
+                if var <= qcore.DEFAULT_TOL * prep_sq:
+                    var = 0.0
+                sigma = np.sqrt(var / cfg.shots)
                 margin = qcore.frobenius_norm(mean - exact) - (5.0 * sigma + NUMERICAL_FLOOR)
                 if margin > worst:
                     worst = margin

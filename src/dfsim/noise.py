@@ -8,13 +8,16 @@ Kraus channel
     E2 = sqrt(e(1-e)) IIXX,  E3 = e XXXX,
 
 complete because (1-e)^2 + 2 e(1-e) + e^2 = 1.  The exact channel is the
-primary evolution path; the Monte-Carlo path mirrors the shot-averaged
-protocol and doubles as a validation of the sampler.  Decoherence grows with
+primary evolution path.  The dense Monte-Carlo path (monte_carlo_finals)
+evolves every shot's 16x16 matrix; it mirrors the shot-averaged protocol and
+is the oracle for the sweep's Pauli-frame sampler.  Decoherence grows with
 e and is strongest at e = 0.5; larger values are rejected.
 
-Reproducibility contract: every shot draws from its own generator derived
-from (seed, shot index), so results are bit-identical regardless of shot
-execution order and are safe to fan out to parallel workers.
+Reproducibility contract: the flips of one cell come from one counter-based
+Philox stream (Salmon et al., SC'11) keyed by the cell's seed.  Shot k reads
+the 2*points uniforms at a fixed position, word k*2*points, of that stream,
+so any range of shots can be recomputed on its own, in any order or on any
+worker, and gives bit-identical flips (see draw_flips).
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ _ERROR_MATRICES = tuple(pauli_matrix(p) for p in ERROR_BASIS)
 #: The two stochastically applied flips, in protocol order.
 FLIP_PAIR = (_ERROR_MATRICES[1], _ERROR_MATRICES[2])
 
-DEFAULT_POINTS = 9
 DEFAULT_SHOTS = 2048
 
 
@@ -182,34 +184,38 @@ def verify_error_model(
     )
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """Flips drawn for one shot: per point, (XXII applied?, IIXX applied?)."""
-
-    flips: tuple[tuple[bool, bool], ...]
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not self.flips:
-            raise ValueError("a shot must cover at least one decoherence point")
+#: 64-bit words per Philox counter value; ``Philox.advance`` counts these blocks.
+_PHILOX_BLOCK = 4
 
 
-def _draw_flips(rng: np.random.Generator, e: float, points: int) -> np.ndarray:
-    return rng.random((points, 2)) < e
+def draw_flips(
+    e: float, seed: int, shots: int, points: int, first: int = 0
+) -> np.ndarray:
+    """Flips of shots first .. first+shots-1, shape (shots, points, 2).
+
+    ``[k, p, 0]`` says whether XXII hits point p in shot first+k, ``[k, p, 1]``
+    whether IIXX does; each is true with probability e.  Shot k compares the
+    uniforms at words k*2*points .. (k+1)*2*points - 1 of the Philox stream
+    keyed by ``seed`` against e, so every shot range is drawn in one call and
+    equals the matching rows of a draw that starts at shot 0.
+    """
+    e = _validate_probability(e)
+    if min(shots, points, first) < 0:
+        raise ValueError("shots, points and first must be >= 0")
+    offset = first * 2 * points
+    bit_generator = np.random.Philox(key=seed)
+    bit_generator.advance(offset // _PHILOX_BLOCK)
+    bit_generator.random_raw(offset % _PHILOX_BLOCK)  # words of earlier shots in the block
+    return np.random.Generator(bit_generator).random((shots, points, 2)) < e
 
 
 def shot_seed(seed: int, index: int) -> int:
-    """Integer seed of the independent stream for shot ``index`` under ``seed``."""
+    """Integer seed of shot ``index`` under ``seed`` in the former per-shot scheme.
+
+    Unused by dfsim; kept because bench/spans.py wraps noise.shot_seed by name.
+    """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def sample_shot(e: float, points: int = DEFAULT_POINTS, *, seed: int) -> ShotRecord:
-    """Draw one shot's flip pattern from the stream identified by ``seed``."""
-    e = _validate_probability(e)
-    rng = np.random.default_rng(seed)
-    flips = _draw_flips(rng, e, points)
-    return ShotRecord(flips=tuple((bool(a), bool(b)) for a, b in flips), seed=seed)
 
 
 def run_plan_exact(
@@ -241,18 +247,14 @@ def monte_carlo_finals(
 ) -> np.ndarray:
     """Final deviation matrix of every shot, shape (shots, 16, 16).
 
-    Shot k draws its flips from the stream shot_seed(seed, k), so any subset
-    of shots can be recomputed independently and in any order.
+    The dense oracle: every shot is evolved as a 16x16 matrix, with the flips
+    draw_flips(e, seed, shots, points) gives it.
     """
-    e = _validate_probability(e)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     prep = plan.preparation.deviation if initial is None else initial
     points = plan.decoherence_points
-    draws = np.empty((shots, len(points), 2), dtype=bool)
-    for k in range(shots):
-        rng = np.random.default_rng(shot_seed(seed, k))
-        draws[k] = _draw_flips(rng, e, len(points))
+    draws = draw_flips(e, seed, shots, len(points))
     rho = np.broadcast_to(np.asarray(prep, dtype=complex), (shots, DIM, DIM)).copy()
     idx = 0
     for boundary in range(len(plan.gates) + 1):

@@ -117,15 +117,6 @@ def identity_matrix() -> np.ndarray:
     return np.eye(DIM, dtype=complex)
 
 
-def basis_ket(index: int) -> np.ndarray:
-    """Computational basis state vector; index encodes |b1 b2 b3 b4>."""
-    if not 0 <= index < DIM:
-        raise ValueError(f"basis index must be in [0, {DIM}), got {index}")
-    v = np.zeros(DIM, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 

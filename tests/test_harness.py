@@ -1,9 +1,12 @@
+import csv
+import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from dfsim import cli, harness
+from dfsim import circuits, cli, harness, noise, readout
 from dfsim.harness import (
     CSV_HEADER,
     ConfigError,
@@ -38,6 +41,8 @@ def test_config_validation():
         SweepConfig(algorithm="shor")
     with pytest.raises(ConfigError):
         SweepConfig(format="xml")
+    with pytest.raises(ConfigError, match="seed"):
+        SweepConfig(seed=-1)
 
 
 def test_sweep_has_one_row_per_cell():
@@ -59,6 +64,26 @@ def test_sweep_protected_rows_are_flat_and_unprotected_die_at_half():
             if r.e == 0.5:
                 assert r.signal_exact == pytest.approx(0.0, abs=1e-10)
         assert abs(r.signal_mc - r.signal_exact) <= 4 * r.mc_stderr + 1e-10
+
+
+@pytest.mark.parametrize("mode", circuits.MODES)
+@pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
+def test_frame_signals_match_dense_shot_by_shot(mode, algorithm):
+    # same draws: the dense oracle's per-shot signal against the frame parity
+    shots, seed = 256, 21
+    for step in readout.steps_for_mode(mode):
+        plan = circuits.assemble(mode, algorithm, preparation=step)
+        mask = circuits.damage_mask(plan)
+        reference = noise.run_plan_exact(plan, 0.0)
+        for e in (0.1, 0.25, 0.4):
+            finals = noise.monte_carlo_finals(plan, e, shots, seed)
+            dense = np.array([readout.signal_intensity(f, reference) for f in finals])
+            flips = noise.draw_flips(e, seed, shots, len(mask))
+            frame = 1 - 2 * ((flips & mask).sum(axis=(1, 2)) % 2)
+            np.testing.assert_allclose(dense, frame, rtol=0, atol=1e-13)
+            mean, stderr = harness._mc_signal(mask, e, shots, seed)
+            assert mean == pytest.approx(dense.mean(), abs=1e-13)
+            assert stderr == pytest.approx(dense.std(ddof=1) / np.sqrt(shots), abs=1e-13)
 
 
 def test_sweep_is_deterministic():
@@ -110,6 +135,33 @@ def test_verify_detects_corrupted_subspace():
     by_name = {c.name: c for c in checks}
     assert not by_name["dfs-immunity"].passed
     assert by_name["dfs-immunity"].residual > 1e-3
+
+
+def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
+    # the dense oracle draws through noise.draw_flips; bias it by +0.05 in e
+    unbiased = noise.draw_flips
+    monkeypatch.setattr(
+        noise, "draw_flips", lambda e, *args, **kw: unbiased(min(e + 0.05, 0.5), *args, **kw)
+    )
+    assert cli.main(["verify"]) == 1
+    assert "FAIL mc-convergence" in capsys.readouterr().out
+
+
+def test_mc_convergence_keeps_the_bare_floor_on_protected_cells():
+    # protected shots are all exact: the bound must be the 1e-12 floor alone,
+    # not widened by a rounding-level variance estimate
+    checks = verify(SweepConfig(modes=("protected",), shots=64, seed=1))
+    mc = {c.name: c for c in checks}["mc-convergence"]
+    assert mc.passed
+    assert mc.residual >= -1.01 * harness.NUMERICAL_FLOOR
+
+
+@pytest.mark.parametrize("shots", ["1", "2"])
+def test_cli_verify_passes_at_one_and_two_shots(shots, capsys):
+    # the bound uses the known shot variance, not the sample variance, which
+    # is 0 whenever every shot agrees
+    assert cli.main(["verify", "--shots", shots]) == 0
+    assert "11/11 checks passed" in capsys.readouterr().out
 
 
 def test_verify_tolerance_scales_with_shots():
@@ -234,3 +286,32 @@ def test_cli_random_seed_is_reported(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "# seed =" in out
+
+
+@pytest.mark.parametrize("shots", [1, 3, 64])
+def test_cli_run_signal_mc_is_a_whole_count_of_negated_shots(shots, capsys):
+    assert cli.main(["run", "--shots", str(shots), "--seed", "4"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 54
+    for row in rows:
+        mc = float(row["signal_mc"])
+        negated = round((1 - mc) * shots / 2)
+        assert mc == 1 - 2 * negated / shots and -1.0 <= mc <= 1.0
+        if shots == 1:
+            assert mc in (1.0, -1.0)
+
+
+def test_cli_rejects_negative_seed(capsys):
+    assert cli.main(["run", "--seed", "-3", "--e-grid", "0", "--shots", "2"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+#: sha256 of the stdout of `dfsim run --seed 0`.  Re-pin only when output
+#: bytes change on purpose, and say why in CHANGES.md.
+GOLDEN_RUN_SEED_0_SHA256 = "5386cd7adb93ebbaca18656aedddc216371f4dc7142f6a014e0ac10b62ef556b"
+
+
+def test_cli_run_seed_0_matches_golden_csv(capsys):
+    assert cli.main(["run", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RUN_SEED_0_SHA256

@@ -6,13 +6,12 @@ from dfsim.noise import (
     ErrorModelSpec,
     KrausChannel,
     apply_channel,
+    draw_flips,
     engineered_channel,
     engineered_model,
     monte_carlo_finals,
     monte_carlo_run,
     run_plan_exact,
-    sample_shot,
-    shot_seed,
     verify_error_model,
 )
 from dfsim.qcore import PauliString, pauli_matrix
@@ -114,46 +113,60 @@ def test_nine_bare_channel_points_give_ninth_power():
 
 
 def test_sample_shot_zero_probability_is_all_false():
-    record = sample_shot(0.0, seed=123)
-    assert len(record.flips) == 9
-    assert all(pair == (False, False) for pair in record.flips)
+    flips = draw_flips(0.0, 123, 64, 9)
+    assert flips.shape == (64, 9, 2) and flips.dtype == bool
+    assert not flips.any()
 
 
 def test_sample_shot_rejects_probability_above_half():
     with pytest.raises(ValueError):
-        sample_shot(1.0, seed=0)
+        draw_flips(1.0, 0, 1, 9)
 
 
-def test_shot_record_requires_points():
-    with pytest.raises(ValueError):
-        noise.ShotRecord(flips=(), seed=0)
+def test_draw_flips_rejects_negative_sizes():
+    for shots, points, first in ((-1, 9, 0), (1, -1, 0), (1, 9, -1)):
+        with pytest.raises(ValueError):
+            draw_flips(0.25, 0, shots, points, first=first)
 
 
 def test_sample_shot_empirical_frequency_at_half():
     # binomial: 3 sigma = 3 * sqrt(0.25 / 2048)
     shots = 2048
-    counts = np.zeros((9, 2))
-    for k in range(shots):
-        record = sample_shot(0.5, seed=shot_seed(99, k))
-        counts += np.array(record.flips, dtype=float)
-    freq = counts / shots
+    freq = draw_flips(0.5, 99, shots, 9).mean(axis=0)
     assert np.abs(freq - 0.5).max() < 3 * np.sqrt(0.25 / shots)
 
 
+def test_draw_flips_first_recomputes_any_shot_range():
+    # shot k starts at word 2*points*k of the stream; Philox advances in
+    # blocks of 4 words, so odd k with points = 9 or 1 start inside a block
+    for points in (9, 1, 2):
+        full = draw_flips(0.3, 17, 40, points)
+        for k in (0, 1, 2, 3, 5, 6, 13, 39):
+            np.testing.assert_array_equal(draw_flips(0.3, 17, 40 - k, points, first=k), full[k:])
+            np.testing.assert_array_equal(draw_flips(0.3, 17, 1, points, first=k), full[k : k + 1])
+
+
+def test_draw_flips_share_uniforms_across_e():
+    # the same stream position is compared with every e, so flips only grow with e
+    low, high = draw_flips(0.1, 8, 256, 9), draw_flips(0.4, 8, 256, 9)
+    assert not (low & ~high).any() and (high & ~low).any()
+
+
 def test_monte_carlo_matches_shot_records():
-    # re-run a few shots by hand from their ShotRecords and compare matrices
+    # re-run each shot by hand from its own draw_flips row and compare matrices
     plan = circuits.assemble_unprotected(preparation=readout.unprotected_steps()[0])
     e, shots, seed = 0.3, 8, 5
+    points = len(plan.decoherence_points)
     finals = monte_carlo_finals(plan, e, shots=shots, seed=seed)
     flips = dfs.flip_matrices()[:2]
     for k in range(shots):
-        record = sample_shot(e, points=len(plan.decoherence_points), seed=shot_seed(seed, k))
+        (drawn,) = draw_flips(e, seed, 1, points, first=k)
         rho = np.array(plan.preparation.deviation, dtype=complex)
         idx = 0
         for boundary in range(len(plan.gates) + 1):
-            while idx < len(plan.decoherence_points) and plan.decoherence_points[idx] == boundary:
+            while idx < points and plan.decoherence_points[idx] == boundary:
                 for slot in (0, 1):
-                    if record.flips[idx][slot]:
+                    if drawn[idx, slot]:
                         rho = flips[slot] @ rho @ flips[slot]
                 idx += 1
             if boundary < len(plan.gates):
