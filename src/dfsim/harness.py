@@ -180,11 +180,6 @@ def results_to_json(rows: list[SignalResult]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def write_results(rows: list[SignalResult], path: str | Path, fmt: str = "csv") -> None:
-    text = results_to_csv(rows) if fmt == "csv" else results_to_json(rows)
-    Path(path).write_text(text)
-
-
 # ---------------------------------------------------------------------------
 # invariant verifier
 

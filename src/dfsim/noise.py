@@ -9,9 +9,11 @@ Kraus channel
 
 complete because (1-e)^2 + 2 e(1-e) + e^2 = 1.  The exact channel is the
 primary evolution path.  The dense Monte-Carlo path (monte_carlo_finals)
-evolves every shot's 16x16 matrix; it mirrors the shot-averaged protocol and
-is the oracle for the sweep's Pauli-frame sampler.  Decoherence grows with
-e and is strongest at e = 0.5; larger values are rejected.
+gives every shot its 16x16 matrix; it mirrors the shot-averaged protocol and
+is the oracle for the sweep's Pauli-frame sampler.  Shots whose flip
+histories agree so far share one evolved matrix, so each distinct history
+is evolved once.  Decoherence grows with e and is strongest at e = 0.5;
+larger values are rejected.
 
 Reproducibility contract: the flips of one cell come from one counter-based
 Philox stream (Salmon et al., SC'11) keyed by the cell's seed.  Shot k reads
@@ -23,6 +25,7 @@ worker, and gives bit-identical flips (see draw_flips).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,15 +65,29 @@ def _validate_probability(e: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Ordered Kraus operators; complete when sum E^dagger E = identity."""
+    """Ordered Kraus operators; complete when sum E^dagger E = identity.
+
+    The operators are stored as read-only copies, so the completeness defect
+    is computed once per channel.
+    """
 
     operators: tuple[np.ndarray, ...]
 
-    def completeness_defect(self) -> float:
+    def __post_init__(self) -> None:
+        ops = tuple(np.array(op, dtype=complex) for op in self.operators)
+        for op in ops:
+            op.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
+
+    @cached_property
+    def _defect(self) -> float:
         acc = np.zeros((DIM, DIM), dtype=complex)
         for op in self.operators:
             acc += op.conj().T @ op
         return frobenius_norm(acc - identity_matrix())
+
+    def completeness_defect(self) -> float:
+        return self._defect
 
 
 def engineered_channel(e: float) -> KrausChannel:
@@ -248,26 +265,37 @@ def monte_carlo_finals(
     """Final deviation matrix of every shot, shape (shots, 16, 16).
 
     The dense oracle: every shot is evolved as a 16x16 matrix, with the flips
-    draw_flips(e, seed, shots, points) gives it.
+    draw_flips(e, seed, shots, points) gives it.  Shots that drew the same
+    flips at every noise point so far have the same matrix, so one matrix is
+    evolved per distinct flip history and the shots are expanded at the end;
+    each shot's result equals, to the bit, evolving it on its own.  Only the
+    drawn flips decide the sharing, never the damage audit, so the oracle
+    stays independent of the frame sampler it checks.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     prep = plan.preparation.deviation if initial is None else initial
     points = plan.decoherence_points
     draws = draw_flips(e, seed, shots, len(points))
-    rho = np.broadcast_to(np.asarray(prep, dtype=complex), (shots, DIM, DIM)).copy()
+    # rho[g] is the state of every shot whose flip history so far is group g
+    rho = np.asarray(prep, dtype=complex).reshape(1, DIM, DIM)
+    group = np.zeros(shots, dtype=np.intp)
     idx = 0
     for boundary in range(len(plan.gates) + 1):
         while idx < len(points) and points[idx] == boundary:
+            keys, group = np.unique(
+                group * 4 + draws[:, idx, 0] + 2 * draws[:, idx, 1], return_inverse=True
+            )
+            rho = rho[keys // 4]
             for slot, flip in enumerate(FLIP_PAIR):
-                sel = draws[:, idx, slot]
+                sel = (keys >> slot) & 1 == 1
                 if sel.any():
                     rho[sel] = flip @ rho[sel] @ flip
             idx += 1
         if boundary < len(plan.gates):
             u = plan.gates[boundary].physical
             rho = u @ rho @ u.conj().T
-    return rho
+    return rho[group]
 
 
 def monte_carlo_run(

@@ -79,12 +79,30 @@ class PauliString:
         return prefix + self.letters
 
 
+#: Maps a word's letters to its base-4 index in pauli_basis_strings order.
+_LETTER_DIGITS = str.maketrans("IXYZ", "0123")
+
+
+@lru_cache(maxsize=1)
+def _word_matrices() -> np.ndarray:
+    """Read-only sigma_1 x sigma_2 x sigma_3 x sigma_4 of all 256 words, shape (256, 16, 16).
+
+    Built once, in pauli_basis_strings order, by the same left-to-right
+    products as chained np.kron, so every entry has the same bits.
+    """
+    singles = np.stack([PAULI_1Q[c] for c in "IXYZ"])
+    m = singles
+    for _ in range(N_QUBITS - 1):
+        n = m.shape[1]
+        m = m[:, None, :, None, :, None] * singles[None, :, None, :, None, :]
+        m = m.reshape(-1, 2 * n, 2 * n)
+    m.setflags(write=False)
+    return m
+
+
 def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of ``p``: phase * (sigma_1 x sigma_2 x sigma_3 x sigma_4)."""
-    m = PAULI_1Q[p.letters[0]]
-    for c in p.letters[1:]:
-        m = np.kron(m, PAULI_1Q[c])
-    return p.phase * m
+    """Dense matrix of ``p``: phase * (sigma_1 x sigma_2 x sigma_3 x sigma_4), a fresh array."""
+    return p.phase * _word_matrices()[int(p.letters.translate(_LETTER_DIGITS), 4)]
 
 
 def multiply(p: PauliString, q: PauliString) -> PauliString:
@@ -157,17 +175,12 @@ def _pauli_basis_strings() -> tuple[PauliString, ...]:
     )
 
 
-@lru_cache(maxsize=1)
-def _pauli_basis_stack() -> np.ndarray:
-    return np.stack([pauli_matrix(p) for p in _pauli_basis_strings()])
-
-
 def pauli_decompose(rho: np.ndarray, tol: float = DEFAULT_TOL) -> dict[str, complex]:
     """Expand ``rho`` over the Pauli basis: rho = sum_w coeff[w] * matrix(w).
 
     Coefficients below ``tol`` in modulus are dropped.
     """
-    stack = _pauli_basis_stack()
+    stack = _word_matrices()
     coeffs = np.einsum("aij,ij->a", stack.conj(), np.asarray(rho, dtype=complex)) / DIM
     return {
         p.letters: complex(c)

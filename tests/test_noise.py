@@ -76,6 +76,17 @@ def test_apply_channel_leaves_z1z2_unchanged():
         np.testing.assert_allclose(apply_channel(z1z2, engineered_channel(e)), z1z2, atol=1e-14)
 
 
+def test_channel_operators_are_read_only_copies():
+    # the completeness defect is cached, so the operators must not change under it
+    op = 0.5 * np.eye(16, dtype=complex)
+    ch = KrausChannel(operators=(op,))
+    op[:] = np.eye(16)  # the caller's array, not the channel's
+    with pytest.raises(ValueError):
+        ch.operators[0][0, 0] = 1.0
+    # ||(0.25 - 1) I||_F over 16 dimensions
+    assert ch.completeness_defect() == pytest.approx(3.0, abs=1e-15)
+
+
 def test_apply_channel_rejects_incomplete():
     bad = KrausChannel(operators=(0.5 * np.eye(16, dtype=complex),))
     with pytest.raises(ValueError):
@@ -173,6 +184,46 @@ def test_monte_carlo_matches_shot_records():
                 u = plan.gates[boundary].physical
                 rho = u @ rho @ u.conj().T
         np.testing.assert_allclose(finals[k], rho, atol=1e-13)
+
+
+def _unshared_finals(plan, e, shots, seed, initial=None):
+    # one 16x16 state per shot, every shot evolved on its own
+    prep = plan.preparation.deviation if initial is None else initial
+    points = plan.decoherence_points
+    draws = draw_flips(e, seed, shots, len(points))
+    rho = np.broadcast_to(np.asarray(prep, dtype=complex), (shots, 16, 16)).copy()
+    idx = 0
+    for boundary in range(len(plan.gates) + 1):
+        while idx < len(points) and points[idx] == boundary:
+            for slot, flip in enumerate(noise.FLIP_PAIR):
+                sel = draws[:, idx, slot]
+                if sel.any():
+                    rho[sel] = flip @ rho[sel] @ flip
+            idx += 1
+        if boundary < len(plan.gates):
+            u = plan.gates[boundary].physical
+            rho = u @ rho @ u.conj().T
+    return rho
+
+
+@pytest.mark.parametrize("mode", circuits.MODES)
+@pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
+def test_shared_flip_histories_match_unshared_replay_to_the_bit(mode, algorithm):
+    # shots with the same flips so far share one evolved state; sharing must
+    # not change a single bit of any shot's final matrix
+    shots, seed = 512, 23
+    plan = circuits.assemble(mode, algorithm, preparation=readout.steps_for_mode(mode)[0])
+    for e in (0.0, 0.0625, 0.25, 0.5):
+        finals = monte_carlo_finals(plan, e, shots=shots, seed=seed)
+        assert finals.shape == (shots, 16, 16)
+        assert np.array_equal(finals, _unshared_finals(plan, e, shots, seed))
+
+
+def test_shared_flip_histories_with_initial_state():
+    plan = circuits.assemble_unprotected(preparation=readout.unprotected_steps()[0])
+    initial = pauli_matrix(PauliString("ZXIY")) / 16
+    finals = monte_carlo_finals(plan, 0.25, shots=128, seed=4, initial=initial)
+    assert np.array_equal(finals, _unshared_finals(plan, 0.25, 128, 4, initial))
 
 
 def test_monte_carlo_at_zero_error_equals_exact():

@@ -52,6 +52,27 @@ def test_pauli_matrix_entries_in_unit_set():
         assert np.all(np.isin(m.reshape(-1), allowed))
 
 
+def test_pauli_matrix_is_the_kron_product_of_its_letters():
+    for p in qcore.pauli_basis_strings():
+        expected = qcore.PAULI_1Q[p.letters[0]]
+        for c in p.letters[1:]:
+            expected = np.kron(expected, qcore.PAULI_1Q[c])
+        for phase in (1, -1, 1j, -1j):
+            got = pauli_matrix(PauliString(p.letters, phase))
+            np.testing.assert_array_equal(got, phase * expected)
+
+
+def test_pauli_matrix_returns_a_fresh_array_each_call():
+    # word matrices are cached; a caller mutating its copy must not touch the cache
+    p = PauliString("XYZI", -1j)
+    expected = pauli_matrix(p).copy()
+    m = pauli_matrix(p)
+    assert m.flags.writeable
+    m[:] = 7
+    np.testing.assert_array_equal(pauli_matrix(p), expected)
+    np.testing.assert_array_equal(pauli_matrix(PauliString("XYZI")), 1j * expected)
+
+
 def test_multiply_identity_and_involution():
     i4 = PauliString("IIII")
     x = PauliString("XXII")
