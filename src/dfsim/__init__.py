@@ -28,19 +28,15 @@ from .dfs import (
 )
 from .noise import (
     ErrorModelSpec,
-    KrausChannel,
     apply_channel,
     draw_flips,
-    engineered_channel,
     engineered_model,
-    monte_carlo_run,
     run_plan_exact,
     verify_error_model,
 )
 from .circuits import (
     ExperimentPlan,
-    assemble_protected,
-    assemble_unprotected,
+    assemble,
     count_damaging_errors,
     dj_gates,
     grover_gates,
@@ -73,17 +69,13 @@ __all__ = [
     "encode",
     "lift_logical_unitary",
     "ErrorModelSpec",
-    "KrausChannel",
     "apply_channel",
     "draw_flips",
-    "engineered_channel",
     "engineered_model",
-    "monte_carlo_run",
     "run_plan_exact",
     "verify_error_model",
     "ExperimentPlan",
-    "assemble_protected",
-    "assemble_unprotected",
+    "assemble",
     "count_damaging_errors",
     "dj_gates",
     "grover_gates",

@@ -195,77 +195,34 @@ def embed_on_spins_1_4(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return out
 
 
-def _realize(gates: tuple[LogicalGate, ...], mode: str) -> tuple[Gate, ...]:
-    realized = []
-    for g in gates:
-        if mode == "protected":
-            phys = dfs.lift_logical_unitary(g.matrix)
-        else:
-            phys = embed_on_spins_1_4(g.matrix)
-        realized.append(Gate(g.label, g.matrix, phys))
-    return tuple(realized)
-
-
-def _assemble(
+def assemble(
     mode: str,
-    algorithm: str,
+    algorithm: str = "grover",
     *,
     marked: str = "11",
     function="const0",
     preparation: PreparationStep | None = None,
     placement: tuple[int, ...] | None = None,
 ) -> ExperimentPlan:
+    """Plan running the algorithm, then the readout filter, in ``mode``.
+
+    Protected plans lift every logical gate onto the encoded register;
+    unprotected plans run it directly on spins 1 and 4 (no error avoidance).
+    The preparation defaults to the mode's first step and the placement to
+    default_placement.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    realize = dfs.lift_logical_unitary if mode == "protected" else embed_on_spins_1_4
     logical = algorithm_gates(algorithm, marked=marked, function=function) + readout_gates()
-    gates = _realize(logical, mode)
-    if placement is None:
-        placement = default_placement(len(gates))
-    if preparation is None:
-        preparation = steps_for_mode(mode)[0]
+    gates = tuple(Gate(g.label, g.matrix, realize(g.matrix)) for g in logical)
     return ExperimentPlan(
         mode=mode,
         algorithm=algorithm,
         gates=gates,
-        decoherence_points=tuple(placement),
-        preparation=preparation,
+        decoherence_points=default_placement(len(gates)) if placement is None else tuple(placement),
+        preparation=steps_for_mode(mode)[0] if preparation is None else preparation,
     )
-
-
-def assemble_protected(
-    algorithm: str = "grover",
-    *,
-    marked: str = "11",
-    function="const0",
-    preparation: PreparationStep | None = None,
-    placement: tuple[int, ...] | None = None,
-) -> ExperimentPlan:
-    """Plan running the algorithm on the encoded register (lifted gates)."""
-    return _assemble(
-        "protected", algorithm, marked=marked, function=function,
-        preparation=preparation, placement=placement,
-    )
-
-
-def assemble_unprotected(
-    algorithm: str = "grover",
-    *,
-    marked: str = "11",
-    function="const0",
-    preparation: PreparationStep | None = None,
-    placement: tuple[int, ...] | None = None,
-) -> ExperimentPlan:
-    """Plan running the algorithm directly on spins 1 and 4 (no error avoidance)."""
-    return _assemble(
-        "unprotected", algorithm, marked=marked, function=function,
-        preparation=preparation, placement=placement,
-    )
-
-
-def assemble(mode: str, algorithm: str = "grover", **kwargs) -> ExperimentPlan:
-    if mode == "protected":
-        return assemble_protected(algorithm, **kwargs)
-    if mode == "unprotected":
-        return assemble_unprotected(algorithm, **kwargs)
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def ideal_boundary_deviations(
@@ -311,13 +268,12 @@ def damage_audit(
     guessed around.
     """
     devs = ideal_boundary_deviations(plan, preparation)
-    flips = dfs.flip_matrices()[:2]
     audit = []
     for point, boundary in enumerate(plan.decoherence_points):
         rho = devs[boundary]
         scale = frobenius_norm(rho)
         damaging = []
-        for flip in flips:
+        for flip in dfs.FLIP_PAIR:
             conj = flip @ rho @ flip
             if frobenius_norm(conj - rho) <= tol * scale:
                 damaging.append(False)

@@ -48,7 +48,7 @@ def _build_config(args: argparse.Namespace) -> harness.SweepConfig:
         seed = mapping.get("seed")
     if isinstance(seed, str) and seed.strip().lower() == "random":
         seed = secrets.randbits(63)
-        print(f"# seed = {seed} (drawn from system entropy)")
+        print(f"# seed = {seed} (drawn from system entropy)", file=sys.stderr)
     if seed is not None:
         mapping["seed"] = seed
     return harness.build_config(mapping)

@@ -51,11 +51,22 @@ _SEEDS = (0b0000, 0b1000, 0b0001, 0b1001)
 _FLIP_A = 0b1100  # XOR mask of XXII
 _FLIP_B = 0b0011  # XOR mask of IIXX
 
-FLIP_OPERATORS = (
+#: The error words: every error operator is a_0 IIII + a_1 XXII + a_2 IIXX + a_3 XXXX.
+ERROR_BASIS = (
+    PauliString("IIII"),
     PauliString("XXII"),
     PauliString("IIXX"),
     PauliString("XXXX"),
 )
+
+_ERROR_STACK = np.stack([pauli_matrix(p) for p in ERROR_BASIS])
+_ERROR_STACK.setflags(write=False)
+
+#: Read-only matrices of ERROR_BASIS, in the same order.
+ERROR_MATRICES = tuple(_ERROR_STACK)
+
+#: The two stochastically applied flips, XXII then IIXX, in protocol order.
+FLIP_PAIR = ERROR_MATRICES[1:3]
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,11 +166,6 @@ def lift_logical_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     for basis in all_isometries():
         out += basis @ u @ basis.conj().T
     return out
-
-
-def flip_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrices of the three non-identity error generators (XXII, IIXX, XXXX)."""
-    return tuple(pauli_matrix(p) for p in FLIP_OPERATORS)
 
 
 def subspace_weights(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:

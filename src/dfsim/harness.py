@@ -192,21 +192,19 @@ def _random_logical_states(rng: np.random.Generator, count: int) -> list[np.ndar
     return states
 
 
-def _immunity_residual(seed: int, corrupt: bool) -> float:
+def _immunity_residual(seed: int, bases: tuple[np.ndarray, ...]) -> float:
+    """Worst change the engineered channel makes, over IMMUNITY_E_GRID, to 50
+    random logical states, each the equal mixture over the isometries ``bases``."""
     rng = np.random.default_rng(seed)
-    bases = [b.vectors for b in (dfs.dfs_basis(i) for i in (1, 2, 3, 4))]
-    if corrupt:
-        bad = bases[3].copy()
-        bad[12, 0] *= -1.0  # break one sign relation in subspace 4
-        bases[3] = bad
+    models = [noise.engineered_model(e) for e in IMMUNITY_E_GRID]
     worst = 0.0
     for psi in _random_logical_states(rng, 50):
         rho = np.zeros((qcore.DIM, qcore.DIM), dtype=complex)
         for basis in bases:
             vec = basis @ psi
             rho += 0.25 * np.outer(vec, vec.conj())
-        for e in IMMUNITY_E_GRID:
-            out = noise.apply_channel(rho, noise.engineered_channel(e))
+        for model in models:
+            out = noise.apply_channel(rho, model)
             worst = max(worst, qcore.frobenius_norm(out - rho))
     return worst
 
@@ -324,9 +322,9 @@ def _mc_convergence_residual(cfg: SweepConfig) -> tuple[float, str]:
             prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
             for e_idx, e in enumerate(cfg.e_grid):
                 exact = noise.run_plan_exact(plan, e)
-                mean = noise.monte_carlo_run(
+                mean = noise.monte_carlo_finals(
                     plan, e, cfg.shots, _cell_seed(cfg.seed, mode_idx, step_idx, e_idx)
-                )
+                ).mean(axis=0)
                 var = prep_sq - qcore.frobenius_norm(exact) ** 2
                 if var <= qcore.DEFAULT_TOL * prep_sq:
                     var = 0.0
@@ -338,12 +336,8 @@ def _mc_convergence_residual(cfg: SweepConfig) -> tuple[float, str]:
     return float(worst), worst_cell
 
 
-def verify(cfg: SweepConfig | None = None, *, _corrupt_dfs: bool = False) -> list[VerifyCheck]:
-    """Run the machine-checkable invariant suite; every check reports its residual.
-
-    ``_corrupt_dfs`` is a test hook that breaks one sign of one subspace basis
-    vector inside the immunity check, to prove the check has teeth.
-    """
+def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
+    """Run the machine-checkable invariant suite; every check reports its residual."""
     cfg = cfg or SweepConfig()
     checks: list[VerifyCheck] = []
 
@@ -363,13 +357,13 @@ def verify(cfg: SweepConfig | None = None, *, _corrupt_dfs: bool = False) -> lis
     add("dfs-gram-identity", dfs.gram_defect(), qcore.DEFAULT_TOL)
     add(
         "dfs-immunity",
-        _immunity_residual(cfg.seed, _corrupt_dfs),
+        _immunity_residual(cfg.seed, dfs.all_isometries()),
         qcore.DEFAULT_TOL,
         "50 random logical states, e = 0 .. 0.5 step 0.05",
     )
     add(
         "channel-completeness",
-        max(noise.engineered_channel(e).completeness_defect() for e in cfg.e_grid),
+        max(noise.engineered_model(e).completeness_defect for e in cfg.e_grid),
         qcore.DEFAULT_TOL,
     )
     add("eigenstructure-audit", _eigenstructure_residual(cfg.e_grid), qcore.DEFAULT_TOL)

@@ -1,19 +1,26 @@
-"""Engineered paired-flip decoherence: exact channel, sampling, Monte Carlo.
+"""Engineered paired-flip decoherence: error model, exact channel, Monte Carlo.
 
-The decoherence is applied at chosen circuit points: XXII with probability e,
-then IIXX with the same probability.  Averaged over realizations this is the
-Kraus channel
+Every error operator of the paired-flip model is a combination of the error
+words IIII, XXII, IIXX and XXXX (dfs.ERROR_BASIS).  An ErrorModelSpec holds
+the coefficients of its Kraus operators over those words; it is the one
+description of a channel that apply_channel, verify_error_model and
+run_plan_exact take.
+
+The engineered decoherence is applied at chosen circuit points: XXII with
+probability e, then IIXX with the same probability.  Averaged over
+realizations this is the spec engineered_model(e),
 
     E0 = (1-e) IIII,  E1 = sqrt(e(1-e)) XXII,
     E2 = sqrt(e(1-e)) IIXX,  E3 = e XXXX,
 
-complete because (1-e)^2 + 2 e(1-e) + e^2 = 1.  The exact channel is the
-primary evolution path.  The dense Monte-Carlo path (monte_carlo_finals)
-gives every shot its 16x16 matrix; it mirrors the shot-averaged protocol and
-is the oracle for the sweep's Pauli-frame sampler.  Shots whose flip
-histories agree so far share one evolved matrix, so each distinct history
-is evolved once.  Decoherence grows with e and is strongest at e = 0.5;
-larger values are rejected.
+complete because (1-e)^2 + 2 e(1-e) + e^2 = 1; at e = 0 only E0 is kept.
+The exact channel is the primary evolution path.  The dense Monte-Carlo path
+(monte_carlo_finals) gives every shot its 16x16 matrix, flipped by
+dfs.FLIP_PAIR; it mirrors the shot-averaged protocol and is the oracle for
+the sweep's Pauli-frame sampler.  Shots whose flip histories agree so far
+share one evolved matrix, so each distinct history is evolved once.
+Decoherence grows with e and is strongest at e = 0.5; larger values are
+rejected.
 
 Reproducibility contract: the flips of one cell come from one counter-based
 Philox stream (Salmon et al., SC'11) keyed by the cell's seed.  Shot k reads
@@ -24,34 +31,13 @@ worker, and gives bit-identical flips (see draw_flips).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dfs
 from .circuits import ExperimentPlan
-from .qcore import (
-    DEFAULT_TOL,
-    DIM,
-    PauliString,
-    frobenius_norm,
-    identity_matrix,
-    pauli_matrix,
-)
-
-#: Operator basis of the error model: a_d0 IIII + a_d1 XXII + a_d2 IIXX + a_d3 XXXX.
-ERROR_BASIS = (
-    PauliString("IIII"),
-    PauliString("XXII"),
-    PauliString("IIXX"),
-    PauliString("XXXX"),
-)
-
-_ERROR_MATRICES = tuple(pauli_matrix(p) for p in ERROR_BASIS)
-
-#: The two stochastically applied flips, in protocol order.
-FLIP_PAIR = (_ERROR_MATRICES[1], _ERROR_MATRICES[2])
+from .qcore import DEFAULT_TOL, DIM, frobenius_norm
 
 DEFAULT_SHOTS = 2048
 
@@ -64,45 +50,53 @@ def _validate_probability(e: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """Ordered Kraus operators; complete when sum E^dagger E = identity.
+class ErrorModelSpec:
+    """Kraus operators E_d = sum_k a[d, k] W_k over the error words W = dfs.ERROR_BASIS.
 
-    The operators are stored as read-only copies, so the completeness defect
-    is computed once per channel.
+    ``coefficients`` is a read-only copy of a, one row per operator.  The
+    read-only ``operators`` (each the sum of only its nonzero terms) and the
+    ``completeness_defect`` ||sum_d E_d^dagger E_d - I||_F are computed once,
+    when the spec is made.
     """
 
-    operators: tuple[np.ndarray, ...]
+    coefficients: np.ndarray
+    operators: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    completeness_defect: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ops = tuple(np.array(op, dtype=complex) for op in self.operators)
-        for op in ops:
+        a = np.array(self.coefficients, dtype=complex)
+        if a.ndim != 2 or a.shape[1] != 4:
+            raise ValueError("coefficients must have shape (n_operators, 4)")
+        a.setflags(write=False)
+        ops = []
+        for row in a.tolist():
+            terms = [c * m for c, m in zip(row, dfs.ERROR_MATRICES) if c]
+            op = sum(terms[1:], terms[0]) if terms else np.zeros((DIM, DIM), dtype=complex)
             op.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
-
-    @cached_property
-    def _defect(self) -> float:
+            ops.append(op)
         acc = np.zeros((DIM, DIM), dtype=complex)
-        for op in self.operators:
+        for op in ops:
             acc += op.conj().T @ op
-        return frobenius_norm(acc - identity_matrix())
+        acc.flat[:: DIM + 1] -= 1.0  # minus the identity
+        object.__setattr__(self, "coefficients", a)
+        object.__setattr__(self, "operators", tuple(ops))
+        object.__setattr__(self, "completeness_defect", frobenius_norm(acc))
 
-    def completeness_defect(self) -> float:
-        return self._defect
 
-
-def engineered_channel(e: float) -> KrausChannel:
-    """The paired-flip channel at strength e; exactly complete by construction."""
+def engineered_model(e: float) -> ErrorModelSpec:
+    """The paired-flip channel at strength e; only its nonzero operators are kept."""
     e = _validate_probability(e)
-    coeffs = (1.0 - e, np.sqrt(e * (1.0 - e)), np.sqrt(e * (1.0 - e)), e)
-    ops = tuple(c * m for c, m in zip(coeffs, _ERROR_MATRICES) if c != 0.0)
-    return KrausChannel(operators=ops)
+    root = np.sqrt(e * (1.0 - e))
+    a = np.zeros((4, 4))
+    a.flat[::5] = (1.0 - e, root, root, e)  # the diagonal
+    return ErrorModelSpec(coefficients=a if e else a[:1])  # e > 0: every row is nonzero
 
 
 def apply_channel(
-    rho: np.ndarray, channel: KrausChannel, tol: float = DEFAULT_TOL
+    rho: np.ndarray, channel: ErrorModelSpec, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """rho -> sum_d E_d rho E_d^dagger; rejects incomplete channels."""
-    defect = channel.completeness_defect()
+    defect = channel.completeness_defect
     if defect > tol:
         raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
     rho = np.asarray(rho, dtype=complex)
@@ -110,39 +104,6 @@ def apply_channel(
     for op in channel.operators:
         out += op @ rho @ op.conj().T
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class ErrorModelSpec:
-    """Coefficients a[d, k] over ERROR_BASIS, one row per Kraus operator."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.coefficients, dtype=complex)
-        if a.ndim != 2 or a.shape[1] != 4:
-            raise ValueError("coefficients must have shape (n_operators, 4)")
-        object.__setattr__(self, "coefficients", a)
-
-    def operators(self) -> tuple[np.ndarray, ...]:
-        return tuple(
-            sum(c * m for c, m in zip(row, _ERROR_MATRICES))
-            for row in self.coefficients
-        )
-
-    def channel(self) -> KrausChannel:
-        return KrausChannel(operators=self.operators())
-
-
-def engineered_model(e: float) -> ErrorModelSpec:
-    """The engineered channel written as error-model coefficients."""
-    e = _validate_probability(e)
-    a = np.zeros((4, 4), dtype=complex)
-    a[0, 0] = 1.0 - e
-    a[1, 1] = np.sqrt(e * (1.0 - e))
-    a[2, 2] = np.sqrt(e * (1.0 - e))
-    a[3, 3] = e
-    return ErrorModelSpec(coefficients=a)
 
 
 @dataclass(frozen=True)
@@ -175,8 +136,7 @@ def verify_error_model(
     a_d0 + a_d1 s1 + a_d2 s2 + a_d3 s3; the residual measures the matrix
     action against that prediction.  Requires a complete model.
     """
-    channel = spec.channel()
-    defect = channel.completeness_defect()
+    defect = spec.completeness_defect
     if defect > tol:
         raise ValueError(f"error model is not trace preserving (defect {defect:.3e})")
     a = spec.coefficients
@@ -188,7 +148,7 @@ def verify_error_model(
         s1, s2, s3 = basis.signature
         chi = np.array([1.0, s1, s2, s3])
         eigenvalues[:, i - 1] = a @ chi
-        for d, op in enumerate(channel.operators):
+        for d, op in enumerate(spec.operators):
             resid = frobenius_norm(op @ basis.vectors - eigenvalues[d, i - 1] * basis.vectors)
             residuals[i - 1] = max(residuals[i - 1], resid)
     weights = np.sum(np.abs(eigenvalues) ** 2, axis=0)
@@ -239,7 +199,7 @@ def run_plan_exact(
     plan: ExperimentPlan, e: float, initial: np.ndarray | None = None
 ) -> np.ndarray:
     """Deterministic evolution: gates interleaved with the exact channel."""
-    channel = engineered_channel(e)
+    model = engineered_model(e)
     rho = np.array(
         plan.preparation.deviation if initial is None else initial, dtype=complex
     )
@@ -247,7 +207,7 @@ def run_plan_exact(
     idx = 0
     for boundary in range(len(plan.gates) + 1):
         while idx < len(points) and points[idx] == boundary:
-            rho = apply_channel(rho, channel)
+            rho = apply_channel(rho, model)
             idx += 1
         if boundary < len(plan.gates):
             u = plan.gates[boundary].physical
@@ -287,7 +247,7 @@ def monte_carlo_finals(
                 group * 4 + draws[:, idx, 0] + 2 * draws[:, idx, 1], return_inverse=True
             )
             rho = rho[keys // 4]
-            for slot, flip in enumerate(FLIP_PAIR):
+            for slot, flip in enumerate(dfs.FLIP_PAIR):
                 sel = (keys >> slot) & 1 == 1
                 if sel.any():
                     rho[sel] = flip @ rho[sel] @ flip
@@ -296,14 +256,3 @@ def monte_carlo_finals(
             u = plan.gates[boundary].physical
             rho = u @ rho @ u.conj().T
     return rho[group]
-
-
-def monte_carlo_run(
-    plan: ExperimentPlan,
-    e: float,
-    shots: int = DEFAULT_SHOTS,
-    seed: int = 0,
-    initial: np.ndarray | None = None,
-) -> np.ndarray:
-    """Shot-averaged final deviation matrix (the protocol's ensemble average)."""
-    return monte_carlo_finals(plan, e, shots, seed, initial).mean(axis=0)

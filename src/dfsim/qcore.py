@@ -163,13 +163,9 @@ def hs_overlap(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(np.asarray(a), np.asarray(b)))
 
 
+@lru_cache(maxsize=1)
 def pauli_basis_strings() -> tuple[PauliString, ...]:
     """All 256 phase (+1) Pauli words, an orthogonal operator basis."""
-    return _pauli_basis_strings()
-
-
-@lru_cache(maxsize=1)
-def _pauli_basis_strings() -> tuple[PauliString, ...]:
     return tuple(
         PauliString("".join(w)) for w in product("IXYZ", repeat=N_QUBITS)
     )
@@ -184,6 +180,6 @@ def pauli_decompose(rho: np.ndarray, tol: float = DEFAULT_TOL) -> dict[str, comp
     coeffs = np.einsum("aij,ij->a", stack.conj(), np.asarray(rho, dtype=complex)) / DIM
     return {
         p.letters: complex(c)
-        for p, c in zip(_pauli_basis_strings(), coeffs)
+        for p, c in zip(pauli_basis_strings(), coeffs)
         if abs(c) > tol
     }

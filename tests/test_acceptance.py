@@ -38,7 +38,7 @@ def test_criterion_1_dfs_immunity():
         psi /= np.linalg.norm(psi)
         rho = dfs.encode(psi)
         for e in np.arange(0.0, 0.501, 0.05):
-            out = noise.apply_channel(rho, noise.engineered_channel(e))
+            out = noise.apply_channel(rho, noise.engineered_model(e))
             worst = max(worst, qcore.frobenius_norm(out - rho))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12
@@ -50,12 +50,12 @@ def test_criterion_2_protected_grover_correctness():
     start = time.perf_counter()
     worst = 0.0
     for step in readout.protected_steps():
-        plan = circuits.assemble_protected("grover", preparation=step)
+        plan = circuits.assemble("protected", "grover", preparation=step)
         ideal = dfs.decode(noise.run_plan_exact(plan, 0.0))
         for e in E_GRID:
             decoded = dfs.decode(noise.run_plan_exact(plan, e))
             worst = max(worst, abs(readout.signal_intensity(decoded, ideal) - 1.0))
-    plan = circuits.assemble_protected("grover")
+    plan = circuits.assemble("protected", "grover")
     for e in E_GRID:
         final = noise.run_plan_exact(plan, e, initial=summed_initial("protected"))
         fidelity = dfs.decode(final)[3, 3].real  # population of |11>
@@ -71,7 +71,7 @@ def test_criterion_3_unprotected_decay_law():
     flips = (qcore.PauliString("XXII"), qcore.PauliString("IIXX"))
     worst = 0.0
     for step in readout.unprotected_steps():
-        plan = circuits.assemble_unprotected("grover", preparation=step)
+        plan = circuits.assemble("unprotected", "grover", preparation=step)
         # independent oracle: anticommutation count of the Pauli word present
         # at each of the nine default decoherence points
         devs = circuits.ideal_boundary_deviations(plan)
@@ -96,13 +96,13 @@ def test_criterion_4_failure_thresholds():
     start = time.perf_counter()
     high_e = [e for e in E_GRID if e >= 0.3] + [0.3]
     for step in readout.unprotected_steps():
-        plan = circuits.assemble_unprotected("grover", preparation=step)
+        plan = circuits.assemble("unprotected", "grover", preparation=step)
         reference = noise.run_plan_exact(plan, 0.0)
         for e in high_e:
             signal = readout.signal_intensity(noise.run_plan_exact(plan, e), reference)
             assert abs(signal) < 0.01
     for step in readout.protected_steps():
-        plan = circuits.assemble_protected("grover", preparation=step)
+        plan = circuits.assemble("protected", "grover", preparation=step)
         reference = noise.run_plan_exact(plan, 0.0)
         for e in high_e:
             signal = readout.signal_intensity(noise.run_plan_exact(plan, e), reference)
@@ -126,7 +126,7 @@ def test_criterion_5_monte_carlo_matches_exact():
 
 
 def test_criterion_6_temporal_averaging_identity():
-    plan = circuits.assemble_protected("grover")
+    plan = circuits.assemble("protected", "grover")
     steps = readout.protected_steps()
     worst = 0.0
     for e in E_GRID:
@@ -159,7 +159,7 @@ def test_criterion_7_eigenstructure_audit():
 def test_criterion_8_deutsch_jozsa():
     worst = 0.0
     for name in circuits.DJ_FUNCTIONS:
-        plan = circuits.assemble_protected("deutsch-jozsa", function=name)
+        plan = circuits.assemble("protected", "deutsch-jozsa", function=name)
         constant = circuits.dj_is_constant(name)
         for e in E_GRID:
             final = noise.run_plan_exact(plan, e, initial=summed_initial("protected"))
@@ -169,8 +169,8 @@ def test_criterion_8_deutsch_jozsa():
             worst = max(worst, abs(p00 - (1.0 if constant else 0.0)))
 
         for step in readout.unprotected_steps():
-            uplan = circuits.assemble_unprotected(
-                "deutsch-jozsa", function=name, preparation=step
+            uplan = circuits.assemble(
+                "unprotected", "deutsch-jozsa", function=name, preparation=step
             )
             n = circuits.count_damaging_errors(uplan)
             reference = noise.run_plan_exact(uplan, 0.0)

@@ -4,8 +4,7 @@ import pytest
 from dfsim import circuits, dfs, noise, qcore, readout
 from dfsim.circuits import (
     ExperimentPlan,
-    assemble_protected,
-    assemble_unprotected,
+    assemble,
     count_damaging_errors,
     damage_audit,
     dj_gates,
@@ -98,15 +97,24 @@ def test_embedding_rejects_nonunitary():
 
 
 def test_default_placements():
-    grover_plan = assemble_protected("grover")
+    grover_plan = assemble("protected", "grover")
     assert grover_plan.decoherence_points == (0, 1, 2, 3, 4, 5, 6, 7, 7)
     assert len(grover_plan.decoherence_points) == 9
-    dj_plan = assemble_protected("deutsch-jozsa", function="xor")
+    dj_plan = assemble("protected", "deutsch-jozsa", function="xor")
     assert dj_plan.decoherence_points == (0, 1, 2, 3, 4, 5, 5)
 
 
+def test_assemble_rejects_unknown_mode_and_algorithm():
+    with pytest.raises(ValueError, match="mode"):
+        assemble("shielded", "grover")
+    with pytest.raises(ValueError, match="algorithm"):
+        assemble("protected", "shor")
+    with pytest.raises(ValueError, match="algorithm"):
+        assemble("unprotected", "shor")
+
+
 def test_plan_validates_placement():
-    plan = assemble_unprotected("grover")
+    plan = assemble("unprotected", "grover")
     with pytest.raises(ValueError):
         ExperimentPlan(
             mode=plan.mode, algorithm=plan.algorithm, gates=plan.gates,
@@ -120,7 +128,7 @@ def test_plan_validates_placement():
 
 
 def test_protected_grover_decodes_to_marked_state_at_any_e():
-    plan = assemble_protected("grover")
+    plan = assemble("protected", "grover")
     for e in (0.0, 0.125, 0.3125, 0.5):
         final = noise.run_plan_exact(plan, e, initial=summed_initial("protected"))
         rho_l = dfs.decode(final)
@@ -128,17 +136,17 @@ def test_protected_grover_decodes_to_marked_state_at_any_e():
 
 
 def test_protected_step_deviations_survive_every_point():
-    plan = assemble_protected("grover", preparation=readout.protected_steps()[0])
+    plan = assemble("protected", "grover", preparation=readout.protected_steps()[0])
     devs = circuits.ideal_boundary_deviations(plan)
     for e in (0.25, 0.5):
-        ch = noise.engineered_channel(e)
+        model = noise.engineered_model(e)
         for boundary in plan.decoherence_points:
             rho = devs[boundary]
-            assert qcore.frobenius_norm(noise.apply_channel(rho, ch) - rho) < 1e-12
+            assert qcore.frobenius_norm(noise.apply_channel(rho, model) - rho) < 1e-12
 
 
 def test_unprotected_noiseless_run_succeeds():
-    plan = assemble_unprotected("grover")
+    plan = assemble("unprotected", "grover")
     final = noise.run_plan_exact(plan, 0.0, initial=summed_initial("unprotected"))
     # marked item |11> on spins (1, 4), spectators fully mixed
     expected = (
@@ -153,13 +161,13 @@ def test_unprotected_noiseless_run_succeeds():
 def test_unprotected_damage_counts():
     expected = {"Z1": 6, "Z1Z4": 12, "Z4": 6}
     for step in readout.unprotected_steps():
-        plan = assemble_unprotected("grover", preparation=step)
+        plan = assemble("unprotected", "grover", preparation=step)
         assert count_damaging_errors(plan) == expected[step.label]
 
 
 def test_protected_damage_count_is_zero():
     for step in readout.protected_steps():
-        plan = assemble_protected("grover", preparation=step)
+        plan = assemble("protected", "grover", preparation=step)
         assert count_damaging_errors(plan) == 0
 
 
@@ -168,7 +176,7 @@ def test_damage_count_agrees_with_anticommutation_oracle():
     # exact algebraic anticommutation predicate
     flips = (PauliString("XXII"), PauliString("IIXX"))
     for step in readout.unprotected_steps():
-        plan = assemble_unprotected("grover", preparation=step)
+        plan = assemble("unprotected", "grover", preparation=step)
         devs = circuits.ideal_boundary_deviations(plan)
         n_oracle = 0
         for boundary in plan.decoherence_points:
@@ -181,7 +189,7 @@ def test_damage_count_agrees_with_anticommutation_oracle():
 
 def test_unprotected_decay_matches_damage_count():
     for step in readout.unprotected_steps():
-        plan = assemble_unprotected("grover", preparation=step)
+        plan = assemble("unprotected", "grover", preparation=step)
         n = count_damaging_errors(plan)
         reference = noise.run_plan_exact(plan, 0.0)
         for e in np.arange(0.0, 0.501, 0.0625):
@@ -191,20 +199,20 @@ def test_unprotected_decay_matches_damage_count():
 
 def test_unprotected_signal_negligible_at_e_03():
     for step in readout.unprotected_steps():
-        plan = assemble_unprotected("grover", preparation=step)
+        plan = assemble("unprotected", "grover", preparation=step)
         reference = noise.run_plan_exact(plan, 0.0)
         signal = readout.signal_intensity(noise.run_plan_exact(plan, 0.3), reference)
         assert abs(signal) <= 0.01
 
 
 def test_damage_audit_reports_states():
-    plan = assemble_unprotected("grover", preparation=readout.unprotected_steps()[0])
+    plan = assemble("unprotected", "grover", preparation=readout.unprotected_steps()[0])
     audit = damage_audit(plan)
     assert len(audit) == 9
     assert audit[0].state == "ZIII" and audit[0].hits == 1
     assert sum(entry.hits for entry in audit) == 6
     protected_audit = damage_audit(
-        assemble_protected("grover", preparation=readout.protected_steps()[0])
+        assemble("protected", "grover", preparation=readout.protected_steps()[0])
     )
     assert all(entry.hits == 0 for entry in protected_audit)
 
@@ -232,7 +240,7 @@ def test_moving_points_across_commuting_gates_is_invisible():
     # lifted gates commute with every error operator, so sliding a point
     # across any protected gate cannot change the final state
     step = readout.protected_steps()[2]
-    base = assemble_protected("grover", preparation=step)
+    base = assemble("protected", "grover", preparation=step)
     variants = [
         (0, 0, 1, 2, 3, 4, 5, 6, 7),
         (1, 2, 3, 4, 4, 4, 5, 6, 7),
@@ -240,12 +248,12 @@ def test_moving_points_across_commuting_gates_is_invisible():
     ]
     out_base = noise.run_plan_exact(base, 0.3)
     for placement in variants:
-        plan = assemble_protected("grover", preparation=step, placement=placement)
+        plan = assemble("protected", "grover", preparation=step, placement=placement)
         np.testing.assert_allclose(noise.run_plan_exact(plan, 0.3), out_base, atol=1e-12)
 
 
 def test_with_preparation_swaps_step():
-    plan = assemble_unprotected("grover")
+    plan = assemble("unprotected", "grover")
     other = plan.with_preparation(readout.unprotected_steps()[1])
     assert other.preparation.label == "Z1Z4"
     assert other.gates is plan.gates

@@ -60,7 +60,7 @@ def test_basis_index_validation():
 
 def test_signatures_match_matrix_action():
     # oracle: apply the three flip matrices to every basis vector
-    flips = dfs.flip_matrices()
+    flips = dfs.ERROR_MATRICES[1:]  # XXII, IIXX, XXXX
     for i in (1, 2, 3, 4):
         basis = dfs_basis(i)
         for flip, s in zip(flips, basis.signature):
@@ -87,7 +87,7 @@ def test_sixteen_vectors_form_orthonormal_basis():
 
 def test_error_operators_act_as_scalars_on_each_subspace():
     rng = np.random.default_rng(17)
-    mats = [pauli_matrix(p) for p in noise.ERROR_BASIS]
+    mats = [pauli_matrix(p) for p in dfs.ERROR_BASIS]
     for _ in range(100):
         a = rng.normal(size=4) + 1j * rng.normal(size=4)
         op = sum(c * m for c, m in zip(a, mats))
@@ -156,7 +156,7 @@ def test_channel_fixed_point_on_encoded_states():
     for _ in range(10):
         rho = encode(random_state(rng))
         for e in (0.0, 0.1, 0.25, 0.5):
-            out = noise.apply_channel(rho, noise.engineered_channel(e))
+            out = noise.apply_channel(rho, noise.engineered_model(e))
             assert qcore.frobenius_norm(out - rho) < 1e-12
 
 
@@ -167,28 +167,29 @@ def test_decode_invariant_under_channel_any_weights():
         w = rng.random(4)
         w /= w.sum()
         rho = encode(psi, weights=tuple(w))
-        out = noise.apply_channel(rho, noise.engineered_channel(e))
+        out = noise.apply_channel(rho, noise.engineered_model(e))
         np.testing.assert_allclose(decode(out), decode(rho), atol=1e-12)
 
 
 def test_general_error_model_only_reweights_subspaces():
     # a complete paired-flip error model maps encode(psi, w) to encode(psi, w')
     rng = np.random.default_rng(37)
-    mats = [pauli_matrix(p) for p in noise.ERROR_BASIS]
+    mats = [pauli_matrix(p) for p in dfs.ERROR_BASIS]
     chi = np.array([[1, *dfs_signature(i)] for i in (1, 2, 3, 4)], dtype=float)
     for _ in range(10):
         eig = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
         eig /= np.linalg.norm(eig, axis=0, keepdims=True)  # completeness
         coeffs = eig @ chi / 4
         ops = tuple(sum(c * m for c, m in zip(row, mats)) for row in coeffs)
-        channel = noise.KrausChannel(operators=ops)
-        assert channel.completeness_defect() < 1e-12
+        spec = noise.ErrorModelSpec(coefficients=coeffs)
+        np.testing.assert_allclose(spec.operators, ops, atol=1e-15)
+        assert spec.completeness_defect < 1e-12
 
         psi = random_state(rng)
         w = rng.random(4)
         w /= w.sum()
         rho = encode(psi, weights=tuple(w))
-        out = noise.apply_channel(rho, channel)
+        out = noise.apply_channel(rho, spec)
 
         w_prime = dfs.subspace_weights(out, psi)
         assert w_prime.sum() == pytest.approx(1.0, abs=1e-12)
@@ -215,7 +216,7 @@ def test_lift_is_unitary_and_commutes_with_structure():
     for _ in range(5):
         lifted = lift_logical_unitary(random_unitary(rng))
         assert qcore.is_unitary(lifted)
-        for flip in dfs.flip_matrices():
+        for flip in dfs.ERROR_MATRICES[1:]:
             np.testing.assert_allclose(lifted @ flip, flip @ lifted, atol=1e-12)
         for i in (1, 2, 3, 4):
             v = dfs_basis(i).vectors

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dfsim import circuits, cli, harness, noise, readout
+from dfsim import circuits, cli, dfs, harness, noise, qcore, readout
 from dfsim.harness import (
     CSV_HEADER,
     ConfigError,
@@ -121,12 +121,12 @@ def test_verify_passes_on_fresh_build():
 
 
 def test_verify_detects_corrupted_subspace():
-    checks = verify(
-        SweepConfig(e_grid=(0.25,), shots=2, seed=5), _corrupt_dfs=True
-    )
-    by_name = {c.name: c for c in checks}
-    assert not by_name["dfs-immunity"].passed
-    assert by_name["dfs-immunity"].residual > 1e-3
+    bases = list(dfs.all_isometries())
+    assert harness._immunity_residual(5, bases) <= qcore.DEFAULT_TOL
+    bad = bases[3].copy()
+    bad[12, 0] *= -1.0  # break one sign relation in subspace 4
+    bases[3] = bad
+    assert harness._immunity_residual(5, bases) > 1e-3
 
 
 def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
@@ -275,9 +275,18 @@ def test_cli_random_seed_is_reported(capsys):
     code = cli.main([
         "run", "--seed", "random", "--e-grid", "0", "--shots", "2", "--mode", "protected",
     ])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
-    assert "# seed =" in out
+    assert "# seed =" in captured.err
+    assert captured.out.split("\n", 1)[0] == CSV_HEADER
+    code = cli.main([
+        "run", "--seed", "random", "--e-grid", "0", "--shots", "2", "--mode", "protected",
+        "--format", "json",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "# seed =" in captured.err
+    assert len(json.loads(captured.out)) == 3
 
 
 @pytest.mark.parametrize("shots", [1, 3, 64])

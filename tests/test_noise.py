@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from dfsim import circuits, dfs, noise, qcore, readout
+from dfsim import circuits, dfs, qcore, readout
 from dfsim.noise import (
     ErrorModelSpec,
-    KrausChannel,
     apply_channel,
     draw_flips,
-    engineered_channel,
     engineered_model,
     monte_carlo_finals,
-    monte_carlo_run,
     run_plan_exact,
     verify_error_model,
 )
@@ -23,15 +20,15 @@ def random_state(rng):
 
 
 def test_engineered_channel_at_zero_is_identity_map():
-    ch = engineered_channel(0.0)
-    assert len(ch.operators) == 1
+    ch = engineered_model(0.0)
+    assert ch.coefficients.shape == (1, 4) and len(ch.operators) == 1
     np.testing.assert_array_equal(ch.operators[0], np.eye(16))
     rho = pauli_matrix(PauliString("ZIII")) / 16
     np.testing.assert_array_equal(apply_channel(rho, ch), rho)
 
 
 def test_engineered_channel_at_half_has_equal_coefficients():
-    ch = engineered_channel(0.5)
+    ch = engineered_model(0.5)
     words = ("IIII", "XXII", "IIXX", "XXXX")
     assert len(ch.operators) == 4
     for op, word in zip(ch.operators, words):
@@ -40,19 +37,19 @@ def test_engineered_channel_at_half_has_equal_coefficients():
 
 def test_engineered_channel_completeness():
     for e in (0.1, 0.3, 0.5):
-        assert engineered_channel(e).completeness_defect() < 1e-15
+        assert engineered_model(e).completeness_defect < 1e-15
 
 
 def test_engineered_channel_rejects_out_of_range():
     for bad in (-0.1, 0.51, 1.0):
         with pytest.raises(ValueError):
-            engineered_channel(bad)
+            engineered_model(bad)
 
 
 def test_apply_channel_fixes_encoded_00():
     rho = dfs.encode(np.array([1, 0, 0, 0], dtype=complex))
     for e in (0.1, 0.25, 0.5):
-        np.testing.assert_allclose(apply_channel(rho, engineered_channel(e)), rho, atol=1e-14)
+        np.testing.assert_allclose(apply_channel(rho, engineered_model(e)), rho, atol=1e-14)
 
 
 def test_apply_channel_scales_z1_by_1_minus_2e():
@@ -65,7 +62,7 @@ def test_apply_channel_scales_z1_by_1_minus_2e():
             + e * (1 - e) * qcore.conjugate(z1, pauli_matrix(PauliString("IIXX")))
             + e**2 * qcore.conjugate(z1, pauli_matrix(PauliString("XXXX")))
         )
-        out = apply_channel(z1, engineered_channel(e))
+        out = apply_channel(z1, engineered_model(e))
         np.testing.assert_allclose(out, expected, atol=1e-14)
         np.testing.assert_allclose(out, (1 - 2 * e) * z1, atol=1e-14)
 
@@ -73,29 +70,31 @@ def test_apply_channel_scales_z1_by_1_minus_2e():
 def test_apply_channel_leaves_z1z2_unchanged():
     z1z2 = pauli_matrix(PauliString("ZZII")) / 16
     for e in (0.1, 0.5):
-        np.testing.assert_allclose(apply_channel(z1z2, engineered_channel(e)), z1z2, atol=1e-14)
+        np.testing.assert_allclose(apply_channel(z1z2, engineered_model(e)), z1z2, atol=1e-14)
 
 
 def test_channel_operators_are_read_only_copies():
-    # the completeness defect is cached, so the operators must not change under it
-    op = 0.5 * np.eye(16, dtype=complex)
-    ch = KrausChannel(operators=(op,))
-    op[:] = np.eye(16)  # the caller's array, not the channel's
+    # operators and defect are cached, so the coefficients must not change under them
+    a = np.array([[0.5, 0, 0, 0]], dtype=complex)
+    spec = ErrorModelSpec(coefficients=a)
+    a[0, 0] = 1.0  # the caller's array, not the spec's
     with pytest.raises(ValueError):
-        ch.operators[0][0, 0] = 1.0
+        spec.coefficients[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        spec.operators[0][0, 0] = 1.0
     # ||(0.25 - 1) I||_F over 16 dimensions
-    assert ch.completeness_defect() == pytest.approx(3.0, abs=1e-15)
+    assert spec.completeness_defect == pytest.approx(3.0, abs=1e-15)
 
 
 def test_apply_channel_rejects_incomplete():
-    bad = KrausChannel(operators=(0.5 * np.eye(16, dtype=complex),))
+    bad = ErrorModelSpec(coefficients=np.array([[0.5, 0, 0, 0]], dtype=complex))
     with pytest.raises(ValueError):
         apply_channel(np.eye(16, dtype=complex) / 16, bad)
 
 
 def test_channel_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(7)
-    ch = engineered_channel(0.3)
+    ch = engineered_model(0.3)
     for _ in range(100):
         m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         rho = (m + m.conj().T) / 2
@@ -109,14 +108,14 @@ def test_dfs_immunity_across_grid():
     for _ in range(20):
         rho = dfs.encode(random_state(rng))
         for e in np.arange(0.0, 0.501, 0.05):
-            out = apply_channel(rho, engineered_channel(e))
+            out = apply_channel(rho, engineered_model(e))
             assert qcore.frobenius_norm(out - rho) < 1e-12
 
 
 def test_nine_bare_channel_points_give_ninth_power():
     z1 = pauli_matrix(PauliString("ZIII")) / 16
     for e in (0.1, 0.25):
-        ch = engineered_channel(e)
+        ch = engineered_model(e)
         rho = z1.copy()
         for _ in range(9):
             rho = apply_channel(rho, ch)
@@ -165,11 +164,10 @@ def test_draw_flips_share_uniforms_across_e():
 
 def test_monte_carlo_matches_shot_records():
     # re-run each shot by hand from its own draw_flips row and compare matrices
-    plan = circuits.assemble_unprotected(preparation=readout.unprotected_steps()[0])
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[0])
     e, shots, seed = 0.3, 8, 5
     points = len(plan.decoherence_points)
     finals = monte_carlo_finals(plan, e, shots=shots, seed=seed)
-    flips = dfs.flip_matrices()[:2]
     for k in range(shots):
         (drawn,) = draw_flips(e, seed, 1, points, first=k)
         rho = np.array(plan.preparation.deviation, dtype=complex)
@@ -178,7 +176,7 @@ def test_monte_carlo_matches_shot_records():
             while idx < points and plan.decoherence_points[idx] == boundary:
                 for slot in (0, 1):
                     if drawn[idx, slot]:
-                        rho = flips[slot] @ rho @ flips[slot]
+                        rho = dfs.FLIP_PAIR[slot] @ rho @ dfs.FLIP_PAIR[slot]
                 idx += 1
             if boundary < len(plan.gates):
                 u = plan.gates[boundary].physical
@@ -195,7 +193,7 @@ def _unshared_finals(plan, e, shots, seed, initial=None):
     idx = 0
     for boundary in range(len(plan.gates) + 1):
         while idx < len(points) and points[idx] == boundary:
-            for slot, flip in enumerate(noise.FLIP_PAIR):
+            for slot, flip in enumerate(dfs.FLIP_PAIR):
                 sel = draws[:, idx, slot]
                 if sel.any():
                     rho[sel] = flip @ rho[sel] @ flip
@@ -220,21 +218,21 @@ def test_shared_flip_histories_match_unshared_replay_to_the_bit(mode, algorithm)
 
 
 def test_shared_flip_histories_with_initial_state():
-    plan = circuits.assemble_unprotected(preparation=readout.unprotected_steps()[0])
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[0])
     initial = pauli_matrix(PauliString("ZXIY")) / 16
     finals = monte_carlo_finals(plan, 0.25, shots=128, seed=4, initial=initial)
     assert np.array_equal(finals, _unshared_finals(plan, 0.25, 128, 4, initial))
 
 
 def test_monte_carlo_at_zero_error_equals_exact():
-    plan = circuits.assemble_unprotected(preparation=readout.unprotected_steps()[1])
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
     exact = run_plan_exact(plan, 0.0)
-    mc = monte_carlo_run(plan, 0.0, shots=16, seed=1)
+    mc = monte_carlo_finals(plan, 0.0, shots=16, seed=1).mean(axis=0)
     np.testing.assert_allclose(mc, exact, atol=1e-13)
 
 
 def test_monte_carlo_is_deterministic_under_seed():
-    plan = circuits.assemble_unprotected(preparation=readout.unprotected_steps()[2])
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[2])
     a = monte_carlo_finals(plan, 0.25, shots=32, seed=42)
     b = monte_carlo_finals(plan, 0.25, shots=32, seed=42)
     assert np.array_equal(a, b)
@@ -243,7 +241,7 @@ def test_monte_carlo_is_deterministic_under_seed():
 
 
 def test_stochastic_average_converges_to_exact_channel():
-    plan = circuits.assemble_unprotected(preparation=readout.unprotected_steps()[1])
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
     shots = 2048
     for e in (0.125, 0.3125):
         exact = run_plan_exact(plan, e)
@@ -256,7 +254,7 @@ def test_stochastic_average_converges_to_exact_channel():
 
 def test_protected_shots_are_noise_free_one_by_one():
     # encoded preparations commute with every flip, so each shot is exact
-    plan = circuits.assemble_protected(preparation=readout.protected_steps()[0])
+    plan = circuits.assemble("protected", preparation=readout.protected_steps()[0])
     exact = run_plan_exact(plan, 0.0)
     finals = monte_carlo_finals(plan, 0.5, shots=64, seed=2)
     assert qcore.frobenius_norm(finals.std(axis=0)) < 1e-13

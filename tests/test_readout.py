@@ -31,7 +31,7 @@ def test_step_deviations_are_traceless_diagonal_hermitian():
 def test_protected_steps_are_channel_invariant():
     for step in protected_steps():
         for e in (0.1, 0.3, 0.5):
-            out = noise.apply_channel(step.deviation, noise.engineered_channel(e))
+            out = noise.apply_channel(step.deviation, noise.engineered_model(e))
             np.testing.assert_allclose(out, step.deviation, atol=1e-14)
 
 
@@ -54,7 +54,7 @@ def test_unprotected_step_labels_and_order():
 def test_unprotected_z1_scales_under_one_point():
     z1 = unprotected_steps()[0].deviation
     for e in (0.2, 0.5):
-        out = noise.apply_channel(z1, noise.engineered_channel(e))
+        out = noise.apply_channel(z1, noise.engineered_model(e))
         np.testing.assert_allclose(out, (1 - 2 * e) * z1, atol=1e-14)
 
 
@@ -68,7 +68,7 @@ def test_signal_intensity_reference_conventions():
 
 
 def test_signal_matches_closed_form_at_quarter():
-    plan = circuits.assemble_unprotected("grover", preparation=unprotected_steps()[1])
+    plan = circuits.assemble("unprotected", "grover", preparation=unprotected_steps()[1])
     reference = noise.run_plan_exact(plan, 0.0)
     signal = signal_intensity(noise.run_plan_exact(plan, 0.25), reference)
     assert signal == pytest.approx(0.5**12, abs=1e-12)
@@ -107,7 +107,7 @@ def test_temporal_averaging_is_linear_through_evolution():
 
 def test_protected_signal_is_flat():
     for step in protected_steps():
-        plan = circuits.assemble_protected("grover", preparation=step)
+        plan = circuits.assemble("protected", "grover", preparation=step)
         reference = noise.run_plan_exact(plan, 0.0)
         for e in np.arange(0.0, 0.501, 0.0625):
             signal = signal_intensity(noise.run_plan_exact(plan, e), reference)
@@ -116,7 +116,7 @@ def test_protected_signal_is_flat():
 
 def test_unprotected_signal_negligible_from_03_up():
     for step in unprotected_steps():
-        plan = circuits.assemble_unprotected("grover", preparation=step)
+        plan = circuits.assemble("unprotected", "grover", preparation=step)
         reference = noise.run_plan_exact(plan, 0.0)
         for e in (0.3, 0.3125, 0.375, 0.4375, 0.5):
             signal = signal_intensity(noise.run_plan_exact(plan, e), reference)
