@@ -19,38 +19,34 @@ import sys
 from . import circuits, dfs, harness, readout
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file (flags win)")
-    parser.add_argument("--e-grid", dest="e_grid", help="comma-separated e values in [0, 0.5]")
-    parser.add_argument("--shots", type=int, help="Monte-Carlo shots per cell (default 2048)")
-    parser.add_argument("--seed", help="integer seed, or 'random' for fresh entropy")
-    parser.add_argument(
-        "--mode",
-        dest="modes",
-        help="comma-separated subset of protected,unprotected (or 'both')",
-    )
-    parser.add_argument("--algorithm", choices=circuits.ALGORITHMS)
-    parser.add_argument("--placement", help="comma-separated decoherence-point boundaries")
-    parser.add_argument("--output", help="result file path")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
+#: Every option: its dest (the config key it sets, except "config"), flag and
+#: argparse keywords.
+_OPTIONS = {
+    "config": ("--config", {"help": "flat key=value config file (flags win)"}),
+    "e_grid": ("--e-grid", {"help": "comma-separated e values in [0, 0.5]"}),
+    "shots": ("--shots", {"type": int, "help": "Monte-Carlo shots per cell (default 2048)"}),
+    "seed": ("--seed", {"help": "integer seed, or 'random' for fresh entropy"}),
+    "modes": ("--mode", {"help": "comma-separated subset of protected,unprotected (or 'both')"}),
+    "algorithm": ("--algorithm", {"choices": circuits.ALGORITHMS}),
+    "placement": ("--placement", {"help": "comma-separated decoherence-point boundaries"}),
+    "output": ("--output", {"help": "result file path"}),
+    "format": ("--format", {"choices": ("csv", "json"), "help": "output format"}),
+}
 
 
 def _build_config(args: argparse.Namespace) -> harness.SweepConfig:
-    mapping: dict[str, object] = {}
-    if args.config:
-        mapping.update(harness.load_config_file(args.config))
-    for key in ("e_grid", "shots", "modes", "algorithm", "placement", "output", "format"):
-        value = getattr(args, key, None)
-        if value is not None:
+    """The --config file's settings, overridden by the flags the command took."""
+    mapping: dict[str, object] = harness.load_config_file(args.config) if args.config else {}
+    for key, value in vars(args).items():
+        if key in _OPTIONS and key != "config" and value is not None:
             mapping[key] = value
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = mapping.get("seed")
+    seed = mapping.get("seed")
     if isinstance(seed, str) and seed.strip().lower() == "random":
-        seed = secrets.randbits(63)
-        print(f"# seed = {seed} (drawn from system entropy)", file=sys.stderr)
-    if seed is not None:
-        mapping["seed"] = seed
+        if hasattr(args, "seed"):
+            seed = mapping["seed"] = secrets.randbits(63)
+            print(f"# seed = {seed} (drawn from system entropy)", file=sys.stderr)
+        else:  # a command without --seed reads no seed, so it draws none
+            del mapping["seed"]
     return harness.build_config(mapping)
 
 
@@ -72,28 +68,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = harness.verify(cfg)
     failed = [c for c in checks if not c.passed]
     if cfg.format == "json":
-        payload = [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "residual": c.residual,
-                "tolerance": c.tolerance,
-                "detail": c.detail,
-            }
-            for c in checks
-        ]
-        print(json.dumps(payload, indent=2))
-        return 1 if failed else 0
-    for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        line = (
-            f"{status} {check.name}: residual={check.residual:.3e} "
-            f"tolerance={check.tolerance:.3e}"
-        )
-        if check.detail:
-            line += f" ({check.detail})"
-        print(line)
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
+        print(json.dumps([vars(c) for c in checks], indent=2))
+    else:
+        for check in checks:
+            status = "PASS" if check.passed else "FAIL"
+            line = (
+                f"{status} {check.name}: residual={check.residual:.3e} "
+                f"tolerance={check.tolerance:.3e}"
+            )
+            if check.detail:
+                line += f" ({check.detail})"
+            print(line)
+        print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     return 1 if failed else 0
 
 
@@ -147,15 +133,19 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, text in (
-        ("run", _cmd_run, "sweep signals over the error grid"),
-        ("verify", _cmd_verify, "run the invariant suite"),
-        ("show-basis", _cmd_show_basis, "print the four subspace bases"),
-        ("count-n", _cmd_count_n, "print the damage-count audit"),
+    every = tuple(_OPTIONS)
+    no_output = tuple(o for o in every if o != "output")
+    for name, func, text, options in (
+        ("run", _cmd_run, "sweep signals over the error grid", every),
+        ("verify", _cmd_verify, "run the invariant suite", no_output),
+        ("show-basis", _cmd_show_basis, "print the four subspace bases", ()),
+        ("count-n", _cmd_count_n, "print the damage-count audit",
+         ("config", "modes", "algorithm", "placement")),
     ):
         p = sub.add_parser(name, help=text)
-        if name != "show-basis":
-            _add_common_options(p)
+        for dest in options:
+            flag, kwargs = _OPTIONS[dest]
+            p.add_argument(flag, dest=dest, **kwargs)
         p.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:

@@ -10,7 +10,8 @@ deterministic functions of (config, seed) down to the output bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,6 @@ from . import circuits, dfs, noise, qcore, readout
 
 DEFAULT_E_GRID = tuple(k * 0.0625 for k in range(9))  # 0 .. 0.5, nine levels
 IMMUNITY_E_GRID = tuple(k * 0.05 for k in range(11))  # 0 .. 0.5 step 0.05
-
-CSV_HEADER = "e,step,mode,algorithm,signal_exact,signal_mc,mc_stderr,theory,n"
 
 #: Expected damage counts for the default Grover placement, by preparation label.
 EXPECTED_DAMAGE = {
@@ -82,6 +81,10 @@ class SignalResult:
     n: int
 
 
+#: The CSV header: the SignalResult fields, in order.
+CSV_HEADER = ",".join(f.name for f in fields(SignalResult))
+
+
 @dataclass(frozen=True)
 class VerifyCheck:
     name: str
@@ -89,11 +92,6 @@ class VerifyCheck:
     residual: float
     tolerance: float
     detail: str = ""
-
-
-def _cell_seed(seed: int, mode_idx: int, step_idx: int, e_idx: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(mode_idx, step_idx, e_idx))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _plan_for(cfg: SweepConfig, mode: str, step: readout.PreparationStep) -> circuits.ExperimentPlan:
@@ -105,6 +103,32 @@ def _plan_for(cfg: SweepConfig, mode: str, step: readout.PreparationStep) -> cir
     )
 
 
+def _sweep_plans(
+    cfg: SweepConfig,
+) -> Iterator[tuple[str, readout.PreparationStep, circuits.ExperimentPlan, list]]:
+    """(mode, step, plan, cells) for every (mode, step) of cfg, in sweep order.
+
+    ``cells`` pairs each e of cfg.e_grid with the seed of its cell, spawned
+    from cfg.seed at key (mode index, step index, e index).  run_sweep and
+    verify's dense oracle both take their cells from here, so they draw the
+    same flips for a cell.
+    """
+    for mode_idx, mode in enumerate(cfg.modes):
+        for step_idx, step in enumerate(readout.steps_for_mode(mode)):
+            cells = []
+            for e_idx, e in enumerate(cfg.e_grid):
+                key = (mode_idx, step_idx, e_idx)
+                ss = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=key)
+                cells.append((e, int(ss.generate_state(1, np.uint64)[0])))
+            yield mode, step, _plan_for(cfg, mode, step), cells
+
+
+#: Shots drawn at a time by _mc_signal.  The odd-shot count is a sum of whole
+#: numbers, so results do not depend on it; it only bounds memory (about
+#: 162 B per shot at nine noise points).
+_SHOT_BLOCK = 65536
+
+
 def _mc_signal(mask: np.ndarray, e: float, shots: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo signal and its standard error by Pauli-frame sampling.
 
@@ -112,10 +136,13 @@ def _mc_signal(mask: np.ndarray, e: float, shots: int, seed: int) -> tuple[float
     the ideal one negated once per damaging flip drawn, so its signal is
     exactly +1 or -1 by the parity of those flips.  The mean is then
     1 - 2 (odd shots) / shots, and the standard error is the sample standard
-    deviation (ddof 1) of the +-1 shot signals over sqrt(shots).
+    deviation (ddof 1) of the +-1 shot signals over sqrt(shots).  Shots are
+    drawn in blocks of _SHOT_BLOCK.
     """
-    flips = noise.draw_flips(e, seed, shots, len(mask))
-    odd = int(np.count_nonzero((flips & mask).sum(axis=(1, 2)) % 2))
+    odd = 0
+    for first in range(0, shots, _SHOT_BLOCK):
+        flips = noise.draw_flips(e, seed, min(_SHOT_BLOCK, shots - first), len(mask), first=first)
+        odd += int(np.count_nonzero((flips & mask).sum(axis=(1, 2)) % 2))
     mean = 1.0 - 2.0 * odd / shots
     stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
     return mean, stderr
@@ -124,60 +151,31 @@ def _mc_signal(mask: np.ndarray, e: float, shots: int, seed: int) -> tuple[float
 def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
     """Exact + Monte-Carlo signals for every (mode, step, e) cell."""
     rows: list[SignalResult] = []
-    for mode_idx, mode in enumerate(cfg.modes):
-        steps = readout.steps_for_mode(mode)
-        for step_idx, step in enumerate(steps):
-            plan = _plan_for(cfg, mode, step)
-            reference = noise.run_plan_exact(plan, 0.0)
-            mask = circuits.damage_mask(plan)
-            n = int(mask.sum())
-            for e_idx, e in enumerate(cfg.e_grid):
-                exact = readout.signal_intensity(noise.run_plan_exact(plan, e), reference)
-                mc_mean, mc_stderr = _mc_signal(
-                    mask, e, cfg.shots, _cell_seed(cfg.seed, mode_idx, step_idx, e_idx)
+    for mode, step, plan, cells in _sweep_plans(cfg):
+        reference = noise.run_plan_exact(plan, 0.0)
+        mask = circuits.damage_mask(plan)
+        n = int(mask.sum())
+        for e, seed in cells:
+            exact = readout.signal_intensity(noise.run_plan_exact(plan, e), reference)
+            mean, stderr = _mc_signal(mask, e, cfg.shots, seed)
+            theory = readout.theory_curve(n, e)
+            rows.append(
+                SignalResult(
+                    float(e), step.label, mode, cfg.algorithm, float(exact), mean, stderr, theory, n
                 )
-                rows.append(
-                    SignalResult(
-                        e=float(e),
-                        step=step.label,
-                        mode=mode,
-                        algorithm=cfg.algorithm,
-                        signal_exact=float(exact),
-                        signal_mc=mc_mean,
-                        mc_stderr=mc_stderr,
-                        theory=readout.theory_curve(n, e),
-                        n=n,
-                    )
-                )
+            )
     return rows
 
 
 def results_to_csv(rows: list[SignalResult]) -> str:
+    # str of a float is its repr; vars() avoids the deep copy of dataclasses.astuple
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.e!r},{r.step},{r.mode},{r.algorithm},"
-            f"{r.signal_exact!r},{r.signal_mc!r},{r.mc_stderr!r},{r.theory!r},{r.n}"
-        )
+    lines.extend(",".join(map(str, vars(r).values())) for r in rows)
     return "\n".join(lines) + "\n"
 
 
 def results_to_json(rows: list[SignalResult]) -> str:
-    payload = [
-        {
-            "e": r.e,
-            "step": r.step,
-            "mode": r.mode,
-            "algorithm": r.algorithm,
-            "signal_exact": r.signal_exact,
-            "signal_mc": r.signal_mc,
-            "mc_stderr": r.mc_stderr,
-            "theory": r.theory,
-            "n": r.n,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([vars(r) for r in rows], indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +242,14 @@ def _eigenstructure_residual(e_grid: tuple[float, ...]) -> float:
     return worst
 
 
+def _summed_preparation(steps: tuple[readout.PreparationStep, ...]) -> np.ndarray:
+    """identity/16 plus every step's deviation: the preparation the steps average to."""
+    total = qcore.identity_matrix() / qcore.DIM
+    for s in steps:
+        total = total + s.deviation
+    return total
+
+
 def _protected_correctness_residual(cfg: SweepConfig) -> float:
     steps = readout.protected_steps()
     plans = [_plan_for(cfg, "protected", s) for s in steps]
@@ -257,9 +263,7 @@ def _protected_correctness_residual(cfg: SweepConfig) -> float:
         for e in cfg.e_grid:
             out = dfs.decode(noise.run_plan_exact(plan, e))
             worst = max(worst, abs(readout.signal_intensity(out, ref) - 1.0))
-    summed_initial = qcore.identity_matrix() / qcore.DIM
-    for s in steps:
-        summed_initial = summed_initial + s.deviation
+    summed_initial = _summed_preparation(steps)
     for e in cfg.e_grid:
         rho_l = dfs.decode(noise.run_plan_exact(plans[0], e, initial=summed_initial))
         fidelity = float(np.real(target.conj() @ rho_l @ target))
@@ -270,9 +274,7 @@ def _protected_correctness_residual(cfg: SweepConfig) -> float:
 def _temporal_averaging_residual(cfg: SweepConfig, mode: str) -> float:
     steps = readout.steps_for_mode(mode)
     plan = _plan_for(cfg, mode, steps[0])
-    full = qcore.identity_matrix() / qcore.DIM
-    for s in steps:
-        full = full + s.deviation
+    full = _summed_preparation(steps)
     worst = 0.0
     for e in cfg.e_grid:
         direct = noise.run_plan_exact(plan, e, initial=full)
@@ -316,23 +318,19 @@ def _mc_convergence_residual(cfg: SweepConfig) -> tuple[float, str]:
     """
     worst = -np.inf
     worst_cell = ""
-    for mode_idx, mode in enumerate(cfg.modes):
-        for step_idx, step in enumerate(readout.steps_for_mode(mode)):
-            plan = _plan_for(cfg, mode, step)
-            prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
-            for e_idx, e in enumerate(cfg.e_grid):
-                exact = noise.run_plan_exact(plan, e)
-                mean = noise.monte_carlo_finals(
-                    plan, e, cfg.shots, _cell_seed(cfg.seed, mode_idx, step_idx, e_idx)
-                ).mean(axis=0)
-                var = prep_sq - qcore.frobenius_norm(exact) ** 2
-                if var <= qcore.DEFAULT_TOL * prep_sq:
-                    var = 0.0
-                sigma = np.sqrt(var / cfg.shots)
-                margin = qcore.frobenius_norm(mean - exact) - (5.0 * sigma + NUMERICAL_FLOOR)
-                if margin > worst:
-                    worst = margin
-                    worst_cell = f"mode={mode} step={step.label} e={e:g}"
+    for mode, step, plan, cells in _sweep_plans(cfg):
+        prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
+        for e, seed in cells:
+            exact = noise.run_plan_exact(plan, e)
+            mean = noise.monte_carlo_finals(plan, e, cfg.shots, seed).mean(axis=0)
+            var = prep_sq - qcore.frobenius_norm(exact) ** 2
+            if var <= qcore.DEFAULT_TOL * prep_sq:
+                var = 0.0
+            sigma = np.sqrt(var / cfg.shots)
+            margin = qcore.frobenius_norm(mean - exact) - (5.0 * sigma + NUMERICAL_FLOOR)
+            if margin > worst:
+                worst = margin
+                worst_cell = f"mode={mode} step={step.label} e={e:g}"
     return float(worst), worst_cell
 
 
@@ -342,15 +340,8 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     checks: list[VerifyCheck] = []
 
     def add(name: str, residual: float, tolerance: float, detail: str = "") -> None:
-        checks.append(
-            VerifyCheck(
-                name=name,
-                passed=bool(residual <= tolerance),
-                residual=float(residual),
-                tolerance=float(tolerance),
-                detail=detail,
-            )
-        )
+        passed = bool(residual <= tolerance)
+        checks.append(VerifyCheck(name, passed, float(residual), float(tolerance), detail))
 
     add("pauli-product-exactness", _pauli_product_residual(cfg.seed), 0.0)
     add("pauli-orthogonality", _pauli_orthogonality_residual(), qcore.DEFAULT_TOL)
@@ -408,54 +399,42 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return mapping
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"invalid number list {text!r}") from exc
+def _words(value: object) -> list:
+    """Tokens of a comma- or space-separated string, or the items of a sequence."""
+    return value.replace(",", " ").split() if isinstance(value, str) else list(value)
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"invalid integer list {text!r}") from exc
+def _modes(value: object) -> tuple[str, ...]:
+    modes = tuple(_words(value))
+    return circuits.MODES if modes == ("both",) else modes
+
+
+#: Every config key: the SweepConfig field it sets and the parser of its
+#: string (config file, flag) or typed value.
+_CONFIG_KEYS = {
+    "e_grid": ("e_grid", lambda v: tuple(float(t) for t in _words(v))),
+    "shots": ("shots", int),
+    "seed": ("seed", int),
+    "modes": ("modes", _modes),
+    "mode": ("modes", _modes),
+    "algorithm": ("algorithm", str),
+    "placement": ("placement", lambda v: tuple(int(t) for t in _words(v))),
+    "output": ("output", str),
+    "format": ("format", str),
+}
 
 
 def build_config(mapping: dict[str, object]) -> SweepConfig:
-    """Build a validated SweepConfig from string-or-typed key/value pairs."""
+    """Build a validated SweepConfig from string-or-typed key/value pairs (None: unset)."""
     kwargs: dict[str, object] = {}
     for key, value in mapping.items():
         if value is None:
             continue
-        if key == "e_grid":
-            kwargs["e_grid"] = _parse_floats(value) if isinstance(value, str) else tuple(value)
-        elif key == "shots":
-            try:
-                kwargs["shots"] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"invalid shots {value!r}") from exc
-        elif key == "seed":
-            try:
-                kwargs["seed"] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"invalid seed {value!r}") from exc
-        elif key == "modes" or key == "mode":
-            modes = value.replace(",", " ").split() if isinstance(value, str) else list(value)
-            if modes == ["both"]:
-                modes = list(circuits.MODES)
-            kwargs["modes"] = tuple(modes)
-        elif key == "algorithm":
-            kwargs["algorithm"] = str(value)
-        elif key == "placement":
-            kwargs["placement"] = _parse_ints(value) if isinstance(value, str) else tuple(value)
-        elif key == "output":
-            kwargs["output"] = str(value)
-        elif key == "format":
-            kwargs["format"] = str(value)
-        else:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    try:
-        return SweepConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        field, parse = _CONFIG_KEYS[key]
+        try:
+            kwargs[field] = parse(value)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid {key} {value!r}: {exc}") from exc
+    return SweepConfig(**kwargs)

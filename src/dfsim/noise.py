@@ -3,8 +3,8 @@
 Every error operator of the paired-flip model is a combination of the error
 words IIII, XXII, IIXX and XXXX (dfs.ERROR_BASIS).  An ErrorModelSpec holds
 the coefficients of its Kraus operators over those words; it is the one
-description of a channel that apply_channel, verify_error_model and
-run_plan_exact take.
+description of a channel that apply_channel and verify_error_model take.
+run_plan_exact takes the strength e and builds engineered_model(e) itself.
 
 The engineered decoherence is applied at chosen circuit points: XXII with
 probability e, then IIXX with the same probability.  Averaged over

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from dfsim import circuits, cli, dfs, harness, noise, qcore, readout
 from dfsim.harness import (
     CSV_HEADER,
     ConfigError,
+    SignalResult,
     SweepConfig,
+    VerifyCheck,
     build_config,
     load_config_file,
     results_to_csv,
@@ -107,8 +110,14 @@ def test_json_mirror_matches_csv_rows():
     rows = run_sweep(SMALL)
     payload = json.loads(results_to_json(rows))
     assert len(payload) == len(rows)
-    assert payload[0]["step"] == rows[0].step
-    assert payload[0]["signal_exact"] == rows[0].signal_exact
+    names = [f.name for f in fields(SignalResult)]
+    for entry, row in zip(payload, rows):
+        assert list(entry) == names
+        assert entry == {name: getattr(row, name) for name in names}
+    lines = results_to_csv(rows).splitlines()
+    assert lines[0] == ",".join(names) and len(lines) == 1 + len(rows)
+    for line, row in zip(lines[1:], rows):
+        assert line.split(",") == [str(getattr(row, name)) for name in names]
 
 
 def test_verify_passes_on_fresh_build():
@@ -187,10 +196,27 @@ def test_load_config_file_rejects_garbage(tmp_path):
     path.write_text("this is not a key value line\n")
     with pytest.raises(ConfigError):
         load_config_file(path)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="shots"):
         build_config({"shots": "many"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="frobnicate"):
         build_config({"frobnicate": "1"})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("e_grid", "zero"), ("e_grid", [None]), ("seed", "x"), ("placement", "1,b"), ("shots", [2])],
+)
+def test_build_config_names_the_key_a_parser_rejects(key, value):
+    # a parser's ValueError or TypeError becomes a ConfigError naming the key
+    with pytest.raises(ConfigError, match=f"invalid {key} "):
+        build_config({key: value})
+
+
+def test_build_config_reads_mode_alias_and_typed_values():
+    assert build_config({"mode": "both"}).modes == circuits.MODES
+    cfg = build_config({"e_grid": (0, 0.25), "placement": [1, 3], "shots": 4, "seed": None})
+    assert cfg.e_grid == (0.0, 0.25) and cfg.placement == (1, 3) and cfg.shots == 4
+    assert cfg.seed == 0
 
 
 def test_cli_run_writes_deterministic_output(tmp_path, capsys):
@@ -245,6 +271,7 @@ def test_cli_verify_json_report(capsys):
     payload = json.loads(capsys.readouterr().out)
     names = {entry["name"] for entry in payload}
     assert "dfs-immunity" in names
+    assert all(list(entry) == [f.name for f in fields(VerifyCheck)] for entry in payload)
     assert all(entry["passed"] for entry in payload)
 
 
@@ -302,6 +329,57 @@ def test_cli_run_signal_mc_is_a_whole_count_of_negated_shots(shots, capsys):
             assert mc in (1.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--output", "out.csv"],
+        ["count-n", "--e-grid", "0"],
+        ["count-n", "--shots", "5"],
+        ["count-n", "--seed", "random"],
+        ["count-n", "--output", "out.csv"],
+        ["count-n", "--format", "json"],
+        ["show-basis", "--config", "sweep.cfg"],
+    ],
+)
+def test_cli_rejects_options_the_command_does_not_read(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "# seed" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_count_n_draws_no_seed(tmp_path, capsys):
+    # keys count-n does not read may stay in a shared config file
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("seed = random\nshots = 2\nmodes = unprotected\n")
+    assert cli.main(["count-n", "--config", str(cfg_file)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "step=Z1Z4: n = 12" in captured.out
+
+
+@pytest.mark.parametrize("shots", [1, 7, 8, 64, 2048])
+def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
+    mask = circuits.damage_mask(plan)
+    one_block = harness._mc_signal(mask, 0.3, shots, 11)
+    drawn = []
+    unblocked = noise.draw_flips
+
+    def spy(e, seed, count, points, first=0):
+        drawn.append((first, count))
+        return unblocked(e, seed, count, points, first=first)
+
+    monkeypatch.setattr(noise, "draw_flips", spy)
+    monkeypatch.setattr(harness, "_SHOT_BLOCK", 7)
+    assert harness._mc_signal(mask, 0.3, shots, 11) == one_block
+    assert drawn == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
+
+
 def test_cli_rejects_negative_seed(capsys):
     assert cli.main(["run", "--seed", "-3", "--e-grid", "0", "--shots", "2"]) == 2
     assert "seed must be a non-negative integer" in capsys.readouterr().err
@@ -328,3 +406,21 @@ def test_cli_verify_seed_0_matches_golden_stdout(capsys):
     assert cli.main(["verify", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_SEED_0_SHA256
+
+
+#: sha256 of the stdout of the two JSON tables: both are built from the
+#: SignalResult and VerifyCheck fields, so these pin their names and order.
+#: Re-pin only on purpose, and say why in CHANGES.md.
+GOLDEN_JSON_SHA256 = {
+    "run --seed 0 --e-grid 0,0.25 --shots 16 --format json":
+        "cd532b32f0e238ebfebee28b57690aa4b920478e0a7699d4fb12d42b9070c7aa",
+    "verify --seed 0 --shots 64 --e-grid 0,0.25,0.5 --format json":
+        "3506a99a60dc07ba1f7f65ac08dd3811149fc29fb458926b22f976559207be62",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_JSON_SHA256))
+def test_cli_json_output_matches_golden_stdout(command, capsys):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256[command]

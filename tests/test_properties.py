@@ -1,0 +1,72 @@
+"""Property tests over random plans: Deutsch-Jozsa promise tables, Grover marked
+labels, every preparation step, and e in [0, 0.5].
+
+Examples are capped and derandomized, and no failing example is replayed
+from an earlier run, so the suite stays fast and repeatable.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from dfsim import circuits, harness, noise, readout
+
+#: Every two-bit table that is constant or balanced.
+PROMISE_TABLES = st.one_of(
+    st.sampled_from([(0, 0, 0, 0), (1, 1, 1, 1)]),
+    st.permutations([0, 0, 1, 1]).map(tuple),
+)
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def plans(draw):
+    """(mode, plan) for a random mode, step and algorithm instance."""
+    mode = draw(st.sampled_from(circuits.MODES))
+    step = draw(st.sampled_from(readout.steps_for_mode(mode)))
+    if draw(st.sampled_from(circuits.ALGORITHMS)) == "grover":
+        marked = draw(st.sampled_from(circuits.BASIS_LABELS))
+        plan = circuits.assemble(mode, "grover", marked=marked, preparation=step)
+    else:
+        table = draw(PROMISE_TABLES)
+        plan = circuits.assemble(mode, "deutsch-jozsa", function=table, preparation=step)
+    return mode, plan
+
+
+E = st.floats(min_value=0.0, max_value=0.5)
+SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
+
+
+@PROPERTY
+@given(plans(), E, SEEDS)
+def test_frame_signal_equals_dense_signal_shot_by_shot(mode_plan, e, seed):
+    _, plan = mode_plan
+    shots = 16
+    mask = circuits.damage_mask(plan)
+    reference = noise.run_plan_exact(plan, 0.0)
+    finals = noise.monte_carlo_finals(plan, e, shots, seed)
+    dense = np.array([readout.signal_intensity(f, reference) for f in finals])
+    flips = noise.draw_flips(e, seed, shots, len(mask))
+    frame = 1 - 2 * ((flips & mask).sum(axis=(1, 2)) % 2)
+    np.testing.assert_allclose(dense, frame, rtol=0, atol=1e-13)
+
+
+@PROPERTY
+@given(plans(), E, SEEDS, st.integers(min_value=1, max_value=256))
+def test_signals_follow_the_damage_count(mode_plan, e, seed, shots):
+    mode, plan = mode_plan
+    mask = circuits.damage_mask(plan)
+    n = int(mask.sum())
+    exact = readout.signal_intensity(
+        noise.run_plan_exact(plan, e), noise.run_plan_exact(plan, 0.0)
+    )
+    # signal_exact may exceed 1 by rounding (1.0000000000000004 in the golden
+    # CSV), so only its distance to the prediction is asserted
+    expected = 1.0 if mode == "protected" else (1.0 - 2.0 * e) ** n
+    assert abs(exact - expected) <= 1e-10
+    mc, _ = harness._mc_signal(mask, e, shots, seed)
+    assert -1.0 <= mc <= 1.0
+    assert -1.0 <= readout.theory_curve(n, e) <= 1.0
