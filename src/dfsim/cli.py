@@ -6,17 +6,20 @@ Subcommands:
   show-basis  print the four decoherence-free subspace bases
   count-n     print the per-point damage audit for each mode and step
 
-Exit codes: 0 success, 1 invariant failure, 2 invalid configuration.
+Exit codes: 0 success, 1 invariant failure, 2 invalid configuration.  A
+reader that closes stdout early (``dfsim count-n | head -2``) ends the
+command quietly with 141, the status of a process stopped by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
 
-from . import circuits, dfs, harness, readout
+from . import circuits, dfs, harness
 
 
 #: Every option: its dest (the config key it sets, except "config"), flag and
@@ -32,6 +35,10 @@ _OPTIONS = {
     "output": ("--output", {"help": "result file path"}),
     "format": ("--format", {"choices": ("csv", "json"), "help": "output format"}),
 }
+
+
+#: 128 + SIGPIPE: the status a shell reports for a writer whose reader left.
+_EXIT_BROKEN_PIPE = 141
 
 
 def _build_config(args: argparse.Namespace) -> harness.SweepConfig:
@@ -108,19 +115,15 @@ def _cmd_show_basis(args: argparse.Namespace) -> int:
 
 def _cmd_count_n(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    for mode in cfg.modes:
-        for step in readout.steps_for_mode(mode):
-            plan = circuits.assemble(
-                mode, cfg.algorithm, preparation=step, placement=cfg.placement
+    for _, mode, step, plan in harness.sweep_plans(cfg):
+        audit = circuits.damage_audit(plan)
+        n = sum(entry.hits for entry in audit)
+        print(f"mode={mode} step={step.label}: n = {n}")
+        for entry in audit:
+            print(
+                f"  point {entry.point} (boundary {entry.boundary}): "
+                f"state {entry.state}, damaging operators {entry.hits}"
             )
-            audit = circuits.damage_audit(plan)
-            n = sum(entry.hits for entry in audit)
-            print(f"mode={mode} step={step.label}: n = {n}")
-            for entry in audit:
-                print(
-                    f"  point {entry.point} (boundary {entry.boundary}): "
-                    f"state {entry.state}, damaging operators {entry.hits}"
-                )
     return 0
 
 
@@ -149,7 +152,16 @@ def main(argv: list[str] | None = None) -> int:
         p.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # stdout is gone: send what is still buffered to devnull, so the flush
+        # at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_BROKEN_PIPE
     except (harness.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -103,24 +103,46 @@ def _plan_for(cfg: SweepConfig, mode: str, step: readout.PreparationStep) -> cir
     )
 
 
-def _sweep_plans(
+def sweep_plans(
     cfg: SweepConfig,
-) -> Iterator[tuple[str, readout.PreparationStep, circuits.ExperimentPlan, list]]:
-    """(mode, step, plan, cells) for every (mode, step) of cfg, in sweep order.
+) -> Iterator[tuple[tuple[int, int], str, readout.PreparationStep, circuits.ExperimentPlan]]:
+    """(key, mode, step, plan) for every (mode, step) of cfg, in sweep order.
 
-    ``cells`` pairs each e of cfg.e_grid with the seed of its cell, spawned
-    from cfg.seed at key (mode index, step index, e index).  run_sweep and
-    verify's dense oracle both take their cells from here, so they draw the
-    same flips for a cell.
+    ``key`` is (mode index, step index).  This is the one mapping from a
+    config to its plans: run_sweep, verify's dense oracle and ``dfsim
+    count-n`` all take their plans from here.
     """
     for mode_idx, mode in enumerate(cfg.modes):
         for step_idx, step in enumerate(readout.steps_for_mode(mode)):
-            cells = []
-            for e_idx, e in enumerate(cfg.e_grid):
-                key = (mode_idx, step_idx, e_idx)
-                ss = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=key)
-                cells.append((e, int(ss.generate_state(1, np.uint64)[0])))
-            yield mode, step, _plan_for(cfg, mode, step), cells
+            yield (mode_idx, step_idx), mode, step, _plan_for(cfg, mode, step)
+
+
+def _exact_finals(
+    plan: circuits.ExperimentPlan, e_grid: tuple[float, ...], initial: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """Exact final state of plan at each e of e_grid, in order.
+
+    The grid goes to noise.run_plan_exact noise._E_BLOCK values at a time,
+    and each block is dropped once read, so no sweep or check holds the
+    finals of the whole grid.  Every exact evolution over a grid in this
+    module goes through here.
+    """
+    for start in range(0, len(e_grid), noise._E_BLOCK):
+        yield from noise.run_plan_exact(plan, e_grid[start : start + noise._E_BLOCK], initial)
+
+
+def _sweep_cells(
+    cfg: SweepConfig, key: tuple[int, int], plan: circuits.ExperimentPlan
+) -> Iterator[tuple[float, int, np.ndarray]]:
+    """(e, seed, exact final state) of every cell of the plan ``key``, in e_grid order.
+
+    The seed is spawned from cfg.seed at key + (e index,).  run_sweep and
+    verify's dense oracle both take their cells from here, so they draw the
+    same flips for a cell.
+    """
+    for e_idx, (e, final) in enumerate(zip(cfg.e_grid, _exact_finals(plan, cfg.e_grid))):
+        ss = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=key + (e_idx,))
+        yield e, int(ss.generate_state(1, np.uint64)[0]), final
 
 
 #: Shots drawn at a time by _mc_signal.  The odd-shot count is a sum of whole
@@ -151,12 +173,12 @@ def _mc_signal(mask: np.ndarray, e: float, shots: int, seed: int) -> tuple[float
 def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
     """Exact + Monte-Carlo signals for every (mode, step, e) cell."""
     rows: list[SignalResult] = []
-    for mode, step, plan, cells in _sweep_plans(cfg):
+    for key, mode, step, plan in sweep_plans(cfg):
         reference = noise.run_plan_exact(plan, 0.0)
         mask = circuits.damage_mask(plan)
         n = int(mask.sum())
-        for e, seed in cells:
-            exact = readout.signal_intensity(noise.run_plan_exact(plan, e), reference)
+        for e, seed, final in _sweep_cells(cfg, key, plan):
+            exact = readout.signal_intensity(final, reference)
             mean, stderr = _mc_signal(mask, e, cfg.shots, seed)
             theory = readout.theory_curve(n, e)
             rows.append(
@@ -260,12 +282,11 @@ def _protected_correctness_residual(cfg: SweepConfig) -> float:
     worst = 0.0
     for plan in plans:
         ref = dfs.decode(noise.run_plan_exact(plan, 0.0))
-        for e in cfg.e_grid:
-            out = dfs.decode(noise.run_plan_exact(plan, e))
+        for final in _exact_finals(plan, cfg.e_grid):
+            out = dfs.decode(final)
             worst = max(worst, abs(readout.signal_intensity(out, ref) - 1.0))
-    summed_initial = _summed_preparation(steps)
-    for e in cfg.e_grid:
-        rho_l = dfs.decode(noise.run_plan_exact(plans[0], e, initial=summed_initial))
+    for final in _exact_finals(plans[0], cfg.e_grid, initial=_summed_preparation(steps)):
+        rho_l = dfs.decode(final)
         fidelity = float(np.real(target.conj() @ rho_l @ target))
         worst = max(worst, abs(fidelity - 1.0))
     return worst
@@ -274,13 +295,12 @@ def _protected_correctness_residual(cfg: SweepConfig) -> float:
 def _temporal_averaging_residual(cfg: SweepConfig, mode: str) -> float:
     steps = readout.steps_for_mode(mode)
     plan = _plan_for(cfg, mode, steps[0])
-    full = _summed_preparation(steps)
+    initials = [_summed_preparation(steps), qcore.identity_matrix() / qcore.DIM]
+    initials.extend(s.deviation for s in steps)
     worst = 0.0
-    for e in cfg.e_grid:
-        direct = noise.run_plan_exact(plan, e, initial=full)
-        summed = noise.run_plan_exact(plan, e, initial=qcore.identity_matrix() / qcore.DIM)
-        for s in steps:
-            summed = summed + noise.run_plan_exact(plan, e, initial=s.deviation)
+    for direct, summed, *parts in zip(*(_exact_finals(plan, cfg.e_grid, i) for i in initials)):
+        for part in parts:
+            summed = summed + part
         worst = max(worst, qcore.frobenius_norm(direct - summed))
     return worst
 
@@ -291,8 +311,8 @@ def _damage_consistency_residual(cfg: SweepConfig) -> float:
         plan = _plan_for(cfg, "unprotected", step)
         n = circuits.count_damaging_errors(plan)
         reference = noise.run_plan_exact(plan, 0.0)
-        for e in cfg.e_grid:
-            sig = readout.signal_intensity(noise.run_plan_exact(plan, e), reference)
+        for e, final in zip(cfg.e_grid, _exact_finals(plan, cfg.e_grid)):
+            sig = readout.signal_intensity(final, reference)
             worst = max(worst, abs(sig - readout.theory_curve(n, e)))
     return worst
 
@@ -318,10 +338,9 @@ def _mc_convergence_residual(cfg: SweepConfig) -> tuple[float, str]:
     """
     worst = -np.inf
     worst_cell = ""
-    for mode, step, plan, cells in _sweep_plans(cfg):
+    for key, mode, step, plan in sweep_plans(cfg):
         prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
-        for e, seed in cells:
-            exact = noise.run_plan_exact(plan, e)
+        for e, seed, exact in _sweep_cells(cfg, key, plan):
             mean = noise.monte_carlo_finals(plan, e, cfg.shots, seed).mean(axis=0)
             var = prep_sq - qcore.frobenius_norm(exact) ** 2
             if var <= qcore.DEFAULT_TOL * prep_sq:

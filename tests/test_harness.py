@@ -2,11 +2,17 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dfsim
 from dfsim import circuits, cli, dfs, harness, noise, qcore, readout
 from dfsim.harness import (
     CSV_HEADER,
@@ -352,6 +358,43 @@ def test_cli_rejects_options_the_command_does_not_read(argv, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+#: sha256 of the stdout of count-n.  Re-pin only on purpose, and say why in
+#: CHANGES.md.
+GOLDEN_COUNT_N_SHA256 = {
+    "count-n": "5dfcb1c107794f648e7ec07e001e303b3fe13509cc2558f6bb9fdc56d3c454db",
+    "count-n --algorithm deutsch-jozsa --placement 0,2,4":
+        "40a8ea586dab7ffd76d4c55fbce00aa88ad1af3329a300c5d7892a9a34094e23",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_COUNT_N_SHA256))
+def test_cli_count_n_matches_golden_stdout(command, capsys):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_COUNT_N_SHA256[command]
+
+
+def test_cli_closed_stdout_ends_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before dfsim writes a byte
+    src = str(Path(dfsim.__file__).resolve().parents[1])
+    # buffered stdout, as on any pipe: the write fails at the final flush
+    env = {**os.environ, "PYTHONUNBUFFERED": ""}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dfsim.cli", "count-n"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == cli._EXIT_BROKEN_PIPE
+
+
 def test_cli_count_n_draws_no_seed(tmp_path, capsys):
     # keys count-n does not read may stay in a shared config file
     cfg_file = tmp_path / "c.cfg"
@@ -378,6 +421,35 @@ def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
     monkeypatch.setattr(harness, "_SHOT_BLOCK", 7)
     assert harness._mc_signal(mask, 0.3, shots, 11) == one_block
     assert drawn == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 20])
+def test_sweep_does_not_depend_on_the_e_block(length, monkeypatch):
+    # zeros (E0 only) and e > 0 share blocks
+    grid = tuple((k % 5) * 0.1 for k in range(length))
+    cfg = SweepConfig(e_grid=grid, shots=4, seed=9, modes=("unprotected",))
+    one_block = results_to_csv(run_sweep(cfg))
+    monkeypatch.setattr(noise, "_E_BLOCK", 7)
+    assert results_to_csv(run_sweep(cfg)) == one_block
+
+
+def test_sweep_memory_does_not_grow_with_the_e_grid(monkeypatch):
+    # The exact finals are consumed a block at a time: a 1025-value grid
+    # would add 4 MiB if they were held at once.  The shot draws, bounded by
+    # _SHOT_BLOCK, are replaced by a constant to keep the test short, and a
+    # warm-up sweep keeps one-time allocations out of both peaks.
+    monkeypatch.setattr(harness, "_mc_signal", lambda mask, e, shots, seed: (1.0, 0.0))
+    peaks = []
+    for values in (2, 129, 1025):
+        grid = tuple(k / (2 * (values - 1)) for k in range(values))
+        cfg = SweepConfig(e_grid=grid, shots=1, modes=("protected",), algorithm="deutsch-jozsa")
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.5 * peaks[1]
 
 
 def test_cli_rejects_negative_seed(capsys):

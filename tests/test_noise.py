@@ -122,6 +122,58 @@ def test_nine_bare_channel_points_give_ninth_power():
         np.testing.assert_allclose(rho, (1 - 2 * e) ** 9 * z1, atol=1e-13)
 
 
+def _per_e_exact(plan, e, initial=None):
+    """The reference evolution: apply_channel(rho, engineered_model(e)) at each
+    noise point and u rho u^dagger at each gate, one e at a time."""
+    model = engineered_model(e)
+    rho = np.array(plan.preparation.deviation if initial is None else initial, dtype=complex)
+    points = plan.decoherence_points
+    idx = 0
+    for boundary in range(len(plan.gates) + 1):
+        while idx < len(points) and points[idx] == boundary:
+            rho = apply_channel(rho, model)
+            idx += 1
+        if boundary < len(plan.gates):
+            u = plan.gates[boundary].physical
+            rho = u @ rho @ u.conj().T
+    return rho
+
+
+#: e = 0 keeps only E0, so zeros are mixed with e > 0 inside one block.
+MIXED_E_GRID = (0.0, 1 / 1024, 0.25, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("step", range(3))
+@pytest.mark.parametrize("mode", circuits.MODES)
+@pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
+def test_grid_evolution_equals_per_e_kraus_sum_to_the_bit(algorithm, mode, step):
+    steps = readout.steps_for_mode(mode)
+    plan = circuits.assemble(mode, algorithm, preparation=steps[step])
+    summed = np.eye(16, dtype=complex) / 16 + sum(s.deviation for s in steps)
+    for initial in (None, summed):
+        finals = run_plan_exact(plan, MIXED_E_GRID, initial=initial)
+        assert finals.shape == (len(MIXED_E_GRID), 16, 16)
+        for e, final in zip(MIXED_E_GRID, finals):
+            # tobytes: signs of zeros count too
+            assert final.tobytes() == _per_e_exact(plan, e, initial).tobytes()
+            assert run_plan_exact(plan, e, initial=initial).tobytes() == final.tobytes()
+
+
+def test_grid_evolution_shapes():
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[0])
+    assert run_plan_exact(plan, 0.25).shape == (16, 16)
+    assert run_plan_exact(plan, np.float64(0.25)).shape == (16, 16)
+    assert run_plan_exact(plan, [0.25]).shape == (1, 16, 16)
+    assert run_plan_exact(plan, ()).shape == (0, 16, 16)
+
+
+def test_grid_evolution_rejects_any_out_of_range_e():
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[0])
+    for bad in (0.51, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="must lie in"):
+            run_plan_exact(plan, (0.0, 0.25, bad, 0.5))
+
+
 def test_sample_shot_zero_probability_is_all_false():
     flips = draw_flips(0.0, 123, 64, 9)
     assert flips.shape == (64, 9, 2) and flips.dtype == bool
