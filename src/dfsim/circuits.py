@@ -25,7 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dfs
-from .qcore import DEFAULT_TOL, DIM, frobenius_norm, is_unitary, pauli_decompose
+from .qcore import (
+    DEFAULT_TOL, DIM, PauliString, anticommutes, frobenius_norm, is_unitary, pauli_decompose
+)
 from .readout import PreparationStep, steps_for_mode
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -183,16 +185,10 @@ def embed_on_spins_1_4(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("register unitary must be 4x4")
     if not is_unitary(u, tol):
         raise ValueError("embed_on_spins_1_4 requires a unitary input")
-    out = np.zeros((DIM, DIM), dtype=complex)
-    for r in range(DIM):
-        ra, rb = (r >> 3) & 1, r & 1
-        mid = r & 0b0110
-        for c in range(DIM):
-            if (c & 0b0110) != mid:
-                continue
-            ca, cb = (c >> 3) & 1, c & 1
-            out[r, c] = u[(ra << 1) | rb, (ca << 1) | cb]
-    return out
+    k = np.arange(DIM)
+    reg = ((k >> 2) & 2) | (k & 1)  # register index: spin 1 high bit, spin 4 low bit
+    same_spectators = (k[:, None] & 0b0110) == (k & 0b0110)  # spins 2, 3 unchanged
+    return np.where(same_spectators, u[reg[:, None], reg], 0)
 
 
 def assemble(
@@ -260,32 +256,28 @@ def damage_audit(
 ) -> list[PointDamage]:
     """Per-point count of error operators that would alter the ideal state.
 
-    At each noise point the two error operators (XXII then IIXX) are tested
-    against the noise-free deviation there: conjugation must return the state
-    either unchanged (harmless) or negated (damaging, one unit of n).  Any
-    other outcome means the deviation is not a flip eigenstate and the closed
-    form (1-2e)^n does not apply; that is reported as an error rather than
-    guessed around.
+    At each noise point the noise-free deviation is split into Pauli words
+    (coefficients above tol times its norm), and each error operator (XXII
+    then IIXX) is compared with every word.  A flip that commutes with all of
+    them leaves the state unchanged (harmless); one that anticommutes with
+    all of them negates it (damaging, one unit of n).  A mix means the
+    deviation is not a flip eigenstate and the closed form (1-2e)^n does not
+    apply; that is reported as an error rather than guessed around.
     """
     devs = ideal_boundary_deviations(plan, preparation)
     audit = []
     for point, boundary in enumerate(plan.decoherence_points):
         rho = devs[boundary]
-        scale = frobenius_norm(rho)
+        coeffs = pauli_decompose(rho, tol=tol * frobenius_norm(rho))
         damaging = []
-        for flip in dfs.FLIP_PAIR:
-            conj = flip @ rho @ flip
-            if frobenius_norm(conj - rho) <= tol * scale:
-                damaging.append(False)
-                continue
-            if frobenius_norm(conj + rho) <= tol * scale:
-                damaging.append(True)
-                continue
-            raise ValueError(
-                f"deviation at point {point} (boundary {boundary}) is not a "
-                "flip eigenstate; damage counting is undefined for this plan"
-            )
-        coeffs = pauli_decompose(rho, tol=tol * scale)
+        for flip in dfs.ERROR_BASIS[1:3]:
+            signs = {anticommutes(PauliString(word), flip) for word in coeffs}
+            if len(signs) > 1:
+                raise ValueError(
+                    f"deviation at point {point} (boundary {boundary}) is not a "
+                    "flip eigenstate; damage counting is undefined for this plan"
+                )
+            damaging.append(True in signs)
         state = next(iter(coeffs)) if len(coeffs) == 1 else "flip-invariant"
         audit.append(
             PointDamage(point=point, boundary=boundary, state=state, damaging=tuple(damaging))

@@ -62,8 +62,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     rows = harness.run_sweep(cfg)
     text = harness.results_to_csv(rows) if cfg.format == "csv" else harness.results_to_json(rows)
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise harness.ConfigError(f"cannot write output file {cfg.output}: {exc}") from exc
         print(f"wrote {len(rows)} rows to {cfg.output}")
     else:
         sys.stdout.write(text)

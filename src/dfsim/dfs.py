@@ -65,9 +65,6 @@ _ERROR_STACK.setflags(write=False)
 #: Read-only matrices of ERROR_BASIS, in the same order.
 ERROR_MATRICES = tuple(_ERROR_STACK)
 
-#: The two stochastically applied flips, XXII then IIXX, in protocol order.
-FLIP_PAIR = ERROR_MATRICES[1:3]
-
 
 @dataclass(frozen=True, eq=False)
 class DfsBasis:

@@ -62,6 +62,8 @@ class SweepConfig:
                 raise ConfigError(f"unknown mode {mode!r}")
         if not self.modes:
             raise ConfigError("at least one mode is required")
+        if len(set(self.modes)) < len(self.modes):
+            raise ConfigError(f"modes must not repeat, got {','.join(self.modes)}")
         if self.algorithm not in circuits.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.format not in ("csv", "json"):
@@ -212,17 +214,14 @@ def _random_logical_states(rng: np.random.Generator, count: int) -> list[np.ndar
     return states
 
 
-def _immunity_residual(seed: int, bases: tuple[np.ndarray, ...]) -> float:
+def _immunity_residual(seed: int) -> float:
     """Worst change the engineered channel makes, over IMMUNITY_E_GRID, to 50
-    random logical states, each the equal mixture over the isometries ``bases``."""
+    random logical states, each stored by dfs.encode."""
     rng = np.random.default_rng(seed)
     models = [noise.engineered_model(e) for e in IMMUNITY_E_GRID]
     worst = 0.0
     for psi in _random_logical_states(rng, 50):
-        rho = np.zeros((qcore.DIM, qcore.DIM), dtype=complex)
-        for basis in bases:
-            vec = basis @ psi
-            rho += 0.25 * np.outer(vec, vec.conj())
+        rho = dfs.encode(psi)
         for model in models:
             out = noise.apply_channel(rho, model)
             worst = max(worst, qcore.frobenius_norm(out - rho))
@@ -367,7 +366,7 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     add("dfs-gram-identity", dfs.gram_defect(), qcore.DEFAULT_TOL)
     add(
         "dfs-immunity",
-        _immunity_residual(cfg.seed, dfs.all_isometries()),
+        _immunity_residual(cfg.seed),
         qcore.DEFAULT_TOL,
         "50 random logical states, e = 0 .. 0.5 step 0.05",
     )

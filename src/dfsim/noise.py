@@ -22,10 +22,11 @@ realizations this is the spec engineered_model(e),
 
 complete because (1-e)^2 + 2 e(1-e) + e^2 = 1; at e = 0 only E0 is kept.
 The exact channel is the primary evolution path.  The dense Monte-Carlo path
-(monte_carlo_finals) gives every shot its 16x16 matrix, flipped by
-dfs.FLIP_PAIR; it mirrors the shot-averaged protocol and is the oracle for
-the sweep's Pauli-frame sampler.  Shots whose flip histories agree so far
-share one evolved matrix, so each distinct history is evolved once.
+(monte_carlo_finals) gives every shot its 16x16 matrix, flipped by permuting
+its entries with the XXII and IIXX entry permutations; it mirrors the
+shot-averaged protocol and is the oracle for the sweep's Pauli-frame
+sampler.  Shots whose flip histories agree so far share one evolved matrix,
+so each distinct history is evolved once.
 Decoherence grows with e and is strongest at e = 0.5; larger values are
 rejected.
 
@@ -302,20 +303,22 @@ def monte_carlo_finals(
     """Final deviation matrix of every shot, shape (shots, 16, 16).
 
     The dense oracle: every shot is evolved as a 16x16 matrix, with the flips
-    draw_flips(e, seed, shots, points) gives it.  Shots that drew the same
-    flips at every noise point so far have the same matrix, so one matrix is
-    evolved per distinct flip history and the shots are expanded at the end;
-    each shot's result equals, to the bit, evolving it on its own.  Only the
-    drawn flips decide the sharing, never the damage audit, so the oracle
-    stays independent of the frame sampler it checks.
+    draw_flips(e, seed, shots, points) gives it.  A drawn XXII or IIXX
+    permutes the matrix's entries (_WORD_PERMS), which equals conjugating by
+    the flip to the bit.  Shots that drew the same flips at every noise point
+    so far have the same matrix, so one matrix is evolved per distinct flip
+    history and the shots are expanded at the end; each shot's result equals,
+    to the bit, evolving it on its own.  Only the drawn flips decide the
+    sharing, never the damage audit, so the oracle stays independent of the
+    frame sampler it checks.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     prep = plan.preparation.deviation if initial is None else initial
     points = plan.decoherence_points
     draws = draw_flips(e, seed, shots, len(points))
-    # rho[g] is the state of every shot whose flip history so far is group g
-    rho = np.asarray(prep, dtype=complex).reshape(1, DIM, DIM)
+    # rho[g] is the raveled state of every shot whose flip history so far is group g
+    rho = np.asarray(prep, dtype=complex).reshape(1, DIM * DIM)
     group = np.zeros(shots, dtype=np.intp)
     idx = 0
     for boundary in range(len(plan.gates) + 1):
@@ -324,12 +327,11 @@ def monte_carlo_finals(
                 group * 4 + draws[:, idx, 0] + 2 * draws[:, idx, 1], return_inverse=True
             )
             rho = rho[keys // 4]
-            for slot, flip in enumerate(dfs.FLIP_PAIR):
+            for slot, perm in enumerate(_WORD_PERMS[1:3]):
                 sel = (keys >> slot) & 1 == 1
-                if sel.any():
-                    rho[sel] = flip @ rho[sel] @ flip
+                rho[sel] = rho[sel][:, perm]
             idx += 1
         if boundary < len(plan.gates):
             u = plan.gates[boundary].physical
-            rho = u @ rho @ u.conj().T
-    return rho[group]
+            rho = (u @ rho.reshape(-1, DIM, DIM) @ u.conj().T).reshape(-1, DIM * DIM)
+    return rho[group].reshape(shots, DIM, DIM)

@@ -91,6 +91,30 @@ def test_embedding_acts_on_spins_1_and_4_only():
     np.testing.assert_allclose(embed_on_spins_1_4(cz), expected, atol=1e-14)
 
 
+def _loop_embedding(u):
+    # element-by-element reference: u's entry where spins 2 and 3 agree, else 0
+    out = np.zeros((16, 16), dtype=complex)
+    for r in range(16):
+        for c in range(16):
+            if (c & 0b0110) == (r & 0b0110):
+                out[r, c] = u[(((r >> 3) & 1) << 1) | (r & 1), (((c >> 3) & 1) << 1) | (c & 1)]
+    return out
+
+
+def test_embedding_equals_loop_reference_byte_for_byte():
+    rng = np.random.default_rng(12)
+    unitaries = [
+        np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        for _ in range(50)
+    ]
+    gates = grover_gates("01") + dj_gates("xor") + circuits.readout_gates()
+    unitaries.extend(g.matrix for g in gates)
+    for u in unitaries:
+        got, want = embed_on_spins_1_4(u), _loop_embedding(u)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_embedding_rejects_nonunitary():
     with pytest.raises(ValueError):
         embed_on_spins_1_4(np.ones((4, 4)))

@@ -51,6 +51,10 @@ def test_config_validation():
         SweepConfig(format="xml")
     with pytest.raises(ConfigError, match="seed"):
         SweepConfig(seed=-1)
+    with pytest.raises(ConfigError, match="repeat"):
+        SweepConfig(modes=("protected", "protected"))
+    with pytest.raises(ConfigError, match="repeat"):
+        build_config({"modes": "unprotected protected unprotected"})
 
 
 def test_sweep_has_one_row_per_cell():
@@ -135,13 +139,14 @@ def test_verify_passes_on_fresh_build():
             "damage-count-consistency", "damage-count-values"} <= names
 
 
-def test_verify_detects_corrupted_subspace():
+def test_verify_detects_corrupted_subspace(monkeypatch):
     bases = list(dfs.all_isometries())
-    assert harness._immunity_residual(5, bases) <= qcore.DEFAULT_TOL
+    assert harness._immunity_residual(5) <= qcore.DEFAULT_TOL
     bad = bases[3].copy()
     bad[12, 0] *= -1.0  # break one sign relation in subspace 4
     bases[3] = bad
-    assert harness._immunity_residual(5, bases) > 1e-3
+    monkeypatch.setattr(dfs, "all_isometries", lambda: tuple(bases))
+    assert harness._immunity_residual(5) > 1e-3
 
 
 def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
@@ -262,11 +267,14 @@ def test_cli_invalid_configuration_exits_2(capsys):
     assert cli.main(["run", "--e-grid", "0.9", "--shots", "2"]) == 2
     assert cli.main(["run", "--mode", "shielded"]) == 2
     assert cli.main(["run", "--e-grid", "zero"]) == 2
+    assert cli.main(["run", "--mode", "protected,protected"]) == 2
+    assert "modes must not repeat" in capsys.readouterr().err
     assert cli.main([
         "run", "--e-grid", "0", "--shots", "2", "--mode", "protected",
         "--output", "/nonexistent-dir/results.csv",
     ]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output file /nonexistent-dir/results.csv: ")
 
 
 def test_cli_verify_json_report(capsys):

@@ -226,9 +226,9 @@ def test_monte_carlo_matches_shot_records():
         idx = 0
         for boundary in range(len(plan.gates) + 1):
             while idx < points and plan.decoherence_points[idx] == boundary:
-                for slot in (0, 1):
+                for slot, flip in enumerate(dfs.ERROR_MATRICES[1:3]):
                     if drawn[idx, slot]:
-                        rho = dfs.FLIP_PAIR[slot] @ rho @ dfs.FLIP_PAIR[slot]
+                        rho = flip @ rho @ flip
                 idx += 1
             if boundary < len(plan.gates):
                 u = plan.gates[boundary].physical
@@ -245,7 +245,7 @@ def _unshared_finals(plan, e, shots, seed, initial=None):
     idx = 0
     for boundary in range(len(plan.gates) + 1):
         while idx < len(points) and points[idx] == boundary:
-            for slot, flip in enumerate(dfs.FLIP_PAIR):
+            for slot, flip in enumerate(dfs.ERROR_MATRICES[1:3]):
                 sel = draws[:, idx, slot]
                 if sel.any():
                     rho[sel] = flip @ rho[sel] @ flip

@@ -1,9 +1,11 @@
 """Property tests over random plans: Deutsch-Jozsa promise tables, Grover marked
-labels, every preparation step, and e in [0, 0.5].
+labels, every preparation step, placements with duplicates, and e in [0, 0.5].
 
 Examples are capped and derandomized, and no failing example is replayed
 from an earlier run, so the suite stays fast and repeatable.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +26,11 @@ PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=N
 
 @st.composite
 def plans(draw):
-    """(mode, plan) for a random mode, step and algorithm instance."""
+    """(mode, plan) for a random mode, step, algorithm instance and placement.
+
+    The placement is a sorted list of gate boundaries, duplicates and the
+    empty list included.
+    """
     mode = draw(st.sampled_from(circuits.MODES))
     step = draw(st.sampled_from(readout.steps_for_mode(mode)))
     if draw(st.sampled_from(circuits.ALGORITHMS)) == "grover":
@@ -33,7 +39,9 @@ def plans(draw):
     else:
         table = draw(PROMISE_TABLES)
         plan = circuits.assemble(mode, "deutsch-jozsa", function=table, preparation=step)
-    return mode, plan
+    boundaries = st.integers(min_value=0, max_value=len(plan.gates))
+    placement = sorted(draw(st.lists(boundaries, max_size=12)))
+    return mode, replace(plan, decoherence_points=tuple(placement))
 
 
 E = st.floats(min_value=0.0, max_value=0.5)
