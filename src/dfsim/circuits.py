@@ -240,7 +240,7 @@ class PointDamage:
 
     point: int
     boundary: int
-    state: str          # Pauli letters of the deviation, or "flip-invariant"
+    state: str          # Pauli words of the deviation, joined with "+"
     damaging: tuple[bool, bool]  # whether XXII, IIXX would negate the deviation
 
     @property
@@ -278,9 +278,10 @@ def damage_audit(
                     "flip eigenstate; damage counting is undefined for this plan"
                 )
             damaging.append(True in signs)
-        state = next(iter(coeffs)) if len(coeffs) == 1 else "flip-invariant"
         audit.append(
-            PointDamage(point=point, boundary=boundary, state=state, damaging=tuple(damaging))
+            PointDamage(
+                point=point, boundary=boundary, state="+".join(coeffs), damaging=tuple(damaging)
+            )
         )
     return audit
 

@@ -59,18 +59,34 @@ def _build_config(args: argparse.Namespace) -> harness.SweepConfig:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    rows = harness.run_sweep(cfg)
-    text = harness.results_to_csv(rows) if cfg.format == "csv" else harness.results_to_json(rows)
-    if cfg.output:
+    if not cfg.output:
+        sys.stdout.write(_format_rows(cfg, harness.run_sweep(cfg)))
+        return 0
+    # opened before the sweep, so an unwritable path fails at once; append
+    # mode leaves an existing file whole until the rows are ready
+    try:
+        fh = open(cfg.output, "a")
+    except OSError as exc:
+        raise _unwritable(cfg.output, exc) from exc
+    with fh:
+        rows = harness.run_sweep(cfg)
+        text = _format_rows(cfg, rows)
         try:
-            with open(cfg.output, "w") as fh:
-                fh.write(text)
+            fh.truncate(0)
+            fh.write(text)
+            fh.flush()
         except OSError as exc:
-            raise harness.ConfigError(f"cannot write output file {cfg.output}: {exc}") from exc
-        print(f"wrote {len(rows)} rows to {cfg.output}")
-    else:
-        sys.stdout.write(text)
+            raise _unwritable(cfg.output, exc) from exc
+    print(f"wrote {len(rows)} rows to {cfg.output}")
     return 0
+
+
+def _format_rows(cfg: harness.SweepConfig, rows: list[harness.SignalResult]) -> str:
+    return harness.results_to_csv(rows) if cfg.format == "csv" else harness.results_to_json(rows)
+
+
+def _unwritable(path: str, exc: OSError) -> harness.ConfigError:
+    return harness.ConfigError(f"cannot write output file {path}: {exc}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -147,9 +147,9 @@ def _sweep_cells(
         yield e, int(ss.generate_state(1, np.uint64)[0]), final
 
 
-#: Shots drawn at a time by _mc_signal.  The odd-shot count is a sum of whole
-#: numbers, so results do not depend on it; it only bounds memory (about
-#: 162 B per shot at nine noise points).
+#: Shots drawn at a time by _mc_signal and _dense_shot_mean.  Results do not
+#: depend on it (tested); it only bounds memory: about 162 B per shot of
+#: flips at nine noise points, and 4 KiB per shot of dense finals.
 _SHOT_BLOCK = 65536
 
 
@@ -170,6 +170,26 @@ def _mc_signal(mask: np.ndarray, e: float, shots: int, seed: int) -> tuple[float
     mean = 1.0 - 2.0 * odd / shots
     stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
     return mean, stderr
+
+
+def _dense_shot_mean(plan: circuits.ExperimentPlan, e: float, shots: int, seed: int) -> np.ndarray:
+    """Mean final state of the dense oracle's shots, _SHOT_BLOCK shots at a time.
+
+    Each block's flips are drawn from shot ``first`` on and its finals are
+    added onto the running sum in shot order, so the mean equals, to the bit,
+    noise.monte_carlo_finals(plan, e, shots, seed).mean(axis=0), while only
+    one block of finals is held.
+    """
+    points = len(plan.decoherence_points)
+    total = None
+    for first in range(0, shots, _SHOT_BLOCK):
+        flips = noise.draw_flips(e, seed, min(_SHOT_BLOCK, shots - first), points, first=first)
+        states, index = noise.monte_carlo_states(plan, flips)
+        if total is not None:  # the running sum goes first, as one more row
+            states = np.concatenate([states, total[None]])
+            index = np.concatenate([[len(states) - 1], index])
+        total = np.add.reduce(states[index], axis=0)
+    return total / shots
 
 
 def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
@@ -340,7 +360,7 @@ def _mc_convergence_residual(cfg: SweepConfig) -> tuple[float, str]:
     for key, mode, step, plan in sweep_plans(cfg):
         prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
         for e, seed, exact in _sweep_cells(cfg, key, plan):
-            mean = noise.monte_carlo_finals(plan, e, cfg.shots, seed).mean(axis=0)
+            mean = _dense_shot_mean(plan, e, cfg.shots, seed)
             var = prep_sq - qcore.frobenius_norm(exact) ** 2
             if var <= qcore.DEFAULT_TOL * prep_sq:
                 var = 0.0

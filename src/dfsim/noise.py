@@ -22,11 +22,12 @@ realizations this is the spec engineered_model(e),
 
 complete because (1-e)^2 + 2 e(1-e) + e^2 = 1; at e = 0 only E0 is kept.
 The exact channel is the primary evolution path.  The dense Monte-Carlo path
-(monte_carlo_finals) gives every shot its 16x16 matrix, flipped by permuting
-its entries with the XXII and IIXX entry permutations; it mirrors the
-shot-averaged protocol and is the oracle for the sweep's Pauli-frame
-sampler.  Shots whose flip histories agree so far share one evolved matrix,
-so each distinct history is evolved once.
+(monte_carlo_states, monte_carlo_finals) gives every shot its 16x16 matrix,
+flipped by permuting its entries with the XXII and IIXX entry permutations;
+it mirrors the shot-averaged protocol and is the oracle for the sweep's
+Pauli-frame sampler.  After every noise point, shots whose matrices are equal
+to the byte share one, so each distinct state is evolved once, and each shot
+is still equal to the bit to evolving it alone.
 Decoherence grows with e and is strongest at e = 0.5; larger values are
 rejected.
 
@@ -293,6 +294,67 @@ def _evolve_block(
     out[:] = rho.reshape(n, DIM, DIM)
 
 
+#: Entry permutation of each flip pattern p = XXII + 2 IIXX at one noise point:
+#: identity, XXII, IIXX, and XXII then IIXX, in the order the flips are drawn.
+_FLIP_PERMS = np.stack(
+    [np.arange(DIM * DIM), _WORD_PERMS[1], _WORD_PERMS[2], _WORD_PERMS[1][_WORD_PERMS[2]]]
+)
+
+
+def _distinct(rho: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho's rows that differ in at least one byte, and group remapped onto them.
+
+    Rows are compared as raw bytes (np.void), so +0.0 and -0.0 stay apart and
+    a merged row is the very same state, not a close one.
+    """
+    rows = np.ascontiguousarray(rho).view(np.dtype((np.void, rho.itemsize * DIM * DIM)))
+    distinct, inverse = np.unique(rows.ravel(), return_inverse=True)
+    return distinct.view(complex).reshape(-1, DIM * DIM), inverse.ravel()[group]
+
+
+def monte_carlo_states(
+    plan: ExperimentPlan, flips: np.ndarray, initial: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct final states of the shots whose flips are ``flips``, and each shot's state.
+
+    ``flips`` has shape (shots, points, 2), as draw_flips returns it.  The
+    result is (states, index): states (distinct, 16, 16), pairwise different
+    in at least one byte, and index (shots,), so that states[index[k]] is the
+    final deviation of shot k.
+
+    The dense oracle: every shot is evolved as a 16x16 matrix.  At a noise
+    point each state is gathered through the entry permutation of the flips
+    its shots drew there (_FLIP_PERMS), which equals conjugating by the flips
+    to the bit, and states equal to the byte are then merged.  Gates
+    conjugate each state on its own, so equal bytes in give equal bytes out,
+    and each shot's result equals, to the bit, evolving it alone.  Only the
+    drawn flips and the states decide the sharing, never the damage audit, so
+    the oracle stays independent of the frame sampler it checks.
+    """
+    points = plan.decoherence_points
+    flips = np.asarray(flips, dtype=bool)
+    if flips.ndim != 3 or flips.shape[1:] != (len(points), 2) or len(flips) < 1:
+        raise ValueError(f"flips must have shape (shots >= 1, {len(points)}, 2)")
+    prep = plan.preparation.deviation if initial is None else initial
+    # rho[g] is the raveled state of every shot k with group[k] == g
+    rho = np.asarray(prep, dtype=complex).reshape(1, DIM * DIM)
+    group = np.zeros(len(flips), dtype=np.intp)
+    idx = 0
+    for boundary in range(len(plan.gates) + 1):
+        while idx < len(points) and points[idx] == boundary:
+            pattern = flips[:, idx, 0] + 2 * flips[:, idx, 1]
+            keys, group = np.unique(group * 4 + pattern, return_inverse=True)
+            rho = rho.ravel()[(keys // 4 * DIM * DIM)[:, None] + _FLIP_PERMS[keys & 3]]
+            rho, group = _distinct(rho, group)
+            idx += 1
+        if boundary < len(plan.gates):
+            u = plan.gates[boundary].physical
+            rho = (u @ rho.reshape(-1, DIM, DIM) @ u.conj().T).reshape(-1, DIM * DIM)
+    # a gate may round two states to the same bytes
+    rho, group = _distinct(rho, group)
+    return rho.reshape(-1, DIM, DIM), group
+
+
 def monte_carlo_finals(
     plan: ExperimentPlan,
     e: float,
@@ -302,36 +364,13 @@ def monte_carlo_finals(
 ) -> np.ndarray:
     """Final deviation matrix of every shot, shape (shots, 16, 16).
 
-    The dense oracle: every shot is evolved as a 16x16 matrix, with the flips
-    draw_flips(e, seed, shots, points) gives it.  A drawn XXII or IIXX
-    permutes the matrix's entries (_WORD_PERMS), which equals conjugating by
-    the flip to the bit.  Shots that drew the same flips at every noise point
-    so far have the same matrix, so one matrix is evolved per distinct flip
-    history and the shots are expanded at the end; each shot's result equals,
-    to the bit, evolving it on its own.  Only the drawn flips decide the
-    sharing, never the damage audit, so the oracle stays independent of the
-    frame sampler it checks.
+    The flips are draw_flips(e, seed, shots, points) and the states come from
+    monte_carlo_states; each shot's matrix equals, to the bit, evolving it on
+    its own.  This holds all shots at once (4 KiB each); verify reads the
+    shot mean block by block instead.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    prep = plan.preparation.deviation if initial is None else initial
-    points = plan.decoherence_points
-    draws = draw_flips(e, seed, shots, len(points))
-    # rho[g] is the raveled state of every shot whose flip history so far is group g
-    rho = np.asarray(prep, dtype=complex).reshape(1, DIM * DIM)
-    group = np.zeros(shots, dtype=np.intp)
-    idx = 0
-    for boundary in range(len(plan.gates) + 1):
-        while idx < len(points) and points[idx] == boundary:
-            keys, group = np.unique(
-                group * 4 + draws[:, idx, 0] + 2 * draws[:, idx, 1], return_inverse=True
-            )
-            rho = rho[keys // 4]
-            for slot, perm in enumerate(_WORD_PERMS[1:3]):
-                sel = (keys >> slot) & 1 == 1
-                rho[sel] = rho[sel][:, perm]
-            idx += 1
-        if boundary < len(plan.gates):
-            u = plan.gates[boundary].physical
-            rho = (u @ rho.reshape(-1, DIM, DIM) @ u.conj().T).reshape(-1, DIM * DIM)
-    return rho[group].reshape(shots, DIM, DIM)
+    flips = draw_flips(e, seed, shots, len(plan.decoherence_points))
+    states, index = monte_carlo_states(plan, flips, initial)
+    return states[index]

@@ -241,6 +241,28 @@ def test_damage_audit_reports_states():
     assert all(entry.hits == 0 for entry in protected_audit)
 
 
+def test_damage_audit_names_every_word_of_a_negated_deviation():
+    # an X rotation on spin 1 turns ZIII into a mix of ZIII and YIII; XXII
+    # negates both words, so the state must be named by them, not called
+    # invariant
+    theta = 0.3
+    rx = np.array(
+        [[np.cos(theta / 2), -1j * np.sin(theta / 2)], [-1j * np.sin(theta / 2), np.cos(theta / 2)]]
+    )
+    m = np.kron(rx, np.eye(2))
+    plan = ExperimentPlan(
+        mode="unprotected",
+        algorithm="grover",
+        gates=(circuits.Gate("rx1", m, embed_on_spins_1_4(m)),),
+        decoherence_points=(0, 1),
+        preparation=readout.unprotected_steps()[0],
+    )
+    audit = damage_audit(plan)
+    assert audit[0].state == "ZIII"
+    assert sorted(audit[1].state.split("+")) == ["YIII", "ZIII"]
+    assert audit[1].damaging == (True, False)
+
+
 def test_damage_count_rejects_non_eigen_states():
     # a T-like gate turns the transverse deviation into a non-eigen mixture
     t = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)

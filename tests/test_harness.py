@@ -277,6 +277,24 @@ def test_cli_invalid_configuration_exits_2(capsys):
     assert err.startswith("error: cannot write output file /nonexistent-dir/results.csv: ")
 
 
+def test_cli_run_checks_the_output_path_before_the_sweep(tmp_path, monkeypatch, capsys):
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran before the output path was checked")
+
+    monkeypatch.setattr(harness, "run_sweep", no_sweep)
+    path = tmp_path / "missing-dir" / "results.csv"
+    assert cli.main(["run", "--output", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write output file {path}: ")
+
+
+def test_cli_run_keeps_an_old_output_file_when_the_sweep_fails(tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    out.write_text("old rows\n")
+    assert cli.main(["run", "--placement", "99", "--output", str(out)]) == 2
+    assert "placement" in capsys.readouterr().err
+    assert out.read_text() == "old rows\n"
+
+
 def test_cli_verify_json_report(capsys):
     code = cli.main([
         "verify", "--e-grid", "0.25", "--shots", "8", "--format", "json",
@@ -429,6 +447,43 @@ def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
     monkeypatch.setattr(harness, "_SHOT_BLOCK", 7)
     assert harness._mc_signal(mask, 0.3, shots, 11) == one_block
     assert drawn == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
+
+
+@pytest.mark.parametrize("shots", [1, 7, 8, 64, 2048])
+def test_dense_shot_mean_does_not_depend_on_the_shot_block(shots, monkeypatch):
+    # the blocks are added onto the running sum in shot order, which is how
+    # .mean(axis=0) adds the whole stack, so the bytes agree
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
+    whole = noise.monte_carlo_finals(plan, 0.3, shots, 11).mean(axis=0)
+    assert harness._dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
+    drawn = []
+    unblocked = noise.draw_flips
+
+    def spy(e, seed, count, points, first=0):
+        drawn.append((first, count))
+        return unblocked(e, seed, count, points, first=first)
+
+    monkeypatch.setattr(noise, "draw_flips", spy)
+    monkeypatch.setattr(harness, "_SHOT_BLOCK", 7)
+    assert harness._dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
+    assert drawn == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
+
+
+def test_dense_shot_mean_memory_does_not_grow_with_the_shots(monkeypatch):
+    # one block of finals is 256 x 4 KiB; holding 16 blocks would add 15 MiB.
+    # A warm-up call keeps one-time allocations out of both peaks.
+    monkeypatch.setattr(harness, "_SHOT_BLOCK", 256)
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
+    harness._dense_shot_mean(plan, 0.25, 8, 2)
+    peaks = []
+    for shots in (256, 16 * 256):
+        tracemalloc.start()
+        try:
+            harness._dense_shot_mean(plan, 0.25, shots, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("length", [1, 7, 8, 20])

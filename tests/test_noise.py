@@ -8,6 +8,7 @@ from dfsim.noise import (
     draw_flips,
     engineered_model,
     monte_carlo_finals,
+    monte_carlo_states,
     run_plan_exact,
     verify_error_model,
 )
@@ -266,14 +267,43 @@ def test_shared_flip_histories_match_unshared_replay_to_the_bit(mode, algorithm)
     for e in (0.0, 0.0625, 0.25, 0.5):
         finals = monte_carlo_finals(plan, e, shots=shots, seed=seed)
         assert finals.shape == (shots, 16, 16)
-        assert np.array_equal(finals, _unshared_finals(plan, e, shots, seed))
+        assert finals.tobytes() == _unshared_finals(plan, e, shots, seed).tobytes()
 
 
 def test_shared_flip_histories_with_initial_state():
     plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[0])
     initial = pauli_matrix(PauliString("ZXIY")) / 16
     finals = monte_carlo_finals(plan, 0.25, shots=128, seed=4, initial=initial)
-    assert np.array_equal(finals, _unshared_finals(plan, 0.25, 128, 4, initial))
+    assert finals.tobytes() == _unshared_finals(plan, 0.25, 128, 4, initial).tobytes()
+
+
+@pytest.mark.parametrize("mode", circuits.MODES)
+@pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
+def test_oracle_states_are_pairwise_distinct_by_bytes(mode, algorithm):
+    # states are shared by their bytes, so no two returned rows may be equal
+    plan = circuits.assemble(mode, algorithm, preparation=readout.steps_for_mode(mode)[-1])
+    flips = draw_flips(0.25, 8, 512, len(plan.decoherence_points))
+    states, index = monte_carlo_states(plan, flips)
+    assert index.shape == (512,) and set(index.tolist()) == set(range(len(states)))
+    assert len({s.tobytes() for s in states}) == len(states)
+
+
+def test_oracle_merges_shots_whose_flip_histories_differ():
+    # a protected preparation is left alone by every flip (up to rounding), so
+    # its 64 shots fall on a few states though nearly every history differs
+    plan = circuits.assemble("protected", preparation=readout.protected_steps()[0])
+    flips = draw_flips(0.5, 2, 64, len(plan.decoherence_points))
+    histories = len(np.unique(flips.reshape(64, -1), axis=0))
+    states, _ = monte_carlo_states(plan, flips)
+    assert len(states) <= 4 < histories
+
+
+def test_oracle_rejects_flips_of_the_wrong_shape():
+    plan = circuits.assemble("unprotected")
+    points = len(plan.decoherence_points)
+    for shape in ((0, points, 2), (4, points + 1, 2), (4, points)):
+        with pytest.raises(ValueError, match="flips must have shape"):
+            monte_carlo_states(plan, np.zeros(shape, dtype=bool))
 
 
 def test_monte_carlo_at_zero_error_equals_exact():
