@@ -9,6 +9,7 @@ deterministic functions of (config, seed) down to the output bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
@@ -133,81 +134,172 @@ def _exact_finals(
         yield from noise.run_plan_exact(plan, e_grid[start : start + noise._E_BLOCK], initial)
 
 
+#: Constants of NumPy's SeedSequence (O'Neill's seed_seq_fe), all mod 2**32.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """n as SeedSequence reads an integer: 32-bit words, least significant first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, h: int, mult: int = _MULT_A):
+    """One hash step of SeedSequence on a word or a uint64 array of words.
+
+    Returns the hashed value and the next hash constant, which every call
+    carries on to the next.
+    """
+    value = value ^ h
+    h = h * mult & _MASK32
+    value = value * h & _MASK32
+    return value ^ value >> 16, h
+
+
+def _mix(x: int, y):
+    """SeedSequence's mix of pool word x with the hashed word y."""
+    r = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _cell_seeds(entropy: int, key: tuple[int, ...], count: int) -> np.ndarray:
+    """SeedSequence(entropy, spawn_key=key + (i,)).generate_state(1, np.uint64)[0], i < count.
+
+    The same bits as NumPy's SeedSequence, derived in one pass.  Its pool of
+    four words mixes every input word in order: the entropy, padded to four
+    words as SeedSequence pads it when it spawns, then the words of ``key``,
+    then the index i.  All but i are mixed once, with Python ints; i is mixed
+    for every cell at once in uint64 arrays masked to 32 bits.  The seed is
+    drawn from pool words 0 and 1 alone.
+    """
+    if count > 2**32:
+        raise ValueError("at most 2**32 cells: a larger index takes two words")
+    words = _uint32_words(int(entropy))
+    words += [0] * (4 - len(words))
+    for k in key:
+        words += _uint32_words(int(k))
+    pool = []
+    h = _INIT_A
+    for w in words[:4]:
+        value, h = _hashmix(w, h)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], value)
+    for w in words[4:]:
+        for dst in range(4):
+            value, h = _hashmix(w, h)
+            pool[dst] = _mix(pool[dst], value)
+    index = np.arange(count, dtype=np.uint64)
+    seeds = np.zeros(count, dtype=np.uint64)
+    out = _INIT_B
+    for dst in (0, 1):
+        value, h = _hashmix(index, h)
+        word, out = _hashmix(_mix(pool[dst], value), out, _MULT_B)
+        seeds |= word << np.uint64(32 * dst)
+    return seeds
+
+
 def _sweep_cells(
     cfg: SweepConfig, key: tuple[int, int], plan: circuits.ExperimentPlan
 ) -> Iterator[tuple[float, int, np.ndarray]]:
     """(e, seed, exact final state) of every cell of the plan ``key``, in e_grid order.
 
-    The seed is spawned from cfg.seed at key + (e index,).  run_sweep and
-    verify's dense oracle both take their cells from here, so they draw the
-    same flips for a cell.
+    The seed equals SeedSequence(cfg.seed, spawn_key=key + (e index,))'s
+    64-bit state; the seeds of all cells come from one _cell_seeds pass.
+    run_sweep and verify's dense oracle both take their cells from here, so
+    they draw the same flips for a cell.
     """
-    for e_idx, (e, final) in enumerate(zip(cfg.e_grid, _exact_finals(plan, cfg.e_grid))):
-        ss = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=key + (e_idx,))
-        yield e, int(ss.generate_state(1, np.uint64)[0]), final
+    seeds = _cell_seeds(cfg.seed, key, len(cfg.e_grid)).tolist()
+    yield from zip(cfg.e_grid, seeds, _exact_finals(plan, cfg.e_grid))
 
 
-#: Shots drawn at a time by _mc_signal and _dense_shot_mean.  Results do not
-#: depend on it (tested); it only bounds memory: about 162 B per shot of
-#: flips at nine noise points, and 4 KiB per shot of dense finals.
+#: Shots drawn at a time by _mc_signal (over all cells of a batch) and
+#: _dense_shot_mean.  Results do not depend on it (tested); it only bounds
+#: memory: about 162 B per shot of flips at nine noise points.
 _SHOT_BLOCK = 65536
 
+#: Shots whose dense finals _dense_shot_mean gathers at a time, 4 KiB each.
+_GATHER_SHOTS = 4096
 
-def _mc_signal(mask: np.ndarray, e: float, shots: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo signal and its standard error by Pauli-frame sampling.
+
+def _mc_signal(
+    mask: np.ndarray, e: tuple[float, ...], shots: int, seeds: tuple[int, ...]
+) -> list[tuple[float, float]]:
+    """Monte-Carlo signal and its standard error of each cell (e[i], seeds[i]) of a batch.
 
     ``mask`` is the plan's circuits.damage_mask: a shot's final deviation is
     the ideal one negated once per damaging flip drawn, so its signal is
     exactly +1 or -1 by the parity of those flips.  The mean is then
     1 - 2 (odd shots) / shots, and the standard error is the sample standard
-    deviation (ddof 1) of the +-1 shot signals over sqrt(shots).  Shots are
-    drawn in blocks of _SHOT_BLOCK.
+    deviation (ddof 1) of the +-1 shot signals over sqrt(shots).  The whole
+    batch is drawn in one noise.draw_flips call per _SHOT_BLOCK shots, so a
+    batch of more than one cell should hold at most _SHOT_BLOCK shots in all.
     """
-    odd = 0
+    odd = np.zeros(len(seeds), dtype=np.int64)
     for first in range(0, shots, _SHOT_BLOCK):
-        flips = noise.draw_flips(e, seed, min(_SHOT_BLOCK, shots - first), len(mask), first=first)
-        odd += int(np.count_nonzero((flips & mask).sum(axis=(1, 2)) % 2))
-    mean = 1.0 - 2.0 * odd / shots
-    stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
-    return mean, stderr
+        flips = noise.draw_flips(e, seeds, min(_SHOT_BLOCK, shots - first), len(mask), first=first)
+        flips &= mask
+        odd += np.count_nonzero(flips.sum(axis=(2, 3)) % 2, axis=1)
+    signals = []
+    for k in odd.tolist():
+        mean = 1.0 - 2.0 * k / shots
+        stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
+        signals.append((mean, stderr))
+    return signals
 
 
 def _dense_shot_mean(plan: circuits.ExperimentPlan, e: float, shots: int, seed: int) -> np.ndarray:
     """Mean final state of the dense oracle's shots, _SHOT_BLOCK shots at a time.
 
-    Each block's flips are drawn from shot ``first`` on and its finals are
-    added onto the running sum in shot order, so the mean equals, to the bit,
+    Each block's flips are drawn from shot ``first`` on, and its finals are
+    gathered and added onto the running sum in shot order, _GATHER_SHOTS at
+    a time, so the mean equals, to the bit,
     noise.monte_carlo_finals(plan, e, shots, seed).mean(axis=0), while only
-    one block of finals is held.
+    the distinct states and one slice of finals are held.
     """
     points = len(plan.decoherence_points)
     total = None
     for first in range(0, shots, _SHOT_BLOCK):
         flips = noise.draw_flips(e, seed, min(_SHOT_BLOCK, shots - first), points, first=first)
         states, index = noise.monte_carlo_states(plan, flips)
-        if total is not None:  # the running sum goes first, as one more row
-            states = np.concatenate([states, total[None]])
-            index = np.concatenate([[len(states) - 1], index])
-        total = np.add.reduce(states[index], axis=0)
+        rows = np.concatenate([states[:1], states])  # row 0 takes the running sum
+        for start in range(0, len(index), _GATHER_SHOTS):
+            part = index[start : start + _GATHER_SHOTS] + 1
+            if total is not None:  # the running sum goes first
+                rows[0] = total
+                part = np.concatenate([[0], part])
+            total = np.add.reduce(rows[part], axis=0)
     return total / shots
 
 
 def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
-    """Exact + Monte-Carlo signals for every (mode, step, e) cell."""
+    """Exact + Monte-Carlo signals for every (mode, step, e) cell.
+
+    The cells of a plan go to _mc_signal in batches of at most
+    min(noise._E_BLOCK, _SHOT_BLOCK // shots) cells, and at least one.
+    """
     rows: list[SignalResult] = []
+    batch = max(1, min(noise._E_BLOCK, _SHOT_BLOCK // cfg.shots))
     for key, mode, step, plan in sweep_plans(cfg):
         reference = noise.run_plan_exact(plan, 0.0)
         mask = circuits.damage_mask(plan)
         n = int(mask.sum())
-        for e, seed, final in _sweep_cells(cfg, key, plan):
-            exact = readout.signal_intensity(final, reference)
-            mean, stderr = _mc_signal(mask, e, cfg.shots, seed)
-            theory = readout.theory_curve(n, e)
-            rows.append(
-                SignalResult(
-                    float(e), step.label, mode, cfg.algorithm, float(exact), mean, stderr, theory, n
-                )
-            )
+        cells = _sweep_cells(cfg, key, plan)
+        for _ in range(0, len(cfg.e_grid), batch):
+            e, seeds, finals = zip(*itertools.islice(cells, batch))
+            signals = _mc_signal(mask, e, cfg.shots, seeds)
+            for e_i, final, (mean, stderr) in zip(e, finals, signals):
+                exact = float(readout.signal_intensity(final, reference))
+                theory = readout.theory_curve(n, e_i)
+                row = (float(e_i), step.label, mode, cfg.algorithm, exact, mean, stderr, theory, n)
+                rows.append(SignalResult(*row))
     return rows
 
 

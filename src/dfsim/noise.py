@@ -35,11 +35,16 @@ Reproducibility contract: the flips of one cell come from one counter-based
 Philox stream (Salmon et al., SC'11) keyed by the cell's seed.  Shot k reads
 the 2*points uniforms at a fixed position, word k*2*points, of that stream,
 so any range of shots can be recomputed on its own, in any order or on any
-worker, and gives bit-identical flips (see draw_flips).
+worker, and gives bit-identical flips (see draw_flips).  draw_flips takes
+one cell or a batch of cells: it builds one Philox generator per call and
+re-keys it for each cell by setting its state, so a cell costs a state
+change, not a new generator, and draws the same flips as a Philox built for
+it alone.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,29 +183,55 @@ def verify_error_model(
     )
 
 
-#: 64-bit words per Philox counter value; ``Philox.advance`` counts these blocks.
+#: 64-bit words per Philox counter value; a state's counter counts these blocks.
 _PHILOX_BLOCK = 4
 
 
 def draw_flips(
-    e: float, seed: int, shots: int, points: int, first: int = 0
+    e: ArrayLike, seed: ArrayLike, shots: int, points: int, first: int = 0
 ) -> np.ndarray:
-    """Flips of shots first .. first+shots-1, shape (shots, points, 2).
+    """Flips of shots first .. first+shots-1 of one cell or of many.
 
-    ``[k, p, 0]`` says whether XXII hits point p in shot first+k, ``[k, p, 1]``
-    whether IIXX does; each is true with probability e.  Shot k compares the
-    uniforms at words k*2*points .. (k+1)*2*points - 1 of the Philox stream
-    keyed by ``seed`` against e, so every shot range is drawn in one call and
-    equals the matching rows of a draw that starts at shot 0.
+    ``seed`` is one cell's seed or a 1-D array of them, and ``e`` a float or
+    an array of the same length; the result has shape
+    np.shape(seed) + (shots, points, 2).  ``[..., k, p, 0]`` says whether
+    XXII hits point p in shot first+k, ``[..., k, p, 1]`` whether IIXX does;
+    each is true with probability e.  Shot k compares the uniforms at words
+    k*2*points .. (k+1)*2*points - 1 of the Philox stream keyed by the cell's
+    seed against its e, so every shot range is drawn in one call and equals
+    the matching rows of a draw that starts at shot 0.
+
+    One Philox generator is re-keyed for each cell by setting its state (the
+    cell's seed as key, the counter at the block of word first*2*points), and
+    one cell's uniforms are held at a time; only the returned flips grow with
+    the cells.
     """
+    seeds = np.array(seed, dtype=object)
     e = _validate_probability(e)
+    if seeds.ndim > 1 or e.shape not in ((), seeds.shape):
+        raise ValueError("seed must be an integer or a 1-D array, and e a float or one per seed")
     if min(shots, points, first) < 0:
         raise ValueError("shots, points and first must be >= 0")
     offset = first * 2 * points
-    bit_generator = np.random.Philox(key=seed)
-    bit_generator.advance(offset // _PHILOX_BLOCK)
-    bit_generator.random_raw(offset % _PHILOX_BLOCK)  # words of earlier shots in the block
-    return np.random.Generator(bit_generator).random((shots, points, 2)) < e
+    bit_generator = np.random.Philox(key=0)
+    state = bit_generator.state
+    state["state"]["counter"] = [offset // _PHILOX_BLOCK, 0, 0, 0]
+    generator = np.random.Generator(bit_generator)
+    uniforms = np.empty((shots, points, 2))
+    flips = np.empty(seeds.shape + uniforms.shape, dtype=bool)
+    thresholds = np.broadcast_to(e, seeds.shape).ravel().tolist()
+    cells = flips.reshape((seeds.size,) + uniforms.shape)
+    for key, threshold, out in zip(seeds.ravel(), thresholds, cells):
+        key = operator.index(key)
+        if not 0 <= key < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {key}")
+        state["state"]["key"] = [key & 0xFFFFFFFFFFFFFFFF, key >> 64]
+        bit_generator.state = state
+        if offset % _PHILOX_BLOCK:  # words of earlier shots in the block
+            bit_generator.random_raw(offset % _PHILOX_BLOCK)
+        generator.random(out=uniforms)
+        np.less(uniforms, threshold, out=out)
+    return flips
 
 
 def shot_seed(seed: int, index: int) -> int:

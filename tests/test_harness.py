@@ -93,7 +93,7 @@ def test_frame_signals_match_dense_shot_by_shot(mode, algorithm):
             flips = noise.draw_flips(e, seed, shots, len(mask))
             frame = 1 - 2 * ((flips & mask).sum(axis=(1, 2)) % 2)
             np.testing.assert_allclose(dense, frame, rtol=0, atol=1e-13)
-            mean, stderr = harness._mc_signal(mask, e, shots, seed)
+            [(mean, stderr)] = harness._mc_signal(mask, (e,), shots, (seed,))
             assert mean == pytest.approx(dense.mean(), abs=1e-13)
             assert stderr == pytest.approx(dense.std(ddof=1) / np.sqrt(shots), abs=1e-13)
 
@@ -435,7 +435,7 @@ def test_cli_count_n_draws_no_seed(tmp_path, capsys):
 def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
     plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
     mask = circuits.damage_mask(plan)
-    one_block = harness._mc_signal(mask, 0.3, shots, 11)
+    one_block = harness._mc_signal(mask, (0.3,), shots, (11,))
     drawn = []
     unblocked = noise.draw_flips
 
@@ -445,7 +445,7 @@ def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
 
     monkeypatch.setattr(noise, "draw_flips", spy)
     monkeypatch.setattr(harness, "_SHOT_BLOCK", 7)
-    assert harness._mc_signal(mask, 0.3, shots, 11) == one_block
+    assert harness._mc_signal(mask, (0.3,), shots, (11,)) == one_block
     assert drawn == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
 
 
@@ -469,6 +469,32 @@ def test_dense_shot_mean_does_not_depend_on_the_shot_block(shots, monkeypatch):
     assert drawn == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
 
 
+@pytest.mark.parametrize("shots", [1, 7, 8, 5000])
+def test_dense_shot_mean_does_not_depend_on_the_gather_slice(shots, monkeypatch):
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
+    whole = noise.monte_carlo_finals(plan, 0.3, shots, 11).mean(axis=0)
+    assert harness._dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
+    monkeypatch.setattr(harness, "_GATHER_SHOTS", 3)
+    monkeypatch.setattr(harness, "_SHOT_BLOCK", 1000)
+    assert harness._dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
+
+
+def test_dense_shot_mean_memory_does_not_grow_within_a_shot_block():
+    # 16384 shots are one _SHOT_BLOCK; gathering all their finals (4 KiB
+    # each) at once would take 64 MiB, four times one gather slice
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
+    harness._dense_shot_mean(plan, 0.25, 8, 2)
+    peaks = []
+    for shots in (harness._GATHER_SHOTS, 16384):
+        tracemalloc.start()
+        try:
+            harness._dense_shot_mean(plan, 0.25, shots, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 def test_dense_shot_mean_memory_does_not_grow_with_the_shots(monkeypatch):
     # one block of finals is 256 x 4 KiB; holding 16 blocks would add 15 MiB.
     # A warm-up call keeps one-time allocations out of both peaks.
@@ -486,6 +512,35 @@ def test_dense_shot_mean_memory_does_not_grow_with_the_shots(monkeypatch):
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+@pytest.mark.parametrize("shots", [1, 3, 20])
+def test_sweep_does_not_depend_on_the_cell_batch(shots, monkeypatch):
+    # batches of min(_E_BLOCK, _SHOT_BLOCK // shots) cells, at least one
+    grid = tuple(k / 64 for k in range(33))
+    cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=("unprotected",))
+    one_cell_at_a_time = []
+    for key, _, _, plan in harness.sweep_plans(cfg):
+        mask = circuits.damage_mask(plan)
+        for e, seed, _ in harness._sweep_cells(cfg, key, plan):
+            one_cell_at_a_time += harness._mc_signal(mask, (e,), shots, (seed,))
+    drawn = []
+    batched = noise.draw_flips
+
+    def spy(e, seeds, count, points, first=0):
+        drawn.append((len(seeds), count, first))
+        return batched(e, seeds, count, points, first=first)
+
+    monkeypatch.setattr(noise, "draw_flips", spy)
+    monkeypatch.setattr(noise, "_E_BLOCK", 8)
+    monkeypatch.setattr(harness, "_SHOT_BLOCK", 12)
+    rows = run_sweep(cfg)
+    assert [(r.signal_mc, r.mc_stderr) for r in rows] == one_cell_at_a_time
+    batch = max(1, min(8, 12 // shots))
+    cells = [min(batch, 33 - start) for start in range(0, 33, batch)]
+    firsts = range(0, shots, 12)
+    expected = [(c, min(12, shots - first), first) for c in cells for first in firsts]
+    assert drawn == expected * 3  # three steps
+
+
 @pytest.mark.parametrize("length", [1, 7, 8, 20])
 def test_sweep_does_not_depend_on_the_e_block(length, monkeypatch):
     # zeros (E0 only) and e > 0 share blocks
@@ -501,7 +556,9 @@ def test_sweep_memory_does_not_grow_with_the_e_grid(monkeypatch):
     # would add 4 MiB if they were held at once.  The shot draws, bounded by
     # _SHOT_BLOCK, are replaced by a constant to keep the test short, and a
     # warm-up sweep keeps one-time allocations out of both peaks.
-    monkeypatch.setattr(harness, "_mc_signal", lambda mask, e, shots, seed: (1.0, 0.0))
+    monkeypatch.setattr(
+        harness, "_mc_signal", lambda mask, e, shots, seeds: [(1.0, 0.0)] * len(seeds)
+    )
     peaks = []
     for values in (2, 129, 1025):
         grid = tuple(k / (2 * (values - 1)) for k in range(values))
@@ -552,6 +609,25 @@ GOLDEN_JSON_SHA256 = {
     "verify --seed 0 --shots 64 --e-grid 0,0.25,0.5 --format json":
         "3506a99a60dc07ba1f7f65ac08dd3811149fc29fb458926b22f976559207be62",
 }
+
+
+#: sha256 of the stdout of runs whose cells are drawn in batches: 65 cells
+#: per plan at 2 shots (batches of 64 and 1), and cells of more than one
+#: _SHOT_BLOCK.  Pinned on the per-cell draws the batches replaced.
+GOLDEN_BATCH_SHA256 = {
+    "run --seed 3 --algorithm deutsch-jozsa --mode both --shots 2 --e-grid "
+    + ",".join(repr(k / 128) for k in range(65)):
+        "5ac5b96c7e21df31a11556fc851b1b693edb57a32812b2fb0275781a6858b96e",
+    "run --seed 5 --mode unprotected --shots 70001 --e-grid 0.125,0.375":
+        "71ad7f1e73779c72a9eed7a2dfc96f70ffe81303322b5fce077c39dd7ca4a17f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_BATCH_SHA256))
+def test_cli_batched_cells_match_golden_stdout(command, capsys):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BATCH_SHA256[command]
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_JSON_SHA256))

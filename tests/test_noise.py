@@ -209,6 +209,54 @@ def test_draw_flips_first_recomputes_any_shot_range():
             np.testing.assert_array_equal(draw_flips(0.3, 17, 1, points, first=k), full[k : k + 1])
 
 
+def _fresh_philox_draw(e, seed, shots, points, first):
+    """Flips drawn from a Philox built for this one cell, keyed by seed and
+    advanced to shot ``first``."""
+    offset = first * 2 * points
+    bit_generator = np.random.Philox(key=seed)
+    bit_generator.advance(offset // 4)
+    bit_generator.random_raw(offset % 4)
+    return np.random.Generator(bit_generator).random((shots, points, 2)) < e
+
+
+@pytest.mark.parametrize("points", [7, 9])
+def test_draw_flips_equals_a_fresh_philox_per_cell(points):
+    # 2*points*first is not a multiple of 4 for odd first, so the re-keyed
+    # state must skip words inside the counter's first block
+    e = (0.0, 0.1, 0.25, 0.5)
+    seeds = (0, 17, 2**63 + 5, 2**64 - 1)
+    for first in range(10):
+        reference = [_fresh_philox_draw(x, s, 5, points, first) for x, s in zip(e, seeds)]
+        batch = draw_flips(e, np.array(seeds, dtype=np.uint64), 5, points, first=first)
+        np.testing.assert_array_equal(batch, np.array(reference))
+        for x, s, ref in zip(e, seeds, reference):
+            np.testing.assert_array_equal(draw_flips(x, s, 5, points, first=first), ref)
+
+
+@pytest.mark.parametrize("cells", [0, 1, 6])
+def test_draw_flips_over_many_cells_stacks_the_one_cell_draws(cells):
+    seeds = [7919 * k + 3 for k in range(cells)]
+    e = np.linspace(0.0, 0.5, cells)
+    for first in (0, 3):
+        flips = draw_flips(e, seeds, 4, 9, first=first)
+        assert flips.shape == (cells, 4, 9, 2) and flips.dtype == bool
+        stacked = [draw_flips(x, s, 4, 9, first=first) for x, s in zip(e, seeds)]
+        np.testing.assert_array_equal(flips, np.array(stacked).reshape(flips.shape))
+    # one e for every cell
+    stacked = np.array([draw_flips(0.3, s, 4, 9) for s in seeds]).reshape(cells, 4, 9, 2)
+    np.testing.assert_array_equal(draw_flips(0.3, seeds, 4, 9), stacked)
+
+
+def test_draw_flips_rejects_bad_seeds_and_shapes():
+    for e, seed in ((0.3, -1), (0.3, 2**128), ((0.1, 0.2), 5), ((0.1,), (1, 2)), (0.3, [[1]])):
+        with pytest.raises(ValueError):
+            draw_flips(e, seed, 2, 9)
+    with pytest.raises(ValueError, match="must lie in"):
+        draw_flips((0.1, 0.6), (1, 2), 2, 9)
+    with pytest.raises(TypeError):
+        draw_flips(0.3, 1.5, 2, 9)
+
+
 def test_draw_flips_share_uniforms_across_e():
     # the same stream position is compared with every e, so flips only grow with e
     low, high = draw_flips(0.1, 8, 256, 9), draw_flips(0.4, 8, 256, 9)

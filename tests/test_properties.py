@@ -1,5 +1,6 @@
 """Property tests over random plans: Deutsch-Jozsa promise tables, Grover marked
-labels, every preparation step, placements with duplicates, and e in [0, 0.5].
+labels, every preparation step, placements with duplicates, and e in [0, 0.5];
+cell seeds against NumPy's own SeedSequence; and random complete error models.
 
 Examples are capped and derandomized, and no failing example is replayed
 from an earlier run, so the suite stays fast and repeatable.
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from dfsim import circuits, harness, noise, readout
+from dfsim import circuits, dfs, harness, noise, readout
 
 #: Every two-bit table that is constant or balanced.
 PROMISE_TABLES = st.one_of(
@@ -75,6 +77,60 @@ def test_signals_follow_the_damage_count(mode_plan, e, seed, shots):
     # CSV), so only its distance to the prediction is asserted
     expected = 1.0 if mode == "protected" else (1.0 - 2.0 * e) ** n
     assert abs(exact - expected) <= 1e-10
-    mc, _ = harness._mc_signal(mask, e, shots, seed)
+    [(mc, _)] = harness._mc_signal(mask, (e,), shots, (seed,))
     assert -1.0 <= mc <= 1.0
     assert -1.0 <= readout.theory_curve(n, e) <= 1.0
+
+
+@PROPERTY
+@given(
+    st.integers(min_value=0, max_value=2**130),
+    st.tuples(st.integers(0, 2**33), st.integers(0, 2**33)),
+    st.integers(min_value=1, max_value=600),
+)
+@example(0, (0, 0), 1)
+@example(2**64 - 1, (1, 2), 600)
+@example(2**130, (2**32, 0), 600)
+def test_cell_seeds_equal_seed_sequence(entropy, key, count):
+    # entropy past 2**128 takes five words, more than the pool's four
+    seeds = harness._cell_seeds(entropy, key, count)
+    expected = [
+        np.random.SeedSequence(entropy, spawn_key=key + (i,)).generate_state(1, np.uint64)[0]
+        for i in range(count)
+    ]
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [int(x) for x in expected]
+
+
+def test_cell_seeds_take_one_word_per_index():
+    assert harness._cell_seeds(3, (0, 1), 0).shape == (0,)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        harness._cell_seeds(3, (0, 1), 2**32 + 1)
+
+
+#: Row i: the character (1, s1, s2, s3) of subspace i+1, so that a @ CHI.T
+#: holds each operator's scalar on each subspace.
+CHI = np.array([(1, *dfs.dfs_basis(i).signature) for i in (1, 2, 3, 4)], dtype=float)
+
+
+def coefficient_parts(n):
+    """Real and imaginary parts of an (n, 4) coefficient matrix, entries in [-1, 1]."""
+    part = arrays(float, (n, 4), elements=st.floats(min_value=-1.0, max_value=1.0))
+    return st.tuples(part, part)
+
+
+@PROPERTY
+@given(st.integers(min_value=1, max_value=6).flatmap(coefficient_parts))
+def test_random_complete_error_models_only_reweight_by_one(parts):
+    # scale each subspace's scalars to unit norm: then sum_d E_d^dagger E_d = I
+    scalars = (parts[0] + 1j * parts[1]) @ CHI.T
+    norms = np.linalg.norm(scalars, axis=0)
+    assume(norms.min() > 1e-3)
+    scalars /= norms
+    coefficients = np.linalg.solve(CHI, scalars.T).T
+    spec = noise.ErrorModelSpec(coefficients)
+    assert spec.completeness_defect <= 1e-12
+    audit = noise.verify_error_model(spec)
+    assert audit.ok and audit.max_residual <= 1e-12
+    np.testing.assert_allclose(audit.weights, 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(audit.eigenvalues, scalars, rtol=0, atol=1e-12)
