@@ -98,12 +98,7 @@ class VerifyCheck:
 
 
 def _plan_for(cfg: SweepConfig, mode: str, step: readout.PreparationStep) -> circuits.ExperimentPlan:
-    return circuits.assemble(
-        mode,
-        cfg.algorithm,
-        preparation=step,
-        placement=cfg.placement,
-    )
+    return circuits.assemble(mode, cfg.algorithm, preparation=step, placement=cfg.placement)
 
 
 def sweep_plans(
@@ -206,27 +201,32 @@ def _cell_seeds(entropy: int, key: tuple[int, ...], count: int) -> np.ndarray:
     return seeds
 
 
-def _sweep_cells(
-    cfg: SweepConfig, key: tuple[int, int], plan: circuits.ExperimentPlan
-) -> Iterator[tuple[float, int, np.ndarray]]:
-    """(e, seed, exact final state) of every cell of the plan ``key``, in e_grid order.
-
-    The seed equals SeedSequence(cfg.seed, spawn_key=key + (e index,))'s
-    64-bit state; the seeds of all cells come from one _cell_seeds pass.
-    run_sweep and verify's dense oracle both take their cells from here, so
-    they draw the same flips for a cell.
-    """
-    seeds = _cell_seeds(cfg.seed, key, len(cfg.e_grid)).tolist()
-    yield from zip(cfg.e_grid, seeds, _exact_finals(plan, cfg.e_grid))
-
-
-#: Shots drawn at a time by _mc_signal (over all cells of a batch) and
-#: _dense_shot_mean.  Results do not depend on it (tested); it only bounds
-#: memory: about 162 B per shot of flips at nine noise points.
+#: Shots drawn at a time over all cells of a batch.  Results do not depend
+#: on it (tested); it only bounds memory: 18 B per shot of flips at nine
+#: noise points, and a few 8 B indices per shot in the dense oracle.
 _SHOT_BLOCK = 65536
 
-#: Shots whose dense finals _dense_shot_mean gathers at a time, 4 KiB each.
+#: Shots whose columns _dense_shot_means gathers at a time, 16 B per column.
 _GATHER_SHOTS = 4096
+
+
+def _cell_batches(
+    cfg: SweepConfig, key: tuple[int, int], plan: circuits.ExperimentPlan
+) -> Iterator[tuple[tuple[float, ...], tuple[int, ...], tuple[np.ndarray, ...]]]:
+    """(e, seeds, exact final states) of the cells of the plan ``key``, in e_grid order.
+
+    The seed of the cell at e index i equals SeedSequence(cfg.seed,
+    spawn_key=key + (i,))'s 64-bit state; all come from one _cell_seeds pass.
+    A batch holds min(noise._E_BLOCK, _SHOT_BLOCK // shots) cells, and at
+    least one, so a batch of more than one cell draws at most _SHOT_BLOCK
+    shots.  run_sweep and verify's dense oracle both take their cells from
+    here, so they draw the same flips for a cell.
+    """
+    batch = max(1, min(noise._E_BLOCK, _SHOT_BLOCK // cfg.shots))
+    seeds = _cell_seeds(cfg.seed, key, len(cfg.e_grid)).tolist()
+    cells = zip(cfg.e_grid, seeds, _exact_finals(plan, cfg.e_grid))
+    for _ in range(0, len(cfg.e_grid), batch):
+        yield tuple(zip(*itertools.islice(cells, batch)))
 
 
 def _mc_signal(
@@ -238,9 +238,8 @@ def _mc_signal(
     the ideal one negated once per damaging flip drawn, so its signal is
     exactly +1 or -1 by the parity of those flips.  The mean is then
     1 - 2 (odd shots) / shots, and the standard error is the sample standard
-    deviation (ddof 1) of the +-1 shot signals over sqrt(shots).  The whole
-    batch is drawn in one noise.draw_flips call per _SHOT_BLOCK shots, so a
-    batch of more than one cell should hold at most _SHOT_BLOCK shots in all.
+    deviation (ddof 1) of the +-1 shot signals over sqrt(shots).  The batch
+    is drawn in one noise.draw_flips call per _SHOT_BLOCK shots.
     """
     odd = np.zeros(len(seeds), dtype=np.int64)
     for first in range(0, shots, _SHOT_BLOCK):
@@ -255,45 +254,45 @@ def _mc_signal(
     return signals
 
 
-def _dense_shot_mean(plan: circuits.ExperimentPlan, e: float, shots: int, seed: int) -> np.ndarray:
-    """Mean final state of the dense oracle's shots, _SHOT_BLOCK shots at a time.
+def _dense_shot_means(
+    plan: circuits.ExperimentPlan, e: tuple[float, ...], shots: int, seeds: tuple[int, ...]
+) -> np.ndarray:
+    """Mean final state (cells, 16, 16) of the dense oracle's shots of each cell of a batch.
 
-    Each block's flips are drawn from shot ``first`` on, and its finals are
-    gathered and added onto the running sum in shot order, _GATHER_SHOTS at
-    a time, so the mean equals, to the bit,
-    noise.monte_carlo_finals(plan, e, shots, seed).mean(axis=0), while only
-    the distinct states and one slice of finals are held.
+    The batch is drawn as _mc_signal draws it; each block's flips of all cells
+    go through one noise.monte_carlo_states call, so cells share states.  A
+    cell adds its shots' states onto its running total in shot order, as
+    .mean(axis=0) adds, so each mean equals, to the bit,
+    noise.monte_carlo_finals(plan, e[i], shots, seeds[i]).mean(axis=0).  Only
+    the byte-distinct columns of [states; running totals] are summed,
+    _GATHER_SHOTS shots at a time, then scattered back: equal columns, equal sums.
     """
-    points = len(plan.decoherence_points)
-    total = None
+    points, cells = len(plan.decoherence_points), len(seeds)
+    totals = np.zeros((cells, qcore.DIM**2), dtype=complex)
     for first in range(0, shots, _SHOT_BLOCK):
-        flips = noise.draw_flips(e, seed, min(_SHOT_BLOCK, shots - first), points, first=first)
-        states, index = noise.monte_carlo_states(plan, flips)
-        rows = np.concatenate([states[:1], states])  # row 0 takes the running sum
-        for start in range(0, len(index), _GATHER_SHOTS):
-            part = index[start : start + _GATHER_SHOTS] + 1
-            if total is not None:  # the running sum goes first
-                rows[0] = total
-                part = np.concatenate([[0], part])
-            total = np.add.reduce(rows[part], axis=0)
-    return total / shots
+        flips = noise.draw_flips(e, seeds, min(_SHOT_BLOCK, shots - first), points, first=first)
+        states, index = noise.monte_carlo_states(plan, flips.reshape(-1, points, 2))
+        del flips
+        rows = np.concatenate([states.reshape(len(states), -1), totals])
+        columns, inverse = noise._distinct(rows.T, np.arange(qcore.DIM**2))
+        columns = columns.T.copy()  # row len(states) + c is cell c's running total
+        for c, shot_rows in enumerate(index.reshape(cells, -1), start=len(states)):
+            for start in range(0, len(shot_rows), _GATHER_SHOTS):
+                part = np.concatenate([[c], shot_rows[start : start + _GATHER_SHOTS]])
+                # accumulate adds in order; add.reduce of one column sums pairwise
+                columns[c] = np.add.accumulate(columns[part], axis=0)[-1]
+        totals = columns[len(states) :, inverse]
+    return (totals / shots).reshape(cells, qcore.DIM, qcore.DIM)
 
 
 def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
-    """Exact + Monte-Carlo signals for every (mode, step, e) cell.
-
-    The cells of a plan go to _mc_signal in batches of at most
-    min(noise._E_BLOCK, _SHOT_BLOCK // shots) cells, and at least one.
-    """
+    """Exact + Monte-Carlo signals for every (mode, step, e) cell, in _cell_batches."""
     rows: list[SignalResult] = []
-    batch = max(1, min(noise._E_BLOCK, _SHOT_BLOCK // cfg.shots))
     for key, mode, step, plan in sweep_plans(cfg):
         reference = noise.run_plan_exact(plan, 0.0)
         mask = circuits.damage_mask(plan)
         n = int(mask.sum())
-        cells = _sweep_cells(cfg, key, plan)
-        for _ in range(0, len(cfg.e_grid), batch):
-            e, seeds, finals = zip(*itertools.islice(cells, batch))
+        for e, seeds, finals in _cell_batches(cfg, key, plan):
             signals = _mc_signal(mask, e, cfg.shots, seeds)
             for e_i, final, (mean, stderr) in zip(e, finals, signals):
                 exact = float(readout.signal_intensity(final, reference))
@@ -451,16 +450,17 @@ def _mc_convergence_residual(cfg: SweepConfig) -> tuple[float, str]:
     worst_cell = ""
     for key, mode, step, plan in sweep_plans(cfg):
         prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
-        for e, seed, exact in _sweep_cells(cfg, key, plan):
-            mean = _dense_shot_mean(plan, e, cfg.shots, seed)
-            var = prep_sq - qcore.frobenius_norm(exact) ** 2
-            if var <= qcore.DEFAULT_TOL * prep_sq:
-                var = 0.0
-            sigma = np.sqrt(var / cfg.shots)
-            margin = qcore.frobenius_norm(mean - exact) - (5.0 * sigma + NUMERICAL_FLOOR)
-            if margin > worst:
-                worst = margin
-                worst_cell = f"mode={mode} step={step.label} e={e:g}"
+        for e, seeds, finals in _cell_batches(cfg, key, plan):
+            means = _dense_shot_means(plan, e, cfg.shots, seeds)
+            for e_i, exact, mean in zip(e, finals, means):
+                var = prep_sq - qcore.frobenius_norm(exact) ** 2
+                if var <= qcore.DEFAULT_TOL * prep_sq:
+                    var = 0.0
+                sigma = np.sqrt(var / cfg.shots)
+                margin = qcore.frobenius_norm(mean - exact) - (5.0 * sigma + NUMERICAL_FLOOR)
+                if margin > worst:
+                    worst = margin
+                    worst_cell = f"mode={mode} step={step.label} e={e_i:g}"
     return float(worst), worst_cell
 
 

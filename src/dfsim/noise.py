@@ -27,7 +27,9 @@ flipped by permuting its entries with the XXII and IIXX entry permutations;
 it mirrors the shot-averaged protocol and is the oracle for the sweep's
 Pauli-frame sampler.  After every noise point, shots whose matrices are equal
 to the byte share one, so each distinct state is evolved once, and each shot
-is still equal to the bit to evolving it alone.
+is still equal to the bit to evolving it alone.  The shots may come from many
+cells at once (flips stacked on the shot axis); verify's mc-convergence check
+passes a whole batch of cells, which then share states too.
 Decoherence grows with e and is strongest at e = 0.5; larger values are
 rejected.
 
@@ -39,7 +41,8 @@ worker, and gives bit-identical flips (see draw_flips).  draw_flips takes
 one cell or a batch of cells: it builds one Philox generator per call and
 re-keys it for each cell by setting its state, so a cell costs a state
 change, not a new generator, and draws the same flips as a Philox built for
-it alone.
+it alone.  It holds _UNIFORM_SHOTS shots of one cell's uniforms at a time,
+so only the returned flips, 1 B each, grow with the shots.
 """
 
 from __future__ import annotations
@@ -183,6 +186,10 @@ def verify_error_model(
     )
 
 
+#: Shots of one cell whose uniforms draw_flips holds at a time, 144 B each
+#: at nine noise points.  Results do not depend on it (tested).
+_UNIFORM_SHOTS = 4096
+
 #: 64-bit words per Philox counter value; a state's counter counts these blocks.
 _PHILOX_BLOCK = 4
 
@@ -202,9 +209,10 @@ def draw_flips(
     the matching rows of a draw that starts at shot 0.
 
     One Philox generator is re-keyed for each cell by setting its state (the
-    cell's seed as key, the counter at the block of word first*2*points), and
-    one cell's uniforms are held at a time; only the returned flips grow with
-    the cells.
+    cell's seed as key, the counter at the block of word first*2*points).
+    Shots are drawn _UNIFORM_SHOTS at a time, each slice as if it were its
+    own ``first``, and one cell's uniforms of one slice are held at a time;
+    only the returned flips grow with the shots and the cells.
     """
     seeds = np.array(seed, dtype=object)
     e = _validate_probability(e)
@@ -212,25 +220,30 @@ def draw_flips(
         raise ValueError("seed must be an integer or a 1-D array, and e a float or one per seed")
     if min(shots, points, first) < 0:
         raise ValueError("shots, points and first must be >= 0")
-    offset = first * 2 * points
-    bit_generator = np.random.Philox(key=0)
-    state = bit_generator.state
-    state["state"]["counter"] = [offset // _PHILOX_BLOCK, 0, 0, 0]
-    generator = np.random.Generator(bit_generator)
-    uniforms = np.empty((shots, points, 2))
-    flips = np.empty(seeds.shape + uniforms.shape, dtype=bool)
-    thresholds = np.broadcast_to(e, seeds.shape).ravel().tolist()
-    cells = flips.reshape((seeds.size,) + uniforms.shape)
-    for key, threshold, out in zip(seeds.ravel(), thresholds, cells):
+    keys = []
+    for key in seeds.ravel().tolist():
         key = operator.index(key)
         if not 0 <= key < 2**128:
             raise ValueError(f"seed must lie in [0, 2**128), got {key}")
-        state["state"]["key"] = [key & 0xFFFFFFFFFFFFFFFF, key >> 64]
-        bit_generator.state = state
-        if offset % _PHILOX_BLOCK:  # words of earlier shots in the block
-            bit_generator.random_raw(offset % _PHILOX_BLOCK)
-        generator.random(out=uniforms)
-        np.less(uniforms, threshold, out=out)
+        keys.append([key & 0xFFFFFFFFFFFFFFFF, key >> 64])
+    thresholds = np.broadcast_to(e, seeds.shape).ravel().tolist()
+    bit_generator = np.random.Philox(key=0)
+    state = bit_generator.state
+    generator = np.random.Generator(bit_generator)
+    uniforms = np.empty((min(shots, _UNIFORM_SHOTS), points, 2))
+    flips = np.empty(seeds.shape + (shots, points, 2), dtype=bool)
+    cells = flips.reshape((seeds.size, shots, points, 2))
+    for start in range(0, shots, _UNIFORM_SHOTS):
+        part = uniforms[: shots - start]
+        offset = (first + start) * 2 * points
+        state["state"]["counter"] = [offset // _PHILOX_BLOCK, 0, 0, 0]
+        for key, threshold, out in zip(keys, thresholds, cells[:, start : start + len(part)]):
+            state["state"]["key"] = key
+            bit_generator.state = state
+            if offset % _PHILOX_BLOCK:  # words of earlier shots in the block
+                bit_generator.random_raw(offset % _PHILOX_BLOCK)
+            generator.random(out=part)
+            np.less(part, threshold, out=out)
     return flips
 
 
@@ -333,14 +346,26 @@ _FLIP_PERMS = np.stack(
 
 
 def _distinct(rho: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho's rows that differ in at least one byte, and group remapped onto them.
+    """The rows of the 2-D rho that differ in at least one byte, and group remapped onto them.
 
     Rows are compared as raw bytes (np.void), so +0.0 and -0.0 stay apart and
     a merged row is the very same state, not a close one.
     """
-    rows = np.ascontiguousarray(rho).view(np.dtype((np.void, rho.itemsize * DIM * DIM)))
+    width = rho.shape[1]
+    rows = np.ascontiguousarray(rho).view(np.dtype((np.void, rho.itemsize * width)))
     distinct, inverse = np.unique(rows.ravel(), return_inverse=True)
-    return distinct.view(complex).reshape(-1, DIM * DIM), inverse.ravel()[group]
+    return distinct.view(rho.dtype).reshape(-1, width), inverse.ravel()[group]
+
+
+def _compact(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, return_inverse=True) for integer keys in [0, size), without a sort.
+
+    The keys present are flagged in a table of size entries; their ranks,
+    a running count of the flags, are the inverse.
+    """
+    present = np.zeros(size, dtype=bool)
+    present[keys] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
 
 
 def monte_carlo_states(
@@ -348,10 +373,11 @@ def monte_carlo_states(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct final states of the shots whose flips are ``flips``, and each shot's state.
 
-    ``flips`` has shape (shots, points, 2), as draw_flips returns it.  The
-    result is (states, index): states (distinct, 16, 16), pairwise different
-    in at least one byte, and index (shots,), so that states[index[k]] is the
-    final deviation of shot k.
+    ``flips`` has shape (shots, points, 2), as draw_flips returns it for one
+    cell; the draws of a batch of cells, reshaped to (cells * shots, points,
+    2), evolve every cell's shots together.  The result is (states, index):
+    states (distinct, 16, 16), pairwise different in at least one byte, and
+    index (shots,), so that states[index[k]] is the final deviation of shot k.
 
     The dense oracle: every shot is evolved as a 16x16 matrix.  At a noise
     point each state is gathered through the entry permutation of the flips
@@ -360,7 +386,9 @@ def monte_carlo_states(
     conjugate each state on its own, so equal bytes in give equal bytes out,
     and each shot's result equals, to the bit, evolving it alone.  Only the
     drawn flips and the states decide the sharing, never the damage audit, so
-    the oracle stays independent of the frame sampler it checks.
+    the oracle stays independent of the frame sampler it checks.  The keys
+    (state, flip pattern) of a point are compacted by _compact, without a
+    sort.
     """
     points = plan.decoherence_points
     flips = np.asarray(flips, dtype=bool)
@@ -374,7 +402,7 @@ def monte_carlo_states(
     for boundary in range(len(plan.gates) + 1):
         while idx < len(points) and points[idx] == boundary:
             pattern = flips[:, idx, 0] + 2 * flips[:, idx, 1]
-            keys, group = np.unique(group * 4 + pattern, return_inverse=True)
+            keys, group = _compact(group * 4 + pattern, 4 * len(rho))
             rho = rho.ravel()[(keys // 4 * DIM * DIM)[:, None] + _FLIP_PERMS[keys & 3]]
             rho, group = _distinct(rho, group)
             idx += 1
@@ -397,8 +425,9 @@ def monte_carlo_finals(
 
     The flips are draw_flips(e, seed, shots, points) and the states come from
     monte_carlo_states; each shot's matrix equals, to the bit, evolving it on
-    its own.  This holds all shots at once (4 KiB each); verify reads the
-    shot mean block by block instead.
+    its own.  This holds all shots at once (4 KiB each); verify's
+    mc-convergence check instead sums the states of a batch of cells, a shot
+    block at a time (harness._dense_shot_means).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

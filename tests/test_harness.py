@@ -150,10 +150,13 @@ def test_verify_detects_corrupted_subspace(monkeypatch):
 
 
 def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
-    # the dense oracle draws through noise.draw_flips; bias it by +0.05 in e
+    # the dense oracle draws through noise.draw_flips, a batch of e at a time;
+    # bias it by +0.05 in e
     unbiased = noise.draw_flips
     monkeypatch.setattr(
-        noise, "draw_flips", lambda e, *args, **kw: unbiased(min(e + 0.05, 0.5), *args, **kw)
+        noise,
+        "draw_flips",
+        lambda e, *args, **kw: unbiased(np.minimum(np.add(e, 0.05), 0.5), *args, **kw),
     )
     assert cli.main(["verify"]) == 1
     assert "FAIL mc-convergence" in capsys.readouterr().out
@@ -449,13 +452,19 @@ def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
     assert drawn == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
 
 
+def _dense_shot_mean(plan, e, shots, seed):
+    """The dense oracle's mean final state of one cell: a batch of one."""
+    [mean] = harness._dense_shot_means(plan, (e,), shots, (seed,))
+    return mean
+
+
 @pytest.mark.parametrize("shots", [1, 7, 8, 64, 2048])
 def test_dense_shot_mean_does_not_depend_on_the_shot_block(shots, monkeypatch):
     # the blocks are added onto the running sum in shot order, which is how
     # .mean(axis=0) adds the whole stack, so the bytes agree
     plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
     whole = noise.monte_carlo_finals(plan, 0.3, shots, 11).mean(axis=0)
-    assert harness._dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
+    assert _dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
     drawn = []
     unblocked = noise.draw_flips
 
@@ -465,7 +474,7 @@ def test_dense_shot_mean_does_not_depend_on_the_shot_block(shots, monkeypatch):
 
     monkeypatch.setattr(noise, "draw_flips", spy)
     monkeypatch.setattr(harness, "_SHOT_BLOCK", 7)
-    assert harness._dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
+    assert _dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
     assert drawn == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
 
 
@@ -473,22 +482,74 @@ def test_dense_shot_mean_does_not_depend_on_the_shot_block(shots, monkeypatch):
 def test_dense_shot_mean_does_not_depend_on_the_gather_slice(shots, monkeypatch):
     plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
     whole = noise.monte_carlo_finals(plan, 0.3, shots, 11).mean(axis=0)
-    assert harness._dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
+    assert _dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
     monkeypatch.setattr(harness, "_GATHER_SHOTS", 3)
     monkeypatch.setattr(harness, "_SHOT_BLOCK", 1000)
-    assert harness._dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
+    assert _dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
+
+
+#: (e, seed) cells for the batched dense oracle: e = 0 and e = 0.5, and the
+#: largest 64-bit seed.
+DENSE_CELLS = ((0.0, 3), (0.3, 11), (0.5, 2**64 - 1), (0.125, 5), (0.25, 0))
+
+
+@pytest.mark.parametrize("block", [7, 40, 65536])
+@pytest.mark.parametrize("shots", [1, 7, 8, 300, 2048])
+def test_dense_shot_means_of_a_batch_equal_each_cell_alone(shots, block, monkeypatch):
+    # cells of a batch share flip draws and states, but each cell's mean
+    # equals its own finals' mean to the bit
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
+    whole = [noise.monte_carlo_finals(plan, e, shots, seed).mean(axis=0) for e, seed in DENSE_CELLS]
+    drawn = []
+    unblocked = noise.draw_flips
+
+    def spy(e, seeds, count, points, first=0):
+        drawn.append((len(seeds), count, first))
+        return unblocked(e, seeds, count, points, first=first)
+
+    monkeypatch.setattr(noise, "draw_flips", spy)
+    monkeypatch.setattr(harness, "_SHOT_BLOCK", block)
+    batch = max(1, min(noise._E_BLOCK, block // shots))  # run_sweep's rule
+    means, expected = [], []
+    for start in range(0, len(DENSE_CELLS), batch):
+        e, seeds = zip(*DENSE_CELLS[start : start + batch])
+        means.extend(harness._dense_shot_means(plan, e, shots, seeds))
+        firsts = range(0, shots, block)
+        expected += [(len(seeds), min(block, shots - first), first) for first in firsts]
+    assert [m.tobytes() for m in means] == [w.tobytes() for w in whole]
+    assert drawn == expected
+
+
+def test_dense_shot_means_add_a_single_column_in_shot_order(monkeypatch):
+    # When every entry of every state is equal, the states have one distinct
+    # column, which is summed as an (N, 1) array.  np.add.reduce sums such a
+    # column pairwise, with other roundings than the shot-order sum of
+    # .mean(axis=0).
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=5) + 1j * rng.normal(size=5)
+    index = rng.integers(5, size=3000)
+    states = values[:, None, None] * np.ones((16, 16))
+    monkeypatch.setattr(noise, "monte_carlo_states", lambda plan, flips: (states, index))
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
+    total = 0j
+    for k in index.tolist():
+        total = total + values[k]
+    mean = _dense_shot_mean(plan, 0.3, len(index), 2)
+    assert (mean == total / len(index)).all()
 
 
 def test_dense_shot_mean_memory_does_not_grow_within_a_shot_block():
-    # 16384 shots are one _SHOT_BLOCK; gathering all their finals (4 KiB
-    # each) at once would take 64 MiB, four times one gather slice
+    # 16384 shots are one _SHOT_BLOCK and four gather slices; anything held
+    # for all shots of the block at once, other than their 18 B of flips and
+    # a few indices (such as their finals or their float uniforms), would
+    # take about four times what one slice takes
     plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
-    harness._dense_shot_mean(plan, 0.25, 8, 2)
+    _dense_shot_mean(plan, 0.25, 8, 2)
     peaks = []
     for shots in (harness._GATHER_SHOTS, 16384):
         tracemalloc.start()
         try:
-            harness._dense_shot_mean(plan, 0.25, shots, 2)
+            _dense_shot_mean(plan, 0.25, shots, 2)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -496,16 +557,17 @@ def test_dense_shot_mean_memory_does_not_grow_within_a_shot_block():
 
 
 def test_dense_shot_mean_memory_does_not_grow_with_the_shots(monkeypatch):
-    # one block of finals is 256 x 4 KiB; holding 16 blocks would add 15 MiB.
-    # A warm-up call keeps one-time allocations out of both peaks.
+    # one block of finals is 256 x 4 KiB; holding what 16 blocks computed
+    # would add 15 MiB.  A warm-up call keeps one-time allocations out of
+    # both peaks.
     monkeypatch.setattr(harness, "_SHOT_BLOCK", 256)
     plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
-    harness._dense_shot_mean(plan, 0.25, 8, 2)
+    _dense_shot_mean(plan, 0.25, 8, 2)
     peaks = []
     for shots in (256, 16 * 256):
         tracemalloc.start()
         try:
-            harness._dense_shot_mean(plan, 0.25, shots, 2)
+            _dense_shot_mean(plan, 0.25, shots, 2)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -520,7 +582,7 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, monkeypatch):
     one_cell_at_a_time = []
     for key, _, _, plan in harness.sweep_plans(cfg):
         mask = circuits.damage_mask(plan)
-        for e, seed, _ in harness._sweep_cells(cfg, key, plan):
+        for e, seed in zip(grid, harness._cell_seeds(cfg.seed, key, len(grid)).tolist()):
             one_cell_at_a_time += harness._mc_signal(mask, (e,), shots, (seed,))
     drawn = []
     batched = noise.draw_flips

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dfsim import circuits, dfs, qcore, readout
+from dfsim import circuits, dfs, noise, qcore, readout
 from dfsim.noise import (
     ErrorModelSpec,
     apply_channel,
@@ -231,6 +231,18 @@ def test_draw_flips_equals_a_fresh_philox_per_cell(points):
         np.testing.assert_array_equal(batch, np.array(reference))
         for x, s, ref in zip(e, seeds, reference):
             np.testing.assert_array_equal(draw_flips(x, s, 5, points, first=first), ref)
+
+
+@pytest.mark.parametrize("uniform_shots", [1, 2, 3, 4096])
+def test_draw_flips_does_not_depend_on_the_uniform_slice(uniform_shots, monkeypatch):
+    # a cell's uniforms are drawn _UNIFORM_SHOTS shots at a time, on from
+    # where the last slice stopped in the stream
+    monkeypatch.setattr(noise, "_UNIFORM_SHOTS", uniform_shots)
+    for points in (9, 1):
+        for shots, first in ((0, 0), (1, 0), (5, 3), (7, 0), (40, 1)):
+            reference = _fresh_philox_draw(0.3, 2**64 - 1, shots, points, first)
+            flips = draw_flips((0.3, 0.3), (2**64 - 1,) * 2, shots, points, first=first)
+            np.testing.assert_array_equal(flips, np.array([reference] * 2))
 
 
 @pytest.mark.parametrize("cells", [0, 1, 6])

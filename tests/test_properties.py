@@ -1,6 +1,7 @@
 """Property tests over random plans: Deutsch-Jozsa promise tables, Grover marked
 labels, every preparation step, placements with duplicates, and e in [0, 0.5];
-cell seeds against NumPy's own SeedSequence; and random complete error models.
+cell seeds against NumPy's own SeedSequence; the oracle's key compaction
+against np.unique; and random complete error models.
 
 Examples are capped and derandomized, and no failing example is replayed
 from an earlier run, so the suite stays fast and repeatable.
@@ -106,6 +107,25 @@ def test_cell_seeds_take_one_word_per_index():
     assert harness._cell_seeds(3, (0, 1), 0).shape == (0,)
     with pytest.raises(ValueError, match="2\\*\\*32"):
         harness._cell_seeds(3, (0, 1), 2**32 + 1)
+
+
+@PROPERTY
+@given(
+    st.integers(min_value=1, max_value=64).flatmap(
+        lambda size: st.tuples(
+            st.just(size),
+            arrays(np.intp, st.integers(0, 300), elements=st.integers(0, size - 1)),
+        )
+    )
+)
+def test_key_compaction_equals_unique(size_keys):
+    # monte_carlo_states compacts its (state, flip pattern) keys without a sort
+    size, keys = size_keys
+    distinct, inverse = noise._compact(keys, size)
+    expected_distinct, expected_inverse = np.unique(keys, return_inverse=True)
+    assert distinct.dtype == expected_distinct.dtype and inverse.dtype == expected_inverse.dtype
+    np.testing.assert_array_equal(distinct, expected_distinct)
+    np.testing.assert_array_equal(inverse, expected_inverse)
 
 
 #: Row i: the character (1, s1, s2, s3) of subspace i+1, so that a @ CHI.T
