@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import sys
 
 from . import circuits, dfs, harness
@@ -50,6 +49,7 @@ def _build_config(args: argparse.Namespace) -> harness.SweepConfig:
     seed = mapping.get("seed")
     if isinstance(seed, str) and seed.strip().lower() == "random":
         if hasattr(args, "seed"):
+            import secrets  # imported only for --seed random: it adds ~3 ms to a start
             seed = mapping["seed"] = secrets.randbits(63)
             print(f"# seed = {seed} (drawn from system entropy)", file=sys.stderr)
         else:  # a command without --seed reads no seed, so it draws none

@@ -5,6 +5,10 @@ strength, temporal-averaging step, and computer mode it reports the exact
 channel signal, the shot-averaged Monte-Carlo signal with its standard error,
 the closed-form prediction (1-2e)^n, and the damage count n.  Results are
 deterministic functions of (config, seed) down to the output bytes.
+
+The verifier builds one table of the six (mode, step) plans, each assembled,
+audited and given its noiseless final state once, and walks each swept plan's
+cells once, feeding the damage-count and Monte-Carlo checks from each batch.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,22 +101,19 @@ class VerifyCheck:
     detail: str = ""
 
 
-def _plan_for(cfg: SweepConfig, mode: str, step: readout.PreparationStep) -> circuits.ExperimentPlan:
-    return circuits.assemble(mode, cfg.algorithm, preparation=step, placement=cfg.placement)
-
-
 def sweep_plans(
     cfg: SweepConfig,
 ) -> Iterator[tuple[tuple[int, int], str, readout.PreparationStep, circuits.ExperimentPlan]]:
     """(key, mode, step, plan) for every (mode, step) of cfg, in sweep order.
 
     ``key`` is (mode index, step index).  This is the one mapping from a
-    config to its plans: run_sweep, verify's dense oracle and ``dfsim
-    count-n`` all take their plans from here.
+    config to its plans: run_sweep, verify's plan table and ``dfsim count-n``
+    all take their plans from here.
     """
     for mode_idx, mode in enumerate(cfg.modes):
         for step_idx, step in enumerate(readout.steps_for_mode(mode)):
-            yield (mode_idx, step_idx), mode, step, _plan_for(cfg, mode, step)
+            plan = circuits.assemble(mode, cfg.algorithm, preparation=step, placement=cfg.placement)
+            yield (mode_idx, step_idx), mode, step, plan
 
 
 def _exact_finals(
@@ -270,8 +271,9 @@ def _dense_shot_means(
     points, cells = len(plan.decoherence_points), len(seeds)
     totals = np.zeros((cells, qcore.DIM**2), dtype=complex)
     for first in range(0, shots, _SHOT_BLOCK):
-        flips = noise.draw_flips(e, seeds, min(_SHOT_BLOCK, shots - first), points, first=first)
-        states, index = noise.monte_carlo_states(plan, flips.reshape(-1, points, 2))
+        block = min(_SHOT_BLOCK, shots - first)
+        flips = noise.draw_flips(e, seeds, block, points, first=first)
+        states, index = noise.monte_carlo_states(plan, flips.reshape(cells * block, points, 2))
         del flips
         rows = np.concatenate([states.reshape(len(states), -1), totals])
         columns, inverse = noise._distinct(rows.T, np.arange(qcore.DIM**2))
@@ -317,25 +319,23 @@ def results_to_json(rows: list[SignalResult]) -> str:
 # invariant verifier
 
 
-def _random_logical_states(rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    states = []
-    for _ in range(count):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        states.append(psi / np.linalg.norm(psi))
-    return states
-
-
 def _immunity_residual(seed: int) -> float:
     """Worst change the engineered channel makes, over IMMUNITY_E_GRID, to 50
-    random logical states, each stored by dfs.encode."""
+    random logical states, each stored by dfs.encode.
+
+    The states go through noise.apply_channel as one (50, 16, 16) stack; each
+    state's output equals its own apply_channel to the bit.
+    """
     rng = np.random.default_rng(seed)
-    models = [noise.engineered_model(e) for e in IMMUNITY_E_GRID]
+    rhos = []
+    for _ in range(50):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rhos.append(dfs.encode(psi / np.linalg.norm(psi)))
+    rhos = np.stack(rhos)
     worst = 0.0
-    for psi in _random_logical_states(rng, 50):
-        rho = dfs.encode(psi)
-        for model in models:
-            out = noise.apply_channel(rho, model)
-            worst = max(worst, qcore.frobenius_norm(out - rho))
+    for e in IMMUNITY_E_GRID:
+        out = noise.apply_channel(rhos, noise.engineered_model(e))
+        worst = max(worst, *map(qcore.frobenius_norm, out - rhos))
     return worst
 
 
@@ -347,22 +347,16 @@ def _pauli_product_residual(seed: int, pairs: int = 200) -> float:
     for _ in range(pairs):
         p = qcore.PauliString(basis[rng.integers(256)].letters, phases[rng.integers(4)])
         q = qcore.PauliString(basis[rng.integers(256)].letters, phases[rng.integers(4)])
-        prod = qcore.multiply(p, q)
-        worst = max(
-            worst,
-            float(np.abs(prod.matrix() - p.matrix() @ q.matrix()).max()),
-        )
-        anti = qcore.anticommutes(p, q)
-        comm = p.matrix() @ q.matrix() + q.matrix() @ p.matrix()
-        matrix_anti = bool(np.abs(comm).max() < 1e-12)
-        if anti != matrix_anti:
+        pq, qp = p.matrix() @ q.matrix(), q.matrix() @ p.matrix()
+        worst = max(worst, float(np.abs(qcore.multiply(p, q).matrix() - pq).max()))
+        if qcore.anticommutes(p, q) != bool(np.abs(pq + qp).max() < 1e-12):
             worst = max(worst, 1.0)
     return worst
 
 
 def _pauli_orthogonality_residual() -> float:
-    stack = np.stack([p.matrix() for p in qcore.pauli_basis_strings()])
-    gram = np.einsum("aij,bij->ab", stack.conj(), stack)
+    flat = qcore._word_matrices().reshape(256, -1)
+    gram = flat.conj() @ flat.T
     return qcore.frobenius_norm(gram - qcore.DIM * np.eye(256))
 
 
@@ -374,40 +368,51 @@ def _eigenstructure_residual(e_grid: tuple[float, ...]) -> float:
     return worst
 
 
-def _summed_preparation(steps: tuple[readout.PreparationStep, ...]) -> np.ndarray:
-    """identity/16 plus every step's deviation: the preparation the steps average to."""
+def _summed_preparation(entries: list[tuple]) -> np.ndarray:
+    """identity/16 plus the deviation of every entry's step: the preparation they average to."""
     total = qcore.identity_matrix() / qcore.DIM
-    for s in steps:
-        total = total + s.deviation
+    for step, *_ in entries:
+        total = total + step.deviation
     return total
 
 
-def _protected_correctness_residual(cfg: SweepConfig) -> float:
-    steps = readout.protected_steps()
-    plans = [_plan_for(cfg, "protected", s) for s in steps]
+def _plan_table(cfg: SweepConfig) -> dict[str, list[tuple]]:
+    """Each mode's (step, plan, damage mask, n, noiseless final state), in step order.
+
+    Built for both modes whatever cfg.modes holds, since damage-count-consistency
+    and damage-count-values read plans of both.  Every check of verify takes its
+    plans from here, so each is assembled and audited once.
+    """
+    table: dict[str, list[tuple]] = {mode: [] for mode in circuits.MODES}
+    for _, mode, step, plan in sweep_plans(replace(cfg, modes=circuits.MODES)):
+        mask = circuits.damage_mask(plan)
+        table[mode].append((step, plan, mask, int(mask.sum()), noise.run_plan_exact(plan, 0.0)))
+    return table
+
+
+def _protected_correctness_residual(cfg: SweepConfig, protected: list[tuple]) -> float:
+    first = protected[0][1]
     logical = np.eye(4, dtype=complex)
-    for gate in plans[0].gates:
+    for gate in first.gates:
         logical = gate.logical @ logical
     target = logical @ np.array([1, 0, 0, 0], dtype=complex)
     worst = 0.0
-    for plan in plans:
-        ref = dfs.decode(noise.run_plan_exact(plan, 0.0))
+    for _, plan, _, _, reference in protected:
+        ref = dfs.decode(reference)
         for final in _exact_finals(plan, cfg.e_grid):
             out = dfs.decode(final)
             worst = max(worst, abs(readout.signal_intensity(out, ref) - 1.0))
-    for final in _exact_finals(plans[0], cfg.e_grid, initial=_summed_preparation(steps)):
-        rho_l = dfs.decode(final)
-        fidelity = float(np.real(target.conj() @ rho_l @ target))
+    for final in _exact_finals(first, cfg.e_grid, initial=_summed_preparation(protected)):
+        fidelity = float(np.real(target.conj() @ dfs.decode(final) @ target))
         worst = max(worst, abs(fidelity - 1.0))
     return worst
 
 
-def _temporal_averaging_residual(cfg: SweepConfig, mode: str) -> float:
-    steps = readout.steps_for_mode(mode)
-    plan = _plan_for(cfg, mode, steps[0])
-    initials = [_summed_preparation(steps), qcore.identity_matrix() / qcore.DIM]
-    initials.extend(s.deviation for s in steps)
+def _temporal_averaging_residual(cfg: SweepConfig, entries: list[tuple]) -> float:
+    initials = [_summed_preparation(entries), qcore.identity_matrix() / qcore.DIM]
+    initials.extend(step.deviation for step, *_ in entries)
     worst = 0.0
+    plan = entries[0][1]
     for direct, summed, *parts in zip(*(_exact_finals(plan, cfg.e_grid, i) for i in initials)):
         for part in parts:
             summed = summed + part
@@ -415,58 +420,52 @@ def _temporal_averaging_residual(cfg: SweepConfig, mode: str) -> float:
     return worst
 
 
-def _damage_consistency_residual(cfg: SweepConfig) -> float:
-    worst = 0.0
-    for step in readout.unprotected_steps():
-        plan = _plan_for(cfg, "unprotected", step)
-        n = circuits.count_damaging_errors(plan)
-        reference = noise.run_plan_exact(plan, 0.0)
-        for e, final in zip(cfg.e_grid, _exact_finals(plan, cfg.e_grid)):
-            sig = readout.signal_intensity(final, reference)
-            worst = max(worst, abs(sig - readout.theory_curve(n, e)))
-    return worst
+def _cell_pass(cfg: SweepConfig, table: dict[str, list[tuple]]) -> tuple[float, float, str]:
+    """damage-count-consistency's residual, and mc-convergence's worst margin and its cell.
 
-
-def _damage_values_residual(cfg: SweepConfig) -> float:
-    worst = 0.0
-    for mode in ("protected", "unprotected"):
-        for step in readout.steps_for_mode(mode):
-            plan = _plan_for(cfg, mode, step)
-            n = circuits.count_damaging_errors(plan)
-            worst = max(worst, abs(n - EXPECTED_DAMAGE[mode][step.label]))
-    return worst
-
-
-def _mc_convergence_residual(cfg: SweepConfig) -> tuple[float, str]:
-    """Worst margin of the dense shot mean over its 5-sigma bound around the exact state.
-
-    Every shot is a unitary conjugation of the preparation rho0, so its
-    Frobenius variance is known: ||rho0||^2 - ||rho_exact||^2.  Using it,
-    rather than the sample variance (0 whenever all shots agree), keeps the
-    bound valid at any shot count.  Differences at rounding level are clamped
-    to 0, so noise-free cells keep the bare NUMERICAL_FLOOR.
+    One walk of each cfg.modes plan's _cell_batches feeds both.  Consistency is
+    the worst |exact signal - (1-2e)^n| of the unprotected cells (walked on
+    their own if cfg.modes lacks them).  mc-convergence bounds the dense shot
+    mean by 5 sigma around the exact state, with the known Frobenius variance
+    of a shot, ||rho0||^2 - ||rho_exact||^2 (every shot conjugates rho0 by a
+    unitary), so the bound holds at any shot count; rounding-level variances
+    are clamped to 0, so noise-free cells keep the bare NUMERICAL_FLOOR.
     """
-    worst = -np.inf
-    worst_cell = ""
-    for key, mode, step, plan in sweep_plans(cfg):
-        prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
-        for e, seeds, finals in _cell_batches(cfg, key, plan):
-            means = _dense_shot_means(plan, e, cfg.shots, seeds)
-            for e_i, exact, mean in zip(e, finals, means):
-                var = prep_sq - qcore.frobenius_norm(exact) ** 2
-                if var <= qcore.DEFAULT_TOL * prep_sq:
-                    var = 0.0
-                sigma = np.sqrt(var / cfg.shots)
-                margin = qcore.frobenius_norm(mean - exact) - (5.0 * sigma + NUMERICAL_FLOOR)
-                if margin > worst:
-                    worst = margin
-                    worst_cell = f"mode={mode} step={step.label} e={e_i:g}"
-    return float(worst), worst_cell
+    consistency, worst, worst_cell = 0.0, -np.inf, ""
+    for mode_idx, mode in enumerate(cfg.modes):
+        for step_idx, (step, plan, _, n, reference) in enumerate(table[mode]):
+            prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
+            for e, seeds, finals in _cell_batches(cfg, (mode_idx, step_idx), plan):
+                means = _dense_shot_means(plan, e, cfg.shots, seeds)
+                for e_i, exact, mean in zip(e, finals, means):
+                    if mode == "unprotected":
+                        consistency = max(consistency, _theory_gap(e_i, exact, n, reference))
+                    var = prep_sq - qcore.frobenius_norm(exact) ** 2
+                    if var <= qcore.DEFAULT_TOL * prep_sq:
+                        var = 0.0
+                    sigma = np.sqrt(var / cfg.shots)
+                    margin = qcore.frobenius_norm(mean - exact) - (5.0 * sigma + NUMERICAL_FLOOR)
+                    if margin > worst:
+                        worst = margin
+                        worst_cell = f"mode={mode} step={step.label} e={e_i:g}"
+    if "unprotected" not in cfg.modes:
+        for _, plan, _, n, reference in table["unprotected"]:
+            for e_i, final in zip(cfg.e_grid, _exact_finals(plan, cfg.e_grid)):
+                consistency = max(consistency, _theory_gap(e_i, final, n, reference))
+    return consistency, float(worst), worst_cell
+
+
+def _theory_gap(e: float, final: np.ndarray, n: int, reference: np.ndarray) -> float:
+    return abs(readout.signal_intensity(final, reference) - readout.theory_curve(n, e))
 
 
 def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
-    """Run the machine-checkable invariant suite; every check reports its residual."""
+    """Run the machine-checkable invariant suite; every check reports its residual.
+
+    The plan checks read one _plan_table, and one _cell_pass walks the cells.
+    """
     cfg = cfg or SweepConfig()
+    table = _plan_table(cfg)
     checks: list[VerifyCheck] = []
 
     def add(name: str, residual: float, tolerance: float, detail: str = "") -> None:
@@ -482,22 +481,17 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
         qcore.DEFAULT_TOL,
         "50 random logical states, e = 0 .. 0.5 step 0.05",
     )
-    add(
-        "channel-completeness",
-        max(noise.engineered_model(e).completeness_defect for e in cfg.e_grid),
-        qcore.DEFAULT_TOL,
-    )
+    completeness = max(noise.engineered_model(e).completeness_defect for e in cfg.e_grid)
+    add("channel-completeness", completeness, qcore.DEFAULT_TOL)
     add("eigenstructure-audit", _eigenstructure_residual(cfg.e_grid), qcore.DEFAULT_TOL)
-    add("protected-correctness", _protected_correctness_residual(cfg), 1e-10)
-    add(
-        "temporal-averaging",
-        max(_temporal_averaging_residual(cfg, m) for m in cfg.modes),
-        qcore.DEFAULT_TOL,
-    )
-    add("damage-count-consistency", _damage_consistency_residual(cfg), 1e-10)
+    add("protected-correctness", _protected_correctness_residual(cfg, table["protected"]), 1e-10)
+    averaging = max(_temporal_averaging_residual(cfg, table[m]) for m in cfg.modes)
+    add("temporal-averaging", averaging, qcore.DEFAULT_TOL)
+    consistency, mc_margin, mc_cell = _cell_pass(cfg, table)
+    add("damage-count-consistency", consistency, 1e-10)
     if cfg.algorithm == "grover" and cfg.placement is None:
-        add("damage-count-values", _damage_values_residual(cfg), 0.0, "n = 0/0/0 and 6/12/6")
-    mc_margin, mc_cell = _mc_convergence_residual(cfg)
+        values = [abs(n - EXPECTED_DAMAGE[m][s.label]) for m in table for s, _, _, n, _ in table[m]]
+        add("damage-count-values", max(values), 0.0, "n = 0/0/0 and 6/12/6")
     add(
         "mc-convergence",
         mc_margin,

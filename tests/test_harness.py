@@ -162,6 +162,49 @@ def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
     assert "FAIL mc-convergence" in capsys.readouterr().out
 
 
+def test_verify_builds_audits_and_evolves_each_plan_once(monkeypatch):
+    # six (mode, step) plans, each assembled and audited once; 26 exact
+    # evolutions: 6 noiseless references, 6 cell walks, 4 for
+    # protected-correctness and 10 for temporal-averaging
+    calls = {"assemble": 0, "damage_audit": 0, "run_plan_exact": 0}
+    for module, name in ((circuits, "assemble"), (circuits, "damage_audit"),
+                         (noise, "run_plan_exact")):
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    assert all(c.passed for c in harness.verify())
+    assert calls == {"assemble": 6, "damage_audit": 6, "run_plan_exact": 26}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_immunity_check_on_the_stack_equals_each_state_alone(seed):
+    # the states _immunity_residual draws, each through apply_channel alone
+    rng = np.random.default_rng(seed)
+    rhos = []
+    for _ in range(50):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rhos.append(dfs.encode(psi / np.linalg.norm(psi)))
+    worst = 0.0
+    for e in harness.IMMUNITY_E_GRID:
+        model = noise.engineered_model(e)
+        for rho, out in zip(rhos, noise.apply_channel(np.stack(rhos), model)):
+            alone = noise.apply_channel(rho, model)
+            assert out.tobytes() == alone.tobytes()
+            worst = max(worst, qcore.frobenius_norm(alone - rho))
+    assert harness._immunity_residual(seed) == worst
+
+
+def test_cli_verify_passes_without_noise_points(capsys):
+    code = cli.main(["verify", "--placement", ",", "--e-grid", "0,0.25", "--shots", "4",
+                     "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    lines = out.splitlines()
+    assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert lines[-1] == "10/10 checks passed"
+
+
 def test_mc_convergence_keeps_the_bare_floor_on_protected_cells():
     # protected shots are all exact: the bound must be the 1e-12 floor alone,
     # not widened by a rounding-level variance estimate
@@ -362,6 +405,25 @@ def test_cli_run_signal_mc_is_a_whole_count_of_negated_shots(shots, capsys):
         assert mc == 1 - 2 * negated / shots and -1.0 <= mc <= 1.0
         if shots == 1:
             assert mc in (1.0, -1.0)
+
+
+def test_cli_imports_secrets_only_for_a_random_seed():
+    src = str(Path(dfsim.__file__).resolve().parents[1])
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = (
+        "import sys\n"
+        "from dfsim import cli\n"
+        "assert 'secrets' not in sys.modules, 'import dfsim.cli imported secrets'\n"
+        "sys.exit(cli.main(['run', '--seed', 'random', '--e-grid', '0', '--shots', '2',"
+        " '--mode', 'protected']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("# seed = ")
+    assert proc.stdout.split("\n", 1)[0] == CSV_HEADER
 
 
 @pytest.mark.parametrize(
@@ -660,6 +722,27 @@ def test_cli_verify_seed_0_matches_golden_stdout(capsys):
     assert cli.main(["verify", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_SEED_0_SHA256
+
+
+#: sha256 of the stdout of verify on paths the default does not take: one
+#: mode only (damage-count-consistency still audits the unprotected plans),
+#: another algorithm, and a placement without damage-count-values.  Pinned
+#: before verify took its plans from one table.
+GOLDEN_VERIFY_PATHS_SHA256 = {
+    "verify --seed 0 --mode protected --e-grid 0.25":
+        "248bad04d33ad7d1ab47071ae415c017f73baad36dc369151df47e9be04dd838",
+    "verify --seed 0 --algorithm deutsch-jozsa --mode unprotected --shots 4 --e-grid 0.25":
+        "c6a89eda3f0af6ba811cf80f007f31f142a5ca79d731e61b2391ab1106f784c0",
+    "verify --seed 0 --placement 1,2 --e-grid 0.25 --shots 16":
+        "d0fdcd471bb0ca6fb86be8c4246b728ee859d24a5ec5bc5fa46ad13efecaf968",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_VERIFY_PATHS_SHA256))
+def test_cli_verify_paths_match_golden_stdout(command, capsys):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_PATHS_SHA256[command]
 
 
 #: sha256 of the stdout of the two JSON tables: both are built from the
