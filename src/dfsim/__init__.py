@@ -12,7 +12,6 @@ from .qcore import (
     DIM,
     PauliString,
     anticommutes,
-    conjugate,
     hs_overlap,
     multiply,
     pauli_decompose,
@@ -22,7 +21,6 @@ from .dfs import (
     DfsBasis,
     decode,
     dfs_basis,
-    dfs_signature,
     encode,
     lift_logical_unitary,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "DIM",
     "PauliString",
     "anticommutes",
-    "conjugate",
     "hs_overlap",
     "multiply",
     "pauli_decompose",
@@ -65,7 +62,6 @@ __all__ = [
     "DfsBasis",
     "decode",
     "dfs_basis",
-    "dfs_signature",
     "encode",
     "lift_logical_unitary",
     "ErrorModelSpec",

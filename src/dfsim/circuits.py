@@ -20,13 +20,13 @@ len(gates) = just before acquisition; duplicates allowed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dfs
 from .qcore import (
-    DEFAULT_TOL, DIM, PauliString, anticommutes, frobenius_norm, is_unitary, pauli_decompose
+    DIM, PauliString, anticommutes, frobenius_norm, is_unitary, pauli_decompose
 )
 from .readout import PreparationStep, steps_for_mode
 
@@ -85,9 +85,6 @@ class ExperimentPlan:
             raise ValueError("placement indices must be sorted")
         object.__setattr__(self, "decoherence_points", pts)
 
-    def with_preparation(self, step: PreparationStep) -> "ExperimentPlan":
-        return replace(self, preparation=step)
-
 
 def hadamard_pair() -> np.ndarray:
     """H on both register qubits; prepares the equal superposition from |00>."""
@@ -136,10 +133,6 @@ def dj_function(function) -> tuple[int, ...]:
     return table
 
 
-def dj_is_constant(function) -> bool:
-    return sum(dj_function(function)) in (0, 4)
-
-
 def dj_gates(function) -> tuple[LogicalGate, ...]:
     """Ancilla-free Deutsch-Jozsa: H2, phase oracle (-1)^f(x), H2.
 
@@ -178,12 +171,12 @@ def default_placement(n_gates: int) -> tuple[int, ...]:
     return tuple(range(n_gates + 1)) + (n_gates,)
 
 
-def embed_on_spins_1_4(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def embed_on_spins_1_4(u: np.ndarray) -> np.ndarray:
     """Realize a two-qubit unitary on physical spins 1 and 4, identity on 2 and 3."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError("register unitary must be 4x4")
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise ValueError("embed_on_spins_1_4 requires a unitary input")
     k = np.arange(DIM)
     reg = ((k >> 2) & 2) | (k & 1)  # register index: spin 1 high bit, spin 4 low bit
@@ -207,8 +200,6 @@ def assemble(
     The preparation defaults to the mode's first step and the placement to
     default_placement.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     realize = dfs.lift_logical_unitary if mode == "protected" else embed_on_spins_1_4
     logical = algorithm_gates(algorithm, marked=marked, function=function) + readout_gates()
     gates = tuple(Gate(g.label, g.matrix, realize(g.matrix)) for g in logical)
@@ -221,12 +212,9 @@ def assemble(
     )
 
 
-def ideal_boundary_deviations(
-    plan: ExperimentPlan, preparation: PreparationStep | None = None
-) -> list[np.ndarray]:
+def ideal_boundary_deviations(plan: ExperimentPlan) -> list[np.ndarray]:
     """Noise-free deviation matrix at every gate boundary 0..len(gates)."""
-    step = preparation if preparation is not None else plan.preparation
-    rho = np.asarray(step.deviation, dtype=complex)
+    rho = np.asarray(plan.preparation.deviation, dtype=complex)
     out = [rho]
     for gate in plan.gates:
         rho = gate.physical @ rho @ gate.physical.conj().T
@@ -249,26 +237,22 @@ class PointDamage:
         return sum(self.damaging)
 
 
-def damage_audit(
-    plan: ExperimentPlan,
-    preparation: PreparationStep | None = None,
-    tol: float = 1e-10,
-) -> list[PointDamage]:
+def damage_audit(plan: ExperimentPlan) -> list[PointDamage]:
     """Per-point count of error operators that would alter the ideal state.
 
     At each noise point the noise-free deviation is split into Pauli words
-    (coefficients above tol times its norm), and each error operator (XXII
+    (coefficients above 1e-10 times its norm), and each error operator (XXII
     then IIXX) is compared with every word.  A flip that commutes with all of
     them leaves the state unchanged (harmless); one that anticommutes with
     all of them negates it (damaging, one unit of n).  A mix means the
     deviation is not a flip eigenstate and the closed form (1-2e)^n does not
     apply; that is reported as an error rather than guessed around.
     """
-    devs = ideal_boundary_deviations(plan, preparation)
+    devs = ideal_boundary_deviations(plan)
     audit = []
     for point, boundary in enumerate(plan.decoherence_points):
         rho = devs[boundary]
-        coeffs = pauli_decompose(rho, tol=tol * frobenius_norm(rho))
+        coeffs = pauli_decompose(rho, tol=1e-10 * frobenius_norm(rho))
         damaging = []
         for flip in dfs.ERROR_BASIS[1:3]:
             signs = {anticommutes(PauliString(word), flip) for word in coeffs}
@@ -286,24 +270,16 @@ def damage_audit(
     return audit
 
 
-def damage_mask(
-    plan: ExperimentPlan,
-    preparation: PreparationStep | None = None,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def damage_mask(plan: ExperimentPlan) -> np.ndarray:
     """Boolean (points, 2): whether XXII / IIXX at that point negates the ideal deviation.
 
     Every other flip leaves it unchanged (damage_audit raises otherwise), so a
     shot's signal is (-1) to the number of its flips on true entries.
     """
-    audit = damage_audit(plan, preparation, tol)
+    audit = damage_audit(plan)
     return np.array([entry.damaging for entry in audit], dtype=bool).reshape(len(audit), 2)
 
 
-def count_damaging_errors(
-    plan: ExperimentPlan,
-    preparation: PreparationStep | None = None,
-    tol: float = 1e-10,
-) -> int:
+def count_damaging_errors(plan: ExperimentPlan) -> int:
     """Total damage count n; the exact-channel signal then equals (1-2e)^n."""
-    return int(damage_mask(plan, preparation, tol).sum())
+    return int(damage_mask(plan).sum())

@@ -101,35 +101,26 @@ def dfs_basis(i: int) -> DfsBasis:
     return _BASES[i]
 
 
-def dfs_signature(i: int) -> tuple[int, int, int]:
-    """Eigenvalues of (XXII, IIXX, XXXX) on subspace i; the last is the product."""
-    return dfs_basis(i).signature
-
-
 def all_isometries() -> tuple[np.ndarray, ...]:
     return tuple(_BASES[i].vectors for i in (1, 2, 3, 4))
 
 
-def check_logical_state(psi: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def check_logical_state(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape != (4,):
         raise ValueError("logical state must have 4 amplitudes")
-    if abs(np.linalg.norm(psi) - 1.0) > tol:
+    if abs(np.linalg.norm(psi) - 1.0) > DEFAULT_TOL:
         raise ValueError("logical state must be normalized")
     return psi
 
 
-def encode(
-    psi: np.ndarray,
-    weights: tuple[float, float, float, float] | None = None,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
+def encode(psi: np.ndarray, weights: tuple[float, float, float, float] | None = None) -> np.ndarray:
     """Density (deviation) matrix sum_i c_i |psi>_i <psi|_i, unit trace."""
-    psi = check_logical_state(psi, tol)
+    psi = check_logical_state(psi)
     if weights is None:
         weights = (0.25, 0.25, 0.25, 0.25)
     w = np.asarray(weights, dtype=float)
-    if w.shape != (4,) or np.any(w < -tol) or abs(w.sum() - 1.0) > max(tol, 1e-9):
+    if w.shape != (4,) or np.any(w < -DEFAULT_TOL) or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be 4 nonnegative reals summing to 1")
     rho = np.zeros((DIM, DIM), dtype=complex)
     for c, basis in zip(w, all_isometries()):
@@ -147,7 +138,7 @@ def decode(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def lift_logical_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def lift_logical_unitary(u: np.ndarray) -> np.ndarray:
     """Block-diagonal physical unitary acting as ``u`` inside every subspace.
 
     The lift is a unitary homomorphism (the four subspaces tile the full
@@ -157,23 +148,12 @@ def lift_logical_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError("logical unitary must be 4x4")
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise ValueError("lift_logical_unitary requires a unitary input")
     out = np.zeros((DIM, DIM), dtype=complex)
     for basis in all_isometries():
         out += basis @ u @ basis.conj().T
     return out
-
-
-def subspace_weights(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Recover the mixture weights of ``rho`` along |psi>_i for each subspace."""
-    psi = check_logical_state(psi)
-    rho = np.asarray(rho, dtype=complex)
-    w = np.empty(4)
-    for k, basis in enumerate(all_isometries()):
-        vec = basis @ psi
-        w[k] = np.real(vec.conj() @ rho @ vec)
-    return w
 
 
 def gram_defect() -> float:

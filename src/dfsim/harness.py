@@ -339,12 +339,12 @@ def _immunity_residual(seed: int) -> float:
     return worst
 
 
-def _pauli_product_residual(seed: int, pairs: int = 200) -> float:
+def _pauli_product_residual(seed: int) -> float:
     rng = np.random.default_rng(seed)
     basis = qcore.pauli_basis_strings()
     phases = (1 + 0j, -1 + 0j, 1j, -1j)
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(200):
         p = qcore.PauliString(basis[rng.integers(256)].letters, phases[rng.integers(4)])
         q = qcore.PauliString(basis[rng.integers(256)].letters, phases[rng.integers(4)])
         pq, qp = p.matrix() @ q.matrix(), q.matrix() @ p.matrix()
@@ -368,56 +368,55 @@ def _eigenstructure_residual(e_grid: tuple[float, ...]) -> float:
     return worst
 
 
-def _summed_preparation(entries: list[tuple]) -> np.ndarray:
-    """identity/16 plus the deviation of every entry's step: the preparation they average to."""
-    total = qcore.identity_matrix() / qcore.DIM
-    for step, *_ in entries:
-        total = total + step.deviation
-    return total
-
-
 def _plan_table(cfg: SweepConfig) -> dict[str, list[tuple]]:
-    """Each mode's (step, plan, damage mask, n, noiseless final state), in step order.
+    """Each mode's (plan, n, noiseless final state), in step order.
 
     Built for both modes whatever cfg.modes holds, since damage-count-consistency
     and damage-count-values read plans of both.  Every check of verify takes its
     plans from here, so each is assembled and audited once.
     """
     table: dict[str, list[tuple]] = {mode: [] for mode in circuits.MODES}
-    for _, mode, step, plan in sweep_plans(replace(cfg, modes=circuits.MODES)):
-        mask = circuits.damage_mask(plan)
-        table[mode].append((step, plan, mask, int(mask.sum()), noise.run_plan_exact(plan, 0.0)))
+    for _, mode, _, plan in sweep_plans(replace(cfg, modes=circuits.MODES)):
+        n = circuits.count_damaging_errors(plan)
+        table[mode].append((plan, n, noise.run_plan_exact(plan, 0.0)))
     return table
 
 
-def _protected_correctness_residual(cfg: SweepConfig, protected: list[tuple]) -> float:
-    first = protected[0][1]
+def _linearity_residuals(cfg: SweepConfig, table: dict[str, list[tuple]]) -> tuple[float, float]:
+    """protected-correctness's and temporal-averaging's residuals, from one walk per mode.
+
+    A mode's walk zips, over cfg.e_grid, the exact finals of the summed
+    preparation (identity/16 plus every step's deviation) and of identity/16,
+    both through step 0's plan, with those of each step's own plan.
+    temporal-averaging compares the first with the sum of the rest, in each
+    mode of cfg.modes.  protected-correctness reads the protected walk, swept
+    or not: each step's decoded final against its decoded noiseless one, and
+    the decoded summed final against the logical circuit's output from |00>.
+    """
     logical = np.eye(4, dtype=complex)
-    for gate in first.gates:
+    for gate in table["protected"][0][0].gates:
         logical = gate.logical @ logical
-    target = logical @ np.array([1, 0, 0, 0], dtype=complex)
-    worst = 0.0
-    for _, plan, _, _, reference in protected:
-        ref = dfs.decode(reference)
-        for final in _exact_finals(plan, cfg.e_grid):
-            out = dfs.decode(final)
-            worst = max(worst, abs(readout.signal_intensity(out, ref) - 1.0))
-    for final in _exact_finals(first, cfg.e_grid, initial=_summed_preparation(protected)):
-        fidelity = float(np.real(target.conj() @ dfs.decode(final) @ target))
-        worst = max(worst, abs(fidelity - 1.0))
-    return worst
-
-
-def _temporal_averaging_residual(cfg: SweepConfig, entries: list[tuple]) -> float:
-    initials = [_summed_preparation(entries), qcore.identity_matrix() / qcore.DIM]
-    initials.extend(step.deviation for step, *_ in entries)
-    worst = 0.0
-    plan = entries[0][1]
-    for direct, summed, *parts in zip(*(_exact_finals(plan, cfg.e_grid, i) for i in initials)):
-        for part in parts:
-            summed = summed + part
-        worst = max(worst, qcore.frobenius_norm(direct - summed))
-    return worst
+    target = logical[:, 0]
+    refs = [dfs.decode(reference) for _, _, reference in table["protected"]]
+    identity = np.eye(qcore.DIM, dtype=complex) / qcore.DIM
+    correctness = averaging = 0.0
+    for mode in dict.fromkeys(("protected", *cfg.modes)):
+        entries = table[mode]
+        summed = sum((plan.preparation.deviation for plan, _, _ in entries), identity)
+        walks = [_exact_finals(entries[0][0], cfg.e_grid, i) for i in (summed, identity)]
+        walks += [_exact_finals(plan, cfg.e_grid) for plan, _, _ in entries]
+        for direct, total, *parts in zip(*walks):
+            if mode in cfg.modes:
+                for part in parts:
+                    total = total + part
+                averaging = max(averaging, qcore.frobenius_norm(direct - total))
+            if mode == "protected":
+                for part, ref in zip(parts, refs):
+                    signal = readout.signal_intensity(dfs.decode(part), ref)
+                    correctness = max(correctness, abs(signal - 1.0))
+                fidelity = float(np.real(target.conj() @ dfs.decode(direct) @ target))
+                correctness = max(correctness, abs(fidelity - 1.0))
+    return correctness, averaging
 
 
 def _cell_pass(cfg: SweepConfig, table: dict[str, list[tuple]]) -> tuple[float, float, str]:
@@ -428,12 +427,15 @@ def _cell_pass(cfg: SweepConfig, table: dict[str, list[tuple]]) -> tuple[float, 
     their own if cfg.modes lacks them).  mc-convergence bounds the dense shot
     mean by 5 sigma around the exact state, with the known Frobenius variance
     of a shot, ||rho0||^2 - ||rho_exact||^2 (every shot conjugates rho0 by a
-    unitary), so the bound holds at any shot count; rounding-level variances
-    are clamped to 0, so noise-free cells keep the bare NUMERICAL_FLOOR.
+    unitary); rounding-level variances are clamped to 0, so noise-free cells
+    keep the bare NUMERICAL_FLOOR.  The bound treats the shot mean as normal,
+    which it is not at few shots when the exact signal is near 1: one negated
+    shot then lies beyond 5 sigma, so a correct cell can fail (22 of 300 seeds
+    at 1 shot, e = 0.005, unprotected; a known false alarm).
     """
     consistency, worst, worst_cell = 0.0, -np.inf, ""
     for mode_idx, mode in enumerate(cfg.modes):
-        for step_idx, (step, plan, _, n, reference) in enumerate(table[mode]):
+        for step_idx, (plan, n, reference) in enumerate(table[mode]):
             prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
             for e, seeds, finals in _cell_batches(cfg, (mode_idx, step_idx), plan):
                 means = _dense_shot_means(plan, e, cfg.shots, seeds)
@@ -447,9 +449,9 @@ def _cell_pass(cfg: SweepConfig, table: dict[str, list[tuple]]) -> tuple[float, 
                     margin = qcore.frobenius_norm(mean - exact) - (5.0 * sigma + NUMERICAL_FLOOR)
                     if margin > worst:
                         worst = margin
-                        worst_cell = f"mode={mode} step={step.label} e={e_i:g}"
+                        worst_cell = f"mode={mode} step={plan.preparation.label} e={e_i:g}"
     if "unprotected" not in cfg.modes:
-        for _, plan, _, n, reference in table["unprotected"]:
+        for plan, n, reference in table["unprotected"]:
             for e_i, final in zip(cfg.e_grid, _exact_finals(plan, cfg.e_grid)):
                 consistency = max(consistency, _theory_gap(e_i, final, n, reference))
     return consistency, float(worst), worst_cell
@@ -484,13 +486,14 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     completeness = max(noise.engineered_model(e).completeness_defect for e in cfg.e_grid)
     add("channel-completeness", completeness, qcore.DEFAULT_TOL)
     add("eigenstructure-audit", _eigenstructure_residual(cfg.e_grid), qcore.DEFAULT_TOL)
-    add("protected-correctness", _protected_correctness_residual(cfg, table["protected"]), 1e-10)
-    averaging = max(_temporal_averaging_residual(cfg, table[m]) for m in cfg.modes)
+    correctness, averaging = _linearity_residuals(cfg, table)
+    add("protected-correctness", correctness, 1e-10)
     add("temporal-averaging", averaging, qcore.DEFAULT_TOL)
     consistency, mc_margin, mc_cell = _cell_pass(cfg, table)
     add("damage-count-consistency", consistency, 1e-10)
     if cfg.algorithm == "grover" and cfg.placement is None:
-        values = [abs(n - EXPECTED_DAMAGE[m][s.label]) for m in table for s, _, _, n, _ in table[m]]
+        values = [abs(n - EXPECTED_DAMAGE[mode][plan.preparation.label])
+                  for mode, entries in table.items() for plan, n, _ in entries]
         add("damage-count-values", max(values), 0.0, "n = 0/0/0 and 6/12/6")
     add(
         "mc-convergence",

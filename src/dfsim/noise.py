@@ -117,12 +117,10 @@ def engineered_model(e: float) -> ErrorModelSpec:
     return ErrorModelSpec(coefficients=a if e else a[:1])  # e > 0: every row is nonzero
 
 
-def apply_channel(
-    rho: np.ndarray, channel: ErrorModelSpec, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def apply_channel(rho: np.ndarray, channel: ErrorModelSpec) -> np.ndarray:
     """rho -> sum_d E_d rho E_d^dagger; rejects incomplete channels."""
     defect = channel.completeness_defect
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros_like(rho)
@@ -152,9 +150,7 @@ class EigenvalueAudit:
         return not self.flagged
 
 
-def verify_error_model(
-    spec: ErrorModelSpec, tol: float = DEFAULT_TOL
-) -> EigenvalueAudit:
+def verify_error_model(spec: ErrorModelSpec) -> EigenvalueAudit:
     """Confirm each operator acts as a scalar on every subspace and report weights.
 
     The predicted scalar on subspace i with signature (s1, s2, s3) is
@@ -162,7 +158,7 @@ def verify_error_model(
     action against that prediction.  Requires a complete model.
     """
     defect = spec.completeness_defect
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise ValueError(f"error model is not trace preserving (defect {defect:.3e})")
     a = spec.coefficients
     n_ops = a.shape[0]
@@ -177,7 +173,7 @@ def verify_error_model(
             resid = frobenius_norm(op @ basis.vectors - eigenvalues[d, i - 1] * basis.vectors)
             residuals[i - 1] = max(residuals[i - 1], resid)
     weights = np.sum(np.abs(eigenvalues) ** 2, axis=0)
-    flagged = tuple(i for i in (1, 2, 3, 4) if residuals[i - 1] > tol)
+    flagged = tuple(i for i in (1, 2, 3, 4) if residuals[i - 1] > DEFAULT_TOL)
     return EigenvalueAudit(
         eigenvalues=eigenvalues,
         weights=weights,
@@ -425,9 +421,10 @@ def monte_carlo_finals(
 
     The flips are draw_flips(e, seed, shots, points) and the states come from
     monte_carlo_states; each shot's matrix equals, to the bit, evolving it on
-    its own.  This holds all shots at once (4 KiB each); verify's
-    mc-convergence check instead sums the states of a batch of cells, a shot
-    block at a time (harness._dense_shot_means).
+    its own.  This holds all shots at once (4 KiB each).  Unused by dfsim,
+    whose mc-convergence check runs monte_carlo_states itself, a shot block
+    at a time (harness._dense_shot_means); kept because bench/spans.py wraps
+    noise.monte_carlo_finals by name.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

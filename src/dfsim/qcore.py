@@ -23,7 +23,7 @@ import numpy as np
 N_QUBITS = 4
 DIM = 16
 
-#: Frobenius-norm tolerance for all equality / unitarity / Hermiticity checks.
+#: Frobenius-norm tolerance for all equality and unitarity checks.
 DEFAULT_TOL = 1e-12
 
 PAULI_1Q = {
@@ -131,31 +131,14 @@ def anticommutes(p: PauliString, q: PauliString) -> bool:
     return hits % 2 == 1
 
 
-def identity_matrix() -> np.ndarray:
-    return np.eye(DIM, dtype=complex)
-
-
 def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
-    return frobenius_norm(u.conj().T @ u - np.eye(n)) <= tol
-
-
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return frobenius_norm(m - m.conj().T) <= tol
-
-
-def conjugate(rho: np.ndarray, u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Unitary conjugation u rho u^dagger; rejects non-unitary ``u``."""
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol):
-        raise ValueError("conjugate requires a unitary operator")
-    return u @ np.asarray(rho, dtype=complex) @ u.conj().T
+    return frobenius_norm(u.conj().T @ u - np.eye(n)) <= DEFAULT_TOL
 
 
 def hs_overlap(a: np.ndarray, b: np.ndarray) -> complex:

@@ -68,16 +68,14 @@ def steps_for_mode(mode: str) -> tuple[PreparationStep, ...]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def signal_intensity(
-    final: np.ndarray, reference: np.ndarray, tol: float = DEFAULT_TOL
-) -> float:
+def signal_intensity(final: np.ndarray, reference: np.ndarray) -> float:
     """Signed intensity of ``final`` relative to the noiseless ``reference``.
 
     Returns Re Tr(reference^dagger final) / Tr(reference^dagger reference);
     equals 1 when final == reference and -1 when the output is phase inverted.
     """
     norm = hs_overlap(reference, reference).real
-    if norm <= tol:
+    if norm <= DEFAULT_TOL:
         raise ValueError("signal reference must be nonzero")
     return hs_overlap(reference, final).real / norm
 

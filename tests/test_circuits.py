@@ -65,7 +65,7 @@ def test_dj_outputs_for_all_promise_functions():
             out, direct @ np.array([1, 0, 0, 0], dtype=complex), atol=1e-12
         )
         assert abs(out[expected_state[name]]) == pytest.approx(1.0, abs=1e-12)
-        assert circuits.dj_is_constant(name) == (expected_state[name] == 0)
+        assert (sum(table) in (0, 4)) == (expected_state[name] == 0)
 
 
 def test_dj_rejects_non_promise_function():
@@ -297,9 +297,3 @@ def test_moving_points_across_commuting_gates_is_invisible():
         plan = assemble("protected", "grover", preparation=step, placement=placement)
         np.testing.assert_allclose(noise.run_plan_exact(plan, 0.3), out_base, atol=1e-12)
 
-
-def test_with_preparation_swaps_step():
-    plan = assemble("unprotected", "grover")
-    other = plan.with_preparation(readout.unprotected_steps()[1])
-    assert other.preparation.label == "Z1Z4"
-    assert other.gates is plan.gates

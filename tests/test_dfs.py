@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dfsim import dfs, noise, qcore
-from dfsim.dfs import decode, dfs_basis, dfs_signature, encode, lift_logical_unitary
+from dfsim.dfs import decode, dfs_basis, encode, lift_logical_unitary
 from dfsim.qcore import PauliString, pauli_matrix
 
 
@@ -68,12 +68,12 @@ def test_signatures_match_matrix_action():
 
 
 def test_signature_values_and_product_rule():
-    assert dfs_signature(1) == (1, 1, 1)
-    assert dfs_signature(2) == (1, -1, -1)
-    assert dfs_signature(3) == (-1, 1, -1)
-    assert dfs_signature(4) == (-1, -1, 1)
+    assert dfs_basis(1).signature == (1, 1, 1)
+    assert dfs_basis(2).signature == (1, -1, -1)
+    assert dfs_basis(3).signature == (-1, 1, -1)
+    assert dfs_basis(4).signature == (-1, -1, 1)
     for i in (1, 2, 3, 4):
-        s1, s2, s3 = dfs_signature(i)
+        s1, s2, s3 = dfs_basis(i).signature
         assert s3 == s1 * s2
 
 
@@ -175,7 +175,7 @@ def test_general_error_model_only_reweights_subspaces():
     # a complete paired-flip error model maps encode(psi, w) to encode(psi, w')
     rng = np.random.default_rng(37)
     mats = [pauli_matrix(p) for p in dfs.ERROR_BASIS]
-    chi = np.array([[1, *dfs_signature(i)] for i in (1, 2, 3, 4)], dtype=float)
+    chi = np.array([[1, *dfs_basis(i).signature] for i in (1, 2, 3, 4)], dtype=float)
     for _ in range(10):
         eig = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
         eig /= np.linalg.norm(eig, axis=0, keepdims=True)  # completeness
@@ -191,7 +191,9 @@ def test_general_error_model_only_reweights_subspaces():
         rho = encode(psi, weights=tuple(w))
         out = noise.apply_channel(rho, spec)
 
-        w_prime = dfs.subspace_weights(out, psi)
+        # the mixture weight of out along |psi>_i, for each subspace i
+        vecs = [basis @ psi for basis in dfs.all_isometries()]
+        w_prime = np.array([np.real(v.conj() @ out @ v) for v in vecs])
         assert w_prime.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(out, encode(psi, weights=tuple(w_prime)), atol=1e-12)
         np.testing.assert_allclose(decode(out), np.outer(psi, psi.conj()), atol=1e-12)
@@ -238,7 +240,7 @@ def test_lift_consistent_with_encode():
         u = random_unitary(rng)
         np.testing.assert_allclose(
             encode(u @ psi),
-            qcore.conjugate(encode(psi), lift_logical_unitary(u)),
+            lift_logical_unitary(u) @ encode(psi) @ lift_logical_unitary(u).conj().T,
             atol=1e-12,
         )
 
@@ -246,7 +248,7 @@ def test_lift_consistent_with_encode():
 def test_lift_xx_maps_encoded_00_to_encoded_11():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     lifted = lift_logical_unitary(np.kron(x, x))
-    out = qcore.conjugate(encode(np.array([1, 0, 0, 0], dtype=complex)), lifted)
+    out = lifted @ encode(np.array([1, 0, 0, 0], dtype=complex)) @ lifted.conj().T
     np.testing.assert_allclose(
         out, encode(np.array([0, 0, 0, 1], dtype=complex)), atol=1e-12
     )

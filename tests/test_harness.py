@@ -31,6 +31,24 @@ from dfsim.harness import (
 SMALL = SweepConfig(e_grid=(0.0, 0.25, 0.5), shots=64, seed=3)
 
 
+#: dfsim's public names.  The public surface is counted in names, so a name
+#: is added or removed here on purpose, in the same change as __init__.py.
+PUBLIC_NAMES = [
+    "DEFAULT_TOL", "DIM", "DfsBasis", "ErrorModelSpec", "ExperimentPlan", "PauliString",
+    "PreparationStep", "SignalResult", "SweepConfig", "__version__", "anticommutes",
+    "apply_channel", "assemble", "count_damaging_errors", "decode", "dfs_basis", "dj_gates",
+    "draw_flips", "encode", "engineered_model", "grover_gates", "hs_overlap",
+    "lift_logical_unitary", "multiply", "pauli_decompose", "pauli_matrix", "protected_steps",
+    "run_plan_exact", "run_sweep", "signal_intensity", "theory_curve", "unprotected_steps",
+    "verify", "verify_error_model",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(dfsim.__all__) == PUBLIC_NAMES
+    assert all(hasattr(dfsim, name) for name in dfsim.__all__)
+
+
 def test_default_grid_is_nine_levels():
     cfg = SweepConfig()
     assert len(cfg.e_grid) == 9
@@ -163,9 +181,11 @@ def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
 
 
 def test_verify_builds_audits_and_evolves_each_plan_once(monkeypatch):
-    # six (mode, step) plans, each assembled and audited once; 26 exact
-    # evolutions: 6 noiseless references, 6 cell walks, 4 for
-    # protected-correctness and 10 for temporal-averaging
+    # six (mode, step) plans, each assembled and audited once; 22 exact
+    # evolutions: 6 noiseless references, 6 cell walks, and one walk of 5 per
+    # mode (summed preparation and identity/16 through step 0's plan, and
+    # each step's own plan) that temporal-averaging and, in the protected
+    # mode, protected-correctness both read
     calls = {"assemble": 0, "damage_audit": 0, "run_plan_exact": 0}
     for module, name in ((circuits, "assemble"), (circuits, "damage_audit"),
                          (noise, "run_plan_exact")):
@@ -174,7 +194,7 @@ def test_verify_builds_audits_and_evolves_each_plan_once(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, spy)
     assert all(c.passed for c in harness.verify())
-    assert calls == {"assemble": 6, "damage_audit": 6, "run_plan_exact": 26}
+    assert calls == {"assemble": 6, "damage_audit": 6, "run_plan_exact": 22}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -220,6 +240,17 @@ def test_cli_verify_passes_at_one_and_two_shots(shots, capsys):
     # is 0 whenever every shot agrees
     assert cli.main(["verify", "--shots", shots]) == 0
     assert "11/11 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known false alarm: the 5 sigma normal bound of mc-convergence is not "
+    "valid at 1 shot when the exact signal is near 1",
+)
+def test_cli_verify_passes_a_correct_program_at_one_shot_near_e_0(capsys):
+    # one negated shot of a cell whose exact signal is 0.94 lies beyond 5 sigma
+    argv = "verify --seed 5 --mode unprotected --e-grid 0.005 --shots 1".split()
+    assert cli.main(argv) == 0, capsys.readouterr().out
 
 
 def test_verify_tolerance_scales_with_shots():
@@ -753,6 +784,9 @@ GOLDEN_JSON_SHA256 = {
         "cd532b32f0e238ebfebee28b57690aa4b920478e0a7699d4fb12d42b9070c7aa",
     "verify --seed 0 --shots 64 --e-grid 0,0.25,0.5 --format json":
         "3506a99a60dc07ba1f7f65ac08dd3811149fc29fb458926b22f976559207be62",
+    # protected-correctness reads the protected walk though protected is unswept
+    "verify --seed 0 --mode unprotected --e-grid 0.1,0.3 --format json":
+        "a5211b55f1f9650f88e09db4fe8843d6bc97d90184f6a8e984af592481b91a8c",
 }
 
 

@@ -55,13 +55,18 @@ def test_apply_channel_fixes_encoded_00():
 
 def test_apply_channel_scales_z1_by_1_minus_2e():
     z1 = pauli_matrix(PauliString("ZIII")) / 16
+
+    def flipped(word):
+        flip = pauli_matrix(PauliString(word))
+        return flip @ z1 @ flip.conj().T
+
     for e in (0.1, 0.25, 0.4):
         # oracle: conjugate branch by branch with the protocol's flip pattern
         expected = (
             (1 - e) ** 2 * z1
-            + e * (1 - e) * qcore.conjugate(z1, pauli_matrix(PauliString("XXII")))
-            + e * (1 - e) * qcore.conjugate(z1, pauli_matrix(PauliString("IIXX")))
-            + e**2 * qcore.conjugate(z1, pauli_matrix(PauliString("XXXX")))
+            + e * (1 - e) * flipped("XXII")
+            + e * (1 - e) * flipped("IIXX")
+            + e**2 * flipped("XXXX")
         )
         out = apply_channel(z1, engineered_model(e))
         np.testing.assert_allclose(out, expected, atol=1e-14)
@@ -101,7 +106,7 @@ def test_channel_preserves_trace_and_hermiticity():
         rho = (m + m.conj().T) / 2
         out = apply_channel(rho, ch)
         assert abs(np.trace(out) - np.trace(rho)) < 1e-12
-        assert qcore.is_hermitian(out)
+        assert qcore.frobenius_norm(out - out.conj().T) <= 1e-12
 
 
 def test_dfs_immunity_across_grid():
@@ -430,7 +435,7 @@ def test_verify_error_model_engineered_values():
 
 def test_verify_error_model_random_complete_models():
     rng = np.random.default_rng(19)
-    chi = np.array([[1, *dfs.dfs_signature(i)] for i in (1, 2, 3, 4)], dtype=float)
+    chi = np.array([[1, *dfs.dfs_basis(i).signature] for i in (1, 2, 3, 4)], dtype=float)
     for _ in range(10):
         eig = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         eig /= np.linalg.norm(eig, axis=0, keepdims=True)
