@@ -21,13 +21,13 @@ len(gates) = just before acquisition; duplicates allowed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
 from . import dfs
-from .qcore import (
-    DIM, PauliString, anticommutes, frobenius_norm, is_unitary, pauli_decompose
-)
+from .qcore import DIM, _pauli_transform, anticommutes, is_unitary, pauli_basis_strings
 from .readout import PreparationStep, steps_for_mode
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -237,37 +237,41 @@ class PointDamage:
         return sum(self.damaging)
 
 
+@lru_cache(maxsize=1)
+def _flip_anticommutes() -> np.ndarray:
+    """Bool (256, 2): whether each basis word anticommutes with XXII, IIXX."""
+    words, flips = pauli_basis_strings(), dfs.ERROR_BASIS[1:3]
+    return np.array([[anticommutes(w, f) for f in flips] for w in words])
+
+
 def damage_audit(plan: ExperimentPlan) -> list[PointDamage]:
     """Per-point count of error operators that would alter the ideal state.
 
-    At each noise point the noise-free deviation is split into Pauli words
-    (coefficients above 1e-10 times its norm), and each error operator (XXII
-    then IIXX) is compared with every word.  A flip that commutes with all of
-    them leaves the state unchanged (harmless); one that anticommutes with
-    all of them negates it (damaging, one unit of n).  A mix means the
-    deviation is not a flip eigenstate and the closed form (1-2e)^n does not
-    apply; that is reported as an error rather than guessed around.
+    One Pauli transform splits the noise-free deviations at all noise points
+    into Pauli words (coefficients above 1e-10 times each one's norm), and
+    each error operator (XXII then IIXX) is compared with every word.  A flip
+    that commutes with all of them leaves the state unchanged (harmless); one
+    that anticommutes with all of them negates it (damaging, one unit of n).
+    A mix means the deviation is not a flip eigenstate and the closed form
+    (1-2e)^n does not apply; that is reported as an error, not guessed around.
     """
-    devs = ideal_boundary_deviations(plan)
-    audit = []
-    for point, boundary in enumerate(plan.decoherence_points):
-        rho = devs[boundary]
-        coeffs = pauli_decompose(rho, tol=1e-10 * frobenius_norm(rho))
-        damaging = []
-        for flip in dfs.ERROR_BASIS[1:3]:
-            signs = {anticommutes(PauliString(word), flip) for word in coeffs}
-            if len(signs) > 1:
-                raise ValueError(
-                    f"deviation at point {point} (boundary {boundary}) is not a "
-                    "flip eigenstate; damage counting is undefined for this plan"
-                )
-            damaging.append(True in signs)
-        audit.append(
-            PointDamage(
-                point=point, boundary=boundary, state="+".join(coeffs), damaging=tuple(damaging)
-            )
+    points = plan.decoherence_points
+    devs = np.stack(ideal_boundary_deviations(plan))[list(points)]
+    present = np.abs(_pauli_transform(devs)) > 1e-10 * np.linalg.norm(devs, axis=(1, 2))[:, None]
+    table = _flip_anticommutes()
+    damaging = (present[:, :, None] & table).any(axis=1)
+    harmless = (present[:, :, None] & ~table).any(axis=1)
+    mixed = np.flatnonzero((damaging & harmless).any(axis=1))
+    if len(mixed):
+        raise ValueError(
+            f"deviation at point {mixed[0]} (boundary {points[mixed[0]]}) is not a "
+            "flip eigenstate; damage counting is undefined for this plan"
         )
-    return audit
+    words = [p.letters for p in pauli_basis_strings()]
+    return [
+        PointDamage(point, boundary, "+".join(compress(words, row)), tuple(flags))
+        for point, (boundary, row, flags) in enumerate(zip(points, present, damaging.tolist()))
+    ]
 
 
 def damage_mask(plan: ExperimentPlan) -> np.ndarray:

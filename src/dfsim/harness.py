@@ -237,16 +237,19 @@ def _mc_signal(
 
     ``mask`` is the plan's circuits.damage_mask: a shot's final deviation is
     the ideal one negated once per damaging flip drawn, so its signal is
-    exactly +1 or -1 by the parity of those flips.  The mean is then
-    1 - 2 (odd shots) / shots, and the standard error is the sample standard
-    deviation (ddof 1) of the +-1 shot signals over sqrt(shots).  The batch
-    is drawn in one noise.draw_flips call per _SHOT_BLOCK shots.
+    exactly +1 or -1 by the xor of its flips on the mask's true columns.  The
+    mean is then 1 - 2 (odd shots) / shots, and the standard error is the
+    sample standard deviation (ddof 1) of the +-1 shot signals over
+    sqrt(shots).  The batch is drawn in one noise.draw_flips call per
+    _SHOT_BLOCK shots, unless no entry of the mask is true: every protected
+    plan, and every plan without noise points, draws nothing.
     """
     odd = np.zeros(len(seeds), dtype=np.int64)
-    for first in range(0, shots, _SHOT_BLOCK):
+    columns = np.flatnonzero(mask)
+    for first in range(0, shots, _SHOT_BLOCK) if len(columns) else ():
         flips = noise.draw_flips(e, seeds, min(_SHOT_BLOCK, shots - first), len(mask), first=first)
-        flips &= mask
-        odd += np.count_nonzero(flips.sum(axis=(2, 3)) % 2, axis=1)
+        parity = np.bitwise_xor.reduce(flips.reshape(*flips.shape[:2], -1)[..., columns], axis=-1)
+        odd += np.count_nonzero(parity, axis=1)
     signals = []
     for k in odd.tolist():
         mean = 1.0 - 2.0 * k / shots

@@ -154,13 +154,29 @@ def pauli_basis_strings() -> tuple[PauliString, ...]:
     )
 
 
+def _pauli_transform(rhos: np.ndarray) -> np.ndarray:
+    """Pauli coefficients (..., 256), in pauli_basis_strings order, of a stack of 16x16 matrices.
+
+    One qubit at a time, with no 256x256 product: each step maps the leading
+    qubit's 2x2 blocks m to Tr(sigma m), sigma = I, X, Y, Z, as a new last index.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    t = rhos.reshape(-1, DIM, DIM, 1)
+    for _ in range(N_QUBITS):
+        count, n, _, words = t.shape
+        t = t.reshape(count, 2, n // 2, 2, n // 2, words)
+        m00, m01, m10, m11 = t[:, 0, :, 0], t[:, 0, :, 1], t[:, 1, :, 0], t[:, 1, :, 1]
+        t = np.stack([m00 + m11, m01 + m10, 1j * (m01 - m10), m00 - m11], axis=-1)
+        t = t.reshape(count, n // 2, n // 2, 4 * words)
+    return t.reshape(rhos.shape[:-2] + (4**N_QUBITS,)) / DIM
+
+
 def pauli_decompose(rho: np.ndarray, tol: float = DEFAULT_TOL) -> dict[str, complex]:
     """Expand ``rho`` over the Pauli basis: rho = sum_w coeff[w] * matrix(w).
 
     Coefficients below ``tol`` in modulus are dropped.
     """
-    stack = _word_matrices()
-    coeffs = np.einsum("aij,ij->a", stack.conj(), np.asarray(rho, dtype=complex)) / DIM
+    coeffs = _pauli_transform(rho)
     return {
         p.letters: complex(c)
         for p, c in zip(pauli_basis_strings(), coeffs)

@@ -263,6 +263,33 @@ def test_damage_audit_names_every_word_of_a_negated_deviation():
     assert audit[1].damaging == (True, False)
 
 
+def per_word_audit(plan):
+    """The damage audit one point and one Pauli word at a time."""
+    devs = circuits.ideal_boundary_deviations(plan)
+    audit = []
+    for point, boundary in enumerate(plan.decoherence_points):
+        rho = devs[boundary]
+        coeffs = qcore.pauli_decompose(rho, tol=1e-10 * qcore.frobenius_norm(rho))
+        damaging = []
+        for flip in dfs.ERROR_BASIS[1:3]:
+            signs = {qcore.anticommutes(PauliString(word), flip) for word in coeffs}
+            assert len(signs) == 1
+            damaging.append(True in signs)
+        audit.append((point, boundary, "+".join(coeffs), tuple(damaging)))
+    return audit
+
+
+@pytest.mark.parametrize("placement", [None, (0, 2, 4), (1, 2), ()])
+@pytest.mark.parametrize("mode", circuits.MODES)
+@pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
+def test_damage_audit_equals_the_per_word_audit(algorithm, mode, placement):
+    for step in readout.steps_for_mode(mode):
+        plan = assemble(mode, algorithm, preparation=step, placement=placement)
+        audit = damage_audit(plan)
+        assert [(a.point, a.boundary, a.state, a.damaging) for a in audit] == per_word_audit(plan)
+        assert all(type(flag) is bool for a in audit for flag in a.damaging)
+
+
 def test_damage_count_rejects_non_eigen_states():
     # a T-like gate turns the transverse deviation into a non-eigen mixture
     t = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)

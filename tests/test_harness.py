@@ -545,6 +545,21 @@ def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
     assert drawn == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
 
 
+@pytest.mark.parametrize("shots", [1, 70000])
+@pytest.mark.parametrize(
+    "mask", [np.zeros((9, 2), dtype=bool), np.zeros((0, 2), dtype=bool)], ids=["harmless", "no-points"]
+)
+def test_mc_signal_of_a_mask_without_damage_draws_nothing(mask, shots, monkeypatch):
+    # every shot reads +1, so k = 0: mean 1 - 2k/shots = 1.0, standard error 0.0
+    def spy(*args, **kwargs):
+        raise AssertionError("a plan without damaging flips drew shots")
+
+    monkeypatch.setattr(noise, "draw_flips", spy)
+    signals = harness._mc_signal(mask, (0.0, 0.25, 0.5), shots, (1, 2, 3))
+    assert signals == [(1.0, 0.0)] * 3
+    assert all(type(v) is float for cell in signals for v in cell)
+
+
 def _dense_shot_mean(plan, e, shots, seed):
     """The dense oracle's mean final state of one cell: a batch of one."""
     [mean] = harness._dense_shot_means(plan, (e,), shots, (seed,))
@@ -667,11 +682,19 @@ def test_dense_shot_mean_memory_does_not_grow_with_the_shots(monkeypatch):
     assert peaks[1] <= 1.5 * peaks[0]
 
 
-@pytest.mark.parametrize("shots", [1, 3, 20])
-def test_sweep_does_not_depend_on_the_cell_batch(shots, monkeypatch):
-    # batches of min(_E_BLOCK, _SHOT_BLOCK // shots) cells, at least one
+@pytest.mark.parametrize(
+    "shots, modes",
+    [
+        pytest.param(shots, modes, id=f"{shots}{suffix}")
+        for suffix, modes in (("", ("unprotected",)), ("-both", circuits.MODES))
+        for shots in (1, 3, 20)
+    ],
+)
+def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
+    # batches of min(_E_BLOCK, _SHOT_BLOCK // shots) cells, at least one;
+    # protected plans have no damaging flip and draw nothing
     grid = tuple(k / 64 for k in range(33))
-    cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=("unprotected",))
+    cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=modes)
     one_cell_at_a_time = []
     for key, _, _, plan in harness.sweep_plans(cfg):
         mask = circuits.damage_mask(plan)
@@ -693,7 +716,7 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, monkeypatch):
     cells = [min(batch, 33 - start) for start in range(0, 33, batch)]
     firsts = range(0, shots, 12)
     expected = [(c, min(12, shots - first), first) for c in cells for first in firsts]
-    assert drawn == expected * 3  # three steps
+    assert drawn == expected * 3  # three unprotected steps
 
 
 @pytest.mark.parametrize("length", [1, 7, 8, 20])

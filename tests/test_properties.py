@@ -1,7 +1,8 @@
 """Property tests over random plans: Deutsch-Jozsa promise tables, Grover marked
 labels, every preparation step, placements with duplicates, and e in [0, 0.5];
-cell seeds against NumPy's own SeedSequence; the oracle's key compaction
-against np.unique; and random complete error models.
+the sweep's masked-column parity against a masked sum; cell seeds against
+NumPy's own SeedSequence; the oracle's key compaction against np.unique; and
+random complete error models.
 
 Examples are capped and derandomized, and no failing example is replayed
 from an earlier run, so the suite stays fast and repeatable.
@@ -81,6 +82,27 @@ def test_signals_follow_the_damage_count(mode_plan, e, seed, shots):
     [(mc, _)] = harness._mc_signal(mask, (e,), shots, (seed,))
     assert -1.0 <= mc <= 1.0
     assert -1.0 <= readout.theory_curve(n, e) <= 1.0
+
+
+@PROPERTY
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(lambda points: arrays(bool, (points, 2))),
+    st.lists(E, min_size=1, max_size=3),
+    SEEDS,
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=16),
+)
+@example(np.ones((9, 2), dtype=bool), [0.25, 0.5], 7, 40, 16)
+@example(np.eye(9, 2, -8, dtype=bool), [0.3], 8, 33, 5)  # one true column
+def test_masked_column_parity_equals_the_masked_sum(mask, e, seed, shots, block):
+    # the sweep xors only the mask's true columns, a _SHOT_BLOCK at a time
+    seeds = tuple(seed + i for i in range(len(e)))
+    flips = noise.draw_flips(e, seeds, shots, len(mask))
+    odd = np.count_nonzero((flips & mask).sum(axis=(-2, -1)) % 2, axis=-1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_SHOT_BLOCK", block)
+        signals = harness._mc_signal(mask, tuple(e), shots, seeds)
+    assert [mean for mean, _ in signals] == [1.0 - 2.0 * k / shots for k in odd.tolist()]
 
 
 @PROPERTY

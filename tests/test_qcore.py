@@ -187,3 +187,15 @@ def test_pauli_decompose_roundtrip():
     assert set(found) == set(words)
     for c, w in zip(coeffs, words):
         assert found[w] == pytest.approx(c)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (9,), (2, 3)])
+def test_pauli_transform_equals_the_word_contraction(shape):
+    # the direct route: Tr(w^dagger rho) / 16 against each of the 256 words
+    rng = np.random.default_rng(7)
+    rhos = rng.normal(size=shape + (16, 16)) + 1j * rng.normal(size=shape + (16, 16))
+    words = qcore._word_matrices()
+    expected = np.einsum("wij,...ij->...w", words.conj(), rhos) / 16
+    got = qcore._pauli_transform(rhos)
+    assert got.shape == shape + (256,)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
