@@ -6,9 +6,12 @@ channel signal, the shot-averaged Monte-Carlo signal with its standard error,
 the closed-form prediction (1-2e)^n, and the damage count n.  Results are
 deterministic functions of (config, seed) down to the output bytes.
 
-The verifier builds one table of the six (mode, step) plans, each assembled,
-audited and given its noiseless final state once, and walks each swept plan's
-cells once, feeding the damage-count and Monte-Carlo checks from each batch.
+The three temporal-averaging steps of a mode share every gate and noise
+point, so each mode is assembled once and its steps' preparations are
+evolved together, as one stack of initial states through the exact channel.
+The verifier builds one table of the six (mode, step) plans, each audited and
+given its noiseless final state once, and walks each swept plan's cells once,
+feeding the damage-count and Monte-Carlo checks from each batch.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ class SweepConfig:
         for e in self.e_grid:
             if not 0.0 <= e <= 0.5:
                 raise ConfigError(f"e_grid values must lie in [0, 0.5], got {e}")
+        # -0.0 + 0.0 is +0.0: a grid value of -0 is written and reported as 0
+        object.__setattr__(self, "e_grid", tuple(float(e) + 0.0 for e in self.e_grid))
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
         if self.seed < 0:
@@ -106,28 +111,57 @@ def sweep_plans(
 ) -> Iterator[tuple[tuple[int, int], str, readout.PreparationStep, circuits.ExperimentPlan]]:
     """(key, mode, step, plan) for every (mode, step) of cfg, in sweep order.
 
-    ``key`` is (mode index, step index).  This is the one mapping from a
-    config to its plans: run_sweep, verify's plan table and ``dfsim count-n``
-    all take their plans from here.
+    ``key`` is (mode index, step index).  Each mode is assembled once, and
+    its steps' plans are that plan with their own preparation, so they share
+    its gates and noise points.  This is the one mapping from a config to its
+    plans: run_sweep, verify's plan table and ``dfsim count-n`` all take their
+    plans from here.
     """
     for mode_idx, mode in enumerate(cfg.modes):
-        for step_idx, step in enumerate(readout.steps_for_mode(mode)):
-            plan = circuits.assemble(mode, cfg.algorithm, preparation=step, placement=cfg.placement)
-            yield (mode_idx, step_idx), mode, step, plan
+        steps = readout.steps_for_mode(mode)
+        base = circuits.assemble(mode, cfg.algorithm, preparation=steps[0], placement=cfg.placement)
+        for step_idx, step in enumerate(steps):
+            yield (mode_idx, step_idx), mode, step, replace(base, preparation=step)
 
 
-def _exact_finals(
-    plan: circuits.ExperimentPlan, e_grid: tuple[float, ...], initial: np.ndarray | None = None
-) -> Iterator[np.ndarray]:
-    """Exact final state of plan at each e of e_grid, in order.
+def _mode_stacks(
+    cfg: SweepConfig,
+) -> Iterator[tuple[int, str, list[circuits.ExperimentPlan], np.ndarray]]:
+    """(mode index, mode, its steps' plans, their noiseless finals) for each mode of cfg.
 
-    The grid goes to noise.run_plan_exact noise._E_BLOCK values at a time,
-    and each block is dropped once read, so no sweep or check holds the
-    finals of the whole grid.  Every exact evolution over a grid in this
-    module goes through here.
+    The noiseless finals (steps, 16, 16) are one e = 0 stack of the steps'
+    preparations through the mode's first plan.
     """
-    for start in range(0, len(e_grid), noise._E_BLOCK):
-        yield from noise.run_plan_exact(plan, e_grid[start : start + noise._E_BLOCK], initial)
+    for mode_idx, group in itertools.groupby(sweep_plans(cfg), lambda entry: entry[0][0]):
+        plans = [plan for *_, plan in group]
+        references = noise.run_plan_exact(plans[0], 0.0, _preparations(plans))
+        yield mode_idx, plans[0].mode, plans, references
+
+
+def _preparations(plans: list[circuits.ExperimentPlan]) -> np.ndarray:
+    return np.stack([plan.preparation.deviation for plan in plans])
+
+
+def _exact_blocks(
+    plan: circuits.ExperimentPlan, e_grid: tuple[float, ...], initial: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, finals) over e_grid: the exact finals (k, block, 16, 16) of the
+    k states ``initial`` through plan at e_grid[start : start + block].
+
+    A block's k * block rows fill at most one noise._E_BLOCK, and at least one
+    e value is taken; each block is dropped once read, so no sweep or check
+    holds more than one block of finals.  Every exact evolution over a grid
+    in this module goes through here.
+    """
+    block = max(1, noise._E_BLOCK // len(initial))
+    for start in range(0, len(e_grid), block):
+        yield start, noise.run_plan_exact(plan, e_grid[start : start + block], initial)
+
+
+def _exact_finals(plan: circuits.ExperimentPlan, e_grid: tuple[float, ...]) -> Iterator[np.ndarray]:
+    """Exact final state of plan at each e of e_grid, in order, from _exact_blocks."""
+    for _, finals in _exact_blocks(plan, e_grid, plan.preparation.deviation[None]):
+        yield from finals[0]
 
 
 #: Constants of NumPy's SeedSequence (O'Neill's seed_seq_fe), all mod 2**32.
@@ -212,9 +246,9 @@ _GATHER_SHOTS = 4096
 
 
 def _cell_batches(
-    cfg: SweepConfig, key: tuple[int, int], plan: circuits.ExperimentPlan
-) -> Iterator[tuple[tuple[float, ...], tuple[int, ...], tuple[np.ndarray, ...]]]:
-    """(e, seeds, exact final states) of the cells of the plan ``key``, in e_grid order.
+    cfg: SweepConfig, key: tuple[int, int]
+) -> Iterator[tuple[tuple[float, ...], tuple[int, ...]]]:
+    """(e, seeds) of the cells of the plan ``key``, in e_grid order.
 
     The seed of the cell at e index i equals SeedSequence(cfg.seed,
     spawn_key=key + (i,))'s 64-bit state; all come from one _cell_seeds pass.
@@ -224,10 +258,9 @@ def _cell_batches(
     here, so they draw the same flips for a cell.
     """
     batch = max(1, min(noise._E_BLOCK, _SHOT_BLOCK // cfg.shots))
-    seeds = _cell_seeds(cfg.seed, key, len(cfg.e_grid)).tolist()
-    cells = zip(cfg.e_grid, seeds, _exact_finals(plan, cfg.e_grid))
-    for _ in range(0, len(cfg.e_grid), batch):
-        yield tuple(zip(*itertools.islice(cells, batch)))
+    seeds = tuple(_cell_seeds(cfg.seed, key, len(cfg.e_grid)).tolist())
+    for start in range(0, len(cfg.e_grid), batch):
+        yield cfg.e_grid[start : start + batch], seeds[start : start + batch]
 
 
 def _mc_signal(
@@ -291,18 +324,29 @@ def _dense_shot_means(
 
 
 def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
-    """Exact + Monte-Carlo signals for every (mode, step, e) cell, in _cell_batches."""
+    """Exact + Monte-Carlo signals for every (mode, step, e) cell, in sweep_plans order.
+
+    Each mode's steps go through the exact channel as one stack, an
+    _exact_blocks block at a time, and each block of finals is turned into
+    exact signals at once.  The Monte-Carlo cells of each step are drawn in
+    _cell_batches.
+    """
     rows: list[SignalResult] = []
-    for key, mode, step, plan in sweep_plans(cfg):
-        reference = noise.run_plan_exact(plan, 0.0)
-        mask = circuits.damage_mask(plan)
-        n = int(mask.sum())
-        for e, seeds, finals in _cell_batches(cfg, key, plan):
-            signals = _mc_signal(mask, e, cfg.shots, seeds)
-            for e_i, final, (mean, stderr) in zip(e, finals, signals):
-                exact = float(readout.signal_intensity(final, reference))
+    for mode_idx, mode, plans, references in _mode_stacks(cfg):
+        exact = np.empty((len(plans), len(cfg.e_grid)))
+        for start, finals in _exact_blocks(plans[0], cfg.e_grid, _preparations(plans)):
+            for signals, stack, reference in zip(exact, finals, references):
+                signals[start : start + len(stack)] = readout.signal_intensity(stack, reference)
+        for step_idx, (plan, signals) in enumerate(zip(plans, exact.tolist())):
+            mask = circuits.damage_mask(plan)
+            n = int(mask.sum())
+            mc: list[tuple[float, float]] = []
+            for e, seeds in _cell_batches(cfg, (mode_idx, step_idx)):
+                mc += _mc_signal(mask, e, cfg.shots, seeds)
+            label = plan.preparation.label
+            for e_i, signal, (mean, stderr) in zip(cfg.e_grid, signals, mc):
                 theory = readout.theory_curve(n, e_i)
-                row = (float(e_i), step.label, mode, cfg.algorithm, exact, mean, stderr, theory, n)
+                row = (e_i, label, mode, cfg.algorithm, signal, mean, stderr, theory, n)
                 rows.append(SignalResult(*row))
     return rows
 
@@ -376,25 +420,28 @@ def _plan_table(cfg: SweepConfig) -> dict[str, list[tuple]]:
 
     Built for both modes whatever cfg.modes holds, since damage-count-consistency
     and damage-count-values read plans of both.  Every check of verify takes its
-    plans from here, so each is assembled and audited once.
+    plans from here, so each mode is assembled once and each plan audited once.
     """
-    table: dict[str, list[tuple]] = {mode: [] for mode in circuits.MODES}
-    for _, mode, _, plan in sweep_plans(replace(cfg, modes=circuits.MODES)):
-        n = circuits.count_damaging_errors(plan)
-        table[mode].append((plan, n, noise.run_plan_exact(plan, 0.0)))
+    table: dict[str, list[tuple]] = {}
+    for _, mode, plans, references in _mode_stacks(replace(cfg, modes=circuits.MODES)):
+        table[mode] = [
+            (plan, circuits.count_damaging_errors(plan), reference)
+            for plan, reference in zip(plans, references)
+        ]
     return table
 
 
 def _linearity_residuals(cfg: SweepConfig, table: dict[str, list[tuple]]) -> tuple[float, float]:
-    """protected-correctness's and temporal-averaging's residuals, from one walk per mode.
+    """protected-correctness's and temporal-averaging's residuals, from one stack per mode.
 
-    A mode's walk zips, over cfg.e_grid, the exact finals of the summed
-    preparation (identity/16 plus every step's deviation) and of identity/16,
-    both through step 0's plan, with those of each step's own plan.
+    A mode's stack is [summed preparation (identity/16 plus every step's
+    deviation), identity/16, step 0 .. 2], evolved over cfg.e_grid through
+    step 0's plan, whose gates and noise points every step's plan shares.
     temporal-averaging compares the first with the sum of the rest, in each
-    mode of cfg.modes.  protected-correctness reads the protected walk, swept
-    or not: each step's decoded final against its decoded noiseless one, and
-    the decoded summed final against the logical circuit's output from |00>.
+    mode of cfg.modes.  protected-correctness reads the protected stack,
+    swept or not: each step's decoded final against its decoded noiseless
+    one, and the decoded summed final against the logical circuit's output
+    from |00>.  Both are maxima, so they do not depend on the order of cells.
     """
     logical = np.eye(4, dtype=complex)
     for gate in table["protected"][0][0].gates:
@@ -404,21 +451,21 @@ def _linearity_residuals(cfg: SweepConfig, table: dict[str, list[tuple]]) -> tup
     identity = np.eye(qcore.DIM, dtype=complex) / qcore.DIM
     correctness = averaging = 0.0
     for mode in dict.fromkeys(("protected", *cfg.modes)):
-        entries = table[mode]
-        summed = sum((plan.preparation.deviation for plan, _, _ in entries), identity)
-        walks = [_exact_finals(entries[0][0], cfg.e_grid, i) for i in (summed, identity)]
-        walks += [_exact_finals(plan, cfg.e_grid) for plan, _, _ in entries]
-        for direct, total, *parts in zip(*walks):
-            if mode in cfg.modes:
-                for part in parts:
-                    total = total + part
-                averaging = max(averaging, qcore.frobenius_norm(direct - total))
-            if mode == "protected":
-                for part, ref in zip(parts, refs):
-                    signal = readout.signal_intensity(dfs.decode(part), ref)
-                    correctness = max(correctness, abs(signal - 1.0))
-                fidelity = float(np.real(target.conj() @ dfs.decode(direct) @ target))
-                correctness = max(correctness, abs(fidelity - 1.0))
+        plans = [plan for plan, _, _ in table[mode]]
+        preps = _preparations(plans)
+        initial = np.concatenate([[sum(preps, identity), identity], preps])
+        for _, finals in _exact_blocks(plans[0], cfg.e_grid, initial):
+            for direct, total, *parts in zip(*finals):
+                if mode in cfg.modes:
+                    for part in parts:
+                        total = total + part
+                    averaging = max(averaging, qcore.frobenius_norm(direct - total))
+                if mode == "protected":
+                    for part, ref in zip(parts, refs):
+                        signal = readout.signal_intensity(dfs.decode(part), ref)
+                        correctness = max(correctness, abs(signal - 1.0))
+                    fidelity = float(np.real(target.conj() @ dfs.decode(direct) @ target))
+                    correctness = max(correctness, abs(fidelity - 1.0))
     return correctness, averaging
 
 
@@ -440,7 +487,8 @@ def _cell_pass(cfg: SweepConfig, table: dict[str, list[tuple]]) -> tuple[float, 
     for mode_idx, mode in enumerate(cfg.modes):
         for step_idx, (plan, n, reference) in enumerate(table[mode]):
             prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
-            for e, seeds, finals in _cell_batches(cfg, (mode_idx, step_idx), plan):
+            finals = _exact_finals(plan, cfg.e_grid)
+            for e, seeds in _cell_batches(cfg, (mode_idx, step_idx)):
                 means = _dense_shot_means(plan, e, cfg.shots, seeds)
                 for e_i, exact, mean in zip(e, finals, means):
                     if mode == "unprotected":

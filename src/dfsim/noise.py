@@ -5,13 +5,18 @@ words IIII, XXII, IIXX and XXXX (dfs.ERROR_BASIS).  An ErrorModelSpec holds
 the coefficients of its Kraus operators over those words; it is the one
 description of a channel that apply_channel and verify_error_model take.
 
-run_plan_exact takes the strength e, a float or a whole grid, and evolves
-every e of the grid together, _E_BLOCK values at a time.  It does not go
-through apply_channel: each operator c W of engineered_model(e) permutes the
-basis by XOR with one mask, so its term c W rho W^dagger conj(c) is a fixed
-permutation of the entries of rho, scaled.  The terms are formed and summed
-in the order apply_channel uses, so every final state equals, to the bit,
-the gate-by-gate evolution with apply_channel(rho, engineered_model(e)).
+run_plan_exact takes the strength e, a float or a whole grid, and one
+initial state or a stack of them, and evolves every (state, e) row together,
+_E_BLOCK rows at a time.  It does not go through apply_channel: each
+operator c W of engineered_model(e) permutes the basis by XOR with one mask,
+so its term c W rho W^dagger conj(c) is a fixed permutation of the entries
+of rho, scaled by c^2.  The terms are summed in the order apply_channel uses,
+so every final state equals, to the bit, the gate-by-gate evolution with
+apply_channel(rho, engineered_model(e)).  Every c is real and >= 0, so the
+terms are scaled as real numbers: (c+0j) x and c x differ only in the sign
+of a zero, and no zero sign survives apply_channel's sum, which starts from
++0 (under round-to-nearest a sum is -0 only if both addends are -0); the
+real-scaled sum adds +0.0 once to match it (see _evolve_block).
 
 The engineered decoherence is applied at chosen circuit points: XXII with
 probability e, then IIXX with the same probability.  Averaged over
@@ -37,12 +42,14 @@ Reproducibility contract: the flips of one cell come from one counter-based
 Philox stream (Salmon et al., SC'11) keyed by the cell's seed.  Shot k reads
 the 2*points uniforms at a fixed position, word k*2*points, of that stream,
 so any range of shots can be recomputed on its own, in any order or on any
-worker, and gives bit-identical flips (see draw_flips).  draw_flips takes
+worker, and gives bit-identical flips (see draw_flips).  A flip compares the
+stream's raw 64-bit word with an integer threshold, which is exactly
+Generator.random()'s uniform compared with e.  draw_flips takes
 one cell or a batch of cells: it builds one Philox generator per call and
 re-keys it for each cell by setting its state, so a cell costs a state
 change, not a new generator, and draws the same flips as a Philox built for
-it alone.  It holds _UNIFORM_SHOTS shots of one cell's uniforms at a time,
-so only the returned flips, 1 B each, grow with the shots.
+it alone.  It holds _UNIFORM_SHOTS shots of one cell's words at a time, so
+only the returned flips, 1 B each, grow with the shots.
 """
 
 from __future__ import annotations
@@ -182,7 +189,7 @@ def verify_error_model(spec: ErrorModelSpec) -> EigenvalueAudit:
     )
 
 
-#: Shots of one cell whose uniforms draw_flips holds at a time, 144 B each
+#: Shots of one cell whose raw words draw_flips holds at a time, 144 B each
 #: at nine noise points.  Results do not depend on it (tested).
 _UNIFORM_SHOTS = 4096
 
@@ -204,10 +211,15 @@ def draw_flips(
     seed against its e, so every shot range is drawn in one call and equals
     the matching rows of a draw that starts at shot 0.
 
+    The uniform of a word is NumPy's next_double, (word >> 11) * 2**-53, the
+    value Generator.random returns; so uniform < e exactly when
+    word < ceil(e * 2**53) << 11, and the raw words (BitGenerator.random_raw)
+    are compared with that integer, with no conversion to float.
+
     One Philox generator is re-keyed for each cell by setting its state (the
     cell's seed as key, the counter at the block of word first*2*points).
     Shots are drawn _UNIFORM_SHOTS at a time, each slice as if it were its
-    own ``first``, and one cell's uniforms of one slice are held at a time;
+    own ``first``, and one cell's words of one slice are held at a time;
     only the returned flips grow with the shots and the cells.
     """
     seeds = np.array(seed, dtype=object)
@@ -222,24 +234,22 @@ def draw_flips(
         if not 0 <= key < 2**128:
             raise ValueError(f"seed must lie in [0, 2**128), got {key}")
         keys.append([key & 0xFFFFFFFFFFFFFFFF, key >> 64])
-    thresholds = np.broadcast_to(e, seeds.shape).ravel().tolist()
+    # e * 2**53 is exact, and at most 2**52, so the shifted threshold fits 64 bits
+    steps = np.ceil(np.broadcast_to(e, seeds.shape).ravel() * 2.0**53).astype(np.uint64)
+    thresholds = steps << np.uint64(11)
     bit_generator = np.random.Philox(key=0)
     state = bit_generator.state
-    generator = np.random.Generator(bit_generator)
-    uniforms = np.empty((min(shots, _UNIFORM_SHOTS), points, 2))
     flips = np.empty(seeds.shape + (shots, points, 2), dtype=bool)
     cells = flips.reshape((seeds.size, shots, points, 2))
     for start in range(0, shots, _UNIFORM_SHOTS):
-        part = uniforms[: shots - start]
         offset = (first + start) * 2 * points
         state["state"]["counter"] = [offset // _PHILOX_BLOCK, 0, 0, 0]
-        for key, threshold, out in zip(keys, thresholds, cells[:, start : start + len(part)]):
+        for key, threshold, out in zip(keys, thresholds, cells[:, start : start + _UNIFORM_SHOTS]):
             state["state"]["key"] = key
             bit_generator.state = state
             if offset % _PHILOX_BLOCK:  # words of earlier shots in the block
                 bit_generator.random_raw(offset % _PHILOX_BLOCK)
-            generator.random(out=part)
-            np.less(part, threshold, out=out)
+            np.less(bit_generator.random_raw(out.shape), threshold, out=out)
     return flips
 
 
@@ -252,9 +262,10 @@ def shot_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-#: e values run_plan_exact evolves together.  Its three (block, 256) complex
-#: buffers take 4 KiB per e each; on the 513-value fine grid, blocks of 16,
-#: 64 and 128 took 0.47, 0.40 and 0.49 s.  Results do not depend on it.
+#: (state, e) rows run_plan_exact evolves together.  Its four (block, 256)
+#: complex buffers take 4 KiB per row each; on the 513-value fine grid,
+#: blocks of 16, 64 and 128 took 0.47, 0.40 and 0.49 s.  Results do not
+#: depend on it.
 _E_BLOCK = 64
 
 
@@ -273,57 +284,76 @@ def run_plan_exact(
 ) -> np.ndarray:
     """Deterministic evolution: gates interleaved with the exact channel, at every e.
 
-    ``e`` is a float or a 1-D grid; the result has shape np.shape(e) + (16, 16).
-    Each e's final state equals, to the bit, evolving on its own with
+    ``e`` is a float or a 1-D grid, and ``initial`` one state (16, 16) or a
+    stack (k, 16, 16) of them, by default the plan's preparation; the result
+    has shape initial.shape[:-2] + np.shape(e) + (16, 16).  Each (state, e)
+    row's final state equals, to the bit, evolving that state on its own with
     apply_channel(rho, engineered_model(e)) at every noise point and
-    u rho u^dagger at every gate.  The grid is evolved _E_BLOCK values at a
-    time; callers that must not hold every final at once pass it in blocks.
-    Raises ValueError if any e lies outside [0, 0.5].
+    u rho u^dagger at every gate.  The rows, state-major, are evolved
+    _E_BLOCK at a time; callers that must not hold every final at once pass
+    the grid in blocks.  Raises ValueError if any e lies outside [0, 0.5].
     """
     e = _validate_probability(e)
     grid = e.ravel()
-    coeffs = _engineered_coefficients(grid).astype(complex)  # (4, len(grid))
-    # every W_k^dagger W_k is I, so sum_k E_k^dagger E_k = (sum_k |c_k|^2) I
-    weight = (np.abs(coeffs) ** 2).sum(axis=0)
-    defect = np.sqrt(DIM) * float(np.abs(weight - 1.0).max(initial=0.0))
+    coeffs = _engineered_coefficients(grid)  # (4, len(grid)), real and >= 0
+    # every W_k^dagger W_k is I, so sum_k E_k^dagger E_k = (sum_k c_k^2) I
+    defect = np.sqrt(DIM) * float(np.abs((coeffs**2).sum(axis=0) - 1.0).max(initial=0.0))
     if defect > DEFAULT_TOL:
         raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
     prep = np.asarray(plan.preparation.deviation if initial is None else initial, dtype=complex)
-    finals = np.empty((grid.size, DIM, DIM), dtype=complex)
-    for start in range(0, grid.size, _E_BLOCK):
-        block = slice(start, start + _E_BLOCK)
-        _evolve_block(plan, prep, coeffs[:, block], grid[block] != 0.0, finals[block])
-    return finals.reshape(e.shape + (DIM, DIM))
+    if prep.ndim not in (2, 3) or prep.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"initial must have shape ({DIM}, {DIM}) or (k, {DIM}, {DIM})")
+    states = prep.reshape(-1, DIM * DIM)
+    finals = np.empty((len(states) * grid.size, DIM, DIM), dtype=complex)
+    for start in range(0, len(finals), _E_BLOCK):
+        rows = np.arange(start, min(start + _E_BLOCK, len(finals)))
+        state, column = np.divmod(rows, grid.size)
+        _evolve_block(plan, states[state], coeffs[:, column], finals[start : start + _E_BLOCK])
+    return finals.reshape(prep.shape[:-2] + e.shape + (DIM, DIM))
+
+
+def _scale_twice(x: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+    """out = (x c) c for complex rows x and real c (rows, 1), on the float64 views."""
+    view = out.view(float)
+    np.multiply(x.view(float), c, out=view)
+    np.multiply(view, c, out=view)
 
 
 def _evolve_block(
-    plan: ExperimentPlan, prep: np.ndarray, coeffs: np.ndarray, noisy: np.ndarray, out: np.ndarray
+    plan: ExperimentPlan, rho: np.ndarray, coeffs: np.ndarray, out: np.ndarray
 ) -> None:
-    """Evolve prep at one block of e values into ``out`` (block, 16, 16).
+    """Evolve the raveled states ``rho`` (rows, 256) into ``out`` (rows, 16, 16).
 
-    ``coeffs`` (4, block) holds each e's error-word coefficients and ``noisy``
-    marks e > 0; at e = 0 only E0 is kept, as in engineered_model.  The
-    channel sums the terms (c_k rho[perm_k]) conj(c_k) into zeros in operator
-    order, with the roundings of apply_channel's op @ rho @ op^dagger.
+    ``coeffs`` (4, rows) holds each row's error-word coefficients (1-e, r, r,
+    e) with r = sqrt(e(1-e)).  The channel's terms (rho[perm_k] c_k) c_k are
+    scaled on the float64 view, since every c_k is real: (rho r) r is formed
+    once and permuted for both XXII and IIXX, and XXXX is permuted, then
+    scaled.  They are summed in operator order and +0.0 is added once.  At
+    e = 0 the three flip terms are zeros, so only E0 counts, as in
+    engineered_model.
+
+    Why this equals apply_channel's op @ rho @ op^dagger to the bit: every
+    coefficient is real and >= 0, so (a+0j) x differs from a x only in the
+    sign of a zero.  apply_channel sums from +0, and under round-to-nearest a
+    sum is -0 only if both addends are -0, so none of its entries is -0 and
+    no zero sign survives its sum; adding +0.0 to this sum turns every -0
+    into +0 and leaves every other value as it is.
     """
     n = len(out)
-    rho = np.empty((n, DIM * DIM), dtype=complex)
-    rho[:] = prep.ravel()
-    term = np.empty_like(rho)
-    acc = np.empty_like(rho)
-    c = coeffs[:, :, None]
-    c_conj = c.conj()
-    mask = noisy[:, None]
+    acc, scaled, term = np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
+    a, r, _, b = coeffs[:, :, None]
     points = plan.decoherence_points
     idx = 0
     for boundary in range(len(plan.gates) + 1):
         while idx < len(points) and points[idx] == boundary:
-            acc.fill(0.0)
-            for k, perm in enumerate(_WORD_PERMS):
-                np.take(rho, perm, axis=1, out=term, mode="clip")
-                term *= c[k]
-                term *= c_conj[k]
-                np.add(acc, term, out=acc, where=mask if k else True)
+            _scale_twice(rho, a, acc)
+            _scale_twice(rho, r, scaled)
+            for perm in _WORD_PERMS[1:3]:
+                acc += np.take(scaled, perm, axis=1, out=term, mode="clip")
+            np.take(rho, _WORD_PERMS[3], axis=1, out=term, mode="clip")
+            _scale_twice(term, b, term)
+            acc += term
+            acc += 0.0
             rho, acc = acc, rho
             idx += 1
         if boundary < len(plan.gates):

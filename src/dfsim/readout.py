@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DEFAULT_TOL, DIM, PauliString, hs_overlap, pauli_matrix
+from .qcore import DEFAULT_TOL, DIM, PauliString, pauli_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,16 +68,24 @@ def steps_for_mode(mode: str) -> tuple[PreparationStep, ...]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def signal_intensity(final: np.ndarray, reference: np.ndarray) -> float:
+def signal_intensity(final: np.ndarray, reference: np.ndarray) -> float | np.ndarray:
     """Signed intensity of ``final`` relative to the noiseless ``reference``.
 
     Returns Re Tr(reference^dagger final) / Tr(reference^dagger reference);
     equals 1 when final == reference and -1 when the output is phase inverted.
+    ``final`` is one matrix, which gives a float, or a stack of matrices of
+    the reference's shape, which gives an array of the stack's shape: the
+    norm is computed once and each overlap is its own np.vdot.
     """
-    norm = hs_overlap(reference, reference).real
+    reference = np.asarray(reference)
+    norm = np.vdot(reference, reference).real
     if norm <= DEFAULT_TOL:
         raise ValueError("signal reference must be nonzero")
-    return hs_overlap(reference, final).real / norm
+    final = np.asarray(final)
+    stack = final.reshape((-1,) + reference.shape)
+    overlaps = np.array([np.vdot(reference, f).real for f in stack])
+    signals = (overlaps / norm).reshape(final.shape[: final.ndim - reference.ndim])
+    return float(signals) if signals.ndim == 0 else signals
 
 
 def theory_curve(n: int, e: float) -> float:

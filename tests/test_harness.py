@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -180,12 +181,8 @@ def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
     assert "FAIL mc-convergence" in capsys.readouterr().out
 
 
-def test_verify_builds_audits_and_evolves_each_plan_once(monkeypatch):
-    # six (mode, step) plans, each assembled and audited once; 22 exact
-    # evolutions: 6 noiseless references, 6 cell walks, and one walk of 5 per
-    # mode (summed preparation and identity/16 through step 0's plan, and
-    # each step's own plan) that temporal-averaging and, in the protected
-    # mode, protected-correctness both read
+def _count_calls(monkeypatch) -> dict[str, int]:
+    """Count the calls of circuits.assemble, circuits.damage_audit and noise.run_plan_exact."""
     calls = {"assemble": 0, "damage_audit": 0, "run_plan_exact": 0}
     for module, name in ((circuits, "assemble"), (circuits, "damage_audit"),
                          (noise, "run_plan_exact")):
@@ -193,8 +190,27 @@ def test_verify_builds_audits_and_evolves_each_plan_once(monkeypatch):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_verify_builds_audits_and_evolves_each_plan_once(monkeypatch):
+    # each mode assembled once and its three plans audited once each; 10
+    # exact evolutions: one e = 0 stack of references per mode, 6 cell walks,
+    # and one stack of 5 per mode (summed preparation, identity/16 and each
+    # step, through step 0's plan) that temporal-averaging and, in the
+    # protected mode, protected-correctness both read
+    calls = _count_calls(monkeypatch)
     assert all(c.passed for c in harness.verify())
-    assert calls == {"assemble": 6, "damage_audit": 6, "run_plan_exact": 22}
+    assert calls == {"assemble": 2, "damage_audit": 6, "run_plan_exact": 10}
+
+
+def test_sweep_evolves_each_mode_as_one_stack(monkeypatch):
+    # per mode: one assembly, one e = 0 stack of the three references and one
+    # stack of the three steps over the nine e values; one audit per plan
+    calls = _count_calls(monkeypatch)
+    rows = run_sweep(SweepConfig())
+    assert len(rows) == 54
+    assert calls == {"assemble": 2, "damage_audit": 6, "run_plan_exact": 4}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -748,6 +764,17 @@ def test_sweep_memory_does_not_grow_with_the_e_grid(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[2] <= 1.5 * peaks[1]
+
+
+def test_negative_zero_e_is_written_and_reported_as_zero(capsys):
+    assert math.copysign(1.0, build_config({"e_grid": "-0,0.25"}).e_grid[0]) == 1.0
+    assert math.copysign(1.0, SweepConfig(e_grid=(-0.0,)).e_grid[0]) == 1.0
+    assert cli.main(["run", "--e-grid=-0,0.25", "--shots", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 12 and {row.split(",")[0] for row in rows} == {"0.0", "0.25"}
+    assert cli.main(["verify", "--e-grid", "-0", "--shots", "2"]) == 0
+    out = capsys.readouterr().out
+    assert " e=0;" in out and "e=-0" not in out
 
 
 def test_cli_rejects_negative_seed(capsys):

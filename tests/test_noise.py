@@ -165,12 +165,33 @@ def test_grid_evolution_equals_per_e_kraus_sum_to_the_bit(algorithm, mode, step)
             assert run_plan_exact(plan, e, initial=initial).tobytes() == final.tobytes()
 
 
+def test_grid_evolution_leaves_no_negative_zero():
+    # apply_channel sums from +0, so no entry of its output is -0; a plan
+    # without gates hands the channel's output back as it is
+    step = readout.unprotected_steps()[0]
+    plan = circuits.ExperimentPlan("unprotected", "grover", (), (0, 0), step)
+    initial = np.stack([-np.zeros((16, 16), dtype=complex), -step.deviation])
+    finals = run_plan_exact(plan, MIXED_E_GRID, initial)
+    for state, row in zip(initial, finals):
+        for e, final in zip(MIXED_E_GRID, row):
+            assert final.tobytes() == _per_e_exact(plan, e, state).tobytes()
+    parts = finals.view(float)
+    assert not np.signbit(parts[parts == 0.0]).any()
+
+
 def test_grid_evolution_shapes():
     plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[0])
     assert run_plan_exact(plan, 0.25).shape == (16, 16)
     assert run_plan_exact(plan, np.float64(0.25)).shape == (16, 16)
     assert run_plan_exact(plan, [0.25]).shape == (1, 16, 16)
     assert run_plan_exact(plan, ()).shape == (0, 16, 16)
+    stack = np.stack([s.deviation for s in readout.unprotected_steps()])
+    assert run_plan_exact(plan, 0.25, stack).shape == (3, 16, 16)
+    assert run_plan_exact(plan, [0.25, 0.5], stack).shape == (3, 2, 16, 16)
+    assert run_plan_exact(plan, (), stack).shape == (3, 0, 16, 16)
+    for bad in (np.eye(4), stack[None], np.zeros(16)):
+        with pytest.raises(ValueError, match="initial must have shape"):
+            run_plan_exact(plan, 0.25, bad)
 
 
 def test_grid_evolution_rejects_any_out_of_range_e():
@@ -236,6 +257,28 @@ def test_draw_flips_equals_a_fresh_philox_per_cell(points):
         np.testing.assert_array_equal(batch, np.array(reference))
         for x, s, ref in zip(e, seeds, reference):
             np.testing.assert_array_equal(draw_flips(x, s, 5, points, first=first), ref)
+
+
+def test_draw_flips_is_exact_at_the_uniforms_own_values():
+    # Generator.random() returns k * 2**-53; an e equal to a drawn uniform, or
+    # the next float on either side of it, must flip exactly as comparing that
+    # uniform does.  2*points*first words is not a whole Philox block.
+    points, first, shots = 9, 3, 6
+    for seed in (5, 2**64 + 11):
+        bit_generator = np.random.Philox(key=seed)
+        bit_generator.advance(first * 2 * points // 4)
+        bit_generator.random_raw(first * 2 * points % 4)
+        uniforms = np.random.Generator(bit_generator).random((shots, points, 2))
+        grid = [0.0, 0.5, 5e-324, 2.0**-53, 3 * 2.0**-53]
+        for u in [u for u in uniforms.ravel().tolist() if u <= 0.5][:6]:
+            grid += [u, float(np.nextafter(u, 0.0)), float(np.nextafter(u, 1.0))]
+        grid = [e for e in grid if e <= 0.5]
+        for e in grid:
+            expected = _fresh_philox_draw(e, seed, shots, points, first)
+            np.testing.assert_array_equal(draw_flips(e, seed, shots, points, first=first), expected)
+        batch = draw_flips(grid, [seed] * len(grid), shots, points, first=first)
+        for e, flips in zip(grid, batch):
+            np.testing.assert_array_equal(flips, uniforms < e)
 
 
 @pytest.mark.parametrize("uniform_shots", [1, 2, 3, 4096])

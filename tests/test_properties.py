@@ -1,7 +1,7 @@
 """Property tests over random plans: Deutsch-Jozsa promise tables, Grover marked
 labels, every preparation step, placements with duplicates, and e in [0, 0.5];
-the sweep's masked-column parity against a masked sum; cell seeds against
-NumPy's own SeedSequence; the oracle's key compaction against np.unique; and
+the exact channel over stacks of initial states; the sweep's masked-column
+parity against a masked sum; cell seeds against NumPy's own SeedSequence; the oracle's key compaction against np.unique; and
 random complete error models.
 
 Examples are capped and derandomized, and no failing example is replayed
@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dfsim import circuits, dfs, harness, noise, readout
+from test_noise import _per_e_exact
 
 #: Every two-bit table that is constant or balanced.
 PROMISE_TABLES = st.one_of(
@@ -82,6 +83,46 @@ def test_signals_follow_the_damage_count(mode_plan, e, seed, shots):
     [(mc, _)] = harness._mc_signal(mask, (e,), shots, (seed,))
     assert -1.0 <= mc <= 1.0
     assert -1.0 <= readout.theory_curve(n, e) <= 1.0
+
+
+#: The plan of every (algorithm, mode, step).
+STEP_PLANS = [
+    circuits.assemble(mode, algorithm, preparation=step)
+    for algorithm in circuits.ALGORITHMS
+    for mode in circuits.MODES
+    for step in readout.steps_for_mode(mode)
+]
+
+#: e values where the exact channel's roundings are most at risk: the ends of
+#: the range, the least subnormal, and values with e * 2**53 a whole number.
+EDGE_E = st.sampled_from([0.0, 0.5, 5e-324, 2.0**-53, 3 * 2.0**-53, 0.25, 0.375, 1 / 1024])
+
+
+@PROPERTY
+@given(
+    st.sampled_from(range(len(STEP_PLANS))),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5),
+    st.lists(st.one_of(EDGE_E, E), max_size=6),
+    st.integers(min_value=1, max_value=8),
+)
+@example(0, [0, 1, 2, 3, 4], [0.0, 0.5, 5e-324, 2.0**-53, 0.25], 3)
+@example(11, [4], [], 1)
+def test_stacked_exact_evolution_equals_each_state_alone(index, picks, grid, block):
+    # a stack of initial states (summed preparation, identity/16, the mode's
+    # steps), evolved _E_BLOCK (state, e) rows at a time, equals the per-e
+    # Kraus sum of each state alone, to the bit
+    plan = STEP_PLANS[index]
+    steps = [step.deviation for step in readout.steps_for_mode(plan.mode)]
+    identity = np.eye(16, dtype=complex) / 16
+    candidates = [sum(steps, identity), identity, *steps]
+    initial = np.stack([candidates[i] for i in picks])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(noise, "_E_BLOCK", block)
+        finals = noise.run_plan_exact(plan, grid, initial)
+    assert finals.shape == (len(picks), len(grid), 16, 16)
+    for state, row in zip(initial, finals):
+        for e, final in zip(grid, row):
+            assert final.tobytes() == _per_e_exact(plan, e, state).tobytes()
 
 
 @PROPERTY

@@ -67,6 +67,28 @@ def test_signal_intensity_reference_conventions():
         signal_intensity(ref, np.zeros((16, 16)))
 
 
+def _overlap_ratio(final, reference):
+    """Re Tr(reference^dagger final) / Tr(reference^dagger reference), one final at a time."""
+    return qcore.hs_overlap(reference, final).real / qcore.hs_overlap(reference, reference).real
+
+
+def test_signal_intensity_of_a_stack_equals_each_final_alone():
+    plan = circuits.assemble("unprotected", "grover", preparation=unprotected_steps()[1])
+    reference = noise.run_plan_exact(plan, 0.0)
+    finals = noise.run_plan_exact(plan, [0.0, 0.1, 0.25, 0.5, 0.3, 0.2]).reshape(2, 3, 16, 16)
+    signals = signal_intensity(finals, reference)
+    assert isinstance(signals, np.ndarray) and signals.shape == (2, 3)
+    for row, finals_row in zip(signals.tolist(), finals):
+        assert row == [_overlap_ratio(final, reference) for final in finals_row]
+        assert row == [signal_intensity(final, reference) for final in finals_row]
+    assert signal_intensity(finals[:0, 0], reference).shape == (0,)
+    # a 4x4 reference takes a stack of 4x4 finals
+    finals = noise.run_plan_exact(circuits.assemble("protected"), [0.0, 0.3])
+    decoded = np.stack([dfs.decode(final) for final in finals])
+    together = signal_intensity(decoded, decoded[0]).tolist()
+    assert together == [_overlap_ratio(d, decoded[0]) for d in decoded]
+
+
 def test_signal_matches_closed_form_at_quarter():
     plan = circuits.assemble("unprotected", "grover", preparation=unprotected_steps()[1])
     reference = noise.run_plan_exact(plan, 0.0)
