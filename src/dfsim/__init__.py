@@ -12,7 +12,6 @@ from .qcore import (
     DIM,
     PauliString,
     anticommutes,
-    hs_overlap,
     multiply,
     pauli_decompose,
     pauli_matrix,
@@ -55,7 +54,6 @@ __all__ = [
     "DIM",
     "PauliString",
     "anticommutes",
-    "hs_overlap",
     "multiply",
     "pauli_decompose",
     "pauli_matrix",

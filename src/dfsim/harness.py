@@ -9,9 +9,11 @@ deterministic functions of (config, seed) down to the output bytes.
 The three temporal-averaging steps of a mode share every gate and noise
 point, so each mode is assembled once and its steps' preparations are
 evolved together, as one stack of initial states through the exact channel.
-The verifier builds one table of the six (mode, step) plans, each audited and
-given its noiseless final state once, and walks each swept plan's cells once,
-feeding the damage-count and Monte-Carlo checks from each batch.
+The sweep and the verifier walk each mode's stack once, in _cell_batches, and
+read every cell of the mode from its batch: the sweep its exact and
+Monte-Carlo signals, the verifier every grid check.  The verifier takes its
+plans from one table of the six (mode, step) plans, each audited and given
+its noiseless final state once.
 """
 
 from __future__ import annotations
@@ -142,28 +144,6 @@ def _preparations(plans: list[circuits.ExperimentPlan]) -> np.ndarray:
     return np.stack([plan.preparation.deviation for plan in plans])
 
 
-def _exact_blocks(
-    plan: circuits.ExperimentPlan, e_grid: tuple[float, ...], initial: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, finals) over e_grid: the exact finals (k, block, 16, 16) of the
-    k states ``initial`` through plan at e_grid[start : start + block].
-
-    A block's k * block rows fill at most one noise._E_BLOCK, and at least one
-    e value is taken; each block is dropped once read, so no sweep or check
-    holds more than one block of finals.  Every exact evolution over a grid
-    in this module goes through here.
-    """
-    block = max(1, noise._E_BLOCK // len(initial))
-    for start in range(0, len(e_grid), block):
-        yield start, noise.run_plan_exact(plan, e_grid[start : start + block], initial)
-
-
-def _exact_finals(plan: circuits.ExperimentPlan, e_grid: tuple[float, ...]) -> Iterator[np.ndarray]:
-    """Exact final state of plan at each e of e_grid, in order, from _exact_blocks."""
-    for _, finals in _exact_blocks(plan, e_grid, plan.preparation.deviation[None]):
-        yield from finals[0]
-
-
 #: Constants of NumPy's SeedSequence (O'Neill's seed_seq_fe), all mod 2**32.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -246,21 +226,31 @@ _GATHER_SHOTS = 4096
 
 
 def _cell_batches(
-    cfg: SweepConfig, key: tuple[int, int]
-) -> Iterator[tuple[tuple[float, ...], tuple[int, ...]]]:
-    """(e, seeds) of the cells of the plan ``key``, in e_grid order.
+    cfg: SweepConfig, plan: circuits.ExperimentPlan, initial: np.ndarray
+) -> Iterator[tuple[int, tuple[float, ...], np.ndarray]]:
+    """(start, e, finals) over cfg.e_grid in order, e = e_grid[start : start + cells].
 
-    The seed of the cell at e index i equals SeedSequence(cfg.seed,
-    spawn_key=key + (i,))'s 64-bit state; all come from one _cell_seeds pass.
-    A batch holds min(noise._E_BLOCK, _SHOT_BLOCK // shots) cells, and at
-    least one, so a batch of more than one cell draws at most _SHOT_BLOCK
-    shots.  run_sweep and verify's dense oracle both take their cells from
-    here, so they draw the same flips for a cell.
+    ``initial`` is a mode's stack of k states and ``plan`` one of its plans,
+    whose gates and noise points every plan of the mode shares; finals
+    (k, cells, 16, 16) are the stack through plan at e.  A batch holds
+    min(noise._E_BLOCK // k, _SHOT_BLOCK // shots) cells, and at least one:
+    its k * cells rows fill at most one exact block, a batch of more than one
+    cell draws at most _SHOT_BLOCK shots per plan, and no caller holds more
+    than one batch of finals.  run_sweep and verify take every cell from
+    here, and its seed from _step_seeds, which does not depend on the batch,
+    so both draw the same flips for a cell.
     """
-    batch = max(1, min(noise._E_BLOCK, _SHOT_BLOCK // cfg.shots))
-    seeds = tuple(_cell_seeds(cfg.seed, key, len(cfg.e_grid)).tolist())
+    batch = max(1, min(noise._E_BLOCK // len(initial), _SHOT_BLOCK // cfg.shots))
     for start in range(0, len(cfg.e_grid), batch):
-        yield cfg.e_grid[start : start + batch], seeds[start : start + batch]
+        e = cfg.e_grid[start : start + batch]
+        yield start, e, noise.run_plan_exact(plan, e, initial)
+
+
+def _step_seeds(cfg: SweepConfig, mode_idx: int, steps: int) -> list[tuple[int, ...]]:
+    """Each step's cell seeds over cfg.e_grid: the seed at e index i equals
+    SeedSequence(cfg.seed, spawn_key=(mode_idx, step, i))'s 64-bit state."""
+    count = len(cfg.e_grid)
+    return [tuple(_cell_seeds(cfg.seed, (mode_idx, s), count).tolist()) for s in range(steps)]
 
 
 def _mc_signal(
@@ -326,25 +316,25 @@ def _dense_shot_means(
 def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
     """Exact + Monte-Carlo signals for every (mode, step, e) cell, in sweep_plans order.
 
-    Each mode's steps go through the exact channel as one stack, an
-    _exact_blocks block at a time, and each block of finals is turned into
-    exact signals at once.  The Monte-Carlo cells of each step are drawn in
-    _cell_batches.
+    Each mode's steps go through the exact channel as one stack, walked once
+    in _cell_batches: each step's finals of a batch are turned into exact
+    signals at once, and its Monte-Carlo cells of the batch drawn together.
     """
     rows: list[SignalResult] = []
     for mode_idx, mode, plans, references in _mode_stacks(cfg):
+        masks = [circuits.damage_mask(plan) for plan in plans]
+        seeds = _step_seeds(cfg, mode_idx, len(plans))
         exact = np.empty((len(plans), len(cfg.e_grid)))
-        for start, finals in _exact_blocks(plans[0], cfg.e_grid, _preparations(plans)):
-            for signals, stack, reference in zip(exact, finals, references):
-                signals[start : start + len(stack)] = readout.signal_intensity(stack, reference)
-        for step_idx, (plan, signals) in enumerate(zip(plans, exact.tolist())):
-            mask = circuits.damage_mask(plan)
+        mc: list[list[tuple[float, float]]] = [[] for _ in plans]
+        for start, e, finals in _cell_batches(cfg, plans[0], _preparations(plans)):
+            cells = slice(start, start + len(e))
+            for step_idx, (stack, reference, mask) in enumerate(zip(finals, references, masks)):
+                exact[step_idx, cells] = readout.signal_intensity(stack, reference)
+                mc[step_idx] += _mc_signal(mask, e, cfg.shots, seeds[step_idx][cells])
+        for plan, mask, signals, step_mc in zip(plans, masks, exact.tolist(), mc):
             n = int(mask.sum())
-            mc: list[tuple[float, float]] = []
-            for e, seeds in _cell_batches(cfg, (mode_idx, step_idx)):
-                mc += _mc_signal(mask, e, cfg.shots, seeds)
             label = plan.preparation.label
-            for e_i, signal, (mean, stderr) in zip(cfg.e_grid, signals, mc):
+            for e_i, signal, (mean, stderr) in zip(cfg.e_grid, signals, step_mc):
                 theory = readout.theory_curve(n, e_i)
                 row = (e_i, label, mode, cfg.algorithm, signal, mean, stderr, theory, n)
                 rows.append(SignalResult(*row))
@@ -431,17 +421,34 @@ def _plan_table(cfg: SweepConfig) -> dict[str, list[tuple]]:
     return table
 
 
-def _linearity_residuals(cfg: SweepConfig, table: dict[str, list[tuple]]) -> tuple[float, float]:
-    """protected-correctness's and temporal-averaging's residuals, from one stack per mode.
+def _grid_pass(
+    cfg: SweepConfig, table: dict[str, list[tuple]]
+) -> tuple[float, float, float, float, str]:
+    """protected-correctness's, temporal-averaging's and damage-count-consistency's
+    residuals, and mc-convergence's worst margin and its cell.
 
-    A mode's stack is [summed preparation (identity/16 plus every step's
-    deviation), identity/16, step 0 .. 2], evolved over cfg.e_grid through
-    step 0's plan, whose gates and noise points every step's plan shares.
-    temporal-averaging compares the first with the sum of the rest, in each
-    mode of cfg.modes.  protected-correctness reads the protected stack,
-    swept or not: each step's decoded final against its decoded noiseless
-    one, and the decoded summed final against the logical circuit's output
-    from |00>.  Both are maxima, so they do not depend on the order of cells.
+    Each mode, cfg.modes first in their order, then the other, goes once
+    through _cell_batches as the stack [summed preparation (identity/16 plus
+    every step's deviation), identity/16, step 0 .. 2], and each batch feeds:
+    - temporal-averaging (modes of cfg.modes): the summed final against the
+      sum of the rest;
+    - protected-correctness (protected, swept or not): each step's decoded
+      final against its decoded noiseless one, and the decoded summed final
+      against the logical circuit's output from |00>;
+    - damage-count-consistency (unprotected, swept or not): each step's
+      |exact signal - (1-2e)^n|;
+    - mc-convergence (modes of cfg.modes): the dense shot mean of each
+      step's cell lies within 5 sigma of its exact state, with the known
+      Frobenius variance of a shot, ||rho0||^2 - ||rho_exact||^2 (every shot
+      conjugates rho0 by a unitary); rounding-level variances are clamped to
+      0, so noise-free cells keep the bare NUMERICAL_FLOOR.  The bound treats
+      the shot mean as normal, which it is not at few shots when the exact
+      signal is near 1: one negated shot then lies beyond 5 sigma, so a
+      correct cell can fail (22 of 300 seeds at 1 shot, e = 0.005,
+      unprotected; a known false alarm).
+    The first three are maxima.  mc-convergence's cell is the first worst in
+    (cfg.modes order, step, e) order: each step keeps its own running worst,
+    and the steps are merged in order after each mode.
     """
     logical = np.eye(4, dtype=complex)
     for gate in table["protected"][0][0].gates:
@@ -449,73 +456,55 @@ def _linearity_residuals(cfg: SweepConfig, table: dict[str, list[tuple]]) -> tup
     target = logical[:, 0]
     refs = [dfs.decode(reference) for _, _, reference in table["protected"]]
     identity = np.eye(qcore.DIM, dtype=complex) / qcore.DIM
-    correctness = averaging = 0.0
-    for mode in dict.fromkeys(("protected", *cfg.modes)):
-        plans = [plan for plan, _, _ in table[mode]]
+    correctness = averaging = consistency = 0.0
+    worst, worst_cell = -np.inf, ""
+    for mode in dict.fromkeys((*cfg.modes, *circuits.MODES)):
+        plans, ns, references = zip(*table[mode])
         preps = _preparations(plans)
+        swept = mode in cfg.modes
+        seeds = _step_seeds(cfg, cfg.modes.index(mode), len(plans)) if swept else []
+        step_worst = [(-np.inf, "")] * len(plans)
         initial = np.concatenate([[sum(preps, identity), identity], preps])
-        for _, finals in _exact_blocks(plans[0], cfg.e_grid, initial):
-            for direct, total, *parts in zip(*finals):
-                if mode in cfg.modes:
-                    for part in parts:
-                        total = total + part
-                    averaging = max(averaging, qcore.frobenius_norm(direct - total))
-                if mode == "protected":
-                    for part, ref in zip(parts, refs):
-                        signal = readout.signal_intensity(dfs.decode(part), ref)
+        for start, e, (direct, total, *parts) in _cell_batches(cfg, plans[0], initial):
+            if swept:
+                for part in parts:
+                    total = total + part
+                averaging = max(averaging, *map(qcore.frobenius_norm, direct - total))
+            if mode == "protected":
+                for part, ref in zip(parts, refs):
+                    for final in part:
+                        signal = readout.signal_intensity(dfs.decode(final), ref)
                         correctness = max(correctness, abs(signal - 1.0))
-                    fidelity = float(np.real(target.conj() @ dfs.decode(direct) @ target))
+                for final in direct:
+                    fidelity = float(np.real(target.conj() @ dfs.decode(final) @ target))
                     correctness = max(correctness, abs(fidelity - 1.0))
-    return correctness, averaging
-
-
-def _cell_pass(cfg: SweepConfig, table: dict[str, list[tuple]]) -> tuple[float, float, str]:
-    """damage-count-consistency's residual, and mc-convergence's worst margin and its cell.
-
-    One walk of each cfg.modes plan's _cell_batches feeds both.  Consistency is
-    the worst |exact signal - (1-2e)^n| of the unprotected cells (walked on
-    their own if cfg.modes lacks them).  mc-convergence bounds the dense shot
-    mean by 5 sigma around the exact state, with the known Frobenius variance
-    of a shot, ||rho0||^2 - ||rho_exact||^2 (every shot conjugates rho0 by a
-    unitary); rounding-level variances are clamped to 0, so noise-free cells
-    keep the bare NUMERICAL_FLOOR.  The bound treats the shot mean as normal,
-    which it is not at few shots when the exact signal is near 1: one negated
-    shot then lies beyond 5 sigma, so a correct cell can fail (22 of 300 seeds
-    at 1 shot, e = 0.005, unprotected; a known false alarm).
-    """
-    consistency, worst, worst_cell = 0.0, -np.inf, ""
-    for mode_idx, mode in enumerate(cfg.modes):
-        for step_idx, (plan, n, reference) in enumerate(table[mode]):
-            prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
-            finals = _exact_finals(plan, cfg.e_grid)
-            for e, seeds in _cell_batches(cfg, (mode_idx, step_idx)):
-                means = _dense_shot_means(plan, e, cfg.shots, seeds)
-                for e_i, exact, mean in zip(e, finals, means):
-                    if mode == "unprotected":
-                        consistency = max(consistency, _theory_gap(e_i, exact, n, reference))
+            if mode == "unprotected":
+                for part, n, reference in zip(parts, ns, references):
+                    signals = readout.signal_intensity(part, reference).tolist()
+                    for e_i, signal in zip(e, signals):
+                        consistency = max(consistency, abs(signal - readout.theory_curve(n, e_i)))
+            for step_idx, (plan, part) in enumerate(zip(plans, parts) if swept else ()):
+                prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
+                cells = seeds[step_idx][start : start + len(e)]
+                for e_i, exact, mean in zip(e, part, _dense_shot_means(plan, e, cfg.shots, cells)):
                     var = prep_sq - qcore.frobenius_norm(exact) ** 2
                     if var <= qcore.DEFAULT_TOL * prep_sq:
                         var = 0.0
                     sigma = np.sqrt(var / cfg.shots)
                     margin = qcore.frobenius_norm(mean - exact) - (5.0 * sigma + NUMERICAL_FLOOR)
-                    if margin > worst:
-                        worst = margin
-                        worst_cell = f"mode={mode} step={plan.preparation.label} e={e_i:g}"
-    if "unprotected" not in cfg.modes:
-        for plan, n, reference in table["unprotected"]:
-            for e_i, final in zip(cfg.e_grid, _exact_finals(plan, cfg.e_grid)):
-                consistency = max(consistency, _theory_gap(e_i, final, n, reference))
-    return consistency, float(worst), worst_cell
-
-
-def _theory_gap(e: float, final: np.ndarray, n: int, reference: np.ndarray) -> float:
-    return abs(readout.signal_intensity(final, reference) - readout.theory_curve(n, e))
+                    if margin > step_worst[step_idx][0]:
+                        cell = f"mode={mode} step={plan.preparation.label} e={e_i:g}"
+                        step_worst[step_idx] = (margin, cell)
+        for margin, cell in step_worst:
+            if margin > worst:
+                worst, worst_cell = margin, cell
+    return correctness, averaging, consistency, float(worst), worst_cell
 
 
 def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     """Run the machine-checkable invariant suite; every check reports its residual.
 
-    The plan checks read one _plan_table, and one _cell_pass walks the cells.
+    The plan checks read one _plan_table, and one _grid_pass walks the cells.
     """
     cfg = cfg or SweepConfig()
     table = _plan_table(cfg)
@@ -537,10 +526,9 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     completeness = max(noise.engineered_model(e).completeness_defect for e in cfg.e_grid)
     add("channel-completeness", completeness, qcore.DEFAULT_TOL)
     add("eigenstructure-audit", _eigenstructure_residual(cfg.e_grid), qcore.DEFAULT_TOL)
-    correctness, averaging = _linearity_residuals(cfg, table)
+    correctness, averaging, consistency, mc_margin, mc_cell = _grid_pass(cfg, table)
     add("protected-correctness", correctness, 1e-10)
     add("temporal-averaging", averaging, qcore.DEFAULT_TOL)
-    consistency, mc_margin, mc_cell = _cell_pass(cfg, table)
     add("damage-count-consistency", consistency, 1e-10)
     if cfg.algorithm == "grover" and cfg.placement is None:
         values = [abs(n - EXPECTED_DAMAGE[mode][plan.preparation.label])

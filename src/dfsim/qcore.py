@@ -141,11 +141,6 @@ def is_unitary(u: np.ndarray) -> bool:
     return frobenius_norm(u.conj().T @ u - np.eye(n)) <= DEFAULT_TOL
 
 
-def hs_overlap(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dagger b)."""
-    return complex(np.vdot(np.asarray(a), np.asarray(b)))
-
-
 @lru_cache(maxsize=1)
 def pauli_basis_strings() -> tuple[PauliString, ...]:
     """All 256 phase (+1) Pauli words, an orthogonal operator basis."""

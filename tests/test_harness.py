@@ -38,8 +38,8 @@ PUBLIC_NAMES = [
     "DEFAULT_TOL", "DIM", "DfsBasis", "ErrorModelSpec", "ExperimentPlan", "PauliString",
     "PreparationStep", "SignalResult", "SweepConfig", "__version__", "anticommutes",
     "apply_channel", "assemble", "count_damaging_errors", "decode", "dfs_basis", "dj_gates",
-    "draw_flips", "encode", "engineered_model", "grover_gates", "hs_overlap",
-    "lift_logical_unitary", "multiply", "pauli_decompose", "pauli_matrix", "protected_steps",
+    "draw_flips", "encode", "engineered_model", "grover_gates", "lift_logical_unitary",
+    "multiply", "pauli_decompose", "pauli_matrix", "protected_steps",
     "run_plan_exact", "run_sweep", "signal_intensity", "theory_curve", "unprotected_steps",
     "verify", "verify_error_model",
 ]
@@ -194,14 +194,23 @@ def _count_calls(monkeypatch) -> dict[str, int]:
 
 
 def test_verify_builds_audits_and_evolves_each_plan_once(monkeypatch):
-    # each mode assembled once and its three plans audited once each; 10
-    # exact evolutions: one e = 0 stack of references per mode, 6 cell walks,
-    # and one stack of 5 per mode (summed preparation, identity/16 and each
-    # step, through step 0's plan) that temporal-averaging and, in the
-    # protected mode, protected-correctness both read
+    # each mode assembled once and its three plans audited once each; 4
+    # exact evolutions: per mode, one e = 0 stack of references and one
+    # batch of the stack of 5 (summed preparation, identity/16 and each step,
+    # through step 0's plan) over the nine e values, from which every grid
+    # check of the mode reads its cells
     calls = _count_calls(monkeypatch)
     assert all(c.passed for c in harness.verify())
-    assert calls == {"assemble": 2, "damage_audit": 6, "run_plan_exact": 10}
+    assert calls == {"assemble": 2, "damage_audit": 6, "run_plan_exact": 4}
+
+
+@pytest.mark.parametrize("mode", circuits.MODES)
+def test_verify_of_one_mode_evolves_each_mode_once(mode, monkeypatch):
+    # the unswept mode is walked too, for protected-correctness or
+    # damage-count-consistency, as one stack like the swept one
+    calls = _count_calls(monkeypatch)
+    assert all(c.passed for c in harness.verify(SweepConfig(modes=(mode,))))
+    assert calls == {"assemble": 2, "damage_audit": 6, "run_plan_exact": 4}
 
 
 def test_sweep_evolves_each_mode_as_one_stack(monkeypatch):
@@ -633,7 +642,7 @@ def test_dense_shot_means_of_a_batch_equal_each_cell_alone(shots, block, monkeyp
 
     monkeypatch.setattr(noise, "draw_flips", spy)
     monkeypatch.setattr(harness, "_SHOT_BLOCK", block)
-    batch = max(1, min(noise._E_BLOCK, block // shots))  # run_sweep's rule
+    batch = max(1, min(noise._E_BLOCK, block // shots))  # _cell_batches' rule for one state
     means, expected = [], []
     for start in range(0, len(DENSE_CELLS), batch):
         e, seeds = zip(*DENSE_CELLS[start : start + batch])
@@ -707,8 +716,9 @@ def test_dense_shot_mean_memory_does_not_grow_with_the_shots(monkeypatch):
     ],
 )
 def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
-    # batches of min(_E_BLOCK, _SHOT_BLOCK // shots) cells, at least one;
-    # protected plans have no damaging flip and draw nothing
+    # batches of min(_E_BLOCK // 3, _SHOT_BLOCK // shots) cells, at least one,
+    # each drawn for the three steps in turn; protected plans have no
+    # damaging flip and draw nothing
     grid = tuple(k / 64 for k in range(33))
     cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=modes)
     one_cell_at_a_time = []
@@ -728,11 +738,14 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
     monkeypatch.setattr(harness, "_SHOT_BLOCK", 12)
     rows = run_sweep(cfg)
     assert [(r.signal_mc, r.mc_stderr) for r in rows] == one_cell_at_a_time
-    batch = max(1, min(8, 12 // shots))
+    batch = max(1, min(8 // 3, 12 // shots))
     cells = [min(batch, 33 - start) for start in range(0, 33, batch)]
     firsts = range(0, shots, 12)
-    expected = [(c, min(12, shots - first), first) for c in cells for first in firsts]
-    assert drawn == expected * 3  # three unprotected steps
+    steps = range(3)  # three unprotected steps
+    expected = [
+        (c, min(12, shots - first), first) for c in cells for _ in steps for first in firsts
+    ]
+    assert drawn == expected
 
 
 @pytest.mark.parametrize("length", [1, 7, 8, 20])
@@ -743,6 +756,47 @@ def test_sweep_does_not_depend_on_the_e_block(length, monkeypatch):
     one_block = results_to_csv(run_sweep(cfg))
     monkeypatch.setattr(noise, "_E_BLOCK", 7)
     assert results_to_csv(run_sweep(cfg)) == one_block
+
+
+@pytest.mark.parametrize(
+    "modes", [("unprotected", "protected"), ("protected",), SweepConfig().modes],
+    ids=["reversed", "protected", "default"],
+)
+def test_verify_does_not_depend_on_the_cell_batch(modes, monkeypatch):
+    # 20 cells per mode: two batches of 12 and 8 by default, one cell per
+    # batch (7 // 5 rows) with the small blocks; every residual and the
+    # reported worst cell must agree
+    cfg = SweepConfig(e_grid=tuple(k / 40 for k in range(20)), shots=3, modes=modes)
+    default = [repr(check) for check in harness.verify(cfg)]
+    monkeypatch.setattr(noise, "_E_BLOCK", 7)
+    monkeypatch.setattr(harness, "_SHOT_BLOCK", 12)
+    assert [repr(check) for check in harness.verify(cfg)] == default
+
+
+def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):
+    # One cell per batch, so the walk visits (step, e) batch-major: e = 0.1 for
+    # every step, then e = 0.2.  Without noise points every exact final is the
+    # step's noiseless one and sigma is 0, so a mean that adds d at an entry
+    # where every final is 0 has margin d - NUMERICAL_FLOOR exactly.  Step 0
+    # at e = 0.2 and step 1 at e = 0.1 tie at the worst; step order wins.
+    cfg = SweepConfig(e_grid=(0.1, 0.2), shots=1, modes=("unprotected",), placement=())
+    plans = [plan for *_, plan in harness.sweep_plans(cfg)]
+    labels = [plan.preparation.label for plan in plans]
+    finals = [noise.run_plan_exact(plan, 0.0) for plan in plans]
+    row, col = np.argwhere(np.all(np.stack(finals) == 0, axis=0))[0]
+    added = {0: (0.25, 1.0), 1: (1.0, 0.5), 2: (0.25, 0.25)}
+
+    def fake(plan, e, shots, seeds):
+        step = labels.index(plan.preparation.label)
+        means = np.stack([finals[step]] * len(e))
+        means[:, row, col] = [added[step][cfg.e_grid.index(e_i)] for e_i in e]
+        return means
+
+    monkeypatch.setattr(harness, "_dense_shot_means", fake)
+    monkeypatch.setattr(noise, "_E_BLOCK", 5)
+    [check] = [c for c in harness.verify(cfg) if c.name == "mc-convergence"]
+    assert check.residual == 1.0 - harness.NUMERICAL_FLOOR
+    assert check.detail.startswith(f"worst cell mode=unprotected step={labels[0]} e=0.2;")
 
 
 def test_sweep_memory_does_not_grow_with_the_e_grid(monkeypatch):

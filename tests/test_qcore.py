@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dfsim import qcore
-from dfsim.qcore import PauliString, anticommutes, hs_overlap, multiply, pauli_matrix
+from dfsim.qcore import PauliString, anticommutes, multiply, pauli_matrix
 
 
 def random_unitary(rng, n=16):
@@ -157,19 +157,6 @@ def test_conjugate_preserves_trace_and_hermiticity():
         out = u @ rho @ u.conj().T
         assert abs(np.trace(out) - np.trace(rho)) < 1e-12
         assert qcore.frobenius_norm(out - out.conj().T) <= 1e-12
-
-
-def test_hs_overlap_examples():
-    v = np.zeros(16)
-    v[3] = 1.0
-    proj = np.outer(v, v)
-    assert hs_overlap(proj, proj) == pytest.approx(1.0)
-
-    z1 = pauli_matrix(PauliString("ZIII"))
-    x1 = pauli_matrix(PauliString("XIII"))
-    assert hs_overlap(z1, x1) == pytest.approx(0.0)
-    assert hs_overlap(z1, -z1) == pytest.approx(-16.0)
-    assert hs_overlap(z1, -z1) / 16 == pytest.approx(-1.0)
 
 
 def test_pauli_basis_orthogonality():
