@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -505,6 +506,48 @@ def test_cli_rejects_options_the_command_does_not_read(argv, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+#: The run over 65 e values per plan at 2 shots, drawn in batches of 64 and 1.
+DJ_BATCHES = "run --seed 3 --algorithm deutsch-jozsa --mode both --shots 2 --e-grid " + ",".join(
+    repr(k / 128) for k in range(65)
+)
+
+#: The file under tests/golden that holds the stdout of each pinned command.
+GOLDEN_FILES = {
+    "count-n": "count-n.txt",
+    "count-n --algorithm deutsch-jozsa --placement 0,2,4": "count-n-dj-placement.txt",
+    "run --seed 0": "run-seed-0.csv",
+    "verify --seed 0": "verify-seed-0.txt",
+    "verify --seed 0 --mode protected --e-grid 0.25": "verify-protected.txt",
+    "verify --seed 0 --algorithm deutsch-jozsa --mode unprotected --shots 4 --e-grid 0.25":
+        "verify-dj-unprotected.txt",
+    "verify --seed 0 --placement 1,2 --e-grid 0.25 --shots 16": "verify-placement.txt",
+    "run --seed 0 --e-grid 0,0.25 --shots 16 --format json": "run.json",
+    "verify --seed 0 --shots 64 --e-grid 0,0.25,0.5 --format json": "verify.json",
+    "verify --seed 0 --mode unprotected --e-grid 0.1,0.3 --format json": "verify-unprotected.json",
+    DJ_BATCHES: "run-dj-batches.csv",
+    "run --seed 5 --mode unprotected --shots 70001 --e-grid 0.125,0.375": "run-70001-shots.csv",
+}
+
+
+def _assert_golden_stdout(command: str, sha256: str, capsys) -> None:
+    """The stdout of ``command`` must equal its golden file byte for byte, and
+    hash to ``sha256``; a mismatch names the first line that differs."""
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out.encode()
+    name = GOLDEN_FILES[command]
+    golden = (GOLDEN_DIR / name).read_bytes()
+    pairs = itertools.zip_longest(out.splitlines(True), golden.splitlines(True))
+    for lineno, (got, want) in enumerate(pairs, start=1):
+        assert got == want, f"{name}: line {lineno} is {got!r}, golden {want!r}"
+    assert hashlib.sha256(out).hexdigest() == sha256
+
+
+def test_every_golden_file_is_pinned():
+    assert sorted(path.name for path in GOLDEN_DIR.iterdir()) == sorted(GOLDEN_FILES.values())
+
+
 #: sha256 of the stdout of count-n.  Re-pin only on purpose, and say why in
 #: CHANGES.md.
 GOLDEN_COUNT_N_SHA256 = {
@@ -516,9 +559,7 @@ GOLDEN_COUNT_N_SHA256 = {
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_COUNT_N_SHA256))
 def test_cli_count_n_matches_golden_stdout(command, capsys):
-    assert cli.main(command.split()) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_COUNT_N_SHA256[command]
+    _assert_golden_stdout(command, GOLDEN_COUNT_N_SHA256[command], capsys)
 
 
 def test_cli_closed_stdout_ends_quietly():
@@ -842,9 +883,7 @@ GOLDEN_RUN_SEED_0_SHA256 = "5386cd7adb93ebbaca18656aedddc216371f4dc7142f6a014e0a
 
 
 def test_cli_run_seed_0_matches_golden_csv(capsys):
-    assert cli.main(["run", "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RUN_SEED_0_SHA256
+    _assert_golden_stdout("run --seed 0", GOLDEN_RUN_SEED_0_SHA256, capsys)
 
 
 #: sha256 of the stdout of `dfsim verify --seed 0`.  The dense oracle's
@@ -854,9 +893,7 @@ GOLDEN_VERIFY_SEED_0_SHA256 = "2741a972bd23e1aa8090f88ebab45d915374f2d2e23c8d830
 
 
 def test_cli_verify_seed_0_matches_golden_stdout(capsys):
-    assert cli.main(["verify", "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_SEED_0_SHA256
+    _assert_golden_stdout("verify --seed 0", GOLDEN_VERIFY_SEED_0_SHA256, capsys)
 
 
 #: sha256 of the stdout of verify on paths the default does not take: one
@@ -875,9 +912,7 @@ GOLDEN_VERIFY_PATHS_SHA256 = {
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_VERIFY_PATHS_SHA256))
 def test_cli_verify_paths_match_golden_stdout(command, capsys):
-    assert cli.main(command.split()) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_PATHS_SHA256[command]
+    _assert_golden_stdout(command, GOLDEN_VERIFY_PATHS_SHA256[command], capsys)
 
 
 #: sha256 of the stdout of the two JSON tables: both are built from the
@@ -898,8 +933,7 @@ GOLDEN_JSON_SHA256 = {
 #: per plan at 2 shots (batches of 64 and 1), and cells of more than one
 #: _SHOT_BLOCK.  Pinned on the per-cell draws the batches replaced.
 GOLDEN_BATCH_SHA256 = {
-    "run --seed 3 --algorithm deutsch-jozsa --mode both --shots 2 --e-grid "
-    + ",".join(repr(k / 128) for k in range(65)):
+    DJ_BATCHES:
         "5ac5b96c7e21df31a11556fc851b1b693edb57a32812b2fb0275781a6858b96e",
     "run --seed 5 --mode unprotected --shots 70001 --e-grid 0.125,0.375":
         "71ad7f1e73779c72a9eed7a2dfc96f70ffe81303322b5fce077c39dd7ca4a17f",
@@ -908,13 +942,9 @@ GOLDEN_BATCH_SHA256 = {
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_BATCH_SHA256))
 def test_cli_batched_cells_match_golden_stdout(command, capsys):
-    assert cli.main(command.split()) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BATCH_SHA256[command]
+    _assert_golden_stdout(command, GOLDEN_BATCH_SHA256[command], capsys)
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_JSON_SHA256))
 def test_cli_json_output_matches_golden_stdout(command, capsys):
-    assert cli.main(command.split()) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256[command]
+    _assert_golden_stdout(command, GOLDEN_JSON_SHA256[command], capsys)
