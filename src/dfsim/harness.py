@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -40,6 +41,9 @@ EXPECTED_DAMAGE = {
 #: Absolute slack added to statistical tolerances so exactly-reproduced cells
 #: (zero shot variance) pass at double precision.
 NUMERICAL_FLOOR = 1e-12
+
+#: mc-convergence's false-alarm rate, a normal's two-sided tail beyond 5 sigma.
+_ALPHA = math.erfc(5 / math.sqrt(2))
 
 
 class ConfigError(ValueError):
@@ -221,9 +225,6 @@ def _cell_seeds(entropy: int, key: tuple[int, ...], count: int) -> np.ndarray:
 #: noise points, and a few 8 B indices per shot in the dense oracle.
 _SHOT_BLOCK = 65536
 
-#: Shots whose columns _dense_shot_means gathers at a time, 16 B per column.
-_GATHER_SHOTS = 4096
-
 
 def _cell_batches(
     cfg: SweepConfig, plan: circuits.ExperimentPlan, initial: np.ndarray
@@ -253,6 +254,11 @@ def _step_seeds(cfg: SweepConfig, mode_idx: int, steps: int) -> list[tuple[int, 
     return [tuple(_cell_seeds(cfg.seed, (mode_idx, s), count).tolist()) for s in range(steps)]
 
 
+def _parity(flips: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(cells, shots): the xor of each shot's flips on the true entries of a damage mask."""
+    return np.bitwise_xor.reduce(flips[..., mask], axis=-1)
+
+
 def _mc_signal(
     mask: np.ndarray, e: tuple[float, ...], shots: int, seeds: tuple[int, ...]
 ) -> list[tuple[float, float]]:
@@ -260,57 +266,23 @@ def _mc_signal(
 
     ``mask`` is the plan's circuits.damage_mask: a shot's final deviation is
     the ideal one negated once per damaging flip drawn, so its signal is
-    exactly +1 or -1 by the xor of its flips on the mask's true columns.  The
-    mean is then 1 - 2 (odd shots) / shots, and the standard error is the
-    sample standard deviation (ddof 1) of the +-1 shot signals over
-    sqrt(shots).  The batch is drawn in one noise.draw_flips call per
-    _SHOT_BLOCK shots, unless no entry of the mask is true: every protected
-    plan, and every plan without noise points, draws nothing.
+    +1 or -1 by its _parity.  The mean is then 1 - 2 (odd shots) /
+    shots, and the standard error is the sample standard deviation (ddof 1)
+    of the +-1 shot signals over sqrt(shots).  The batch is drawn in one
+    noise.draw_flips call per _SHOT_BLOCK shots, unless no entry of the mask
+    is true: every protected plan, and every plan without noise points,
+    draws nothing.
     """
     odd = np.zeros(len(seeds), dtype=np.int64)
-    columns = np.flatnonzero(mask)
-    for first in range(0, shots, _SHOT_BLOCK) if len(columns) else ():
+    for first in range(0, shots, _SHOT_BLOCK) if mask.any() else ():
         flips = noise.draw_flips(e, seeds, min(_SHOT_BLOCK, shots - first), len(mask), first=first)
-        parity = np.bitwise_xor.reduce(flips.reshape(*flips.shape[:2], -1)[..., columns], axis=-1)
-        odd += np.count_nonzero(parity, axis=1)
+        odd += np.count_nonzero(_parity(flips, mask), axis=1)
     signals = []
     for k in odd.tolist():
         mean = 1.0 - 2.0 * k / shots
         stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
         signals.append((mean, stderr))
     return signals
-
-
-def _dense_shot_means(
-    plan: circuits.ExperimentPlan, e: tuple[float, ...], shots: int, seeds: tuple[int, ...]
-) -> np.ndarray:
-    """Mean final state (cells, 16, 16) of the dense oracle's shots of each cell of a batch.
-
-    The batch is drawn as _mc_signal draws it; each block's flips of all cells
-    go through one noise.monte_carlo_states call, so cells share states.  A
-    cell adds its shots' states onto its running total in shot order, as
-    .mean(axis=0) adds, so each mean equals, to the bit,
-    noise.monte_carlo_finals(plan, e[i], shots, seeds[i]).mean(axis=0).  Only
-    the byte-distinct columns of [states; running totals] are summed,
-    _GATHER_SHOTS shots at a time, then scattered back: equal columns, equal sums.
-    """
-    points, cells = len(plan.decoherence_points), len(seeds)
-    totals = np.zeros((cells, qcore.DIM**2), dtype=complex)
-    for first in range(0, shots, _SHOT_BLOCK):
-        block = min(_SHOT_BLOCK, shots - first)
-        flips = noise.draw_flips(e, seeds, block, points, first=first)
-        states, index = noise.monte_carlo_states(plan, flips.reshape(cells * block, points, 2))
-        del flips
-        rows = np.concatenate([states.reshape(len(states), -1), totals])
-        columns, inverse = noise._distinct(rows.T, np.arange(qcore.DIM**2))
-        columns = columns.T.copy()  # row len(states) + c is cell c's running total
-        for c, shot_rows in enumerate(index.reshape(cells, -1), start=len(states)):
-            for start in range(0, len(shot_rows), _GATHER_SHOTS):
-                part = np.concatenate([[c], shot_rows[start : start + _GATHER_SHOTS]])
-                # accumulate adds in order; add.reduce of one column sums pairwise
-                columns[c] = np.add.accumulate(columns[part], axis=0)[-1]
-        totals = columns[len(states) :, inverse]
-    return (totals / shots).reshape(cells, qcore.DIM, qcore.DIM)
 
 
 def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
@@ -405,8 +377,24 @@ def _eigenstructure_residual(e_grid: tuple[float, ...]) -> float:
     return worst
 
 
+def _acceptance_radius(shots: int, p: float) -> float:
+    """Largest |k - shots p| of the counts k that the exact two-sided test of
+    k ~ Binomial(shots, p) accepts at _ALPHA: the nearest ones, whose tail (the
+    chance of a count as far from shots p or farther, within 1e-9) is >= _ALPHA."""
+    if not 0.0 < p < 1.0:  # one certain count
+        return 0.0
+    k = np.arange(shots + 1)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
+    log_pmf = log_fact[-1] - log_fact - log_fact[::-1] + k * math.log(p) + k[::-1] * math.log1p(-p)
+    distance = np.abs(k - shots * p)
+    order = np.argsort(distance, kind="stable")
+    near = distance[order]
+    tails = np.cumsum(np.exp(log_pmf[order])[::-1])[::-1]  # the smallest terms first
+    return float(near[tails[np.searchsorted(near, near - 1e-9)] >= _ALPHA].max())
+
+
 def _plan_table(cfg: SweepConfig) -> dict[str, list[tuple]]:
-    """Each mode's (plan, n, noiseless final state), in step order.
+    """Each mode's (plan, damage mask, noiseless final state), in step order.
 
     Built for both modes whatever cfg.modes holds, since damage-count-consistency
     and damage-count-values read plans of both.  Every check of verify takes its
@@ -415,7 +403,7 @@ def _plan_table(cfg: SweepConfig) -> dict[str, list[tuple]]:
     table: dict[str, list[tuple]] = {}
     for _, mode, plans, references in _mode_stacks(replace(cfg, modes=circuits.MODES)):
         table[mode] = [
-            (plan, circuits.count_damaging_errors(plan), reference)
+            (plan, circuits.damage_mask(plan), reference)
             for plan, reference in zip(plans, references)
         ]
     return table
@@ -423,9 +411,9 @@ def _plan_table(cfg: SweepConfig) -> dict[str, list[tuple]]:
 
 def _grid_pass(
     cfg: SweepConfig, table: dict[str, list[tuple]]
-) -> tuple[float, float, float, float, str]:
-    """protected-correctness's, temporal-averaging's and damage-count-consistency's
-    residuals, and mc-convergence's worst margin and its cell.
+) -> tuple[float, float, float, float, float, str]:
+    """protected-correctness's, temporal-averaging's, damage-count-consistency's
+    and frame-dense-shots's residuals, and mc-convergence's worst margin and its cell.
 
     Each mode, cfg.modes first in their order, then the other, goes once
     through _cell_batches as the stack [summed preparation (identity/16 plus
@@ -437,16 +425,16 @@ def _grid_pass(
       against the logical circuit's output from |00>;
     - damage-count-consistency (unprotected, swept or not): each step's
       |exact signal - (1-2e)^n|;
-    - mc-convergence (modes of cfg.modes): the dense shot mean of each
-      step's cell lies within 5 sigma of its exact state, with the known
-      Frobenius variance of a shot, ||rho0||^2 - ||rho_exact||^2 (every shot
-      conjugates rho0 by a unitary); rounding-level variances are clamped to
-      0, so noise-free cells keep the bare NUMERICAL_FLOOR.  The bound treats
-      the shot mean as normal, which it is not at few shots when the exact
-      signal is near 1: one negated shot then lies beyond 5 sigma, so a
-      correct cell can fail (22 of 300 seeds at 1 shot, e = 0.005,
-      unprotected; a known false alarm).
-    The first three are maxima.  mc-convergence's cell is the first worst in
+    - frame-dense-shots and mc-convergence (modes of cfg.modes): each step's
+      cells are drawn as in the sweep.  frame-dense-shots is the worst
+      ||rho_shot - s rho_ref|| / ||rho_ref|| of the dense oracle's shots, with
+      s = +-1 the shot's frame sign and rho_ref the step's noiseless final.  A
+      cell's dense mean is then (1 - 2k/shots) rho_ref for its k negated
+      shots; mc-convergence's margin is its distance from the exact final,
+      less 2 ||rho_ref|| / shots times the _acceptance_radius at P = (1 - exact
+      signal)/2, less NUMERICAL_FLOOR: an exact test of k at any shot count,
+      which a part of the exact final orthogonal to rho_ref fails too.
+    The first four are maxima.  mc-convergence's cell is the first worst in
     (cfg.modes order, step, e) order: each step keeps its own running worst,
     and the steps are merged in order after each mode.
     """
@@ -456,16 +444,17 @@ def _grid_pass(
     target = logical[:, 0]
     refs = [dfs.decode(reference) for _, _, reference in table["protected"]]
     identity = np.eye(qcore.DIM, dtype=complex) / qcore.DIM
-    correctness = averaging = consistency = 0.0
+    correctness = averaging = consistency = frame_dense = 0.0
     worst, worst_cell = -np.inf, ""
     for mode in dict.fromkeys((*cfg.modes, *circuits.MODES)):
-        plans, ns, references = zip(*table[mode])
+        plans, masks, references = zip(*table[mode])
         preps = _preparations(plans)
         swept = mode in cfg.modes
         seeds = _step_seeds(cfg, cfg.modes.index(mode), len(plans)) if swept else []
         step_worst = [(-np.inf, "")] * len(plans)
         initial = np.concatenate([[sum(preps, identity), identity], preps])
         for start, e, (direct, total, *parts) in _cell_batches(cfg, plans[0], initial):
+            signals = [readout.signal_intensity(p, r).tolist() for p, r in zip(parts, references)]
             if swept:
                 for part in parts:
                     total = total + part
@@ -479,26 +468,34 @@ def _grid_pass(
                     fidelity = float(np.real(target.conj() @ dfs.decode(final) @ target))
                     correctness = max(correctness, abs(fidelity - 1.0))
             if mode == "unprotected":
-                for part, n, reference in zip(parts, ns, references):
-                    signals = readout.signal_intensity(part, reference).tolist()
-                    for e_i, signal in zip(e, signals):
-                        consistency = max(consistency, abs(signal - readout.theory_curve(n, e_i)))
-            for step_idx, (plan, part) in enumerate(zip(plans, parts) if swept else ()):
-                prep_sq = qcore.frobenius_norm(plan.preparation.deviation) ** 2
+                for mask, step_signals in zip(masks, signals):
+                    for e_i, signal in zip(e, step_signals):
+                        theory = readout.theory_curve(int(mask.sum()), e_i)
+                        consistency = max(consistency, abs(signal - theory))
+            for step_idx, step in enumerate(zip(plans, masks, references, parts) if swept else ()):
+                plan, mask, reference, part = step
+                norm = qcore.frobenius_norm(reference)
                 cells = seeds[step_idx][start : start + len(e)]
-                for e_i, exact, mean in zip(e, part, _dense_shot_means(plan, e, cfg.shots, cells)):
-                    var = prep_sq - qcore.frobenius_norm(exact) ** 2
-                    if var <= qcore.DEFAULT_TOL * prep_sq:
-                        var = 0.0
-                    sigma = np.sqrt(var / cfg.shots)
-                    margin = qcore.frobenius_norm(mean - exact) - (5.0 * sigma + NUMERICAL_FLOOR)
+                negated = np.zeros(len(e), dtype=np.int64)
+                for first in range(0, cfg.shots, _SHOT_BLOCK):
+                    block = min(_SHOT_BLOCK, cfg.shots - first)
+                    flips = noise.draw_flips(e, cells, block, len(mask), first=first)
+                    parity = _parity(flips, mask).astype(int)  # 1: negated
+                    negated += parity.sum(axis=1)
+                    states, index = noise.monte_carlo_states(plan, np.concatenate(flips))
+                    apart = np.linalg.norm(states[:, None] - [reference, -reference], axis=(2, 3))
+                    frame_dense = max(frame_dense, apart[index, parity.ravel()].max() / norm)
+                for e_i, exact, k, signal in zip(e, part, negated.tolist(), signals[step_idx]):
+                    mean = (1.0 - 2.0 * k / cfg.shots) * reference
+                    radius = _acceptance_radius(cfg.shots, (1 - signal) / 2) * 2 * norm / cfg.shots
+                    margin = qcore.frobenius_norm(mean - exact) - radius - NUMERICAL_FLOOR
                     if margin > step_worst[step_idx][0]:
                         cell = f"mode={mode} step={plan.preparation.label} e={e_i:g}"
                         step_worst[step_idx] = (margin, cell)
         for margin, cell in step_worst:
             if margin > worst:
                 worst, worst_cell = margin, cell
-    return correctness, averaging, consistency, float(worst), worst_cell
+    return correctness, averaging, consistency, frame_dense, float(worst), worst_cell
 
 
 def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
@@ -526,19 +523,21 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     completeness = max(noise.engineered_model(e).completeness_defect for e in cfg.e_grid)
     add("channel-completeness", completeness, qcore.DEFAULT_TOL)
     add("eigenstructure-audit", _eigenstructure_residual(cfg.e_grid), qcore.DEFAULT_TOL)
-    correctness, averaging, consistency, mc_margin, mc_cell = _grid_pass(cfg, table)
+    correctness, averaging, consistency, frame_dense, mc_margin, mc_cell = _grid_pass(cfg, table)
     add("protected-correctness", correctness, 1e-10)
     add("temporal-averaging", averaging, qcore.DEFAULT_TOL)
     add("damage-count-consistency", consistency, 1e-10)
     if cfg.algorithm == "grover" and cfg.placement is None:
-        values = [abs(n - EXPECTED_DAMAGE[mode][plan.preparation.label])
-                  for mode, entries in table.items() for plan, n, _ in entries]
+        values = [abs(int(mask.sum()) - EXPECTED_DAMAGE[mode][plan.preparation.label])
+                  for mode, entries in table.items() for plan, mask, _ in entries]
         add("damage-count-values", max(values), 0.0, "n = 0/0/0 and 6/12/6")
+    add("frame-dense-shots", frame_dense, qcore.DEFAULT_TOL)
     add(
         "mc-convergence",
         mc_margin,
         0.0,
-        f"worst cell {mc_cell}; bound 5*sigma_mc + {NUMERICAL_FLOOR:g} at {cfg.shots} shots",
+        f"worst cell {mc_cell}; bound exact binomial at erfc(5/sqrt(2)) + {NUMERICAL_FLOOR:g}"
+        f" at {cfg.shots} shots",
     )
     return checks
 

@@ -33,8 +33,8 @@ it mirrors the shot-averaged protocol and is the oracle for the sweep's
 Pauli-frame sampler.  After every noise point, shots whose matrices are equal
 to the byte share one, so each distinct state is evolved once, and each shot
 is still equal to the bit to evolving it alone.  The shots may come from many
-cells at once (flips stacked on the shot axis); verify's mc-convergence check
-passes a whole batch of cells, which then share states too.
+cells at once (flips stacked on the shot axis); verify's frame-dense-shots
+check passes a whole batch of cells, which then share states too.
 Decoherence grows with e and is strongest at e = 0.5; larger values are
 rejected.
 
@@ -237,7 +237,7 @@ def draw_flips(
     # e * 2**53 is exact, and at most 2**52, so the shifted threshold fits 64 bits
     steps = np.ceil(np.broadcast_to(e, seeds.shape).ravel() * 2.0**53).astype(np.uint64)
     thresholds = steps << np.uint64(11)
-    bit_generator = np.random.Philox(key=0)
+    bit_generator = np.random.Philox(0)  # seeded, so it reads no OS entropy; re-keyed below
     state = bit_generator.state
     flips = np.empty(seeds.shape + (shots, points, 2), dtype=bool)
     cells = flips.reshape((seeds.size, shots, points, 2))
@@ -452,8 +452,8 @@ def monte_carlo_finals(
     The flips are draw_flips(e, seed, shots, points) and the states come from
     monte_carlo_states; each shot's matrix equals, to the bit, evolving it on
     its own.  This holds all shots at once (4 KiB each).  Unused by dfsim,
-    whose mc-convergence check runs monte_carlo_states itself, a shot block
-    at a time (harness._dense_shot_means); kept because bench/spans.py wraps
+    whose verify runs monte_carlo_states itself, a shot block at a time
+    (harness._grid_pass); kept because bench/spans.py wraps
     noise.monte_carlo_finals by name.
     """
     if shots < 1:

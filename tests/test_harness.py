@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -182,6 +183,68 @@ def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
     assert "FAIL mc-convergence" in capsys.readouterr().out
 
 
+def test_verify_fails_when_a_damage_mask_entry_is_flipped(monkeypatch, capsys):
+    # the frame then negates the shots that drew that (point, flip) pair of
+    # one protected plan, and the dense oracle, which reads the same flips,
+    # does not
+    audited = circuits.damage_mask
+
+    def flipped(plan):
+        mask = audited(plan).copy()
+        if plan.mode == "protected" and plan.preparation.label == "Z1Z2":
+            mask[0, 0] = not mask[0, 0]
+        return mask
+
+    monkeypatch.setattr(circuits, "damage_mask", flipped)
+    assert cli.main(["verify"]) == 1
+    assert "FAIL frame-dense-shots" in capsys.readouterr().out
+
+
+def test_verify_fails_on_an_exact_final_off_the_reference(monkeypatch, capsys):
+    # a 1e-6 Pauli term orthogonal to every protected reference, added to the
+    # protected finals of the e grid but not to the references: each exact
+    # signal stays 1 and each count 0, but the mean rho_ref misses the term
+    cfg = SweepConfig(modes=("protected",))
+    refs = [noise.run_plan_exact(plan, 0.0) for *_, plan in harness.sweep_plans(cfg)]
+    words = qcore._word_matrices()[1:]
+    word = next(w for w in words if all(abs(np.vdot(w, ref)) < 1e-12 for ref in refs))
+    exact = noise.run_plan_exact
+
+    def off_reference(plan, e, initial=None):
+        finals = exact(plan, e, initial)
+        return finals + 1e-6 * word if plan.mode == "protected" and np.ndim(e) else finals
+
+    monkeypatch.setattr(noise, "run_plan_exact", off_reference)
+    assert cli.main(["verify"]) == 1
+    assert "FAIL mc-convergence" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """bench/oracle.py, loaded by its path: bench/ is not a package.  Its
+    dataclass looks its module up in sys.modules while it is built."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.03, 0.25, 0.5])
+@pytest.mark.parametrize("shots", [1, 2, 3, 64, 2048])
+def test_acceptance_radius_is_the_exact_binomial_test(shots, p, oracle):
+    # the benchmark oracle's two-sided binomial tail is the independent
+    # reference: a count lies within the radius exactly when its tail is >= alpha
+    assert harness._ALPHA == oracle.ALPHA
+    radius = harness._acceptance_radius(shots, p)
+    for k in range(shots + 1):
+        tail = oracle.binomial_two_sided(k, shots, p)
+        assert (abs(k - shots * p) <= radius) == (tail >= oracle.ALPHA), (k, tail)
+
+
 def _count_calls(monkeypatch) -> dict[str, int]:
     """Count the calls of circuits.assemble, circuits.damage_audit and noise.run_plan_exact."""
     calls = {"assemble": 0, "damage_audit": 0, "run_plan_exact": 0}
@@ -248,12 +311,12 @@ def test_cli_verify_passes_without_noise_points(capsys):
     assert code == 0
     lines = out.splitlines()
     assert all(line.startswith("PASS ") for line in lines[:-1])
-    assert lines[-1] == "10/10 checks passed"
+    assert lines[-1] == "11/11 checks passed"
 
 
 def test_mc_convergence_keeps_the_bare_floor_on_protected_cells():
     # protected shots are all exact: the bound must be the 1e-12 floor alone,
-    # not widened by a rounding-level variance estimate
+    # not widened by a rounding-level P of negated shots
     checks = verify(SweepConfig(modes=("protected",), shots=64, seed=1))
     mc = {c.name: c for c in checks}["mc-convergence"]
     assert mc.passed
@@ -262,25 +325,23 @@ def test_mc_convergence_keeps_the_bare_floor_on_protected_cells():
 
 @pytest.mark.parametrize("shots", ["1", "2"])
 def test_cli_verify_passes_at_one_and_two_shots(shots, capsys):
-    # the bound uses the known shot variance, not the sample variance, which
-    # is 0 whenever every shot agrees
+    # the bound is an exact binomial test of the negated shots' count, at
+    # the exact signal's P, not a sample variance, which is 0 whenever every
+    # shot agrees
     assert cli.main(["verify", "--shots", shots]) == 0
-    assert "11/11 checks passed" in capsys.readouterr().out
+    assert "12/12 checks passed" in capsys.readouterr().out
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known false alarm: the 5 sigma normal bound of mc-convergence is not "
-    "valid at 1 shot when the exact signal is near 1",
-)
 def test_cli_verify_passes_a_correct_program_at_one_shot_near_e_0(capsys):
-    # one negated shot of a cell whose exact signal is 0.94 lies beyond 5 sigma
+    # one negated shot of a cell whose exact signal is 0.94 lies beyond 5
+    # normal sigmas, but has probability 0.03, inside the exact binomial test
     argv = "verify --seed 5 --mode unprotected --e-grid 0.005 --shots 1".split()
     assert cli.main(argv) == 0, capsys.readouterr().out
 
 
 def test_verify_tolerance_scales_with_shots():
-    # the Monte-Carlo bound is 5 sigma at whatever shot count is configured
+    # the Monte-Carlo bound is the exact binomial test at whatever shot count
+    # is configured
     checks = verify(SweepConfig(e_grid=(0.0, 0.3125), shots=32, seed=6))
     by_name = {c.name: c for c in checks}
     assert by_name["mc-convergence"].passed
@@ -626,128 +687,6 @@ def test_mc_signal_of_a_mask_without_damage_draws_nothing(mask, shots, monkeypat
     assert all(type(v) is float for cell in signals for v in cell)
 
 
-def _dense_shot_mean(plan, e, shots, seed):
-    """The dense oracle's mean final state of one cell: a batch of one."""
-    [mean] = harness._dense_shot_means(plan, (e,), shots, (seed,))
-    return mean
-
-
-@pytest.mark.parametrize("shots", [1, 7, 8, 64, 2048])
-def test_dense_shot_mean_does_not_depend_on_the_shot_block(shots, monkeypatch):
-    # the blocks are added onto the running sum in shot order, which is how
-    # .mean(axis=0) adds the whole stack, so the bytes agree
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
-    whole = noise.monte_carlo_finals(plan, 0.3, shots, 11).mean(axis=0)
-    assert _dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
-    drawn = []
-    unblocked = noise.draw_flips
-
-    def spy(e, seed, count, points, first=0):
-        drawn.append((first, count))
-        return unblocked(e, seed, count, points, first=first)
-
-    monkeypatch.setattr(noise, "draw_flips", spy)
-    monkeypatch.setattr(harness, "_SHOT_BLOCK", 7)
-    assert _dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
-    assert drawn == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
-
-
-@pytest.mark.parametrize("shots", [1, 7, 8, 5000])
-def test_dense_shot_mean_does_not_depend_on_the_gather_slice(shots, monkeypatch):
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
-    whole = noise.monte_carlo_finals(plan, 0.3, shots, 11).mean(axis=0)
-    assert _dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
-    monkeypatch.setattr(harness, "_GATHER_SHOTS", 3)
-    monkeypatch.setattr(harness, "_SHOT_BLOCK", 1000)
-    assert _dense_shot_mean(plan, 0.3, shots, 11).tobytes() == whole.tobytes()
-
-
-#: (e, seed) cells for the batched dense oracle: e = 0 and e = 0.5, and the
-#: largest 64-bit seed.
-DENSE_CELLS = ((0.0, 3), (0.3, 11), (0.5, 2**64 - 1), (0.125, 5), (0.25, 0))
-
-
-@pytest.mark.parametrize("block", [7, 40, 65536])
-@pytest.mark.parametrize("shots", [1, 7, 8, 300, 2048])
-def test_dense_shot_means_of_a_batch_equal_each_cell_alone(shots, block, monkeypatch):
-    # cells of a batch share flip draws and states, but each cell's mean
-    # equals its own finals' mean to the bit
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
-    whole = [noise.monte_carlo_finals(plan, e, shots, seed).mean(axis=0) for e, seed in DENSE_CELLS]
-    drawn = []
-    unblocked = noise.draw_flips
-
-    def spy(e, seeds, count, points, first=0):
-        drawn.append((len(seeds), count, first))
-        return unblocked(e, seeds, count, points, first=first)
-
-    monkeypatch.setattr(noise, "draw_flips", spy)
-    monkeypatch.setattr(harness, "_SHOT_BLOCK", block)
-    batch = max(1, min(noise._E_BLOCK, block // shots))  # _cell_batches' rule for one state
-    means, expected = [], []
-    for start in range(0, len(DENSE_CELLS), batch):
-        e, seeds = zip(*DENSE_CELLS[start : start + batch])
-        means.extend(harness._dense_shot_means(plan, e, shots, seeds))
-        firsts = range(0, shots, block)
-        expected += [(len(seeds), min(block, shots - first), first) for first in firsts]
-    assert [m.tobytes() for m in means] == [w.tobytes() for w in whole]
-    assert drawn == expected
-
-
-def test_dense_shot_means_add_a_single_column_in_shot_order(monkeypatch):
-    # When every entry of every state is equal, the states have one distinct
-    # column, which is summed as an (N, 1) array.  np.add.reduce sums such a
-    # column pairwise, with other roundings than the shot-order sum of
-    # .mean(axis=0).
-    rng = np.random.default_rng(4)
-    values = rng.normal(size=5) + 1j * rng.normal(size=5)
-    index = rng.integers(5, size=3000)
-    states = values[:, None, None] * np.ones((16, 16))
-    monkeypatch.setattr(noise, "monte_carlo_states", lambda plan, flips: (states, index))
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
-    total = 0j
-    for k in index.tolist():
-        total = total + values[k]
-    mean = _dense_shot_mean(plan, 0.3, len(index), 2)
-    assert (mean == total / len(index)).all()
-
-
-def test_dense_shot_mean_memory_does_not_grow_within_a_shot_block():
-    # 16384 shots are one _SHOT_BLOCK and four gather slices; anything held
-    # for all shots of the block at once, other than their 18 B of flips and
-    # a few indices (such as their finals or their float uniforms), would
-    # take about four times what one slice takes
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
-    _dense_shot_mean(plan, 0.25, 8, 2)
-    peaks = []
-    for shots in (harness._GATHER_SHOTS, 16384):
-        tracemalloc.start()
-        try:
-            _dense_shot_mean(plan, 0.25, shots, 2)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.5 * peaks[0]
-
-
-def test_dense_shot_mean_memory_does_not_grow_with_the_shots(monkeypatch):
-    # one block of finals is 256 x 4 KiB; holding what 16 blocks computed
-    # would add 15 MiB.  A warm-up call keeps one-time allocations out of
-    # both peaks.
-    monkeypatch.setattr(harness, "_SHOT_BLOCK", 256)
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
-    _dense_shot_mean(plan, 0.25, 8, 2)
-    peaks = []
-    for shots in (256, 16 * 256):
-        tracemalloc.start()
-        try:
-            _dense_shot_mean(plan, 0.25, shots, 2)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.5 * peaks[0]
-
-
 @pytest.mark.parametrize(
     "shots, modes",
     [
@@ -800,44 +739,51 @@ def test_sweep_does_not_depend_on_the_e_block(length, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "modes", [("unprotected", "protected"), ("protected",), SweepConfig().modes],
-    ids=["reversed", "protected", "default"],
+    "modes, shots, block",
+    [
+        (("unprotected", "protected"), 3, 12),
+        (("protected",), 3, 12),
+        (SweepConfig().modes, 3, 12),
+        (SweepConfig().modes, 5, 2),
+    ],
+    ids=["reversed", "protected", "default", "multi-block"],
 )
-def test_verify_does_not_depend_on_the_cell_batch(modes, monkeypatch):
+def test_verify_does_not_depend_on_the_cell_batch(modes, shots, block, monkeypatch):
     # 20 cells per mode: two batches of 12 and 8 by default, one cell per
-    # batch (7 // 5 rows) with the small blocks; every residual and the
-    # reported worst cell must agree
-    cfg = SweepConfig(e_grid=tuple(k / 40 for k in range(20)), shots=3, modes=modes)
+    # batch (7 // 5 rows) with the small blocks; at 5 shots in shot blocks of
+    # 2, each cell is drawn in three blocks.  Every residual and the reported
+    # worst cell must agree
+    cfg = SweepConfig(e_grid=tuple(k / 40 for k in range(20)), shots=shots, modes=modes)
     default = [repr(check) for check in harness.verify(cfg)]
     monkeypatch.setattr(noise, "_E_BLOCK", 7)
-    monkeypatch.setattr(harness, "_SHOT_BLOCK", 12)
+    monkeypatch.setattr(harness, "_SHOT_BLOCK", block)
     assert [repr(check) for check in harness.verify(cfg)] == default
 
 
 def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):
     # One cell per batch, so the walk visits (step, e) batch-major: e = 0.1 for
     # every step, then e = 0.2.  Without noise points every exact final is the
-    # step's noiseless one and sigma is 0, so a mean that adds d at an entry
-    # where every final is 0 has margin d - NUMERICAL_FLOOR exactly.  Step 0
-    # at e = 0.2 and step 1 at e = 0.1 tie at the worst; step order wins.
+    # step's noiseless one, of signal 1, so the binomial radius is 0; a cell
+    # whose one shot is counted negated has mean -rho_ref and margin
+    # 2 ||rho_ref|| - NUMERICAL_FLOOR.  The steps' references have one norm,
+    # so step 0 at e = 0.2 and step 1 at e = 0.1 tie at the worst; step
+    # order wins.
     cfg = SweepConfig(e_grid=(0.1, 0.2), shots=1, modes=("unprotected",), placement=())
     plans = [plan for *_, plan in harness.sweep_plans(cfg)]
-    labels = [plan.preparation.label for plan in plans]
-    finals = [noise.run_plan_exact(plan, 0.0) for plan in plans]
-    row, col = np.argwhere(np.all(np.stack(finals) == 0, axis=0))[0]
-    added = {0: (0.25, 1.0), 1: (1.0, 0.5), 2: (0.25, 0.25)}
+    norms = {qcore.frobenius_norm(noise.run_plan_exact(plan, 0.0)) for plan in plans}
+    negated = iter([False, True, False, True, False, False])  # walk order
 
-    def fake(plan, e, shots, seeds):
-        step = labels.index(plan.preparation.label)
-        means = np.stack([finals[step]] * len(e))
-        means[:, row, col] = [added[step][cfg.e_grid.index(e_i)] for e_i in e]
-        return means
+    def fake(flips, mask):
+        return np.full(flips.shape[:2], next(negated))
 
-    monkeypatch.setattr(harness, "_dense_shot_means", fake)
+    monkeypatch.setattr(harness, "_parity", fake)
     monkeypatch.setattr(noise, "_E_BLOCK", 5)
     [check] = [c for c in harness.verify(cfg) if c.name == "mc-convergence"]
-    assert check.residual == 1.0 - harness.NUMERICAL_FLOOR
-    assert check.detail.startswith(f"worst cell mode=unprotected step={labels[0]} e=0.2;")
+    [norm] = norms
+    assert check.residual == 2 * norm - harness.NUMERICAL_FLOOR
+    label = plans[0].preparation.label
+    assert check.detail.startswith(f"worst cell mode=unprotected step={label} e=0.2;")
+    assert next(negated, None) is None
 
 
 def test_sweep_memory_does_not_grow_with_the_e_grid(monkeypatch):
@@ -889,7 +835,7 @@ def test_cli_run_seed_0_matches_golden_csv(capsys):
 #: sha256 of the stdout of `dfsim verify --seed 0`.  The dense oracle's
 #: residuals are printed to three digits, so any change in its arithmetic
 #: shows here; re-pin only on purpose, and say why in CHANGES.md.
-GOLDEN_VERIFY_SEED_0_SHA256 = "2741a972bd23e1aa8090f88ebab45d915374f2d2e23c8d830abdb0e09ec558d2"
+GOLDEN_VERIFY_SEED_0_SHA256 = "1fa09ee9cf8c2a045a8fc249ba867c18c7fa6dade125dc8a0e234670a9dedec3"
 
 
 def test_cli_verify_seed_0_matches_golden_stdout(capsys):
@@ -898,15 +844,16 @@ def test_cli_verify_seed_0_matches_golden_stdout(capsys):
 
 #: sha256 of the stdout of verify on paths the default does not take: one
 #: mode only (damage-count-consistency still audits the unprotected plans),
-#: another algorithm, and a placement without damage-count-values.  Pinned
-#: before verify took its plans from one table.
+#: another algorithm, and a placement without damage-count-values.
+#: Re-pinned once when verify gained frame-dense-shots and mc-convergence
+#: became an exact binomial test of the negated shots' count.
 GOLDEN_VERIFY_PATHS_SHA256 = {
     "verify --seed 0 --mode protected --e-grid 0.25":
-        "248bad04d33ad7d1ab47071ae415c017f73baad36dc369151df47e9be04dd838",
+        "5fe23db72294517963e1bc9042850dcf98882a1970873ded357d133a6790bd22",
     "verify --seed 0 --algorithm deutsch-jozsa --mode unprotected --shots 4 --e-grid 0.25":
-        "c6a89eda3f0af6ba811cf80f007f31f142a5ca79d731e61b2391ab1106f784c0",
+        "c9ae773b2ad64f47254b489ccc459155c3e82e2ff76fb3dbce6ce1778d753536",
     "verify --seed 0 --placement 1,2 --e-grid 0.25 --shots 16":
-        "d0fdcd471bb0ca6fb86be8c4246b728ee859d24a5ec5bc5fa46ad13efecaf968",
+        "8f14011a1f0c967a285a7dfb213998d3f2ef7667cfd8441d4994c298f7873170",
 }
 
 
@@ -922,10 +869,10 @@ GOLDEN_JSON_SHA256 = {
     "run --seed 0 --e-grid 0,0.25 --shots 16 --format json":
         "cd532b32f0e238ebfebee28b57690aa4b920478e0a7699d4fb12d42b9070c7aa",
     "verify --seed 0 --shots 64 --e-grid 0,0.25,0.5 --format json":
-        "3506a99a60dc07ba1f7f65ac08dd3811149fc29fb458926b22f976559207be62",
+        "d4687eaf8c2415b936fa84c849c9d07b2e7b21730f944f0ed6f48afb5204f24a",
     # protected-correctness reads the protected walk though protected is unswept
     "verify --seed 0 --mode unprotected --e-grid 0.1,0.3 --format json":
-        "a5211b55f1f9650f88e09db4fe8843d6bc97d90184f6a8e984af592481b91a8c",
+        "cba1f3ed71a18dde04d387700cfc067ded694cb6d06ce9a51d9823f9935a5b96",
 }
 
 
