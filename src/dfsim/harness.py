@@ -71,8 +71,8 @@ class SweepConfig:
         object.__setattr__(self, "e_grid", tuple(float(e) + 0.0 for e in self.e_grid))
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be a non-negative integer below 2**64, got {self.seed}")
         for mode in self.modes:
             if mode not in circuits.MODES:
                 raise ConfigError(f"unknown mode {mode!r}")
@@ -148,78 +148,6 @@ def _preparations(plans: list[circuits.ExperimentPlan]) -> np.ndarray:
     return np.stack([plan.preparation.deviation for plan in plans])
 
 
-#: Constants of NumPy's SeedSequence (O'Neill's seed_seq_fe), all mod 2**32.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-def _uint32_words(n: int) -> list[int]:
-    """n as SeedSequence reads an integer: 32-bit words, least significant first."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hashmix(value, h: int, mult: int = _MULT_A):
-    """One hash step of SeedSequence on a word or a uint64 array of words.
-
-    Returns the hashed value and the next hash constant, which every call
-    carries on to the next.
-    """
-    value = value ^ h
-    h = h * mult & _MASK32
-    value = value * h & _MASK32
-    return value ^ value >> 16, h
-
-
-def _mix(x: int, y):
-    """SeedSequence's mix of pool word x with the hashed word y."""
-    r = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _cell_seeds(entropy: int, key: tuple[int, ...], count: int) -> np.ndarray:
-    """SeedSequence(entropy, spawn_key=key + (i,)).generate_state(1, np.uint64)[0], i < count.
-
-    The same bits as NumPy's SeedSequence, derived in one pass.  Its pool of
-    four words mixes every input word in order: the entropy, padded to four
-    words as SeedSequence pads it when it spawns, then the words of ``key``,
-    then the index i.  All but i are mixed once, with Python ints; i is mixed
-    for every cell at once in uint64 arrays masked to 32 bits.  The seed is
-    drawn from pool words 0 and 1 alone.
-    """
-    if count > 2**32:
-        raise ValueError("at most 2**32 cells: a larger index takes two words")
-    words = _uint32_words(int(entropy))
-    words += [0] * (4 - len(words))
-    for k in key:
-        words += _uint32_words(int(k))
-    pool = []
-    h = _INIT_A
-    for w in words[:4]:
-        value, h = _hashmix(w, h)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], value)
-    for w in words[4:]:
-        for dst in range(4):
-            value, h = _hashmix(w, h)
-            pool[dst] = _mix(pool[dst], value)
-    index = np.arange(count, dtype=np.uint64)
-    seeds = np.zeros(count, dtype=np.uint64)
-    out = _INIT_B
-    for dst in (0, 1):
-        value, h = _hashmix(index, h)
-        word, out = _hashmix(_mix(pool[dst], value), out, _MULT_B)
-        seeds |= word << np.uint64(32 * dst)
-    return seeds
-
-
 #: Shots drawn at a time over all cells of a batch.  Results do not depend
 #: on it (tested); it only bounds memory: 18 B per shot of flips at nine
 #: noise points, and a few 8 B indices per shot in the dense oracle.
@@ -238,8 +166,8 @@ def _cell_batches(
     its k * cells rows fill at most one exact block, a batch of more than one
     cell draws at most _SHOT_BLOCK shots per plan, and no caller holds more
     than one batch of finals.  run_sweep and verify take every cell from
-    here, and its seed from _step_seeds, which does not depend on the batch,
-    so both draw the same flips for a cell.
+    here, and its Philox key from _step_keys, which does not depend on the
+    batch, so both draw the same flips for a cell.
     """
     batch = max(1, min(noise._E_BLOCK // len(initial), _SHOT_BLOCK // cfg.shots))
     for start in range(0, len(cfg.e_grid), batch):
@@ -247,11 +175,16 @@ def _cell_batches(
         yield start, e, noise.run_plan_exact(plan, e, initial)
 
 
-def _step_seeds(cfg: SweepConfig, mode_idx: int, steps: int) -> list[tuple[int, ...]]:
-    """Each step's cell seeds over cfg.e_grid: the seed at e index i equals
-    SeedSequence(cfg.seed, spawn_key=(mode_idx, step, i))'s 64-bit state."""
+def _step_keys(cfg: SweepConfig, mode_idx: int, steps: int) -> list[tuple[int, ...]]:
+    """Each step's Philox keys over cfg.e_grid: cell (mode_idx, step, i) is keyed
+    cfg.seed | (mode_idx << 48 | step << 32 | i) << 64.  The seed fills the low
+    64 bits and the cell's indices the high 64, so every cell of a run, with
+    mode < 2, step < 3 and i < 2**32, has its own stream."""
     count = len(cfg.e_grid)
-    return [tuple(_cell_seeds(cfg.seed, (mode_idx, s), count).tolist()) for s in range(steps)]
+    return [
+        tuple(cfg.seed | (mode_idx << 48 | step << 32 | i) << 64 for i in range(count))
+        for step in range(steps)
+    ]
 
 
 def _parity(flips: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -295,14 +228,14 @@ def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
     rows: list[SignalResult] = []
     for mode_idx, mode, plans, references in _mode_stacks(cfg):
         masks = [circuits.damage_mask(plan) for plan in plans]
-        seeds = _step_seeds(cfg, mode_idx, len(plans))
+        keys = _step_keys(cfg, mode_idx, len(plans))
         exact = np.empty((len(plans), len(cfg.e_grid)))
         mc: list[list[tuple[float, float]]] = [[] for _ in plans]
         for start, e, finals in _cell_batches(cfg, plans[0], _preparations(plans)):
             cells = slice(start, start + len(e))
             for step_idx, (stack, reference, mask) in enumerate(zip(finals, references, masks)):
                 exact[step_idx, cells] = readout.signal_intensity(stack, reference)
-                mc[step_idx] += _mc_signal(mask, e, cfg.shots, seeds[step_idx][cells])
+                mc[step_idx] += _mc_signal(mask, e, cfg.shots, keys[step_idx][cells])
         for plan, mask, signals, step_mc in zip(plans, masks, exact.tolist(), mc):
             n = int(mask.sum())
             label = plan.preparation.label
@@ -450,7 +383,7 @@ def _grid_pass(
         plans, masks, references = zip(*table[mode])
         preps = _preparations(plans)
         swept = mode in cfg.modes
-        seeds = _step_seeds(cfg, cfg.modes.index(mode), len(plans)) if swept else []
+        keys = _step_keys(cfg, cfg.modes.index(mode), len(plans)) if swept else []
         step_worst = [(-np.inf, "")] * len(plans)
         initial = np.concatenate([[sum(preps, identity), identity], preps])
         for start, e, (direct, total, *parts) in _cell_batches(cfg, plans[0], initial):
@@ -475,7 +408,7 @@ def _grid_pass(
             for step_idx, step in enumerate(zip(plans, masks, references, parts) if swept else ()):
                 plan, mask, reference, part = step
                 norm = qcore.frobenius_norm(reference)
-                cells = seeds[step_idx][start : start + len(e)]
+                cells = keys[step_idx][start : start + len(e)]
                 negated = np.zeros(len(e), dtype=np.int64)
                 for first in range(0, cfg.shots, _SHOT_BLOCK):
                     block = min(_SHOT_BLOCK, cfg.shots - first)

@@ -702,10 +702,10 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
     grid = tuple(k / 64 for k in range(33))
     cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=modes)
     one_cell_at_a_time = []
-    for key, _, _, plan in harness.sweep_plans(cfg):
+    for (mode_idx, step_idx), _, _, plan in harness.sweep_plans(cfg):
         mask = circuits.damage_mask(plan)
-        for e, seed in zip(grid, harness._cell_seeds(cfg.seed, key, len(grid)).tolist()):
-            one_cell_at_a_time += harness._mc_signal(mask, (e,), shots, (seed,))
+        for e, key in zip(grid, harness._step_keys(cfg, mode_idx, 3)[step_idx]):
+            one_cell_at_a_time += harness._mc_signal(mask, (e,), shots, (key,))
     drawn = []
     batched = noise.draw_flips
 
@@ -823,9 +823,29 @@ def test_cli_rejects_negative_seed(capsys):
     assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_rejects_a_seed_of_2_64(source, tmp_path, capsys):
+    # a cell's Philox key holds the seed in its low 64 bits
+    if source == "flag":
+        args = ["--seed", "18446744073709551616"]
+    else:
+        path = tmp_path / "seed.cfg"
+        path.write_text("seed = 18446744073709551616\n")
+        args = ["--config", str(path)]
+    assert cli.main(["run", *args, "--e-grid", "0", "--shots", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer below 2**64, got 18446744073709551616" in err
+
+
+def test_cli_runs_the_largest_seed(capsys):
+    command = ["run", "--seed", "18446744073709551615", "--mode", "unprotected", "--shots", "2"]
+    assert cli.main([*command, "--e-grid", "0.25"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
 #: sha256 of the stdout of `dfsim run --seed 0`.  Re-pin only when output
 #: bytes change on purpose, and say why in CHANGES.md.
-GOLDEN_RUN_SEED_0_SHA256 = "5386cd7adb93ebbaca18656aedddc216371f4dc7142f6a014e0ac10b62ef556b"
+GOLDEN_RUN_SEED_0_SHA256 = "ab24deeadc114bdce3c422ff9190982fbc4e1a5f6dde5ca288424147b43b774a"
 
 
 def test_cli_run_seed_0_matches_golden_csv(capsys):
@@ -846,12 +866,14 @@ def test_cli_verify_seed_0_matches_golden_stdout(capsys):
 #: mode only (damage-count-consistency still audits the unprotected plans),
 #: another algorithm, and a placement without damage-count-values.
 #: Re-pinned once when verify gained frame-dense-shots and mc-convergence
-#: became an exact binomial test of the negated shots' count.
+#: became an exact binomial test of the negated shots' count; the
+#: Deutsch-Jozsa one again when each cell's Philox key became
+#: (seed, mode, step, e index), which moved its worst mc-convergence cell.
 GOLDEN_VERIFY_PATHS_SHA256 = {
     "verify --seed 0 --mode protected --e-grid 0.25":
         "5fe23db72294517963e1bc9042850dcf98882a1970873ded357d133a6790bd22",
     "verify --seed 0 --algorithm deutsch-jozsa --mode unprotected --shots 4 --e-grid 0.25":
-        "c9ae773b2ad64f47254b489ccc459155c3e82e2ff76fb3dbce6ce1778d753536",
+        "374b70243a5a25875df7faafd834d56506774d7211dd2424eaf69a77274bb813",
     "verify --seed 0 --placement 1,2 --e-grid 0.25 --shots 16":
         "8f14011a1f0c967a285a7dfb213998d3f2ef7667cfd8441d4994c298f7873170",
 }
@@ -867,23 +889,25 @@ def test_cli_verify_paths_match_golden_stdout(command, capsys):
 #: Re-pin only on purpose, and say why in CHANGES.md.
 GOLDEN_JSON_SHA256 = {
     "run --seed 0 --e-grid 0,0.25 --shots 16 --format json":
-        "cd532b32f0e238ebfebee28b57690aa4b920478e0a7699d4fb12d42b9070c7aa",
+        "95057f4c44525541b454d05a4945b44b5a1b1be930d82520b23950bfad676d48",
     "verify --seed 0 --shots 64 --e-grid 0,0.25,0.5 --format json":
         "d4687eaf8c2415b936fa84c849c9d07b2e7b21730f944f0ed6f48afb5204f24a",
     # protected-correctness reads the protected walk though protected is unswept
     "verify --seed 0 --mode unprotected --e-grid 0.1,0.3 --format json":
-        "cba1f3ed71a18dde04d387700cfc067ded694cb6d06ce9a51d9823f9935a5b96",
+        "c92bf52f85662a5e8dd39c538317e90a2c3a273b98dda81ea1a768bdf8677d9a",
 }
 
 
 #: sha256 of the stdout of runs whose cells are drawn in batches: 65 cells
 #: per plan at 2 shots (batches of 64 and 1), and cells of more than one
-#: _SHOT_BLOCK.  Pinned on the per-cell draws the batches replaced.
+#: _SHOT_BLOCK.  Re-pinned when each cell's Philox key became
+#: (seed, mode, step, e index); test_sweep_does_not_depend_on_the_cell_batch
+#: checks the batches against per-cell draws.
 GOLDEN_BATCH_SHA256 = {
     DJ_BATCHES:
-        "5ac5b96c7e21df31a11556fc851b1b693edb57a32812b2fb0275781a6858b96e",
+        "e8038b6142a0f258b211eb869c52d413552ba228f2a12ed5f1be635dcada12e8",
     "run --seed 5 --mode unprotected --shots 70001 --e-grid 0.125,0.375":
-        "71ad7f1e73779c72a9eed7a2dfc96f70ffe81303322b5fce077c39dd7ca4a17f",
+        "8f3c18d455b4209976506425acb68b186ec5f917245bb1148e2c2111fa4d38ce",
 }
 
 

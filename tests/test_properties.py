@@ -1,8 +1,9 @@
 """Property tests over random plans: Deutsch-Jozsa promise tables, Grover marked
 labels, every preparation step, placements with duplicates, and e in [0, 0.5];
 the exact channel over stacks of initial states; the sweep's masked-column
-parity against a masked sum; cell seeds against NumPy's own SeedSequence; the oracle's key compaction against np.unique; and
-random complete error models.
+parity against a masked sum; the cells' Philox keys, pairwise distinct and
+carrying the seed in their low 64 bits; the oracle's key compaction against
+np.unique; and random complete error models.
 
 Examples are capped and derandomized, and no failing example is replayed
 from an earlier run, so the suite stays fast and repeatable.
@@ -147,29 +148,20 @@ def test_masked_column_parity_equals_the_masked_sum(mask, e, seed, shots, block)
 
 
 @PROPERTY
-@given(
-    st.integers(min_value=0, max_value=2**130),
-    st.tuples(st.integers(0, 2**33), st.integers(0, 2**33)),
-    st.integers(min_value=1, max_value=600),
-)
-@example(0, (0, 0), 1)
-@example(2**64 - 1, (1, 2), 600)
-@example(2**130, (2**32, 0), 600)
-def test_cell_seeds_equal_seed_sequence(entropy, key, count):
-    # entropy past 2**128 takes five words, more than the pool's four
-    seeds = harness._cell_seeds(entropy, key, count)
-    expected = [
-        np.random.SeedSequence(entropy, spawn_key=key + (i,)).generate_state(1, np.uint64)[0]
-        for i in range(count)
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=600))
+@example(0, 1)
+@example(2**64 - 1, 600)
+def test_cell_keys_are_distinct_and_keep_the_seed(seed, count):
+    cfg = harness.SweepConfig(e_grid=(0.25,) * count, seed=seed)
+    keys = [
+        key
+        for mode_idx in range(len(circuits.MODES))
+        for step_keys in harness._step_keys(cfg, mode_idx, 3)
+        for key in step_keys
     ]
-    assert seeds.dtype == np.uint64
-    assert seeds.tolist() == [int(x) for x in expected]
-
-
-def test_cell_seeds_take_one_word_per_index():
-    assert harness._cell_seeds(3, (0, 1), 0).shape == (0,)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        harness._cell_seeds(3, (0, 1), 2**32 + 1)
+    assert len(keys) == len(circuits.MODES) * 3 * count
+    assert len(set(keys)) == len(keys)
+    assert all(key & (2**64 - 1) == seed and key < 2**128 for key in keys)
 
 
 @PROPERTY
