@@ -26,13 +26,13 @@ from . import circuits, dfs, harness
 _OPTIONS = {
     "config": ("--config", {"help": "flat key=value config file (flags win)"}),
     "e_grid": ("--e-grid", {"help": "comma-separated e values in [0, 0.5]"}),
-    "shots": ("--shots", {"type": int, "help": "Monte-Carlo shots per cell (default 2048)"}),
+    "shots": ("--shots", {"help": "Monte-Carlo shots per cell (default 2048)"}),
     "seed": ("--seed", {"help": "integer seed, or 'random' for fresh entropy"}),
     "modes": ("--mode", {"help": "comma-separated subset of protected,unprotected (or 'both')"}),
-    "algorithm": ("--algorithm", {"choices": circuits.ALGORITHMS}),
+    "algorithm": ("--algorithm", {"help": "grover or deutsch-jozsa (default grover)"}),
     "placement": ("--placement", {"help": "comma-separated decoherence-point boundaries"}),
     "output": ("--output", {"help": "result file path"}),
-    "format": ("--format", {"choices": ("csv", "json"), "help": "output format"}),
+    "format": ("--format", {"help": "output format, csv or json (default csv)"}),
 }
 
 
@@ -134,15 +134,16 @@ def _cmd_show_basis(args: argparse.Namespace) -> int:
 
 def _cmd_count_n(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    for _, mode, step, plan in harness.sweep_plans(cfg):
-        audit = circuits.damage_audit(plan)
-        n = sum(entry.hits for entry in audit)
-        print(f"mode={mode} step={step.label}: n = {n}")
-        for entry in audit:
-            print(
-                f"  point {entry.point} (boundary {entry.boundary}): "
-                f"state {entry.state}, damaging operators {entry.hits}"
-            )
+    for plans in harness.sweep_plans(cfg):
+        for plan in plans:
+            audit = circuits.damage_audit(plan)
+            n = sum(entry.hits for entry in audit)
+            print(f"mode={plan.mode} step={plan.preparation.label}: n = {n}")
+            for entry in audit:
+                print(
+                    f"  point {entry.point} (boundary {entry.boundary}): "
+                    f"state {entry.state}, damaging operators {entry.hits}"
+                )
     return 0
 
 

@@ -18,9 +18,9 @@ its noiseless final state once.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -69,6 +69,12 @@ class SweepConfig:
                 raise ConfigError(f"e_grid values must lie in [0, 0.5], got {e}")
         # -0.0 + 0.0 is +0.0: a grid value of -0 is written and reported as 0
         object.__setattr__(self, "e_grid", tuple(float(e) + 0.0 for e in self.e_grid))
+        for name in ("shots", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -112,36 +118,32 @@ class VerifyCheck:
     detail: str = ""
 
 
-def sweep_plans(
-    cfg: SweepConfig,
-) -> Iterator[tuple[tuple[int, int], str, readout.PreparationStep, circuits.ExperimentPlan]]:
-    """(key, mode, step, plan) for every (mode, step) of cfg, in sweep order.
+def sweep_plans(cfg: SweepConfig) -> Iterator[list[circuits.ExperimentPlan]]:
+    """Each mode's plans, one per step in step order, for the modes of cfg in order.
 
-    ``key`` is (mode index, step index).  Each mode is assembled once, and
-    its steps' plans are that plan with their own preparation, so they share
-    its gates and noise points.  This is the one mapping from a config to its
-    plans: run_sweep, verify's plan table and ``dfsim count-n`` all take their
-    plans from here.
+    Each mode is assembled once, and its steps' plans are that plan with
+    their own preparation, so they share its gates and noise points.  This is
+    the one mapping from a config to its plans: run_sweep, verify and
+    ``dfsim count-n`` all take their plans from here.
     """
-    for mode_idx, mode in enumerate(cfg.modes):
+    for mode in cfg.modes:
         steps = readout.steps_for_mode(mode)
         base = circuits.assemble(mode, cfg.algorithm, preparation=steps[0], placement=cfg.placement)
-        for step_idx, step in enumerate(steps):
-            yield (mode_idx, step_idx), mode, step, replace(base, preparation=step)
+        yield [replace(base, preparation=step) for step in steps]
 
 
 def _mode_stacks(
     cfg: SweepConfig,
-) -> Iterator[tuple[int, str, list[circuits.ExperimentPlan], np.ndarray]]:
-    """(mode index, mode, its steps' plans, their noiseless finals) for each mode of cfg.
+) -> Iterator[tuple[int, list[circuits.ExperimentPlan], list[np.ndarray], np.ndarray]]:
+    """(mode index, plans, damage masks, noiseless finals) of each mode of cfg, in step order.
 
-    The noiseless finals (steps, 16, 16) are one e = 0 stack of the steps'
-    preparations through the mode's first plan.
+    Each plan is audited once, by circuits.damage_mask.  The noiseless finals
+    (steps, 16, 16) are one e = 0 stack of the steps' preparations through
+    the mode's first plan.
     """
-    for mode_idx, group in itertools.groupby(sweep_plans(cfg), lambda entry: entry[0][0]):
-        plans = [plan for *_, plan in group]
+    for mode_idx, plans in enumerate(sweep_plans(cfg)):
         references = noise.run_plan_exact(plans[0], 0.0, _preparations(plans))
-        yield mode_idx, plans[0].mode, plans, references
+        yield mode_idx, plans, [circuits.damage_mask(plan) for plan in plans], references
 
 
 def _preparations(plans: list[circuits.ExperimentPlan]) -> np.ndarray:
@@ -153,6 +155,12 @@ def _preparations(plans: list[circuits.ExperimentPlan]) -> np.ndarray:
 #: noise points, and a few 8 B indices per shot in the dense oracle.
 _SHOT_BLOCK = 65536
 
+#: (state, e) rows of one noise.run_plan_exact call.  Its four (rows, 256)
+#: complex buffers take 4 KiB per row each; on the 513-value fine grid,
+#: blocks of 16, 64 and 128 took 0.47, 0.40 and 0.49 s.  Results do not
+#: depend on it (tested).
+_E_BLOCK = 64
+
 
 def _cell_batches(
     cfg: SweepConfig, plan: circuits.ExperimentPlan, initial: np.ndarray
@@ -161,15 +169,16 @@ def _cell_batches(
 
     ``initial`` is a mode's stack of k states and ``plan`` one of its plans,
     whose gates and noise points every plan of the mode shares; finals
-    (k, cells, 16, 16) are the stack through plan at e.  A batch holds
-    min(noise._E_BLOCK // k, _SHOT_BLOCK // shots) cells, and at least one:
-    its k * cells rows fill at most one exact block, a batch of more than one
-    cell draws at most _SHOT_BLOCK shots per plan, and no caller holds more
-    than one batch of finals.  run_sweep and verify take every cell from
-    here, and its Philox key from _step_keys, which does not depend on the
-    batch, so both draw the same flips for a cell.
+    (k, cells, 16, 16) are the stack through plan at e, one run_plan_exact
+    call.  This is the one place that blocks exact rows: a batch holds
+    min(_E_BLOCK // k, _SHOT_BLOCK // shots) cells, and at least one, so its
+    k * cells rows are at most one exact block, a batch of more than one cell
+    draws at most _SHOT_BLOCK shots per plan, and no caller holds more than
+    one batch of finals.  run_sweep and verify take
+    every cell from here, and its Philox key from _step_keys, which does not
+    depend on the batch, so both draw the same flips for a cell.
     """
-    batch = max(1, min(noise._E_BLOCK // len(initial), _SHOT_BLOCK // cfg.shots))
+    batch = max(1, min(_E_BLOCK // len(initial), _SHOT_BLOCK // cfg.shots))
     for start in range(0, len(cfg.e_grid), batch):
         e = cfg.e_grid[start : start + batch]
         yield start, e, noise.run_plan_exact(plan, e, initial)
@@ -192,6 +201,16 @@ def _parity(flips: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(flips[..., mask], axis=-1)
 
 
+def _shot_blocks(
+    e: tuple[float, ...], keys: tuple[int, ...], shots: int, mask: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(flips, _parity(flips, mask)) of the cells (e[i], keys[i]) of a batch,
+    from one noise.draw_flips call per _SHOT_BLOCK shots, in shot order."""
+    for first in range(0, shots, _SHOT_BLOCK):
+        flips = noise.draw_flips(e, keys, min(_SHOT_BLOCK, shots - first), len(mask), first=first)
+        yield flips, _parity(flips, mask)
+
+
 def _mc_signal(
     mask: np.ndarray, e: tuple[float, ...], shots: int, seeds: tuple[int, ...]
 ) -> list[tuple[float, float]]:
@@ -201,15 +220,13 @@ def _mc_signal(
     the ideal one negated once per damaging flip drawn, so its signal is
     +1 or -1 by its _parity.  The mean is then 1 - 2 (odd shots) /
     shots, and the standard error is the sample standard deviation (ddof 1)
-    of the +-1 shot signals over sqrt(shots).  The batch is drawn in one
-    noise.draw_flips call per _SHOT_BLOCK shots, unless no entry of the mask
-    is true: every protected plan, and every plan without noise points,
-    draws nothing.
+    of the +-1 shot signals over sqrt(shots).  The batch is drawn by
+    _shot_blocks, unless no entry of the mask is true: every protected plan,
+    and every plan without noise points, draws nothing.
     """
     odd = np.zeros(len(seeds), dtype=np.int64)
-    for first in range(0, shots, _SHOT_BLOCK) if mask.any() else ():
-        flips = noise.draw_flips(e, seeds, min(_SHOT_BLOCK, shots - first), len(mask), first=first)
-        odd += np.count_nonzero(_parity(flips, mask), axis=1)
+    for _, parity in _shot_blocks(e, seeds, shots, mask) if mask.any() else ():
+        odd += np.count_nonzero(parity, axis=1)
     signals = []
     for k in odd.tolist():
         mean = 1.0 - 2.0 * k / shots
@@ -226,8 +243,7 @@ def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
     signals at once, and its Monte-Carlo cells of the batch drawn together.
     """
     rows: list[SignalResult] = []
-    for mode_idx, mode, plans, references in _mode_stacks(cfg):
-        masks = [circuits.damage_mask(plan) for plan in plans]
+    for mode_idx, plans, masks, references in _mode_stacks(cfg):
         keys = _step_keys(cfg, mode_idx, len(plans))
         exact = np.empty((len(plans), len(cfg.e_grid)))
         mc: list[list[tuple[float, float]]] = [[] for _ in plans]
@@ -241,7 +257,7 @@ def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
             label = plan.preparation.label
             for e_i, signal, (mean, stderr) in zip(cfg.e_grid, signals, step_mc):
                 theory = readout.theory_curve(n, e_i)
-                row = (e_i, label, mode, cfg.algorithm, signal, mean, stderr, theory, n)
+                row = (e_i, label, plan.mode, cfg.algorithm, signal, mean, stderr, theory, n)
                 rows.append(SignalResult(*row))
     return rows
 
@@ -326,24 +342,8 @@ def _acceptance_radius(shots: int, p: float) -> float:
     return float(near[tails[np.searchsorted(near, near - 1e-9)] >= _ALPHA].max())
 
 
-def _plan_table(cfg: SweepConfig) -> dict[str, list[tuple]]:
-    """Each mode's (plan, damage mask, noiseless final state), in step order.
-
-    Built for both modes whatever cfg.modes holds, since damage-count-consistency
-    and damage-count-values read plans of both.  Every check of verify takes its
-    plans from here, so each mode is assembled once and each plan audited once.
-    """
-    table: dict[str, list[tuple]] = {}
-    for _, mode, plans, references in _mode_stacks(replace(cfg, modes=circuits.MODES)):
-        table[mode] = [
-            (plan, circuits.damage_mask(plan), reference)
-            for plan, reference in zip(plans, references)
-        ]
-    return table
-
-
 def _grid_pass(
-    cfg: SweepConfig, table: dict[str, list[tuple]]
+    cfg: SweepConfig, table: dict[str, tuple[list, list, np.ndarray]]
 ) -> tuple[float, float, float, float, float, str]:
     """protected-correctness's, temporal-averaging's, damage-count-consistency's
     and frame-dense-shots's residuals, and mc-convergence's worst margin and its cell.
@@ -375,12 +375,12 @@ def _grid_pass(
     for gate in table["protected"][0][0].gates:
         logical = gate.logical @ logical
     target = logical[:, 0]
-    refs = [dfs.decode(reference) for _, _, reference in table["protected"]]
+    refs = [dfs.decode(reference) for reference in table["protected"][2]]
     identity = np.eye(qcore.DIM, dtype=complex) / qcore.DIM
     correctness = averaging = consistency = frame_dense = 0.0
     worst, worst_cell = -np.inf, ""
     for mode in dict.fromkeys((*cfg.modes, *circuits.MODES)):
-        plans, masks, references = zip(*table[mode])
+        plans, masks, references = table[mode]
         preps = _preparations(plans)
         swept = mode in cfg.modes
         keys = _step_keys(cfg, cfg.modes.index(mode), len(plans)) if swept else []
@@ -410,10 +410,8 @@ def _grid_pass(
                 norm = qcore.frobenius_norm(reference)
                 cells = keys[step_idx][start : start + len(e)]
                 negated = np.zeros(len(e), dtype=np.int64)
-                for first in range(0, cfg.shots, _SHOT_BLOCK):
-                    block = min(_SHOT_BLOCK, cfg.shots - first)
-                    flips = noise.draw_flips(e, cells, block, len(mask), first=first)
-                    parity = _parity(flips, mask).astype(int)  # 1: negated
+                for flips, parity in _shot_blocks(e, cells, cfg.shots, mask):
+                    parity = parity.astype(int)  # 1: negated
                     negated += parity.sum(axis=1)
                     states, index = noise.monte_carlo_states(plan, np.concatenate(flips))
                     apart = np.linalg.norm(states[:, None] - [reference, -reference], axis=(2, 3))
@@ -434,10 +432,14 @@ def _grid_pass(
 def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     """Run the machine-checkable invariant suite; every check reports its residual.
 
-    The plan checks read one _plan_table, and one _grid_pass walks the cells.
+    The checks read each mode's _mode_stacks entry, both modes whatever
+    cfg.modes holds, and one _grid_pass walks the cells.
     """
     cfg = cfg or SweepConfig()
-    table = _plan_table(cfg)
+    table = {
+        plans[0].mode: (plans, masks, references)
+        for _, plans, masks, references in _mode_stacks(replace(cfg, modes=circuits.MODES))
+    }
     checks: list[VerifyCheck] = []
 
     def add(name: str, residual: float, tolerance: float, detail: str = "") -> None:
@@ -462,7 +464,8 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     add("damage-count-consistency", consistency, 1e-10)
     if cfg.algorithm == "grover" and cfg.placement is None:
         values = [abs(int(mask.sum()) - EXPECTED_DAMAGE[mode][plan.preparation.label])
-                  for mode, entries in table.items() for plan, mask, _ in entries]
+                  for mode, (plans, masks, _) in table.items()
+                  for plan, mask in zip(plans, masks)]
         add("damage-count-values", max(values), 0.0, "n = 0/0/0 and 6/12/6")
     add("frame-dense-shots", frame_dense, qcore.DEFAULT_TOL)
     add(

@@ -6,17 +6,15 @@ the coefficients of its Kraus operators over those words; it is the one
 description of a channel that apply_channel and verify_error_model take.
 
 run_plan_exact takes the strength e, a float or a whole grid, and one
-initial state or a stack of them, and evolves every (state, e) row together,
-_E_BLOCK rows at a time.  It does not go through apply_channel: each
-operator c W of engineered_model(e) permutes the basis by XOR with one mask,
-so its term c W rho W^dagger conj(c) is a fixed permutation of the entries
-of rho, scaled by c^2.  The terms are summed in the order apply_channel uses,
-so every final state equals, to the bit, the gate-by-gate evolution with
-apply_channel(rho, engineered_model(e)).  Every c is real and >= 0, so the
-terms are scaled as real numbers: (c+0j) x and c x differ only in the sign
-of a zero, and no zero sign survives apply_channel's sum, which starts from
-+0 (under round-to-nearest a sum is -0 only if both addends are -0); the
-real-scaled sum adds +0.0 once to match it (see _evolve_block).
+initial state or a stack of them, and evolves every (state, e) row together
+in one pass.  It does not go through apply_channel: each operator c W of
+engineered_model(e) permutes the basis by XOR with one mask, so its term
+c W rho W^dagger conj(c) is a fixed permutation of the entries of rho,
+scaled by c^2.  Every final state still equals, to the bit, the
+gate-by-gate evolution with apply_channel(rho, engineered_model(e)), and
+none holds a -0 (test_grid_evolution_equals_per_e_kraus_sum_to_the_bit,
+test_grid_evolution_leaves_no_negative_zero and
+test_stacked_exact_evolution_equals_each_state_alone).
 
 The engineered decoherence is applied at chosen circuit points: XXII with
 probability e, then IIXX with the same probability.  Averaged over
@@ -262,13 +260,6 @@ def shot_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-#: (state, e) rows run_plan_exact evolves together.  Its four (block, 256)
-#: complex buffers take 4 KiB per row each; on the 513-value fine grid,
-#: blocks of 16, 64 and 128 took 0.47, 0.40 and 0.49 s.  Results do not
-#: depend on it.
-_E_BLOCK = 64
-
-
 def _entry_permutation(word: np.ndarray) -> np.ndarray:
     """perm with (W rho W^dagger).ravel() == rho.ravel()[perm] for a permutation matrix W."""
     p = np.abs(word).argmax(axis=1)  # W[i, p[i]] = 1
@@ -289,9 +280,17 @@ def run_plan_exact(
     has shape initial.shape[:-2] + np.shape(e) + (16, 16).  Each (state, e)
     row's final state equals, to the bit, evolving that state on its own with
     apply_channel(rho, engineered_model(e)) at every noise point and
-    u rho u^dagger at every gate.  The rows, state-major, are evolved
-    _E_BLOCK at a time; callers that must not hold every final at once pass
-    the grid in blocks.  Raises ValueError if any e lies outside [0, 0.5].
+    u rho u^dagger at every gate.  Every row is evolved in one pass; callers
+    that must not hold every final at once pass the grid in blocks, as
+    harness._cell_batches does.  Raises ValueError if any e lies outside
+    [0, 0.5].
+
+    Each row's error-word coefficients are (1-e, r, r, e) with
+    r = sqrt(e(1-e)), all real, so the channel's terms (rho[perm_k] c_k) c_k
+    are scaled on the float64 view: (rho r) r is formed once and permuted for
+    both XXII and IIXX, and XXXX is permuted, then scaled.  They are summed in
+    operator order.  At e = 0 the three flip terms are zeros, so only E0
+    counts, as in engineered_model.
     """
     e = _validate_probability(e)
     grid = e.ravel()
@@ -304,44 +303,10 @@ def run_plan_exact(
     if prep.ndim not in (2, 3) or prep.shape[-2:] != (DIM, DIM):
         raise ValueError(f"initial must have shape ({DIM}, {DIM}) or (k, {DIM}, {DIM})")
     states = prep.reshape(-1, DIM * DIM)
-    finals = np.empty((len(states) * grid.size, DIM, DIM), dtype=complex)
-    for start in range(0, len(finals), _E_BLOCK):
-        rows = np.arange(start, min(start + _E_BLOCK, len(finals)))
-        state, column = np.divmod(rows, grid.size)
-        _evolve_block(plan, states[state], coeffs[:, column], finals[start : start + _E_BLOCK])
-    return finals.reshape(prep.shape[:-2] + e.shape + (DIM, DIM))
-
-
-def _scale_twice(x: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
-    """out = (x c) c for complex rows x and real c (rows, 1), on the float64 views."""
-    view = out.view(float)
-    np.multiply(x.view(float), c, out=view)
-    np.multiply(view, c, out=view)
-
-
-def _evolve_block(
-    plan: ExperimentPlan, rho: np.ndarray, coeffs: np.ndarray, out: np.ndarray
-) -> None:
-    """Evolve the raveled states ``rho`` (rows, 256) into ``out`` (rows, 16, 16).
-
-    ``coeffs`` (4, rows) holds each row's error-word coefficients (1-e, r, r,
-    e) with r = sqrt(e(1-e)).  The channel's terms (rho[perm_k] c_k) c_k are
-    scaled on the float64 view, since every c_k is real: (rho r) r is formed
-    once and permuted for both XXII and IIXX, and XXXX is permuted, then
-    scaled.  They are summed in operator order and +0.0 is added once.  At
-    e = 0 the three flip terms are zeros, so only E0 counts, as in
-    engineered_model.
-
-    Why this equals apply_channel's op @ rho @ op^dagger to the bit: every
-    coefficient is real and >= 0, so (a+0j) x differs from a x only in the
-    sign of a zero.  apply_channel sums from +0, and under round-to-nearest a
-    sum is -0 only if both addends are -0, so none of its entries is -0 and
-    no zero sign survives its sum; adding +0.0 to this sum turns every -0
-    into +0 and leaves every other value as it is.
-    """
-    n = len(out)
+    rho = np.repeat(states, grid.size, axis=0)  # the (state, e) rows, state-major
+    n = len(rho)
     acc, scaled, term = np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
-    a, r, _, b = coeffs[:, :, None]
+    a, r, _, b = np.tile(coeffs, len(states))[:, :, None]
     points = plan.decoherence_points
     idx = 0
     for boundary in range(len(plan.gates) + 1):
@@ -353,7 +318,7 @@ def _evolve_block(
             np.take(rho, _WORD_PERMS[3], axis=1, out=term, mode="clip")
             _scale_twice(term, b, term)
             acc += term
-            acc += 0.0
+            acc += 0.0  # turns -0 into +0, as apply_channel's sum from +0 leaves none
             rho, acc = acc, rho
             idx += 1
         if boundary < len(plan.gates):
@@ -361,7 +326,14 @@ def _evolve_block(
             stack, tmp = rho.reshape(n, DIM, DIM), term.reshape(n, DIM, DIM)
             np.matmul(u, stack, out=tmp)
             np.matmul(tmp, u.conj().T, out=stack)
-    out[:] = rho.reshape(n, DIM, DIM)
+    return rho.reshape(prep.shape[:-2] + e.shape + (DIM, DIM))
+
+
+def _scale_twice(x: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+    """out = (x c) c for complex rows x and real c (rows, 1), on the float64 views."""
+    view = out.view(float)
+    np.multiply(x.view(float), c, out=view)
+    np.multiply(view, c, out=view)
 
 
 #: Entry permutation of each flip pattern p = XXII + 2 IIXX at one noise point:

@@ -205,7 +205,8 @@ def test_verify_fails_on_an_exact_final_off_the_reference(monkeypatch, capsys):
     # protected finals of the e grid but not to the references: each exact
     # signal stays 1 and each count 0, but the mean rho_ref misses the term
     cfg = SweepConfig(modes=("protected",))
-    refs = [noise.run_plan_exact(plan, 0.0) for *_, plan in harness.sweep_plans(cfg)]
+    [plans] = harness.sweep_plans(cfg)
+    refs = [noise.run_plan_exact(plan, 0.0) for plan in plans]
     words = qcore._word_matrices()[1:]
     word = next(w for w in words if all(abs(np.vdot(w, ref)) < 1e-12 for ref in refs))
     exact = noise.run_plan_exact
@@ -702,10 +703,11 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
     grid = tuple(k / 64 for k in range(33))
     cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=modes)
     one_cell_at_a_time = []
-    for (mode_idx, step_idx), _, _, plan in harness.sweep_plans(cfg):
-        mask = circuits.damage_mask(plan)
-        for e, key in zip(grid, harness._step_keys(cfg, mode_idx, 3)[step_idx]):
-            one_cell_at_a_time += harness._mc_signal(mask, (e,), shots, (key,))
+    for mode_idx, plans in enumerate(harness.sweep_plans(cfg)):
+        for plan, keys in zip(plans, harness._step_keys(cfg, mode_idx, 3)):
+            mask = circuits.damage_mask(plan)
+            for e, key in zip(grid, keys):
+                one_cell_at_a_time += harness._mc_signal(mask, (e,), shots, (key,))
     drawn = []
     batched = noise.draw_flips
 
@@ -714,7 +716,7 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
         return batched(e, seeds, count, points, first=first)
 
     monkeypatch.setattr(noise, "draw_flips", spy)
-    monkeypatch.setattr(noise, "_E_BLOCK", 8)
+    monkeypatch.setattr(harness, "_E_BLOCK", 8)
     monkeypatch.setattr(harness, "_SHOT_BLOCK", 12)
     rows = run_sweep(cfg)
     assert [(r.signal_mc, r.mc_stderr) for r in rows] == one_cell_at_a_time
@@ -734,7 +736,7 @@ def test_sweep_does_not_depend_on_the_e_block(length, monkeypatch):
     grid = tuple((k % 5) * 0.1 for k in range(length))
     cfg = SweepConfig(e_grid=grid, shots=4, seed=9, modes=("unprotected",))
     one_block = results_to_csv(run_sweep(cfg))
-    monkeypatch.setattr(noise, "_E_BLOCK", 7)
+    monkeypatch.setattr(harness, "_E_BLOCK", 7)
     assert results_to_csv(run_sweep(cfg)) == one_block
 
 
@@ -755,7 +757,7 @@ def test_verify_does_not_depend_on_the_cell_batch(modes, shots, block, monkeypat
     # worst cell must agree
     cfg = SweepConfig(e_grid=tuple(k / 40 for k in range(20)), shots=shots, modes=modes)
     default = [repr(check) for check in harness.verify(cfg)]
-    monkeypatch.setattr(noise, "_E_BLOCK", 7)
+    monkeypatch.setattr(harness, "_E_BLOCK", 7)
     monkeypatch.setattr(harness, "_SHOT_BLOCK", block)
     assert [repr(check) for check in harness.verify(cfg)] == default
 
@@ -769,7 +771,7 @@ def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):
     # so step 0 at e = 0.2 and step 1 at e = 0.1 tie at the worst; step
     # order wins.
     cfg = SweepConfig(e_grid=(0.1, 0.2), shots=1, modes=("unprotected",), placement=())
-    plans = [plan for *_, plan in harness.sweep_plans(cfg)]
+    [plans] = harness.sweep_plans(cfg)
     norms = {qcore.frobenius_norm(noise.run_plan_exact(plan, 0.0)) for plan in plans}
     negated = iter([False, True, False, True, False, False])  # walk order
 
@@ -777,7 +779,7 @@ def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):
         return np.full(flips.shape[:2], next(negated))
 
     monkeypatch.setattr(harness, "_parity", fake)
-    monkeypatch.setattr(noise, "_E_BLOCK", 5)
+    monkeypatch.setattr(harness, "_E_BLOCK", 5)
     [check] = [c for c in harness.verify(cfg) if c.name == "mc-convergence"]
     [norm] = norms
     assert check.residual == 2 * norm - harness.NUMERICAL_FLOOR
@@ -841,6 +843,38 @@ def test_cli_runs_the_largest_seed(capsys):
     command = ["run", "--seed", "18446744073709551615", "--mode", "unprotected", "--shots", "2"]
     assert cli.main([*command, "--e-grid", "0.25"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("shots", 2.5)])
+def test_config_rejects_a_non_integer_seed_or_shots(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value}$"):
+        SweepConfig(**{field: value})
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("shots", "abc", "invalid shots 'abc': invalid literal for int() with base 10: 'abc'"),
+        ("algorithm", "foo", "unknown algorithm 'foo'"),
+        ("format", "xml", "format must be csv or json, got 'xml'"),
+    ],
+)
+def test_cli_gives_a_bad_flag_value_the_config_file_message(
+    key, value, message, source, tmp_path, capsys
+):
+    # flag values are parsed and checked by harness.build_config, as a
+    # config file's are, not by argparse
+    if source == "flag":
+        args = [f"--{key}", value]
+    else:
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {value}\n")
+        args = ["--config", str(path)]
+    assert cli.main(["run", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 #: sha256 of the stdout of `dfsim run --seed 0`.  Re-pin only when output
