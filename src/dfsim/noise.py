@@ -10,9 +10,13 @@ initial state or a stack of them, and evolves every (state, e) row together
 in one pass.  It does not go through apply_channel: each operator c W of
 engineered_model(e) permutes the basis by XOR with one mask, so its term
 c W rho W^dagger conj(c) is a fixed permutation of the entries of rho,
-scaled by c^2.  Every final state still equals, to the bit, the
-gate-by-gate evolution with apply_channel(rho, engineered_model(e)), and
-none holds a -0 (test_grid_evolution_equals_per_e_kraus_sum_to_the_bit,
+scaled by c^2.  Every dfsim state, gate and coefficient c is real, so the
+rows are evolved in float64 and the result's imaginary part is +0.
+apply_channel and the dense oracle stay complex, as independent references:
+every final state equals, to the bit, the gate-by-gate evolution with
+apply_channel(rho, engineered_model(e)), and none holds a -0
+(test_grid_evolution_equals_per_e_kraus_sum_to_the_bit,
+test_grid_evolution_past_the_last_noise_point_equals_kraus_sum_to_the_bit,
 test_grid_evolution_leaves_no_negative_zero and
 test_stacked_exact_evolution_equals_each_state_alone).
 
@@ -283,14 +287,13 @@ def run_plan_exact(
     u rho u^dagger at every gate.  Every row is evolved in one pass; callers
     that must not hold every final at once pass the grid in blocks, as
     harness._cell_batches does.  Raises ValueError if any e lies outside
-    [0, 0.5].
+    [0, 0.5], or if ``initial`` or a gate of ``plan`` is not real.
 
-    Each row's error-word coefficients are (1-e, r, r, e) with
-    r = sqrt(e(1-e)), all real, so the channel's terms (rho[perm_k] c_k) c_k
-    are scaled on the float64 view: (rho r) r is formed once and permuted for
-    both XXII and IIXX, and XXXX is permuted, then scaled.  They are summed in
-    operator order.  At e = 0 the three flip terms are zeros, so only E0
-    counts, as in engineered_model.
+    Rows are evolved in float64; the result's imaginary part is +0, set
+    after the work buffers are freed.  With r = sqrt(e(1-e)), the channel's
+    terms (rho[perm_k] c_k) c_k are summed in operator order: (rho r) r is
+    permuted for both XXII and IIXX, and XXXX is permuted, then scaled.  At
+    e = 0 the flip terms are zeros, so only E0 counts, as in engineered_model.
     """
     e = _validate_probability(e)
     grid = e.ravel()
@@ -302,38 +305,35 @@ def run_plan_exact(
     prep = np.asarray(plan.preparation.deviation if initial is None else initial, dtype=complex)
     if prep.ndim not in (2, 3) or prep.shape[-2:] != (DIM, DIM):
         raise ValueError(f"initial must have shape ({DIM}, {DIM}) or (k, {DIM}, {DIM})")
-    states = prep.reshape(-1, DIM * DIM)
+    if prep.imag.any():
+        raise ValueError("initial must be real (the exact channel evolves float64 rows)")
+    for gate in plan.gates:
+        if gate.physical.imag.any():
+            raise ValueError(f"plan gate {gate.label!r} must be real (exact rows are float64)")
+    states = prep.real.reshape(-1, DIM * DIM)
     rho = np.repeat(states, grid.size, axis=0)  # the (state, e) rows, state-major
-    n = len(rho)
     acc, scaled, term = np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
     a, r, _, b = np.tile(coeffs, len(states))[:, :, None]
     points = plan.decoherence_points
     idx = 0
     for boundary in range(len(plan.gates) + 1):
         while idx < len(points) and points[idx] == boundary:
-            _scale_twice(rho, a, acc)
-            _scale_twice(rho, r, scaled)
+            np.multiply(np.multiply(rho, a, out=acc), a, out=acc)
+            np.multiply(np.multiply(rho, r, out=scaled), r, out=scaled)
             for perm in _WORD_PERMS[1:3]:
                 acc += np.take(scaled, perm, axis=1, out=term, mode="clip")
             np.take(rho, _WORD_PERMS[3], axis=1, out=term, mode="clip")
-            _scale_twice(term, b, term)
+            np.multiply(np.multiply(term, b, out=term), b, out=term)
             acc += term
             acc += 0.0  # turns -0 into +0, as apply_channel's sum from +0 leaves none
             rho, acc = acc, rho
             idx += 1
         if boundary < len(plan.gates):
-            u = plan.gates[boundary].physical
-            stack, tmp = rho.reshape(n, DIM, DIM), term.reshape(n, DIM, DIM)
-            np.matmul(u, stack, out=tmp)
-            np.matmul(tmp, u.conj().T, out=stack)
-    return rho.reshape(prep.shape[:-2] + e.shape + (DIM, DIM))
-
-
-def _scale_twice(x: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
-    """out = (x c) c for complex rows x and real c (rows, 1), on the float64 views."""
-    view = out.view(float)
-    np.multiply(x.view(float), c, out=view)
-    np.multiply(view, c, out=view)
+            u = plan.gates[boundary].physical.real
+            np.matmul(u, rho.reshape(-1, DIM, DIM), out=term.reshape(-1, DIM, DIM))
+            np.matmul(term.reshape(-1, DIM, DIM), u.T, out=rho.reshape(-1, DIM, DIM))
+    del acc, scaled, term
+    return rho.reshape(prep.shape[:-2] + e.shape + (DIM, DIM)).astype(complex)
 
 
 #: Entry permutation of each flip pattern p = XXII + 2 IIXX at one noise point:

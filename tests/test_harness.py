@@ -590,6 +590,7 @@ GOLDEN_FILES = {
     "verify --seed 0 --mode unprotected --e-grid 0.1,0.3 --format json": "verify-unprotected.json",
     DJ_BATCHES: "run-dj-batches.csv",
     "run --seed 5 --mode unprotected --shots 70001 --e-grid 0.125,0.375": "run-70001-shots.csv",
+    "run --seed 0 --placement 1,2 --e-grid 0,0.25,0.5": "run-placement.csv",
 }
 
 
@@ -884,6 +885,17 @@ GOLDEN_RUN_SEED_0_SHA256 = "ab24deeadc114bdce3c422ff9190982fbc4e1a5f6dde5ca28842
 
 def test_cli_run_seed_0_matches_golden_csv(capsys):
     _assert_golden_stdout("run --seed 0", GOLDEN_RUN_SEED_0_SHA256, capsys)
+
+
+#: sha256 of the stdout of a run whose plans end in a gate: noise points 1
+#: and 2 only, so the exact path's last operation is a gate, not the channel.
+#: Re-pin only when output bytes change on purpose, and say why in CHANGES.md.
+GOLDEN_RUN_PLACEMENT_SHA256 = "2d607e2b3801737f3ad09b0837356593f70eedb172b32d19ed755b6418de5f4a"
+
+
+def test_cli_run_ending_in_a_gate_matches_golden_csv(capsys):
+    command = "run --seed 0 --placement 1,2 --e-grid 0,0.25,0.5"
+    _assert_golden_stdout(command, GOLDEN_RUN_PLACEMENT_SHA256, capsys)
 
 
 #: sha256 of the stdout of `dfsim verify --seed 0`.  The dense oracle's

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,57 @@ def test_grid_evolution_leaves_no_negative_zero():
             assert final.tobytes() == _per_e_exact(plan, e, state).tobytes()
     parts = finals.view(float)
     assert not np.signbit(parts[parts == 0.0]).any()
+
+
+#: Noise placements of which all but () put a gate after the last noise point.
+PLACEMENTS = ((1, 2), (0,), (), (3,), (0, 2, 4), (0, 0, 1))
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("mode", circuits.MODES)
+@pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
+def test_grid_evolution_past_the_last_noise_point_equals_kraus_sum_to_the_bit(
+    algorithm, mode, placement
+):
+    # tobytes after a final gate checks the imaginary zeros' signs too
+    steps = readout.steps_for_mode(mode)
+    plan = circuits.assemble(mode, algorithm, placement=placement)
+    summed = np.eye(16, dtype=complex) / 16 + sum(s.deviation for s in steps)
+    for initial in (None, summed):
+        finals = run_plan_exact(plan, MIXED_E_GRID, initial=initial)
+        for e, final in zip(MIXED_E_GRID, finals):
+            assert final.tobytes() == _per_e_exact(plan, e, initial).tobytes()
+
+
+def test_grid_evolution_rejects_non_real_input():
+    step = readout.unprotected_steps()[0]
+    s_gate = np.diag([1, 1j, 1, 1j])  # S on the second register qubit
+    gate = circuits.Gate("s", s_gate, circuits.embed_on_spins_1_4(s_gate))
+    plan = circuits.ExperimentPlan("unprotected", "grover", (gate,), (0, 1), step)
+    with pytest.raises(ValueError, match="plan gate 's' must be real"):
+        run_plan_exact(plan, 0.25)
+    plan = circuits.assemble("unprotected", preparation=step)
+    with pytest.raises(ValueError, match="initial must be real"):
+        run_plan_exact(plan, 0.25, step.deviation + 1e-3j * np.eye(16))
+    negative_zero = np.array(step.deviation, dtype=complex)
+    negative_zero.imag = -0.0  # equal to 0, so the state is real
+    finals = run_plan_exact(plan, 0.25, negative_zero)
+    assert finals.tobytes() == run_plan_exact(plan, 0.25).tobytes()
+
+
+def test_grid_evolution_peaks_near_the_size_of_its_result():
+    # the work buffers are real and freed before the complex result is made
+    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[0])
+    stack = np.stack([s.deviation for s in readout.unprotected_steps()])
+    grid = np.linspace(0.0, 0.5, 513)
+    run_plan_exact(plan, grid[:2], stack)  # warm-up
+    tracemalloc.start()
+    try:
+        finals = run_plan_exact(plan, grid, stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * finals.nbytes
 
 
 def test_grid_evolution_shapes():
