@@ -30,7 +30,7 @@ from . import dfs
 from .qcore import DIM, _pauli_transform, anticommutes, is_unitary, pauli_basis_strings
 from .readout import PreparationStep, steps_for_mode
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+_H = np.array([[1, 1], [1, -1]], dtype=complex)  # sqrt(2) H: hadamard_pair halves its kron
 
 MODES = ("protected", "unprotected")
 ALGORITHMS = ("grover", "deutsch-jozsa")
@@ -87,8 +87,8 @@ class ExperimentPlan:
 
 
 def hadamard_pair() -> np.ndarray:
-    """H on both register qubits; prepares the equal superposition from |00>."""
-    return np.kron(_H, _H)
+    """H on both register qubits, every entry exactly +-1/2; prepares the equal superposition."""
+    return np.kron(_H, _H) / 2
 
 
 def phase_flip(index: int) -> np.ndarray:

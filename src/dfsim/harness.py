@@ -9,11 +9,13 @@ deterministic functions of (config, seed) down to the output bytes.
 The three temporal-averaging steps of a mode share every gate and noise
 point, so each mode is assembled once and its steps' preparations are
 evolved together, as one stack of initial states through the exact channel.
-The sweep and the verifier walk each mode's stack once, in _cell_batches, and
-read every cell of the mode from its batch: the sweep its exact and
-Monte-Carlo signals, the verifier every grid check.  The verifier takes its
-plans from one table of the six (mode, step) plans, each audited and given
-its noiseless final state once.
+The sweep and the verifier walk each mode's stack once, in _cell_batches.
+The sweep reads each batch's exact signals, then draws each step over the
+whole grid: its Monte Carlo reads only the damage mask and the cell keys.
+The verifier reads every grid check from the batch and draws its cells per
+batch, as its dense oracle needs the finals.  It takes its plans from one
+table of the six (mode, step) plans, each audited and given its noiseless
+final state once.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ _SHOT_BLOCK = 65536
 
 #: (state, e) rows of one noise.run_plan_exact call.  Its four (rows, 256)
 #: float64 buffers take 2 KiB per row each; a whole 513-value fine-grid pass
-#: took 205, 153, 141, 138 and 142 ms at blocks of 16, 32, 64, 128 and 256
+#: took 140, 110, 91, 91 and 97 ms at blocks of 16, 32, 64, 128 and 256
 #: (median of 12, 2-vCPU VM).  Results do not depend on it (tested).
 _E_BLOCK = 64
 
@@ -172,11 +174,11 @@ def _cell_batches(
     (k, cells, 16, 16) are the stack through plan at e, one run_plan_exact
     call.  This is the one place that blocks exact rows: a batch holds
     min(_E_BLOCK // k, _SHOT_BLOCK // shots) cells, and at least one, so its
-    k * cells rows are at most one exact block, a batch of more than one cell
-    draws at most _SHOT_BLOCK shots per plan, and no caller holds more than
-    one batch of finals.  run_sweep and verify take
-    every cell from here, and its Philox key from _step_keys, which does not
-    depend on the batch, so both draw the same flips for a cell.
+    k * cells rows are at most one exact block and no caller holds more than
+    one batch of finals.  verify draws a batch's cells together, so it draws
+    at most _SHOT_BLOCK shots per plan a call; run_sweep draws per step
+    (_mc_signal).  A cell's Philox key comes from _step_keys, whatever the
+    batch, so both draw the same flips for it.
     """
     batch = max(1, min(_E_BLOCK // len(initial), _SHOT_BLOCK // cfg.shots))
     for start in range(0, len(cfg.e_grid), batch):
@@ -214,25 +216,26 @@ def _shot_blocks(
 def _mc_signal(
     mask: np.ndarray, e: tuple[float, ...], shots: int, seeds: tuple[int, ...]
 ) -> list[tuple[float, float]]:
-    """Monte-Carlo signal and its standard error of each cell (e[i], seeds[i]) of a batch.
+    """Monte-Carlo signal and its standard error of each cell (e[i], seeds[i]).
 
     ``mask`` is the plan's circuits.damage_mask: a shot's final deviation is
     the ideal one negated once per damaging flip drawn, so its signal is
     +1 or -1 by its _parity.  The mean is then 1 - 2 (odd shots) /
     shots, and the standard error is the sample standard deviation (ddof 1)
-    of the +-1 shot signals over sqrt(shots).  The batch is drawn by
-    _shot_blocks, unless no entry of the mask is true: every protected plan,
-    and every plan without noise points, draws nothing.
+    of the +-1 shot signals over sqrt(shots).  The cells are drawn
+    max(1, _SHOT_BLOCK // shots) at a time by _shot_blocks, unless no entry
+    of the mask is true: every protected plan, and every plan without noise
+    points, draws nothing.
     """
     odd = np.zeros(len(seeds), dtype=np.int64)
-    for _, parity in _shot_blocks(e, seeds, shots, mask) if mask.any() else ():
-        odd += np.count_nonzero(parity, axis=1)
-    signals = []
-    for k in odd.tolist():
-        mean = 1.0 - 2.0 * k / shots
-        stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
-        signals.append((mean, stderr))
-    return signals
+    batch = max(1, _SHOT_BLOCK // shots)
+    for start in range(0, len(seeds), batch) if mask.any() else ():
+        cells = slice(start, start + batch)
+        for _, parity in _shot_blocks(e[cells], seeds[cells], shots, mask):
+            odd[cells] += np.count_nonzero(parity, axis=1)
+    mean = 1.0 - 2.0 * odd / shots
+    stderr = np.sqrt((1.0 - mean * mean) / (shots - 1)) if shots > 1 else np.zeros_like(mean)
+    return list(zip(mean.tolist(), stderr.tolist()))
 
 
 def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
@@ -240,19 +243,18 @@ def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
 
     Each mode's steps go through the exact channel as one stack, walked once
     in _cell_batches: each step's finals of a batch are turned into exact
-    signals at once, and its Monte-Carlo cells of the batch drawn together.
+    signals at once.  The Monte Carlo reads no final, so each step's whole
+    grid is then drawn by one _mc_signal call.
     """
     rows: list[SignalResult] = []
     for mode_idx, plans, masks, references in _mode_stacks(cfg):
         keys = _step_keys(cfg, mode_idx, len(plans))
         exact = np.empty((len(plans), len(cfg.e_grid)))
-        mc: list[list[tuple[float, float]]] = [[] for _ in plans]
         for start, e, finals in _cell_batches(cfg, plans[0], _preparations(plans)):
-            cells = slice(start, start + len(e))
-            for step_idx, (stack, reference, mask) in enumerate(zip(finals, references, masks)):
-                exact[step_idx, cells] = readout.signal_intensity(stack, reference)
-                mc[step_idx] += _mc_signal(mask, e, cfg.shots, keys[step_idx][cells])
-        for plan, mask, signals, step_mc in zip(plans, masks, exact.tolist(), mc):
+            for step_idx, (stack, reference) in enumerate(zip(finals, references)):
+                exact[step_idx, start : start + len(e)] = readout.signal_intensity(stack, reference)
+        for plan, mask, signals, step_keys in zip(plans, masks, exact.tolist(), keys):
+            step_mc = _mc_signal(mask, cfg.e_grid, cfg.shots, step_keys)
             n = int(mask.sum())
             label = plan.preparation.label
             for e_i, signal, (mean, stderr) in zip(cfg.e_grid, signals, step_mc):

@@ -10,12 +10,15 @@ initial state or a stack of them, and evolves every (state, e) row together
 in one pass.  It does not go through apply_channel: each operator c W of
 engineered_model(e) permutes the basis by XOR with one mask, so its term
 c W rho W^dagger conj(c) is a fixed permutation of the entries of rho,
-scaled by c^2.  Every dfsim state, gate and coefficient c is real, so the
-rows are evolved in float64 and the result's imaginary part is +0.
-apply_channel and the dense oracle stay complex, as independent references:
-every final state equals, to the bit, the gate-by-gate evolution with
-apply_channel(rho, engineered_model(e)), and none holds a -0
-(test_grid_evolution_equals_per_e_kraus_sum_to_the_bit,
+scaled by c^2.  On a flat entry index f the masks are f ^ 0xCC (XXII),
+f ^ 0x33 (IIXX) and f ^ 0xFF = 255 - f (XXXX): IIXX's permutation is XXII's
+reversed and XXXX's is the reversal, so a noise point takes one gather
+(test_word_permutations_are_reversals).  Every dfsim state, gate and
+coefficient c is real, so the rows are evolved in float64 and the result's
+imaginary part is +0.  apply_channel and the dense oracle stay complex, as
+independent references: every final state equals, to the bit, the
+gate-by-gate evolution with apply_channel(rho, engineered_model(e)), and
+none holds a -0 (test_grid_evolution_equals_per_e_kraus_sum_to_the_bit,
 test_grid_evolution_past_the_last_noise_point_equals_kraus_sum_to_the_bit,
 test_grid_evolution_leaves_no_negative_zero and
 test_stacked_exact_evolution_equals_each_state_alone).
@@ -46,12 +49,9 @@ the 2*points uniforms at a fixed position, word k*2*points, of that stream,
 so any range of shots can be recomputed on its own, in any order or on any
 worker, and gives bit-identical flips (see draw_flips).  A flip compares the
 stream's raw 64-bit word with an integer threshold, which is exactly
-Generator.random()'s uniform compared with e.  draw_flips takes
-one cell or a batch of cells: it builds one Philox generator per call and
-re-keys it for each cell by setting its state, so a cell costs a state
-change, not a new generator, and draws the same flips as a Philox built for
-it alone.  It holds _UNIFORM_SHOTS shots of one cell's words at a time, so
-only the returned flips, 1 B each, grow with the shots.
+Generator.random()'s uniform compared with e.  draw_flips takes one cell or
+a batch of cells, and how cells are grouped into calls changes no flip
+(test_draw_flips_over_many_cells_stacks_the_one_cell_draws).
 """
 
 from __future__ import annotations
@@ -291,9 +291,10 @@ def run_plan_exact(
 
     Rows are evolved in float64; the result's imaginary part is +0, set
     after the work buffers are freed.  With r = sqrt(e(1-e)), the channel's
-    terms (rho[perm_k] c_k) c_k are summed in operator order: (rho r) r is
-    permuted for both XXII and IIXX, and XXXX is permuted, then scaled.  At
-    e = 0 the flip terms are zeros, so only E0 counts, as in engineered_model.
+    terms (rho[perm_k] c_k) c_k are summed in operator order from one gather
+    per noise point: (rho r) r through XXII's permutation, that term
+    reversed (IIXX), and rho reversed (XXXX), then scaled.  At e = 0 the flip
+    terms are zeros, so only E0 counts, as in engineered_model.
     """
     e = _validate_probability(e)
     grid = e.ravel()
@@ -320,11 +321,9 @@ def run_plan_exact(
         while idx < len(points) and points[idx] == boundary:
             np.multiply(np.multiply(rho, a, out=acc), a, out=acc)
             np.multiply(np.multiply(rho, r, out=scaled), r, out=scaled)
-            for perm in _WORD_PERMS[1:3]:
-                acc += np.take(scaled, perm, axis=1, out=term, mode="clip")
-            np.take(rho, _WORD_PERMS[3], axis=1, out=term, mode="clip")
-            np.multiply(np.multiply(term, b, out=term), b, out=term)
-            acc += term
+            acc += np.take(scaled, _WORD_PERMS[1], axis=1, out=term, mode="clip")
+            acc += term[:, ::-1]  # IIXX's gather, as _WORD_PERMS[2] is _WORD_PERMS[1] reversed
+            acc += np.multiply(np.multiply(rho[:, ::-1], b, out=term), b, out=term)  # XXXX
             acc += 0.0  # turns -0 into +0, as apply_channel's sum from +0 leaves none
             rho, acc = acc, rho
             idx += 1
@@ -423,10 +422,8 @@ def monte_carlo_finals(
 
     The flips are draw_flips(e, seed, shots, points) and the states come from
     monte_carlo_states; each shot's matrix equals, to the bit, evolving it on
-    its own.  This holds all shots at once (4 KiB each).  Unused by dfsim,
-    whose verify runs monte_carlo_states itself, a shot block at a time
-    (harness._grid_pass); kept because bench/spans.py wraps
-    noise.monte_carlo_finals by name.
+    its own.  This holds all shots at once (4 KiB each).  Unused by dfsim;
+    kept because bench/spans.py wraps noise.monte_carlo_finals by name.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

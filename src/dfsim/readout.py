@@ -74,17 +74,17 @@ def signal_intensity(final: np.ndarray, reference: np.ndarray) -> float | np.nda
     Returns Re Tr(reference^dagger final) / Tr(reference^dagger reference);
     equals 1 when final == reference and -1 when the output is phase inverted.
     ``final`` is one matrix, which gives a float, or a stack of matrices of
-    the reference's shape, which gives an array of the stack's shape: the
-    norm is computed once and each overlap is its own np.vdot.
+    the reference's shape, which gives an array of the stack's shape.  Each
+    sum of real products (ufuncs, no fused multiply-add) is reduced pairwise
+    in a fixed order: the same bits alone or in a stack, on any BLAS kernel.
     """
-    reference = np.asarray(reference)
-    norm = np.vdot(reference, reference).real
+    ref = np.asarray(reference).ravel()
+    norm = np.add.reduce(ref.real * ref.real + ref.imag * ref.imag)
     if norm <= DEFAULT_TOL:
         raise ValueError("signal reference must be nonzero")
     final = np.asarray(final)
-    stack = final.reshape((-1,) + reference.shape)
-    overlaps = np.array([np.vdot(reference, f).real for f in stack])
-    signals = (overlaps / norm).reshape(final.shape[: final.ndim - reference.ndim])
+    stack = final.reshape(final.shape[: final.ndim - np.ndim(reference)] + ref.shape)
+    signals = np.add.reduce(ref.real * stack.real + ref.imag * stack.imag, axis=-1) / norm
     return float(signals) if signals.ndim == 0 else signals
 
 

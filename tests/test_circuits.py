@@ -41,6 +41,16 @@ def test_grover_superposition_step():
     np.testing.assert_allclose(out, 0.5 * np.ones(4), atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", circuits.MODES)
+@pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
+def test_realized_gates_have_exact_entries(algorithm, mode):
+    # every entry is 0, +-1/2 or +-1 exactly, so every gate product is exact
+    # and its bits do not depend on the BLAS kernel; a Hadamard pair built
+    # from 1/sqrt(2) gives +-0.4999999999999999 instead
+    for gate in assemble(mode, algorithm).gates:
+        assert set(np.unique(gate.physical).tolist()) <= {0, 0.5, -0.5, 1, -1}, gate.label
+
+
 def test_grover_rejects_bad_label():
     with pytest.raises(ValueError):
         grover_gates("2")

@@ -576,6 +576,9 @@ DJ_BATCHES = "run --seed 3 --algorithm deutsch-jozsa --mode both --shots 2 --e-g
 )
 
 #: The file under tests/golden that holds the stdout of each pinned command.
+#: Every one but count-n's was re-pinned once when the Hadamard pair got exact
+#: entries and signal_intensity became a fixed-order sum, which made the bytes
+#: the same on every BLAS kernel (test_stdout_does_not_depend_on_the_blas_kernel).
 GOLDEN_FILES = {
     "count-n": "count-n.txt",
     "count-n --algorithm deutsch-jozsa --placement 0,2,4": "count-n-dj-placement.txt",
@@ -698,9 +701,10 @@ def test_mc_signal_of_a_mask_without_damage_draws_nothing(mask, shots, monkeypat
     ],
 )
 def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
-    # batches of min(_E_BLOCK // 3, _SHOT_BLOCK // shots) cells, at least one,
-    # each drawn for the three steps in turn; protected plans have no
-    # damaging flip and draw nothing
+    # run draws step by step over the whole grid, whatever the exact batches
+    # (_E_BLOCK // 3 cells): each unprotected step in turn, in batches of
+    # _SHOT_BLOCK // shots cells, at least one, each drawn in shot blocks of
+    # _SHOT_BLOCK; protected plans have no damaging flip and draw nothing
     grid = tuple(k / 64 for k in range(33))
     cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=modes)
     one_cell_at_a_time = []
@@ -721,14 +725,38 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
     monkeypatch.setattr(harness, "_SHOT_BLOCK", 12)
     rows = run_sweep(cfg)
     assert [(r.signal_mc, r.mc_stderr) for r in rows] == one_cell_at_a_time
-    batch = max(1, min(8 // 3, 12 // shots))
+    batch = max(1, 12 // shots)
     cells = [min(batch, 33 - start) for start in range(0, 33, batch)]
     firsts = range(0, shots, 12)
     steps = range(3)  # three unprotected steps
     expected = [
-        (c, min(12, shots - first), first) for c in cells for _ in steps for first in firsts
+        (c, min(12, shots - first), first) for _ in steps for c in cells for first in firsts
     ]
     assert drawn == expected
+
+
+def test_fine_grid_sweep_draws_once_per_step(monkeypatch):
+    # 513 Deutsch-Jozsa e values at 2 shots: each of the three unprotected
+    # steps draws its 1026 shots in one call.  With a _SHOT_BLOCK of 100, a
+    # step draws 50 cells (100 shots) a call: 11 calls, the last of 13 cells
+    cfg = SweepConfig(
+        e_grid=tuple(k / 1024 for k in range(513)), shots=2, modes=circuits.MODES,
+        algorithm="deutsch-jozsa",
+    )
+    drawn = []
+    batched = noise.draw_flips
+
+    def spy(e, seeds, count, points, first=0):
+        drawn.append(len(seeds) * count)
+        return batched(e, seeds, count, points, first=first)
+
+    monkeypatch.setattr(noise, "draw_flips", spy)
+    rows = run_sweep(cfg)
+    assert drawn == [513 * 2] * 3
+    drawn.clear()
+    monkeypatch.setattr(harness, "_SHOT_BLOCK", 100)
+    assert run_sweep(cfg) == rows
+    assert drawn == ([100] * 10 + [26]) * 3
 
 
 @pytest.mark.parametrize("length", [1, 7, 8, 20])
@@ -878,9 +906,36 @@ def test_cli_gives_a_bad_flag_value_the_config_file_message(
     assert captured.err == f"error: {message}\n"
 
 
+def _numpy_blas_is_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # NumPy before 1.26 only prints its build configuration
+        return False
+    return "openblas" in blas.get("name", "").lower()
+
+
+@pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="NumPy's BLAS is not OpenBLAS")
+def test_stdout_does_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE picks the kernels of a DYNAMIC_ARCH OpenBLAS when it
+    # loads: Haswell's fuse multiply and add, Prescott's do not.  The gates'
+    # entries are exact and the overlaps are fixed-order ufunc sums, so every
+    # printed digit must agree; with gates built from 1/sqrt(2) and np.vdot
+    # overlaps, both commands differ between the two
+    src = str(Path(dfsim.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for command in ("run --seed 0 --e-grid 0.125,0.25", "verify --seed 0 --e-grid 0.25"):
+        stdout = []
+        for core in ("Haswell", "Prescott"):
+            env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": pythonpath}
+            argv = [sys.executable, "-m", "dfsim.cli", *command.split()]
+            proc = subprocess.run(argv, capture_output=True, env=env, timeout=120, check=True)
+            stdout.append(proc.stdout)
+        assert stdout[0] == stdout[1], command
+
+
 #: sha256 of the stdout of `dfsim run --seed 0`.  Re-pin only when output
 #: bytes change on purpose, and say why in CHANGES.md.
-GOLDEN_RUN_SEED_0_SHA256 = "ab24deeadc114bdce3c422ff9190982fbc4e1a5f6dde5ca288424147b43b774a"
+GOLDEN_RUN_SEED_0_SHA256 = "9d35fa381e37216723e6cc565bdf18f6c872a70d46206eba58faa148606923ec"
 
 
 def test_cli_run_seed_0_matches_golden_csv(capsys):
@@ -890,7 +945,7 @@ def test_cli_run_seed_0_matches_golden_csv(capsys):
 #: sha256 of the stdout of a run whose plans end in a gate: noise points 1
 #: and 2 only, so the exact path's last operation is a gate, not the channel.
 #: Re-pin only when output bytes change on purpose, and say why in CHANGES.md.
-GOLDEN_RUN_PLACEMENT_SHA256 = "2d607e2b3801737f3ad09b0837356593f70eedb172b32d19ed755b6418de5f4a"
+GOLDEN_RUN_PLACEMENT_SHA256 = "ada5a75aeb79c74c1439889e86ddffd2c7e20dfa52ef7e2b468be47bb97bc398"
 
 
 def test_cli_run_ending_in_a_gate_matches_golden_csv(capsys):
@@ -901,7 +956,7 @@ def test_cli_run_ending_in_a_gate_matches_golden_csv(capsys):
 #: sha256 of the stdout of `dfsim verify --seed 0`.  The dense oracle's
 #: residuals are printed to three digits, so any change in its arithmetic
 #: shows here; re-pin only on purpose, and say why in CHANGES.md.
-GOLDEN_VERIFY_SEED_0_SHA256 = "1fa09ee9cf8c2a045a8fc249ba867c18c7fa6dade125dc8a0e234670a9dedec3"
+GOLDEN_VERIFY_SEED_0_SHA256 = "d6716445617c38a187c7e1c5c063cd25b2ae12681e8e3a3c64f06817bc30c601"
 
 
 def test_cli_verify_seed_0_matches_golden_stdout(capsys):
@@ -917,11 +972,11 @@ def test_cli_verify_seed_0_matches_golden_stdout(capsys):
 #: (seed, mode, step, e index), which moved its worst mc-convergence cell.
 GOLDEN_VERIFY_PATHS_SHA256 = {
     "verify --seed 0 --mode protected --e-grid 0.25":
-        "5fe23db72294517963e1bc9042850dcf98882a1970873ded357d133a6790bd22",
+        "23f6dd067fae23390c4881bc3d707c1426a482d9bb596acf456aacb11caca1c2",
     "verify --seed 0 --algorithm deutsch-jozsa --mode unprotected --shots 4 --e-grid 0.25":
-        "374b70243a5a25875df7faafd834d56506774d7211dd2424eaf69a77274bb813",
+        "997d9470e0d119fd589ba7b88f9071299999549d61d386a95e27b399ca2d632e",
     "verify --seed 0 --placement 1,2 --e-grid 0.25 --shots 16":
-        "8f14011a1f0c967a285a7dfb213998d3f2ef7667cfd8441d4994c298f7873170",
+        "fe1e7da7c9e170446843e98f126f6e01f4552b8298bbddf8aa908793f3ff22c0",
 }
 
 
@@ -935,12 +990,12 @@ def test_cli_verify_paths_match_golden_stdout(command, capsys):
 #: Re-pin only on purpose, and say why in CHANGES.md.
 GOLDEN_JSON_SHA256 = {
     "run --seed 0 --e-grid 0,0.25 --shots 16 --format json":
-        "95057f4c44525541b454d05a4945b44b5a1b1be930d82520b23950bfad676d48",
+        "e8c9fa88b4872f7c38f5d9ba67d46a5c3afacede1597e84811093e2141a230f4",
     "verify --seed 0 --shots 64 --e-grid 0,0.25,0.5 --format json":
-        "d4687eaf8c2415b936fa84c849c9d07b2e7b21730f944f0ed6f48afb5204f24a",
+        "30c0abd1b613a72e4dd9c987df64035403d7e1abfbea5d29c9fbb9ca03aacadd",
     # protected-correctness reads the protected walk though protected is unswept
     "verify --seed 0 --mode unprotected --e-grid 0.1,0.3 --format json":
-        "c92bf52f85662a5e8dd39c538317e90a2c3a273b98dda81ea1a768bdf8677d9a",
+        "ad3a08e20c14c140ce7275fd8991fcebf94932d4224ccc282bb335abc40c8b1c",
 }
 
 
@@ -951,9 +1006,9 @@ GOLDEN_JSON_SHA256 = {
 #: checks the batches against per-cell draws.
 GOLDEN_BATCH_SHA256 = {
     DJ_BATCHES:
-        "e8038b6142a0f258b211eb869c52d413552ba228f2a12ed5f1be635dcada12e8",
+        "a8adf190462724e345a7b0ac93164de7aae1aaae437123447d1269c223ebe296",
     "run --seed 5 --mode unprotected --shots 70001 --e-grid 0.125,0.375":
-        "8f3c18d455b4209976506425acb68b186ec5f917245bb1148e2c2111fa4d38ce",
+        "df5736cba83b0c0ad9d14dc6b6136e21c8a5023b1a0c79e028bab2794d0d3212",
 }
 
 

@@ -181,6 +181,17 @@ def test_grid_evolution_leaves_no_negative_zero():
     assert not np.signbit(parts[parts == 0.0]).any()
 
 
+def test_word_permutations_are_reversals():
+    # the identities run_plan_exact's one gather per noise point rests on:
+    # on a flat entry index f, IIXX is f ^ 0x33 = (f ^ 0xCC) ^ 0xFF, the
+    # XXII gather reversed, and XXXX is f ^ 0xFF = 255 - f, the reversal
+    perms = noise._WORD_PERMS
+    flat = np.arange(256)
+    assert (perms[1] == flat ^ 0xCC).all()
+    assert (perms[2] == perms[1][::-1]).all()
+    assert (perms[3] == flat[::-1]).all()
+
+
 #: Noise placements of which all but () put a gate after the last noise point.
 PLACEMENTS = ((1, 2), (0,), (), (3,), (0, 2, 4), (0, 0, 1))
 

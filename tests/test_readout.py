@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,8 +70,17 @@ def test_signal_intensity_reference_conventions():
 
 
 def _overlap_ratio(final, reference):
-    """Re Tr(reference^dagger final) / Tr(reference^dagger reference), one final at a time."""
-    return np.vdot(reference, final).real / np.vdot(reference, reference).real
+    """Re Tr(reference^dagger final) / Tr(reference^dagger reference), one final at a
+    time: math.fsum of the real products rounds their sum once, in no BLAS order."""
+    ref, out = np.ravel(reference), np.ravel(final)
+    overlap = math.fsum(np.concatenate([ref.real * out.real, ref.imag * out.imag]).tolist())
+    norm = math.fsum(np.concatenate([ref.real * ref.real, ref.imag * ref.imag]).tolist())
+    return overlap / norm
+
+
+def _within_one_rounding(signals, finals, reference):
+    expected = [_overlap_ratio(final, reference) for final in finals]
+    return signals == pytest.approx(expected, rel=2**-52, abs=0)
 
 
 def test_signal_intensity_of_a_stack_equals_each_final_alone():
@@ -79,14 +90,15 @@ def test_signal_intensity_of_a_stack_equals_each_final_alone():
     signals = signal_intensity(finals, reference)
     assert isinstance(signals, np.ndarray) and signals.shape == (2, 3)
     for row, finals_row in zip(signals.tolist(), finals):
-        assert row == [_overlap_ratio(final, reference) for final in finals_row]
-        assert row == [signal_intensity(final, reference) for final in finals_row]
+        assert _within_one_rounding(row, finals_row, reference)
+        assert row == [signal_intensity(final, reference) for final in finals_row]  # bitwise
     assert signal_intensity(finals[:0, 0], reference).shape == (0,)
     # a 4x4 reference takes a stack of 4x4 finals
     finals = noise.run_plan_exact(circuits.assemble("protected"), [0.0, 0.3])
     decoded = np.stack([dfs.decode(final) for final in finals])
     together = signal_intensity(decoded, decoded[0]).tolist()
-    assert together == [_overlap_ratio(d, decoded[0]) for d in decoded]
+    assert _within_one_rounding(together, decoded, decoded[0])
+    assert together == [signal_intensity(d, decoded[0]) for d in decoded]
 
 
 def test_signal_matches_closed_form_at_quarter():
