@@ -9,13 +9,11 @@ deterministic functions of (config, seed) down to the output bytes.
 The three temporal-averaging steps of a mode share every gate and noise
 point, so each mode is assembled once and its steps' preparations are
 evolved together, as one stack of initial states through the exact channel.
-The sweep and the verifier walk each mode's stack once, in _cell_batches.
-The sweep reads each batch's exact signals, then draws each step over the
-whole grid: its Monte Carlo reads only the damage mask and the cell keys.
-The verifier reads every grid check from the batch and draws its cells per
-batch, as its dense oracle needs the finals.  It takes its plans from one
-table of the six (mode, step) plans, each audited and given its noiseless
-final state once.
+The sweep and the verifier walk each mode the same two ways: its stack
+once through _cell_batches for the exact finals, and each step's whole e
+grid once through _step_draws for the shots, which read only the damage
+mask and the cell keys.  The verifier takes its plans from one table of the
+six (mode, step) plans, each audited and given its noiseless final state once.
 """
 
 from __future__ import annotations
@@ -152,9 +150,9 @@ def _preparations(plans: list[circuits.ExperimentPlan]) -> np.ndarray:
     return np.stack([plan.preparation.deviation for plan in plans])
 
 
-#: Shots drawn at a time over all cells of a batch.  Results do not depend
-#: on it (tested); it only bounds memory: 18 B per shot of flips at nine
-#: noise points, and a few 8 B indices per shot in the dense oracle.
+#: Shots drawn at a time over the cells of a _step_draws group.  Results do
+#: not depend on it (tested); it only bounds memory: 18 B per shot of flips
+#: at nine noise points, and a few 8 B indices per shot in the dense oracle.
 _SHOT_BLOCK = 65536
 
 #: (state, e) rows of one noise.run_plan_exact call.  Its four (rows, 256)
@@ -165,24 +163,20 @@ _E_BLOCK = 64
 
 
 def _cell_batches(
-    cfg: SweepConfig, plan: circuits.ExperimentPlan, initial: np.ndarray
+    e_grid: tuple[float, ...], plan: circuits.ExperimentPlan, initial: np.ndarray
 ) -> Iterator[tuple[int, tuple[float, ...], np.ndarray]]:
-    """(start, e, finals) over cfg.e_grid in order, e = e_grid[start : start + cells].
+    """(start, e, finals) over e_grid in order, e = e_grid[start : start + cells].
 
     ``initial`` is a mode's stack of k states and ``plan`` one of its plans,
     whose gates and noise points every plan of the mode shares; finals
     (k, cells, 16, 16) are the stack through plan at e, one run_plan_exact
     call.  This is the one place that blocks exact rows: a batch holds
-    min(_E_BLOCK // k, _SHOT_BLOCK // shots) cells, and at least one, so its
-    k * cells rows are at most one exact block and no caller holds more than
-    one batch of finals.  verify draws a batch's cells together, so it draws
-    at most _SHOT_BLOCK shots per plan a call; run_sweep draws per step
-    (_mc_signal).  A cell's Philox key comes from _step_keys, whatever the
-    batch, so both draw the same flips for it.
+    _E_BLOCK // k cells, and at least one, so no caller holds more than one
+    batch of finals.
     """
-    batch = max(1, min(_E_BLOCK // len(initial), _SHOT_BLOCK // cfg.shots))
-    for start in range(0, len(cfg.e_grid), batch):
-        e = cfg.e_grid[start : start + batch]
+    batch = max(1, _E_BLOCK // len(initial))
+    for start in range(0, len(e_grid), batch):
+        e = e_grid[start : start + batch]
         yield start, e, noise.run_plan_exact(plan, e, initial)
 
 
@@ -203,14 +197,22 @@ def _parity(flips: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(flips[..., mask], axis=-1)
 
 
-def _shot_blocks(
-    e: tuple[float, ...], keys: tuple[int, ...], shots: int, mask: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(flips, _parity(flips, mask)) of the cells (e[i], keys[i]) of a batch,
-    from one noise.draw_flips call per _SHOT_BLOCK shots, in shot order."""
-    for first in range(0, shots, _SHOT_BLOCK):
-        flips = noise.draw_flips(e, keys, min(_SHOT_BLOCK, shots - first), len(mask), first=first)
-        yield flips, _parity(flips, mask)
+def _step_draws(
+    mask: np.ndarray, e: tuple[float, ...], shots: int, keys: tuple[int, ...]
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """(cells, flips, _parity(flips, mask)) over one step's cells (e[i], keys[i]).
+
+    The one place that draws: max(1, _SHOT_BLOCK // shots) cells a group, each
+    group one noise.draw_flips call per _SHOT_BLOCK shots, in shot order.  A
+    cell's flips come from its own Philox key (_step_keys), whatever its group.
+    """
+    batch = max(1, _SHOT_BLOCK // shots)
+    for start in range(0, len(keys), batch):
+        cells = slice(start, start + batch)
+        for first in range(0, shots, _SHOT_BLOCK):
+            count = min(_SHOT_BLOCK, shots - first)
+            flips = noise.draw_flips(e[cells], keys[cells], count, len(mask), first=first)
+            yield cells, flips, _parity(flips, mask)
 
 
 def _mc_signal(
@@ -222,17 +224,13 @@ def _mc_signal(
     the ideal one negated once per damaging flip drawn, so its signal is
     +1 or -1 by its _parity.  The mean is then 1 - 2 (odd shots) /
     shots, and the standard error is the sample standard deviation (ddof 1)
-    of the +-1 shot signals over sqrt(shots).  The cells are drawn
-    max(1, _SHOT_BLOCK // shots) at a time by _shot_blocks, unless no entry
-    of the mask is true: every protected plan, and every plan without noise
-    points, draws nothing.
+    of the +-1 shot signals over sqrt(shots).  The cells are drawn by
+    _step_draws, unless no entry of the mask is true: every protected plan,
+    and every plan without noise points, draws nothing.
     """
     odd = np.zeros(len(seeds), dtype=np.int64)
-    batch = max(1, _SHOT_BLOCK // shots)
-    for start in range(0, len(seeds), batch) if mask.any() else ():
-        cells = slice(start, start + batch)
-        for _, parity in _shot_blocks(e[cells], seeds[cells], shots, mask):
-            odd[cells] += np.count_nonzero(parity, axis=1)
+    for cells, _, parity in _step_draws(mask, e, shots, seeds) if mask.any() else ():
+        odd[cells] += np.count_nonzero(parity, axis=1)
     mean = 1.0 - 2.0 * odd / shots
     stderr = np.sqrt((1.0 - mean * mean) / (shots - 1)) if shots > 1 else np.zeros_like(mean)
     return list(zip(mean.tolist(), stderr.tolist()))
@@ -243,14 +241,13 @@ def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
 
     Each mode's steps go through the exact channel as one stack, walked once
     in _cell_batches: each step's finals of a batch are turned into exact
-    signals at once.  The Monte Carlo reads no final, so each step's whole
-    grid is then drawn by one _mc_signal call.
+    signals at once.  Each step's whole grid is then drawn by one _mc_signal call.
     """
     rows: list[SignalResult] = []
     for mode_idx, plans, masks, references in _mode_stacks(cfg):
         keys = _step_keys(cfg, mode_idx, len(plans))
         exact = np.empty((len(plans), len(cfg.e_grid)))
-        for start, e, finals in _cell_batches(cfg, plans[0], _preparations(plans)):
+        for start, e, finals in _cell_batches(cfg.e_grid, plans[0], _preparations(plans)):
             for step_idx, (stack, reference) in enumerate(zip(finals, references)):
                 exact[step_idx, start : start + len(e)] = readout.signal_intensity(stack, reference)
         for plan, mask, signals, step_keys in zip(plans, masks, exact.tolist(), keys):
@@ -350,28 +347,28 @@ def _grid_pass(
     """protected-correctness's, temporal-averaging's, damage-count-consistency's
     and frame-dense-shots's residuals, and mc-convergence's worst margin and its cell.
 
-    Each mode, cfg.modes first in their order, then the other, goes once
-    through _cell_batches as the stack [summed preparation (identity/16 plus
-    every step's deviation), identity/16, step 0 .. 2], and each batch feeds:
-    - temporal-averaging (modes of cfg.modes): the summed final against the
-      sum of the rest;
+    Each mode, cfg.modes first in their order, then the other, is walked as
+    in the sweep.  Each step of a swept mode (one of cfg.modes) is drawn once
+    through _step_draws, whose blocks give the mode's (steps, grid) negated
+    counts k and frame-dense-shots: the worst ||rho_shot - s rho_ref|| /
+    ||rho_ref|| of the dense oracle's shots, with s = +-1 the shot's frame
+    sign and rho_ref the step's noiseless final.  Then the stack [summed
+    preparation (identity/16 plus every step's deviation), identity/16,
+    step 0 .. 2] goes once through _cell_batches, and each batch feeds:
+    - temporal-averaging (swept): the summed final against the sum of the rest;
     - protected-correctness (protected, swept or not): each step's decoded
       final against its decoded noiseless one, and the decoded summed final
       against the logical circuit's output from |00>;
     - damage-count-consistency (unprotected, swept or not): each step's
       |exact signal - (1-2e)^n|;
-    - frame-dense-shots and mc-convergence (modes of cfg.modes): each step's
-      cells are drawn as in the sweep.  frame-dense-shots is the worst
-      ||rho_shot - s rho_ref|| / ||rho_ref|| of the dense oracle's shots, with
-      s = +-1 the shot's frame sign and rho_ref the step's noiseless final.  A
-      cell's dense mean is then (1 - 2k/shots) rho_ref for its k negated
-      shots; mc-convergence's margin is its distance from the exact final,
-      less 2 ||rho_ref|| / shots times the _acceptance_radius at P = (1 - exact
-      signal)/2, less NUMERICAL_FLOOR: an exact test of k at any shot count,
-      which a part of the exact final orthogonal to rho_ref fails too.
+    - mc-convergence's (steps, grid) margins (swept).  A cell's dense mean is
+      (1 - 2k/shots) rho_ref, and its margin that mean's distance from the
+      exact final, less 2 ||rho_ref|| / shots times the _acceptance_radius at
+      P = (1 - exact signal)/2, less NUMERICAL_FLOOR: an exact test of k at
+      any shot count, which a part of the exact final orthogonal to rho_ref
+      fails too.
     The first four are maxima.  mc-convergence's cell is the first worst in
-    (cfg.modes order, step, e) order: each step keeps its own running worst,
-    and the steps are merged in order after each mode.
+    (cfg.modes order, step, e) order.
     """
     logical = np.eye(4, dtype=complex)
     for gate in table["protected"][0][0].gates:
@@ -380,15 +377,25 @@ def _grid_pass(
     refs = [dfs.decode(reference) for reference in table["protected"][2]]
     identity = np.eye(qcore.DIM, dtype=complex) / qcore.DIM
     correctness = averaging = consistency = frame_dense = 0.0
-    worst, worst_cell = -np.inf, ""
+    margins = []  # one (steps, grid) array per mode of cfg.modes, in its order
     for mode in dict.fromkeys((*cfg.modes, *circuits.MODES)):
         plans, masks, references = table[mode]
         preps = _preparations(plans)
         swept = mode in cfg.modes
+        norms = [qcore.frobenius_norm(reference) for reference in references]
+        negated = np.zeros((len(plans), len(cfg.e_grid)), dtype=np.int64)
+        margin = np.empty(negated.shape)
         keys = _step_keys(cfg, cfg.modes.index(mode), len(plans)) if swept else []
-        step_worst = [(-np.inf, "")] * len(plans)
+        for step_idx, step_keys in enumerate(keys):
+            plan, mask, reference = plans[step_idx], masks[step_idx], references[step_idx]
+            for cells, flips, parity in _step_draws(mask, cfg.e_grid, cfg.shots, step_keys):
+                negated[step_idx, cells] += np.count_nonzero(parity, axis=1)
+                states, index = noise.monte_carlo_states(plan, np.concatenate(flips))
+                apart = np.linalg.norm(states[:, None] - [reference, -reference], axis=(2, 3))
+                sign = parity.ravel().astype(np.intp)  # 1: negated
+                frame_dense = max(frame_dense, apart[index, sign].max() / norms[step_idx])
         initial = np.concatenate([[sum(preps, identity), identity], preps])
-        for start, e, (direct, total, *parts) in _cell_batches(cfg, plans[0], initial):
+        for start, e, (direct, total, *parts) in _cell_batches(cfg.e_grid, plans[0], initial):
             signals = [readout.signal_intensity(p, r).tolist() for p, r in zip(parts, references)]
             if swept:
                 for part in parts:
@@ -407,28 +414,21 @@ def _grid_pass(
                     for e_i, signal in zip(e, step_signals):
                         theory = readout.theory_curve(int(mask.sum()), e_i)
                         consistency = max(consistency, abs(signal - theory))
-            for step_idx, step in enumerate(zip(plans, masks, references, parts) if swept else ()):
-                plan, mask, reference, part = step
-                norm = qcore.frobenius_norm(reference)
-                cells = keys[step_idx][start : start + len(e)]
-                negated = np.zeros(len(e), dtype=np.int64)
-                for flips, parity in _shot_blocks(e, cells, cfg.shots, mask):
-                    parity = parity.astype(int)  # 1: negated
-                    negated += parity.sum(axis=1)
-                    states, index = noise.monte_carlo_states(plan, np.concatenate(flips))
-                    apart = np.linalg.norm(states[:, None] - [reference, -reference], axis=(2, 3))
-                    frame_dense = max(frame_dense, apart[index, parity.ravel()].max() / norm)
-                for e_i, exact, k, signal in zip(e, part, negated.tolist(), signals[step_idx]):
+            for step_idx, part in enumerate(parts if swept else ()):
+                reference, norm = references[step_idx], norms[step_idx]
+                counts = negated[step_idx, start : start + len(e)].tolist()
+                for i, (exact, k, signal) in enumerate(zip(part, counts, signals[step_idx])):
                     mean = (1.0 - 2.0 * k / cfg.shots) * reference
                     radius = _acceptance_radius(cfg.shots, (1 - signal) / 2) * 2 * norm / cfg.shots
-                    margin = qcore.frobenius_norm(mean - exact) - radius - NUMERICAL_FLOOR
-                    if margin > step_worst[step_idx][0]:
-                        cell = f"mode={mode} step={plan.preparation.label} e={e_i:g}"
-                        step_worst[step_idx] = (margin, cell)
-        for margin, cell in step_worst:
-            if margin > worst:
-                worst, worst_cell = margin, cell
-    return correctness, averaging, consistency, frame_dense, float(worst), worst_cell
+                    distance = qcore.frobenius_norm(mean - exact)
+                    margin[step_idx, start + i] = distance - radius - NUMERICAL_FLOOR
+        if swept:
+            margins.append(margin)
+    margins = np.stack(margins)
+    mode_idx, step_idx, e_idx = np.unravel_index(np.argmax(margins), margins.shape)
+    label = table[cfg.modes[mode_idx]][0][step_idx].preparation.label
+    worst_cell = f"mode={cfg.modes[mode_idx]} step={label} e={cfg.e_grid[e_idx]:g}"
+    return correctness, averaging, consistency, frame_dense, float(margins.max()), worst_cell
 
 
 def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
@@ -488,8 +488,8 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file; '#' starts a comment."""
     mapping: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

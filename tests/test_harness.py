@@ -287,6 +287,16 @@ def test_sweep_evolves_each_mode_as_one_stack(monkeypatch):
     assert calls == {"assemble": 2, "damage_audit": 6, "run_plan_exact": 4}
 
 
+@pytest.mark.parametrize("shots", [2048, 40000])
+def test_sweep_exact_batches_do_not_depend_on_the_shots(shots, monkeypatch):
+    # 129 protected e values in batches of _E_BLOCK // 3 = 21 cells: one
+    # e = 0 stack of references and 7 batches, at any shot count
+    grid = tuple(k / 256 for k in range(129))
+    calls = _count_calls(monkeypatch)
+    run_sweep(SweepConfig(e_grid=grid, shots=shots, modes=("protected",)))
+    assert calls["run_plan_exact"] == 8
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_immunity_check_on_the_stack_equals_each_state_alone(seed):
     # the states _immunity_residual draws, each through apply_channel alone
@@ -371,6 +381,9 @@ def test_load_config_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("this is not a key value line\n")
     with pytest.raises(ConfigError):
+        load_config_file(path)
+    path.write_bytes(b"\xff\xfeshots = 2\n")  # not UTF-8
+    with pytest.raises(ConfigError, match="cannot read config file .*'utf-8' codec"):
         load_config_file(path)
     with pytest.raises(ConfigError, match="shots"):
         build_config({"shots": "many"})
@@ -791,21 +804,49 @@ def test_verify_does_not_depend_on_the_cell_batch(modes, shots, block, monkeypat
     assert [repr(check) for check in harness.verify(cfg)] == default
 
 
+def test_verify_draws_each_step_once_whatever_the_e_block(monkeypatch):
+    # a default verify draws each of the six swept steps' nine cells in one
+    # call of 2048 shots, whatever the exact batches, and under the keys run
+    # draws them with: _step_keys, protected then unprotected
+    cfg = SweepConfig()
+    drawn, keyed = [], []
+    batched = noise.draw_flips
+
+    def spy(e, seeds, count, points, first=0):
+        drawn.append((len(seeds), count, first))
+        keyed.append(tuple(seeds))
+        return batched(e, seeds, count, points, first=first)
+
+    monkeypatch.setattr(noise, "draw_flips", spy)
+    schedules = []
+    for block in (64, 7):
+        monkeypatch.setattr(harness, "_E_BLOCK", block)
+        drawn.clear()
+        assert all(c.passed for c in harness.verify(cfg))
+        schedules.append(list(drawn))
+    assert schedules == [[(9, 2048, 0)] * 6] * 2
+    keys = [step for mode_idx in range(2) for step in harness._step_keys(cfg, mode_idx, 3)]
+    assert keyed == keys * 2
+    keyed.clear()
+    run_sweep(cfg)
+    assert keyed == keys[3:]  # run draws no protected cell
+
+
 def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):
-    # One cell per batch, so the walk visits (step, e) batch-major: e = 0.1 for
-    # every step, then e = 0.2.  Without noise points every exact final is the
-    # step's noiseless one, of signal 1, so the binomial radius is 0; a cell
-    # whose one shot is counted negated has mean -rho_ref and margin
-    # 2 ||rho_ref|| - NUMERICAL_FLOOR.  The steps' references have one norm,
-    # so step 0 at e = 0.2 and step 1 at e = 0.1 tie at the worst; step
-    # order wins.
+    # verify draws each step's whole grid once, so _parity is called once per
+    # step, for both cells; the exact batches hold one cell each (5 // 5
+    # rows).  Without noise points every exact final is the step's noiseless
+    # one, of signal 1, so the binomial radius is 0; a cell whose one shot is
+    # counted negated has mean -rho_ref and margin 2 ||rho_ref|| -
+    # NUMERICAL_FLOOR.  The steps' references have one norm, so step 0 at
+    # e = 0.2 and step 1 at e = 0.1 tie at the worst; step order wins.
     cfg = SweepConfig(e_grid=(0.1, 0.2), shots=1, modes=("unprotected",), placement=())
     [plans] = harness.sweep_plans(cfg)
     norms = {qcore.frobenius_norm(noise.run_plan_exact(plan, 0.0)) for plan in plans}
-    negated = iter([False, True, False, True, False, False])  # walk order
+    negated = iter([[False, True], [True, False], [False, False]])  # (e = 0.1, 0.2) per step
 
     def fake(flips, mask):
-        return np.full(flips.shape[:2], next(negated))
+        return np.reshape(next(negated), flips.shape[:2])
 
     monkeypatch.setattr(harness, "_parity", fake)
     monkeypatch.setattr(harness, "_E_BLOCK", 5)
