@@ -155,10 +155,10 @@ def _preparations(plans: list[circuits.ExperimentPlan]) -> np.ndarray:
 #: at nine noise points, and a few 8 B indices per shot in the dense oracle.
 _SHOT_BLOCK = 65536
 
-#: (state, e) rows of one noise.run_plan_exact call.  Its four (rows, 256)
-#: float64 buffers take 2 KiB per row each; a whole 513-value fine-grid pass
-#: took 140, 110, 91, 91 and 97 ms at blocks of 16, 32, 64, 128 and 256
-#: (median of 12, 2-vCPU VM).  Results do not depend on it (tested).
+#: (state, e) rows of one noise.run_plan_exact call.  Its three float64 planes
+#: take 2 KiB per row each; a 513-value fine-grid pass took 95, 82 and 79 ms at
+#: blocks of 32, 64 and 128 (medians of 30, 2-vCPU VM), and 128 raised its peak
+#: RSS by 0.7 MiB over 64.  Results do not depend on it (tested).
 _E_BLOCK = 64
 
 

@@ -7,17 +7,16 @@ description of a channel that apply_channel and verify_error_model take.
 
 run_plan_exact takes the strength e, a float or a whole grid, and one
 initial state or a stack of them, and evolves every (state, e) row together
-in one pass.  It does not go through apply_channel: each operator c W of
-engineered_model(e) permutes the basis by XOR with one mask, so its term
-c W rho W^dagger conj(c) is a fixed permutation of the entries of rho,
-scaled by c^2.  On a flat entry index f the masks are f ^ 0xCC (XXII),
-f ^ 0x33 (IIXX) and f ^ 0xFF = 255 - f (XXXX): IIXX's permutation is XXII's
-reversed and XXXX's is the reversal, so a noise point takes one gather
-(test_word_permutations_are_reversals).  Every dfsim state, gate and
-coefficient c is real, so the rows are evolved in float64 and the result's
-imaginary part is +0.  apply_channel and the dense oracle stay complex, as
-independent references: every final state equals, to the bit, the
-gate-by-gate evolution with apply_channel(rho, engineered_model(e)), and
+in one pass, without apply_channel: each operator c W of engineered_model(e)
+permutes the basis by XOR with one mask, so its term c W rho W^dagger conj(c)
+is the entries of rho permuted and scaled by c^2.  On a flat entry index the
+masks are f ^ 0xCC (XXII), f ^ 0x33 (IIXX) and f ^ 0xFF (XXXX); each reverses
+whole axes of the entries, so rows held entry-major are flipped through views,
+not gathers (_WORD_FLIPS, test_word_permutations_are_reversals).  Every dfsim
+state, gate and coefficient c is real, so the rows are evolved in float64 and
+the result's imaginary part is +0.  apply_channel and the dense oracle stay
+complex, as independent references: every final state equals, to the bit,
+the gate-by-gate evolution with apply_channel(rho, engineered_model(e)), and
 none holds a -0 (test_grid_evolution_equals_per_e_kraus_sum_to_the_bit,
 test_grid_evolution_past_the_last_noise_point_equals_kraus_sum_to_the_bit,
 test_grid_evolution_leaves_no_negative_zero and
@@ -35,23 +34,15 @@ The exact channel is the primary evolution path.  The dense Monte-Carlo path
 (monte_carlo_states, monte_carlo_finals) gives every shot its 16x16 matrix,
 flipped by permuting its entries with the XXII and IIXX entry permutations;
 it mirrors the shot-averaged protocol and is the oracle for the sweep's
-Pauli-frame sampler.  After every noise point, shots whose matrices are equal
-to the byte share one, so each distinct state is evolved once, and each shot
-is still equal to the bit to evolving it alone.  The shots may come from many
-cells at once (flips stacked on the shot axis); verify's frame-dense-shots
-check passes a whole batch of cells, which then share states too.
-Decoherence grows with e and is strongest at e = 0.5; larger values are
-rejected.
+Pauli-frame sampler; shots of one or many cells whose matrices are equal to
+the byte share one (monte_carlo_states).  Decoherence grows with e and is
+strongest at e = 0.5; larger values are rejected.
 
 Reproducibility contract: the flips of one cell come from one counter-based
-Philox stream (Salmon et al., SC'11) keyed by the cell's seed.  Shot k reads
-the 2*points uniforms at a fixed position, word k*2*points, of that stream,
-so any range of shots can be recomputed on its own, in any order or on any
-worker, and gives bit-identical flips (see draw_flips).  A flip compares the
-stream's raw 64-bit word with an integer threshold, which is exactly
-Generator.random()'s uniform compared with e.  draw_flips takes one cell or
-a batch of cells, and how cells are grouped into calls changes no flip
-(test_draw_flips_over_many_cells_stacks_the_one_cell_draws).
+Philox stream (Salmon et al., SC'11) keyed by the cell's seed, so any range
+of shots, drawn in any order, on any worker or with other cells in one call,
+gives bit-identical flips (draw_flips,
+test_draw_flips_over_many_cells_stacks_the_one_cell_draws).
 """
 
 from __future__ import annotations
@@ -256,10 +247,7 @@ def draw_flips(
 
 
 def shot_seed(seed: int, index: int) -> int:
-    """Integer seed of shot ``index`` under ``seed`` in the former per-shot scheme.
-
-    Unused by dfsim; kept because bench/spans.py wraps noise.shot_seed by name.
-    """
+    """Shot ``index``'s seed in the former per-shot scheme: unused, kept for bench/spans.py."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -273,6 +261,12 @@ def _entry_permutation(word: np.ndarray) -> np.ndarray:
 #: Entry permutation of each error word, in dfs.ERROR_BASIS order.
 _WORD_PERMS = tuple(_entry_permutation(w) for w in dfs.ERROR_MATRICES)
 
+#: Each error word's entry permutation as reversed axes of entry-major rows
+#: seen as (4, 4, 4, 4, rows): flat entry f has base-4 digits d0 d1 d2 d3, and
+#: a reversed digit is 3 - d = d ^ 3, so XXII (f ^ 0xCC) reverses d0 and d2,
+#: IIXX (f ^ 0x33) d1 and d3, and XXXX (f ^ 0xFF) all four.
+_WORD_FLIPS = (..., np.s_[::-1, :, ::-1], np.s_[:, ::-1, :, ::-1], np.s_[::-1, ::-1, ::-1, ::-1])
+
 
 def run_plan_exact(
     plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray | None = None
@@ -281,20 +275,19 @@ def run_plan_exact(
 
     ``e`` is a float or a 1-D grid, and ``initial`` one state (16, 16) or a
     stack (k, 16, 16) of them, by default the plan's preparation; the result
-    has shape initial.shape[:-2] + np.shape(e) + (16, 16).  Each (state, e)
-    row's final state equals, to the bit, evolving that state on its own with
-    apply_channel(rho, engineered_model(e)) at every noise point and
-    u rho u^dagger at every gate.  Every row is evolved in one pass; callers
-    that must not hold every final at once pass the grid in blocks, as
-    harness._cell_batches does.  Raises ValueError if any e lies outside
-    [0, 0.5], or if ``initial`` or a gate of ``plan`` is not real.
+    is C-contiguous, of shape initial.shape[:-2] + np.shape(e) + (16, 16).
+    Each (state, e) row's final equals, to the bit, evolving that state alone
+    with apply_channel(rho, engineered_model(e)) at every noise point and
+    u rho u^dagger at every gate.  Callers that must not hold every final at
+    once pass the grid in blocks, as harness._cell_batches does.  Raises
+    ValueError if an e lies outside [0, 0.5], or ``initial`` or a gate is not real.
 
-    Rows are evolved in float64; the result's imaginary part is +0, set
-    after the work buffers are freed.  With r = sqrt(e(1-e)), the channel's
-    terms (rho[perm_k] c_k) c_k are summed in operator order from one gather
-    per noise point: (rho r) r through XXII's permutation, that term
-    reversed (IIXX), and rho reversed (XXXX), then scaled.  At e = 0 the flip
-    terms are zeros, so only E0 counts, as in engineered_model.
+    The rows are the columns, state-major, of a float64 (16, 16, rows) plane
+    beside two work planes, freed before the +0 imaginary part is added.  Each
+    c_k is a (16, rows) block; the terms (rho c_k) c_k are summed in operator
+    order, flips read through _WORD_FLIPS views.  A gate is twice u rho and a
+    transposing copy.  OpenBLAS sums a 16 x 16 by 16 x (16 rows) product's k
+    terms in order, but not always a 16 x few one's (Haswell kernels, few <= 4).
     """
     e = _validate_probability(e)
     grid = e.ravel()
@@ -312,27 +305,33 @@ def run_plan_exact(
         if gate.physical.imag.any():
             raise ValueError(f"plan gate {gate.label!r} must be real (exact rows are float64)")
     states = prep.real.reshape(-1, DIM * DIM)
-    rho = np.repeat(states, grid.size, axis=0)  # the (state, e) rows, state-major
-    acc, scaled, term = np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
-    a, r, _, b = np.tile(coeffs, len(states))[:, :, None]
+    rows = len(states) * grid.size
+    rho = np.repeat(states.T, grid.size, axis=1).reshape(DIM, DIM, rows)  # (state, e) columns
+    acc, scaled = np.empty_like(rho), np.empty_like(rho)
+    flipped = scaled.reshape(4, 4, 4, 4, rows)
+    a, r, b = (np.tile(c, (DIM, len(states))) for c in coeffs[[0, 1, 3]])  # (16, rows) each
     points = plan.decoherence_points
     idx = 0
     for boundary in range(len(plan.gates) + 1):
         while idx < len(points) and points[idx] == boundary:
+            total = acc.reshape(flipped.shape)  # a view of the plane that becomes rho
             np.multiply(np.multiply(rho, a, out=acc), a, out=acc)
             np.multiply(np.multiply(rho, r, out=scaled), r, out=scaled)
-            acc += np.take(scaled, _WORD_PERMS[1], axis=1, out=term, mode="clip")
-            acc += term[:, ::-1]  # IIXX's gather, as _WORD_PERMS[2] is _WORD_PERMS[1] reversed
-            acc += np.multiply(np.multiply(rho[:, ::-1], b, out=term), b, out=term)  # XXXX
+            total += flipped[_WORD_FLIPS[1]]  # XXII
+            total += flipped[_WORD_FLIPS[2]]  # IIXX
+            np.multiply(np.multiply(rho, b, out=scaled), b, out=scaled)
+            total += flipped[_WORD_FLIPS[3]]  # XXXX
             acc += 0.0  # turns -0 into +0, as apply_channel's sum from +0 leaves none
             rho, acc = acc, rho
             idx += 1
         if boundary < len(plan.gates):
             u = plan.gates[boundary].physical.real
-            np.matmul(u, rho.reshape(-1, DIM, DIM), out=term.reshape(-1, DIM, DIM))
-            np.matmul(term.reshape(-1, DIM, DIM), u.T, out=rho.reshape(-1, DIM, DIM))
-    del acc, scaled, term
-    return rho.reshape(prep.shape[:-2] + e.shape + (DIM, DIM)).astype(complex)
+            for _ in range(2):  # u rho u^T = (u (u rho)^T)^T
+                np.matmul(u, rho.reshape(DIM, -1), out=acc.reshape(DIM, -1))
+                np.copyto(rho, acc.transpose(1, 0, 2))
+    del acc, scaled, flipped, a, r, b
+    finals = rho.reshape(DIM * DIM, rows).T.astype(complex, order="C")
+    return finals.reshape(prep.shape[:-2] + e.shape + (DIM, DIM))
 
 
 #: Entry permutation of each flip pattern p = XXII + 2 IIXX at one noise point:

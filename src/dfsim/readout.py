@@ -75,14 +75,15 @@ def signal_intensity(final: np.ndarray, reference: np.ndarray) -> float | np.nda
     equals 1 when final == reference and -1 when the output is phase inverted.
     ``final`` is one matrix, which gives a float, or a stack of matrices of
     the reference's shape, which gives an array of the stack's shape.  Each
-    sum of real products (ufuncs, no fused multiply-add) is reduced pairwise
-    in a fixed order: the same bits alone or in a stack, on any BLAS kernel.
+    sum of real products (ufuncs, no fused multiply-add) is reduced pairwise,
+    in a fixed order, over C-contiguous entries: the same bits alone or in a
+    stack of any memory layout, on any BLAS kernel.
     """
     ref = np.asarray(reference).ravel()
     norm = np.add.reduce(ref.real * ref.real + ref.imag * ref.imag)
     if norm <= DEFAULT_TOL:
         raise ValueError("signal reference must be nonzero")
-    final = np.asarray(final)
+    final = np.ascontiguousarray(final)  # np.add.reduce is pairwise only along contiguous axes
     stack = final.reshape(final.shape[: final.ndim - np.ndim(reference)] + ref.shape)
     signals = np.add.reduce(ref.real * stack.real + ref.imag * stack.imag, axis=-1) / norm
     return float(signals) if signals.ndim == 0 else signals

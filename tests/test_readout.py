@@ -93,6 +93,18 @@ def test_signal_intensity_of_a_stack_equals_each_final_alone():
         assert _within_one_rounding(row, finals_row, reference)
         assert row == [signal_intensity(final, reference) for final in finals_row]  # bitwise
     assert signal_intensity(finals[:0, 0], reference).shape == (0,)
+    # the same values with the rows innermost in memory: a reduction along a
+    # strided axis is not pairwise, and moved 13 of these 21 signals one ulp
+    steps = unprotected_steps()
+    plan = circuits.assemble("unprotected", "deutsch-jozsa", preparation=steps[0])
+    initial = np.stack([step.deviation for step in steps])
+    finals = noise.run_plan_exact(plan, [k / 1024 for k in range(21)], initial)
+    references = noise.run_plan_exact(plan, 0.0, initial)
+    strided = np.ascontiguousarray(finals.reshape(-1, 256).T).T.reshape(finals.shape)
+    assert not strided.flags.c_contiguous and (strided == finals).all()
+    signals = signal_intensity(finals[1], references[1])
+    assert signal_intensity(strided[1], references[1]).tobytes() == signals.tobytes()
+    assert signals.tolist() == [signal_intensity(final, references[1]) for final in finals[1]]
     # a 4x4 reference takes a stack of 4x4 finals
     finals = noise.run_plan_exact(circuits.assemble("protected"), [0.0, 0.3])
     decoded = np.stack([dfs.decode(final) for final in finals])
