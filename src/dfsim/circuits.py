@@ -38,7 +38,8 @@ ALGORITHMS = ("grover", "deutsch-jozsa")
 BASIS_LABELS = ("00", "01", "10", "11")
 
 #: Two-bit boolean functions satisfying the constant-or-balanced promise,
-#: keyed by name; values are f over inputs (x1 x2) = 00, 01, 10, 11.
+#: keyed by name; values are f over inputs (x1 x2) = 00, 01, 10, 11.  The CLI
+#: runs const0; test_criterion_8_deutsch_jozsa runs them all.
 DJ_FUNCTIONS = {
     "const0": (0, 0, 0, 0),
     "const1": (1, 1, 1, 1),
@@ -117,8 +118,13 @@ def grover_gates(marked: str = "11") -> tuple[LogicalGate, ...]:
     )
 
 
-def dj_function(function) -> tuple[int, ...]:
-    """Normalize a Deutsch-Jozsa function spec (name or truth table) and check the promise."""
+def dj_gates(function) -> tuple[LogicalGate, ...]:
+    """Ancilla-free Deutsch-Jozsa: H2, phase oracle (-1)^f(x), H2.
+
+    ``function`` is a DJ_FUNCTIONS name or a truth table over inputs 00, 01,
+    10, 11, and must keep the constant-or-balanced promise.  The register
+    returns to |00> exactly when f is constant.
+    """
     if isinstance(function, str):
         try:
             table = DJ_FUNCTIONS[function]
@@ -130,15 +136,6 @@ def dj_function(function) -> tuple[int, ...]:
         raise ValueError("truth table must be 4 bits over inputs 00, 01, 10, 11")
     if sum(table) not in (0, 2, 4):
         raise ValueError("function violates the constant-or-balanced promise")
-    return table
-
-
-def dj_gates(function) -> tuple[LogicalGate, ...]:
-    """Ancilla-free Deutsch-Jozsa: H2, phase oracle (-1)^f(x), H2.
-
-    The register returns to |00> exactly when f is constant.
-    """
-    table = dj_function(function)
     oracle = np.diag([(-1.0) ** v for v in table]).astype(complex)
     hh = hadamard_pair()
     name = next((k for k, v in DJ_FUNCTIONS.items() if v == table), "".join(map(str, table)))
@@ -156,14 +153,6 @@ def readout_gates() -> tuple[LogicalGate, ...]:
         LogicalGate("readout:tilt", hh),
         LogicalGate("readout:restore", hh),
     )
-
-
-def algorithm_gates(algorithm: str, *, marked: str = "11", function="const0") -> tuple[LogicalGate, ...]:
-    if algorithm == "grover":
-        return grover_gates(marked)
-    if algorithm == "deutsch-jozsa":
-        return dj_gates(function)
-    raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
 
 
 def default_placement(n_gates: int) -> tuple[int, ...]:
@@ -198,10 +187,16 @@ def assemble(
     Protected plans lift every logical gate onto the encoded register;
     unprotected plans run it directly on spins 1 and 4 (no error avoidance).
     The preparation defaults to the mode's first step and the placement to
-    default_placement.
+    default_placement.  The CLI runs the defaults of ``marked`` (grover_gates)
+    and ``function`` (dj_gates); the plans() strategy of test_properties.py
+    runs every marked item and every promise table through the damage audit
+    and the exact channel.
     """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     realize = dfs.lift_logical_unitary if mode == "protected" else embed_on_spins_1_4
-    logical = algorithm_gates(algorithm, marked=marked, function=function) + readout_gates()
+    circuit = grover_gates(marked) if algorithm == "grover" else dj_gates(function)
+    logical = circuit + readout_gates()
     gates = tuple(Gate(g.label, g.matrix, realize(g.matrix)) for g in logical)
     return ExperimentPlan(
         mode=mode,

@@ -105,18 +105,19 @@ def all_isometries() -> tuple[np.ndarray, ...]:
     return tuple(_BASES[i].vectors for i in (1, 2, 3, 4))
 
 
-def check_logical_state(psi: np.ndarray) -> np.ndarray:
+def encode(psi: np.ndarray, weights: tuple[float, float, float, float] | None = None) -> np.ndarray:
+    """Density (deviation) matrix sum_i c_i |psi>_i <psi|_i, unit trace.
+
+    dfsim stores every state with the default weights; test_dfs.py's
+    test_decode_invariant_under_channel_any_weights and
+    test_general_error_model_only_reweights_subspaces pass others, to show
+    the module docstring's claim for any weights.
+    """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape != (4,):
         raise ValueError("logical state must have 4 amplitudes")
     if abs(np.linalg.norm(psi) - 1.0) > DEFAULT_TOL:
         raise ValueError("logical state must be normalized")
-    return psi
-
-
-def encode(psi: np.ndarray, weights: tuple[float, float, float, float] | None = None) -> np.ndarray:
-    """Density (deviation) matrix sum_i c_i |psi>_i <psi|_i, unit trace."""
-    psi = check_logical_state(psi)
     if weights is None:
         weights = (0.25, 0.25, 0.25, 0.25)
     w = np.asarray(weights, dtype=float)

@@ -9,11 +9,10 @@ deterministic functions of (config, seed) down to the output bytes.
 The three temporal-averaging steps of a mode share every gate and noise
 point, so each mode is assembled once and its steps' preparations are
 evolved together, as one stack of initial states through the exact channel.
-The sweep and the verifier walk each mode the same two ways: its stack
-once through _cell_batches for the exact finals, and each step's whole e
-grid once through _step_draws for the shots, which read only the damage
-mask and the cell keys.  The verifier takes its plans from one table of the
-six (mode, step) plans, each audited and given its noiseless final state once.
+The sweep and the verifier walk the modes of _mode_stacks the same two ways:
+each mode's stack once through _cell_batches for the exact finals, and each
+step's whole e grid once through _step_draws for the shots, which read only
+the damage mask and the cell keys.
 """
 
 from __future__ import annotations
@@ -134,20 +133,18 @@ def sweep_plans(cfg: SweepConfig) -> Iterator[list[circuits.ExperimentPlan]]:
 
 def _mode_stacks(
     cfg: SweepConfig,
-) -> Iterator[tuple[int, list[circuits.ExperimentPlan], list[np.ndarray], np.ndarray]]:
-    """(mode index, plans, damage masks, noiseless finals) of each mode of cfg, in step order.
+) -> Iterator[tuple[int, list[circuits.ExperimentPlan], np.ndarray, list[np.ndarray], np.ndarray]]:
+    """(mode index, plans, preparations, damage masks, noiseless finals) of each
+    mode of cfg, in step order.
 
-    Each plan is audited once, by circuits.damage_mask.  The noiseless finals
-    (steps, 16, 16) are one e = 0 stack of the steps' preparations through
-    the mode's first plan.
+    The preparations (steps, 16, 16) are the steps' deviations.  Each plan is
+    audited once, by circuits.damage_mask.  The noiseless finals (steps, 16,
+    16) are one e = 0 stack of the preparations through the mode's first plan.
     """
     for mode_idx, plans in enumerate(sweep_plans(cfg)):
-        references = noise.run_plan_exact(plans[0], 0.0, _preparations(plans))
-        yield mode_idx, plans, [circuits.damage_mask(plan) for plan in plans], references
-
-
-def _preparations(plans: list[circuits.ExperimentPlan]) -> np.ndarray:
-    return np.stack([plan.preparation.deviation for plan in plans])
+        preps = np.stack([plan.preparation.deviation for plan in plans])
+        references = noise.run_plan_exact(plans[0], 0.0, preps)
+        yield mode_idx, plans, preps, [circuits.damage_mask(plan) for plan in plans], references
 
 
 #: Shots drawn at a time over the cells of a _step_draws group.  Results do
@@ -244,10 +241,10 @@ def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
     signals at once.  Each step's whole grid is then drawn by one _mc_signal call.
     """
     rows: list[SignalResult] = []
-    for mode_idx, plans, masks, references in _mode_stacks(cfg):
+    for mode_idx, plans, preps, masks, references in _mode_stacks(cfg):
         keys = _step_keys(cfg, mode_idx, len(plans))
         exact = np.empty((len(plans), len(cfg.e_grid)))
-        for start, e, finals in _cell_batches(cfg.e_grid, plans[0], _preparations(plans)):
+        for start, e, finals in _cell_batches(cfg.e_grid, plans[0], preps):
             for step_idx, (stack, reference) in enumerate(zip(finals, references)):
                 exact[step_idx, start : start + len(e)] = readout.signal_intensity(stack, reference)
         for plan, mask, signals, step_keys in zip(plans, masks, exact.tolist(), keys):
@@ -341,20 +338,20 @@ def _acceptance_radius(shots: int, p: float) -> float:
     return float(near[tails[np.searchsorted(near, near - 1e-9)] >= _ALPHA].max())
 
 
-def _grid_pass(
-    cfg: SweepConfig, table: dict[str, tuple[list, list, np.ndarray]]
-) -> tuple[float, float, float, float, float, str]:
-    """protected-correctness's, temporal-averaging's, damage-count-consistency's
-    and frame-dense-shots's residuals, and mc-convergence's worst margin and its cell.
+def _grid_pass(cfg: SweepConfig) -> tuple[float, float, float, float, int, float, str]:
+    """protected-correctness's, temporal-averaging's, damage-count-consistency's,
+    frame-dense-shots's and damage-count-values's residuals, and mc-convergence's
+    worst margin and its cell.
 
-    Each mode, cfg.modes first in their order, then the other, is walked as
-    in the sweep.  Each step of a swept mode (one of cfg.modes) is drawn once
-    through _step_draws, whose blocks give the mode's (steps, grid) negated
-    counts k and frame-dense-shots: the worst ||rho_shot - s rho_ref|| /
-    ||rho_ref|| of the dense oracle's shots, with s = +-1 the shot's frame
-    sign and rho_ref the step's noiseless final.  Then the stack [summed
-    preparation (identity/16 plus every step's deviation), identity/16,
-    step 0 .. 2] goes once through _cell_batches, and each batch feeds:
+    The walk is _mode_stacks over cfg.modes and then the other mode, so each
+    swept mode (one of cfg.modes) has the index, and so the cell keys, that
+    run_sweep gives it.  Each step of a swept mode is drawn once through
+    _step_draws, whose blocks give the mode's (steps, grid) negated counts k
+    and frame-dense-shots: the worst ||rho_shot - s rho_ref|| / ||rho_ref|| of
+    the dense oracle's shots, with s = +-1 the shot's frame sign and rho_ref
+    the step's noiseless final.  Then the stack [summed preparation
+    (identity/16 plus every step's deviation), identity/16, step 0 .. 2] goes
+    once through _cell_batches, and each batch feeds:
     - temporal-averaging (swept): the summed final against the sum of the rest;
     - protected-correctness (protected, swept or not): each step's decoded
       final against its decoded noiseless one, and the decoded summed final
@@ -367,25 +364,30 @@ def _grid_pass(
       P = (1 - exact signal)/2, less NUMERICAL_FLOOR: an exact test of k at
       any shot count, which a part of the exact final orthogonal to rho_ref
       fails too.
-    The first four are maxima.  mc-convergence's cell is the first worst in
-    (cfg.modes order, step, e) order.
+    damage-count-values is each step's |n - EXPECTED_DAMAGE|, which holds for
+    the default Grover placement only.  The first five are maxima.
+    mc-convergence's cell is the first worst in (cfg.modes order, step, e) order.
     """
-    logical = np.eye(4, dtype=complex)
-    for gate in table["protected"][0][0].gates:
-        logical = gate.logical @ logical
-    target = logical[:, 0]
-    refs = [dfs.decode(reference) for reference in table["protected"][2]]
     identity = np.eye(qcore.DIM, dtype=complex) / qcore.DIM
     correctness = averaging = consistency = frame_dense = 0.0
-    margins = []  # one (steps, grid) array per mode of cfg.modes, in its order
-    for mode in dict.fromkeys((*cfg.modes, *circuits.MODES)):
-        plans, masks, references = table[mode]
-        preps = _preparations(plans)
-        swept = mode in cfg.modes
+    damage = 0
+    margins, labels = [], []  # per mode of cfg.modes, in its order
+    walk = replace(cfg, modes=tuple(dict.fromkeys((*cfg.modes, *circuits.MODES))))
+    for mode_idx, plans, preps, masks, references in _mode_stacks(walk):
+        mode, swept = plans[0].mode, mode_idx < len(cfg.modes)
+        for plan, mask in zip(plans, masks):
+            expected = EXPECTED_DAMAGE[mode][plan.preparation.label]
+            damage = max(damage, abs(int(mask.sum()) - expected))
+        if mode == "protected":
+            logical = np.eye(4, dtype=complex)
+            for gate in plans[0].gates:
+                logical = gate.logical @ logical
+            target = logical[:, 0]
+            refs = [dfs.decode(reference) for reference in references]
         norms = [qcore.frobenius_norm(reference) for reference in references]
         negated = np.zeros((len(plans), len(cfg.e_grid)), dtype=np.int64)
         margin = np.empty(negated.shape)
-        keys = _step_keys(cfg, cfg.modes.index(mode), len(plans)) if swept else []
+        keys = _step_keys(cfg, mode_idx, len(plans)) if swept else []
         for step_idx, step_keys in enumerate(keys):
             plan, mask, reference = plans[step_idx], masks[step_idx], references[step_idx]
             for cells, flips, parity in _step_draws(mask, cfg.e_grid, cfg.shots, step_keys):
@@ -424,24 +426,20 @@ def _grid_pass(
                     margin[step_idx, start + i] = distance - radius - NUMERICAL_FLOOR
         if swept:
             margins.append(margin)
+            labels.append([plan.preparation.label for plan in plans])
     margins = np.stack(margins)
     mode_idx, step_idx, e_idx = np.unravel_index(np.argmax(margins), margins.shape)
-    label = table[cfg.modes[mode_idx]][0][step_idx].preparation.label
-    worst_cell = f"mode={cfg.modes[mode_idx]} step={label} e={cfg.e_grid[e_idx]:g}"
-    return correctness, averaging, consistency, frame_dense, float(margins.max()), worst_cell
+    label = labels[mode_idx][step_idx]
+    cell = f"mode={cfg.modes[mode_idx]} step={label} e={cfg.e_grid[e_idx]:g}"
+    return correctness, averaging, consistency, frame_dense, damage, float(margins.max()), cell
 
 
 def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     """Run the machine-checkable invariant suite; every check reports its residual.
 
-    The checks read each mode's _mode_stacks entry, both modes whatever
-    cfg.modes holds, and one _grid_pass walks the cells.
+    One _grid_pass walks both modes, whatever cfg.modes holds.
     """
     cfg = cfg or SweepConfig()
-    table = {
-        plans[0].mode: (plans, masks, references)
-        for _, plans, masks, references in _mode_stacks(replace(cfg, modes=circuits.MODES))
-    }
     checks: list[VerifyCheck] = []
 
     def add(name: str, residual: float, tolerance: float, detail: str = "") -> None:
@@ -460,15 +458,12 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     completeness = max(noise.engineered_model(e).completeness_defect for e in cfg.e_grid)
     add("channel-completeness", completeness, qcore.DEFAULT_TOL)
     add("eigenstructure-audit", _eigenstructure_residual(cfg.e_grid), qcore.DEFAULT_TOL)
-    correctness, averaging, consistency, frame_dense, mc_margin, mc_cell = _grid_pass(cfg, table)
+    correctness, averaging, consistency, frame_dense, damage, mc_margin, mc_cell = _grid_pass(cfg)
     add("protected-correctness", correctness, 1e-10)
     add("temporal-averaging", averaging, qcore.DEFAULT_TOL)
     add("damage-count-consistency", consistency, 1e-10)
     if cfg.algorithm == "grover" and cfg.placement is None:
-        values = [abs(int(mask.sum()) - EXPECTED_DAMAGE[mode][plan.preparation.label])
-                  for mode, (plans, masks, _) in table.items()
-                  for plan, mask in zip(plans, masks)]
-        add("damage-count-values", max(values), 0.0, "n = 0/0/0 and 6/12/6")
+        add("damage-count-values", damage, 0.0, "n = 0/0/0 and 6/12/6")
     add("frame-dense-shots", frame_dense, qcore.DEFAULT_TOL)
     add(
         "mc-convergence",

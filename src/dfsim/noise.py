@@ -5,22 +5,13 @@ words IIII, XXII, IIXX and XXXX (dfs.ERROR_BASIS).  An ErrorModelSpec holds
 the coefficients of its Kraus operators over those words; it is the one
 description of a channel that apply_channel and verify_error_model take.
 
-run_plan_exact takes the strength e, a float or a whole grid, and one
-initial state or a stack of them, and evolves every (state, e) row together
-in one pass, without apply_channel: each operator c W of engineered_model(e)
-permutes the basis by XOR with one mask, so its term c W rho W^dagger conj(c)
-is the entries of rho permuted and scaled by c^2.  On a flat entry index the
-masks are f ^ 0xCC (XXII), f ^ 0x33 (IIXX) and f ^ 0xFF (XXXX); each reverses
-whole axes of the entries, so rows held entry-major are flipped through views,
-not gathers (_WORD_FLIPS, test_word_permutations_are_reversals).  Every dfsim
-state, gate and coefficient c is real, so the rows are evolved in float64 and
-the result's imaginary part is +0.  apply_channel and the dense oracle stay
-complex, as independent references: every final state equals, to the bit,
+run_plan_exact evolves one initial state or a stack of them, at one e or a
+whole grid, in one float64 pass without apply_channel (every dfsim state,
+gate and channel coefficient is real).  apply_channel and the dense oracle
+stay complex, as independent references: every final equals, to the bit,
 the gate-by-gate evolution with apply_channel(rho, engineered_model(e)), and
-none holds a -0 (test_grid_evolution_equals_per_e_kraus_sum_to_the_bit,
-test_grid_evolution_past_the_last_noise_point_equals_kraus_sum_to_the_bit,
-test_grid_evolution_leaves_no_negative_zero and
-test_stacked_exact_evolution_equals_each_state_alone).
+holds no -0 (test_grid_evolution_equals_per_e_kraus_sum_to_the_bit,
+test_grid_evolution_leaves_no_negative_zero).
 
 The engineered decoherence is applied at chosen circuit points: XXII with
 probability e, then IIXX with the same probability.  Averaged over
@@ -136,18 +127,12 @@ class EigenvalueAudit:
     ``eigenvalues[d, i-1]`` is the scalar by which operator d multiplies every
     state of subspace i; ``weights[i-1]`` is sum_d |eigenvalue|^2, the factor
     multiplying that subspace's mixture weight.  ``max_residual`` bounds the
-    deviation from exact scalar action; subspaces exceeding tolerance are
-    listed in ``flagged``.
+    deviation from exact scalar action.
     """
 
     eigenvalues: np.ndarray
     weights: np.ndarray
     max_residual: float
-    flagged: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.flagged
 
 
 def verify_error_model(spec: ErrorModelSpec) -> EigenvalueAudit:
@@ -163,7 +148,7 @@ def verify_error_model(spec: ErrorModelSpec) -> EigenvalueAudit:
     a = spec.coefficients
     n_ops = a.shape[0]
     eigenvalues = np.zeros((n_ops, 4), dtype=complex)
-    residuals = np.zeros(4)
+    residual = 0.0
     for i in (1, 2, 3, 4):
         basis = dfs.dfs_basis(i)
         s1, s2, s3 = basis.signature
@@ -171,15 +156,9 @@ def verify_error_model(spec: ErrorModelSpec) -> EigenvalueAudit:
         eigenvalues[:, i - 1] = a @ chi
         for d, op in enumerate(spec.operators):
             resid = frobenius_norm(op @ basis.vectors - eigenvalues[d, i - 1] * basis.vectors)
-            residuals[i - 1] = max(residuals[i - 1], resid)
+            residual = max(residual, resid)
     weights = np.sum(np.abs(eigenvalues) ** 2, axis=0)
-    flagged = tuple(i for i in (1, 2, 3, 4) if residuals[i - 1] > DEFAULT_TOL)
-    return EigenvalueAudit(
-        eigenvalues=eigenvalues,
-        weights=weights,
-        max_residual=float(residuals.max()),
-        flagged=flagged,
-    )
+    return EigenvalueAudit(eigenvalues, weights, residual)
 
 
 #: Shots of one cell whose raw words draw_flips holds at a time, 144 B each
@@ -264,7 +243,8 @@ _WORD_PERMS = tuple(_entry_permutation(w) for w in dfs.ERROR_MATRICES)
 #: Each error word's entry permutation as reversed axes of entry-major rows
 #: seen as (4, 4, 4, 4, rows): flat entry f has base-4 digits d0 d1 d2 d3, and
 #: a reversed digit is 3 - d = d ^ 3, so XXII (f ^ 0xCC) reverses d0 and d2,
-#: IIXX (f ^ 0x33) d1 and d3, and XXXX (f ^ 0xFF) all four.
+#: IIXX (f ^ 0x33) d1 and d3, and XXXX (f ^ 0xFF) all four
+#: (test_word_permutations_are_reversals).
 _WORD_FLIPS = (..., np.s_[::-1, :, ::-1], np.s_[:, ::-1, :, ::-1], np.s_[::-1, ::-1, ::-1, ::-1])
 
 
@@ -375,16 +355,12 @@ def monte_carlo_states(
     states (distinct, 16, 16), pairwise different in at least one byte, and
     index (shots,), so that states[index[k]] is the final deviation of shot k.
 
-    The dense oracle: every shot is evolved as a 16x16 matrix.  At a noise
-    point each state is gathered through the entry permutation of the flips
-    its shots drew there (_FLIP_PERMS), which equals conjugating by the flips
-    to the bit, and states equal to the byte are then merged.  Gates
-    conjugate each state on its own, so equal bytes in give equal bytes out,
-    and each shot's result equals, to the bit, evolving it alone.  Only the
+    The dense oracle: every shot is evolved as a 16x16 matrix, and shots
+    whose states are equal to the byte share one.  Each shot's result equals,
+    to the bit, evolving it alone
+    (test_shared_flip_histories_match_unshared_replay_to_the_bit).  Only the
     drawn flips and the states decide the sharing, never the damage audit, so
-    the oracle stays independent of the frame sampler it checks.  The keys
-    (state, flip pattern) of a point are compacted by _compact, without a
-    sort.
+    the oracle stays independent of the frame sampler it checks.
     """
     points = plan.decoherence_points
     flips = np.asarray(flips, dtype=bool)

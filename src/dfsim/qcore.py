@@ -68,16 +68,6 @@ class PauliString:
     def matrix(self) -> np.ndarray:
         return pauli_matrix(self)
 
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
-
-    def __neg__(self) -> "PauliString":
-        return PauliString(self.letters, -self.phase)
-
-    def __str__(self) -> str:
-        prefix = {1 + 0j: "", -1 + 0j: "-", 1j: "i", -1j: "-i"}[self.phase]
-        return prefix + self.letters
-
 
 #: Maps a word's letters to its base-4 index in pauli_basis_strings order.
 _LETTER_DIGITS = str.maketrans("IXYZ", "0123")
@@ -169,7 +159,8 @@ def _pauli_transform(rhos: np.ndarray) -> np.ndarray:
 def pauli_decompose(rho: np.ndarray, tol: float = DEFAULT_TOL) -> dict[str, complex]:
     """Expand ``rho`` over the Pauli basis: rho = sum_w coeff[w] * matrix(w).
 
-    Coefficients below ``tol`` in modulus are dropped.
+    Coefficients below ``tol`` in modulus are dropped; the tests pass 1e-10
+    and, in test_circuits.py's per_word_audit, a tolerance relative to rho.
     """
     coeffs = _pauli_transform(rho)
     return {

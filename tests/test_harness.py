@@ -607,6 +607,8 @@ GOLDEN_FILES = {
     DJ_BATCHES: "run-dj-batches.csv",
     "run --seed 5 --mode unprotected --shots 70001 --e-grid 0.125,0.375": "run-70001-shots.csv",
     "run --seed 0 --placement 1,2 --e-grid 0,0.25,0.5": "run-placement.csv",
+    "verify --seed 0 --mode unprotected,protected --shots 16 --e-grid 0.1,0.3":
+        "verify-reversed.txt",
 }
 
 
@@ -804,11 +806,14 @@ def test_verify_does_not_depend_on_the_cell_batch(modes, shots, block, monkeypat
     assert [repr(check) for check in harness.verify(cfg)] == default
 
 
-def test_verify_draws_each_step_once_whatever_the_e_block(monkeypatch):
-    # a default verify draws each of the six swept steps' nine cells in one
-    # call of 2048 shots, whatever the exact batches, and under the keys run
-    # draws them with: _step_keys, protected then unprotected
-    cfg = SweepConfig()
+@pytest.mark.parametrize(
+    "modes", [("protected", "unprotected"), ("unprotected", "protected")], ids=["default", "reversed"]
+)
+def test_verify_draws_each_step_once_whatever_the_e_block(modes, monkeypatch):
+    # verify draws each of the six swept steps' nine cells in one call of 2048
+    # shots, whatever the exact batches, and under the keys run draws them
+    # with: _step_keys of each mode's index in cfg.modes, in that order
+    cfg = SweepConfig(modes=modes)
     drawn, keyed = [], []
     batched = noise.draw_flips
 
@@ -829,7 +834,8 @@ def test_verify_draws_each_step_once_whatever_the_e_block(monkeypatch):
     assert keyed == keys * 2
     keyed.clear()
     run_sweep(cfg)
-    assert keyed == keys[3:]  # run draws no protected cell
+    unprotected = modes.index("unprotected")
+    assert keyed == keys[3 * unprotected : 3 * unprotected + 3]  # run draws no protected cell
 
 
 def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):
@@ -1018,6 +1024,10 @@ GOLDEN_VERIFY_PATHS_SHA256 = {
         "997d9470e0d119fd589ba7b88f9071299999549d61d386a95e27b399ca2d632e",
     "verify --seed 0 --placement 1,2 --e-grid 0.25 --shots 16":
         "fe1e7da7c9e170446843e98f126f6e01f4552b8298bbddf8aa908793f3ff22c0",
+    # both modes in reverse order: the worst cell is in protected, the second
+    # mode walked, so its label is read from the second swept mode
+    "verify --seed 0 --mode unprotected,protected --shots 16 --e-grid 0.1,0.3":
+        "66723a4e1b181b35a78d7c4297b9e65a440f63a47d40d9faea93269c0bd6c254",
 }
 
 

@@ -537,14 +537,14 @@ def test_protected_shots_are_noise_free_one_by_one():
 def test_verify_error_model_identity_channel():
     spec = ErrorModelSpec(coefficients=np.array([[1.0, 0, 0, 0]], dtype=complex))
     audit = verify_error_model(spec)
-    assert audit.ok
+    assert audit.max_residual <= qcore.DEFAULT_TOL
     np.testing.assert_allclose(audit.eigenvalues, np.ones((1, 4)), atol=1e-15)
     np.testing.assert_allclose(audit.weights, np.ones(4), atol=1e-15)
 
 
 def test_verify_error_model_engineered_values():
     audit = verify_error_model(engineered_model(0.3))
-    assert audit.ok and audit.max_residual < 1e-12
+    assert audit.max_residual < 1e-12
     root = np.sqrt(0.21)
     np.testing.assert_allclose(
         audit.eigenvalues[:, 0], [0.7, root, root, 0.3], atol=1e-12
@@ -567,7 +567,7 @@ def test_verify_error_model_random_complete_models():
         eig /= np.linalg.norm(eig, axis=0, keepdims=True)
         spec = ErrorModelSpec(coefficients=eig @ chi / 4)
         audit = verify_error_model(spec)
-        assert audit.ok and audit.max_residual < 1e-12
+        assert audit.max_residual < 1e-12
         np.testing.assert_allclose(audit.weights, np.ones(4), atol=1e-12)
         # with uniform mixture weights 1/4 the reweighted total stays 1
         assert np.sum(0.25 * audit.weights) == pytest.approx(1.0, abs=1e-12)

