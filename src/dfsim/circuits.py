@@ -197,7 +197,13 @@ def assemble(
     realize = dfs.lift_logical_unitary if mode == "protected" else embed_on_spins_1_4
     circuit = grover_gates(marked) if algorithm == "grover" else dj_gates(function)
     logical = circuit + readout_gates()
-    gates = tuple(Gate(g.label, g.matrix, realize(g.matrix)) for g in logical)
+    realized: dict[bytes, np.ndarray] = {}  # one read-only array per distinct logical matrix
+    for g in logical:
+        key = g.matrix.tobytes()
+        if key not in realized:
+            realized[key] = realize(g.matrix)
+            realized[key].setflags(write=False)
+    gates = tuple(Gate(g.label, g.matrix, realized[g.matrix.tobytes()]) for g in logical)
     return ExperimentPlan(
         mode=mode,
         algorithm=algorithm,
@@ -207,9 +213,15 @@ def assemble(
     )
 
 
-def ideal_boundary_deviations(plan: ExperimentPlan) -> list[np.ndarray]:
-    """Noise-free deviation matrix at every gate boundary 0..len(gates)."""
-    rho = np.asarray(plan.preparation.deviation, dtype=complex)
+def ideal_boundary_deviations(
+    plan: ExperimentPlan, initial: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """Noise-free deviation at every gate boundary 0..len(gates).
+
+    ``initial`` is one state (16, 16) or a stack (k, 16, 16) of them, by
+    default the plan's preparation; each boundary's entry has its shape.
+    """
+    rho = np.asarray(plan.preparation.deviation if initial is None else initial, dtype=complex)
     out = [rho]
     for gate in plan.gates:
         rho = gate.physical @ rho @ gate.physical.conj().T
@@ -239,44 +251,54 @@ def _flip_anticommutes() -> np.ndarray:
     return np.array([[anticommutes(w, f) for f in flips] for w in words])
 
 
-def damage_audit(plan: ExperimentPlan) -> list[PointDamage]:
-    """Per-point count of error operators that would alter the ideal state.
+def _audit(plan: ExperimentPlan, initial: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(present, damaging): the Pauli words (..., points, 256) of the noise-free
+    deviations of ``initial`` (as in damage_mask) at the noise points, and their
+    flags (..., points, 2).
 
-    One Pauli transform splits the noise-free deviations at all noise points
-    into Pauli words (coefficients above 1e-10 times each one's norm), and
-    each error operator (XXII then IIXX) is compared with every word.  A flip
-    that commutes with all of them leaves the state unchanged (harmless); one
-    that anticommutes with all of them negates it (damaging, one unit of n).
-    A mix means the deviation is not a flip eigenstate and the closed form
-    (1-2e)^n does not apply; that is reported as an error, not guessed around.
+    One Pauli transform splits every deviation into words (coefficients above
+    1e-10 times its norm), and each error operator (XXII then IIXX) is compared
+    with every word.  A flip that anticommutes with all of them negates the
+    deviation (damaging, one unit of n); one that commutes with all of them
+    leaves it unchanged.  A mix means the deviation is not a flip eigenstate
+    and the closed form (1-2e)^n does not apply; that is reported as an error,
+    not guessed around.
     """
     points = plan.decoherence_points
-    devs = np.stack(ideal_boundary_deviations(plan))[list(points)]
-    present = np.abs(_pauli_transform(devs)) > 1e-10 * np.linalg.norm(devs, axis=(1, 2))[:, None]
+    devs = np.stack(ideal_boundary_deviations(plan, initial), axis=-3)[..., list(points), :, :]
+    norms = np.linalg.norm(devs, axis=(-2, -1))
+    present = np.abs(_pauli_transform(devs)) > 1e-10 * norms[..., None]
     table = _flip_anticommutes()
-    damaging = (present[:, :, None] & table).any(axis=1)
-    harmless = (present[:, :, None] & ~table).any(axis=1)
-    mixed = np.flatnonzero((damaging & harmless).any(axis=1))
+    damaging = present @ table
+    mixed = np.argwhere(damaging & (present @ ~table))
     if len(mixed):
+        point = mixed[0, -2]
         raise ValueError(
-            f"deviation at point {mixed[0]} (boundary {points[mixed[0]]}) is not a "
+            f"deviation at point {point} (boundary {points[point]}) is not a "
             "flip eigenstate; damage counting is undefined for this plan"
         )
-    words = [p.letters for p in pauli_basis_strings()]
+    return present, damaging
+
+
+def damage_audit(plan: ExperimentPlan) -> list[PointDamage]:
+    """Each noise point's words and damage_mask(plan) flags, as ``dfsim count-n`` prints them."""
+    present, damaging = _audit(plan, None)
+    words, points = [p.letters for p in pauli_basis_strings()], plan.decoherence_points
     return [
         PointDamage(point, boundary, "+".join(compress(words, row)), tuple(flags))
         for point, (boundary, row, flags) in enumerate(zip(points, present, damaging.tolist()))
     ]
 
 
-def damage_mask(plan: ExperimentPlan) -> np.ndarray:
+def damage_mask(plan: ExperimentPlan, initial: np.ndarray | None = None) -> np.ndarray:
     """Boolean (points, 2): whether XXII / IIXX at that point negates the ideal deviation.
 
-    Every other flip leaves it unchanged (damage_audit raises otherwise), so a
-    shot's signal is (-1) to the number of its flips on true entries.
+    ``initial`` is one state (16, 16), by default the plan's preparation, or a
+    stack (k, 16, 16) evolved at once, giving (k, points, 2).  Every other flip
+    leaves the deviation unchanged (_audit raises otherwise), so a shot's
+    signal is (-1) to the number of its flips on true entries.
     """
-    audit = damage_audit(plan)
-    return np.array([entry.damaging for entry in audit], dtype=bool).reshape(len(audit), 2)
+    return _audit(plan, initial)[1]
 
 
 def count_damaging_errors(plan: ExperimentPlan) -> int:

@@ -137,14 +137,18 @@ def _mode_stacks(
     """(mode index, plans, preparations, damage masks, noiseless finals) of each
     mode of cfg, in step order.
 
-    The preparations (steps, 16, 16) are the steps' deviations.  Each plan is
-    audited once, by circuits.damage_mask.  The noiseless finals (steps, 16,
-    16) are one e = 0 stack of the preparations through the mode's first plan.
+    The preparations (steps, 16, 16) are the steps' deviations.  The plans
+    share their gates and noise points, so the preparations go through the
+    mode's first plan as one stack, twice: once noise-free through
+    circuits.damage_mask, whose (steps, points, 2) rows are the steps' masks,
+    and once at e = 0 through the exact channel, for the noiseless finals
+    (steps, 16, 16).
     """
     for mode_idx, plans in enumerate(sweep_plans(cfg)):
         preps = np.stack([plan.preparation.deviation for plan in plans])
+        masks = list(circuits.damage_mask(plans[0], preps))
         references = noise.run_plan_exact(plans[0], 0.0, preps)
-        yield mode_idx, plans, preps, [circuits.damage_mask(plan) for plan in plans], references
+        yield mode_idx, plans, preps, masks, references
 
 
 #: Shots drawn at a time over the cells of a _step_draws group.  Results do

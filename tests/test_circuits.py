@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,13 @@ from dfsim.circuits import (
     assemble,
     count_damaging_errors,
     damage_audit,
+    damage_mask,
     dj_gates,
     embed_on_spins_1_4,
     grover_gates,
 )
 from dfsim.qcore import PauliString, pauli_matrix
+from test_noise import PLACEMENTS
 
 
 def composite(gates):
@@ -49,6 +53,33 @@ def test_realized_gates_have_exact_entries(algorithm, mode):
     # from 1/sqrt(2) gives +-0.4999999999999999 instead
     for gate in assemble(mode, algorithm).gates:
         assert set(np.unique(gate.physical).tolist()) <= {0, 0.5, -0.5, 1, -1}, gate.label
+
+
+@pytest.mark.parametrize("mode", circuits.MODES)
+@pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
+def test_gates_share_one_read_only_array_per_logical_matrix(algorithm, mode, monkeypatch):
+    # each distinct logical matrix is realized once: Grover's five Hadamard
+    # pairs, its oracle and flip00 (3 of 7), and Deutsch-Jozsa's Hadamard
+    # pairs and const0 oracle (2 of 5)
+    realized = []
+    for module, name in ((dfs, "lift_logical_unitary"), (circuits, "embed_on_spins_1_4")):
+        def spy(u, _real=getattr(module, name)):
+            realized.append(u)
+            return _real(u)
+        monkeypatch.setattr(module, name, spy)
+    gates = assemble(mode, algorithm).gates
+    assert len(realized) == {"grover": 3, "deutsch-jozsa": 2}[algorithm]
+    assert not any(gate.physical.flags.writeable for gate in gates)
+    for a in gates:
+        for b in gates:
+            assert (a.physical is b.physical) == np.array_equal(a.logical, b.logical), (a, b)
+
+
+def test_grover_realizes_its_hadamard_pairs_once():
+    physical = {gate.label: gate.physical for gate in assemble("protected").gates}
+    pairs = ("superpose", "diffuse:mix", "diffuse:unmix", "readout:tilt", "readout:restore")
+    assert all(physical[label] is physical["superpose"] for label in pairs)
+    assert physical["oracle:11"] is not physical["diffuse:flip00"]
 
 
 def test_grover_rejects_bad_label():
@@ -289,34 +320,63 @@ def per_word_audit(plan):
     return audit
 
 
-@pytest.mark.parametrize("placement", [None, (0, 2, 4), (1, 2), ()])
+@pytest.mark.parametrize("placement", [None, *PLACEMENTS])
 @pytest.mark.parametrize("mode", circuits.MODES)
 @pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
 def test_damage_audit_equals_the_per_word_audit(algorithm, mode, placement):
-    for step in readout.steps_for_mode(mode):
-        plan = assemble(mode, algorithm, preparation=step, placement=placement)
+    # and row i of the mask of the mode's stacked preparations is step i's
+    plans = [
+        assemble(mode, algorithm, preparation=step, placement=placement)
+        for step in readout.steps_for_mode(mode)
+    ]
+    stacked = damage_mask(plans[0], np.stack([plan.preparation.deviation for plan in plans]))
+    assert stacked.dtype == bool
+    assert stacked.shape == (len(plans), len(plans[0].decoherence_points), 2)
+    for plan, row in zip(plans, stacked.tolist()):
         audit = damage_audit(plan)
-        assert [(a.point, a.boundary, a.state, a.damaging) for a in audit] == per_word_audit(plan)
+        expected = per_word_audit(plan)
+        assert [(a.point, a.boundary, a.state, a.damaging) for a in audit] == expected
         assert all(type(flag) is bool for a in audit for flag in a.damaging)
+        assert row == [list(flags) for *_, flags in expected]
+        assert row == damage_mask(plan).tolist()
 
 
-def test_damage_count_rejects_non_eigen_states():
-    # a T-like gate turns the transverse deviation into a non-eigen mixture
+def non_eigen_plan(step):
+    """A plan whose T-like gate on spin 1 turns ZIII, but not IIIZ, into a
+    mix of words that XXII partly negates."""
     t = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     gates = tuple(
         circuits.Gate(label, np.kron(m, np.eye(2)), embed_on_spins_1_4(np.kron(m, np.eye(2))))
         for label, m in (("mix", h), ("twist", t))
     )
-    plan = ExperimentPlan(
+    return ExperimentPlan(
         mode="unprotected",
         algorithm="grover",
         gates=gates,
         decoherence_points=(0, 1, 2),
-        preparation=readout.unprotected_steps()[0],
+        preparation=step,
     )
+
+
+def test_damage_count_rejects_non_eigen_states():
+    # a T-like gate turns the transverse deviation into a non-eigen mixture
+    plan = non_eigen_plan(readout.unprotected_steps()[0])
     with pytest.raises(ValueError, match="eigenstate"):
         count_damaging_errors(plan)
+
+
+def test_stacked_damage_mask_rejects_one_non_eigen_deviation():
+    # Z4 stays an eigenstate of both flips at every point, Z1 does not at
+    # point 2; a stack holding both fails as Z1's plan alone does
+    z1, _, z4 = readout.unprotected_steps()
+    plan = non_eigen_plan(z4)
+    assert damage_mask(plan).tolist() == [[False, True]] * 3
+    with pytest.raises(ValueError, match="eigenstate") as alone:
+        damage_audit(non_eigen_plan(z1))
+    assert str(alone.value).startswith("deviation at point 2 (boundary 2)")
+    with pytest.raises(ValueError, match=re.escape(str(alone.value))):
+        damage_mask(plan, np.stack([z4.deviation, z1.deviation]))
 
 
 def test_moving_points_across_commuting_gates_is_invisible():

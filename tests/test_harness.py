@@ -186,13 +186,14 @@ def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
 def test_verify_fails_when_a_damage_mask_entry_is_flipped(monkeypatch, capsys):
     # the frame then negates the shots that drew that (point, flip) pair of
     # one protected plan, and the dense oracle, which reads the same flips,
-    # does not
+    # does not; entry [0, 0, 0] of the protected stack is step Z1Z2's
     audited = circuits.damage_mask
 
-    def flipped(plan):
-        mask = audited(plan).copy()
-        if plan.mode == "protected" and plan.preparation.label == "Z1Z2":
-            mask[0, 0] = not mask[0, 0]
+    def flipped(plan, initial=None):
+        mask = audited(plan, initial).copy()
+        if plan.mode == "protected":
+            assert plan.preparation.label == "Z1Z2" and mask.ndim == 3
+            mask[0, 0, 0] = not mask[0, 0, 0]
         return mask
 
     monkeypatch.setattr(circuits, "damage_mask", flipped)
@@ -247,10 +248,11 @@ def test_acceptance_radius_is_the_exact_binomial_test(shots, p, oracle):
 
 
 def _count_calls(monkeypatch) -> dict[str, int]:
-    """Count the calls of circuits.assemble, circuits.damage_audit and noise.run_plan_exact."""
-    calls = {"assemble": 0, "damage_audit": 0, "run_plan_exact": 0}
+    """Count the calls of circuits.assemble, circuits.damage_audit, circuits.damage_mask
+    and noise.run_plan_exact."""
+    calls = {"assemble": 0, "damage_audit": 0, "damage_mask": 0, "run_plan_exact": 0}
     for module, name in ((circuits, "assemble"), (circuits, "damage_audit"),
-                         (noise, "run_plan_exact")):
+                         (circuits, "damage_mask"), (noise, "run_plan_exact")):
         def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -259,14 +261,14 @@ def _count_calls(monkeypatch) -> dict[str, int]:
 
 
 def test_verify_builds_audits_and_evolves_each_plan_once(monkeypatch):
-    # each mode assembled once and its three plans audited once each; 4
-    # exact evolutions: per mode, one e = 0 stack of references and one
+    # each mode assembled once and its stack of three preparations audited
+    # once; 4 exact evolutions: per mode, one e = 0 stack of references and one
     # batch of the stack of 5 (summed preparation, identity/16 and each step,
     # through step 0's plan) over the nine e values, from which every grid
     # check of the mode reads its cells
     calls = _count_calls(monkeypatch)
     assert all(c.passed for c in harness.verify())
-    assert calls == {"assemble": 2, "damage_audit": 6, "run_plan_exact": 4}
+    assert calls == {"assemble": 2, "damage_audit": 0, "damage_mask": 2, "run_plan_exact": 4}
 
 
 @pytest.mark.parametrize("mode", circuits.MODES)
@@ -275,16 +277,17 @@ def test_verify_of_one_mode_evolves_each_mode_once(mode, monkeypatch):
     # damage-count-consistency, as one stack like the swept one
     calls = _count_calls(monkeypatch)
     assert all(c.passed for c in harness.verify(SweepConfig(modes=(mode,))))
-    assert calls == {"assemble": 2, "damage_audit": 6, "run_plan_exact": 4}
+    assert calls == {"assemble": 2, "damage_audit": 0, "damage_mask": 2, "run_plan_exact": 4}
 
 
 def test_sweep_evolves_each_mode_as_one_stack(monkeypatch):
-    # per mode: one assembly, one e = 0 stack of the three references and one
-    # stack of the three steps over the nine e values; one audit per plan
+    # per mode: one assembly, one audit of the stack of three steps, one e = 0
+    # stack of the three references and one stack of the three steps over the
+    # nine e values
     calls = _count_calls(monkeypatch)
     rows = run_sweep(SweepConfig())
     assert len(rows) == 54
-    assert calls == {"assemble": 2, "damage_audit": 6, "run_plan_exact": 4}
+    assert calls == {"assemble": 2, "damage_audit": 0, "damage_mask": 2, "run_plan_exact": 4}
 
 
 @pytest.mark.parametrize("shots", [2048, 40000])

@@ -1,6 +1,6 @@
 """Property tests over random plans: Deutsch-Jozsa promise tables, Grover marked
 labels, every preparation step, placements with duplicates, and e in [0, 0.5];
-the exact channel over stacks of initial states; the sweep's masked-column
+the damage mask and the exact channel over stacks of initial states; the sweep's masked-column
 parity against a masked sum; the cells' Philox keys, pairwise distinct and
 carrying the seed in their low 64 bits; the oracle's key compaction against
 np.unique; and random complete error models.
@@ -19,6 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dfsim import circuits, dfs, harness, noise, readout
+from test_circuits import per_word_audit
 from test_noise import _per_e_exact
 
 #: Every two-bit table that is constant or balanced.
@@ -84,6 +85,20 @@ def test_signals_follow_the_damage_count(mode_plan, e, seed, shots):
     [(mc, _)] = harness._mc_signal(mask, (e,), shots, (seed,))
     assert -1.0 <= mc <= 1.0
     assert -1.0 <= readout.theory_curve(n, e) <= 1.0
+
+
+@PROPERTY
+@given(plans())
+def test_stacked_damage_mask_equals_each_steps_audit(mode_plan):
+    # row i of the mode's stacked mask is the audit of the plan with step i
+    mode, plan = mode_plan
+    steps = readout.steps_for_mode(mode)
+    stacked = circuits.damage_mask(plan, np.stack([step.deviation for step in steps]))
+    assert stacked.shape == (len(steps), len(plan.decoherence_points), 2)
+    for row, step in zip(stacked.tolist(), steps):
+        step_plan = replace(plan, preparation=step)
+        assert row == [list(a.damaging) for a in circuits.damage_audit(step_plan)]
+        assert row == [list(flags) for *_, flags in per_word_audit(step_plan)]
 
 
 #: The plan of every (algorithm, mode, step).
