@@ -30,7 +30,12 @@ from . import dfs
 from .qcore import DIM, _pauli_transform, anticommutes, is_unitary, pauli_basis_strings
 from .readout import PreparationStep, steps_for_mode
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex)  # sqrt(2) H: hadamard_pair halves its kron
+_H = np.array([[1, 1], [1, -1]], dtype=complex)  # sqrt(2) H: _HH halves its kron
+
+#: H on both register qubits, every entry exactly +-1/2; prepares the equal
+#: superposition.  One read-only array for every gate, built once.
+_HH = np.kron(_H, _H) / 2
+_HH.setflags(write=False)
 
 MODES = ("protected", "unprotected")
 ALGORITHMS = ("grover", "deutsch-jozsa")
@@ -87,11 +92,6 @@ class ExperimentPlan:
         object.__setattr__(self, "decoherence_points", pts)
 
 
-def hadamard_pair() -> np.ndarray:
-    """H on both register qubits, every entry exactly +-1/2; prepares the equal superposition."""
-    return np.kron(_H, _H) / 2
-
-
 def phase_flip(index: int) -> np.ndarray:
     """Diagonal unitary flipping the sign of one basis state."""
     m = np.eye(4, dtype=complex)
@@ -108,13 +108,12 @@ def grover_gates(marked: str = "11") -> tuple[LogicalGate, ...]:
     """
     if marked not in BASIS_LABELS:
         raise ValueError(f"marked label must be one of {BASIS_LABELS}, got {marked!r}")
-    hh = hadamard_pair()
     return (
-        LogicalGate("superpose", hh),
+        LogicalGate("superpose", _HH),
         LogicalGate(f"oracle:{marked}", phase_flip(int(marked, 2))),
-        LogicalGate("diffuse:mix", hh),
+        LogicalGate("diffuse:mix", _HH),
         LogicalGate("diffuse:flip00", phase_flip(0)),
-        LogicalGate("diffuse:unmix", hh),
+        LogicalGate("diffuse:unmix", _HH),
     )
 
 
@@ -137,21 +136,19 @@ def dj_gates(function) -> tuple[LogicalGate, ...]:
     if sum(table) not in (0, 2, 4):
         raise ValueError("function violates the constant-or-balanced promise")
     oracle = np.diag([(-1.0) ** v for v in table]).astype(complex)
-    hh = hadamard_pair()
     name = next((k for k, v in DJ_FUNCTIONS.items() if v == table), "".join(map(str, table)))
     return (
-        LogicalGate("superpose", hh),
+        LogicalGate("superpose", _HH),
         LogicalGate(f"oracle:{name}", oracle),
-        LogicalGate("unmix", hh),
+        LogicalGate("unmix", _HH),
     )
 
 
 def readout_gates() -> tuple[LogicalGate, ...]:
     """Two-pulse readout filter: tilt populations into the transverse plane, restore."""
-    hh = hadamard_pair()
     return (
-        LogicalGate("readout:tilt", hh),
-        LogicalGate("readout:restore", hh),
+        LogicalGate("readout:tilt", _HH),
+        LogicalGate("readout:restore", _HH),
     )
 
 
@@ -280,9 +277,10 @@ def _audit(plan: ExperimentPlan, initial: np.ndarray | None) -> tuple[np.ndarray
     return present, damaging
 
 
-def damage_audit(plan: ExperimentPlan) -> list[PointDamage]:
-    """Each noise point's words and damage_mask(plan) flags, as ``dfsim count-n`` prints them."""
-    present, damaging = _audit(plan, None)
+def damage_audit(plan: ExperimentPlan, initial: np.ndarray | None = None) -> list[PointDamage]:
+    """Each noise point's words and damage_mask(plan, initial) flags for one state
+    ``initial`` (16, 16), as ``dfsim count-n`` prints them for each step."""
+    present, damaging = _audit(plan, initial)
     words, points = [p.letters for p in pauli_basis_strings()], plan.decoherence_points
     return [
         PointDamage(point, boundary, "+".join(compress(words, row)), tuple(flags))

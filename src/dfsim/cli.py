@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from . import circuits, dfs, harness
+from . import circuits, dfs, harness, readout
 
 
 #: Every option: its dest (the config key it sets, except "config"), flag and
@@ -134,11 +134,11 @@ def _cmd_show_basis(args: argparse.Namespace) -> int:
 
 def _cmd_count_n(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    for plans in harness.sweep_plans(cfg):
-        for plan in plans:
-            audit = circuits.damage_audit(plan)
+    for plan in harness.sweep_plans(cfg):
+        for step in readout.steps_for_mode(plan.mode):
+            audit = circuits.damage_audit(plan, step.deviation)
             n = sum(entry.hits for entry in audit)
-            print(f"mode={plan.mode} step={plan.preparation.label}: n = {n}")
+            print(f"mode={plan.mode} step={step.label}: n = {n}")
             for entry in audit:
                 print(
                     f"  point {entry.point} (boundary {entry.boundary}): "

@@ -6,9 +6,9 @@ channel signal, the shot-averaged Monte-Carlo signal with its standard error,
 the closed-form prediction (1-2e)^n, and the damage count n.  Results are
 deterministic functions of (config, seed) down to the output bytes.
 
-The three temporal-averaging steps of a mode share every gate and noise
-point, so each mode is assembled once and its steps' preparations are
-evolved together, as one stack of initial states through the exact channel.
+As in the experiment, a mode is one circuit run from each of its three
+temporal-averaging preparations: one plan, and its steps' stack of
+preparations, which every walk of the plan takes as its initial states.
 The sweep and the verifier walk the modes of _mode_stacks the same two ways:
 each mode's stack once through _cell_batches for the exact finals, and each
 step's whole e grid once through _step_draws for the shots, which read only
@@ -117,38 +117,38 @@ class VerifyCheck:
     detail: str = ""
 
 
-def sweep_plans(cfg: SweepConfig) -> Iterator[list[circuits.ExperimentPlan]]:
-    """Each mode's plans, one per step in step order, for the modes of cfg in order.
+def sweep_plans(cfg: SweepConfig) -> Iterator[circuits.ExperimentPlan]:
+    """Each mode's one plan, for the modes of cfg in order.
 
-    Each mode is assembled once, and its steps' plans are that plan with
-    their own preparation, so they share its gates and noise points.  This is
-    the one mapping from a config to its plans: run_sweep, verify and
+    Its preparation is the mode's first step; every step runs through the
+    same gates and noise points, with its deviation as the initial state.
+    This is the one mapping from a config to its plans: run_sweep, verify and
     ``dfsim count-n`` all take their plans from here.
     """
     for mode in cfg.modes:
-        steps = readout.steps_for_mode(mode)
-        base = circuits.assemble(mode, cfg.algorithm, preparation=steps[0], placement=cfg.placement)
-        yield [replace(base, preparation=step) for step in steps]
+        yield circuits.assemble(mode, cfg.algorithm, placement=cfg.placement)
 
 
 def _mode_stacks(
     cfg: SweepConfig,
-) -> Iterator[tuple[int, list[circuits.ExperimentPlan], np.ndarray, list[np.ndarray], np.ndarray]]:
-    """(mode index, plans, preparations, damage masks, noiseless finals) of each
-    mode of cfg, in step order.
+) -> Iterator[tuple[int, circuits.ExperimentPlan, tuple, np.ndarray, list[np.ndarray], np.ndarray]]:
+    """(mode index, plan, steps, preparations, damage masks, noiseless finals)
+    of each mode of cfg, in step order.
 
-    The preparations (steps, 16, 16) are the steps' deviations.  The plans
-    share their gates and noise points, so the preparations go through the
-    mode's first plan as one stack, twice: once noise-free through
-    circuits.damage_mask, whose (steps, points, 2) rows are the steps' masks,
-    and once at e = 0 through the exact channel, for the noiseless finals
-    (steps, 16, 16).
+    The preparations (steps, 16, 16) are the steps' deviations.  They go
+    through the plan noise-free as one stack, once in circuits.damage_mask
+    for the masks (steps, points, 2), and once for the noiseless finals, the
+    last boundary of circuits.ideal_boundary_deviations.  Those are the exact
+    channel's finals at e = 0 to the byte: preparation entries are +-1/16 or
+    0 and gate entries in {0, +-1/2, +-1}, so every noise-free product and
+    sum is exact in float64, in any order and on any BLAS kernel.
     """
-    for mode_idx, plans in enumerate(sweep_plans(cfg)):
-        preps = np.stack([plan.preparation.deviation for plan in plans])
-        masks = list(circuits.damage_mask(plans[0], preps))
-        references = noise.run_plan_exact(plans[0], 0.0, preps)
-        yield mode_idx, plans, preps, masks, references
+    for mode_idx, plan in enumerate(sweep_plans(cfg)):
+        steps = readout.steps_for_mode(plan.mode)
+        preps = np.stack([step.deviation for step in steps])
+        masks = list(circuits.damage_mask(plan, preps))
+        references = circuits.ideal_boundary_deviations(plan, preps)[-1]
+        yield mode_idx, plan, steps, preps, masks, references
 
 
 #: Shots drawn at a time over the cells of a _step_draws group.  Results do
@@ -168,12 +168,11 @@ def _cell_batches(
 ) -> Iterator[tuple[int, tuple[float, ...], np.ndarray]]:
     """(start, e, finals) over e_grid in order, e = e_grid[start : start + cells].
 
-    ``initial`` is a mode's stack of k states and ``plan`` one of its plans,
-    whose gates and noise points every plan of the mode shares; finals
-    (k, cells, 16, 16) are the stack through plan at e, one run_plan_exact
-    call.  This is the one place that blocks exact rows: a batch holds
-    _E_BLOCK // k cells, and at least one, so no caller holds more than one
-    batch of finals.
+    ``initial`` is a stack of k states, such as a mode's preparations, and
+    finals (k, cells, 16, 16) are the stack through plan at e, one
+    run_plan_exact call.  This is the one place that blocks exact rows: a
+    batch holds _E_BLOCK // k cells, and at least one, so no caller holds
+    more than one batch of finals.
     """
     batch = max(1, _E_BLOCK // len(initial))
     for start in range(0, len(e_grid), batch):
@@ -238,26 +237,25 @@ def _mc_signal(
 
 
 def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
-    """Exact + Monte-Carlo signals for every (mode, step, e) cell, in sweep_plans order.
+    """Exact + Monte-Carlo signals for every (mode, step, e) cell, in _mode_stacks order.
 
-    Each mode's steps go through the exact channel as one stack, walked once
-    in _cell_batches: each step's finals of a batch are turned into exact
+    Each mode's steps go through its plan as one stack, walked once in
+    _cell_batches: each step's finals of a batch are turned into exact
     signals at once.  Each step's whole grid is then drawn by one _mc_signal call.
     """
     rows: list[SignalResult] = []
-    for mode_idx, plans, preps, masks, references in _mode_stacks(cfg):
-        keys = _step_keys(cfg, mode_idx, len(plans))
-        exact = np.empty((len(plans), len(cfg.e_grid)))
-        for start, e, finals in _cell_batches(cfg.e_grid, plans[0], preps):
+    for mode_idx, plan, steps, preps, masks, references in _mode_stacks(cfg):
+        keys = _step_keys(cfg, mode_idx, len(steps))
+        exact = np.empty((len(steps), len(cfg.e_grid)))
+        for start, e, finals in _cell_batches(cfg.e_grid, plan, preps):
             for step_idx, (stack, reference) in enumerate(zip(finals, references)):
                 exact[step_idx, start : start + len(e)] = readout.signal_intensity(stack, reference)
-        for plan, mask, signals, step_keys in zip(plans, masks, exact.tolist(), keys):
+        for step, mask, signals, step_keys in zip(steps, masks, exact.tolist(), keys):
             step_mc = _mc_signal(mask, cfg.e_grid, cfg.shots, step_keys)
             n = int(mask.sum())
-            label = plan.preparation.label
             for e_i, signal, (mean, stderr) in zip(cfg.e_grid, signals, step_mc):
                 theory = readout.theory_curve(n, e_i)
-                row = (e_i, label, plan.mode, cfg.algorithm, signal, mean, stderr, theory, n)
+                row = (e_i, step.label, plan.mode, cfg.algorithm, signal, mean, stderr, theory, n)
                 rows.append(SignalResult(*row))
     return rows
 
@@ -352,10 +350,10 @@ def _grid_pass(cfg: SweepConfig) -> tuple[float, float, float, float, int, float
     run_sweep gives it.  Each step of a swept mode is drawn once through
     _step_draws, whose blocks give the mode's (steps, grid) negated counts k
     and frame-dense-shots: the worst ||rho_shot - s rho_ref|| / ||rho_ref|| of
-    the dense oracle's shots, with s = +-1 the shot's frame sign and rho_ref
-    the step's noiseless final.  Then the stack [summed preparation
-    (identity/16 plus every step's deviation), identity/16, step 0 .. 2] goes
-    once through _cell_batches, and each batch feeds:
+    the dense oracle's shots from the step's preparation, with s = +-1 the
+    shot's frame sign and rho_ref the step's noiseless final.  Then the stack
+    [summed preparation (identity/16 plus every step's deviation),
+    identity/16, step 0 .. 2] goes once through _cell_batches, and each batch feeds:
     - temporal-averaging (swept): the summed final against the sum of the rest;
     - protected-correctness (protected, swept or not): each step's decoded
       final against its decoded noiseless one, and the decoded summed final
@@ -377,31 +375,31 @@ def _grid_pass(cfg: SweepConfig) -> tuple[float, float, float, float, int, float
     damage = 0
     margins, labels = [], []  # per mode of cfg.modes, in its order
     walk = replace(cfg, modes=tuple(dict.fromkeys((*cfg.modes, *circuits.MODES))))
-    for mode_idx, plans, preps, masks, references in _mode_stacks(walk):
-        mode, swept = plans[0].mode, mode_idx < len(cfg.modes)
-        for plan, mask in zip(plans, masks):
-            expected = EXPECTED_DAMAGE[mode][plan.preparation.label]
-            damage = max(damage, abs(int(mask.sum()) - expected))
+    for mode_idx, plan, steps, preps, masks, references in _mode_stacks(walk):
+        mode, swept = plan.mode, mode_idx < len(cfg.modes)
+        for step, mask in zip(steps, masks):
+            damage = max(damage, abs(int(mask.sum()) - EXPECTED_DAMAGE[mode][step.label]))
         if mode == "protected":
             logical = np.eye(4, dtype=complex)
-            for gate in plans[0].gates:
+            for gate in plan.gates:
                 logical = gate.logical @ logical
             target = logical[:, 0]
             refs = [dfs.decode(reference) for reference in references]
         norms = [qcore.frobenius_norm(reference) for reference in references]
-        negated = np.zeros((len(plans), len(cfg.e_grid)), dtype=np.int64)
+        negated = np.zeros((len(steps), len(cfg.e_grid)), dtype=np.int64)
         margin = np.empty(negated.shape)
-        keys = _step_keys(cfg, mode_idx, len(plans)) if swept else []
+        keys = _step_keys(cfg, mode_idx, len(steps)) if swept else []
         for step_idx, step_keys in enumerate(keys):
-            plan, mask, reference = plans[step_idx], masks[step_idx], references[step_idx]
+            mask, reference = masks[step_idx], references[step_idx]
             for cells, flips, parity in _step_draws(mask, cfg.e_grid, cfg.shots, step_keys):
                 negated[step_idx, cells] += np.count_nonzero(parity, axis=1)
-                states, index = noise.monte_carlo_states(plan, np.concatenate(flips))
+                flips = np.concatenate(flips)
+                states, index = noise.monte_carlo_states(plan, flips, preps[step_idx])
                 apart = np.linalg.norm(states[:, None] - [reference, -reference], axis=(2, 3))
                 sign = parity.ravel().astype(np.intp)  # 1: negated
                 frame_dense = max(frame_dense, apart[index, sign].max() / norms[step_idx])
         initial = np.concatenate([[sum(preps, identity), identity], preps])
-        for start, e, (direct, total, *parts) in _cell_batches(cfg.e_grid, plans[0], initial):
+        for start, e, (direct, total, *parts) in _cell_batches(cfg.e_grid, plan, initial):
             signals = [readout.signal_intensity(p, r).tolist() for p, r in zip(parts, references)]
             if swept:
                 for part in parts:
@@ -430,7 +428,7 @@ def _grid_pass(cfg: SweepConfig) -> tuple[float, float, float, float, int, float
                     margin[step_idx, start + i] = distance - radius - NUMERICAL_FLOOR
         if swept:
             margins.append(margin)
-            labels.append([plan.preparation.label for plan in plans])
+            labels.append([step.label for step in steps])
     margins = np.stack(margins)
     mode_idx, step_idx, e_idx = np.unravel_index(np.argmax(margins), margins.shape)
     label = labels[mode_idx][step_idx]

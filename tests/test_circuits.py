@@ -58,9 +58,10 @@ def test_realized_gates_have_exact_entries(algorithm, mode):
 @pytest.mark.parametrize("mode", circuits.MODES)
 @pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
 def test_gates_share_one_read_only_array_per_logical_matrix(algorithm, mode, monkeypatch):
-    # each distinct logical matrix is realized once: Grover's five Hadamard
-    # pairs, its oracle and flip00 (3 of 7), and Deutsch-Jozsa's Hadamard
-    # pairs and const0 oracle (2 of 5)
+    # each distinct logical matrix is one array, realized once: Grover's five
+    # Hadamard pairs, its oracle and flip00 (3 of 7), and Deutsch-Jozsa's
+    # Hadamard pairs and const0 oracle (2 of 5); the algorithm's and the
+    # readout filter's Hadamard pairs are one array, not two equal ones
     realized = []
     for module, name in ((dfs, "lift_logical_unitary"), (circuits, "embed_on_spins_1_4")):
         def spy(u, _real=getattr(module, name)):
@@ -73,6 +74,7 @@ def test_gates_share_one_read_only_array_per_logical_matrix(algorithm, mode, mon
     for a in gates:
         for b in gates:
             assert (a.physical is b.physical) == np.array_equal(a.logical, b.logical), (a, b)
+            assert (a.logical is b.logical) == np.array_equal(a.logical, b.logical), (a, b)
 
 
 def test_grover_realizes_its_hadamard_pairs_once():
@@ -324,7 +326,8 @@ def per_word_audit(plan):
 @pytest.mark.parametrize("mode", circuits.MODES)
 @pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
 def test_damage_audit_equals_the_per_word_audit(algorithm, mode, placement):
-    # and row i of the mask of the mode's stacked preparations is step i's
+    # and row i of the mask of the mode's stacked preparations is step i's,
+    # and so is the audit of step i's state through step 0's plan
     plans = [
         assemble(mode, algorithm, preparation=step, placement=placement)
         for step in readout.steps_for_mode(mode)
@@ -336,6 +339,7 @@ def test_damage_audit_equals_the_per_word_audit(algorithm, mode, placement):
         audit = damage_audit(plan)
         expected = per_word_audit(plan)
         assert [(a.point, a.boundary, a.state, a.damaging) for a in audit] == expected
+        assert damage_audit(plans[0], plan.preparation.deviation) == audit
         assert all(type(flag) is bool for a in audit for flag in a.damaging)
         assert row == [list(flags) for *_, flags in expected]
         assert row == damage_mask(plan).tolist()

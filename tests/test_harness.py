@@ -9,7 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -206,8 +206,8 @@ def test_verify_fails_on_an_exact_final_off_the_reference(monkeypatch, capsys):
     # protected finals of the e grid but not to the references: each exact
     # signal stays 1 and each count 0, but the mean rho_ref misses the term
     cfg = SweepConfig(modes=("protected",))
-    [plans] = harness.sweep_plans(cfg)
-    refs = [noise.run_plan_exact(plan, 0.0) for plan in plans]
+    [plan] = harness.sweep_plans(cfg)
+    refs = [noise.run_plan_exact(plan, 0.0, step.deviation) for step in readout.protected_steps()]
     words = qcore._word_matrices()[1:]
     word = next(w for w in words if all(abs(np.vdot(w, ref)) < 1e-12 for ref in refs))
     exact = noise.run_plan_exact
@@ -219,6 +219,50 @@ def test_verify_fails_on_an_exact_final_off_the_reference(monkeypatch, capsys):
     monkeypatch.setattr(noise, "run_plan_exact", off_reference)
     assert cli.main(["verify"]) == 1
     assert "FAIL mc-convergence" in capsys.readouterr().out
+
+
+def _exact_without_the_last_noise_point(monkeypatch):
+    exact = noise.run_plan_exact
+
+    def faulty(plan, e, initial=None):
+        return exact(replace(plan, decoherence_points=plan.decoherence_points[:-1]), e, initial)
+
+    monkeypatch.setattr(noise, "run_plan_exact", faulty)
+
+
+def _damage_mask_without_the_last_point(monkeypatch):
+    audited = circuits.damage_mask
+
+    def faulty(plan, initial=None):
+        mask = audited(plan, initial).copy()
+        mask[..., -1, :] = False
+        return mask
+
+    monkeypatch.setattr(circuits, "damage_mask", faulty)
+
+
+@pytest.mark.parametrize(
+    "fault, failed",
+    [
+        (_exact_without_the_last_noise_point, {"damage-count-consistency"}),
+        (
+            _damage_mask_without_the_last_point,
+            {"damage-count-consistency", "damage-count-values", "frame-dense-shots"},
+        ),
+    ],
+    ids=[
+        "exact-channel-fails-damage-count-consistency-only",
+        "damage-mask-fails-damage-count-consistency-values-and-frame-dense-shots",
+    ],
+)
+def test_verify_fails_the_damage_count_checks_on_a_fault(fault, failed, monkeypatch, capsys):
+    # the exact channel losing the last noise point moves every unprotected
+    # signal off (1-2e)^n; the mask losing it lowers n and flips the frame's
+    # sign of the shots that drew a damaging flip there, against the dense oracle
+    fault(monkeypatch)
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert {line[5:].split(":")[0] for line in lines if line.startswith("FAIL ")} == failed
 
 
 @pytest.fixture(scope="module")
@@ -249,26 +293,39 @@ def test_acceptance_radius_is_the_exact_binomial_test(shots, p, oracle):
 
 def _count_calls(monkeypatch) -> dict[str, int]:
     """Count the calls of circuits.assemble, circuits.damage_audit, circuits.damage_mask
-    and noise.run_plan_exact."""
-    calls = {"assemble": 0, "damage_audit": 0, "damage_mask": 0, "run_plan_exact": 0}
-    for module, name in ((circuits, "assemble"), (circuits, "damage_audit"),
-                         (circuits, "damage_mask"), (noise, "run_plan_exact")):
-        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
-            calls[_name] += 1
+    and noise.run_plan_exact, and the plans built (ExperimentPlan.__post_init__)."""
+    calls = {"assemble": 0, "damage_audit": 0, "damage_mask": 0, "run_plan_exact": 0,
+             "ExperimentPlan": 0}
+    for key, owner, name in (
+        ("assemble", circuits, "assemble"), ("damage_audit", circuits, "damage_audit"),
+        ("damage_mask", circuits, "damage_mask"), ("run_plan_exact", noise, "run_plan_exact"),
+        ("ExperimentPlan", circuits.ExperimentPlan, "__post_init__"),
+    ):
+        def spy(*args, _real=getattr(owner, name), _key=key, **kwargs):
+            calls[_key] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     return calls
+
+
+#: One plan, one audit and one exact walk of each mode's stack over the nine
+#: e values: per mode, one assembly (and so one plan built), one stacked
+#: damage_mask and one run_plan_exact; the references come from the
+#: noise-free walk, not from an e = 0 exact call.
+ONE_PLAN_PER_MODE = {
+    "assemble": 2, "damage_audit": 0, "damage_mask": 2, "run_plan_exact": 2, "ExperimentPlan": 2
+}
 
 
 def test_verify_builds_audits_and_evolves_each_plan_once(monkeypatch):
     # each mode assembled once and its stack of three preparations audited
-    # once; 4 exact evolutions: per mode, one e = 0 stack of references and one
-    # batch of the stack of 5 (summed preparation, identity/16 and each step,
-    # through step 0's plan) over the nine e values, from which every grid
-    # check of the mode reads its cells
+    # once; 2 exact evolutions: per mode, one batch of the stack of 5
+    # (summed preparation, identity/16 and each step, through the mode's
+    # plan) over the nine e values, from which every grid check of the mode
+    # reads its cells
     calls = _count_calls(monkeypatch)
     assert all(c.passed for c in harness.verify())
-    assert calls == {"assemble": 2, "damage_audit": 0, "damage_mask": 2, "run_plan_exact": 4}
+    assert calls == ONE_PLAN_PER_MODE
 
 
 @pytest.mark.parametrize("mode", circuits.MODES)
@@ -277,27 +334,26 @@ def test_verify_of_one_mode_evolves_each_mode_once(mode, monkeypatch):
     # damage-count-consistency, as one stack like the swept one
     calls = _count_calls(monkeypatch)
     assert all(c.passed for c in harness.verify(SweepConfig(modes=(mode,))))
-    assert calls == {"assemble": 2, "damage_audit": 0, "damage_mask": 2, "run_plan_exact": 4}
+    assert calls == ONE_PLAN_PER_MODE
 
 
 def test_sweep_evolves_each_mode_as_one_stack(monkeypatch):
-    # per mode: one assembly, one audit of the stack of three steps, one e = 0
-    # stack of the three references and one stack of the three steps over the
-    # nine e values
+    # per mode: one assembly, one audit of the stack of three steps and one
+    # stack of the three steps over the nine e values
     calls = _count_calls(monkeypatch)
     rows = run_sweep(SweepConfig())
     assert len(rows) == 54
-    assert calls == {"assemble": 2, "damage_audit": 0, "damage_mask": 2, "run_plan_exact": 4}
+    assert calls == ONE_PLAN_PER_MODE
 
 
 @pytest.mark.parametrize("shots", [2048, 40000])
 def test_sweep_exact_batches_do_not_depend_on_the_shots(shots, monkeypatch):
-    # 129 protected e values in batches of _E_BLOCK // 3 = 21 cells: one
-    # e = 0 stack of references and 7 batches, at any shot count
+    # 129 protected e values in batches of _E_BLOCK // 3 = 21 cells: 7
+    # batches, at any shot count
     grid = tuple(k / 256 for k in range(129))
     calls = _count_calls(monkeypatch)
     run_sweep(SweepConfig(e_grid=grid, shots=shots, modes=("protected",)))
-    assert calls["run_plan_exact"] == 8
+    assert calls["run_plan_exact"] == 7
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -726,9 +782,10 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
     grid = tuple(k / 64 for k in range(33))
     cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=modes)
     one_cell_at_a_time = []
-    for mode_idx, plans in enumerate(harness.sweep_plans(cfg)):
-        for plan, keys in zip(plans, harness._step_keys(cfg, mode_idx, 3)):
-            mask = circuits.damage_mask(plan)
+    for mode_idx, plan in enumerate(harness.sweep_plans(cfg)):
+        steps = readout.steps_for_mode(plan.mode)
+        for step, keys in zip(steps, harness._step_keys(cfg, mode_idx, 3)):
+            mask = circuits.damage_mask(plan, step.deviation)
             for e, key in zip(grid, keys):
                 one_cell_at_a_time += harness._mc_signal(mask, (e,), shots, (key,))
     drawn = []
@@ -850,8 +907,9 @@ def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):
     # NUMERICAL_FLOOR.  The steps' references have one norm, so step 0 at
     # e = 0.2 and step 1 at e = 0.1 tie at the worst; step order wins.
     cfg = SweepConfig(e_grid=(0.1, 0.2), shots=1, modes=("unprotected",), placement=())
-    [plans] = harness.sweep_plans(cfg)
-    norms = {qcore.frobenius_norm(noise.run_plan_exact(plan, 0.0)) for plan in plans}
+    [plan] = harness.sweep_plans(cfg)
+    steps = readout.unprotected_steps()
+    norms = {qcore.frobenius_norm(noise.run_plan_exact(plan, 0.0, s.deviation)) for s in steps}
     negated = iter([[False, True], [True, False], [False, False]])  # (e = 0.1, 0.2) per step
 
     def fake(flips, mask):
@@ -862,7 +920,7 @@ def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):
     [check] = [c for c in harness.verify(cfg) if c.name == "mc-convergence"]
     [norm] = norms
     assert check.residual == 2 * norm - harness.NUMERICAL_FLOOR
-    label = plans[0].preparation.label
+    label = steps[0].label
     assert check.detail.startswith(f"worst cell mode=unprotected step={label} e=0.2;")
     assert next(negated, None) is None
 

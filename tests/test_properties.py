@@ -101,6 +101,36 @@ def test_stacked_damage_mask_equals_each_steps_audit(mode_plan):
         assert row == [list(flags) for *_, flags in per_word_audit(step_plan)]
 
 
+def _assert_noise_free_walk_is_the_exact_channel_at_e_0(plan, preps, references):
+    # every preparation entry is +-1/16 or 0 and every gate entry is in
+    # {0, +-1/2, +-1}, so every noise-free product and sum is exact in float64:
+    # the dense channel at e = 0, kept here as an independent check, must give
+    # the walk's bytes, -0 included
+    exact = noise.run_plan_exact(plan, 0.0, preps)
+    assert references.shape == exact.shape and references.dtype == exact.dtype
+    assert references.flags.c_contiguous and exact.flags.c_contiguous
+    assert references.tobytes() == exact.tobytes()
+
+
+@PROPERTY
+@given(plans())
+def test_noise_free_walk_equals_the_exact_channel_at_e_0(mode_plan):
+    mode, plan = mode_plan
+    preps = np.stack([step.deviation for step in readout.steps_for_mode(mode)])
+    walk = circuits.ideal_boundary_deviations(plan, preps)[-1]
+    _assert_noise_free_walk_is_the_exact_channel_at_e_0(plan, preps, walk)
+
+
+@pytest.mark.parametrize("placement", [None, (0, 2, 4), (1, 2), (), (0, 0, 1)])
+@pytest.mark.parametrize("mode", circuits.MODES)
+@pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
+def test_mode_stack_references_equal_the_exact_channel_at_e_0(algorithm, mode, placement):
+    # the references harness._mode_stacks gives run and verify
+    cfg = harness.SweepConfig(modes=(mode,), algorithm=algorithm, placement=placement)
+    [(_, plan, _, preps, _, references)] = harness._mode_stacks(cfg)
+    _assert_noise_free_walk_is_the_exact_channel_at_e_0(plan, preps, references)
+
+
 #: The plan of every (algorithm, mode, step).
 STEP_PLANS = [
     circuits.assemble(mode, algorithm, preparation=step)
