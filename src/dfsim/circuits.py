@@ -1,8 +1,8 @@
 """Logical circuits (Grover, refined Deutsch-Jozsa) and experiment plans.
 
-A plan is the full description of one run: the realized 16-dimensional gate
-sequence, where the engineered-noise points sit, and which temporal-averaging
-preparation feeds it.  Two realizations of the same logical circuit exist:
+A plan is what every walk of one mode reads: the realized 16-dimensional gate
+sequence and where the engineered-noise points sit.  The walks' callers choose
+the initial states.  Two realizations of the same logical circuit exist:
 
 * protected  - every logical gate is lifted block-diagonally onto the four
   decoherence-free subspaces;
@@ -28,7 +28,6 @@ import numpy as np
 
 from . import dfs
 from .qcore import DIM, _pauli_transform, anticommutes, is_unitary, pauli_basis_strings
-from .readout import PreparationStep, steps_for_mode
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex)  # sqrt(2) H: _HH halves its kron
 
@@ -75,10 +74,8 @@ class Gate:
 @dataclass(frozen=True, eq=False)
 class ExperimentPlan:
     mode: str
-    algorithm: str
     gates: tuple[Gate, ...]
     decoherence_points: tuple[int, ...]
-    preparation: PreparationStep
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -176,18 +173,16 @@ def assemble(
     *,
     marked: str = "11",
     function="const0",
-    preparation: PreparationStep | None = None,
     placement: tuple[int, ...] | None = None,
 ) -> ExperimentPlan:
     """Plan running the algorithm, then the readout filter, in ``mode``.
 
     Protected plans lift every logical gate onto the encoded register;
     unprotected plans run it directly on spins 1 and 4 (no error avoidance).
-    The preparation defaults to the mode's first step and the placement to
-    default_placement.  The CLI runs the defaults of ``marked`` (grover_gates)
-    and ``function`` (dj_gates); the plans() strategy of test_properties.py
-    runs every marked item and every promise table through the damage audit
-    and the exact channel.
+    The placement defaults to default_placement.  The CLI runs the defaults
+    of ``marked`` (grover_gates) and ``function`` (dj_gates); the plans()
+    strategy of test_properties.py runs every marked item and every promise
+    table through the damage audit and the exact channel.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
@@ -203,22 +198,18 @@ def assemble(
     gates = tuple(Gate(g.label, g.matrix, realized[g.matrix.tobytes()]) for g in logical)
     return ExperimentPlan(
         mode=mode,
-        algorithm=algorithm,
         gates=gates,
         decoherence_points=default_placement(len(gates)) if placement is None else tuple(placement),
-        preparation=steps_for_mode(mode)[0] if preparation is None else preparation,
     )
 
 
-def ideal_boundary_deviations(
-    plan: ExperimentPlan, initial: np.ndarray | None = None
-) -> list[np.ndarray]:
+def ideal_boundary_deviations(plan: ExperimentPlan, initial: np.ndarray) -> list[np.ndarray]:
     """Noise-free deviation at every gate boundary 0..len(gates).
 
-    ``initial`` is one state (16, 16) or a stack (k, 16, 16) of them, by
-    default the plan's preparation; each boundary's entry has its shape.
+    ``initial`` is one state (16, 16) or a stack (k, 16, 16) of them; each
+    boundary's entry has its shape.
     """
-    rho = np.asarray(plan.preparation.deviation if initial is None else initial, dtype=complex)
+    rho = np.asarray(initial, dtype=complex)
     out = [rho]
     for gate in plan.gates:
         rho = gate.physical @ rho @ gate.physical.conj().T
@@ -248,7 +239,7 @@ def _flip_anticommutes() -> np.ndarray:
     return np.array([[anticommutes(w, f) for f in flips] for w in words])
 
 
-def _audit(plan: ExperimentPlan, initial: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _audit(plan: ExperimentPlan, initial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(present, damaging): the Pauli words (..., points, 256) of the noise-free
     deviations of ``initial`` (as in damage_mask) at the noise points, and their
     flags (..., points, 2).
@@ -277,7 +268,7 @@ def _audit(plan: ExperimentPlan, initial: np.ndarray | None) -> tuple[np.ndarray
     return present, damaging
 
 
-def damage_audit(plan: ExperimentPlan, initial: np.ndarray | None = None) -> list[PointDamage]:
+def damage_audit(plan: ExperimentPlan, initial: np.ndarray) -> list[PointDamage]:
     """Each noise point's words and damage_mask(plan, initial) flags for one state
     ``initial`` (16, 16), as ``dfsim count-n`` prints them for each step."""
     present, damaging = _audit(plan, initial)
@@ -288,17 +279,17 @@ def damage_audit(plan: ExperimentPlan, initial: np.ndarray | None = None) -> lis
     ]
 
 
-def damage_mask(plan: ExperimentPlan, initial: np.ndarray | None = None) -> np.ndarray:
+def damage_mask(plan: ExperimentPlan, initial: np.ndarray) -> np.ndarray:
     """Boolean (points, 2): whether XXII / IIXX at that point negates the ideal deviation.
 
-    ``initial`` is one state (16, 16), by default the plan's preparation, or a
-    stack (k, 16, 16) evolved at once, giving (k, points, 2).  Every other flip
-    leaves the deviation unchanged (_audit raises otherwise), so a shot's
-    signal is (-1) to the number of its flips on true entries.
+    ``initial`` is one state (16, 16), or a stack (k, 16, 16) evolved at once,
+    giving (k, points, 2).  Every other flip leaves the deviation unchanged
+    (_audit raises otherwise), so a shot's signal is (-1) to the number of its
+    flips on true entries.
     """
     return _audit(plan, initial)[1]
 
 
-def count_damaging_errors(plan: ExperimentPlan) -> int:
-    """Total damage count n; the exact-channel signal then equals (1-2e)^n."""
-    return int(damage_mask(plan).sum())
+def count_damaging_errors(plan: ExperimentPlan, initial: np.ndarray) -> int:
+    """Total damage count n of ``initial`` (16, 16); its exact signal equals (1-2e)^n."""
+    return int(damage_mask(plan, initial).sum())

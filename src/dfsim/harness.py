@@ -61,6 +61,10 @@ class SweepConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
+        # library callers may pass lists or arrays: hold tuples, hashable and comparable
+        for name in ("e_grid", "modes", "placement"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.e_grid:
             raise ConfigError("e_grid must not be empty")
         for e in self.e_grid:
@@ -120,8 +124,8 @@ class VerifyCheck:
 def sweep_plans(cfg: SweepConfig) -> Iterator[circuits.ExperimentPlan]:
     """Each mode's one plan, for the modes of cfg in order.
 
-    Its preparation is the mode's first step; every step runs through the
-    same gates and noise points, with its deviation as the initial state.
+    Every step runs through the same gates and noise points, with its
+    deviation as the initial state (_mode_stacks).
     This is the one mapping from a config to its plans: run_sweep, verify and
     ``dfsim count-n`` all take their plans from here.
     """

@@ -248,14 +248,12 @@ _WORD_PERMS = tuple(_entry_permutation(w) for w in dfs.ERROR_MATRICES)
 _WORD_FLIPS = (..., np.s_[::-1, :, ::-1], np.s_[:, ::-1, :, ::-1], np.s_[::-1, ::-1, ::-1, ::-1])
 
 
-def run_plan_exact(
-    plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray | None = None
-) -> np.ndarray:
+def run_plan_exact(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> np.ndarray:
     """Deterministic evolution: gates interleaved with the exact channel, at every e.
 
     ``e`` is a float or a 1-D grid, and ``initial`` one state (16, 16) or a
-    stack (k, 16, 16) of them, by default the plan's preparation; the result
-    is C-contiguous, of shape initial.shape[:-2] + np.shape(e) + (16, 16).
+    stack (k, 16, 16) of them; the result is C-contiguous, of shape
+    initial.shape[:-2] + np.shape(e) + (16, 16).
     Each (state, e) row's final equals, to the bit, evolving that state alone
     with apply_channel(rho, engineered_model(e)) at every noise point and
     u rho u^dagger at every gate.  Callers that must not hold every final at
@@ -276,7 +274,7 @@ def run_plan_exact(
     defect = np.sqrt(DIM) * float(np.abs((coeffs**2).sum(axis=0) - 1.0).max(initial=0.0))
     if defect > DEFAULT_TOL:
         raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
-    prep = np.asarray(plan.preparation.deviation if initial is None else initial, dtype=complex)
+    prep = np.asarray(initial, dtype=complex)
     if prep.ndim not in (2, 3) or prep.shape[-2:] != (DIM, DIM):
         raise ValueError(f"initial must have shape ({DIM}, {DIM}) or (k, {DIM}, {DIM})")
     if prep.imag.any():
@@ -345,15 +343,16 @@ def _compact(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def monte_carlo_states(
-    plan: ExperimentPlan, flips: np.ndarray, initial: np.ndarray | None = None
+    plan: ExperimentPlan, flips: np.ndarray, initial: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct final states of the shots whose flips are ``flips``, and each shot's state.
 
     ``flips`` has shape (shots, points, 2), as draw_flips returns it for one
     cell; the draws of a batch of cells, reshaped to (cells * shots, points,
-    2), evolve every cell's shots together.  The result is (states, index):
-    states (distinct, 16, 16), pairwise different in at least one byte, and
-    index (shots,), so that states[index[k]] is the final deviation of shot k.
+    2), evolve every cell's shots together, each from the state ``initial``.
+    The result is (states, index): states (distinct, 16, 16), pairwise
+    different in at least one byte, and index (shots,), so that
+    states[index[k]] is the final deviation of shot k.
 
     The dense oracle: every shot is evolved as a 16x16 matrix, and shots
     whose states are equal to the byte share one.  Each shot's result equals,
@@ -366,9 +365,8 @@ def monte_carlo_states(
     flips = np.asarray(flips, dtype=bool)
     if flips.ndim != 3 or flips.shape[1:] != (len(points), 2) or len(flips) < 1:
         raise ValueError(f"flips must have shape (shots >= 1, {len(points)}, 2)")
-    prep = plan.preparation.deviation if initial is None else initial
     # rho[g] is the raveled state of every shot k with group[k] == g
-    rho = np.asarray(prep, dtype=complex).reshape(1, DIM * DIM)
+    rho = np.asarray(initial, dtype=complex).reshape(1, DIM * DIM)
     group = np.zeros(len(flips), dtype=np.intp)
     idx = 0
     for boundary in range(len(plan.gates) + 1):
@@ -387,13 +385,9 @@ def monte_carlo_states(
 
 
 def monte_carlo_finals(
-    plan: ExperimentPlan,
-    e: float,
-    shots: int = DEFAULT_SHOTS,
-    seed: int = 0,
-    initial: np.ndarray | None = None,
+    plan: ExperimentPlan, e: float, shots: int, seed: int, initial: np.ndarray
 ) -> np.ndarray:
-    """Final deviation matrix of every shot, shape (shots, 16, 16).
+    """Final deviation matrix of every shot from one state ``initial``, shape (shots, 16, 16).
 
     The flips are draw_flips(e, seed, shots, points) and the states come from
     monte_carlo_states; each shot's matrix equals, to the bit, evolving it on

@@ -50,10 +50,10 @@ def test_criterion_2_protected_grover_correctness():
     start = time.perf_counter()
     worst = 0.0
     for step in readout.protected_steps():
-        plan = circuits.assemble("protected", "grover", preparation=step)
-        ideal = dfs.decode(noise.run_plan_exact(plan, 0.0))
+        plan = circuits.assemble("protected", "grover")
+        ideal = dfs.decode(noise.run_plan_exact(plan, 0.0, step.deviation))
         for e in E_GRID:
-            decoded = dfs.decode(noise.run_plan_exact(plan, e))
+            decoded = dfs.decode(noise.run_plan_exact(plan, e, step.deviation))
             worst = max(worst, abs(readout.signal_intensity(decoded, ideal) - 1.0))
     plan = circuits.assemble("protected", "grover")
     for e in E_GRID:
@@ -71,10 +71,10 @@ def test_criterion_3_unprotected_decay_law():
     flips = (qcore.PauliString("XXII"), qcore.PauliString("IIXX"))
     worst = 0.0
     for step in readout.unprotected_steps():
-        plan = circuits.assemble("unprotected", "grover", preparation=step)
+        plan = circuits.assemble("unprotected", "grover")
         # independent oracle: anticommutation count of the Pauli word present
         # at each of the nine default decoherence points
-        devs = circuits.ideal_boundary_deviations(plan)
+        devs = circuits.ideal_boundary_deviations(plan, step.deviation)
         n_oracle = 0
         for boundary in plan.decoherence_points:
             coeffs = qcore.pauli_decompose(devs[boundary], tol=1e-10)
@@ -82,11 +82,12 @@ def test_criterion_3_unprotected_decay_law():
             word = qcore.PauliString(next(iter(coeffs)))
             n_oracle += sum(qcore.anticommutes(word, f) for f in flips)
         assert n_oracle == expected_n[step.label]
-        assert circuits.count_damaging_errors(plan) == n_oracle
+        assert circuits.count_damaging_errors(plan, step.deviation) == n_oracle
 
-        reference = noise.run_plan_exact(plan, 0.0)
+        reference = noise.run_plan_exact(plan, 0.0, step.deviation)
         for e in E_GRID:
-            signal = readout.signal_intensity(noise.run_plan_exact(plan, e), reference)
+            final = noise.run_plan_exact(plan, e, step.deviation)
+            signal = readout.signal_intensity(final, reference)
             worst = max(worst, abs(signal - (1 - 2 * e) ** n_oracle))
     assert worst <= 1e-10
     _report(3, f"signals equal (1-2e)^n with n = 6/12/6, residual {worst:.2e}")
@@ -96,16 +97,18 @@ def test_criterion_4_failure_thresholds():
     start = time.perf_counter()
     high_e = [e for e in E_GRID if e >= 0.3] + [0.3]
     for step in readout.unprotected_steps():
-        plan = circuits.assemble("unprotected", "grover", preparation=step)
-        reference = noise.run_plan_exact(plan, 0.0)
+        plan = circuits.assemble("unprotected", "grover")
+        reference = noise.run_plan_exact(plan, 0.0, step.deviation)
         for e in high_e:
-            signal = readout.signal_intensity(noise.run_plan_exact(plan, e), reference)
+            final = noise.run_plan_exact(plan, e, step.deviation)
+            signal = readout.signal_intensity(final, reference)
             assert abs(signal) < 0.01
     for step in readout.protected_steps():
-        plan = circuits.assemble("protected", "grover", preparation=step)
-        reference = noise.run_plan_exact(plan, 0.0)
+        plan = circuits.assemble("protected", "grover")
+        reference = noise.run_plan_exact(plan, 0.0, step.deviation)
         for e in high_e:
-            signal = readout.signal_intensity(noise.run_plan_exact(plan, e), reference)
+            final = noise.run_plan_exact(plan, e, step.deviation)
+            signal = readout.signal_intensity(final, reference)
             assert signal == pytest.approx(1.0, abs=1e-10)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -169,13 +172,12 @@ def test_criterion_8_deutsch_jozsa():
             worst = max(worst, abs(p00 - (1.0 if constant else 0.0)))
 
         for step in readout.unprotected_steps():
-            uplan = circuits.assemble(
-                "unprotected", "deutsch-jozsa", function=name, preparation=step
-            )
-            n = circuits.count_damaging_errors(uplan)
-            reference = noise.run_plan_exact(uplan, 0.0)
+            uplan = circuits.assemble("unprotected", "deutsch-jozsa", function=name)
+            n = circuits.count_damaging_errors(uplan, step.deviation)
+            reference = noise.run_plan_exact(uplan, 0.0, step.deviation)
             for e in E_GRID:
-                signal = readout.signal_intensity(noise.run_plan_exact(uplan, e), reference)
+                final = noise.run_plan_exact(uplan, e, step.deviation)
+                signal = readout.signal_intensity(final, reference)
                 worst = max(worst, abs(signal - (1 - 2 * e) ** n))
     assert worst <= 1e-10
     _report(8, f"verdicts exact for all 8 promise functions, decay law holds, residual {worst:.2e}")

@@ -183,15 +183,9 @@ def test_assemble_rejects_unknown_mode_and_algorithm():
 def test_plan_validates_placement():
     plan = assemble("unprotected", "grover")
     with pytest.raises(ValueError):
-        ExperimentPlan(
-            mode=plan.mode, algorithm=plan.algorithm, gates=plan.gates,
-            decoherence_points=(0, 99), preparation=plan.preparation,
-        )
+        ExperimentPlan(mode=plan.mode, gates=plan.gates, decoherence_points=(0, 99))
     with pytest.raises(ValueError):
-        ExperimentPlan(
-            mode=plan.mode, algorithm=plan.algorithm, gates=plan.gates,
-            decoherence_points=(3, 1), preparation=plan.preparation,
-        )
+        ExperimentPlan(mode=plan.mode, gates=plan.gates, decoherence_points=(3, 1))
 
 
 def test_protected_grover_decodes_to_marked_state_at_any_e():
@@ -203,8 +197,8 @@ def test_protected_grover_decodes_to_marked_state_at_any_e():
 
 
 def test_protected_step_deviations_survive_every_point():
-    plan = assemble("protected", "grover", preparation=readout.protected_steps()[0])
-    devs = circuits.ideal_boundary_deviations(plan)
+    plan = assemble("protected", "grover")
+    devs = circuits.ideal_boundary_deviations(plan, readout.protected_steps()[0].deviation)
     for e in (0.25, 0.5):
         model = noise.engineered_model(e)
         for boundary in plan.decoherence_points:
@@ -228,14 +222,14 @@ def test_unprotected_noiseless_run_succeeds():
 def test_unprotected_damage_counts():
     expected = {"Z1": 6, "Z1Z4": 12, "Z4": 6}
     for step in readout.unprotected_steps():
-        plan = assemble("unprotected", "grover", preparation=step)
-        assert count_damaging_errors(plan) == expected[step.label]
+        plan = assemble("unprotected", "grover")
+        assert count_damaging_errors(plan, step.deviation) == expected[step.label]
 
 
 def test_protected_damage_count_is_zero():
     for step in readout.protected_steps():
-        plan = assemble("protected", "grover", preparation=step)
-        assert count_damaging_errors(plan) == 0
+        plan = assemble("protected", "grover")
+        assert count_damaging_errors(plan, step.deviation) == 0
 
 
 def test_damage_count_agrees_with_anticommutation_oracle():
@@ -243,43 +237,45 @@ def test_damage_count_agrees_with_anticommutation_oracle():
     # exact algebraic anticommutation predicate
     flips = (PauliString("XXII"), PauliString("IIXX"))
     for step in readout.unprotected_steps():
-        plan = assemble("unprotected", "grover", preparation=step)
-        devs = circuits.ideal_boundary_deviations(plan)
+        plan = assemble("unprotected", "grover")
+        devs = circuits.ideal_boundary_deviations(plan, step.deviation)
         n_oracle = 0
         for boundary in plan.decoherence_points:
             coeffs = qcore.pauli_decompose(devs[boundary], tol=1e-10)
             assert len(coeffs) == 1
             word = PauliString(next(iter(coeffs)))
             n_oracle += sum(qcore.anticommutes(word, f) for f in flips)
-        assert count_damaging_errors(plan) == n_oracle
+        assert count_damaging_errors(plan, step.deviation) == n_oracle
 
 
 def test_unprotected_decay_matches_damage_count():
     for step in readout.unprotected_steps():
-        plan = assemble("unprotected", "grover", preparation=step)
-        n = count_damaging_errors(plan)
-        reference = noise.run_plan_exact(plan, 0.0)
+        plan = assemble("unprotected", "grover")
+        n = count_damaging_errors(plan, step.deviation)
+        reference = noise.run_plan_exact(plan, 0.0, step.deviation)
         for e in np.arange(0.0, 0.501, 0.0625):
-            signal = readout.signal_intensity(noise.run_plan_exact(plan, e), reference)
+            final = noise.run_plan_exact(plan, e, step.deviation)
+            signal = readout.signal_intensity(final, reference)
             assert signal == pytest.approx((1 - 2 * e) ** n, abs=1e-10)
 
 
 def test_unprotected_signal_negligible_at_e_03():
     for step in readout.unprotected_steps():
-        plan = assemble("unprotected", "grover", preparation=step)
-        reference = noise.run_plan_exact(plan, 0.0)
-        signal = readout.signal_intensity(noise.run_plan_exact(plan, 0.3), reference)
+        plan = assemble("unprotected", "grover")
+        reference = noise.run_plan_exact(plan, 0.0, step.deviation)
+        final = noise.run_plan_exact(plan, 0.3, step.deviation)
+        signal = readout.signal_intensity(final, reference)
         assert abs(signal) <= 0.01
 
 
 def test_damage_audit_reports_states():
-    plan = assemble("unprotected", "grover", preparation=readout.unprotected_steps()[0])
-    audit = damage_audit(plan)
+    plan = assemble("unprotected", "grover")
+    audit = damage_audit(plan, readout.unprotected_steps()[0].deviation)
     assert len(audit) == 9
     assert audit[0].state == "ZIII" and audit[0].hits == 1
     assert sum(entry.hits for entry in audit) == 6
     protected_audit = damage_audit(
-        assemble("protected", "grover", preparation=readout.protected_steps()[0])
+        assemble("protected", "grover"), readout.protected_steps()[0].deviation
     )
     assert all(entry.hits == 0 for entry in protected_audit)
 
@@ -295,20 +291,18 @@ def test_damage_audit_names_every_word_of_a_negated_deviation():
     m = np.kron(rx, np.eye(2))
     plan = ExperimentPlan(
         mode="unprotected",
-        algorithm="grover",
         gates=(circuits.Gate("rx1", m, embed_on_spins_1_4(m)),),
         decoherence_points=(0, 1),
-        preparation=readout.unprotected_steps()[0],
     )
-    audit = damage_audit(plan)
+    audit = damage_audit(plan, readout.unprotected_steps()[0].deviation)
     assert audit[0].state == "ZIII"
     assert sorted(audit[1].state.split("+")) == ["YIII", "ZIII"]
     assert audit[1].damaging == (True, False)
 
 
-def per_word_audit(plan):
-    """The damage audit one point and one Pauli word at a time."""
-    devs = circuits.ideal_boundary_deviations(plan)
+def per_word_audit(plan, initial):
+    """The damage audit of ``initial`` one point and one Pauli word at a time."""
+    devs = circuits.ideal_boundary_deviations(plan, initial)
     audit = []
     for point, boundary in enumerate(plan.decoherence_points):
         rho = devs[boundary]
@@ -326,26 +320,22 @@ def per_word_audit(plan):
 @pytest.mark.parametrize("mode", circuits.MODES)
 @pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
 def test_damage_audit_equals_the_per_word_audit(algorithm, mode, placement):
-    # and row i of the mask of the mode's stacked preparations is step i's,
-    # and so is the audit of step i's state through step 0's plan
-    plans = [
-        assemble(mode, algorithm, preparation=step, placement=placement)
-        for step in readout.steps_for_mode(mode)
-    ]
-    stacked = damage_mask(plans[0], np.stack([plan.preparation.deviation for plan in plans]))
+    # and row i of the mask of the mode's stacked preparations is step i's
+    plan = assemble(mode, algorithm, placement=placement)
+    steps = readout.steps_for_mode(mode)
+    stacked = damage_mask(plan, np.stack([step.deviation for step in steps]))
     assert stacked.dtype == bool
-    assert stacked.shape == (len(plans), len(plans[0].decoherence_points), 2)
-    for plan, row in zip(plans, stacked.tolist()):
-        audit = damage_audit(plan)
-        expected = per_word_audit(plan)
+    assert stacked.shape == (len(steps), len(plan.decoherence_points), 2)
+    for step, row in zip(steps, stacked.tolist()):
+        audit = damage_audit(plan, step.deviation)
+        expected = per_word_audit(plan, step.deviation)
         assert [(a.point, a.boundary, a.state, a.damaging) for a in audit] == expected
-        assert damage_audit(plans[0], plan.preparation.deviation) == audit
         assert all(type(flag) is bool for a in audit for flag in a.damaging)
         assert row == [list(flags) for *_, flags in expected]
-        assert row == damage_mask(plan).tolist()
+        assert row == damage_mask(plan, step.deviation).tolist()
 
 
-def non_eigen_plan(step):
+def non_eigen_plan():
     """A plan whose T-like gate on spin 1 turns ZIII, but not IIIZ, into a
     mix of words that XXII partly negates."""
     t = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)
@@ -354,30 +344,23 @@ def non_eigen_plan(step):
         circuits.Gate(label, np.kron(m, np.eye(2)), embed_on_spins_1_4(np.kron(m, np.eye(2))))
         for label, m in (("mix", h), ("twist", t))
     )
-    return ExperimentPlan(
-        mode="unprotected",
-        algorithm="grover",
-        gates=gates,
-        decoherence_points=(0, 1, 2),
-        preparation=step,
-    )
+    return ExperimentPlan(mode="unprotected", gates=gates, decoherence_points=(0, 1, 2))
 
 
 def test_damage_count_rejects_non_eigen_states():
     # a T-like gate turns the transverse deviation into a non-eigen mixture
-    plan = non_eigen_plan(readout.unprotected_steps()[0])
     with pytest.raises(ValueError, match="eigenstate"):
-        count_damaging_errors(plan)
+        count_damaging_errors(non_eigen_plan(), readout.unprotected_steps()[0].deviation)
 
 
 def test_stacked_damage_mask_rejects_one_non_eigen_deviation():
     # Z4 stays an eigenstate of both flips at every point, Z1 does not at
-    # point 2; a stack holding both fails as Z1's plan alone does
+    # point 2; a stack holding both fails as Z1 alone does
     z1, _, z4 = readout.unprotected_steps()
-    plan = non_eigen_plan(z4)
-    assert damage_mask(plan).tolist() == [[False, True]] * 3
+    plan = non_eigen_plan()
+    assert damage_mask(plan, z4.deviation).tolist() == [[False, True]] * 3
     with pytest.raises(ValueError, match="eigenstate") as alone:
-        damage_audit(non_eigen_plan(z1))
+        damage_audit(plan, z1.deviation)
     assert str(alone.value).startswith("deviation at point 2 (boundary 2)")
     with pytest.raises(ValueError, match=re.escape(str(alone.value))):
         damage_mask(plan, np.stack([z4.deviation, z1.deviation]))
@@ -387,14 +370,15 @@ def test_moving_points_across_commuting_gates_is_invisible():
     # lifted gates commute with every error operator, so sliding a point
     # across any protected gate cannot change the final state
     step = readout.protected_steps()[2]
-    base = assemble("protected", "grover", preparation=step)
+    base = assemble("protected", "grover")
     variants = [
         (0, 0, 1, 2, 3, 4, 5, 6, 7),
         (1, 2, 3, 4, 4, 4, 5, 6, 7),
         (0, 1, 1, 2, 3, 5, 6, 7, 7),
     ]
-    out_base = noise.run_plan_exact(base, 0.3)
+    out_base = noise.run_plan_exact(base, 0.3, step.deviation)
     for placement in variants:
-        plan = assemble("protected", "grover", preparation=step, placement=placement)
-        np.testing.assert_allclose(noise.run_plan_exact(plan, 0.3), out_base, atol=1e-12)
+        plan = assemble("protected", "grover", placement=placement)
+        final = noise.run_plan_exact(plan, 0.3, step.deviation)
+        np.testing.assert_allclose(final, out_base, atol=1e-12)
 

@@ -76,6 +76,18 @@ def test_config_validation():
         SweepConfig(modes=("protected", "protected"))
     with pytest.raises(ConfigError, match="repeat"):
         build_config({"modes": "unprotected protected unprotected"})
+    # library inputs that are not tuples are held as tuples, then validated
+    with pytest.raises(ConfigError, match="e_grid must not be empty"):
+        SweepConfig(e_grid=np.array([]))
+    with pytest.raises(ConfigError, match=r"must lie in \[0, 0.5\]"):
+        SweepConfig(e_grid=np.array([0.25, 0.7]))
+    with pytest.raises(ConfigError, match="repeat"):
+        SweepConfig(modes=["protected", "protected"])
+    listed = SweepConfig(e_grid=np.array([0.0, 0.25]), modes=["protected"], placement=[0, 2])
+    tupled = SweepConfig(e_grid=(0.0, 0.25), modes=("protected",), placement=(0, 2))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert all(type(e) is float for e in listed.e_grid)
+    assert type(listed.modes) is tuple and type(listed.placement) is tuple
 
 
 def test_sweep_has_one_row_per_cell():
@@ -105,11 +117,11 @@ def test_frame_signals_match_dense_shot_by_shot(mode, algorithm):
     # same draws: the dense oracle's per-shot signal against the frame parity
     shots, seed = 256, 21
     for step in readout.steps_for_mode(mode):
-        plan = circuits.assemble(mode, algorithm, preparation=step)
-        mask = circuits.damage_mask(plan)
-        reference = noise.run_plan_exact(plan, 0.0)
+        plan = circuits.assemble(mode, algorithm)
+        mask = circuits.damage_mask(plan, step.deviation)
+        reference = noise.run_plan_exact(plan, 0.0, step.deviation)
         for e in (0.1, 0.25, 0.4):
-            finals = noise.monte_carlo_finals(plan, e, shots, seed)
+            finals = noise.monte_carlo_finals(plan, e, shots, seed, initial=step.deviation)
             dense = np.array([readout.signal_intensity(f, reference) for f in finals])
             flips = noise.draw_flips(e, seed, shots, len(mask))
             frame = 1 - 2 * ((flips & mask).sum(axis=(1, 2)) % 2)
@@ -188,11 +200,13 @@ def test_verify_fails_when_a_damage_mask_entry_is_flipped(monkeypatch, capsys):
     # one protected plan, and the dense oracle, which reads the same flips,
     # does not; entry [0, 0, 0] of the protected stack is step Z1Z2's
     audited = circuits.damage_mask
+    z1z2 = readout.protected_steps()[0]
 
-    def flipped(plan, initial=None):
+    def flipped(plan, initial):
         mask = audited(plan, initial).copy()
         if plan.mode == "protected":
-            assert plan.preparation.label == "Z1Z2" and mask.ndim == 3
+            assert mask.ndim == 3 and z1z2.label == "Z1Z2"
+            assert np.array_equal(initial[0], z1z2.deviation)
             mask[0, 0, 0] = not mask[0, 0, 0]
         return mask
 
@@ -212,7 +226,7 @@ def test_verify_fails_on_an_exact_final_off_the_reference(monkeypatch, capsys):
     word = next(w for w in words if all(abs(np.vdot(w, ref)) < 1e-12 for ref in refs))
     exact = noise.run_plan_exact
 
-    def off_reference(plan, e, initial=None):
+    def off_reference(plan, e, initial):
         finals = exact(plan, e, initial)
         return finals + 1e-6 * word if plan.mode == "protected" and np.ndim(e) else finals
 
@@ -224,7 +238,7 @@ def test_verify_fails_on_an_exact_final_off_the_reference(monkeypatch, capsys):
 def _exact_without_the_last_noise_point(monkeypatch):
     exact = noise.run_plan_exact
 
-    def faulty(plan, e, initial=None):
+    def faulty(plan, e, initial):
         return exact(replace(plan, decoherence_points=plan.decoherence_points[:-1]), e, initial)
 
     monkeypatch.setattr(noise, "run_plan_exact", faulty)
@@ -233,12 +247,29 @@ def _exact_without_the_last_noise_point(monkeypatch):
 def _damage_mask_without_the_last_point(monkeypatch):
     audited = circuits.damage_mask
 
-    def faulty(plan, initial=None):
+    def faulty(plan, initial):
         mask = audited(plan, initial).copy()
         mask[..., -1, :] = False
         return mask
 
     monkeypatch.setattr(circuits, "damage_mask", faulty)
+
+
+def _pauli_product_with_phase_one(monkeypatch):
+    multiply = qcore.multiply
+
+    def faulty(p, q):
+        return qcore.PauliString(multiply(p, q).letters, 1)
+
+    monkeypatch.setattr(qcore, "multiply", faulty)
+
+
+def _channel_with_its_first_operator_only(monkeypatch):
+    def faulty(rho, channel):
+        op = channel.operators[0]
+        return op @ np.asarray(rho, dtype=complex) @ op.conj().T
+
+    monkeypatch.setattr(noise, "apply_channel", faulty)
 
 
 @pytest.mark.parametrize(
@@ -249,16 +280,22 @@ def _damage_mask_without_the_last_point(monkeypatch):
             _damage_mask_without_the_last_point,
             {"damage-count-consistency", "damage-count-values", "frame-dense-shots"},
         ),
+        (_pauli_product_with_phase_one, {"pauli-product-exactness"}),
+        (_channel_with_its_first_operator_only, {"dfs-immunity"}),
     ],
     ids=[
         "exact-channel-fails-damage-count-consistency-only",
         "damage-mask-fails-damage-count-consistency-values-and-frame-dense-shots",
+        "pauli-product-fails-pauli-product-exactness-only",
+        "apply-channel-fails-dfs-immunity-only",
     ],
 )
-def test_verify_fails_the_damage_count_checks_on_a_fault(fault, failed, monkeypatch, capsys):
+def test_verify_fails_its_checks_on_a_fault(fault, failed, monkeypatch, capsys):
     # the exact channel losing the last noise point moves every unprotected
     # signal off (1-2e)^n; the mask losing it lowers n and flips the frame's
-    # sign of the shots that drew a damaging flip there, against the dense oracle
+    # sign of the shots that drew a damaging flip there, against the dense
+    # oracle; a product that drops its phase differs from the matrix product;
+    # a channel keeping only (1-e) IIII shrinks every encoded state for e > 0
     fault(monkeypatch)
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -735,8 +772,8 @@ def test_cli_count_n_draws_no_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize("shots", [1, 7, 8, 64, 2048])
 def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
-    mask = circuits.damage_mask(plan)
+    plan = circuits.assemble("unprotected")
+    mask = circuits.damage_mask(plan, readout.unprotected_steps()[1].deviation)
     one_block = harness._mc_signal(mask, (0.3,), shots, (11,))
     drawn = []
     unblocked = noise.draw_flips

@@ -130,11 +130,11 @@ def test_nine_bare_channel_points_give_ninth_power():
         np.testing.assert_allclose(rho, (1 - 2 * e) ** 9 * z1, atol=1e-13)
 
 
-def _per_e_exact(plan, e, initial=None):
-    """The reference evolution: apply_channel(rho, engineered_model(e)) at each
-    noise point and u rho u^dagger at each gate, one e at a time."""
+def _per_e_exact(plan, e, initial):
+    """The reference evolution of ``initial``: apply_channel(rho, engineered_model(e))
+    at each noise point and u rho u^dagger at each gate, one e at a time."""
     model = engineered_model(e)
-    rho = np.array(plan.preparation.deviation if initial is None else initial, dtype=complex)
+    rho = np.array(initial, dtype=complex)
     points = plan.decoherence_points
     idx = 0
     for boundary in range(len(plan.gates) + 1):
@@ -156,9 +156,9 @@ MIXED_E_GRID = (0.0, 1 / 1024, 0.25, 0.0, 0.5)
 @pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
 def test_grid_evolution_equals_per_e_kraus_sum_to_the_bit(algorithm, mode, step):
     steps = readout.steps_for_mode(mode)
-    plan = circuits.assemble(mode, algorithm, preparation=steps[step])
+    plan = circuits.assemble(mode, algorithm)
     summed = np.eye(16, dtype=complex) / 16 + sum(s.deviation for s in steps)
-    for initial in (None, summed):
+    for initial in (steps[step].deviation, summed):
         finals = run_plan_exact(plan, MIXED_E_GRID, initial=initial)
         assert finals.shape == (len(MIXED_E_GRID), 16, 16)
         for e, final in zip(MIXED_E_GRID, finals):
@@ -171,7 +171,7 @@ def test_grid_evolution_leaves_no_negative_zero():
     # apply_channel sums from +0, so no entry of its output is -0; a plan
     # without gates hands the channel's output back as it is
     step = readout.unprotected_steps()[0]
-    plan = circuits.ExperimentPlan("unprotected", "grover", (), (0, 0), step)
+    plan = circuits.ExperimentPlan("unprotected", (), (0, 0))
     initial = np.stack([-np.zeros((16, 16), dtype=complex), -step.deviation])
     finals = run_plan_exact(plan, MIXED_E_GRID, initial)
     for state, row in zip(initial, finals):
@@ -216,7 +216,7 @@ def test_grid_evolution_past_the_last_noise_point_equals_kraus_sum_to_the_bit(
     steps = readout.steps_for_mode(mode)
     plan = circuits.assemble(mode, algorithm, placement=placement)
     summed = np.eye(16, dtype=complex) / 16 + sum(s.deviation for s in steps)
-    for initial in (None, summed):
+    for initial in (steps[0].deviation, summed):
         finals = run_plan_exact(plan, MIXED_E_GRID, initial=initial)
         for e, final in zip(MIXED_E_GRID, finals):
             assert final.tobytes() == _per_e_exact(plan, e, initial).tobytes()
@@ -226,23 +226,23 @@ def test_grid_evolution_rejects_non_real_input():
     step = readout.unprotected_steps()[0]
     s_gate = np.diag([1, 1j, 1, 1j])  # S on the second register qubit
     gate = circuits.Gate("s", s_gate, circuits.embed_on_spins_1_4(s_gate))
-    plan = circuits.ExperimentPlan("unprotected", "grover", (gate,), (0, 1), step)
+    plan = circuits.ExperimentPlan("unprotected", (gate,), (0, 1))
     with pytest.raises(ValueError, match="plan gate 's' must be real"):
-        run_plan_exact(plan, 0.25)
-    plan = circuits.assemble("unprotected", preparation=step)
+        run_plan_exact(plan, 0.25, step.deviation)
+    plan = circuits.assemble("unprotected")
     with pytest.raises(ValueError, match="initial must be real"):
         run_plan_exact(plan, 0.25, step.deviation + 1e-3j * np.eye(16))
     negative_zero = np.array(step.deviation, dtype=complex)
     negative_zero.imag = -0.0  # equal to 0, so the state is real
     finals = run_plan_exact(plan, 0.25, negative_zero)
-    assert finals.tobytes() == run_plan_exact(plan, 0.25).tobytes()
+    assert finals.tobytes() == run_plan_exact(plan, 0.25, step.deviation).tobytes()
 
 
 def test_grid_evolution_peaks_near_the_size_of_its_result():
     # three real (256, rows) planes, half the result's bytes each, and three
     # (16, rows) coefficient blocks peak at about 1.6 times the result; they
     # are freed before the complex result is made
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[0])
+    plan = circuits.assemble("unprotected")
     stack = np.stack([s.deviation for s in readout.unprotected_steps()])
     grid = np.linspace(0.0, 0.5, 513)
     run_plan_exact(plan, grid[:2], stack)  # warm-up
@@ -258,14 +258,15 @@ def test_grid_evolution_peaks_near_the_size_of_its_result():
 def test_grid_evolution_shapes():
     # the rows are evolved as columns and copied out transposed; readers that
     # reduce over a final's entries rely on the result being C-contiguous
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[0])
+    plan = circuits.assemble("unprotected")
+    prep = readout.unprotected_steps()[0].deviation
     stack = np.stack([s.deviation for s in readout.unprotected_steps()])
     for e, initial, shape in (
-        (0.25, None, (16, 16)),
-        (np.float64(0.25), None, (16, 16)),
-        ([0.25], None, (1, 16, 16)),
-        ([0.25, 0.5], None, (2, 16, 16)),
-        ((), None, (0, 16, 16)),
+        (0.25, prep, (16, 16)),
+        (np.float64(0.25), prep, (16, 16)),
+        ([0.25], prep, (1, 16, 16)),
+        ([0.25, 0.5], prep, (2, 16, 16)),
+        ((), prep, (0, 16, 16)),
         (0.25, stack, (3, 16, 16)),
         ([0.25, 0.5], stack, (3, 2, 16, 16)),
         ((), stack, (3, 0, 16, 16)),
@@ -278,10 +279,11 @@ def test_grid_evolution_shapes():
 
 
 def test_grid_evolution_rejects_any_out_of_range_e():
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[0])
+    plan = circuits.assemble("unprotected")
+    prep = readout.unprotected_steps()[0].deviation
     for bad in (0.51, -0.1, float("nan")):
         with pytest.raises(ValueError, match="must lie in"):
-            run_plan_exact(plan, (0.0, 0.25, bad, 0.5))
+            run_plan_exact(plan, (0.0, 0.25, bad, 0.5), prep)
 
 
 def test_sample_shot_zero_probability_is_all_false():
@@ -408,13 +410,14 @@ def test_draw_flips_share_uniforms_across_e():
 
 def test_monte_carlo_matches_shot_records():
     # re-run each shot by hand from its own draw_flips row and compare matrices
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[0])
+    plan = circuits.assemble("unprotected")
+    prep = readout.unprotected_steps()[0].deviation
     e, shots, seed = 0.3, 8, 5
     points = len(plan.decoherence_points)
-    finals = monte_carlo_finals(plan, e, shots=shots, seed=seed)
+    finals = monte_carlo_finals(plan, e, shots=shots, seed=seed, initial=prep)
     for k in range(shots):
         (drawn,) = draw_flips(e, seed, 1, points, first=k)
-        rho = np.array(plan.preparation.deviation, dtype=complex)
+        rho = np.array(prep, dtype=complex)
         idx = 0
         for boundary in range(len(plan.gates) + 1):
             while idx < points and plan.decoherence_points[idx] == boundary:
@@ -428,12 +431,11 @@ def test_monte_carlo_matches_shot_records():
         np.testing.assert_allclose(finals[k], rho, atol=1e-13)
 
 
-def _unshared_finals(plan, e, shots, seed, initial=None):
-    # one 16x16 state per shot, every shot evolved on its own
-    prep = plan.preparation.deviation if initial is None else initial
+def _unshared_finals(plan, e, shots, seed, initial):
+    # one 16x16 state per shot from initial, every shot evolved on its own
     points = plan.decoherence_points
     draws = draw_flips(e, seed, shots, len(points))
-    rho = np.broadcast_to(np.asarray(prep, dtype=complex), (shots, 16, 16)).copy()
+    rho = np.broadcast_to(np.asarray(initial, dtype=complex), (shots, 16, 16)).copy()
     idx = 0
     for boundary in range(len(plan.gates) + 1):
         while idx < len(points) and points[idx] == boundary:
@@ -454,15 +456,16 @@ def test_shared_flip_histories_match_unshared_replay_to_the_bit(mode, algorithm)
     # shots with the same flips so far share one evolved state; sharing must
     # not change a single bit of any shot's final matrix
     shots, seed = 512, 23
-    plan = circuits.assemble(mode, algorithm, preparation=readout.steps_for_mode(mode)[0])
+    plan = circuits.assemble(mode, algorithm)
+    prep = readout.steps_for_mode(mode)[0].deviation
     for e in (0.0, 0.0625, 0.25, 0.5):
-        finals = monte_carlo_finals(plan, e, shots=shots, seed=seed)
+        finals = monte_carlo_finals(plan, e, shots=shots, seed=seed, initial=prep)
         assert finals.shape == (shots, 16, 16)
-        assert finals.tobytes() == _unshared_finals(plan, e, shots, seed).tobytes()
+        assert finals.tobytes() == _unshared_finals(plan, e, shots, seed, prep).tobytes()
 
 
 def test_shared_flip_histories_with_initial_state():
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[0])
+    plan = circuits.assemble("unprotected")
     initial = pauli_matrix(PauliString("ZXIY")) / 16
     finals = monte_carlo_finals(plan, 0.25, shots=128, seed=4, initial=initial)
     assert finals.tobytes() == _unshared_finals(plan, 0.25, 128, 4, initial).tobytes()
@@ -472,9 +475,9 @@ def test_shared_flip_histories_with_initial_state():
 @pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
 def test_oracle_states_are_pairwise_distinct_by_bytes(mode, algorithm):
     # states are shared by their bytes, so no two returned rows may be equal
-    plan = circuits.assemble(mode, algorithm, preparation=readout.steps_for_mode(mode)[-1])
+    plan = circuits.assemble(mode, algorithm)
     flips = draw_flips(0.25, 8, 512, len(plan.decoherence_points))
-    states, index = monte_carlo_states(plan, flips)
+    states, index = monte_carlo_states(plan, flips, readout.steps_for_mode(mode)[-1].deviation)
     assert index.shape == (512,) and set(index.tolist()) == set(range(len(states)))
     assert len({s.tobytes() for s in states}) == len(states)
 
@@ -482,43 +485,47 @@ def test_oracle_states_are_pairwise_distinct_by_bytes(mode, algorithm):
 def test_oracle_merges_shots_whose_flip_histories_differ():
     # a protected preparation is left alone by every flip (up to rounding), so
     # its 64 shots fall on a few states though nearly every history differs
-    plan = circuits.assemble("protected", preparation=readout.protected_steps()[0])
+    plan = circuits.assemble("protected")
     flips = draw_flips(0.5, 2, 64, len(plan.decoherence_points))
     histories = len(np.unique(flips.reshape(64, -1), axis=0))
-    states, _ = monte_carlo_states(plan, flips)
+    states, _ = monte_carlo_states(plan, flips, readout.protected_steps()[0].deviation)
     assert len(states) <= 4 < histories
 
 
 def test_oracle_rejects_flips_of_the_wrong_shape():
     plan = circuits.assemble("unprotected")
+    prep = readout.unprotected_steps()[0].deviation
     points = len(plan.decoherence_points)
     for shape in ((0, points, 2), (4, points + 1, 2), (4, points)):
         with pytest.raises(ValueError, match="flips must have shape"):
-            monte_carlo_states(plan, np.zeros(shape, dtype=bool))
+            monte_carlo_states(plan, np.zeros(shape, dtype=bool), prep)
 
 
 def test_monte_carlo_at_zero_error_equals_exact():
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
-    exact = run_plan_exact(plan, 0.0)
-    mc = monte_carlo_finals(plan, 0.0, shots=16, seed=1).mean(axis=0)
+    plan = circuits.assemble("unprotected")
+    prep = readout.unprotected_steps()[1].deviation
+    exact = run_plan_exact(plan, 0.0, prep)
+    mc = monte_carlo_finals(plan, 0.0, shots=16, seed=1, initial=prep).mean(axis=0)
     np.testing.assert_allclose(mc, exact, atol=1e-13)
 
 
 def test_monte_carlo_is_deterministic_under_seed():
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[2])
-    a = monte_carlo_finals(plan, 0.25, shots=32, seed=42)
-    b = monte_carlo_finals(plan, 0.25, shots=32, seed=42)
+    plan = circuits.assemble("unprotected")
+    prep = readout.unprotected_steps()[2].deviation
+    a = monte_carlo_finals(plan, 0.25, shots=32, seed=42, initial=prep)
+    b = monte_carlo_finals(plan, 0.25, shots=32, seed=42, initial=prep)
     assert np.array_equal(a, b)
-    c = monte_carlo_finals(plan, 0.25, shots=32, seed=43)
+    c = monte_carlo_finals(plan, 0.25, shots=32, seed=43, initial=prep)
     assert not np.array_equal(a, c)
 
 
 def test_stochastic_average_converges_to_exact_channel():
-    plan = circuits.assemble("unprotected", preparation=readout.unprotected_steps()[1])
+    plan = circuits.assemble("unprotected")
+    prep = readout.unprotected_steps()[1].deviation
     shots = 2048
     for e in (0.125, 0.3125):
-        exact = run_plan_exact(plan, e)
-        finals = monte_carlo_finals(plan, e, shots=shots, seed=11)
+        exact = run_plan_exact(plan, e, prep)
+        finals = monte_carlo_finals(plan, e, shots=shots, seed=11, initial=prep)
         mean = finals.mean(axis=0)
         var = float(np.sum(np.abs(finals - mean) ** 2) / (shots - 1))
         sigma = np.sqrt(var / shots)
@@ -527,9 +534,10 @@ def test_stochastic_average_converges_to_exact_channel():
 
 def test_protected_shots_are_noise_free_one_by_one():
     # encoded preparations commute with every flip, so each shot is exact
-    plan = circuits.assemble("protected", preparation=readout.protected_steps()[0])
-    exact = run_plan_exact(plan, 0.0)
-    finals = monte_carlo_finals(plan, 0.5, shots=64, seed=2)
+    plan = circuits.assemble("protected")
+    prep = readout.protected_steps()[0].deviation
+    exact = run_plan_exact(plan, 0.0, prep)
+    finals = monte_carlo_finals(plan, 0.5, shots=64, seed=2, initial=prep)
     assert qcore.frobenius_norm(finals.std(axis=0)) < 1e-13
     np.testing.assert_allclose(finals[0], exact, atol=1e-13)
 

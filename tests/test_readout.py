@@ -84,9 +84,11 @@ def _within_one_rounding(signals, finals, reference):
 
 
 def test_signal_intensity_of_a_stack_equals_each_final_alone():
-    plan = circuits.assemble("unprotected", "grover", preparation=unprotected_steps()[1])
-    reference = noise.run_plan_exact(plan, 0.0)
-    finals = noise.run_plan_exact(plan, [0.0, 0.1, 0.25, 0.5, 0.3, 0.2]).reshape(2, 3, 16, 16)
+    plan = circuits.assemble("unprotected", "grover")
+    prep = unprotected_steps()[1].deviation
+    reference = noise.run_plan_exact(plan, 0.0, prep)
+    grid = [0.0, 0.1, 0.25, 0.5, 0.3, 0.2]
+    finals = noise.run_plan_exact(plan, grid, prep).reshape(2, 3, 16, 16)
     signals = signal_intensity(finals, reference)
     assert isinstance(signals, np.ndarray) and signals.shape == (2, 3)
     for row, finals_row in zip(signals.tolist(), finals):
@@ -96,7 +98,7 @@ def test_signal_intensity_of_a_stack_equals_each_final_alone():
     # the same values with the rows innermost in memory: a reduction along a
     # strided axis is not pairwise, and moved 13 of these 21 signals one ulp
     steps = unprotected_steps()
-    plan = circuits.assemble("unprotected", "deutsch-jozsa", preparation=steps[0])
+    plan = circuits.assemble("unprotected", "deutsch-jozsa")
     initial = np.stack([step.deviation for step in steps])
     finals = noise.run_plan_exact(plan, [k / 1024 for k in range(21)], initial)
     references = noise.run_plan_exact(plan, 0.0, initial)
@@ -106,7 +108,8 @@ def test_signal_intensity_of_a_stack_equals_each_final_alone():
     assert signal_intensity(strided[1], references[1]).tobytes() == signals.tobytes()
     assert signals.tolist() == [signal_intensity(final, references[1]) for final in finals[1]]
     # a 4x4 reference takes a stack of 4x4 finals
-    finals = noise.run_plan_exact(circuits.assemble("protected"), [0.0, 0.3])
+    prep = protected_steps()[0].deviation
+    finals = noise.run_plan_exact(circuits.assemble("protected"), [0.0, 0.3], prep)
     decoded = np.stack([dfs.decode(final) for final in finals])
     together = signal_intensity(decoded, decoded[0]).tolist()
     assert _within_one_rounding(together, decoded, decoded[0])
@@ -114,9 +117,10 @@ def test_signal_intensity_of_a_stack_equals_each_final_alone():
 
 
 def test_signal_matches_closed_form_at_quarter():
-    plan = circuits.assemble("unprotected", "grover", preparation=unprotected_steps()[1])
-    reference = noise.run_plan_exact(plan, 0.0)
-    signal = signal_intensity(noise.run_plan_exact(plan, 0.25), reference)
+    plan = circuits.assemble("unprotected", "grover")
+    prep = unprotected_steps()[1].deviation
+    reference = noise.run_plan_exact(plan, 0.0, prep)
+    signal = signal_intensity(noise.run_plan_exact(plan, 0.25, prep), reference)
     assert signal == pytest.approx(0.5**12, abs=1e-12)
     assert signal == pytest.approx(2.44140625e-4, abs=1e-12)
 
@@ -143,7 +147,7 @@ def test_theory_curve_validation():
 def test_temporal_averaging_is_linear_through_evolution():
     for mode in ("protected", "unprotected"):
         steps = readout.steps_for_mode(mode)
-        plan = circuits.assemble(mode, "grover", preparation=steps[0])
+        plan = circuits.assemble(mode, "grover")
         for e in (0.0, 0.1875, 0.5):
             total = sum(noise.run_plan_exact(plan, e, initial=s.deviation) for s in steps)
             combined = sum(s.deviation for s in steps)
@@ -153,17 +157,17 @@ def test_temporal_averaging_is_linear_through_evolution():
 
 def test_protected_signal_is_flat():
     for step in protected_steps():
-        plan = circuits.assemble("protected", "grover", preparation=step)
-        reference = noise.run_plan_exact(plan, 0.0)
+        plan = circuits.assemble("protected", "grover")
+        reference = noise.run_plan_exact(plan, 0.0, step.deviation)
         for e in np.arange(0.0, 0.501, 0.0625):
-            signal = signal_intensity(noise.run_plan_exact(plan, e), reference)
+            signal = signal_intensity(noise.run_plan_exact(plan, e, step.deviation), reference)
             assert signal == pytest.approx(1.0, abs=1e-10)
 
 
 def test_unprotected_signal_negligible_from_03_up():
     for step in unprotected_steps():
-        plan = circuits.assemble("unprotected", "grover", preparation=step)
-        reference = noise.run_plan_exact(plan, 0.0)
+        plan = circuits.assemble("unprotected", "grover")
+        reference = noise.run_plan_exact(plan, 0.0, step.deviation)
         for e in (0.3, 0.3125, 0.375, 0.4375, 0.5):
-            signal = signal_intensity(noise.run_plan_exact(plan, e), reference)
+            signal = signal_intensity(noise.run_plan_exact(plan, e, step.deviation), reference)
             assert abs(signal) < 0.01
