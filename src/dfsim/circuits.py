@@ -20,9 +20,9 @@ len(gates) = just before acquisition; duplicates allowed).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 
 import numpy as np
 
@@ -80,7 +80,10 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        pts = tuple(int(p) for p in self.decoherence_points)
+        try:  # an index, not anything int() accepts: 1.9 is no boundary
+            pts = tuple(map(operator.index, self.decoherence_points))
+        except TypeError:
+            raise ValueError("placement indices must be integers") from None
         n = len(self.gates)
         if any(p < 0 or p > n for p in pts):
             raise ValueError(f"placement indices must lie in [0, {n}]")
@@ -199,7 +202,7 @@ def assemble(
     return ExperimentPlan(
         mode=mode,
         gates=gates,
-        decoherence_points=default_placement(len(gates)) if placement is None else tuple(placement),
+        decoherence_points=default_placement(len(gates)) if placement is None else placement,
     )
 
 
@@ -217,21 +220,6 @@ def ideal_boundary_deviations(plan: ExperimentPlan, initial: np.ndarray) -> list
     return out
 
 
-@dataclass(frozen=True)
-class PointDamage:
-    """Damage audit entry for one decoherence point."""
-
-    point: int
-    boundary: int
-    state: str          # Pauli words of the deviation, joined with "+"
-    damaging: tuple[bool, bool]  # whether XXII, IIXX would negate the deviation
-
-    @property
-    def hits(self) -> int:
-        """How many of the two error operators would damage the deviation."""
-        return sum(self.damaging)
-
-
 @lru_cache(maxsize=1)
 def _flip_anticommutes() -> np.ndarray:
     """Bool (256, 2): whether each basis word anticommutes with XXII, IIXX."""
@@ -239,18 +227,18 @@ def _flip_anticommutes() -> np.ndarray:
     return np.array([[anticommutes(w, f) for f in flips] for w in words])
 
 
-def _audit(plan: ExperimentPlan, initial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def damage_audit(plan: ExperimentPlan, initial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(present, damaging): the Pauli words (..., points, 256) of the noise-free
-    deviations of ``initial`` (as in damage_mask) at the noise points, and their
-    flags (..., points, 2).
+    deviations of ``initial`` at the noise points, and their flags (..., points, 2).
 
+    ``initial`` is one state (16, 16) or a stack (k, 16, 16), evolved at once.
     One Pauli transform splits every deviation into words (coefficients above
     1e-10 times its norm), and each error operator (XXII then IIXX) is compared
     with every word.  A flip that anticommutes with all of them negates the
     deviation (damaging, one unit of n); one that commutes with all of them
-    leaves it unchanged.  A mix means the deviation is not a flip eigenstate
-    and the closed form (1-2e)^n does not apply; that is reported as an error,
-    not guessed around.
+    leaves it unchanged, so a shot's signal is (-1) to its flips on true flags.
+    A mix means the deviation is not a flip eigenstate and the closed form
+    (1-2e)^n does not apply; that is reported as an error, not guessed around.
     """
     points = plan.decoherence_points
     devs = np.stack(ideal_boundary_deviations(plan, initial), axis=-3)[..., list(points), :, :]
@@ -268,28 +256,8 @@ def _audit(plan: ExperimentPlan, initial: np.ndarray) -> tuple[np.ndarray, np.nd
     return present, damaging
 
 
-def damage_audit(plan: ExperimentPlan, initial: np.ndarray) -> list[PointDamage]:
-    """Each noise point's words and damage_mask(plan, initial) flags for one state
-    ``initial`` (16, 16), as ``dfsim count-n`` prints them for each step."""
-    present, damaging = _audit(plan, initial)
-    words, points = [p.letters for p in pauli_basis_strings()], plan.decoherence_points
-    return [
-        PointDamage(point, boundary, "+".join(compress(words, row)), tuple(flags))
-        for point, (boundary, row, flags) in enumerate(zip(points, present, damaging.tolist()))
-    ]
-
-
-def damage_mask(plan: ExperimentPlan, initial: np.ndarray) -> np.ndarray:
-    """Boolean (points, 2): whether XXII / IIXX at that point negates the ideal deviation.
-
-    ``initial`` is one state (16, 16), or a stack (k, 16, 16) evolved at once,
-    giving (k, points, 2).  Every other flip leaves the deviation unchanged
-    (_audit raises otherwise), so a shot's signal is (-1) to the number of its
-    flips on true entries.
-    """
-    return _audit(plan, initial)[1]
-
-
 def count_damaging_errors(plan: ExperimentPlan, initial: np.ndarray) -> int:
-    """Total damage count n of ``initial`` (16, 16); its exact signal equals (1-2e)^n."""
-    return int(damage_mask(plan, initial).sum())
+    """Total damage count n of ``initial`` (16, 16), its exact signal (1-2e)^n: the
+    sum of damage_audit's flags, named since dfsim.__all__ exports it and
+    bench/spans.py wraps it."""
+    return int(damage_audit(plan, initial)[1].sum())

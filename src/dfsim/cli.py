@@ -17,8 +17,9 @@ import argparse
 import json
 import os
 import sys
+from itertools import compress
 
-from . import circuits, dfs, harness, readout
+from . import dfs, harness, qcore
 
 
 #: Every option: its dest (the config key it sets, except "config"), flag and
@@ -109,10 +110,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _format_ket(index: int) -> str:
-    return f"|{index:04b}>"
-
-
 def _cmd_show_basis(args: argparse.Namespace) -> int:
     labels = ("|00>_L", "|01>_L", "|10>_L", "|11>_L")
     for i in (1, 2, 3, 4):
@@ -125,7 +122,7 @@ def _cmd_show_basis(args: argparse.Namespace) -> int:
                 amp = basis.vectors[ket, col].real
                 if abs(amp) > 1e-12:
                     sign = "+" if amp > 0 else "-"
-                    terms.append(f"{sign} {_format_ket(ket)}")
+                    terms.append(f"{sign} |{ket:04b}>")
             joined = " ".join(terms).lstrip("+ ")
             print(f"  {label} = ( {joined} ) / 2")
         print()
@@ -134,15 +131,15 @@ def _cmd_show_basis(args: argparse.Namespace) -> int:
 
 def _cmd_count_n(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    for plan in harness.sweep_plans(cfg):
-        for step in readout.steps_for_mode(plan.mode):
-            audit = circuits.damage_audit(plan, step.deviation)
-            n = sum(entry.hits for entry in audit)
-            print(f"mode={plan.mode} step={step.label}: n = {n}")
-            for entry in audit:
+    letters = [p.letters for p in qcore.pauli_basis_strings()]
+    for _, plan, steps, _, (present, damaging), _ in harness.mode_stacks(cfg):
+        for step, words, flags in zip(steps, present, damaging):
+            print(f"mode={plan.mode} step={step.label}: n = {flags.sum()}")
+            for point, boundary in enumerate(plan.decoherence_points):
                 print(
-                    f"  point {entry.point} (boundary {entry.boundary}): "
-                    f"state {entry.state}, damaging operators {entry.hits}"
+                    f"  point {point} (boundary {boundary}): "
+                    f"state {'+'.join(compress(letters, words[point]))}, "
+                    f"damaging operators {flags[point].sum()}"
                 )
     return 0
 

@@ -9,16 +9,17 @@ deterministic functions of (config, seed) down to the output bytes.
 As in the experiment, a mode is one circuit run from each of its three
 temporal-averaging preparations: one plan, and its steps' stack of
 preparations, which every walk of the plan takes as its initial states.
-The sweep and the verifier walk the modes of _mode_stacks the same two ways:
+The sweep and the verifier walk the modes of mode_stacks the same two ways:
 each mode's stack once through _cell_batches for the exact finals, and each
 step's whole e grid once through _step_draws for the shots, which read only
-the damage mask and the cell keys.
+the step's damage flags and the cell keys.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
@@ -63,12 +64,16 @@ class SweepConfig:
     def __post_init__(self) -> None:
         # library callers may pass lists or arrays: hold tuples, hashable and comparable
         for name in ("e_grid", "modes", "placement"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+            value = getattr(self, name)
+            try:
+                if value is not None:
+                    object.__setattr__(self, name, tuple(value))
+            except TypeError as exc:
+                raise ConfigError(f"invalid {name} {value!r}: {exc}") from None
         if not self.e_grid:
             raise ConfigError("e_grid must not be empty")
         for e in self.e_grid:
-            if not 0.0 <= e <= 0.5:
+            if not (isinstance(e, numbers.Real) and 0.0 <= e <= 0.5):
                 raise ConfigError(f"e_grid values must lie in [0, 0.5], got {e}")
         # -0.0 + 0.0 is +0.0: a grid value of -0 is written and reported as 0
         object.__setattr__(self, "e_grid", tuple(float(e) + 0.0 for e in self.e_grid))
@@ -121,38 +126,28 @@ class VerifyCheck:
     detail: str = ""
 
 
-def sweep_plans(cfg: SweepConfig) -> Iterator[circuits.ExperimentPlan]:
-    """Each mode's one plan, for the modes of cfg in order.
-
-    Every step runs through the same gates and noise points, with its
-    deviation as the initial state (_mode_stacks).
-    This is the one mapping from a config to its plans: run_sweep, verify and
-    ``dfsim count-n`` all take their plans from here.
-    """
-    for mode in cfg.modes:
-        yield circuits.assemble(mode, cfg.algorithm, placement=cfg.placement)
-
-
-def _mode_stacks(
+def mode_stacks(
     cfg: SweepConfig,
-) -> Iterator[tuple[int, circuits.ExperimentPlan, tuple, np.ndarray, list[np.ndarray], np.ndarray]]:
-    """(mode index, plan, steps, preparations, damage masks, noiseless finals)
-    of each mode of cfg, in step order.
+) -> Iterator[tuple[int, circuits.ExperimentPlan, tuple, np.ndarray, tuple, np.ndarray]]:
+    """(mode index, plan, steps, preparations, damage audit, noiseless finals)
+    of each mode of cfg, in order: the one mapping from a config to its plans,
+    which run_sweep, verify and ``dfsim count-n`` all read.
 
     The preparations (steps, 16, 16) are the steps' deviations.  They go
-    through the plan noise-free as one stack, once in circuits.damage_mask
-    for the masks (steps, points, 2), and once for the noiseless finals, the
+    through the plan noise-free as one stack, once in circuits.damage_audit
+    for its (present, damaging) pair, and once for the noiseless finals, the
     last boundary of circuits.ideal_boundary_deviations.  Those are the exact
     channel's finals at e = 0 to the byte: preparation entries are +-1/16 or
     0 and gate entries in {0, +-1/2, +-1}, so every noise-free product and
     sum is exact in float64, in any order and on any BLAS kernel.
     """
-    for mode_idx, plan in enumerate(sweep_plans(cfg)):
-        steps = readout.steps_for_mode(plan.mode)
+    for mode_idx, mode in enumerate(cfg.modes):
+        plan = circuits.assemble(mode, cfg.algorithm, placement=cfg.placement)
+        steps = readout.steps_for_mode(mode)
         preps = np.stack([step.deviation for step in steps])
-        masks = list(circuits.damage_mask(plan, preps))
+        audit = circuits.damage_audit(plan, preps)
         references = circuits.ideal_boundary_deviations(plan, preps)[-1]
-        yield mode_idx, plan, steps, preps, masks, references
+        yield mode_idx, plan, steps, preps, audit, references
 
 
 #: Shots drawn at a time over the cells of a _step_draws group.  Results do
@@ -224,10 +219,10 @@ def _mc_signal(
 ) -> list[tuple[float, float]]:
     """Monte-Carlo signal and its standard error of each cell (e[i], seeds[i]).
 
-    ``mask`` is the plan's circuits.damage_mask: a shot's final deviation is
-    the ideal one negated once per damaging flip drawn, so its signal is
-    +1 or -1 by its _parity.  The mean is then 1 - 2 (odd shots) /
-    shots, and the standard error is the sample standard deviation (ddof 1)
+    ``mask`` is one step's damaging flags of circuits.damage_audit: a shot's
+    final deviation is the ideal one negated once per damaging flip drawn, so
+    its signal is +1 or -1 by its _parity.  The mean is then 1 - 2 (odd shots)
+    / shots, and the standard error is the sample standard deviation (ddof 1)
     of the +-1 shot signals over sqrt(shots).  The cells are drawn by
     _step_draws, unless no entry of the mask is true: every protected plan,
     and every plan without noise points, draws nothing.
@@ -241,14 +236,14 @@ def _mc_signal(
 
 
 def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
-    """Exact + Monte-Carlo signals for every (mode, step, e) cell, in _mode_stacks order.
+    """Exact + Monte-Carlo signals for every (mode, step, e) cell, in mode_stacks order.
 
     Each mode's steps go through its plan as one stack, walked once in
     _cell_batches: each step's finals of a batch are turned into exact
     signals at once.  Each step's whole grid is then drawn by one _mc_signal call.
     """
     rows: list[SignalResult] = []
-    for mode_idx, plan, steps, preps, masks, references in _mode_stacks(cfg):
+    for mode_idx, plan, steps, preps, (_, masks), references in mode_stacks(cfg):
         keys = _step_keys(cfg, mode_idx, len(steps))
         exact = np.empty((len(steps), len(cfg.e_grid)))
         for start, e, finals in _cell_batches(cfg.e_grid, plan, preps):
@@ -344,12 +339,12 @@ def _acceptance_radius(shots: int, p: float) -> float:
     return float(near[tails[np.searchsorted(near, near - 1e-9)] >= _ALPHA].max())
 
 
-def _grid_pass(cfg: SweepConfig) -> tuple[float, float, float, float, int, float, str]:
+def _grid_pass(cfg: SweepConfig, walk: list) -> tuple[float, float, float, float, int, float, str]:
     """protected-correctness's, temporal-averaging's, damage-count-consistency's,
     frame-dense-shots's and damage-count-values's residuals, and mc-convergence's
     worst margin and its cell.
 
-    The walk is _mode_stacks over cfg.modes and then the other mode, so each
+    ``walk`` is mode_stacks over cfg.modes and then the other mode, so each
     swept mode (one of cfg.modes) has the index, and so the cell keys, that
     run_sweep gives it.  Each step of a swept mode is drawn once through
     _step_draws, whose blocks give the mode's (steps, grid) negated counts k
@@ -378,8 +373,7 @@ def _grid_pass(cfg: SweepConfig) -> tuple[float, float, float, float, int, float
     correctness = averaging = consistency = frame_dense = 0.0
     damage = 0
     margins, labels = [], []  # per mode of cfg.modes, in its order
-    walk = replace(cfg, modes=tuple(dict.fromkeys((*cfg.modes, *circuits.MODES))))
-    for mode_idx, plan, steps, preps, masks, references in _mode_stacks(walk):
+    for mode_idx, plan, steps, preps, (_, masks), references in walk:
         mode, swept = plan.mode, mode_idx < len(cfg.modes)
         for step, mask in zip(steps, masks):
             damage = max(damage, abs(int(mask.sum()) - EXPECTED_DAMAGE[mode][step.label]))
@@ -443,28 +437,40 @@ def _grid_pass(cfg: SweepConfig) -> tuple[float, float, float, float, int, float
 def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     """Run the machine-checkable invariant suite; every check reports its residual.
 
-    One _grid_pass walks both modes, whatever cfg.modes holds.
+    One _grid_pass walks both modes, whatever cfg.modes holds; their
+    mode_stacks are built first, outside the checks (a bad placement exits 2).
     """
     cfg = cfg or SweepConfig()
+    modes = tuple(dict.fromkeys((*cfg.modes, *circuits.MODES)))  # cfg.modes, then the other
+    walk = list(mode_stacks(replace(cfg, modes=modes)))
     checks: list[VerifyCheck] = []
 
     def add(name: str, residual: float, tolerance: float, detail: str = "") -> None:
         passed = bool(residual <= tolerance)
         checks.append(VerifyCheck(name, passed, float(residual), float(tolerance), detail))
 
-    add("pauli-product-exactness", _pauli_product_residual(cfg.seed), 0.0)
-    add("pauli-orthogonality", _pauli_orthogonality_residual(), qcore.DEFAULT_TOL)
-    add("dfs-gram-identity", dfs.gram_defect(), qcore.DEFAULT_TOL)
+    def attempt(compute, *args, failed=math.inf):
+        """compute(*args), or ``failed`` if it raises ValueError (a channel that is
+        not trace preserving, say): its checks FAIL, and the others still run."""
+        try:
+            return compute(*args)
+        except ValueError:
+            return failed
+
+    add("pauli-product-exactness", attempt(_pauli_product_residual, cfg.seed), 0.0)
+    add("pauli-orthogonality", attempt(_pauli_orthogonality_residual), qcore.DEFAULT_TOL)
+    add("dfs-gram-identity", attempt(dfs.gram_defect), qcore.DEFAULT_TOL)
     add(
         "dfs-immunity",
-        _immunity_residual(cfg.seed),
+        attempt(_immunity_residual, cfg.seed),
         qcore.DEFAULT_TOL,
         "50 random logical states, e = 0 .. 0.5 step 0.05",
     )
-    completeness = max(noise.engineered_model(e).completeness_defect for e in cfg.e_grid)
-    add("channel-completeness", completeness, qcore.DEFAULT_TOL)
-    add("eigenstructure-audit", _eigenstructure_residual(cfg.e_grid), qcore.DEFAULT_TOL)
-    correctness, averaging, consistency, frame_dense, damage, mc_margin, mc_cell = _grid_pass(cfg)
+    completeness = (noise.engineered_model(e).completeness_defect for e in cfg.e_grid)
+    add("channel-completeness", attempt(max, completeness), qcore.DEFAULT_TOL)
+    add("eigenstructure-audit", attempt(_eigenstructure_residual, cfg.e_grid), qcore.DEFAULT_TOL)
+    grid = attempt(_grid_pass, cfg, walk, failed=(math.inf,) * 6 + ("unknown",))
+    correctness, averaging, consistency, frame_dense, damage, mc_margin, mc_cell = grid
     add("protected-correctness", correctness, 1e-10)
     add("temporal-averaging", averaging, qcore.DEFAULT_TOL)
     add("damage-count-consistency", consistency, 1e-10)

@@ -1,4 +1,5 @@
 import re
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from dfsim.circuits import (
     assemble,
     count_damaging_errors,
     damage_audit,
-    damage_mask,
     dj_gates,
     embed_on_spins_1_4,
     grover_gates,
@@ -268,16 +268,28 @@ def test_unprotected_signal_negligible_at_e_03():
         assert abs(signal) <= 0.01
 
 
+def audit_rows(plan, present, damaging):
+    """damage_audit's (present, damaging) of one state as per_word_audit's rows,
+    each a point's (point, boundary, joined words, flags)."""
+    words = [p.letters for p in qcore.pauli_basis_strings()]
+    points = plan.decoherence_points
+    return [
+        (point, boundary, "+".join(compress(words, row)), tuple(flags))
+        for point, (boundary, row, flags) in enumerate(zip(points, present, damaging.tolist()))
+    ]
+
+
 def test_damage_audit_reports_states():
     plan = assemble("unprotected", "grover")
-    audit = damage_audit(plan, readout.unprotected_steps()[0].deviation)
-    assert len(audit) == 9
-    assert audit[0].state == "ZIII" and audit[0].hits == 1
-    assert sum(entry.hits for entry in audit) == 6
-    protected_audit = damage_audit(
+    present, damaging = damage_audit(plan, readout.unprotected_steps()[0].deviation)
+    assert present.shape == (9, 256) and damaging.shape == (9, 2)
+    rows = audit_rows(plan, present, damaging)
+    assert rows[0][2] == "ZIII" and sum(rows[0][3]) == 1
+    assert damaging.sum() == 6
+    _, protected = damage_audit(
         assemble("protected", "grover"), readout.protected_steps()[0].deviation
     )
-    assert all(entry.hits == 0 for entry in protected_audit)
+    assert not protected.any()
 
 
 def test_damage_audit_names_every_word_of_a_negated_deviation():
@@ -294,10 +306,10 @@ def test_damage_audit_names_every_word_of_a_negated_deviation():
         gates=(circuits.Gate("rx1", m, embed_on_spins_1_4(m)),),
         decoherence_points=(0, 1),
     )
-    audit = damage_audit(plan, readout.unprotected_steps()[0].deviation)
-    assert audit[0].state == "ZIII"
-    assert sorted(audit[1].state.split("+")) == ["YIII", "ZIII"]
-    assert audit[1].damaging == (True, False)
+    audit = audit_rows(plan, *damage_audit(plan, readout.unprotected_steps()[0].deviation))
+    assert audit[0][2] == "ZIII"
+    assert sorted(audit[1][2].split("+")) == ["YIII", "ZIII"]
+    assert audit[1][3] == (True, False)
 
 
 def per_word_audit(plan, initial):
@@ -320,19 +332,19 @@ def per_word_audit(plan, initial):
 @pytest.mark.parametrize("mode", circuits.MODES)
 @pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
 def test_damage_audit_equals_the_per_word_audit(algorithm, mode, placement):
-    # and row i of the mask of the mode's stacked preparations is step i's
+    # the audit of the mode's stacked preparations, as harness.mode_stacks
+    # takes it: row i is step i's words and flags, and step i's audit alone
     plan = assemble(mode, algorithm, placement=placement)
     steps = readout.steps_for_mode(mode)
-    stacked = damage_mask(plan, np.stack([step.deviation for step in steps]))
-    assert stacked.dtype == bool
-    assert stacked.shape == (len(steps), len(plan.decoherence_points), 2)
-    for step, row in zip(steps, stacked.tolist()):
-        audit = damage_audit(plan, step.deviation)
-        expected = per_word_audit(plan, step.deviation)
-        assert [(a.point, a.boundary, a.state, a.damaging) for a in audit] == expected
-        assert all(type(flag) is bool for a in audit for flag in a.damaging)
-        assert row == [list(flags) for *_, flags in expected]
-        assert row == damage_mask(plan, step.deviation).tolist()
+    present, damaging = damage_audit(plan, np.stack([step.deviation for step in steps]))
+    points = len(plan.decoherence_points)
+    assert present.dtype == bool and present.shape == (len(steps), points, 256)
+    assert damaging.dtype == bool and damaging.shape == (len(steps), points, 2)
+    for step, words, flags in zip(steps, present, damaging):
+        rows = audit_rows(plan, words, flags)
+        assert rows == per_word_audit(plan, step.deviation)
+        alone = damage_audit(plan, step.deviation)
+        assert np.array_equal(alone[0], words) and np.array_equal(alone[1], flags)
 
 
 def non_eigen_plan():
@@ -353,17 +365,17 @@ def test_damage_count_rejects_non_eigen_states():
         count_damaging_errors(non_eigen_plan(), readout.unprotected_steps()[0].deviation)
 
 
-def test_stacked_damage_mask_rejects_one_non_eigen_deviation():
+def test_stacked_damage_audit_rejects_one_non_eigen_deviation():
     # Z4 stays an eigenstate of both flips at every point, Z1 does not at
     # point 2; a stack holding both fails as Z1 alone does
     z1, _, z4 = readout.unprotected_steps()
     plan = non_eigen_plan()
-    assert damage_mask(plan, z4.deviation).tolist() == [[False, True]] * 3
+    assert damage_audit(plan, z4.deviation)[1].tolist() == [[False, True]] * 3
     with pytest.raises(ValueError, match="eigenstate") as alone:
         damage_audit(plan, z1.deviation)
     assert str(alone.value).startswith("deviation at point 2 (boundary 2)")
     with pytest.raises(ValueError, match=re.escape(str(alone.value))):
-        damage_mask(plan, np.stack([z4.deviation, z1.deviation]))
+        damage_audit(plan, np.stack([z4.deviation, z1.deviation]))
 
 
 def test_moving_points_across_commuting_gates_is_invisible():

@@ -31,6 +31,9 @@ from dfsim.harness import (
     verify,
 )
 
+from test_circuits import per_word_audit
+from test_noise import PLACEMENTS
+
 SMALL = SweepConfig(e_grid=(0.0, 0.25, 0.5), shots=64, seed=3)
 
 
@@ -88,6 +91,17 @@ def test_config_validation():
     assert listed == tupled and hash(listed) == hash(tupled)
     assert all(type(e) is float for e in listed.e_grid)
     assert type(listed.modes) is tuple and type(listed.placement) is tuple
+    # library inputs of the wrong kind are configuration errors that name
+    # their field
+    for field, value in (("e_grid", 0.25), ("e_grid", ("a",)), ("modes", 5), ("placement", 3)):
+        with pytest.raises(ConfigError, match=field):
+            SweepConfig(**{field: value})
+    # a placement entry must be an index, not truncated to one: the plan,
+    # which knows the gate count, checks every entry
+    with pytest.raises(ValueError, match="placement indices must be integers"):
+        circuits.assemble("protected", placement=(1.9,))
+    with pytest.raises(ValueError, match="placement indices must be integers"):
+        run_sweep(SweepConfig(placement=(0.5,), e_grid=(0.25,), shots=2))
 
 
 def test_sweep_has_one_row_per_cell():
@@ -118,7 +132,7 @@ def test_frame_signals_match_dense_shot_by_shot(mode, algorithm):
     shots, seed = 256, 21
     for step in readout.steps_for_mode(mode):
         plan = circuits.assemble(mode, algorithm)
-        mask = circuits.damage_mask(plan, step.deviation)
+        _, mask = circuits.damage_audit(plan, step.deviation)
         reference = noise.run_plan_exact(plan, 0.0, step.deviation)
         for e in (0.1, 0.25, 0.4):
             finals = noise.monte_carlo_finals(plan, e, shots, seed, initial=step.deviation)
@@ -195,22 +209,23 @@ def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
     assert "FAIL mc-convergence" in capsys.readouterr().out
 
 
-def test_verify_fails_when_a_damage_mask_entry_is_flipped(monkeypatch, capsys):
+def test_verify_fails_when_a_damage_flag_is_flipped(monkeypatch, capsys):
     # the frame then negates the shots that drew that (point, flip) pair of
     # one protected plan, and the dense oracle, which reads the same flips,
-    # does not; entry [0, 0, 0] of the protected stack is step Z1Z2's
-    audited = circuits.damage_mask
+    # does not; flag [0, 0, 0] of the protected stack is step Z1Z2's
+    audited = circuits.damage_audit
     z1z2 = readout.protected_steps()[0]
 
     def flipped(plan, initial):
-        mask = audited(plan, initial).copy()
+        present, damaging = audited(plan, initial)
+        damaging = damaging.copy()
         if plan.mode == "protected":
-            assert mask.ndim == 3 and z1z2.label == "Z1Z2"
+            assert damaging.ndim == 3 and z1z2.label == "Z1Z2"
             assert np.array_equal(initial[0], z1z2.deviation)
-            mask[0, 0, 0] = not mask[0, 0, 0]
-        return mask
+            damaging[0, 0, 0] = not damaging[0, 0, 0]
+        return present, damaging
 
-    monkeypatch.setattr(circuits, "damage_mask", flipped)
+    monkeypatch.setattr(circuits, "damage_audit", flipped)
     assert cli.main(["verify"]) == 1
     assert "FAIL frame-dense-shots" in capsys.readouterr().out
 
@@ -220,7 +235,7 @@ def test_verify_fails_on_an_exact_final_off_the_reference(monkeypatch, capsys):
     # protected finals of the e grid but not to the references: each exact
     # signal stays 1 and each count 0, but the mean rho_ref misses the term
     cfg = SweepConfig(modes=("protected",))
-    [plan] = harness.sweep_plans(cfg)
+    [(_, plan, *_)] = harness.mode_stacks(cfg)
     refs = [noise.run_plan_exact(plan, 0.0, step.deviation) for step in readout.protected_steps()]
     words = qcore._word_matrices()[1:]
     word = next(w for w in words if all(abs(np.vdot(w, ref)) < 1e-12 for ref in refs))
@@ -244,15 +259,16 @@ def _exact_without_the_last_noise_point(monkeypatch):
     monkeypatch.setattr(noise, "run_plan_exact", faulty)
 
 
-def _damage_mask_without_the_last_point(monkeypatch):
-    audited = circuits.damage_mask
+def _damage_audit_without_the_last_point(monkeypatch):
+    audited = circuits.damage_audit
 
     def faulty(plan, initial):
-        mask = audited(plan, initial).copy()
-        mask[..., -1, :] = False
-        return mask
+        present, damaging = audited(plan, initial)
+        damaging = damaging.copy()
+        damaging[..., -1, :] = False
+        return present, damaging
 
-    monkeypatch.setattr(circuits, "damage_mask", faulty)
+    monkeypatch.setattr(circuits, "damage_audit", faulty)
 
 
 def _pauli_product_with_phase_one(monkeypatch):
@@ -272,34 +288,68 @@ def _channel_with_its_first_operator_only(monkeypatch):
     monkeypatch.setattr(noise, "apply_channel", faulty)
 
 
+def _channel_with_its_xxxx_coefficient_scaled(monkeypatch):
+    coefficients = noise._engineered_coefficients
+
+    def faulty(e):
+        a = coefficients(e)
+        a[3] *= 0.9
+        return a
+
+    monkeypatch.setattr(noise, "_engineered_coefficients", faulty)
+
+
+#: Every check but the three that read no channel: the Pauli algebra and the
+#: DFS basis.
+_CHANNEL_FAULT_FAILS = {
+    "dfs-immunity", "channel-completeness", "eigenstructure-audit", "protected-correctness",
+    "temporal-averaging", "damage-count-consistency", "damage-count-values",
+    "frame-dense-shots", "mc-convergence",
+}
+
+
 @pytest.mark.parametrize(
     "fault, failed",
     [
         (_exact_without_the_last_noise_point, {"damage-count-consistency"}),
         (
-            _damage_mask_without_the_last_point,
+            _damage_audit_without_the_last_point,
             {"damage-count-consistency", "damage-count-values", "frame-dense-shots"},
         ),
         (_pauli_product_with_phase_one, {"pauli-product-exactness"}),
         (_channel_with_its_first_operator_only, {"dfs-immunity"}),
+        (_channel_with_its_xxxx_coefficient_scaled, _CHANNEL_FAULT_FAILS),
     ],
     ids=[
         "exact-channel-fails-damage-count-consistency-only",
-        "damage-mask-fails-damage-count-consistency-values-and-frame-dense-shots",
+        "damage-audit-fails-damage-count-consistency-values-and-frame-dense-shots",
         "pauli-product-fails-pauli-product-exactness-only",
         "apply-channel-fails-dfs-immunity-only",
+        "channel-not-trace-preserving-fails-every-check-that-reads-a-channel",
     ],
 )
 def test_verify_fails_its_checks_on_a_fault(fault, failed, monkeypatch, capsys):
     # the exact channel losing the last noise point moves every unprotected
-    # signal off (1-2e)^n; the mask losing it lowers n and flips the frame's
+    # signal off (1-2e)^n; the audit losing it lowers n and flips the frame's
     # sign of the shots that drew a damaging flip there, against the dense
     # oracle; a product that drops its phase differs from the matrix product;
-    # a channel keeping only (1-e) IIII shrinks every encoded state for e > 0
+    # a channel keeping only (1-e) IIII shrinks every encoded state for e > 0;
+    # a channel whose XXXX weight falls short of trace preserving makes every
+    # check that evolves through it raise, and each such check FAILs with an
+    # infinite residual (the grid checks together) while the rest still run
     fault(monkeypatch)
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert {line[5:].split(":")[0] for line in lines if line.startswith("FAIL ")} == failed
+
+
+def test_verify_of_a_placement_past_the_gates_exits_2(capsys):
+    # the plans are built before any check runs: a bad placement is an
+    # invalid configuration, not a failed check
+    assert cli.main(["verify", "--placement", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: placement indices must lie in [0, 7]\n"
 
 
 @pytest.fixture(scope="module")
@@ -329,13 +379,12 @@ def test_acceptance_radius_is_the_exact_binomial_test(shots, p, oracle):
 
 
 def _count_calls(monkeypatch) -> dict[str, int]:
-    """Count the calls of circuits.assemble, circuits.damage_audit, circuits.damage_mask
-    and noise.run_plan_exact, and the plans built (ExperimentPlan.__post_init__)."""
-    calls = {"assemble": 0, "damage_audit": 0, "damage_mask": 0, "run_plan_exact": 0,
-             "ExperimentPlan": 0}
+    """Count the calls of circuits.assemble, circuits.damage_audit and
+    noise.run_plan_exact, and the plans built (ExperimentPlan.__post_init__)."""
+    calls = {"assemble": 0, "damage_audit": 0, "run_plan_exact": 0, "ExperimentPlan": 0}
     for key, owner, name in (
         ("assemble", circuits, "assemble"), ("damage_audit", circuits, "damage_audit"),
-        ("damage_mask", circuits, "damage_mask"), ("run_plan_exact", noise, "run_plan_exact"),
+        ("run_plan_exact", noise, "run_plan_exact"),
         ("ExperimentPlan", circuits.ExperimentPlan, "__post_init__"),
     ):
         def spy(*args, _real=getattr(owner, name), _key=key, **kwargs):
@@ -347,11 +396,9 @@ def _count_calls(monkeypatch) -> dict[str, int]:
 
 #: One plan, one audit and one exact walk of each mode's stack over the nine
 #: e values: per mode, one assembly (and so one plan built), one stacked
-#: damage_mask and one run_plan_exact; the references come from the
+#: damage_audit and one run_plan_exact; the references come from the
 #: noise-free walk, not from an e = 0 exact call.
-ONE_PLAN_PER_MODE = {
-    "assemble": 2, "damage_audit": 0, "damage_mask": 2, "run_plan_exact": 2, "ExperimentPlan": 2
-}
+ONE_PLAN_PER_MODE = {"assemble": 2, "damage_audit": 2, "run_plan_exact": 2, "ExperimentPlan": 2}
 
 
 def test_verify_builds_audits_and_evolves_each_plan_once(monkeypatch):
@@ -363,6 +410,15 @@ def test_verify_builds_audits_and_evolves_each_plan_once(monkeypatch):
     calls = _count_calls(monkeypatch)
     assert all(c.passed for c in harness.verify())
     assert calls == ONE_PLAN_PER_MODE
+
+
+def test_count_n_audits_each_mode_stack_once(monkeypatch, capsys):
+    # count-n prints the rows of each mode's one stacked audit, and evolves
+    # nothing through the noisy channel
+    calls = _count_calls(monkeypatch)
+    assert cli.main(["count-n"]) == 0
+    assert calls == {**ONE_PLAN_PER_MODE, "run_plan_exact": 0}
+    assert capsys.readouterr().out.count(": n = ") == 6
 
 
 @pytest.mark.parametrize("mode", circuits.MODES)
@@ -679,7 +735,11 @@ def test_cli_rejects_options_the_command_does_not_read(argv, tmp_path, monkeypat
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-#: The run over 65 e values per plan at 2 shots, drawn in batches of 64 and 1.
+#: The run over 65 e values per mode at 2 shots.  Each mode's stack of three
+#: steps is evolved in four exact batches of 21, 21, 21 and 2 e values
+#: (harness._E_BLOCK // 3); each gate is two 16 x 16 by 16 x (16 rows)
+#: products, whose k sums must depend neither on the BLAS kernel nor on the
+#: batch's width.
 DJ_BATCHES = "run --seed 3 --algorithm deutsch-jozsa --mode both --shots 2 --e-grid " + ",".join(
     repr(k / 128) for k in range(65)
 )
@@ -725,8 +785,10 @@ def test_every_golden_file_is_pinned():
     assert sorted(path.name for path in GOLDEN_DIR.iterdir()) == sorted(GOLDEN_FILES.values())
 
 
-#: sha256 of the stdout of count-n.  Re-pin only on purpose, and say why in
-#: CHANGES.md.
+#: sha256 of the stdout of count-n, the rows of each mode's stacked damage
+#: audit: one noise-free evolution of the mode's three preparations, as run
+#: and verify take it, whose words and flags must not depend on the BLAS
+#: kernel.  Re-pin only on purpose, and say why in CHANGES.md.
 GOLDEN_COUNT_N_SHA256 = {
     "count-n": "5dfcb1c107794f648e7ec07e001e303b3fe13509cc2558f6bb9fdc56d3c454db",
     "count-n --algorithm deutsch-jozsa --placement 0,2,4":
@@ -737,6 +799,27 @@ GOLDEN_COUNT_N_SHA256 = {
 @pytest.mark.parametrize("command", sorted(GOLDEN_COUNT_N_SHA256))
 def test_cli_count_n_matches_golden_stdout(command, capsys):
     _assert_golden_stdout(command, GOLDEN_COUNT_N_SHA256[command], capsys)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
+def test_cli_count_n_prints_the_per_word_audit(algorithm, placement, capsys):
+    # every mode and step of the plan, one point and one Pauli word at a time
+    command = ["count-n", "--algorithm", algorithm, "--placement", ",".join(map(str, placement))]
+    assert cli.main(command) == 0
+    expected = []
+    for mode in circuits.MODES:
+        plan = circuits.assemble(mode, algorithm, placement=placement)
+        for step in readout.steps_for_mode(mode):
+            audit = per_word_audit(plan, step.deviation)
+            n = sum(sum(flags) for *_, flags in audit)
+            expected.append(f"mode={mode} step={step.label}: n = {n}\n")
+            expected += [
+                f"  point {point} (boundary {boundary}): state {state}, "
+                f"damaging operators {sum(flags)}\n"
+                for point, boundary, state, flags in audit
+            ]
+    assert capsys.readouterr().out == "".join(expected)
 
 
 def test_cli_closed_stdout_ends_quietly():
@@ -773,7 +856,7 @@ def test_cli_count_n_draws_no_seed(tmp_path, capsys):
 @pytest.mark.parametrize("shots", [1, 7, 8, 64, 2048])
 def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
     plan = circuits.assemble("unprotected")
-    mask = circuits.damage_mask(plan, readout.unprotected_steps()[1].deviation)
+    _, mask = circuits.damage_audit(plan, readout.unprotected_steps()[1].deviation)
     one_block = harness._mc_signal(mask, (0.3,), shots, (11,))
     drawn = []
     unblocked = noise.draw_flips
@@ -819,10 +902,9 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
     grid = tuple(k / 64 for k in range(33))
     cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=modes)
     one_cell_at_a_time = []
-    for mode_idx, plan in enumerate(harness.sweep_plans(cfg)):
-        steps = readout.steps_for_mode(plan.mode)
+    for mode_idx, plan, steps, *_ in harness.mode_stacks(cfg):
         for step, keys in zip(steps, harness._step_keys(cfg, mode_idx, 3)):
-            mask = circuits.damage_mask(plan, step.deviation)
+            _, mask = circuits.damage_audit(plan, step.deviation)
             for e, key in zip(grid, keys):
                 one_cell_at_a_time += harness._mc_signal(mask, (e,), shots, (key,))
     drawn = []
@@ -944,7 +1026,7 @@ def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):
     # NUMERICAL_FLOOR.  The steps' references have one norm, so step 0 at
     # e = 0.2 and step 1 at e = 0.1 tie at the worst; step order wins.
     cfg = SweepConfig(e_grid=(0.1, 0.2), shots=1, modes=("unprotected",), placement=())
-    [plan] = harness.sweep_plans(cfg)
+    [(_, plan, *_)] = harness.mode_stacks(cfg)
     steps = readout.unprotected_steps()
     norms = {qcore.frobenius_norm(noise.run_plan_exact(plan, 0.0, s.deviation)) for s in steps}
     negated = iter([[False, True], [True, False], [False, False]])  # (e = 0.1, 0.2) per step
@@ -1089,6 +1171,9 @@ def test_cli_run_seed_0_matches_golden_csv(capsys):
 
 #: sha256 of the stdout of a run whose plans end in a gate: noise points 1
 #: and 2 only, so the exact path's last operation is a gate, not the channel.
+#: The exact finals end in a real matmul, and the references, from the
+#: noise-free walk, in a complex one; both must give the golden bytes on
+#: every BLAS kernel.
 #: Re-pin only when output bytes change on purpose, and say why in CHANGES.md.
 GOLDEN_RUN_PLACEMENT_SHA256 = "ada5a75aeb79c74c1439889e86ddffd2c7e20dfa52ef7e2b468be47bb97bc398"
 
@@ -1110,7 +1195,9 @@ def test_cli_verify_seed_0_matches_golden_stdout(capsys):
 
 #: sha256 of the stdout of verify on paths the default does not take: one
 #: mode only (damage-count-consistency still audits the unprotected plans),
-#: another algorithm, and a placement without damage-count-values.
+#: another algorithm, a placement that ends in a gate, without
+#: damage-count-values, and the reversed mode order (verify walks cfg.modes
+#: in order, then the other mode, as run does).
 #: Re-pinned once when verify gained frame-dense-shots and mc-convergence
 #: became an exact binomial test of the negated shots' count; the
 #: Deutsch-Jozsa one again when each cell's Philox key became

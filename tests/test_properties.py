@@ -1,6 +1,6 @@
 """Property tests over random plans: Deutsch-Jozsa promise tables, Grover marked
 labels, every preparation step, placements with duplicates, and e in [0, 0.5];
-the damage mask and the exact channel over stacks of initial states; the sweep's masked-column
+the damage audit and the exact channel over stacks of initial states; the sweep's masked-column
 parity against a masked sum; the cells' Philox keys, pairwise distinct and
 carrying the seed in their low 64 bits; the oracle's key compaction against
 np.unique; and random complete error models.
@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dfsim import circuits, dfs, harness, noise, readout
-from test_circuits import per_word_audit
+from test_circuits import audit_rows, per_word_audit
 from test_noise import _per_e_exact
 
 #: Every two-bit table that is constant or balanced.
@@ -61,7 +61,7 @@ SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
 def test_frame_signal_equals_dense_signal_shot_by_shot(mode_plan, e, seed):
     _, plan, initial = mode_plan
     shots = 16
-    mask = circuits.damage_mask(plan, initial)
+    _, mask = circuits.damage_audit(plan, initial)
     reference = noise.run_plan_exact(plan, 0.0, initial)
     finals = noise.monte_carlo_finals(plan, e, shots, seed, initial=initial)
     dense = np.array([readout.signal_intensity(f, reference) for f in finals])
@@ -74,7 +74,7 @@ def test_frame_signal_equals_dense_signal_shot_by_shot(mode_plan, e, seed):
 @given(plans(), E, SEEDS, st.integers(min_value=1, max_value=256))
 def test_signals_follow_the_damage_count(mode_plan, e, seed, shots):
     mode, plan, initial = mode_plan
-    mask = circuits.damage_mask(plan, initial)
+    _, mask = circuits.damage_audit(plan, initial)
     n = int(mask.sum())
     exact = readout.signal_intensity(
         noise.run_plan_exact(plan, e, initial), noise.run_plan_exact(plan, 0.0, initial)
@@ -90,15 +90,16 @@ def test_signals_follow_the_damage_count(mode_plan, e, seed, shots):
 
 @PROPERTY
 @given(plans())
-def test_stacked_damage_mask_equals_each_steps_audit(mode_plan):
-    # row i of the mode's stacked mask is the audit of step i through the plan
+def test_stacked_damage_audit_equals_each_steps_audit(mode_plan):
+    # row i of the mode's stacked audit is the audit of step i through the plan
     mode, plan, _ = mode_plan
     steps = readout.steps_for_mode(mode)
-    stacked = circuits.damage_mask(plan, np.stack([step.deviation for step in steps]))
-    assert stacked.shape == (len(steps), len(plan.decoherence_points), 2)
-    for row, step in zip(stacked.tolist(), steps):
-        assert row == [list(a.damaging) for a in circuits.damage_audit(plan, step.deviation)]
-        assert row == [list(flags) for *_, flags in per_word_audit(plan, step.deviation)]
+    present, damaging = circuits.damage_audit(plan, np.stack([step.deviation for step in steps]))
+    assert damaging.shape == (len(steps), len(plan.decoherence_points), 2)
+    for words, flags, step in zip(present, damaging, steps):
+        alone = circuits.damage_audit(plan, step.deviation)
+        assert np.array_equal(alone[0], words) and np.array_equal(alone[1], flags)
+        assert audit_rows(plan, words, flags) == per_word_audit(plan, step.deviation)
 
 
 def _assert_noise_free_walk_is_the_exact_channel_at_e_0(plan, preps, references):
@@ -125,9 +126,9 @@ def test_noise_free_walk_equals_the_exact_channel_at_e_0(mode_plan):
 @pytest.mark.parametrize("mode", circuits.MODES)
 @pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
 def test_mode_stack_references_equal_the_exact_channel_at_e_0(algorithm, mode, placement):
-    # the references harness._mode_stacks gives run and verify
+    # the references harness.mode_stacks gives run, verify and count-n
     cfg = harness.SweepConfig(modes=(mode,), algorithm=algorithm, placement=placement)
-    [(_, plan, _, preps, _, references)] = harness._mode_stacks(cfg)
+    [(_, plan, _, preps, _, references)] = harness.mode_stacks(cfg)
     _assert_noise_free_walk_is_the_exact_channel_at_e_0(plan, preps, references)
 
 
