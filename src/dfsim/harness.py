@@ -17,11 +17,12 @@ the step's damage flags and the cell keys.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -179,16 +180,15 @@ def _cell_batches(
         yield start, e, noise.run_plan_exact(plan, e, initial)
 
 
-def _step_keys(cfg: SweepConfig, mode_idx: int, steps: int) -> list[tuple[int, ...]]:
+def _step_keys(cfg: SweepConfig, mode_idx: int, steps: int) -> list[range]:
     """Each step's Philox keys over cfg.e_grid: cell (mode_idx, step, i) is keyed
     cfg.seed | (mode_idx << 48 | step << 32 | i) << 64.  The seed fills the low
     64 bits and the cell's indices the high 64, so every cell of a run, with
-    mode < 2, step < 3 and i < 2**32, has its own stream."""
+    mode < 2, step < 3 and i < 2**32, has its own stream, and the OR is a sum:
+    a step's keys are a range in steps of 2**64."""
     count = len(cfg.e_grid)
-    return [
-        tuple(cfg.seed | (mode_idx << 48 | step << 32 | i) << 64 for i in range(count))
-        for step in range(steps)
-    ]
+    firsts = (cfg.seed | (mode_idx << 48 | step << 32) << 64 for step in range(steps))
+    return [range(first, first + (count << 64), 1 << 64) for first in firsts]
 
 
 def _parity(flips: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -197,7 +197,7 @@ def _parity(flips: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _step_draws(
-    mask: np.ndarray, e: tuple[float, ...], shots: int, keys: tuple[int, ...]
+    mask: np.ndarray, e: tuple[float, ...], shots: int, keys: Sequence[int]
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """(cells, flips, _parity(flips, mask)) over one step's cells (e[i], keys[i]).
 
@@ -215,7 +215,7 @@ def _step_draws(
 
 
 def _mc_signal(
-    mask: np.ndarray, e: tuple[float, ...], shots: int, seeds: tuple[int, ...]
+    mask: np.ndarray, e: tuple[float, ...], shots: int, seeds: Sequence[int]
 ) -> list[tuple[float, float]]:
     """Monte-Carlo signal and its standard error of each cell (e[i], seeds[i]).
 
@@ -239,30 +239,29 @@ def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
     """Exact + Monte-Carlo signals for every (mode, step, e) cell, in mode_stacks order.
 
     Each mode's steps go through its plan as one stack, walked once in
-    _cell_batches: each step's finals of a batch are turned into exact
-    signals at once.  Each step's whole grid is then drawn by one _mc_signal call.
+    _cell_batches: one signal_intensity call gives a batch's exact signals.
+    Each step's whole grid is then drawn by one _mc_signal call.
     """
     rows: list[SignalResult] = []
     for mode_idx, plan, steps, preps, (_, masks), references in mode_stacks(cfg):
         keys = _step_keys(cfg, mode_idx, len(steps))
         exact = np.empty((len(steps), len(cfg.e_grid)))
         for start, e, finals in _cell_batches(cfg.e_grid, plan, preps):
-            for step_idx, (stack, reference) in enumerate(zip(finals, references)):
-                exact[step_idx, start : start + len(e)] = readout.signal_intensity(stack, reference)
+            exact[:, start : start + len(e)] = readout.signal_intensity(finals, references[:, None])
         for step, mask, signals, step_keys in zip(steps, masks, exact.tolist(), keys):
             step_mc = _mc_signal(mask, cfg.e_grid, cfg.shots, step_keys)
             n = int(mask.sum())
-            for e_i, signal, (mean, stderr) in zip(cfg.e_grid, signals, step_mc):
-                theory = readout.theory_curve(n, e_i)
-                row = (e_i, step.label, plan.mode, cfg.algorithm, signal, mean, stderr, theory, n)
-                rows.append(SignalResult(*row))
+            rows += [SignalResult(e_i, step.label, plan.mode, cfg.algorithm, signal, mean, stderr,
+                                  readout.theory_curve(n, e_i), n)
+                     for e_i, signal, (mean, stderr) in zip(cfg.e_grid, signals, step_mc)]
     return rows
 
 
 def results_to_csv(rows: list[SignalResult]) -> str:
-    # str of a float is its repr; vars() avoids the deep copy of dataclasses.astuple
+    # each field's str in CSV_HEADER order: a Python float's str is its repr, which !r writes fastest
     lines = [CSV_HEADER]
-    lines.extend(",".join(map(str, vars(r).values())) for r in rows)
+    lines.extend(f"{r.e!r},{r.step},{r.mode},{r.algorithm},{r.signal_exact!r},{r.signal_mc!r},"
+                 f"{r.mc_stderr!r},{r.theory!r},{r.n}" for r in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -323,6 +322,14 @@ def _eigenstructure_residual(e_grid: tuple[float, ...]) -> float:
     return worst
 
 
+@functools.lru_cache(maxsize=4)
+def _log_factorials(shots: int) -> np.ndarray:
+    """log k! for k = 0 .. shots, read-only: the cells of a pass share their shots."""
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, shots + 1)))])
+    log_fact.flags.writeable = False
+    return log_fact
+
+
 def _acceptance_radius(shots: int, p: float) -> float:
     """Largest |k - shots p| of the counts k that the exact two-sided test of
     k ~ Binomial(shots, p) accepts at _ALPHA: the nearest ones, whose tail (the
@@ -330,7 +337,7 @@ def _acceptance_radius(shots: int, p: float) -> float:
     if not 0.0 < p < 1.0:  # one certain count
         return 0.0
     k = np.arange(shots + 1)
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
+    log_fact = _log_factorials(shots)
     log_pmf = log_fact[-1] - log_fact - log_fact[::-1] + k * math.log(p) + k[::-1] * math.log1p(-p)
     distance = np.abs(k - shots * p)
     order = np.argsort(distance, kind="stable")
@@ -397,8 +404,9 @@ def _grid_pass(cfg: SweepConfig, walk: list) -> tuple[float, float, float, float
                 sign = parity.ravel().astype(np.intp)  # 1: negated
                 frame_dense = max(frame_dense, apart[index, sign].max() / norms[step_idx])
         initial = np.concatenate([[sum(preps, identity), identity], preps])
-        for start, e, (direct, total, *parts) in _cell_batches(cfg.e_grid, plan, initial):
-            signals = [readout.signal_intensity(p, r).tolist() for p, r in zip(parts, references)]
+        for start, e, finals in _cell_batches(cfg.e_grid, plan, initial):
+            direct, total, parts = finals[0], finals[1], finals[2:]
+            signals = readout.signal_intensity(parts, references[:, None]).tolist()
             if swept:
                 for part in parts:
                     total = total + part

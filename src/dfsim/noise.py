@@ -189,7 +189,8 @@ def draw_flips(
     are compared with that integer, with no conversion to float.
 
     One Philox generator is re-keyed for each cell by setting its state (the
-    cell's seed as key, the counter at the block of word first*2*points).
+    cell's seed as key, the counter at the block of word first*2*points); a
+    cell at e = 0, whose threshold is 0, flips nothing and draws no word.
     Shots are drawn _UNIFORM_SHOTS at a time, each slice as if it were its
     own ``first``, and one cell's words of one slice are held at a time;
     only the returned flips grow with the shots and the cells.
@@ -217,6 +218,9 @@ def draw_flips(
         offset = (first + start) * 2 * points
         state["state"]["counter"] = [offset // _PHILOX_BLOCK, 0, 0, 0]
         for key, threshold, out in zip(keys, thresholds, cells[:, start : start + _UNIFORM_SHOTS]):
+            if not threshold:  # e = 0: no word lies below 0, so none is drawn
+                out.fill(False)
+                continue
             state["state"]["key"] = key
             bit_generator.state = state
             if offset % _PHILOX_BLOCK:  # words of earlier shots in the block

@@ -73,18 +73,19 @@ def signal_intensity(final: np.ndarray, reference: np.ndarray) -> float | np.nda
 
     Returns Re Tr(reference^dagger final) / Tr(reference^dagger reference);
     equals 1 when final == reference and -1 when the output is phase inverted.
-    ``final`` is one matrix, which gives a float, or a stack of matrices of
-    the reference's shape, which gives an array of the stack's shape.  Each
+    The last two axes are the matrix and the leading axes broadcast: one final
+    gives a float, and finals (k, cells, 16, 16) against references[:, None]
+    give (k, cells) signals, each against its row's nonzero reference.  Each
     sum of real products (ufuncs, no fused multiply-add) is reduced pairwise,
     in a fixed order, over C-contiguous entries: the same bits alone or in a
     stack of any memory layout, on any BLAS kernel.
     """
-    ref = np.asarray(reference).ravel()
-    norm = np.add.reduce(ref.real * ref.real + ref.imag * ref.imag)
-    if norm <= DEFAULT_TOL:
+    ref = np.reshape(reference, np.shape(reference)[:-2] + (-1,))
+    norm = np.add.reduce(ref.real * ref.real + ref.imag * ref.imag, axis=-1)
+    if np.any(norm <= DEFAULT_TOL):
         raise ValueError("signal reference must be nonzero")
     final = np.ascontiguousarray(final)  # np.add.reduce is pairwise only along contiguous axes
-    stack = final.reshape(final.shape[: final.ndim - np.ndim(reference)] + ref.shape)
+    stack = final.reshape(final.shape[:-2] + ref.shape[-1:])
     signals = np.add.reduce(ref.real * stack.real + ref.imag * stack.imag, axis=-1) / norm
     return float(signals) if signals.ndim == 0 else signals
 

@@ -164,7 +164,13 @@ def test_csv_schema():
 
 
 def test_json_mirror_matches_csv_rows():
-    rows = run_sweep(SMALL)
+    # the last row holds a distinct value in every field, so a field that the
+    # CSV row's f-string misses, repeats or reorders fails here
+    distinct = {"float": lambda i: 1 / (i + 3), "str": lambda i: f"s{i}", "int": lambda i: 100 + i}
+    values = [distinct[f.type](i) for i, f in enumerate(fields(SignalResult))]
+    assert len(set(map(str, values))) == len(values)
+    rows = run_sweep(SMALL) + [SignalResult(*values)]
+    assert results_to_csv(rows).endswith("\n" + ",".join(map(str, values)) + "\n")
     payload = json.loads(results_to_json(rows))
     assert len(payload) == len(rows)
     names = [f.name for f in fields(SignalResult)]
@@ -370,12 +376,22 @@ def oracle():
 @pytest.mark.parametrize("shots", [1, 2, 3, 64, 2048])
 def test_acceptance_radius_is_the_exact_binomial_test(shots, p, oracle):
     # the benchmark oracle's two-sided binomial tail is the independent
-    # reference: a count lies within the radius exactly when its tail is >= alpha
+    # reference: a count lies within the radius exactly when its tail is >= alpha.
+    # The shot count alternates with another, so radii from freshly computed
+    # log-factorials (misses) and from cached ones (hits) are both checked
     assert harness._ALPHA == oracle.ALPHA
-    radius = harness._acceptance_radius(shots, p)
-    for k in range(shots + 1):
-        tail = oracle.binomial_two_sided(k, shots, p)
-        assert (abs(k - shots * p) <= radius) == (tail >= oracle.ALPHA), (k, tail)
+    harness._log_factorials.cache_clear()
+    lookups = []
+    for count in (shots, 1 if shots > 1 else 2) * 2:
+        before = harness._log_factorials.cache_info()
+        radius = harness._acceptance_radius(count, p)
+        after = harness._log_factorials.cache_info()
+        lookups.append((after.misses - before.misses, after.hits - before.hits))
+        for k in range(count + 1):
+            tail = oracle.binomial_two_sided(k, count, p)
+            assert (abs(k - count * p) <= radius) == (tail >= oracle.ALPHA), (count, k, tail)
+    # p = 0 has one certain count and reads no log-factorial
+    assert lookups == ([(0, 0)] * 4 if p == 0.0 else [(1, 0), (1, 0), (0, 1), (0, 1)])
 
 
 def _count_calls(monkeypatch) -> dict[str, int]:
@@ -1009,7 +1025,7 @@ def test_verify_draws_each_step_once_whatever_the_e_block(modes, monkeypatch):
         assert all(c.passed for c in harness.verify(cfg))
         schedules.append(list(drawn))
     assert schedules == [[(9, 2048, 0)] * 6] * 2
-    keys = [step for mode_idx in range(2) for step in harness._step_keys(cfg, mode_idx, 3)]
+    keys = [tuple(step) for mode_idx in range(2) for step in harness._step_keys(cfg, mode_idx, 3)]
     assert keyed == keys * 2
     keyed.clear()
     run_sweep(cfg)

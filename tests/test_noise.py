@@ -331,17 +331,33 @@ def _fresh_philox_draw(e, seed, shots, points, first):
 
 
 @pytest.mark.parametrize("points", [7, 9])
-def test_draw_flips_equals_a_fresh_philox_per_cell(points):
+def test_draw_flips_equals_a_fresh_philox_per_cell(points, monkeypatch):
     # 2*points*first is not a multiple of 4 for odd first, so the re-keyed
-    # state must skip words inside the counter's first block
-    e = (0.0, 0.1, 0.25, 0.5)
-    seeds = (0, 17, 2**63 + 5, 2**64 - 1)
-    for first in range(10):
-        reference = [_fresh_philox_draw(x, s, 5, points, first) for x, s in zip(e, seeds)]
+    # state must skip words inside the counter's first block.  No word lies
+    # below the threshold 0 of an e = 0 cell, so those cells draw none
+    e = (0.0, 0.1, 0.0, 0.25, 0.0, 0.5, 0.0)
+    seeds = (0, 17, 3, 2**63 + 5, 2**40, 2**64 - 1, 2**64 - 2)
+    references = [
+        [_fresh_philox_draw(x, s, 5, points, first) for x, s in zip(e, seeds)] for first in range(10)
+    ]
+    drawn = []
+
+    class KeySpy(np.random.Philox):
+        def random_raw(self, size=None, output=True):
+            low, high = self.state["state"]["key"].tolist()
+            drawn.append(low | high << 64)
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(np.random, "Philox", KeySpy)
+    for first, reference in enumerate(references):
+        drawn.clear()
         batch = draw_flips(e, np.array(seeds, dtype=np.uint64), 5, points, first=first)
         np.testing.assert_array_equal(batch, np.array(reference))
+        assert set(drawn) == {s for x, s in zip(e, seeds) if x > 0}
         for x, s, ref in zip(e, seeds, reference):
+            drawn.clear()
             np.testing.assert_array_equal(draw_flips(x, s, 5, points, first=first), ref)
+            assert set(drawn) == ({s} if x > 0 else set())
 
 
 def test_draw_flips_is_exact_at_the_uniforms_own_values():

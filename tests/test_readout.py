@@ -107,6 +107,18 @@ def test_signal_intensity_of_a_stack_equals_each_final_alone():
     signals = signal_intensity(finals[1], references[1])
     assert signal_intensity(strided[1], references[1]).tobytes() == signals.tobytes()
     assert signals.tolist() == [signal_intensity(final, references[1]) for final in finals[1]]
+    # a stack of references broadcasts against the finals' leading axes: each
+    # step's row against its own reference, of any finals layout, bit for bit
+    stacked = signal_intensity(finals, references[:, None])
+    assert stacked.shape == (3, 21)
+    for row, step_finals, reference in zip(stacked, finals, references):
+        assert row.tobytes() == signal_intensity(step_finals, reference).tobytes()
+    assert signal_intensity(strided, references[:, None]).tobytes() == stacked.tobytes()
+    for zeroed in range(3):
+        refs = references.copy()
+        refs[zeroed] = 0.0
+        with pytest.raises(ValueError, match="signal reference must be nonzero"):
+            signal_intensity(finals, refs[:, None])
     # a 4x4 reference takes a stack of 4x4 finals
     prep = protected_steps()[0].deviation
     finals = noise.run_plan_exact(circuits.assemble("protected"), [0.0, 0.3], prep)
