@@ -131,9 +131,10 @@ def encode(psi: np.ndarray, weights: tuple[float, float, float, float] | None = 
 
 
 def decode(rho: np.ndarray) -> np.ndarray:
-    """Weight-summed 4x4 logical matrix sum_i V_i^dagger rho V_i (trace preserved)."""
+    """Weight-summed 4x4 logical matrix sum_i V_i^dagger rho V_i (trace preserved);
+    a stack (..., 16, 16) gives (..., 4, 4), each matrix's own decode to the bit."""
     rho = np.asarray(rho, dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
+    out = np.zeros(rho.shape[:-2] + (4, 4), dtype=complex)
     for basis in all_isometries():
         out += basis.conj().T @ rho @ basis
     return out

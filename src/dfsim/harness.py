@@ -56,7 +56,7 @@ class SweepConfig:
     e_grid: tuple[float, ...] = DEFAULT_E_GRID
     shots: int = noise.DEFAULT_SHOTS
     seed: int = 0
-    modes: tuple[str, ...] = ("protected", "unprotected")
+    modes: tuple[str, ...] = circuits.MODES
     algorithm: str = "grover"
     placement: tuple[int, ...] | None = None
     output: str | None = None
@@ -273,9 +273,9 @@ def results_to_json(rows: list[SignalResult]) -> str:
 # invariant verifier
 
 
-def _immunity_residual(seed: int) -> float:
-    """Worst change the engineered channel makes, over IMMUNITY_E_GRID, to 50
-    random logical states, each stored by dfs.encode.
+def _immunity_residual(seed: int) -> list[float]:
+    """The change the engineered channel makes, at each e of IMMUNITY_E_GRID, to
+    each of 50 random logical states stored by dfs.encode: 550 norms.
 
     The states go through noise.apply_channel as one (50, 16, 16) stack; each
     state's output equals its own apply_channel to the bit.
@@ -286,26 +286,27 @@ def _immunity_residual(seed: int) -> float:
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         rhos.append(dfs.encode(psi / np.linalg.norm(psi)))
     rhos = np.stack(rhos)
-    worst = 0.0
+    norms = []
     for e in IMMUNITY_E_GRID:
         out = noise.apply_channel(rhos, noise.engineered_model(e))
-        worst = max(worst, *map(qcore.frobenius_norm, out - rhos))
-    return worst
+        norms += map(qcore.frobenius_norm, out - rhos)
+    return norms
 
 
-def _pauli_product_residual(seed: int) -> float:
+def _pauli_product_residual(seed: int) -> list[float]:
+    """Each of 200 random pairs' product error, and 1.0 per wrong anticommutation."""
     rng = np.random.default_rng(seed)
     basis = qcore.pauli_basis_strings()
     phases = (1 + 0j, -1 + 0j, 1j, -1j)
-    worst = 0.0
+    errors = []
     for _ in range(200):
         p = qcore.PauliString(basis[rng.integers(256)].letters, phases[rng.integers(4)])
         q = qcore.PauliString(basis[rng.integers(256)].letters, phases[rng.integers(4)])
         pq, qp = p.matrix() @ q.matrix(), q.matrix() @ p.matrix()
-        worst = max(worst, float(np.abs(qcore.multiply(p, q).matrix() - pq).max()))
+        errors.append(float(np.abs(qcore.multiply(p, q).matrix() - pq).max()))
         if qcore.anticommutes(p, q) != bool(np.abs(pq + qp).max() < 1e-12):
-            worst = max(worst, 1.0)
-    return worst
+            errors.append(1.0)
+    return errors
 
 
 def _pauli_orthogonality_residual() -> float:
@@ -314,12 +315,13 @@ def _pauli_orthogonality_residual() -> float:
     return qcore.frobenius_norm(gram - qcore.DIM * np.eye(256))
 
 
-def _eigenstructure_residual(e_grid: tuple[float, ...]) -> float:
-    worst = 0.0
+def _eigenstructure_residual(e_grid: tuple[float, ...]) -> list[float]:
+    """Each e's verify_error_model max_residual and its four |weight - 1|."""
+    values = []
     for e in e_grid:
         audit = noise.verify_error_model(noise.engineered_model(e))
-        worst = max(worst, audit.max_residual, float(np.abs(audit.weights - 1.0).max()))
-    return worst
+        values += [audit.max_residual, *np.abs(audit.weights - 1.0).tolist()]
+    return values
 
 
 @functools.lru_cache(maxsize=4)
@@ -346,50 +348,49 @@ def _acceptance_radius(shots: int, p: float) -> float:
     return float(near[tails[np.searchsorted(near, near - 1e-9)] >= _ALPHA].max())
 
 
-def _grid_pass(cfg: SweepConfig, walk: list) -> tuple[float, float, float, float, int, float, str]:
-    """protected-correctness's, temporal-averaging's, damage-count-consistency's,
-    frame-dense-shots's and damage-count-values's residuals, and mc-convergence's
-    worst margin and its cell.
+def _grid_pass(cfg: SweepConfig, walk: list) -> tuple:
+    """The values that protected-correctness, temporal-averaging,
+    damage-count-consistency, frame-dense-shots and damage-count-values judge,
+    then mc-convergence's (modes, steps, grid) margins and its worst cell.
 
     ``walk`` is mode_stacks over cfg.modes and then the other mode, so each
     swept mode (one of cfg.modes) has the index, and so the cell keys, that
     run_sweep gives it.  Each step of a swept mode is drawn once through
     _step_draws, whose blocks give the mode's (steps, grid) negated counts k
-    and frame-dense-shots: the worst ||rho_shot - s rho_ref|| / ||rho_ref|| of
-    the dense oracle's shots from the step's preparation, with s = +-1 the
-    shot's frame sign and rho_ref the step's noiseless final.  Then the stack
-    [summed preparation (identity/16 plus every step's deviation),
-    identity/16, step 0 .. 2] goes once through _cell_batches, and each batch feeds:
-    - temporal-averaging (swept): the summed final against the sum of the rest;
+    and frame-dense-shots' values, each block's worst ||rho_shot - s rho_ref|| /
+    ||rho_ref|| of the dense oracle's shots from the step's preparation, with
+    s = +-1 the shot's frame sign and rho_ref the step's noiseless final.  Then
+    the stack [summed preparation (identity/16 plus every step's deviation),
+    identity/16, step 0 .. 2] goes once through _cell_batches; each batch feeds:
+    - temporal-averaging (swept): each cell's ||summed final - sum of the rest||;
     - protected-correctness (protected, swept or not): each step's decoded
-      final against its decoded noiseless one, and the decoded summed final
-      against the logical circuit's output from |00>;
+      final's |signal - 1| against its decoded noiseless one, and the decoded
+      summed final's |fidelity - 1| with the logical circuit's output from
+      |00>, the batch decoded as one stack;
     - damage-count-consistency (unprotected, swept or not): each step's
       |exact signal - (1-2e)^n|;
-    - mc-convergence's (steps, grid) margins (swept).  A cell's dense mean is
+    - mc-convergence's margins (swept).  A cell's dense mean is
       (1 - 2k/shots) rho_ref, and its margin that mean's distance from the
       exact final, less 2 ||rho_ref|| / shots times the _acceptance_radius at
       P = (1 - exact signal)/2, less NUMERICAL_FLOOR: an exact test of k at
       any shot count, which a part of the exact final orthogonal to rho_ref
       fails too.
-    damage-count-values is each step's |n - EXPECTED_DAMAGE|, which holds for
-    the default Grover placement only.  The first five are maxima.
-    mc-convergence's cell is the first worst in (cfg.modes order, step, e) order.
+    damage-count-values' values are each step's |n - EXPECTED_DAMAGE|, which
+    holds for the default Grover placement only.  mc-convergence's cell is
+    the first worst in (cfg.modes order, step, e) order.
     """
     identity = np.eye(qcore.DIM, dtype=complex) / qcore.DIM
-    correctness = averaging = consistency = frame_dense = 0.0
-    damage = 0
-    margins, labels = [], []  # per mode of cfg.modes, in its order
+    correctness, averaging, consistency, frame_dense, damage, margins = [], [], [], [], [], []
     for mode_idx, plan, steps, preps, (_, masks), references in walk:
         mode, swept = plan.mode, mode_idx < len(cfg.modes)
-        for step, mask in zip(steps, masks):
-            damage = max(damage, abs(int(mask.sum()) - EXPECTED_DAMAGE[mode][step.label]))
+        damage += [abs(int(mask.sum()) - EXPECTED_DAMAGE[mode][step.label])
+                   for step, mask in zip(steps, masks)]
         if mode == "protected":
             logical = np.eye(4, dtype=complex)
             for gate in plan.gates:
                 logical = gate.logical @ logical
             target = logical[:, 0]
-            refs = [dfs.decode(reference) for reference in references]
+            refs = dfs.decode(references)
         norms = [qcore.frobenius_norm(reference) for reference in references]
         negated = np.zeros((len(steps), len(cfg.e_grid)), dtype=np.int64)
         margin = np.empty(negated.shape)
@@ -402,7 +403,7 @@ def _grid_pass(cfg: SweepConfig, walk: list) -> tuple[float, float, float, float
                 states, index = noise.monte_carlo_states(plan, flips, preps[step_idx])
                 apart = np.linalg.norm(states[:, None] - [reference, -reference], axis=(2, 3))
                 sign = parity.ravel().astype(np.intp)  # 1: negated
-                frame_dense = max(frame_dense, apart[index, sign].max() / norms[step_idx])
+                frame_dense.append(apart[index, sign].max() / norms[step_idx])
         initial = np.concatenate([[sum(preps, identity), identity], preps])
         for start, e, finals in _cell_batches(cfg.e_grid, plan, initial):
             direct, total, parts = finals[0], finals[1], finals[2:]
@@ -410,20 +411,15 @@ def _grid_pass(cfg: SweepConfig, walk: list) -> tuple[float, float, float, float
             if swept:
                 for part in parts:
                     total = total + part
-                averaging = max(averaging, *map(qcore.frobenius_norm, direct - total))
+                averaging += map(qcore.frobenius_norm, direct - total)
             if mode == "protected":
-                for part, ref in zip(parts, refs):
-                    for final in part:
-                        signal = readout.signal_intensity(dfs.decode(final), ref)
-                        correctness = max(correctness, abs(signal - 1.0))
-                for final in direct:
-                    fidelity = float(np.real(target.conj() @ dfs.decode(final) @ target))
-                    correctness = max(correctness, abs(fidelity - 1.0))
+                decoded = dfs.decode(finals)
+                fidelity = np.real(target.conj() @ decoded[0] @ target)
+                logical_signals = readout.signal_intensity(decoded[2:], refs[:, None])
+                correctness += np.abs(np.append(logical_signals, fidelity) - 1.0).tolist()
             if mode == "unprotected":
-                for mask, step_signals in zip(masks, signals):
-                    for e_i, signal in zip(e, step_signals):
-                        theory = readout.theory_curve(int(mask.sum()), e_i)
-                        consistency = max(consistency, abs(signal - theory))
+                theory = [[readout.theory_curve(int(m.sum()), e_i) for e_i in e] for m in masks]
+                consistency += np.abs(np.subtract(signals, theory)).ravel().tolist()
             for step_idx, part in enumerate(parts if swept else ()):
                 reference, norm = references[step_idx], norms[step_idx]
                 counts = negated[step_idx, start : start + len(e)].tolist()
@@ -434,17 +430,17 @@ def _grid_pass(cfg: SweepConfig, walk: list) -> tuple[float, float, float, float
                     margin[step_idx, start + i] = distance - radius - NUMERICAL_FLOOR
         if swept:
             margins.append(margin)
-            labels.append([step.label for step in steps])
     margins = np.stack(margins)
     mode_idx, step_idx, e_idx = np.unravel_index(np.argmax(margins), margins.shape)
-    label = labels[mode_idx][step_idx]
+    label = walk[mode_idx][2][step_idx].label  # the swept modes lead walk
     cell = f"mode={cfg.modes[mode_idx]} step={label} e={cfg.e_grid[e_idx]:g}"
-    return correctness, averaging, consistency, frame_dense, damage, float(margins.max()), cell
+    return correctness, averaging, consistency, frame_dense, damage, margins, cell
 
 
 def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     """Run the machine-checkable invariant suite; every check reports its residual.
 
+    A check's residual is the largest value it judges: a NaN among them FAILs it.
     One _grid_pass walks both modes, whatever cfg.modes holds; their
     mode_stacks are built first, outside the checks (a bad placement exits 2).
     """
@@ -453,11 +449,11 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     walk = list(mode_stacks(replace(cfg, modes=modes)))
     checks: list[VerifyCheck] = []
 
-    def add(name: str, residual: float, tolerance: float, detail: str = "") -> None:
-        passed = bool(residual <= tolerance)
-        checks.append(VerifyCheck(name, passed, float(residual), float(tolerance), detail))
+    def add(name: str, values, tolerance: float, detail: str = "") -> None:
+        residual = float(np.max(values))  # np.max keeps a NaN, where max may drop it
+        checks.append(VerifyCheck(name, residual <= tolerance, residual, float(tolerance), detail))
 
-    def attempt(compute, *args, failed=math.inf):
+    def attempt(compute, *args, failed=(math.inf,)):
         """compute(*args), or ``failed`` if it raises ValueError (a channel that is
         not trace preserving, say): its checks FAIL, and the others still run."""
         try:
@@ -474,11 +470,11 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
         qcore.DEFAULT_TOL,
         "50 random logical states, e = 0 .. 0.5 step 0.05",
     )
-    completeness = (noise.engineered_model(e).completeness_defect for e in cfg.e_grid)
-    add("channel-completeness", attempt(max, completeness), qcore.DEFAULT_TOL)
+    completeness = [noise.engineered_model(e).completeness_defect for e in cfg.e_grid]
+    add("channel-completeness", completeness, qcore.DEFAULT_TOL)
     add("eigenstructure-audit", attempt(_eigenstructure_residual, cfg.e_grid), qcore.DEFAULT_TOL)
-    grid = attempt(_grid_pass, cfg, walk, failed=(math.inf,) * 6 + ("unknown",))
-    correctness, averaging, consistency, frame_dense, damage, mc_margin, mc_cell = grid
+    grid = attempt(_grid_pass, cfg, walk, failed=((math.inf,),) * 6 + ("unknown",))
+    correctness, averaging, consistency, frame_dense, damage, mc_margins, mc_cell = grid
     add("protected-correctness", correctness, 1e-10)
     add("temporal-averaging", averaging, qcore.DEFAULT_TOL)
     add("damage-count-consistency", consistency, 1e-10)
@@ -487,7 +483,7 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     add("frame-dense-shots", frame_dense, qcore.DEFAULT_TOL)
     add(
         "mc-convergence",
-        mc_margin,
+        mc_margins,
         0.0,
         f"worst cell {mc_cell}; bound exact binomial at erfc(5/sqrt(2)) + {NUMERICAL_FLOOR:g}"
         f" at {cfg.shots} shots",

@@ -111,7 +111,7 @@ def engineered_model(e: float) -> ErrorModelSpec:
 def apply_channel(rho: np.ndarray, channel: ErrorModelSpec) -> np.ndarray:
     """rho -> sum_d E_d rho E_d^dagger; rejects incomplete channels."""
     defect = channel.completeness_defect
-    if defect > DEFAULT_TOL:
+    if not defect <= DEFAULT_TOL:  # NaN too
         raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros_like(rho)
@@ -126,8 +126,8 @@ class EigenvalueAudit:
 
     ``eigenvalues[d, i-1]`` is the scalar by which operator d multiplies every
     state of subspace i; ``weights[i-1]`` is sum_d |eigenvalue|^2, the factor
-    multiplying that subspace's mixture weight.  ``max_residual`` bounds the
-    deviation from exact scalar action.
+    multiplying that subspace's mixture weight.  ``max_residual`` is the largest
+    deviation from exact scalar action (NaN if any deviation is).
     """
 
     eigenvalues: np.ndarray
@@ -143,22 +143,21 @@ def verify_error_model(spec: ErrorModelSpec) -> EigenvalueAudit:
     action against that prediction.  Requires a complete model.
     """
     defect = spec.completeness_defect
-    if defect > DEFAULT_TOL:
+    if not defect <= DEFAULT_TOL:  # NaN too
         raise ValueError(f"error model is not trace preserving (defect {defect:.3e})")
     a = spec.coefficients
     n_ops = a.shape[0]
     eigenvalues = np.zeros((n_ops, 4), dtype=complex)
-    residual = 0.0
+    residuals = []
     for i in (1, 2, 3, 4):
         basis = dfs.dfs_basis(i)
         s1, s2, s3 = basis.signature
         chi = np.array([1.0, s1, s2, s3])
         eigenvalues[:, i - 1] = a @ chi
-        for d, op in enumerate(spec.operators):
-            resid = frobenius_norm(op @ basis.vectors - eigenvalues[d, i - 1] * basis.vectors)
-            residual = max(residual, resid)
+        residuals += [frobenius_norm(op @ basis.vectors - scalar * basis.vectors)
+                      for op, scalar in zip(spec.operators, eigenvalues[:, i - 1])]
     weights = np.sum(np.abs(eigenvalues) ** 2, axis=0)
-    return EigenvalueAudit(eigenvalues, weights, residual)
+    return EigenvalueAudit(eigenvalues, weights, float(np.max(residuals)))
 
 
 #: Shots of one cell whose raw words draw_flips holds at a time, 144 B each
@@ -276,7 +275,7 @@ def run_plan_exact(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> n
     coeffs = _engineered_coefficients(grid)  # (4, len(grid)), real and >= 0
     # every W_k^dagger W_k is I, so sum_k E_k^dagger E_k = (sum_k c_k^2) I
     defect = np.sqrt(DIM) * float(np.abs((coeffs**2).sum(axis=0) - 1.0).max(initial=0.0))
-    if defect > DEFAULT_TOL:
+    if not defect <= DEFAULT_TOL:  # NaN too
         raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
     prep = np.asarray(initial, dtype=complex)
     if prep.ndim not in (2, 3) or prep.shape[-2:] != (DIM, DIM):

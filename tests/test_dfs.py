@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dfsim import dfs, noise, qcore
+from dfsim import circuits, dfs, noise, qcore, readout
 from dfsim.dfs import decode, dfs_basis, encode, lift_logical_unitary
 from dfsim.qcore import PauliString, pauli_matrix
 
@@ -143,6 +143,23 @@ def test_decode_inverts_encode():
         np.testing.assert_allclose(
             decode(encode(psi)), np.outer(psi, psi.conj()), atol=1e-12
         )
+
+
+def test_decode_of_a_stack_equals_each_matrix_alone():
+    # the exact finals of a protected plan's stack and random complex
+    # matrices, as one (k, cells, 16, 16) stack and as strided views of it
+    rng = np.random.default_rng(31)
+    plan = circuits.assemble("protected")
+    preps = np.stack([step.deviation for step in readout.protected_steps()])
+    finals = noise.run_plan_exact(plan, [0.0, 0.1, 0.25, 0.3, 0.5], preps)
+    noisy = rng.normal(size=finals.shape) + 1j * rng.normal(size=finals.shape)
+    for stack in (finals, noisy, finals[::-1, 1::2], noisy[:, ::-2]):
+        decoded = decode(stack)
+        assert decoded.shape == stack.shape[:-2] + (4, 4)
+        for idx in np.ndindex(stack.shape[:-2]):
+            alone = decode(stack[idx])
+            assert alone.shape == (4, 4)
+            assert decoded[idx].tobytes() == alone.tobytes()
 
 
 def test_decode_of_maximally_mixed_state():

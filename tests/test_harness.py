@@ -194,12 +194,12 @@ def test_verify_passes_on_fresh_build():
 
 def test_verify_detects_corrupted_subspace(monkeypatch):
     bases = list(dfs.all_isometries())
-    assert harness._immunity_residual(5) <= qcore.DEFAULT_TOL
+    assert max(harness._immunity_residual(5)) <= qcore.DEFAULT_TOL
     bad = bases[3].copy()
     bad[12, 0] *= -1.0  # break one sign relation in subspace 4
     bases[3] = bad
     monkeypatch.setattr(dfs, "all_isometries", lambda: tuple(bases))
-    assert harness._immunity_residual(5) > 1e-3
+    assert max(harness._immunity_residual(5)) > 1e-3
 
 
 def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
@@ -305,6 +305,61 @@ def _channel_with_its_xxxx_coefficient_scaled(monkeypatch):
     monkeypatch.setattr(noise, "_engineered_coefficients", faulty)
 
 
+def _exact_finals_with_a_nan(monkeypatch):
+    exact = noise.run_plan_exact
+
+    def faulty(plan, e, initial):
+        finals = exact(plan, e, initial)
+        finals[..., 0, 0] = np.nan
+        return finals
+
+    monkeypatch.setattr(noise, "run_plan_exact", faulty)
+
+
+def _channel_output_with_a_nan(monkeypatch):
+    channel = noise.apply_channel
+
+    def faulty(rho, spec):
+        out = channel(rho, spec)
+        out.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(noise, "apply_channel", faulty)
+
+
+def _dense_states_with_a_nan(monkeypatch):
+    evolve = noise.monte_carlo_states
+
+    def faulty(plan, flips, initial):
+        states, index = evolve(plan, flips, initial)
+        states = states.copy()
+        states.flat[0] = np.nan
+        return states, index
+
+    monkeypatch.setattr(noise, "monte_carlo_states", faulty)
+
+
+def _error_model_audit_with_nan_weights(monkeypatch):
+    audit = noise.verify_error_model
+
+    def faulty(spec):
+        found = audit(spec)
+        return replace(found, weights=np.full(4, np.nan))
+
+    monkeypatch.setattr(noise, "verify_error_model", faulty)
+
+
+def _channel_with_a_nan_xxxx_coefficient(monkeypatch):
+    coefficients = noise._engineered_coefficients
+
+    def faulty(e):
+        a = coefficients(e)
+        a[3] = np.nan
+        return a
+
+    monkeypatch.setattr(noise, "_engineered_coefficients", faulty)
+
+
 #: Every check but the three that read no channel: the Pauli algebra and the
 #: DFS basis.
 _CHANNEL_FAULT_FAILS = {
@@ -325,6 +380,15 @@ _CHANNEL_FAULT_FAILS = {
         (_pauli_product_with_phase_one, {"pauli-product-exactness"}),
         (_channel_with_its_first_operator_only, {"dfs-immunity"}),
         (_channel_with_its_xxxx_coefficient_scaled, _CHANNEL_FAULT_FAILS),
+        (
+            _exact_finals_with_a_nan,
+            {"protected-correctness", "temporal-averaging", "damage-count-consistency",
+             "mc-convergence"},
+        ),
+        (_channel_output_with_a_nan, {"dfs-immunity"}),
+        (_dense_states_with_a_nan, {"frame-dense-shots"}),
+        (_error_model_audit_with_nan_weights, {"eigenstructure-audit"}),
+        (_channel_with_a_nan_xxxx_coefficient, _CHANNEL_FAULT_FAILS),
     ],
     ids=[
         "exact-channel-fails-damage-count-consistency-only",
@@ -332,6 +396,11 @@ _CHANNEL_FAULT_FAILS = {
         "pauli-product-fails-pauli-product-exactness-only",
         "apply-channel-fails-dfs-immunity-only",
         "channel-not-trace-preserving-fails-every-check-that-reads-a-channel",
+        "nan-exact-finals-fail-every-check-that-reads-them",
+        "nan-channel-output-fails-dfs-immunity-only",
+        "nan-dense-states-fail-frame-dense-shots-only",
+        "nan-error-model-weights-fail-eigenstructure-audit-only",
+        "nan-channel-coefficient-fails-every-check-that-reads-a-channel",
     ],
 )
 def test_verify_fails_its_checks_on_a_fault(fault, failed, monkeypatch, capsys):
@@ -342,7 +411,9 @@ def test_verify_fails_its_checks_on_a_fault(fault, failed, monkeypatch, capsys):
     # a channel keeping only (1-e) IIII shrinks every encoded state for e > 0;
     # a channel whose XXXX weight falls short of trace preserving makes every
     # check that evolves through it raise, and each such check FAILs with an
-    # infinite residual (the grid checks together) while the rest still run
+    # infinite residual (the grid checks together) while the rest still run;
+    # a NaN among the values a check judges is its residual, so that check
+    # FAILs, and a NaN channel coefficient is not trace preserving either
     fault(monkeypatch)
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -480,7 +551,7 @@ def test_immunity_check_on_the_stack_equals_each_state_alone(seed):
             alone = noise.apply_channel(rho, model)
             assert out.tobytes() == alone.tobytes()
             worst = max(worst, qcore.frobenius_norm(alone - rho))
-    assert harness._immunity_residual(seed) == worst
+    assert max(harness._immunity_residual(seed)) == worst
 
 
 def test_cli_verify_passes_without_noise_points(capsys):

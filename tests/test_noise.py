@@ -100,6 +100,28 @@ def test_apply_channel_rejects_incomplete():
         apply_channel(np.eye(16, dtype=complex) / 16, bad)
 
 
+def test_every_trace_preservation_guard_rejects_a_nan_defect(monkeypatch):
+    # NaN > tol is False: each guard must raise unless the defect is <= tol
+    nan = ErrorModelSpec(coefficients=[[np.nan, 0, 0, 0]])
+    assert np.isnan(nan.completeness_defect)
+    with pytest.raises(ValueError, match="channel is not trace preserving"):
+        apply_channel(np.eye(16, dtype=complex) / 16, nan)
+    with pytest.raises(ValueError, match="error model is not trace preserving"):
+        verify_error_model(nan)
+    # a validated e cannot be NaN, so the exact path's coefficients are made so
+    coefficients = noise._engineered_coefficients
+
+    def with_nan_xxxx(e):
+        a = coefficients(e)
+        a[3] = np.nan
+        return a
+
+    monkeypatch.setattr(noise, "_engineered_coefficients", with_nan_xxxx)
+    prep = readout.protected_steps()[0].deviation
+    with pytest.raises(ValueError, match="channel is not trace preserving"):
+        run_plan_exact(circuits.assemble("protected"), [0.0, 0.25], prep)
+
+
 def test_channel_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(7)
     ch = engineered_model(0.3)
