@@ -240,8 +240,13 @@ def damage_audit(plan: ExperimentPlan, initial: np.ndarray) -> tuple[np.ndarray,
     A mix means the deviation is not a flip eigenstate and the closed form
     (1-2e)^n does not apply; that is reported as an error, not guessed around.
     """
+    return _audit(plan, ideal_boundary_deviations(plan, initial))
+
+
+def _audit(plan: ExperimentPlan, walk: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """damage_audit of its noise-free ``walk`` (ideal_boundary_deviations)."""
     points = plan.decoherence_points
-    devs = np.stack(ideal_boundary_deviations(plan, initial), axis=-3)[..., list(points), :, :]
+    devs = np.stack(walk, axis=-3)[..., list(points), :, :]
     norms = np.linalg.norm(devs, axis=(-2, -1))
     present = np.abs(_pauli_transform(devs)) > 1e-10 * norms[..., None]
     table = _flip_anticommutes()

@@ -134,21 +134,20 @@ def mode_stacks(
     of each mode of cfg, in order: the one mapping from a config to its plans,
     which run_sweep, verify and ``dfsim count-n`` all read.
 
-    The preparations (steps, 16, 16) are the steps' deviations.  They go
-    through the plan noise-free as one stack, once in circuits.damage_audit
-    for its (present, damaging) pair, and once for the noiseless finals, the
-    last boundary of circuits.ideal_boundary_deviations.  Those are the exact
-    channel's finals at e = 0 to the byte: preparation entries are +-1/16 or
-    0 and gate entries in {0, +-1/2, +-1}, so every noise-free product and
-    sum is exact in float64, in any order and on any BLAS kernel.
+    The preparations (steps, 16, 16) are the steps' deviations, walked
+    noise-free once as one stack (circuits.ideal_boundary_deviations): the
+    damage audit reads every boundary, and the noiseless finals are the last.
+    Those are the exact channel's finals at e = 0 to the byte: preparation
+    entries are +-1/16 or 0 and gate entries in {0, +-1/2, +-1}, so every
+    noise-free product and sum is exact in float64, in any order and on any
+    BLAS kernel.
     """
     for mode_idx, mode in enumerate(cfg.modes):
         plan = circuits.assemble(mode, cfg.algorithm, placement=cfg.placement)
         steps = readout.steps_for_mode(mode)
         preps = np.stack([step.deviation for step in steps])
-        audit = circuits.damage_audit(plan, preps)
-        references = circuits.ideal_boundary_deviations(plan, preps)[-1]
-        yield mode_idx, plan, steps, preps, audit, references
+        walk = circuits.ideal_boundary_deviations(plan, preps)
+        yield mode_idx, plan, steps, preps, circuits._audit(plan, walk), walk[-1]
 
 
 #: Shots drawn at a time over the cells of a _step_draws group.  Results do
@@ -156,11 +155,11 @@ def mode_stacks(
 #: at nine noise points, and a few 8 B indices per shot in the dense oracle.
 _SHOT_BLOCK = 65536
 
-#: (state, e) rows of one noise.run_plan_exact call.  Its three float64 planes
-#: take 2 KiB per row each; a 513-value fine-grid pass took 95, 82 and 79 ms at
-#: blocks of 32, 64 and 128 (medians of 30, 2-vCPU VM), and 128 raised its peak
-#: RSS by 0.7 MiB over 64.  Results do not depend on it (tested).
-_E_BLOCK = 64
+#: (state, e) rows of one noise.run_plan_exact call, 2 KiB each in each of its
+#: two float64 planes.  A fine-grid pass (513 e values, 2-vCPU VM) took 55, 51,
+#: 48 and 54 ms at 64, 96, 128 and 256 rows, at 44.1, 44.1, 44.4 and 46.3 MiB
+#: peak RSS: from 128 rows a batch outgrows the CSV output's peak (tested: no result depends on it).
+_E_BLOCK = 96
 
 
 def _cell_batches(
@@ -363,10 +362,10 @@ def _grid_pass(cfg: SweepConfig, walk: list) -> tuple:
     the stack [summed preparation (identity/16 plus every step's deviation),
     identity/16, step 0 .. 2] goes once through _cell_batches; each batch feeds:
     - temporal-averaging (swept): each cell's ||summed final - sum of the rest||;
-    - protected-correctness (protected, swept or not): each step's decoded
-      final's |signal - 1| against its decoded noiseless one, and the decoded
-      summed final's |fidelity - 1| with the logical circuit's output from
-      |00>, the batch decoded as one stack;
+    - protected-correctness (protected, swept or not): the batch decoded as
+      one stack, each step's decoded final's |signal - 1| against its decoded
+      noiseless one, and the decoded summed final's |fidelity - 1| with the
+      logical circuit's output from |00>, the signal against its projector;
     - damage-count-consistency (unprotected, swept or not): each step's
       |exact signal - (1-2e)^n|;
     - mc-convergence's margins (swept).  A cell's dense mean is
@@ -389,8 +388,8 @@ def _grid_pass(cfg: SweepConfig, walk: list) -> tuple:
             logical = np.eye(4, dtype=complex)
             for gate in plan.gates:
                 logical = gate.logical @ logical
-            target = logical[:, 0]
-            refs = dfs.decode(references)
+            target = logical[:, 0]  # |target><target|, then each step's decoded reference
+            refs = np.concatenate([[np.outer(target, target.conj())], dfs.decode(references)])
         norms = [qcore.frobenius_norm(reference) for reference in references]
         negated = np.zeros((len(steps), len(cfg.e_grid)), dtype=np.int64)
         margin = np.empty(negated.shape)
@@ -413,10 +412,9 @@ def _grid_pass(cfg: SweepConfig, walk: list) -> tuple:
                     total = total + part
                 averaging += map(qcore.frobenius_norm, direct - total)
             if mode == "protected":
-                decoded = dfs.decode(finals)
-                fidelity = np.real(target.conj() @ decoded[0] @ target)
-                logical_signals = readout.signal_intensity(decoded[2:], refs[:, None])
-                correctness += np.abs(np.append(logical_signals, fidelity) - 1.0).tolist()
+                decoded = np.delete(dfs.decode(finals), 1, axis=0)  # all but identity/16
+                logical_signals = readout.signal_intensity(decoded, refs[:, None])
+                correctness += np.abs(logical_signals - 1.0).ravel().tolist()
             if mode == "unprotected":
                 theory = [[readout.theory_curve(int(m.sum()), e_i) for e_i in e] for m in masks]
                 consistency += np.abs(np.subtract(signals, theory)).ravel().tolist()

@@ -6,12 +6,12 @@ the coefficients of its Kraus operators over those words; it is the one
 description of a channel that apply_channel and verify_error_model take.
 
 run_plan_exact evolves one initial state or a stack of them, at one e or a
-whole grid, in one float64 pass without apply_channel (every dfsim state,
-gate and channel coefficient is real).  apply_channel and the dense oracle
-stay complex, as independent references: every final equals, to the bit,
-the gate-by-gate evolution with apply_channel(rho, engineered_model(e)), and
-holds no -0 (test_grid_evolution_equals_per_e_kraus_sum_to_the_bit,
-test_grid_evolution_leaves_no_negative_zero).
+whole grid, in float64 (every dfsim state, gate and channel coefficient is
+real), at a noise point only on the entry classes that can be nonzero;
+apply_channel and the dense oracle stay complex, as independent references:
+every final equals, to the bit, the gate-by-gate walk with apply_channel(rho,
+engineered_model(e)), and holds no -0 (test_grid_evolution_leaves_no_negative_zero,
+test_grid_evolution_equals_per_e_kraus_sum_to_the_bit).
 
 The engineered decoherence is applied at chosen circuit points: XXII with
 probability e, then IIXX with the same probability.  Averaged over
@@ -38,6 +38,7 @@ test_draw_flips_over_many_cells_stacks_the_one_cell_draws).
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -234,21 +235,33 @@ def shot_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _entry_permutation(word: np.ndarray) -> np.ndarray:
-    """perm with (W rho W^dagger).ravel() == rho.ravel()[perm] for a permutation matrix W."""
-    p = np.abs(word).argmax(axis=1)  # W[i, p[i]] = 1
-    return (p[:, None] * DIM + p).ravel()
+#: Flat entries of each class x = i ^ j: _CLASS_ENTRIES[x, i] = 16 i + (i ^ x).  A word of mask
+#: m maps (i, j) to (i ^ m, j ^ m), in its class; as (4, 4) by i's base-4 digits, XXII (m = 12)
+#: reverses axis 0, IIXX (m = 3) axis 1 and XXXX both (test_word_permutations_are_reversals).
+_CLASS_ENTRIES = 16 * np.arange(DIM) + (np.arange(DIM) ^ np.arange(DIM)[:, None])
 
 
-#: Entry permutation of each error word, in dfs.ERROR_BASIS order.
-_WORD_PERMS = tuple(_entry_permutation(w) for w in dfs.ERROR_MATRICES)
-
-#: Each error word's entry permutation as reversed axes of entry-major rows
-#: seen as (4, 4, 4, 4, rows): flat entry f has base-4 digits d0 d1 d2 d3, and
-#: a reversed digit is 3 - d = d ^ 3, so XXII (f ^ 0xCC) reverses d0 and d2,
-#: IIXX (f ^ 0x33) d1 and d3, and XXXX (f ^ 0xFF) all four
-#: (test_word_permutations_are_reversals).
-_WORD_FLIPS = (..., np.s_[::-1, :, ::-1], np.s_[:, ::-1, :, ::-1], np.s_[::-1, ::-1, ::-1, ::-1])
+@functools.lru_cache(maxsize=8)
+def _schedule(points: tuple[int, ...], gates: tuple[tuple[str, bytes], ...], pattern: bytes):
+    """A plan's steps for states nonzero only on ``pattern`` (256 bools), its gates
+    given as (label, complex bytes): (u, None) at a gate, u real, and (None,
+    entries) at a noise point, entries (classes, 4, 4) of the classes the pattern
+    touches.  It becomes (u != 0) P (u != 0)^T at a gate and all of those classes
+    at a noise point; outside it, finite rows hold +-0.
+    """
+    live, steps = np.frombuffer(pattern, dtype=bool), []
+    for boundary, (label, matrix) in enumerate((*gates, ("", None))):
+        for _ in range(points.count(boundary)):
+            touched = live[_CLASS_ENTRIES].any(axis=1)
+            steps.append((None, _CLASS_ENTRIES[touched].reshape(-1, 4, 4)))
+            live = touched[np.arange(DIM)[:, None] ^ np.arange(DIM)].ravel()  # (i, j): i ^ j
+        if matrix is not None:
+            u = np.frombuffer(matrix, dtype=complex).reshape(DIM, DIM)
+            if u.imag.any() or not np.isfinite(u.real).all():
+                raise ValueError(f"plan gate {label!r} must be real and finite (rows are float64)")
+            steps.append((u.real, None))
+            live = ((u != 0) @ live.reshape(DIM, DIM) @ (u != 0).T).ravel()
+    return tuple(steps)
 
 
 def run_plan_exact(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> np.ndarray:
@@ -261,12 +274,14 @@ def run_plan_exact(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> n
     with apply_channel(rho, engineered_model(e)) at every noise point and
     u rho u^dagger at every gate.  Callers that must not hold every final at
     once pass the grid in blocks, as harness._cell_batches does.  Raises
-    ValueError if an e lies outside [0, 0.5], or ``initial`` or a gate is not real.
+    ValueError if an e lies outside [0, 0.5], or ``initial`` or a gate is not
+    real and finite.
 
     The rows are the columns, state-major, of a float64 (16, 16, rows) plane
-    beside two work planes, freed before the +0 imaginary part is added.  Each
-    c_k is a (16, rows) block; the terms (rho c_k) c_k are summed in operator
-    order, flips read through _WORD_FLIPS views.  A gate is twice u rho and a
+    beside one work plane.  A noise point sums the terms (rho c_k) c_k in
+    operator order, flips read through reversed axes, on the classes that
+    ``initial``'s nonzero pattern reaches (_schedule, before any row is
+    evolved), and leaves +0 on the rest.  A gate is twice u rho and a
     transposing copy.  OpenBLAS sums a 16 x 16 by 16 x (16 rows) product's k
     terms in order, but not always a 16 x few one's (Haswell kernels, few <= 4).
     """
@@ -280,46 +295,38 @@ def run_plan_exact(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> n
     prep = np.asarray(initial, dtype=complex)
     if prep.ndim not in (2, 3) or prep.shape[-2:] != (DIM, DIM):
         raise ValueError(f"initial must have shape ({DIM}, {DIM}) or (k, {DIM}, {DIM})")
-    if prep.imag.any():
-        raise ValueError("initial must be real (the exact channel evolves float64 rows)")
-    for gate in plan.gates:
-        if gate.physical.imag.any():
-            raise ValueError(f"plan gate {gate.label!r} must be real (exact rows are float64)")
+    if prep.imag.any() or not np.isfinite(prep.real).all():
+        raise ValueError("initial must be real and finite (the exact channel evolves float64 rows)")
     states = prep.real.reshape(-1, DIM * DIM)
+    gates = tuple((g.label, np.asarray(g.physical, dtype=complex).tobytes()) for g in plan.gates)
+    steps = _schedule(plan.decoherence_points, gates, (states != 0).any(axis=0).tobytes())
     rows = len(states) * grid.size
     rho = np.repeat(states.T, grid.size, axis=1).reshape(DIM, DIM, rows)  # (state, e) columns
-    acc, scaled = np.empty_like(rho), np.empty_like(rho)
-    flipped = scaled.reshape(4, 4, 4, 4, rows)
-    a, r, b = (np.tile(c, (DIM, len(states))) for c in coeffs[[0, 1, 3]])  # (16, rows) each
-    points = plan.decoherence_points
-    idx = 0
-    for boundary in range(len(plan.gates) + 1):
-        while idx < len(points) and points[idx] == boundary:
-            total = acc.reshape(flipped.shape)  # a view of the plane that becomes rho
-            np.multiply(np.multiply(rho, a, out=acc), a, out=acc)
-            np.multiply(np.multiply(rho, r, out=scaled), r, out=scaled)
-            total += flipped[_WORD_FLIPS[1]]  # XXII
-            total += flipped[_WORD_FLIPS[2]]  # IIXX
-            np.multiply(np.multiply(rho, b, out=scaled), b, out=scaled)
-            total += flipped[_WORD_FLIPS[3]]  # XXXX
-            acc += 0.0  # turns -0 into +0, as apply_channel's sum from +0 leaves none
-            rho, acc = acc, rho
-            idx += 1
-        if boundary < len(plan.gates):
-            u = plan.gates[boundary].physical.real
-            for _ in range(2):  # u rho u^T = (u (u rho)^T)^T
+    acc, plane = np.empty_like(rho), rho.reshape(DIM * DIM, rows)  # plane: rho's entries by row
+    scale = np.tile(coeffs[[0, 1, 3], None, None, None], len(states))  # c_0, c_1 = c_2, c_3 by row
+    for u, entries in steps:
+        if u is None:
+            terms = np.take(plane, entries, axis=0) * scale  # (3, classes, 4, 4, rows)
+            total = np.multiply(terms, scale, out=terms)[0]
+            total += terms[1][:, ::-1]  # XXII
+            total += terms[1][:, :, ::-1]  # IIXX
+            total += terms[2][:, ::-1, ::-1]  # XXXX
+            total += 0.0  # turns -0 into +0, as apply_channel's sum from +0 leaves none
+            rho.fill(0.0)
+            plane[entries] = total
+            del terms, total  # freed before the next gather and the complex result
+        else:  # u rho u^T = (u (u rho)^T)^T
+            for _ in range(2):
                 np.matmul(u, rho.reshape(DIM, -1), out=acc.reshape(DIM, -1))
                 np.copyto(rho, acc.transpose(1, 0, 2))
-    del acc, scaled, flipped, a, r, b
-    finals = rho.reshape(DIM * DIM, rows).T.astype(complex, order="C")
-    return finals.reshape(prep.shape[:-2] + e.shape + (DIM, DIM))
+    del acc
+    return plane.T.astype(complex, order="C").reshape(prep.shape[:-2] + e.shape + (DIM, DIM))
 
 
-#: Entry permutation of each flip pattern p = XXII + 2 IIXX at one noise point:
-#: identity, XXII, IIXX, and XXII then IIXX, in the order the flips are drawn.
-_FLIP_PERMS = np.stack(
-    [np.arange(DIM * DIM), _WORD_PERMS[1], _WORD_PERMS[2], _WORD_PERMS[1][_WORD_PERMS[2]]]
-)
+#: Each error word's perm, (W rho W^dagger).ravel() == rho.ravel()[perm], in dfs.ERROR_BASIS
+#: order: row p is the dense oracle's flip pattern p = XXII + 2 IIXX at one noise point.
+_FLIP_PERMS = np.stack([(p[:, None] * DIM + p).ravel()  # W[i, p[i]] = 1
+                        for p in np.abs(dfs.ERROR_MATRICES).argmax(axis=2)])
 
 
 def _distinct(rho: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

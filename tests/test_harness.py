@@ -218,20 +218,21 @@ def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
 def test_verify_fails_when_a_damage_flag_is_flipped(monkeypatch, capsys):
     # the frame then negates the shots that drew that (point, flip) pair of
     # one protected plan, and the dense oracle, which reads the same flips,
-    # does not; flag [0, 0, 0] of the protected stack is step Z1Z2's
-    audited = circuits.damage_audit
+    # does not; flag [0, 0, 0] of the protected stack is step Z1Z2's.
+    # harness.mode_stacks audits its noise-free walk through circuits._audit
+    audited = circuits._audit
     z1z2 = readout.protected_steps()[0]
 
-    def flipped(plan, initial):
-        present, damaging = audited(plan, initial)
+    def flipped(plan, walk):
+        present, damaging = audited(plan, walk)
         damaging = damaging.copy()
         if plan.mode == "protected":
             assert damaging.ndim == 3 and z1z2.label == "Z1Z2"
-            assert np.array_equal(initial[0], z1z2.deviation)
+            assert np.array_equal(walk[0][0], z1z2.deviation)
             damaging[0, 0, 0] = not damaging[0, 0, 0]
         return present, damaging
 
-    monkeypatch.setattr(circuits, "damage_audit", flipped)
+    monkeypatch.setattr(circuits, "_audit", flipped)
     assert cli.main(["verify"]) == 1
     assert "FAIL frame-dense-shots" in capsys.readouterr().out
 
@@ -266,15 +267,15 @@ def _exact_without_the_last_noise_point(monkeypatch):
 
 
 def _damage_audit_without_the_last_point(monkeypatch):
-    audited = circuits.damage_audit
+    audited = circuits._audit  # the audit of harness.mode_stacks' noise-free walk
 
-    def faulty(plan, initial):
-        present, damaging = audited(plan, initial)
+    def faulty(plan, walk):
+        present, damaging = audited(plan, walk)
         damaging = damaging.copy()
         damaging[..., -1, :] = False
         return present, damaging
 
-    monkeypatch.setattr(circuits, "damage_audit", faulty)
+    monkeypatch.setattr(circuits, "_audit", faulty)
 
 
 def _pauli_product_with_phase_one(monkeypatch):
@@ -466,11 +467,15 @@ def test_acceptance_radius_is_the_exact_binomial_test(shots, p, oracle):
 
 
 def _count_calls(monkeypatch) -> dict[str, int]:
-    """Count the calls of circuits.assemble, circuits.damage_audit and
-    noise.run_plan_exact, and the plans built (ExperimentPlan.__post_init__)."""
-    calls = {"assemble": 0, "damage_audit": 0, "run_plan_exact": 0, "ExperimentPlan": 0}
+    """Count the calls of circuits.assemble, circuits._audit (damage_audit's
+    core, which harness.mode_stacks calls), the noise-free walks
+    (circuits.ideal_boundary_deviations) and noise.run_plan_exact, and the
+    plans built (ExperimentPlan.__post_init__)."""
+    calls = {"assemble": 0, "audit": 0, "noise-free walk": 0, "run_plan_exact": 0,
+             "ExperimentPlan": 0}
     for key, owner, name in (
-        ("assemble", circuits, "assemble"), ("damage_audit", circuits, "damage_audit"),
+        ("assemble", circuits, "assemble"), ("audit", circuits, "_audit"),
+        ("noise-free walk", circuits, "ideal_boundary_deviations"),
         ("run_plan_exact", noise, "run_plan_exact"),
         ("ExperimentPlan", circuits.ExperimentPlan, "__post_init__"),
     ):
@@ -482,10 +487,11 @@ def _count_calls(monkeypatch) -> dict[str, int]:
 
 
 #: One plan, one audit and one exact walk of each mode's stack over the nine
-#: e values: per mode, one assembly (and so one plan built), one stacked
-#: damage_audit and one run_plan_exact; the references come from the
-#: noise-free walk, not from an e = 0 exact call.
-ONE_PLAN_PER_MODE = {"assemble": 2, "damage_audit": 2, "run_plan_exact": 2, "ExperimentPlan": 2}
+#: e values: per mode, one assembly (and so one plan built), one noise-free
+#: walk of the stack, which gives both its damage audit and its references
+#: (not an e = 0 exact call), and one run_plan_exact.
+ONE_PLAN_PER_MODE = {"assemble": 2, "audit": 2, "noise-free walk": 2, "run_plan_exact": 2,
+                     "ExperimentPlan": 2}
 
 
 def test_verify_builds_audits_and_evolves_each_plan_once(monkeypatch):
@@ -528,12 +534,35 @@ def test_sweep_evolves_each_mode_as_one_stack(monkeypatch):
 
 @pytest.mark.parametrize("shots", [2048, 40000])
 def test_sweep_exact_batches_do_not_depend_on_the_shots(shots, monkeypatch):
-    # 129 protected e values in batches of _E_BLOCK // 3 = 21 cells: 7
-    # batches, at any shot count
+    # 129 protected e values in batches of _E_BLOCK // 3 cells (32 at 96
+    # rows: 5 batches), at any shot count
     grid = tuple(k / 256 for k in range(129))
     calls = _count_calls(monkeypatch)
     run_sweep(SweepConfig(e_grid=grid, shots=shots, modes=("protected",)))
-    assert calls["run_plan_exact"] == 7
+    assert calls["run_plan_exact"] == -(-len(grid) // (harness._E_BLOCK // 3))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fidelity_of_a_decoded_batch_equals_each_final_alone(seed):
+    # protected-correctness reads the summed final's fidelity with
+    # readout.signal_intensity against |target><target|, so a batch of cells
+    # gives each cell's fidelity to the bit, whatever the target; a random
+    # normalized complex one here, where a (cells, 4) @ (4,) product is not
+    # always the dot of a lone final
+    cfg = SweepConfig(e_grid=tuple(k / 96 for k in range(49)), modes=("protected",))
+    [(_, plan, _, preps, _, _)] = harness.mode_stacks(cfg)
+    identity = np.eye(16, dtype=complex) / 16
+    initial = np.concatenate([[sum(preps, identity), identity], preps])
+    decoded = np.concatenate([dfs.decode(finals)[0] for _, _, finals in
+                              harness._cell_batches(cfg.e_grid, plan, initial)])
+    rng = np.random.default_rng(seed)
+    target = rng.normal(size=4) + 1j * rng.normal(size=4)
+    target /= np.linalg.norm(target)
+    projector = np.outer(target, target.conj())
+    batch = readout.signal_intensity(decoded, projector)
+    assert batch.shape == (len(cfg.e_grid),)
+    for fidelity, final in zip(batch, decoded):
+        assert fidelity.tobytes() == np.float64(readout.signal_intensity(final, projector)).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -823,8 +852,8 @@ def test_cli_rejects_options_the_command_does_not_read(argv, tmp_path, monkeypat
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 #: The run over 65 e values per mode at 2 shots.  Each mode's stack of three
-#: steps is evolved in four exact batches of 21, 21, 21 and 2 e values
-#: (harness._E_BLOCK // 3); each gate is two 16 x 16 by 16 x (16 rows)
+#: steps is evolved in exact batches of harness._E_BLOCK // 3 e values (32,
+#: 32 and 1 at 96 rows); each gate is two 16 x 16 by 16 x (16 rows)
 #: products, whose k sums must depend neither on the BLAS kernel nor on the
 #: batch's width.
 DJ_BATCHES = "run --seed 3 --algorithm deutsch-jozsa --mode both --shots 2 --e-grid " + ",".join(

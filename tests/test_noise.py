@@ -207,21 +207,24 @@ def test_word_permutations_are_reversals():
     # on a flat entry index f, XXII is f ^ 0xCC, IIXX is f ^ 0x33 =
     # (f ^ 0xCC) ^ 0xFF, the XXII gather reversed, and XXXX is f ^ 0xFF =
     # 255 - f, the reversal
-    perms = noise._WORD_PERMS
+    perms = noise._FLIP_PERMS  # IIII, XXII, IIXX and XXXX
     flat = np.arange(256)
     assert (perms[1] == flat ^ 0xCC).all()
     assert (perms[2] == perms[1][::-1]).all()
     assert (perms[3] == flat[::-1]).all()
-    # run_plan_exact reads each word's term of entry-major rows, one column
-    # per (state, e) row, through a view; each equals the gather the dense
-    # oracle's _FLIP_PERMS still takes
+    assert (perms[0] == flat).all() and (perms[3] == perms[1][perms[2]]).all()
+    # run_plan_exact gathers each class x = i ^ j of entry-major rows as
+    # (classes, 4, 4, rows) and reads each word's term through reversed
+    # axes; each equals the gather the dense oracle's _FLIP_PERMS still takes
+    entries = noise._CLASS_ENTRIES.ravel()
+    assert sorted(entries) == list(flat)
+    assert ((entries >> 4) ^ (entries & 15) == np.repeat(np.arange(16), 16)).all()
+    flips = (np.s_[:, :, :], np.s_[:, ::-1], np.s_[:, :, ::-1], np.s_[:, ::-1, ::-1])
     for rows in (1, 3, 5):
         columns = np.random.default_rng(rows).normal(size=(256, rows))
-        digits = columns.reshape(4, 4, 4, 4, rows)
-        for perm, flip in zip(perms, noise._WORD_FLIPS):
-            view = digits[flip]
-            assert view.base is columns
-            assert view.reshape(256, rows).tobytes() == columns[perm].tobytes()
+        kept = columns[entries].reshape(16, 4, 4, rows)
+        for perm, flip in zip(perms, flips):
+            assert kept[flip].reshape(256, rows).tobytes() == columns[perm[entries]].tobytes()
 
 
 #: Noise placements of which all but () put a gate after the last noise point.
@@ -260,10 +263,66 @@ def test_grid_evolution_rejects_non_real_input():
     assert finals.tobytes() == run_plan_exact(plan, 0.25, step.deviation).tobytes()
 
 
+def _rotated_plan(mode):
+    """The mode's Grover plan with a real rotation by 0.3 on spin 1 after its
+    second gate: a gate that is not Clifford, so no class stays zero by a Pauli
+    argument, and whose products and sums round."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    rotation = np.kron([[c, -s], [s, c]], np.eye(2))
+    gate = circuits.Gate("rotate", rotation, circuits.embed_on_spins_1_4(rotation))
+    gates = circuits.assemble(mode, "grover").gates
+    gates = gates[:2] + (gate,) + gates[2:]
+    return circuits.ExperimentPlan(mode, gates, circuits.default_placement(len(gates)))
+
+
+@pytest.mark.parametrize("mode", circuits.MODES)
+def test_grid_evolution_of_dense_states_equals_per_e_kraus_sum_to_the_bit(mode):
+    # every entry of a random real stack is nonzero, so all 16 classes are
+    # live at the first noise point; the zeros' signs are compared too
+    dense = np.random.default_rng(7).normal(size=(3, 16, 16))
+    assert (dense != 0).all()
+    for plan in (circuits.assemble(mode, "grover"), _rotated_plan(mode)):
+        finals = run_plan_exact(plan, MIXED_E_GRID, dense)
+        for state, row in zip(dense, finals):
+            for e, final in zip(MIXED_E_GRID, row):
+                assert final.tobytes() == _per_e_exact(plan, e, state).tobytes()
+
+
+@pytest.mark.parametrize("mode", circuits.MODES)
+def test_grid_evolution_through_a_non_clifford_gate_equals_per_e_kraus_sum_to_the_bit(mode):
+    # the classes a noise point keeps come from the gates' nonzero patterns,
+    # not from the gates being Clifford
+    plan = _rotated_plan(mode)
+    steps = readout.steps_for_mode(mode)
+    stack = np.stack([step.deviation for step in steps])
+    finals = run_plan_exact(plan, MIXED_E_GRID, stack)
+    for state, row in zip(stack, finals):
+        for e, final in zip(MIXED_E_GRID, row):
+            assert final.tobytes() == _per_e_exact(plan, e, state).tobytes()
+
+
+def test_grid_evolution_rejects_non_finite_input():
+    # NaN * 0 is NaN, so a non-finite entry could reach entries that the
+    # nonzero pattern holds at +-0
+    plan = circuits.assemble("unprotected")
+    step = readout.unprotected_steps()[0]
+    for bad in (np.nan, np.inf, -np.inf):
+        initial = np.array(step.deviation)
+        initial[3, 5] = bad
+        with pytest.raises(ValueError, match="initial must be real and finite"):
+            run_plan_exact(plan, 0.25, initial)
+    physical = np.array(plan.gates[0].physical)
+    physical[0, 0] = np.nan
+    gate = circuits.Gate("nan", plan.gates[0].logical, physical)
+    with pytest.raises(ValueError, match="plan gate 'nan' must be real and finite"):
+        run_plan_exact(circuits.ExperimentPlan("unprotected", (gate,), (0, 1)), 0.25, step.deviation)
+
+
 def test_grid_evolution_peaks_near_the_size_of_its_result():
-    # three real (256, rows) planes, half the result's bytes each, and three
-    # (16, rows) coefficient blocks peak at about 1.6 times the result; they
-    # are freed before the complex result is made
+    # two real (256, rows) planes, half the result's bytes each, and a noise
+    # point's terms of its live classes (4 of 16 here, so three quarter
+    # planes); the work plane and the terms are freed before the complex
+    # result is made, so the peak is about 1.5 times the result
     plan = circuits.assemble("unprotected")
     stack = np.stack([s.deviation for s in readout.unprotected_steps()])
     grid = np.linspace(0.0, 0.5, 513)
