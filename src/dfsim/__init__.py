@@ -12,7 +12,6 @@ from .qcore import (
     DIM,
     PauliString,
     anticommutes,
-    multiply,
     pauli_decompose,
     pauli_matrix,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "DIM",
     "PauliString",
     "anticommutes",
-    "multiply",
     "pauli_decompose",
     "pauli_matrix",
     "DfsBasis",

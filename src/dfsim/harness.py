@@ -272,46 +272,44 @@ def results_to_json(rows: list[SignalResult]) -> str:
 # invariant verifier
 
 
-def _immunity_residual(seed: int) -> list[float]:
-    """The change the engineered channel makes, at each e of IMMUNITY_E_GRID, to
-    each of 50 random logical states stored by dfs.encode: 550 norms.
+#: Word matrices _word_pass takes at a time: all 256 at once held 3 MB, verify's peak.
+_WORD_BLOCK = 32
 
-    The states go through noise.apply_channel as one (50, 16, 16) stack; each
-    state's output equals its own apply_channel to the bit.
-    """
-    rng = np.random.default_rng(seed)
-    rhos = []
-    for _ in range(50):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rhos.append(dfs.encode(psi / np.linalg.norm(psi)))
-    rhos = np.stack(rhos)
-    norms = []
+
+def _word_pass() -> tuple[np.ndarray, list[float]]:
+    """The values flip-anticommutation and pauli-transform-inverse judge, on the 256 dense
+    word matrices W, _WORD_BLOCK at a time: 1.0 per wrong entry of the audit's table
+    circuits._flip_anticommutes (for F = XXII, IIXX: whether W F + F W is 0; exactly one
+    of W F - F W and W F + F W must be 0), and each block's max |_pauli_transform(W) - I|."""
+    words, flips = qcore._word_matrices(), dfs._ERROR_STACK[1:3]  # XXII, IIXX
+    table, wrong, inverse = circuits._flip_anticommutes(), [], []
+    for start in range(0, len(words), _WORD_BLOCK):
+        block = slice(start, start + _WORD_BLOCK)
+        product, reverse = words[block, None] @ flips, flips @ words[block, None]
+        commutes = ~(product != reverse).any(axis=(2, 3))
+        anticommutes = ~(product + reverse).any(axis=(2, 3))
+        wrong.append((table[block] != anticommutes) | (commutes == anticommutes))
+        coeffs = qcore._pauli_transform(words[block])  # rows start.. of the identity
+        inverse.append(np.abs(coeffs - np.eye(len(coeffs), len(words), start)).max())
+    return np.concatenate(wrong).astype(float), inverse
+
+
+def _encoded_operators() -> np.ndarray:
+    """(16, 16, 16): sum_i V_i |a><b| V_i^dagger over dfs.all_isometries, a-major.
+    dfs.encode(psi) is (1/4) sum_ab psi_a psi_b^* of them: they span every encoded state."""
+    v = np.stack(dfs.all_isometries())
+    return np.einsum("ixa,iyb->abxy", v, v.conj()).reshape(-1, qcore.DIM, qcore.DIM)
+
+
+def _immunity_residual() -> list[float]:
+    """The change the engineered channel makes to each _encoded_operators at
+    each e of IMMUNITY_E_GRID: 176 norms.  The operators go through
+    noise.apply_channel as one stack, each one's output its own to the bit."""
+    ops, norms = _encoded_operators(), []
     for e in IMMUNITY_E_GRID:
-        out = noise.apply_channel(rhos, noise.engineered_model(e))
-        norms += map(qcore.frobenius_norm, out - rhos)
+        out = noise.apply_channel(ops, noise.engineered_model(e))
+        norms += map(qcore.frobenius_norm, out - ops)
     return norms
-
-
-def _pauli_product_residual(seed: int) -> list[float]:
-    """Each of 200 random pairs' product error, and 1.0 per wrong anticommutation."""
-    rng = np.random.default_rng(seed)
-    basis = qcore.pauli_basis_strings()
-    phases = (1 + 0j, -1 + 0j, 1j, -1j)
-    errors = []
-    for _ in range(200):
-        p = qcore.PauliString(basis[rng.integers(256)].letters, phases[rng.integers(4)])
-        q = qcore.PauliString(basis[rng.integers(256)].letters, phases[rng.integers(4)])
-        pq, qp = p.matrix() @ q.matrix(), q.matrix() @ p.matrix()
-        errors.append(float(np.abs(qcore.multiply(p, q).matrix() - pq).max()))
-        if qcore.anticommutes(p, q) != bool(np.abs(pq + qp).max() < 1e-12):
-            errors.append(1.0)
-    return errors
-
-
-def _pauli_orthogonality_residual() -> float:
-    flat = qcore._word_matrices().reshape(256, -1)
-    gram = flat.conj() @ flat.T
-    return qcore.frobenius_norm(gram - qcore.DIM * np.eye(256))
 
 
 def _eigenstructure_residual(e_grid: tuple[float, ...]) -> list[float]:
@@ -459,33 +457,26 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
         except ValueError:
             return failed
 
-    add("pauli-product-exactness", attempt(_pauli_product_residual, cfg.seed), 0.0)
-    add("pauli-orthogonality", attempt(_pauli_orthogonality_residual), qcore.DEFAULT_TOL)
-    add("dfs-gram-identity", attempt(dfs.gram_defect), qcore.DEFAULT_TOL)
-    add(
-        "dfs-immunity",
-        attempt(_immunity_residual, cfg.seed),
-        qcore.DEFAULT_TOL,
-        "50 random logical states, e = 0 .. 0.5 step 0.05",
-    )
+    flip_table, transform = attempt(_word_pass, failed=((math.inf,),) * 2)
+    add("flip-anticommutation", flip_table, 0.0)
+    add("pauli-transform-inverse", transform, 0.0)
+    add("dfs-gram-identity", attempt(dfs.gram_defect), 0.0)
+    add("dfs-immunity", attempt(_immunity_residual), qcore.DEFAULT_TOL,
+        "16 operators spanning every encoded state, e = 0 .. 0.5 step 0.05")
     completeness = [noise.engineered_model(e).completeness_defect for e in cfg.e_grid]
     add("channel-completeness", completeness, qcore.DEFAULT_TOL)
     add("eigenstructure-audit", attempt(_eigenstructure_residual, cfg.e_grid), qcore.DEFAULT_TOL)
     grid = attempt(_grid_pass, cfg, walk, failed=((math.inf,),) * 6 + ("unknown",))
     correctness, averaging, consistency, frame_dense, damage, mc_margins, mc_cell = grid
-    add("protected-correctness", correctness, 1e-10)
+    add("protected-correctness", correctness, qcore.DEFAULT_TOL)
     add("temporal-averaging", averaging, qcore.DEFAULT_TOL)
-    add("damage-count-consistency", consistency, 1e-10)
+    add("damage-count-consistency", consistency, qcore.DEFAULT_TOL)
     if cfg.algorithm == "grover" and cfg.placement is None:
         add("damage-count-values", damage, 0.0, "n = 0/0/0 and 6/12/6")
-    add("frame-dense-shots", frame_dense, qcore.DEFAULT_TOL)
-    add(
-        "mc-convergence",
-        mc_margins,
-        0.0,
+    add("frame-dense-shots", frame_dense, 0.0)
+    add("mc-convergence", mc_margins, 0.0,
         f"worst cell {mc_cell}; bound exact binomial at erfc(5/sqrt(2)) + {NUMERICAL_FLOOR:g}"
-        f" at {cfg.shots} shots",
-    )
+        f" at {cfg.shots} shots")
     return checks
 
 

@@ -9,7 +9,8 @@ Conventions used throughout the package:
 * Deviation matrices (the traceless, observable part of an ensemble density
   matrix) use the same representation; nothing in this module assumes unit
   trace.
-* Group phases of Pauli words are tracked exactly over {+1, -1, +i, -i}.
+* A Pauli word's phase is one of {+1, -1, +i, -i}, so its matrix's entries
+  are 0, +-1 or +-i and products of word matrices are exact.
 """
 
 from __future__ import annotations
@@ -35,23 +36,13 @@ PAULI_1Q = {
 
 _ALLOWED_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
-# Single-site products a.b = phase * c for the non-trivial combinations.
-_SITE_PRODUCT = {
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("X", "Z"): (-1j, "Y"),
-}
-
 
 @dataclass(frozen=True)
 class PauliString:
     """A four-letter Pauli word with an exact group phase.
 
     ``letters`` reads left to right as qubits 1..4; ``phase`` is restricted
-    to {+1, -1, +i, -i} so products and (anti)commutation stay exact.
+    to {+1, -1, +i, -i}, so its matrix's entries are 0, +-1 or +-i.
     """
 
     letters: str
@@ -93,24 +84,6 @@ def _word_matrices() -> np.ndarray:
 def pauli_matrix(p: PauliString) -> np.ndarray:
     """Dense matrix of ``p``: phase * (sigma_1 x sigma_2 x sigma_3 x sigma_4), a fresh array."""
     return p.phase * _word_matrices()[int(p.letters.translate(_LETTER_DIGITS), 4)]
-
-
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Exact group product; pauli_matrix(multiply(p, q)) == pauli_matrix(p) @ pauli_matrix(q)."""
-    phase = p.phase * q.phase
-    letters = []
-    for a, b in zip(p.letters, q.letters):
-        if a == "I":
-            letters.append(b)
-        elif b == "I":
-            letters.append(a)
-        elif a == b:
-            letters.append("I")
-        else:
-            site_phase, c = _SITE_PRODUCT[(a, b)]
-            phase *= site_phase
-            letters.append(c)
-    return PauliString("".join(letters), phase)
 
 
 def anticommutes(p: PauliString, q: PauliString) -> bool:

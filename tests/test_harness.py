@@ -44,7 +44,7 @@ PUBLIC_NAMES = [
     "PreparationStep", "SignalResult", "SweepConfig", "__version__", "anticommutes",
     "apply_channel", "assemble", "count_damaging_errors", "decode", "dfs_basis", "dj_gates",
     "draw_flips", "encode", "engineered_model", "grover_gates", "lift_logical_unitary",
-    "multiply", "pauli_decompose", "pauli_matrix", "protected_steps",
+    "pauli_decompose", "pauli_matrix", "protected_steps",
     "run_plan_exact", "run_sweep", "signal_intensity", "theory_curve", "unprotected_steps",
     "verify", "verify_error_model",
 ]
@@ -194,12 +194,12 @@ def test_verify_passes_on_fresh_build():
 
 def test_verify_detects_corrupted_subspace(monkeypatch):
     bases = list(dfs.all_isometries())
-    assert max(harness._immunity_residual(5)) <= qcore.DEFAULT_TOL
+    assert max(harness._immunity_residual()) <= qcore.DEFAULT_TOL
     bad = bases[3].copy()
     bad[12, 0] *= -1.0  # break one sign relation in subspace 4
     bases[3] = bad
     monkeypatch.setattr(dfs, "all_isometries", lambda: tuple(bases))
-    assert max(harness._immunity_residual(5)) > 1e-3
+    assert max(harness._immunity_residual()) > 1e-3
 
 
 def test_verify_fails_on_a_biased_sampler(monkeypatch, capsys):
@@ -278,13 +278,26 @@ def _damage_audit_without_the_last_point(monkeypatch):
     monkeypatch.setattr(circuits, "_audit", faulty)
 
 
-def _pauli_product_with_phase_one(monkeypatch):
-    multiply = qcore.multiply
+def _flip_table_with_one_entry_flipped(monkeypatch):
+    # ZIII against XXII: the first point of the unprotected Z1 step
+    table = circuits._flip_anticommutes().copy()
+    word = [p.letters for p in qcore.pauli_basis_strings()].index("ZIII")
+    assert table[word, 0]
+    table[word, 0] = False
+    monkeypatch.setattr(circuits, "_flip_anticommutes", lambda: table)
 
-    def faulty(p, q):
-        return qcore.PauliString(multiply(p, q).letters, 1)
 
-    monkeypatch.setattr(qcore, "multiply", faulty)
+def _pauli_transform_with_a_wrong_y_sign(monkeypatch):
+    # -Tr(Y m) for Tr(Y m) on every qubit: each word's coefficient times
+    # (-1) to its number of Ys.  circuits imported the function by name
+    transform = qcore._pauli_transform
+    signs = np.array([(-1.0) ** p.letters.count("Y") for p in qcore.pauli_basis_strings()])
+
+    def faulty(rhos):
+        return transform(rhos) * signs
+
+    monkeypatch.setattr(qcore, "_pauli_transform", faulty)
+    monkeypatch.setattr(circuits, "_pauli_transform", faulty)
 
 
 def _channel_with_its_first_operator_only(monkeypatch):
@@ -361,8 +374,8 @@ def _channel_with_a_nan_xxxx_coefficient(monkeypatch):
     monkeypatch.setattr(noise, "_engineered_coefficients", faulty)
 
 
-#: Every check but the three that read no channel: the Pauli algebra and the
-#: DFS basis.
+#: Every check but the three that read no channel: the flip table, the Pauli
+#: transform and the DFS basis.
 _CHANNEL_FAULT_FAILS = {
     "dfs-immunity", "channel-completeness", "eigenstructure-audit", "protected-correctness",
     "temporal-averaging", "damage-count-consistency", "damage-count-values",
@@ -378,7 +391,12 @@ _CHANNEL_FAULT_FAILS = {
             _damage_audit_without_the_last_point,
             {"damage-count-consistency", "damage-count-values", "frame-dense-shots"},
         ),
-        (_pauli_product_with_phase_one, {"pauli-product-exactness"}),
+        (
+            _flip_table_with_one_entry_flipped,
+            {"flip-anticommutation", "damage-count-consistency", "damage-count-values",
+             "frame-dense-shots", "mc-convergence"},
+        ),
+        (_pauli_transform_with_a_wrong_y_sign, {"pauli-transform-inverse"}),
         (_channel_with_its_first_operator_only, {"dfs-immunity"}),
         (_channel_with_its_xxxx_coefficient_scaled, _CHANNEL_FAULT_FAILS),
         (
@@ -394,7 +412,9 @@ _CHANNEL_FAULT_FAILS = {
     ids=[
         "exact-channel-fails-damage-count-consistency-only",
         "damage-audit-fails-damage-count-consistency-values-and-frame-dense-shots",
-        "pauli-product-fails-pauli-product-exactness-only",
+        "flip-table-fails-flip-anticommutation-damage-count-consistency-values-frame-dense-shots"
+        "-and-mc-convergence",
+        "pauli-transform-y-sign-fails-pauli-transform-inverse-only",
         "apply-channel-fails-dfs-immunity-only",
         "channel-not-trace-preserving-fails-every-check-that-reads-a-channel",
         "nan-exact-finals-fail-every-check-that-reads-them",
@@ -408,7 +428,11 @@ def test_verify_fails_its_checks_on_a_fault(fault, failed, monkeypatch, capsys):
     # the exact channel losing the last noise point moves every unprotected
     # signal off (1-2e)^n; the audit losing it lowers n and flips the frame's
     # sign of the shots that drew a damaging flip there, against the dense
-    # oracle; a product that drops its phase differs from the matrix product;
+    # oracle; a wrong entry of the flip table differs from the dense products,
+    # and the audit, which reads it, lowers n: the frame no longer negates the
+    # shots that drew XXII at the Z1 step's first point, against the dense
+    # oracle and the exact signal; a wrong Y sign in the Pauli transform keeps
+    # every |coefficient|, so only the transform's own check sees it;
     # a channel keeping only (1-e) IIII shrinks every encoded state for e > 0;
     # a channel whose XXXX weight falls short of trace preserving makes every
     # check that evolves through it raise, and each such check FAILs with an
@@ -565,22 +589,70 @@ def test_fidelity_of_a_decoded_batch_equals_each_final_alone(seed):
         assert fidelity.tobytes() == np.float64(readout.signal_intensity(final, projector)).tobytes()
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_immunity_check_on_the_stack_equals_each_state_alone(seed):
-    # the states _immunity_residual draws, each through apply_channel alone
-    rng = np.random.default_rng(seed)
-    rhos = []
-    for _ in range(50):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rhos.append(dfs.encode(psi / np.linalg.norm(psi)))
+def test_immunity_check_on_the_stack_equals_each_state_alone():
+    # the 16 operators _immunity_residual stacks, each through apply_channel alone
+    ops = harness._encoded_operators()
+    assert ops.shape == (16, 16, 16)
     worst = 0.0
     for e in harness.IMMUNITY_E_GRID:
         model = noise.engineered_model(e)
-        for rho, out in zip(rhos, noise.apply_channel(np.stack(rhos), model)):
-            alone = noise.apply_channel(rho, model)
+        for op, out in zip(ops, noise.apply_channel(ops, model)):
+            alone = noise.apply_channel(op, model)
             assert out.tobytes() == alone.tobytes()
-            worst = max(worst, qcore.frobenius_norm(alone - rho))
-    assert max(harness._immunity_residual(seed)) == worst
+            worst = max(worst, qcore.frobenius_norm(alone - op))
+    residuals = harness._immunity_residual()
+    assert len(residuals) == 16 * len(harness.IMMUNITY_E_GRID) and max(residuals) == worst
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_encoded_operators_span_every_encoded_state(seed):
+    # sum_i V_i |a><b| V_i^dagger are orthogonal, each of squared norm 4, so
+    # a state's coefficient on each is its overlap / 4; dfs.encode(psi) is
+    # (1/4) sum_ab psi_a psi_b^* of them, recovered to the bit
+    ops = harness._encoded_operators()
+    flat = ops.reshape(16, -1)
+    assert np.linalg.matrix_rank(flat) == 16
+    np.testing.assert_array_equal(flat.conj() @ flat.T, 4 * np.eye(16))
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    rho = dfs.encode(psi)
+    coeffs = flat.conj() @ rho.ravel() / 4
+    np.testing.assert_array_equal(coeffs, np.outer(psi, psi.conj()).ravel() / 4)
+    np.testing.assert_array_equal(np.tensordot(coeffs, ops, axes=1), rho)
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_word_pass_does_not_depend_on_its_block(block, monkeypatch):
+    flip_table, transform = harness._word_pass()
+    assert flip_table.shape == (256, 2) and len(transform) == 256 // harness._WORD_BLOCK
+    monkeypatch.setattr(harness, "_WORD_BLOCK", block)
+    blocked_table, blocked_transform = harness._word_pass()
+    assert blocked_table.tobytes() == flip_table.tobytes()
+    assert max(blocked_transform) == max(transform) == 0.0
+
+
+def test_word_pass_holds_one_block_at_a_time():
+    # the flip products and the transform of all 256 words at once peaked at
+    # 4.2 MB and 3.1 MB, and the transform set verify's peak RSS
+    harness._word_pass()  # the word matrices and the flip table are cached
+    tracemalloc.start()
+    try:
+        harness._word_pass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_verify_reads_the_seed_only_in_its_monte_carlo_checks():
+    # every other check is exhaustive: its residual's bytes do not depend on the seed
+    cfg = SweepConfig(e_grid=(0.0, 0.25, 0.5), shots=16)
+    runs = [{c.name: np.float64(c.residual).tobytes() for c in verify(replace(cfg, seed=seed))}
+            for seed in (0, 2**64 - 1)]
+    assert runs[0].keys() == runs[1].keys() and len(runs[0]) == 12
+    for name in runs[0].keys() - {"frame-dense-shots", "mc-convergence"}:
+        assert runs[0][name] == runs[1][name], name
 
 
 def test_cli_verify_passes_without_noise_points(capsys):
@@ -864,6 +936,10 @@ DJ_BATCHES = "run --seed 3 --algorithm deutsch-jozsa --mode both --shots 2 --e-g
 #: Every one but count-n's was re-pinned once when the Hadamard pair got exact
 #: entries and signal_intensity became a fixed-order sum, which made the bytes
 #: the same on every BLAS kernel (test_stdout_does_not_depend_on_the_blas_kernel).
+#: The seven verify ones were re-pinned once more when three sampled checks
+#: became exhaustive (flip-anticommutation, pauli-transform-inverse, and
+#: dfs-immunity over 16 spanning operators) and four tolerances became exact:
+#: only those checks' lines and those tolerance fields changed.
 GOLDEN_FILES = {
     "count-n": "count-n.txt",
     "count-n --algorithm deutsch-jozsa --placement 0,2,4": "count-n-dj-placement.txt",
@@ -1217,6 +1293,38 @@ def test_cli_runs_the_largest_seed(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
+#: The console-script invocations of the tier1 workflow whose new tolerances
+#: no other test runs as written, each with the exit code the workflow expects
+#: and, beside it, the workflow's reason.  {tmp} is a fresh directory, as
+#: $RUNNER_TEMP is there.
+WORKFLOW_INVOCATIONS = [
+    # seed 2**64 - 1 fills the low 64 bits of every cell's Philox key, so
+    # the keys run at the top of the 128-bit range end to end
+    pytest.param("verify --seed 18446744073709551615 --mode unprotected", 0,
+                 id="verify-at-the-largest-seed"),
+    # 40 exact e values in batches of 19, 19 and 2 (harness._E_BLOCK // 5
+    # for each mode's stack of 5, at 96 rows), each step's 40 cells in one
+    # draw call, unprotected walked first; every check must pass
+    pytest.param("verify --seed 0 --mode unprotected,protected --shots 3 --e-grid "
+                 + ",".join(str(k / 80) for k in range(40)), 0,
+                 id="verify-several-cell-batches-in-reversed-mode-order"),
+    # 70 e values x 3 steps are 210 (state, e) rows per mode, evolved in
+    # three batches of at most 32 e values (harness._E_BLOCK // 3, at 96 rows)
+    pytest.param("run --seed 0 --algorithm deutsch-jozsa --mode both --shots 2 --e-grid "
+                 + ",".join(str(k / 138) for k in range(70)) + " --output {tmp}/dj.csv", 0,
+                 id="run-a-mode-stack-over-several-exact-blocks"),
+    # flag values go through the config-file parser, so both exit 2
+    pytest.param("run --shots abc", 2, id="reject-a-bad-flag-value"),
+    pytest.param("run --config {tmp}/bad.cfg", 2, id="reject-a-bad-config-file-value"),
+]
+
+
+@pytest.mark.parametrize("command, code", WORKFLOW_INVOCATIONS)
+def test_cli_exits_as_the_workflow_expects(command, code, tmp_path):
+    (tmp_path / "bad.cfg").write_text("algorithm = foo\n")
+    assert cli.main(command.format(tmp=tmp_path).split()) == code
+
+
 @pytest.mark.parametrize("field, value", [("seed", 1.5), ("shots", 2.5)])
 def test_config_rejects_a_non_integer_seed_or_shots(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value}$"):
@@ -1302,7 +1410,7 @@ def test_cli_run_ending_in_a_gate_matches_golden_csv(capsys):
 #: sha256 of the stdout of `dfsim verify --seed 0`.  The dense oracle's
 #: residuals are printed to three digits, so any change in its arithmetic
 #: shows here; re-pin only on purpose, and say why in CHANGES.md.
-GOLDEN_VERIFY_SEED_0_SHA256 = "d6716445617c38a187c7e1c5c063cd25b2ae12681e8e3a3c64f06817bc30c601"
+GOLDEN_VERIFY_SEED_0_SHA256 = "d59285e4e84c1e1a66996776c079e4e9fd4b0f99a358a9e4ee22d11623bf8e38"
 
 
 def test_cli_verify_seed_0_matches_golden_stdout(capsys):
@@ -1320,15 +1428,15 @@ def test_cli_verify_seed_0_matches_golden_stdout(capsys):
 #: (seed, mode, step, e index), which moved its worst mc-convergence cell.
 GOLDEN_VERIFY_PATHS_SHA256 = {
     "verify --seed 0 --mode protected --e-grid 0.25":
-        "23f6dd067fae23390c4881bc3d707c1426a482d9bb596acf456aacb11caca1c2",
+        "21b097750434a2d7659849e2ab2082c49dfe03dffa431dfe4857b0a7ecff2c03",
     "verify --seed 0 --algorithm deutsch-jozsa --mode unprotected --shots 4 --e-grid 0.25":
-        "997d9470e0d119fd589ba7b88f9071299999549d61d386a95e27b399ca2d632e",
+        "59e9322ab0a120c91a8192d591b3512964bb73a79039f9e9f42258a441a903a7",
     "verify --seed 0 --placement 1,2 --e-grid 0.25 --shots 16":
-        "fe1e7da7c9e170446843e98f126f6e01f4552b8298bbddf8aa908793f3ff22c0",
+        "8a545aeb2c84de83eb45e99797ace81ca9280e8500e9601c3c04db7b4954a1cd",
     # both modes in reverse order: the worst cell is in protected, the second
     # mode walked, so its label is read from the second swept mode
     "verify --seed 0 --mode unprotected,protected --shots 16 --e-grid 0.1,0.3":
-        "66723a4e1b181b35a78d7c4297b9e65a440f63a47d40d9faea93269c0bd6c254",
+        "06300882829114395c14feb646b96c80a70c448d122199c891c18d3c79093755",
 }
 
 
@@ -1344,10 +1452,10 @@ GOLDEN_JSON_SHA256 = {
     "run --seed 0 --e-grid 0,0.25 --shots 16 --format json":
         "e8c9fa88b4872f7c38f5d9ba67d46a5c3afacede1597e84811093e2141a230f4",
     "verify --seed 0 --shots 64 --e-grid 0,0.25,0.5 --format json":
-        "30c0abd1b613a72e4dd9c987df64035403d7e1abfbea5d29c9fbb9ca03aacadd",
+        "03f07ecf184dd00cc1fb13403afb19f0686c2c4013db0225818ad30a13d6a2ee",
     # protected-correctness reads the protected walk though protected is unswept
     "verify --seed 0 --mode unprotected --e-grid 0.1,0.3 --format json":
-        "ad3a08e20c14c140ce7275fd8991fcebf94932d4224ccc282bb335abc40c8b1c",
+        "386611d4683906047a7a992b931db8235107b842833ba3215788c61969b65239",
 }
 
 

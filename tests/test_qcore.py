@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dfsim import qcore
-from dfsim.qcore import PauliString, anticommutes, multiply, pauli_matrix
+from dfsim.qcore import PauliString, anticommutes, pauli_matrix
 
 
 def random_unitary(rng, n=16):
@@ -71,33 +71,6 @@ def test_pauli_matrix_returns_a_fresh_array_each_call():
     m[:] = 7
     np.testing.assert_array_equal(pauli_matrix(p), expected)
     np.testing.assert_array_equal(pauli_matrix(PauliString("XYZI")), 1j * expected)
-
-
-def test_multiply_identity_and_involution():
-    i4 = PauliString("IIII")
-    x = PauliString("XXII")
-    assert multiply(i4, x) == x
-    assert multiply(x, x) == i4
-
-
-def test_multiply_zx_gives_plus_i_y():
-    # oracle: 2x2 product ZX = iY, tensored with identities
-    z1 = PauliString("ZIII")
-    x1 = PauliString("XIII")
-    prod = multiply(z1, x1)
-    assert prod == PauliString("YIII", 1j)
-    zm = np.kron(qcore.PAULI_1Q["Z"], np.eye(8))
-    xm = np.kron(qcore.PAULI_1Q["X"], np.eye(8))
-    np.testing.assert_array_equal(prod.matrix(), zm @ xm)
-
-
-def test_multiply_matches_matrix_product_exactly():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        p, q = random_pauli(rng), random_pauli(rng)
-        lhs = multiply(p, q).matrix()
-        rhs = p.matrix() @ q.matrix()
-        assert np.abs(lhs - rhs).max() == 0.0
 
 
 def test_anticommutes_examples():
