@@ -12,7 +12,10 @@ preparations, which every walk of the plan takes as its initial states.
 The sweep and the verifier walk the modes of mode_stacks the same two ways:
 each mode's stack once through _cell_batches for the exact finals, and each
 step's whole e grid once through _step_draws for the shots, which read only
-the step's damage flags and the cell keys.
+the step's damage flags and the cell keys.  The sweep draws no step whose
+audit has no damaging flag, since each of its shots reads +1; the verifier
+draws such a step only when noise._invariant_final, which reads states and
+never the audit, cannot prove that every flip history of it ends at one final.
 """
 
 from __future__ import annotations
@@ -345,6 +348,13 @@ def _acceptance_radius(shots: int, p: float) -> float:
     return float(near[tails[np.searchsorted(near, near - 1e-9)] >= _ALPHA].max())
 
 
+def _frame_apart(states: np.ndarray, index, sign, reference: np.ndarray) -> float:
+    """The largest ||states[index[k]] - s_k reference|| over shots k, where s_k is
+    -1 if sign[k] is 1 (the frame negated shot k) and +1 if it is 0."""
+    apart = np.linalg.norm(states[:, None] - [reference, -reference], axis=(2, 3))
+    return apart[index, sign].max()
+
+
 def _grid_pass(cfg: SweepConfig, walk: list) -> tuple:
     """The values that protected-correctness, temporal-averaging,
     damage-count-consistency, frame-dense-shots and damage-count-values judge,
@@ -356,7 +366,13 @@ def _grid_pass(cfg: SweepConfig, walk: list) -> tuple:
     _step_draws, whose blocks give the mode's (steps, grid) negated counts k
     and frame-dense-shots' values, each block's worst ||rho_shot - s rho_ref|| /
     ||rho_ref|| of the dense oracle's shots from the step's preparation, with
-    s = +-1 the shot's frame sign and rho_ref the step's noiseless final.  Then
+    s = +-1 the shot's frame sign and rho_ref the step's noiseless final.
+    A step whose mask has no true flag is first walked by
+    noise._invariant_final, which reads only states: if no flip changes a
+    byte of its state at any noise point, every one of the 4**points flip
+    histories of every cell ends at the walk's final, with frame sign +1, so
+    that final's value is frame-dense-shots' for the step, its counts stay 0
+    and nothing is drawn for it.  Then
     the stack [summed preparation (identity/16 plus every step's deviation),
     identity/16, step 0 .. 2] goes once through _cell_batches; each batch feeds:
     - temporal-averaging (swept): each cell's ||summed final - sum of the rest||;
@@ -394,13 +410,16 @@ def _grid_pass(cfg: SweepConfig, walk: list) -> tuple:
         keys = _step_keys(cfg, mode_idx, len(steps)) if swept else []
         for step_idx, step_keys in enumerate(keys):
             mask, reference = masks[step_idx], references[step_idx]
+            final = None if mask.any() else noise._invariant_final(plan, preps[step_idx])
+            if final is not None:  # every shot of every cell ends there, frame sign +1
+                frame_dense.append(_frame_apart(final[None], 0, 0, reference) / norms[step_idx])
+                continue
             for cells, flips, parity in _step_draws(mask, cfg.e_grid, cfg.shots, step_keys):
                 negated[step_idx, cells] += np.count_nonzero(parity, axis=1)
                 flips = np.concatenate(flips)
                 states, index = noise.monte_carlo_states(plan, flips, preps[step_idx])
-                apart = np.linalg.norm(states[:, None] - [reference, -reference], axis=(2, 3))
                 sign = parity.ravel().astype(np.intp)  # 1: negated
-                frame_dense.append(apart[index, sign].max() / norms[step_idx])
+                frame_dense.append(_frame_apart(states, index, sign, reference) / norms[step_idx])
         initial = np.concatenate([[sum(preps, identity), identity], preps])
         for start, e, finals in _cell_batches(cfg.e_grid, plan, initial):
             direct, total, parts = finals[0], finals[1], finals[2:]

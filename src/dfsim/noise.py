@@ -26,7 +26,10 @@ The exact channel is the primary evolution path.  The dense Monte-Carlo path
 flipped by permuting its entries with the XXII and IIXX entry permutations;
 it mirrors the shot-averaged protocol and is the oracle for the sweep's
 Pauli-frame sampler; shots of one or many cells whose matrices are equal to
-the byte share one (monte_carlo_states).  Decoherence grows with e and is
+the byte share one (monte_carlo_states).  A noise point where no flip changes
+a byte of any state regroups no shot, and _invariant_final applies that rule,
+which reads only states, to find the one final of every flip history of a
+state, where there is one.  Decoherence grows with e and is
 strongest at e = 0.5; larger values are rejected.
 
 Reproducibility contract: the flips of one cell come from one counter-based
@@ -352,6 +355,41 @@ def _compact(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
 
 
+def _flips_move(rho: np.ndarray) -> bool:
+    """Whether a flip pattern of _FLIP_PERMS changes a byte of a row of the 2-D rho.
+
+    Where none does, every flip history leaves every state as it is, so a
+    noise point need regroup no shot.  Only the states decide, never the damage
+    audit; bytes, not values, so a +0.0 moved onto a -0.0 counts as a change.
+    """
+    words = np.ascontiguousarray(rho).view(np.uint64).reshape(len(rho), DIM * DIM, 2)
+    return bool((np.take(words, _FLIP_PERMS, axis=1) != words[:, None]).any())
+
+
+def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The dense oracle's gate step: u rho u^dagger of each raveled row of the 2-D rho."""
+    return (u @ rho.reshape(-1, DIM, DIM) @ u.conj().T).reshape(-1, DIM * DIM)
+
+
+def _invariant_final(plan: ExperimentPlan, initial: np.ndarray) -> np.ndarray | None:
+    """The one final (16, 16) that every flip history of ``initial`` reaches in
+    monte_carlo_states, or None if a flip changes a byte of the state at some noise point.
+
+    A gate-by-gate walk of the one state, with the oracle's own gate step
+    (_conjugate) and its own rule (_flips_move): where this returns a final,
+    monte_carlo_states regroups no shot, so it maps every one of the
+    4**points histories to exactly these bytes, at index 0.
+    """
+    points = plan.decoherence_points
+    rho = np.asarray(initial, dtype=complex).reshape(1, DIM * DIM)
+    for boundary in range(len(plan.gates) + 1):
+        if boundary in points and _flips_move(rho):
+            return None
+        if boundary < len(plan.gates):
+            rho = _conjugate(plan.gates[boundary].physical, rho)
+    return rho.reshape(DIM, DIM)
+
+
 def monte_carlo_states(
     plan: ExperimentPlan, flips: np.ndarray, initial: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -365,8 +403,9 @@ def monte_carlo_states(
     states[index[k]] is the final deviation of shot k.
 
     The dense oracle: every shot is evolved as a 16x16 matrix, and shots
-    whose states are equal to the byte share one.  Each shot's result equals,
-    to the bit, evolving it alone
+    whose states are equal to the byte share one.  A noise point where no
+    flip changes a byte of any current state (_flips_move) regroups no shot.
+    Each shot's result equals, to the bit, evolving it alone
     (test_shared_flip_histories_match_unshared_replay_to_the_bit).  Only the
     drawn flips and the states decide the sharing, never the damage audit, so
     the oracle stays independent of the frame sampler it checks.
@@ -381,14 +420,14 @@ def monte_carlo_states(
     idx = 0
     for boundary in range(len(plan.gates) + 1):
         while idx < len(points) and points[idx] == boundary:
-            pattern = flips[:, idx, 0] + 2 * flips[:, idx, 1]
-            keys, group = _compact(group * 4 + pattern, 4 * len(rho))
-            rho = rho.ravel()[(keys // 4 * DIM * DIM)[:, None] + _FLIP_PERMS[keys & 3]]
-            rho, group = _distinct(rho, group)
+            if _flips_move(rho):
+                pattern = flips[:, idx, 0] + 2 * flips[:, idx, 1]
+                keys, group = _compact(group * 4 + pattern, 4 * len(rho))
+                rho = rho.ravel()[(keys // 4 * DIM * DIM)[:, None] + _FLIP_PERMS[keys & 3]]
+                rho, group = _distinct(rho, group)
             idx += 1
         if boundary < len(plan.gates):
-            u = plan.gates[boundary].physical
-            rho = (u @ rho.reshape(-1, DIM, DIM) @ u.conj().T).reshape(-1, DIM * DIM)
+            rho = _conjugate(plan.gates[boundary].physical, rho)
     # a gate may round two states to the same bytes
     rho, group = _distinct(rho, group)
     return rho.reshape(-1, DIM, DIM), group

@@ -353,6 +353,34 @@ def _dense_states_with_a_nan(monkeypatch):
     monkeypatch.setattr(noise, "monte_carlo_states", faulty)
 
 
+def _protected_gate_leaking_below_the_audit_cut(monkeypatch):
+    # spin 1 turned by 1e-13 rad after the protected plans' first gate: the
+    # leaked words lie far below damage_audit's 1e-10 cut, so every protected
+    # mask stays false, but a flip changes the state's bytes
+    assemble = circuits.assemble
+    c, s = np.cos(1e-13), np.sin(1e-13)
+    leak = np.kron([[c, -s], [s, c]], np.eye(8))
+
+    def faulty(mode, *args, **kwargs):
+        plan = assemble(mode, *args, **kwargs)
+        if mode != "protected":
+            return plan
+        first = replace(plan.gates[0], physical=leak @ plan.gates[0].physical)
+        return replace(plan, gates=(first, *plan.gates[1:]))
+
+    monkeypatch.setattr(circuits, "assemble", faulty)
+
+
+def _invariant_final_negated(monkeypatch):
+    walk = noise._invariant_final
+
+    def faulty(plan, initial):
+        final = walk(plan, initial)
+        return None if final is None else -final
+
+    monkeypatch.setattr(noise, "_invariant_final", faulty)
+
+
 def _error_model_audit_with_nan_weights(monkeypatch):
     audit = noise.verify_error_model
 
@@ -406,6 +434,8 @@ _CHANNEL_FAULT_FAILS = {
         ),
         (_channel_output_with_a_nan, {"dfs-immunity"}),
         (_dense_states_with_a_nan, {"frame-dense-shots"}),
+        (_protected_gate_leaking_below_the_audit_cut, {"frame-dense-shots"}),
+        (_invariant_final_negated, {"frame-dense-shots"}),
         (_error_model_audit_with_nan_weights, {"eigenstructure-audit"}),
         (_channel_with_a_nan_xxxx_coefficient, _CHANNEL_FAULT_FAILS),
     ],
@@ -420,6 +450,8 @@ _CHANNEL_FAULT_FAILS = {
         "nan-exact-finals-fail-every-check-that-reads-them",
         "nan-channel-output-fails-dfs-immunity-only",
         "nan-dense-states-fail-frame-dense-shots-only",
+        "protected-gate-leak-below-the-audit-cut-is-drawn-and-fails-frame-dense-shots-only",
+        "wrong-invariant-final-fails-frame-dense-shots-only",
         "nan-error-model-weights-fail-eigenstructure-audit-only",
         "nan-channel-coefficient-fails-every-check-that-reads-a-channel",
     ],
@@ -438,7 +470,11 @@ def test_verify_fails_its_checks_on_a_fault(fault, failed, monkeypatch, capsys):
     # check that evolves through it raise, and each such check FAILs with an
     # infinite residual (the grid checks together) while the rest still run;
     # a NaN among the values a check judges is its residual, so that check
-    # FAILs, and a NaN channel coefficient is not trace preserving either
+    # FAILs, and a NaN channel coefficient is not trace preserving either.
+    # The walk that spares verify the protected draws reads only states: a
+    # protected gate that lets a flip change the state, by less than the audit
+    # sees, is drawn, and the dense oracle's flipped shots leave the frame's
+    # unnegated reference; a walk that finds a wrong final is judged as a shot
     fault(monkeypatch)
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -1180,10 +1216,11 @@ def test_verify_does_not_depend_on_the_cell_batch(modes, shots, block, monkeypat
 @pytest.mark.parametrize(
     "modes", [("protected", "unprotected"), ("unprotected", "protected")], ids=["default", "reversed"]
 )
-def test_verify_draws_each_step_once_whatever_the_e_block(modes, monkeypatch):
-    # verify draws each of the six swept steps' nine cells in one call of 2048
-    # shots, whatever the exact batches, and under the keys run draws them
-    # with: _step_keys of each mode's index in cfg.modes, in that order
+def test_verify_draws_each_unprotected_step_once_whatever_the_e_block(modes, monkeypatch):
+    # verify draws each of the three unprotected steps' nine cells in one call
+    # of 2048 shots, whatever the exact batches, and under the keys run draws
+    # them with: _step_keys of the mode's index in cfg.modes.  No flip changes
+    # a protected state, so the protected steps draw nothing, as in run
     cfg = SweepConfig(modes=modes)
     drawn, keyed = [], []
     batched = noise.draw_flips
@@ -1200,13 +1237,15 @@ def test_verify_draws_each_step_once_whatever_the_e_block(modes, monkeypatch):
         drawn.clear()
         assert all(c.passed for c in harness.verify(cfg))
         schedules.append(list(drawn))
-    assert schedules == [[(9, 2048, 0)] * 6] * 2
-    keys = [tuple(step) for mode_idx in range(2) for step in harness._step_keys(cfg, mode_idx, 3)]
+    assert schedules == [[(9, 2048, 0)] * 3] * 2
+    unprotected = modes.index("unprotected")
+    keys = [tuple(step) for step in harness._step_keys(cfg, unprotected, 3)]
+    protected = {tuple(step) for step in harness._step_keys(cfg, 1 - unprotected, 3)}
     assert keyed == keys * 2
+    assert not protected & set(keyed)  # verify draws no protected cell
     keyed.clear()
     run_sweep(cfg)
-    unprotected = modes.index("unprotected")
-    assert keyed == keys[3 * unprotected : 3 * unprotected + 3]  # run draws no protected cell
+    assert keyed == keys  # run draws no protected cell
 
 
 def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):
@@ -1217,6 +1256,8 @@ def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):
     # counted negated has mean -rho_ref and margin 2 ||rho_ref|| -
     # NUMERICAL_FLOOR.  The steps' references have one norm, so step 0 at
     # e = 0.2 and step 1 at e = 0.1 tie at the worst; step order wins.
+    # Without noise points noise._invariant_final finds the one final of every
+    # flip history, and no step would be drawn: it is faked to find none.
     cfg = SweepConfig(e_grid=(0.1, 0.2), shots=1, modes=("unprotected",), placement=())
     [(_, plan, *_)] = harness.mode_stacks(cfg)
     steps = readout.unprotected_steps()
@@ -1227,6 +1268,7 @@ def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):
         return np.reshape(next(negated), flips.shape[:2])
 
     monkeypatch.setattr(harness, "_parity", fake)
+    monkeypatch.setattr(noise, "_invariant_final", lambda plan, initial: None)
     monkeypatch.setattr(harness, "_E_BLOCK", 5)
     [check] = [c for c in harness.verify(cfg) if c.name == "mc-convergence"]
     [norm] = norms

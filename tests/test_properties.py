@@ -2,7 +2,8 @@
 labels, every preparation step, placements with duplicates, and e in [0, 0.5];
 the damage audit and the exact channel over stacks of initial states; the sweep's masked-column
 parity against a masked sum; the cells' Philox keys, pairwise distinct and
-carrying the seed in their low 64 bits; the oracle's key compaction against
+carrying the seed in their low 64 bits; the state walk that spares verify
+its draws against the dense oracle; the oracle's key compaction against
 np.unique; and random complete error models.
 
 Examples are capped and derandomized, and no failing example is replayed
@@ -19,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dfsim import circuits, dfs, harness, noise, readout
-from test_circuits import audit_rows, per_word_audit
+from test_circuits import audit_rows, non_eigen_plan, per_word_audit
 from test_noise import _per_e_exact
 
 #: Every two-bit table that is constant or balanced.
@@ -204,6 +205,40 @@ def test_cell_keys_are_distinct_and_keep_the_seed(seed, count):
     assert len(keys) == len(circuits.MODES) * 3 * count
     assert len(set(keys)) == len(keys)
     assert all(key & (2**64 - 1) == seed and key < 2**128 for key in keys)
+
+
+def _single_point_histories(points: int) -> np.ndarray:
+    """(1 + 3 points, points, 2): no flip, then each of XXII, IIXX and XXXX alone at each point."""
+    flips = np.zeros((1 + 3 * points, points, 2), dtype=bool)
+    for p in range(points):
+        for k in (1, 2, 3):  # the dense oracle's flip pattern k = XXII + 2 IIXX
+            flips[3 * p + k, p] = (k & 1, k >> 1)
+    return flips
+
+
+@PROPERTY
+@given(plans(), SEEDS)
+@example(("unprotected", non_eigen_plan(), readout.unprotected_steps()[0].deviation), 0)
+@example(("protected", circuits.assemble("protected", placement=()),
+          readout.protected_steps()[0].deviation), 0)
+def test_invariant_final_is_the_dense_final_of_every_flip_history(mode_plan, seed):
+    # the walk reads only states: where it finds a final, the dense oracle
+    # takes random, all-true and single-point histories to those bytes, at
+    # index 0; where it finds none, a flip at one point gives a second state
+    _, plan, initial = mode_plan
+    points = len(plan.decoherence_points)
+    single = _single_point_histories(points)
+    final = noise._invariant_final(plan, initial)
+    if final is None:
+        states, _ = noise.monte_carlo_states(plan, single, initial)
+        assert len(states) > 1
+        return
+    assert final.shape == (16, 16) and final.dtype == complex
+    every = np.ones((1, points, 2), dtype=bool)
+    for flips in (noise.draw_flips(0.5, seed, 64, points), every, single):
+        states, index = noise.monte_carlo_states(plan, flips, initial)
+        assert states.shape == (1, 16, 16) and states.tobytes() == final.tobytes()
+        assert index.shape == (len(flips),) and not index.any()
 
 
 @PROPERTY
