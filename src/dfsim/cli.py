@@ -61,7 +61,7 @@ def _build_config(args: argparse.Namespace) -> harness.SweepConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     if not cfg.output:
-        sys.stdout.write(_format_rows(cfg, harness.run_sweep(cfg)))
+        sys.stdout.writelines(_run_text(cfg))
         return 0
     # opened before the sweep, so an unwritable path fails at once; append
     # mode leaves an existing file whole until the rows are ready
@@ -70,20 +70,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise _unwritable(cfg.output, exc) from exc
     with fh:
-        rows = harness.run_sweep(cfg)
-        text = _format_rows(cfg, rows)
+        text = _run_text(cfg)
         try:
             fh.truncate(0)
-            fh.write(text)
+            fh.writelines(text)
             fh.flush()
         except OSError as exc:
             raise _unwritable(cfg.output, exc) from exc
-    print(f"wrote {len(rows)} rows to {cfg.output}")
+    from .readout import steps_for_mode  # loaded with harness: the steps give the row count
+
+    rows = len(cfg.e_grid) * sum(len(steps_for_mode(mode)) for mode in cfg.modes)
+    print(f"wrote {rows} rows to {cfg.output}")
     return 0
 
 
-def _format_rows(cfg: harness.SweepConfig, rows: list[harness.SignalResult]) -> str:
-    return harness.results_to_csv(rows) if cfg.format == "csv" else harness.results_to_json(rows)
+def _run_text(cfg: harness.SweepConfig) -> list[str]:
+    """run's whole table, as the pieces to write: CSV formatted step by step
+    from the sweep's columns, JSON from run_sweep's rows.  Nothing is written
+    before the last step is formatted, so a sweep that fails writes nothing."""
+    if cfg.format == "json":
+        return [harness.results_to_json(harness.run_sweep(cfg))]
+    return [harness.CSV_HEADER + "\n", *harness.csv_steps(cfg)]
 
 
 def _unwritable(path: str, exc: OSError) -> harness.ConfigError:

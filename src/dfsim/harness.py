@@ -16,6 +16,11 @@ the step's damage flags and the cell keys.  The sweep draws no step whose
 audit has no damaging flag, since each of its shots reads +1; the verifier
 draws such a step only when noise._invariant_final, which reads states and
 never the audit, cannot prove that every flip history of it ends at one final.
+
+The sweep's one walk, _step_columns, yields each (mode, step)'s signal
+columns over the e grid.  csv_steps formats the CSV from those columns step
+by step, with no SignalResult; run_sweep builds SignalResult rows from them,
+which the JSON table is made of, buffered.
 """
 
 from __future__ import annotations
@@ -218,8 +223,8 @@ def _step_draws(
 
 def _mc_signal(
     mask: np.ndarray, e: tuple[float, ...], shots: int, seeds: Sequence[int]
-) -> list[tuple[float, float]]:
-    """Monte-Carlo signal and its standard error of each cell (e[i], seeds[i]).
+) -> tuple[list[float], list[float]]:
+    """The Monte-Carlo signal column of the cells (e[i], seeds[i]), and its standard errors.
 
     ``mask`` is one step's damaging flags of circuits.damage_audit: a shot's
     final deviation is the ideal one negated once per damaging flip drawn, so
@@ -234,37 +239,64 @@ def _mc_signal(
         odd[cells] += np.count_nonzero(parity, axis=1)
     mean = 1.0 - 2.0 * odd / shots
     stderr = np.sqrt((1.0 - mean * mean) / (shots - 1)) if shots > 1 else np.zeros_like(mean)
-    return list(zip(mean.tolist(), stderr.tolist()))
+    return mean.tolist(), stderr.tolist()
 
 
-def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
-    """Exact + Monte-Carlo signals for every (mode, step, e) cell, in mode_stacks order.
+def _step_columns(
+    cfg: SweepConfig,
+) -> Iterator[tuple[str, str, int, list[float], list[float], list[float]]]:
+    """(mode, label, n, exact, mean, stderr) of each (mode, step) of cfg, in
+    mode_stacks order, with its signal columns over cfg.e_grid: run's one walk.
 
     Each mode's steps go through its plan as one stack, walked once in
     _cell_batches: one signal_intensity call gives a batch's exact signals.
     Each step's whole grid is then drawn by one _mc_signal call.
     """
-    rows: list[SignalResult] = []
     for mode_idx, plan, steps, preps, (_, masks), references in mode_stacks(cfg):
         keys = _step_keys(cfg, mode_idx, len(steps))
         exact = np.empty((len(steps), len(cfg.e_grid)))
         for start, e, finals in _cell_batches(cfg.e_grid, plan, preps):
             exact[:, start : start + len(e)] = readout.signal_intensity(finals, references[:, None])
         for step, mask, signals, step_keys in zip(steps, masks, exact.tolist(), keys):
-            step_mc = _mc_signal(mask, cfg.e_grid, cfg.shots, step_keys)
-            n = int(mask.sum())
-            rows += [SignalResult(e_i, step.label, plan.mode, cfg.algorithm, signal, mean, stderr,
-                                  readout.theory_curve(n, e_i), n)
-                     for e_i, signal, (mean, stderr) in zip(cfg.e_grid, signals, step_mc)]
+            mean, stderr = _mc_signal(mask, cfg.e_grid, cfg.shots, step_keys)
+            yield plan.mode, step.label, int(mask.sum()), signals, mean, stderr
+
+
+def run_sweep(cfg: SweepConfig) -> list[SignalResult]:
+    """Exact + Monte-Carlo signals for every (mode, step, e) cell, in mode_stacks order.
+
+    The rows are built from _step_columns' columns, which csv_steps formats.
+    """
+    rows: list[SignalResult] = []
+    for mode, label, n, exact, mean, stderr in _step_columns(cfg):
+        rows += [SignalResult(e_i, label, mode, cfg.algorithm, signal, mc, err,
+                              readout.theory_curve(n, e_i), n)
+                 for e_i, signal, mc, err in zip(cfg.e_grid, exact, mean, stderr)]
     return rows
 
 
+def _csv_text(e_reprs, cells: str, exact, mean, stderr, theory, n: str) -> str:
+    """A step's CSV lines, in CSV_HEADER order: the one row layout.  ``cells`` is
+    ",step,mode,algorithm," and ``n`` ",n"; a float's !r is its str, written fastest."""
+    return "".join([f"{e}{cells}{x!r},{m!r},{s!r},{t!r}{n}\n"
+                    for e, x, m, s, t in zip(e_reprs, exact, mean, stderr, theory)])
+
+
+def csv_steps(cfg: SweepConfig) -> Iterator[str]:
+    """The CSV text, without the header, of each (mode, step) of cfg in run_sweep's
+    row order: formatted from _step_columns' columns, with no SignalResult made."""
+    e_reprs = [repr(e) for e in cfg.e_grid]
+    for mode, label, n, exact, mean, stderr in _step_columns(cfg):
+        theory = [readout.theory_curve(n, e) for e in cfg.e_grid]
+        yield _csv_text(e_reprs, f",{label},{mode},{cfg.algorithm},", exact, mean, stderr, theory,
+                        f",{n}")
+
+
 def results_to_csv(rows: list[SignalResult]) -> str:
-    # each field's str in CSV_HEADER order: a Python float's str is its repr, which !r writes fastest
-    lines = [CSV_HEADER]
-    lines.extend(f"{r.e!r},{r.step},{r.mode},{r.algorithm},{r.signal_exact!r},{r.signal_mc!r},"
-                 f"{r.mc_stderr!r},{r.theory!r},{r.n}" for r in rows)
-    return "\n".join(lines) + "\n"
+    """The header and one line per row, each row as length-1 columns of _csv_text."""
+    return "".join([CSV_HEADER + "\n"] + [
+        _csv_text((repr(r.e),), f",{r.step},{r.mode},{r.algorithm},", (r.signal_exact,),
+                  (r.signal_mc,), (r.mc_stderr,), (r.theory,), f",{r.n}") for r in rows])
 
 
 def results_to_json(rows: list[SignalResult]) -> str:

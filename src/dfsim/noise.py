@@ -164,9 +164,10 @@ def verify_error_model(spec: ErrorModelSpec) -> EigenvalueAudit:
     return EigenvalueAudit(eigenvalues, weights, float(np.max(residuals)))
 
 
-#: Shots of one cell whose raw words draw_flips holds at a time, 144 B each
-#: at nine noise points.  Results do not depend on it (tested).
-_UNIFORM_SHOTS = 4096
+#: Raw 8 B words of one cell that draw_flips holds at a time: 4096 shots of
+#: 2 words per point at nine noise points, whatever the points.  Results do
+#: not depend on it (tested).
+_UNIFORM_WORDS = 4096 * 18
 
 #: 64-bit words per Philox counter value; a state's counter counts these blocks.
 _PHILOX_BLOCK = 4
@@ -194,9 +195,10 @@ def draw_flips(
     One Philox generator is re-keyed for each cell by setting its state (the
     cell's seed as key, the counter at the block of word first*2*points); a
     cell at e = 0, whose threshold is 0, flips nothing and draws no word.
-    Shots are drawn _UNIFORM_SHOTS at a time, each slice as if it were its
-    own ``first``, and one cell's words of one slice are held at a time;
-    only the returned flips grow with the shots and the cells.
+    Shots are drawn in slices of _UNIFORM_WORDS // (2 * points) shots, at
+    least one, each slice as if it were its own ``first``, and one cell's
+    words of one slice are held at a time; only the returned flips grow with
+    the shots, the points and the cells.
     """
     seeds = np.array(seed, dtype=object)
     e = _validate_probability(e)
@@ -217,10 +219,11 @@ def draw_flips(
     state = bit_generator.state
     flips = np.empty(seeds.shape + (shots, points, 2), dtype=bool)
     cells = flips.reshape((seeds.size, shots, points, 2))
-    for start in range(0, shots, _UNIFORM_SHOTS):
+    slice_shots = max(1, _UNIFORM_WORDS // (2 * max(points, 1)))
+    for start in range(0, shots, slice_shots):
         offset = (first + start) * 2 * points
         state["state"]["counter"] = [offset // _PHILOX_BLOCK, 0, 0, 0]
-        for key, threshold, out in zip(keys, thresholds, cells[:, start : start + _UNIFORM_SHOTS]):
+        for key, threshold, out in zip(keys, thresholds, cells[:, start : start + slice_shots]):
             if not threshold:  # e = 0: no word lies below 0, so none is drawn
                 out.fill(False)
                 continue

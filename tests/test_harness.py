@@ -140,7 +140,7 @@ def test_frame_signals_match_dense_shot_by_shot(mode, algorithm):
             flips = noise.draw_flips(e, seed, shots, len(mask))
             frame = 1 - 2 * ((flips & mask).sum(axis=(1, 2)) % 2)
             np.testing.assert_allclose(dense, frame, rtol=0, atol=1e-13)
-            [(mean, stderr)] = harness._mc_signal(mask, (e,), shots, (seed,))
+            [mean], [stderr] = harness._mc_signal(mask, (e,), shots, (seed,))
             assert mean == pytest.approx(dense.mean(), abs=1e-13)
             assert stderr == pytest.approx(dense.std(ddof=1) / np.sqrt(shots), abs=1e-13)
 
@@ -835,7 +835,7 @@ def test_cli_run_checks_the_output_path_before_the_sweep(tmp_path, monkeypatch, 
     def no_sweep(cfg):
         raise AssertionError("the sweep ran before the output path was checked")
 
-    monkeypatch.setattr(harness, "run_sweep", no_sweep)
+    monkeypatch.setattr(harness, "_step_columns", no_sweep)
     path = tmp_path / "missing-dir" / "results.csv"
     assert cli.main(["run", "--output", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write output file {path}: ")
@@ -847,6 +847,76 @@ def test_cli_run_keeps_an_old_output_file_when_the_sweep_fails(tmp_path, capsys)
     assert cli.main(["run", "--placement", "99", "--output", str(out)]) == 2
     assert "placement" in capsys.readouterr().err
     assert out.read_text() == "old rows\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_run_writes_the_same_bytes_to_stdout_and_to_the_output_file(fmt, tmp_path, capsys):
+    # 65 e values per mode: three exact batches of each mode's stack.  The
+    # library's rows, through results_to_csv or results_to_json, give the
+    # same text, and an old file longer than the table is cut to it
+    command = [*DJ_BATCHES.split(), "--format", fmt]
+    assert cli.main(command) == 0
+    out = capsys.readouterr().out
+    rows = run_sweep(build_config({"seed": 3, "algorithm": "deutsch-jozsa", "modes": "both",
+                                   "shots": 2, "e_grid": DJ_BATCHES.split()[-1]}))
+    assert (results_to_csv if fmt == "csv" else results_to_json)(rows) == out
+    path = tmp_path / f"results.{fmt}"
+    path.write_text("old rows\n" * len(out))
+    assert cli.main([*command, "--output", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {2 * 3 * 65} rows to {path}\n"
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_run_that_fails_after_its_first_step_writes_nothing(
+    fmt, to_file, tmp_path, monkeypatch, capsys
+):
+    # the protected steps draw nothing and each unprotected step draws once,
+    # so the second draw fails after four steps' columns are made
+    drawn = []
+    draw = noise.draw_flips
+
+    def fail_on_the_second_call(*args, **kwargs):
+        drawn.append(args)
+        if len(drawn) == 2:
+            raise ValueError("the second draw failed")
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "draw_flips", fail_on_the_second_call)
+    path = tmp_path / "results"
+    path.write_text("old rows\n")
+    output = ["--output", str(path)] if to_file else []
+    assert cli.main([*DJ_BATCHES.split(), "--format", fmt, *output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: the second draw failed\n"
+    assert path.read_text() == "old rows\n" and len(drawn) == 2
+
+
+def test_cli_run_csv_makes_no_signal_result(monkeypatch, capsys):
+    def no_rows(*args):
+        raise AssertionError("run --format csv made a SignalResult")
+
+    monkeypatch.setattr(harness, "SignalResult", no_rows)
+    _assert_golden_stdout(DJ_BATCHES, GOLDEN_BATCH_SHA256[DJ_BATCHES], capsys)
+
+
+def test_cli_run_csv_holds_little_more_than_its_text(tmp_path):
+    # 4000 e values x 2 modes x 3 steps = 24000 rows at 2 shots: the rows are
+    # formatted step by step from the sweep's columns, so the traced peak
+    # stays near the 1.8 MB of text; rows built as objects and then joined
+    # into one string peaked at 7.4 times the text
+    path = tmp_path / "results.csv"
+    command = ["run", "--algorithm", "deutsch-jozsa", "--mode", "both", "--shots", "2"]
+    assert cli.main([*command, "--e-grid", "0,0.25", "--output", str(path)]) == 0  # warm-up
+    grid = ",".join(repr(k / 8000) for k in range(4000))
+    tracemalloc.start()
+    try:
+        assert cli.main([*command, "--e-grid", grid, "--output", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size
 
 
 def test_cli_verify_json_report(capsys):
@@ -1109,9 +1179,9 @@ def test_mc_signal_of_a_mask_without_damage_draws_nothing(mask, shots, monkeypat
         raise AssertionError("a plan without damaging flips drew shots")
 
     monkeypatch.setattr(noise, "draw_flips", spy)
-    signals = harness._mc_signal(mask, (0.0, 0.25, 0.5), shots, (1, 2, 3))
-    assert signals == [(1.0, 0.0)] * 3
-    assert all(type(v) is float for cell in signals for v in cell)
+    means, stderrs = harness._mc_signal(mask, (0.0, 0.25, 0.5), shots, (1, 2, 3))
+    assert means == [1.0] * 3 and stderrs == [0.0] * 3
+    assert all(type(v) is float for v in means + stderrs)
 
 
 @pytest.mark.parametrize(
@@ -1134,7 +1204,7 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
         for step, keys in zip(steps, harness._step_keys(cfg, mode_idx, 3)):
             _, mask = circuits.damage_audit(plan, step.deviation)
             for e, key in zip(grid, keys):
-                one_cell_at_a_time += harness._mc_signal(mask, (e,), shots, (key,))
+                one_cell_at_a_time += zip(*harness._mc_signal(mask, (e,), shots, (key,)))
     drawn = []
     batched = noise.draw_flips
 
@@ -1283,9 +1353,10 @@ def test_sweep_memory_does_not_grow_with_the_e_grid(monkeypatch):
     # would add 4 MiB if they were held at once.  The shot draws, bounded by
     # _SHOT_BLOCK, are replaced by a constant to keep the test short, and a
     # warm-up sweep keeps one-time allocations out of both peaks.
-    monkeypatch.setattr(
-        harness, "_mc_signal", lambda mask, e, shots, seeds: [(1.0, 0.0)] * len(seeds)
-    )
+    def constant(mask, e, shots, seeds):
+        return [1.0] * len(seeds), [0.0] * len(seeds)
+
+    monkeypatch.setattr(harness, "_mc_signal", constant)
     peaks = []
     for values in (2, 129, 1025):
         grid = tuple(k / (2 * (values - 1)) for k in range(values))
@@ -1335,8 +1406,8 @@ def test_cli_runs_the_largest_seed(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
-#: The console-script invocations of the tier1 workflow whose new tolerances
-#: no other test runs as written, each with the exit code the workflow expects
+#: The console-script invocations of the tier1 workflow that no other test
+#: runs as written, each with the exit code the workflow expects
 #: and, beside it, the workflow's reason.  {tmp} is a fresh directory, as
 #: $RUNNER_TEMP is there.
 WORKFLOW_INVOCATIONS = [
@@ -1355,6 +1426,14 @@ WORKFLOW_INVOCATIONS = [
     pytest.param("run --seed 0 --algorithm deutsch-jozsa --mode both --shots 2 --e-grid "
                  + ",".join(str(k / 138) for k in range(70)) + " --output {tmp}/dj.csv", 0,
                  id="run-a-mode-stack-over-several-exact-blocks"),
+    # run and count-n through the console script: a run that writes its
+    # table to --output
+    pytest.param("run --seed 0 --shots 16 --e-grid 0,0.25 --output {tmp}/run.csv", 0,
+                 id="run-to-an-output-file"),
+    # the protected run draws nothing (no flip damages a protected plan),
+    # though its 70000 shots exceed one harness._SHOT_BLOCK
+    pytest.param("run --seed 0 --mode protected --shots 70000 --e-grid 0.25 --output {tmp}/p.csv",
+                 0, id="run-protected-past-one-shot-block"),
     # flag values go through the config-file parser, so both exit 2
     pytest.param("run --shots abc", 2, id="reject-a-bad-flag-value"),
     pytest.param("run --config {tmp}/bad.cfg", 2, id="reject-a-bad-config-file-value"),

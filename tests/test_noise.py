@@ -463,16 +463,31 @@ def test_draw_flips_is_exact_at_the_uniforms_own_values():
             np.testing.assert_array_equal(flips, uniforms < e)
 
 
-@pytest.mark.parametrize("uniform_shots", [1, 2, 3, 4096])
-def test_draw_flips_does_not_depend_on_the_uniform_slice(uniform_shots, monkeypatch):
-    # a cell's uniforms are drawn _UNIFORM_SHOTS shots at a time, on from
-    # where the last slice stopped in the stream
-    monkeypatch.setattr(noise, "_UNIFORM_SHOTS", uniform_shots)
+@pytest.mark.parametrize("uniform_words", [1, 36, 54, 4096 * 18])
+def test_draw_flips_does_not_depend_on_the_uniform_slice(uniform_words, monkeypatch):
+    # a cell's uniforms are drawn _UNIFORM_WORDS // (2 * points) shots at a
+    # time, at least one (1, 2, 3 or 4096 shots at nine points; 1, 18, 27 or
+    # 36864 at one), on from where the last slice stopped in the stream
+    monkeypatch.setattr(noise, "_UNIFORM_WORDS", uniform_words)
     for points in (9, 1):
         for shots, first in ((0, 0), (1, 0), (5, 3), (7, 0), (40, 1)):
             reference = _fresh_philox_draw(0.3, 2**64 - 1, shots, points, first)
             flips = draw_flips((0.3, 0.3), (2**64 - 1,) * 2, shots, points, first=first)
             np.testing.assert_array_equal(flips, np.array([reference] * 2))
+
+
+def test_draw_flips_holds_a_word_budget_whatever_the_points():
+    # at 900 noise points a slice of 4096 shots would hold 59 MB of raw words;
+    # the budget of 4096 * 18 words (576 KiB) gives 40 shots a slice instead
+    draw_flips(0.3, 5, 2, 900)  # warm-up
+    tracemalloc.start()
+    try:
+        flips = draw_flips(0.3, 5, 8192, 900)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flips.shape == (8192, 900, 2)
+    assert peak - flips.nbytes < 2 * 2**20
 
 
 @pytest.mark.parametrize("cells", [0, 1, 6])

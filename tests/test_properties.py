@@ -84,7 +84,7 @@ def test_signals_follow_the_damage_count(mode_plan, e, seed, shots):
     # CSV), so only its distance to the prediction is asserted
     expected = 1.0 if mode == "protected" else (1.0 - 2.0 * e) ** n
     assert abs(exact - expected) <= 1e-10
-    [(mc, _)] = harness._mc_signal(mask, (e,), shots, (seed,))
+    [mc], _ = harness._mc_signal(mask, (e,), shots, (seed,))
     assert -1.0 <= mc <= 1.0
     assert -1.0 <= readout.theory_curve(n, e) <= 1.0
 
@@ -186,8 +186,8 @@ def test_masked_column_parity_equals_the_masked_sum(mask, e, seed, shots, block)
     odd = np.count_nonzero((flips & mask).sum(axis=(-2, -1)) % 2, axis=-1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_SHOT_BLOCK", block)
-        signals = harness._mc_signal(mask, tuple(e), shots, seeds)
-    assert [mean for mean, _ in signals] == [1.0 - 2.0 * k / shots for k in odd.tolist()]
+        means, _ = harness._mc_signal(mask, tuple(e), shots, seeds)
+    assert means == [1.0 - 2.0 * k / shots for k in odd.tolist()]
 
 
 @PROPERTY
