@@ -7,25 +7,18 @@ the closed-form prediction (1-2e)^n, and the damage count n.  Results are
 deterministic functions of (config, seed) down to the output bytes.
 
 As in the experiment, a mode is one circuit run from each of its three
-temporal-averaging preparations: one plan, and its steps' stack of
-preparations, which every walk of the plan takes as its initial states.
-The sweep and the verifier walk the modes of mode_stacks the same two ways:
-each mode's stack once through _cell_batches for the exact finals, and each
-step's whole e grid once through _step_draws for the shots, which read only
-the step's damage flags and the cell keys.  The sweep draws no step whose
-audit has no damaging flag, since each of its shots reads +1; the verifier
-draws such a step only when noise._invariant_final, which reads states and
-never the audit, cannot prove that every flip history of it ends at one final.
-
-The sweep's one walk, _step_columns, yields each (mode, step)'s signal
-columns over the e grid.  csv_steps formats the CSV from those columns step
-by step, with no SignalResult; run_sweep builds SignalResult rows from them,
-which the JSON table is made of, buffered.
+temporal-averaging preparations: one plan and its steps' stack of
+preparations (mode_stacks).  The sweep and the verifier walk each mode the
+same two ways: its stack once through _cell_batches for the exact finals,
+and each step's whole e grid once through _step_draws for the shots.  The
+sweep's walk, _step_columns, yields each step's signal columns, which
+csv_steps formats and run_sweep turns into rows.  The verifier's walk,
+_grid_values, hands each draw block and exact batch to the reduction of
+each grid check that reads it, which fills that check's own values array.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -356,23 +349,22 @@ def _eigenstructure_residual(e_grid: tuple[float, ...]) -> list[float]:
     return values
 
 
-@functools.lru_cache(maxsize=4)
-def _log_factorials(shots: int) -> np.ndarray:
-    """log k! for k = 0 .. shots, read-only: the cells of a pass share their shots."""
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, shots + 1)))])
-    log_fact.flags.writeable = False
-    return log_fact
-
-
 def _acceptance_radius(shots: int, p: float) -> float:
     """Largest |k - shots p| of the counts k that the exact two-sided test of
     k ~ Binomial(shots, p) accepts at _ALPHA: the nearest ones, whose tail (the
-    chance of a count as far from shots p or farther, within 1e-9) is >= _ALPHA."""
+    chance of a count as far from shots p or farther, within 1e-9) is >= _ALPHA.
+    Only counts within t = sqrt(shots ln(2e13) / 2) of shots p are summed, the
+    first by math.lgamma and the rest by the pmf ratio: by Hoeffding, P(|k -
+    shots p| >= t) <= 2 exp(-2 t**2 / shots) = 1e-13, far below _ALPHA."""
     if not 0.0 < p < 1.0:  # one certain count
         return 0.0
-    k = np.arange(shots + 1)
-    log_fact = _log_factorials(shots)
-    log_pmf = log_fact[-1] - log_fact - log_fact[::-1] + k * math.log(p) + k[::-1] * math.log1p(-p)
+    t = math.sqrt(shots * math.log(2e13) / 2)
+    low, high = max(0, math.ceil(shots * p - t)), min(shots, math.floor(shots * p + t))
+    k = np.arange(low, high + 1)
+    first = (math.lgamma(shots + 1) - math.lgamma(low + 1) - math.lgamma(shots - low + 1)
+             + low * math.log(p) + (shots - low) * math.log1p(-p))
+    ratios = np.log((shots - k[:-1]) / (k[:-1] + 1)) + (math.log(p) - math.log1p(-p))
+    log_pmf = first + np.concatenate([[0.0], np.cumsum(ratios)])
     distance = np.abs(k - shots * p)
     order = np.argsort(distance, kind="stable")
     near = distance[order]
@@ -380,116 +372,129 @@ def _acceptance_radius(shots: int, p: float) -> float:
     return float(near[tails[np.searchsorted(near, near - 1e-9)] >= _ALPHA].max())
 
 
+def _attempt(compute, *args, failed=math.inf):
+    """compute(*args), or ``failed`` if it raises ValueError: the checks that read it FAIL."""
+    try:
+        return compute(*args)
+    except ValueError:
+        return failed
+
+
+def _correctness(plan: circuits.ExperimentPlan, references, finals) -> np.ndarray:
+    """protected-correctness, (1 + steps, cells) of a protected batch decoded as one
+    stack: the summed final's |fidelity - 1| with the logical circuit's output
+    from |00>, then each step's |signal - 1| against its decoded noiseless final."""
+    logical = np.eye(4, dtype=complex)
+    for gate in plan.gates:
+        logical = gate.logical @ logical
+    target = logical[:, 0]
+    refs = np.concatenate([[np.outer(target, target.conj())], dfs.decode(references)])
+    decoded = np.delete(dfs.decode(finals), 1, axis=0)  # all but identity/16
+    return np.abs(readout.signal_intensity(decoded, refs[:, None]) - 1.0)
+
+
+def _averaging(finals: np.ndarray) -> list[float]:
+    """temporal-averaging, one per cell: ||summed final - sum of the rest||."""
+    return list(map(qcore.frobenius_norm, finals[0] - sum(finals[2:], finals[1])))
+
+
+def _consistency(masks, references, e: tuple[float, ...], finals) -> np.ndarray:
+    """damage-count-consistency, (steps, cells) of an unprotected batch: each
+    step's |exact signal - (1-2e)^n|, n its count of damaging flags."""
+    signals = readout.signal_intensity(finals[2:], references[:, None])
+    return np.abs(signals - [[readout.theory_curve(int(m.sum()), e_i) for e_i in e] for m in masks])
+
+
 def _frame_apart(states: np.ndarray, index, sign, reference: np.ndarray) -> float:
-    """The largest ||states[index[k]] - s_k reference|| over shots k, where s_k is
-    -1 if sign[k] is 1 (the frame negated shot k) and +1 if it is 0."""
+    """frame-dense-shots: the largest ||states[index[k]] - s_k reference|| / ||reference||
+    over shots k, where s_k is -1 if sign[k] is 1 (the frame negated shot k) and +1 if it is 0."""
     apart = np.linalg.norm(states[:, None] - [reference, -reference], axis=(2, 3))
-    return apart[index, sign].max()
+    return apart[index, sign].max() / qcore.frobenius_norm(reference)
 
 
-def _grid_pass(cfg: SweepConfig, walk: list) -> tuple:
-    """The values that protected-correctness, temporal-averaging,
-    damage-count-consistency, frame-dense-shots and damage-count-values judge,
-    then mc-convergence's (modes, steps, grid) margins and its worst cell.
+def _mc_margins(shots: int, references, negated: np.ndarray, finals) -> np.ndarray:
+    """mc-convergence, (steps, cells) of a swept batch.  A cell's dense mean is
+    (1 - 2k/shots) rho_ref, for its k negated shots; its margin is that mean's
+    distance from the exact final, less 2 ||rho_ref|| / shots times the
+    _acceptance_radius at P = (1 - exact signal)/2, less NUMERICAL_FLOOR: an exact
+    test of k at any shot count, which a part orthogonal to rho_ref fails too."""
+    parts = finals[2:]
+    means = (1.0 - 2.0 * negated / shots)[..., None, None] * references[:, None]
+    distance = list(map(qcore.frobenius_norm, (means - parts).reshape(-1, *parts.shape[2:])))
+    p = (1 - readout.signal_intensity(parts, references[:, None])) / 2
+    radius = np.reshape([_acceptance_radius(shots, x) for x in p.ravel().tolist()], p.shape)
+    norms = np.array([qcore.frobenius_norm(reference) for reference in references])[:, None]
+    return np.reshape(distance, p.shape) - radius * 2 * norms / shots - NUMERICAL_FLOOR
 
-    ``walk`` is mode_stacks over cfg.modes and then the other mode, so each
-    swept mode (one of cfg.modes) has the index, and so the cell keys, that
-    run_sweep gives it.  Each step of a swept mode is drawn once through
-    _step_draws, whose blocks give the mode's (steps, grid) negated counts k
-    and frame-dense-shots' values, each block's worst ||rho_shot - s rho_ref|| /
-    ||rho_ref|| of the dense oracle's shots from the step's preparation, with
-    s = +-1 the shot's frame sign and rho_ref the step's noiseless final.
-    A step whose mask has no true flag is first walked by
-    noise._invariant_final, which reads only states: if no flip changes a
-    byte of its state at any noise point, every one of the 4**points flip
-    histories of every cell ends at the walk's final, with frame sign +1, so
-    that final's value is frame-dense-shots' for the step, its counts stay 0
-    and nothing is drawn for it.  Then
-    the stack [summed preparation (identity/16 plus every step's deviation),
-    identity/16, step 0 .. 2] goes once through _cell_batches; each batch feeds:
-    - temporal-averaging (swept): each cell's ||summed final - sum of the rest||;
-    - protected-correctness (protected, swept or not): the batch decoded as
-      one stack, each step's decoded final's |signal - 1| against its decoded
-      noiseless one, and the decoded summed final's |fidelity - 1| with the
-      logical circuit's output from |00>, the signal against its projector;
-    - damage-count-consistency (unprotected, swept or not): each step's
-      |exact signal - (1-2e)^n|;
-    - mc-convergence's margins (swept).  A cell's dense mean is
-      (1 - 2k/shots) rho_ref, and its margin that mean's distance from the
-      exact final, less 2 ||rho_ref|| / shots times the _acceptance_radius at
-      P = (1 - exact signal)/2, less NUMERICAL_FLOOR: an exact test of k at
-      any shot count, which a part of the exact final orthogonal to rho_ref
-      fails too.
-    damage-count-values' values are each step's |n - EXPECTED_DAMAGE|, which
-    holds for the default Grover placement only.  mc-convergence's cell is
-    the first worst in (cfg.modes order, step, e) order.
+
+def _damage_values(walk: list) -> list[int]:
+    """damage-count-values: each step's |n - EXPECTED_DAMAGE|, from the audit alone.
+    EXPECTED_DAMAGE holds for the default Grover placement only."""
+    return [abs(int(mask.sum()) - EXPECTED_DAMAGE[plan.mode][step.label])
+            for _, plan, steps, _, (_, masks), _ in walk for step, mask in zip(steps, masks)]
+
+
+def _grid_values(cfg: SweepConfig, walk: list) -> dict[str, np.ndarray]:
+    """The five grid checks' values by name, from one walk of each mode of
+    ``walk``: mode_stacks over cfg.modes, so each swept mode has run's cell
+    keys, then the other mode.  Each swept step is drawn once through
+    _step_draws and the dense oracle, unless noise._invariant_final, which
+    reads only states, proves one final for every flip history (frame sign
+    +1).  Each mode's stack [summed preparation, identity/16, step 0 .. 2]
+    goes once through _cell_batches.  Every value starts at inf: what a
+    raising reduction or shared stage leaves unfilled FAILs only its readers.
     """
     identity = np.eye(qcore.DIM, dtype=complex) / qcore.DIM
-    correctness, averaging, consistency, frame_dense, damage, margins = [], [], [], [], [], []
+    rows, grid, swept = len(walk[0][2]), len(cfg.e_grid), len(cfg.modes)  # 3 steps a mode
+    values = {name: np.full(shape, math.inf) for name, shape in [
+        ("protected-correctness", (1 + rows, grid)), ("temporal-averaging", (swept, grid)),
+        ("damage-count-consistency", (rows, grid)), ("frame-dense-shots", (swept, rows)),
+        ("mc-convergence", (swept, rows, grid))]}
     for mode_idx, plan, steps, preps, (_, masks), references in walk:
-        mode, swept = plan.mode, mode_idx < len(cfg.modes)
-        damage += [abs(int(mask.sum()) - EXPECTED_DAMAGE[mode][step.label])
-                   for step, mask in zip(steps, masks)]
-        if mode == "protected":
-            logical = np.eye(4, dtype=complex)
-            for gate in plan.gates:
-                logical = gate.logical @ logical
-            target = logical[:, 0]  # |target><target|, then each step's decoded reference
-            refs = np.concatenate([[np.outer(target, target.conj())], dfs.decode(references)])
-        norms = [qcore.frobenius_norm(reference) for reference in references]
-        negated = np.zeros((len(steps), len(cfg.e_grid)), dtype=np.int64)
-        margin = np.empty(negated.shape)
-        keys = _step_keys(cfg, mode_idx, len(steps)) if swept else []
-        for step_idx, step_keys in enumerate(keys):
-            mask, reference = masks[step_idx], references[step_idx]
-            final = None if mask.any() else noise._invariant_final(plan, preps[step_idx])
-            if final is not None:  # every shot of every cell ends there, frame sign +1
-                frame_dense.append(_frame_apart(final[None], 0, 0, reference) / norms[step_idx])
-                continue
-            for cells, flips, parity in _step_draws(mask, cfg.e_grid, cfg.shots, step_keys):
-                negated[step_idx, cells] += np.count_nonzero(parity, axis=1)
-                flips = np.concatenate(flips)
-                states, index = noise.monte_carlo_states(plan, flips, preps[step_idx])
-                sign = parity.ravel().astype(np.intp)  # 1: negated
-                frame_dense.append(_frame_apart(states, index, sign, reference) / norms[step_idx])
+        negated, drawn = np.zeros((len(steps), grid), dtype=np.int64), mode_idx < swept
+        try:
+            for step_idx, keys in enumerate(_step_keys(cfg, mode_idx, len(steps)) if drawn else ()):
+                mask, initial, reference = masks[step_idx], preps[step_idx], references[step_idx]
+                final = None if mask.any() else noise._invariant_final(plan, initial)
+                if final is not None:  # every shot of every cell ends there, frame sign +1
+                    values["frame-dense-shots"][mode_idx, step_idx] = _attempt(
+                        _frame_apart, final[None], 0, 0, reference)
+                    continue
+                apart = []
+                for cells, flips, parity in _step_draws(mask, cfg.e_grid, cfg.shots, keys):
+                    negated[step_idx, cells] += np.count_nonzero(parity, axis=1)
+                    states, index = noise.monte_carlo_states(plan, np.concatenate(flips), initial)
+                    sign = parity.ravel().astype(np.intp)  # 1: negated
+                    apart.append(_attempt(_frame_apart, states, index, sign, reference))
+                values["frame-dense-shots"][mode_idx, step_idx] = np.max(apart)
+        except ValueError:  # a draw or dense evolution: mc-convergence reads its counts
+            drawn = False
         initial = np.concatenate([[sum(preps, identity), identity], preps])
-        for start, e, finals in _cell_batches(cfg.e_grid, plan, initial):
-            direct, total, parts = finals[0], finals[1], finals[2:]
-            signals = readout.signal_intensity(parts, references[:, None]).tolist()
-            if swept:
-                for part in parts:
-                    total = total + part
-                averaging += map(qcore.frobenius_norm, direct - total)
-            if mode == "protected":
-                decoded = np.delete(dfs.decode(finals), 1, axis=0)  # all but identity/16
-                logical_signals = readout.signal_intensity(decoded, refs[:, None])
-                correctness += np.abs(logical_signals - 1.0).ravel().tolist()
-            if mode == "unprotected":
-                theory = [[readout.theory_curve(int(m.sum()), e_i) for e_i in e] for m in masks]
-                consistency += np.abs(np.subtract(signals, theory)).ravel().tolist()
-            for step_idx, part in enumerate(parts if swept else ()):
-                reference, norm = references[step_idx], norms[step_idx]
-                counts = negated[step_idx, start : start + len(e)].tolist()
-                for i, (exact, k, signal) in enumerate(zip(part, counts, signals[step_idx])):
-                    mean = (1.0 - 2.0 * k / cfg.shots) * reference
-                    radius = _acceptance_radius(cfg.shots, (1 - signal) / 2) * 2 * norm / cfg.shots
-                    distance = qcore.frobenius_norm(mean - exact)
-                    margin[step_idx, start + i] = distance - radius - NUMERICAL_FLOOR
-        if swept:
-            margins.append(margin)
-    margins = np.stack(margins)
-    mode_idx, step_idx, e_idx = np.unravel_index(np.argmax(margins), margins.shape)
-    label = walk[mode_idx][2][step_idx].label  # the swept modes lead walk
-    cell = f"mode={cfg.modes[mode_idx]} step={label} e={cfg.e_grid[e_idx]:g}"
-    return correctness, averaging, consistency, frame_dense, damage, margins, cell
+        try:
+            for start, e, finals in _cell_batches(cfg.e_grid, plan, initial):
+                cells = slice(start, start + len(e))
+                if plan.mode == "protected":
+                    values["protected-correctness"][:, cells] = _attempt(
+                        _correctness, plan, references, finals)
+                else:
+                    values["damage-count-consistency"][:, cells] = _attempt(
+                        _consistency, masks, references, e, finals)
+                if mode_idx < swept:
+                    values["temporal-averaging"][mode_idx, cells] = _attempt(_averaging, finals)
+                if drawn:
+                    values["mc-convergence"][mode_idx, :, cells] = _attempt(
+                        _mc_margins, cfg.shots, references, negated[:, cells], finals)
+        except ValueError:  # the exact walk: the cells it did not reach stay inf
+            pass
+    return values
 
 
 def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
     """Run the machine-checkable invariant suite; every check reports its residual.
 
-    A check's residual is the largest value it judges: a NaN among them FAILs it.
-    One _grid_pass walks both modes, whatever cfg.modes holds; their
-    mode_stacks are built first, outside the checks (a bad placement exits 2).
+    A check's residual is the largest value it judges: a NaN among them FAILs it,
+    as does the inf of a computation that raised.  Both modes' mode_stacks are
+    built first, outside the checks (a bad placement exits 2).
     """
     cfg = cfg or SweepConfig()
     modes = tuple(dict.fromkeys((*cfg.modes, *circuits.MODES)))  # cfg.modes, then the other
@@ -500,33 +505,27 @@ def verify(cfg: SweepConfig | None = None) -> list[VerifyCheck]:
         residual = float(np.max(values))  # np.max keeps a NaN, where max may drop it
         checks.append(VerifyCheck(name, residual <= tolerance, residual, float(tolerance), detail))
 
-    def attempt(compute, *args, failed=(math.inf,)):
-        """compute(*args), or ``failed`` if it raises ValueError (a channel that is
-        not trace preserving, say): its checks FAIL, and the others still run."""
-        try:
-            return compute(*args)
-        except ValueError:
-            return failed
-
-    flip_table, transform = attempt(_word_pass, failed=((math.inf,),) * 2)
+    flip_table, transform = _attempt(_word_pass, failed=(math.inf, math.inf))
     add("flip-anticommutation", flip_table, 0.0)
     add("pauli-transform-inverse", transform, 0.0)
-    add("dfs-gram-identity", attempt(dfs.gram_defect), 0.0)
-    add("dfs-immunity", attempt(_immunity_residual), qcore.DEFAULT_TOL,
+    add("dfs-gram-identity", _attempt(dfs.gram_defect), 0.0)
+    add("dfs-immunity", _attempt(_immunity_residual), qcore.DEFAULT_TOL,
         "16 operators spanning every encoded state, e = 0 .. 0.5 step 0.05")
-    completeness = [noise.engineered_model(e).completeness_defect for e in cfg.e_grid]
-    add("channel-completeness", completeness, qcore.DEFAULT_TOL)
-    add("eigenstructure-audit", attempt(_eigenstructure_residual, cfg.e_grid), qcore.DEFAULT_TOL)
-    grid = attempt(_grid_pass, cfg, walk, failed=((math.inf,),) * 6 + ("unknown",))
-    correctness, averaging, consistency, frame_dense, damage, mc_margins, mc_cell = grid
-    add("protected-correctness", correctness, qcore.DEFAULT_TOL)
-    add("temporal-averaging", averaging, qcore.DEFAULT_TOL)
-    add("damage-count-consistency", consistency, qcore.DEFAULT_TOL)
+    add("channel-completeness", _attempt(lambda: [noise.engineered_model(e).completeness_defect
+                                                  for e in cfg.e_grid]), qcore.DEFAULT_TOL)
+    add("eigenstructure-audit", _attempt(_eigenstructure_residual, cfg.e_grid), qcore.DEFAULT_TOL)
+    grid = _grid_values(cfg, walk)
+    for name in ("protected-correctness", "temporal-averaging", "damage-count-consistency"):
+        add(name, grid[name], qcore.DEFAULT_TOL)
     if cfg.algorithm == "grover" and cfg.placement is None:
-        add("damage-count-values", damage, 0.0, "n = 0/0/0 and 6/12/6")
-    add("frame-dense-shots", frame_dense, 0.0)
-    add("mc-convergence", mc_margins, 0.0,
-        f"worst cell {mc_cell}; bound exact binomial at erfc(5/sqrt(2)) + {NUMERICAL_FLOOR:g}"
+        add("damage-count-values", _attempt(_damage_values, walk), 0.0, "n = 0/0/0 and 6/12/6")
+    add("frame-dense-shots", grid["frame-dense-shots"], 0.0)
+    margins = grid["mc-convergence"]  # argmax: the first worst in (cfg.modes, step, e) order
+    mode_idx, step_idx, e_idx = np.unravel_index(np.argmax(margins), margins.shape)
+    label = walk[mode_idx][2][step_idx].label  # the swept modes lead walk
+    cell = f"mode={cfg.modes[mode_idx]} step={label} e={cfg.e_grid[e_idx]:g}"
+    add("mc-convergence", margins, 0.0,
+        f"worst cell {cell}; bound exact binomial at erfc(5/sqrt(2)) + {NUMERICAL_FLOOR:g}"
         f" at {cfg.shots} shots")
     return checks
 

@@ -402,12 +402,46 @@ def _channel_with_a_nan_xxxx_coefficient(monkeypatch):
     monkeypatch.setattr(noise, "_engineered_coefficients", faulty)
 
 
-#: Every check but the three that read no channel: the flip table, the Pauli
-#: transform and the DFS basis.
+def _raising(owner, name):
+    """A fault that makes owner.<name> raise ValueError."""
+    def fault(monkeypatch):
+        def faulty(*args, **kwargs):
+            raise ValueError(f"{name} raised")
+
+        monkeypatch.setattr(owner, name, faulty)
+
+    return fault
+
+
+def _last_dense_evolution_raising(monkeypatch):
+    # a default verify evolves three draw blocks, one per unprotected step:
+    # the third raises once every count is taken
+    evolve, calls = noise.monte_carlo_states, []
+
+    def faulty(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ValueError("dense evolution raised")
+        return evolve(*args)
+
+    monkeypatch.setattr(noise, "monte_carlo_states", faulty)
+
+
+#: The checks that evolve through the engineered channel: the three that
+#: build it, and the four grid checks that read the exact walk.  The flip
+#: table, the Pauli transform and the DFS basis read no channel; nor do
+#: damage-count-values, which reads the audit alone, and frame-dense-shots,
+#: which reads the draws and the dense oracle.
 _CHANNEL_FAULT_FAILS = {
     "dfs-immunity", "channel-completeness", "eigenstructure-audit", "protected-correctness",
-    "temporal-averaging", "damage-count-consistency", "damage-count-values",
-    "frame-dense-shots", "mc-convergence",
+    "temporal-averaging", "damage-count-consistency", "mc-convergence",
+}
+
+#: Each grid check's reduction in harness, which must FAIL that check alone.
+_REDUCTIONS = {
+    "protected-correctness": "_correctness", "temporal-averaging": "_averaging",
+    "damage-count-consistency": "_consistency", "damage-count-values": "_damage_values",
+    "frame-dense-shots": "_frame_apart", "mc-convergence": "_mc_margins",
 }
 
 
@@ -438,6 +472,10 @@ _CHANNEL_FAULT_FAILS = {
         (_invariant_final_negated, {"frame-dense-shots"}),
         (_error_model_audit_with_nan_weights, {"eigenstructure-audit"}),
         (_channel_with_a_nan_xxxx_coefficient, _CHANNEL_FAULT_FAILS),
+        (_raising(noise, "_engineered_coefficients"), _CHANNEL_FAULT_FAILS),
+        (_raising(noise, "draw_flips"), {"frame-dense-shots", "mc-convergence"}),
+        (_last_dense_evolution_raising, {"frame-dense-shots", "mc-convergence"}),
+        *[(_raising(harness, name), {check}) for check, name in _REDUCTIONS.items()],
     ],
     ids=[
         "exact-channel-fails-damage-count-consistency-only",
@@ -454,6 +492,10 @@ _CHANNEL_FAULT_FAILS = {
         "wrong-invariant-final-fails-frame-dense-shots-only",
         "nan-error-model-weights-fail-eigenstructure-audit-only",
         "nan-channel-coefficient-fails-every-check-that-reads-a-channel",
+        "raising-channel-coefficients-fail-every-check-that-reads-a-channel",
+        "raising-draws-fail-frame-dense-shots-and-mc-convergence-only",
+        "raising-last-dense-evolution-fails-frame-dense-shots-and-mc-convergence-only",
+        *[f"raising-reduction-fails-{check}-only" for check in _REDUCTIONS],
     ],
 )
 def test_verify_fails_its_checks_on_a_fault(fault, failed, monkeypatch, capsys):
@@ -468,7 +510,11 @@ def test_verify_fails_its_checks_on_a_fault(fault, failed, monkeypatch, capsys):
     # a channel keeping only (1-e) IIII shrinks every encoded state for e > 0;
     # a channel whose XXXX weight falls short of trace preserving makes every
     # check that evolves through it raise, and each such check FAILs with an
-    # infinite residual (the grid checks together) while the rest still run;
+    # infinite residual while the rest still run: the exact walk raises, and
+    # with it the four grid checks that read it, but not the two that read
+    # the audit or the draws; draws, or their dense evolution, that raise fail
+    # the two checks that read them, mc-convergence even when the counts are
+    # whole; a check's own reduction that raises fails that check alone;
     # a NaN among the values a check judges is its residual, so that check
     # FAILs, and a NaN channel coefficient is not trace preserving either.
     # The walk that spares verify the protected draws reads only states: a
@@ -509,21 +555,39 @@ def oracle():
 def test_acceptance_radius_is_the_exact_binomial_test(shots, p, oracle):
     # the benchmark oracle's two-sided binomial tail is the independent
     # reference: a count lies within the radius exactly when its tail is >= alpha.
-    # The shot count alternates with another, so radii from freshly computed
-    # log-factorials (misses) and from cached ones (hits) are both checked
+    # From 64 shots Hoeffding's window leaves the farthest counts out of the sum
     assert harness._ALPHA == oracle.ALPHA
-    harness._log_factorials.cache_clear()
-    lookups = []
-    for count in (shots, 1 if shots > 1 else 2) * 2:
-        before = harness._log_factorials.cache_info()
-        radius = harness._acceptance_radius(count, p)
-        after = harness._log_factorials.cache_info()
-        lookups.append((after.misses - before.misses, after.hits - before.hits))
-        for k in range(count + 1):
-            tail = oracle.binomial_two_sided(k, count, p)
-            assert (abs(k - count * p) <= radius) == (tail >= oracle.ALPHA), (count, k, tail)
-    # p = 0 has one certain count and reads no log-factorial
-    assert lookups == ([(0, 0)] * 4 if p == 0.0 else [(1, 0), (1, 0), (0, 1), (0, 1)])
+    radius = harness._acceptance_radius(shots, p)
+    for k in range(shots + 1):
+        tail = oracle.binomial_two_sided(k, shots, p)
+        assert (abs(k - shots * p) <= radius) == (tail >= oracle.ALPHA), (k, tail)
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.25, 0.5])
+def test_acceptance_radius_at_a_large_shot_count_is_the_exact_binomial_test(p, oracle):
+    # at 2**20 shots the window holds about 1 in 130 counts; the counts next
+    # to the radius on each side, the farthest accepted and the nearest
+    # rejected among them, must be judged as the oracle judges them
+    shots = 2**20
+    radius, centre = harness._acceptance_radius(shots, p), shots * p
+    counts = {math.floor(centre + side * radius) + d for side in (-1, 1) for d in (-1, 0, 1, 2)}
+    inside = {k: abs(k - centre) <= radius for k in counts if 0 <= k <= shots}
+    assert set(inside.values()) == {True, False}
+    for k, accepted in inside.items():
+        tail = oracle.binomial_two_sided(k, shots, p)
+        assert accepted == (tail >= oracle.ALPHA), (k, tail)
+
+
+def test_acceptance_radius_memory_does_not_grow_with_the_shots():
+    # the window is about 7.8 sqrt(shots) counts wide: 16 000 counts, some
+    # 1 MB of arrays, at 2**22 shots, where all the counts took 288 MB
+    tracemalloc.start()
+    try:
+        harness._acceptance_radius(2**22, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _count_calls(monkeypatch) -> dict[str, int]:
@@ -1437,6 +1501,15 @@ WORKFLOW_INVOCATIONS = [
     # flag values go through the config-file parser, so both exit 2
     pytest.param("run --shots abc", 2, id="reject-a-bad-flag-value"),
     pytest.param("run --config {tmp}/bad.cfg", 2, id="reject-a-bad-config-file-value"),
+    # 2 e values x 40000 shots per plan exceed one harness._SHOT_BLOCK
+    # (65536), so the dense oracle takes one cell per draw call; each exact
+    # batch still holds both e values
+    pytest.param("verify --seed 0 --mode unprotected --e-grid 0.25,0.5 --shots 40000", 0,
+                 id="verify-past-one-shot-block"),
+    # placement 0 leaves gates after the last noise point, so the exact
+    # path's last operation on every (state, e) row is a real matmul
+    pytest.param("verify --seed 0 --placement 0 --e-grid 0.25,0.5", 0,
+                 id="verify-a-plan-ending-in-a-gate"),
 ]
 
 
