@@ -244,11 +244,13 @@ def damage_audit(plan: ExperimentPlan, initial: np.ndarray) -> tuple[np.ndarray,
 
 
 def _audit(plan: ExperimentPlan, walk: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """damage_audit of its noise-free ``walk`` (ideal_boundary_deviations)."""
+    """damage_audit of its noise-free ``walk`` (ideal_boundary_deviations).  Each
+    boundary is transformed once, however many noise points it holds."""
     points = plan.decoherence_points
-    devs = np.stack(walk, axis=-3)[..., list(points), :, :]
+    boundaries, at = np.unique(np.array(points, dtype=int), return_inverse=True)
+    devs = np.stack(walk, axis=-3)[..., boundaries, :, :]
     norms = np.linalg.norm(devs, axis=(-2, -1))
-    present = np.abs(_pauli_transform(devs)) > 1e-10 * norms[..., None]
+    present = (np.abs(_pauli_transform(devs)) > 1e-10 * norms[..., None])[..., at, :]
     table = _flip_anticommutes()
     damaging = present @ table
     mixed = np.argwhere(damaging & (present @ ~table))

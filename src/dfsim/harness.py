@@ -10,9 +10,11 @@ As in the experiment, a mode is one circuit run from each of its three
 temporal-averaging preparations: one plan and its steps' stack of
 preparations (mode_stacks).  The sweep and the verifier walk each mode the
 same two ways: its stack once through _cell_batches for the exact finals,
-and each step's whole e grid once through _step_draws for the shots.  The
-sweep's walk, _step_columns, yields each step's signal columns, which
-csv_steps formats and run_sweep turns into rows.  The verifier's walk,
+and each step's whole e grid once, in the _shot_blocks blocks, for the
+shots.  The sweep's walk, _step_columns, yields each step's signal columns,
+which csv_steps formats and run_sweep turns into rows; it holds no flips,
+only each cell's count of negated shots (noise._negated_counts).  Only the
+verifier draws flips, through _step_draws, for its dense oracle: its walk,
 _grid_values, hands each draw block and exact batch to the reduction of
 each grid check that reads it, which fills that check's own values array.
 """
@@ -151,9 +153,10 @@ def mode_stacks(
         yield mode_idx, plan, steps, preps, circuits._audit(plan, walk), walk[-1]
 
 
-#: Shots drawn at a time over the cells of a _step_draws group.  Results do
-#: not depend on it (tested); it only bounds memory: 18 B per shot of flips
-#: at nine noise points, and a few 8 B indices per shot in the dense oracle.
+#: Shots drawn at a time over the cells of a _shot_blocks group.  Results do
+#: not depend on it (tested).  run holds no flips, only counts; in verify,
+#: which alone draws through _step_draws, it bounds memory: 18 B per shot of
+#: flips at nine noise points, and a few 8 B indices per shot in the dense oracle.
 _SHOT_BLOCK = 65536
 
 #: (state, e) rows of one noise.run_plan_exact call, 2 KiB each in each of its
@@ -196,22 +199,24 @@ def _parity(flips: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(flips[..., mask], axis=-1)
 
 
+def _shot_blocks(cells: int, shots: int) -> Iterator[tuple[slice, int, int]]:
+    """(cells, first, count) of each draw over a step's cells: max(1, _SHOT_BLOCK
+    // shots) cells a group, each group in blocks of _SHOT_BLOCK shots, in shot order."""
+    batch = max(1, _SHOT_BLOCK // shots)
+    for start in range(0, cells, batch):
+        for first in range(0, shots, _SHOT_BLOCK):
+            yield slice(start, start + batch), first, min(_SHOT_BLOCK, shots - first)
+
+
 def _step_draws(
     mask: np.ndarray, e: tuple[float, ...], shots: int, keys: Sequence[int]
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """(cells, flips, _parity(flips, mask)) over one step's cells (e[i], keys[i]).
-
-    The one place that draws: max(1, _SHOT_BLOCK // shots) cells a group, each
-    group one noise.draw_flips call per _SHOT_BLOCK shots, in shot order.  A
-    cell's flips come from its own Philox key (_step_keys), whatever its group.
-    """
-    batch = max(1, _SHOT_BLOCK // shots)
-    for start in range(0, len(keys), batch):
-        cells = slice(start, start + batch)
-        for first in range(0, shots, _SHOT_BLOCK):
-            count = min(_SHOT_BLOCK, shots - first)
-            flips = noise.draw_flips(e[cells], keys[cells], count, len(mask), first=first)
-            yield cells, flips, _parity(flips, mask)
+    """(cells, flips, _parity(flips, mask)) over one step's cells (e[i], keys[i]):
+    verify's draws, one noise.draw_flips call per _shot_blocks block.  A cell's
+    flips come from its own Philox key (_step_keys), whatever its group."""
+    for cells, first, count in _shot_blocks(len(keys), shots):
+        flips = noise.draw_flips(e[cells], keys[cells], count, len(mask), first=first)
+        yield cells, flips, _parity(flips, mask)
 
 
 def _mc_signal(
@@ -223,13 +228,14 @@ def _mc_signal(
     final deviation is the ideal one negated once per damaging flip drawn, so
     its signal is +1 or -1 by its _parity.  The mean is then 1 - 2 (odd shots)
     / shots, and the standard error is the sample standard deviation (ddof 1)
-    of the +-1 shot signals over sqrt(shots).  The cells are drawn by
-    _step_draws, unless no entry of the mask is true: every protected plan,
-    and every plan without noise points, draws nothing.
+    of the +-1 shot signals over sqrt(shots).  The odd shots are counted by
+    noise._negated_counts over the _shot_blocks blocks, which holds no flips,
+    unless no entry of the mask is true: every protected plan, and every plan
+    without noise points, draws nothing.
     """
     odd = np.zeros(len(seeds), dtype=np.int64)
-    for cells, _, parity in _step_draws(mask, e, shots, seeds) if mask.any() else ():
-        odd[cells] += np.count_nonzero(parity, axis=1)
+    for cells, first, count in _shot_blocks(len(seeds), shots) if mask.any() else ():
+        odd[cells] += noise._negated_counts(e[cells], seeds[cells], count, mask, first=first)
     mean = 1.0 - 2.0 * odd / shots
     stderr = np.sqrt((1.0 - mean * mean) / (shots - 1)) if shots > 1 else np.zeros_like(mean)
     return mean.tolist(), stderr.tolist()

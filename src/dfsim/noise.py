@@ -36,13 +36,20 @@ Reproducibility contract: the flips of one cell come from one counter-based
 Philox stream (Salmon et al., SC'11) keyed by the cell's seed, so any range
 of shots, drawn in any order, on any worker or with other cells in one call,
 gives bit-identical flips (draw_flips,
-test_draw_flips_over_many_cells_stacks_the_one_cell_draws).
+test_draw_flips_over_many_cells_stacks_the_one_cell_draws).  The sweep
+relies on it: _negated_counts reduces each range of shots to its count of
+negated shots as soon as it is drawn, and splits a large cell into units
+drawn on _WORKERS threads, each unit counted in its own slot; the counts,
+and so the output bytes, do not depend on the worker count
+(test_cli_run_bytes_do_not_depend_on_the_worker_count).
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,13 +171,76 @@ def verify_error_model(spec: ErrorModelSpec) -> EigenvalueAudit:
     return EigenvalueAudit(eigenvalues, weights, float(np.max(residuals)))
 
 
-#: Raw 8 B words of one cell that draw_flips holds at a time: 4096 shots of
-#: 2 words per point at nine noise points, whatever the points.  Results do
-#: not depend on it (tested).
+#: Raw 8 B words of one cell that draw_flips, and _negated_counts on the
+#: calling thread, hold at a time: 4096 shots of 2 words per point at nine
+#: noise points, whatever the points.  Results do not depend on it (tested).
 _UNIFORM_WORDS = 4096 * 18
 
 #: 64-bit words per Philox counter value; a state's counter counts these blocks.
 _PHILOX_BLOCK = 4
+
+#: Raw words a _negated_counts worker draws at a time: 128 KiB, glibc's default
+#: mmap threshold, which a unit's 16 380 words at nine noise points stay below,
+#: so they come from a heap the worker reuses; two workers hold less than
+#: _UNIFORM_WORDS.  Results do not depend on it (tested).
+_UNIT_WORDS = 16 * 1024
+
+#: Flips, 1 B each, of the cells and shots that one parity of a serial
+#: _negated_counts reduces: 65 536 shots at nine noise points, whatever the points.
+_BLOCK_FLIPS = 16 * _UNIFORM_WORDS
+
+
+#: Threads that draw a large _negated_counts, the caller's one included, at
+#: most one per CPU this process may run on (not every platform has CPU
+#: affinity).  Philox's random_raw and the comparisons release the GIL, and
+#: a third thread gained nothing on two CPUs.  Results do not depend on it (tested).
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+def _keyed_cells(e: ArrayLike, seed: ArrayLike) -> tuple[tuple[int, ...], list, np.ndarray]:
+    """(seed's shape, each cell's Philox key as [low, high] 64-bit words, each
+    cell's threshold ceil(e * 2**53) << 11): ``seed`` is one cell's seed or a
+    1-D array of them, and ``e`` a float or one per seed."""
+    seeds = np.array(seed, dtype=object)
+    e = _validate_probability(e)
+    if seeds.ndim > 1 or e.shape not in ((), seeds.shape):
+        raise ValueError("seed must be an integer or a 1-D array, and e a float or one per seed")
+    keys = []
+    for key in seeds.ravel().tolist():
+        key = operator.index(key)
+        if not 0 <= key < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {key}")
+        keys.append([key & 0xFFFFFFFFFFFFFFFF, key >> 64])
+    # e * 2**53 is exact, and at most 2**52, so the shifted threshold fits 64 bits
+    steps = np.ceil(np.broadcast_to(e, seeds.shape).ravel() * 2.0**53).astype(np.uint64)
+    return seeds.shape, keys, steps << np.uint64(11)
+
+
+def _philox() -> tuple[np.random.Philox, dict]:
+    """A Philox generator and its state, which _draw re-keys for each unit."""
+    bit_generator = np.random.Philox(0)  # seeded, so it reads no OS entropy
+    return bit_generator, bit_generator.state
+
+
+def _draw(philox: tuple[np.random.Philox, dict], key: list, threshold, offset: int,
+          out: np.ndarray) -> None:
+    """out = whether each of words offset .. offset + out.size - 1 of the Philox
+    stream keyed ``key`` lies below ``threshold``: the walk of one unit, a
+    cell's range of shots.  The generator is re-keyed through its state, with
+    the counter at the block of word ``offset``, and the words of earlier shots
+    in that block are discarded.  At threshold 0 (e = 0) no word lies below it,
+    so none is drawn."""
+    if not threshold:
+        out.fill(False)
+        return
+    bit_generator, state = philox
+    state["state"]["key"] = key
+    state["state"]["counter"] = [offset // _PHILOX_BLOCK, 0, 0, 0]
+    bit_generator.state = state
+    if offset % _PHILOX_BLOCK:
+        bit_generator.random_raw(offset % _PHILOX_BLOCK)
+    np.less(bit_generator.random_raw(out.shape), threshold, out=out)
 
 
 def draw_flips(
@@ -192,47 +262,92 @@ def draw_flips(
     word < ceil(e * 2**53) << 11, and the raw words (BitGenerator.random_raw)
     are compared with that integer, with no conversion to float.
 
-    One Philox generator is re-keyed for each cell by setting its state (the
-    cell's seed as key, the counter at the block of word first*2*points); a
-    cell at e = 0, whose threshold is 0, flips nothing and draws no word.
-    Shots are drawn in slices of _UNIFORM_WORDS // (2 * points) shots, at
-    least one, each slice as if it were its own ``first``, and one cell's
-    words of one slice are held at a time; only the returned flips grow with
-    the shots, the points and the cells.
+    One Philox generator is re-keyed for each cell and slice (_draw).  Shots
+    are drawn in slices of _UNIFORM_WORDS // (2 * points) shots, at least one,
+    each slice as if it were its own ``first``, and one cell's words of one
+    slice are held at a time; only the returned flips grow with the shots,
+    the points and the cells.
     """
-    seeds = np.array(seed, dtype=object)
-    e = _validate_probability(e)
-    if seeds.ndim > 1 or e.shape not in ((), seeds.shape):
-        raise ValueError("seed must be an integer or a 1-D array, and e a float or one per seed")
+    shape, keys, thresholds = _keyed_cells(e, seed)
     if min(shots, points, first) < 0:
         raise ValueError("shots, points and first must be >= 0")
-    keys = []
-    for key in seeds.ravel().tolist():
-        key = operator.index(key)
-        if not 0 <= key < 2**128:
-            raise ValueError(f"seed must lie in [0, 2**128), got {key}")
-        keys.append([key & 0xFFFFFFFFFFFFFFFF, key >> 64])
-    # e * 2**53 is exact, and at most 2**52, so the shifted threshold fits 64 bits
-    steps = np.ceil(np.broadcast_to(e, seeds.shape).ravel() * 2.0**53).astype(np.uint64)
-    thresholds = steps << np.uint64(11)
-    bit_generator = np.random.Philox(0)  # seeded, so it reads no OS entropy; re-keyed below
-    state = bit_generator.state
-    flips = np.empty(seeds.shape + (shots, points, 2), dtype=bool)
-    cells = flips.reshape((seeds.size, shots, points, 2))
+    philox = _philox()
+    flips = np.empty(shape + (shots, points, 2), dtype=bool)
+    cells = flips.reshape((len(keys), shots, points, 2))
     slice_shots = max(1, _UNIFORM_WORDS // (2 * max(points, 1)))
     for start in range(0, shots, slice_shots):
         offset = (first + start) * 2 * points
-        state["state"]["counter"] = [offset // _PHILOX_BLOCK, 0, 0, 0]
         for key, threshold, out in zip(keys, thresholds, cells[:, start : start + slice_shots]):
-            if not threshold:  # e = 0: no word lies below 0, so none is drawn
-                out.fill(False)
-                continue
-            state["state"]["key"] = key
-            bit_generator.state = state
-            if offset % _PHILOX_BLOCK:  # words of earlier shots in the block
-                bit_generator.random_raw(offset % _PHILOX_BLOCK)
-            np.less(bit_generator.random_raw(out.shape), threshold, out=out)
+            _draw(philox, key, threshold, offset, out)
     return flips
+
+
+def _negated_counts(
+    e: ArrayLike, seed: ArrayLike, shots: int, mask: np.ndarray, first: int = 0
+) -> np.ndarray:
+    """How many of shots first .. first+shots-1 of each cell have flips that
+    xor to 1 on the true entries of ``mask`` (points, 2), an int64 array of
+    seed's shape: np.count_nonzero(xor of draw_flips(e, seed, shots, points,
+    first)[..., mask], axis=-1), without holding those flips.
+
+    A unit is a group of cells over a range of shots, with one parity.  A
+    cell whose shots span at least two _UNIFORM_WORDS slices per worker is
+    split into one-cell units of _UNIT_WORDS words, counted on _WORKERS
+    threads: each thread takes the next unit when it is free, which keeps
+    both busy when one is interrupted, and writes only that unit's count;
+    the counts are summed after every thread is joined.  Other draws stay on
+    the calling thread, in units of one _UNIFORM_WORDS slice of each cell and
+    at most _BLOCK_FLIPS flips.  Either way the counts are the same.
+    """
+    shape, keys, thresholds = _keyed_cells(e, seed)
+    if min(shots, first) < 0:
+        raise ValueError("shots and first must be >= 0")
+    mask = np.asarray(mask, dtype=bool)
+    words = max(mask.size, 1)  # a shot's words
+    columns = np.flatnonzero(mask)
+    threaded = shots * words >= 2 * _WORKERS * _UNIFORM_WORDS
+    workers = _WORKERS if threaded else 1
+    span = max(1, min(shots, (_UNIT_WORDS if threaded else _UNIFORM_WORDS) // words))  # shots
+    batch = 1 if threaded else max(1, min(len(keys), _BLOCK_FLIPS // (span * words)))  # cells
+    slices, groups = -(-shots // span), -(-len(keys) // batch)
+    counts, errors = np.zeros((len(keys), slices), dtype=np.int64), [None] * workers
+    # each worker's generator and flips, made here: what a thread allocates
+    # stays in its own malloc arena, and numpy.random is imported on first use
+    philoxes = [_philox() for _ in range(workers)]
+    blocks = np.empty((workers, batch, span, words), dtype=bool)
+    pending, taking = iter(range(slices * groups)), threading.Lock()
+
+    def work(worker: int) -> None:
+        try:
+            while True:
+                with taking:  # each unit is taken once, by the next thread that is free
+                    i = next(pending, None)
+                if i is None:
+                    return
+                unit, group = divmod(i, groups)
+                cells, start = slice(group * batch, (group + 1) * batch), unit * span
+                block = blocks[worker, : len(keys[cells]), : shots - start]  # (cells, shots, words)
+                for key, threshold, out in zip(keys[cells], thresholds[cells], block):
+                    _draw(philoxes[worker], key, threshold, (first + start) * words, out)
+                parity = np.bitwise_xor.reduce(block[..., columns], axis=-1)
+                counts[cells, unit] = np.count_nonzero(parity, axis=-1)
+        except BaseException as exc:  # raised in the caller, after every join
+            errors[worker] = exc
+
+    started = []
+    try:
+        for worker in range(1, workers):
+            thread = threading.Thread(target=work, args=(worker,))
+            thread.start()
+            started.append(thread)
+        work(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return counts.sum(axis=1).reshape(shape)
 
 
 def shot_seed(seed: int, index: int) -> int:
@@ -255,11 +370,12 @@ def _schedule(points: tuple[int, ...], gates: tuple[tuple[str, bytes], ...], pat
     touches.  It becomes (u != 0) P (u != 0)^T at a gate and all of those classes
     at a noise point; outside it, finite rows hold +-0.
     """
-    live, steps = np.frombuffer(pattern, dtype=bool), []
+    live, steps, shared = np.frombuffer(pattern, dtype=bool), [], {}
     for boundary, (label, matrix) in enumerate((*gates, ("", None))):
         for _ in range(points.count(boundary)):
             touched = live[_CLASS_ENTRIES].any(axis=1)
-            steps.append((None, _CLASS_ENTRIES[touched].reshape(-1, 4, 4)))
+            entries = _CLASS_ENTRIES[touched].reshape(-1, 4, 4)
+            steps.append((None, shared.setdefault(touched.tobytes(), entries)))  # one per class set
             live = touched[np.arange(DIM)[:, None] ^ np.arange(DIM)].ravel()  # (i, j): i ^ j
         if matrix is not None:
             u = np.frombuffer(matrix, dtype=complex).reshape(DIM, DIM)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -936,18 +937,19 @@ def test_cli_run_writes_the_same_bytes_to_stdout_and_to_the_output_file(fmt, tmp
 def test_cli_run_that_fails_after_its_first_step_writes_nothing(
     fmt, to_file, tmp_path, monkeypatch, capsys
 ):
-    # the protected steps draw nothing and each unprotected step draws once,
-    # so the second draw fails after four steps' columns are made
+    # the protected steps draw nothing and each unprotected step counts its
+    # negated shots once, so the second count fails after four steps'
+    # columns are made
     drawn = []
-    draw = noise.draw_flips
+    count = noise._negated_counts
 
     def fail_on_the_second_call(*args, **kwargs):
         drawn.append(args)
         if len(drawn) == 2:
             raise ValueError("the second draw failed")
-        return draw(*args, **kwargs)
+        return count(*args, **kwargs)
 
-    monkeypatch.setattr(noise, "draw_flips", fail_on_the_second_call)
+    monkeypatch.setattr(noise, "_negated_counts", fail_on_the_second_call)
     path = tmp_path / "results"
     path.write_text("old rows\n")
     output = ["--output", str(path)] if to_file else []
@@ -955,6 +957,88 @@ def test_cli_run_that_fails_after_its_first_step_writes_nothing(
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: the second draw failed\n"
     assert path.read_text() == "old rows\n" and len(drawn) == 2
+
+
+#: A deep-shots-shaped run: 3 cells x 32768 shots, each cell counted in units
+#: on the worker threads.
+DEEP_SHOTS = "run --seed 0 --mode unprotected --e-grid 0.25 --shots 32768"
+
+
+def _parity_counts(e, seeds, shots, mask, first=0):
+    """noise._negated_counts' oracle: the negated shots counted from the drawn flips."""
+    flips = noise.draw_flips(e, seeds, shots, len(mask), first=first)
+    return np.count_nonzero(harness._parity(flips, mask), axis=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("uniform_words", [4096 * 18, 4096], ids=["default-slices", "small-slices"])
+def test_cli_run_bytes_do_not_depend_on_the_worker_count(
+    workers, uniform_words, monkeypatch, capsys
+):
+    # units of 1000 words hold 55 shots (990 words), so most start inside a
+    # Philox block; with slices of 4096 words the default run's cells, and
+    # the 70001-shot run's last 4465 shots, are counted in units too
+    monkeypatch.setattr(noise, "_negated_counts", _parity_counts)
+    assert cli.main(DEEP_SHOTS.split()) == 0
+    deep = capsys.readouterr().out
+    monkeypatch.undo()
+    monkeypatch.setattr(noise, "_WORKERS", workers)
+    monkeypatch.setattr(noise, "_UNIT_WORDS", 1000)
+    monkeypatch.setattr(noise, "_UNIFORM_WORDS", uniform_words)
+    command = "run --seed 5 --mode unprotected --shots 70001 --e-grid 0.125,0.375"
+    _assert_golden_stdout(command, GOLDEN_BATCH_SHA256[command], capsys)
+    _assert_golden_stdout("run --seed 0", GOLDEN_RUN_SEED_0_SHA256, capsys)
+    assert cli.main(DEEP_SHOTS.split()) == 0
+    assert capsys.readouterr().out == deep
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_cli_run_whose_worker_unit_fails_writes_nothing(to_file, tmp_path, monkeypatch, capsys):
+    # the first step's cell is counted on two threads; a unit that raises on
+    # the worker thread fails the run as any draw does, after every thread
+    # is joined.  The caller's first unit waits for the failure, so the
+    # worker surely takes a unit
+    monkeypatch.setattr(noise, "_WORKERS", 2)
+    draw, caller, failed = noise._draw, threading.current_thread(), threading.Event()
+
+    def fail_on_the_worker(*args):
+        if threading.current_thread() is not caller:
+            failed.set()
+            raise ValueError("a unit's draw failed")
+        assert failed.wait(timeout=60)
+        return draw(*args)
+
+    monkeypatch.setattr(noise, "_draw", fail_on_the_worker)
+    path = tmp_path / "results"
+    path.write_text("old rows\n")
+    output = ["--output", str(path)] if to_file else []
+    before = threading.active_count()
+    assert cli.main([*DEEP_SHOTS.split(), *output]) == 2
+    assert threading.active_count() == before
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: a unit's draw failed\n"
+    assert path.read_text() == "old rows\n"
+
+
+def test_run_memory_does_not_grow_with_the_noise_points():
+    # 65536 shots at e = 0.25 with every noise point at boundary 3: the shots
+    # are counted in units of _UNIT_WORDS words, the damage audit transforms
+    # each boundary once, and points that touch the same entry classes share
+    # one schedule array, so 300 points peak near 9 (1.6 to 1.9 times); drawn
+    # as flips, 300 points held 118 MB of RSS
+    def peak(points: int) -> int:
+        cfg = SweepConfig(e_grid=(0.25,), shots=65536, modes=("unprotected",),
+                          placement=(3,) * points)
+        tracemalloc.start()
+        try:
+            for _ in harness.csv_steps(cfg):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(9)  # warm-up
+    assert peak(300) < 2.5 * peak(9)
 
 
 def test_cli_run_csv_makes_no_signal_result(monkeypatch, capsys):
@@ -1221,13 +1305,13 @@ def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
     _, mask = circuits.damage_audit(plan, readout.unprotected_steps()[1].deviation)
     one_block = harness._mc_signal(mask, (0.3,), shots, (11,))
     drawn = []
-    unblocked = noise.draw_flips
+    unblocked = noise._negated_counts
 
-    def spy(e, seed, count, points, first=0):
+    def spy(e, seed, count, mask, first=0):
         drawn.append((first, count))
-        return unblocked(e, seed, count, points, first=first)
+        return unblocked(e, seed, count, mask, first=first)
 
-    monkeypatch.setattr(noise, "draw_flips", spy)
+    monkeypatch.setattr(noise, "_negated_counts", spy)
     monkeypatch.setattr(harness, "_SHOT_BLOCK", 7)
     assert harness._mc_signal(mask, (0.3,), shots, (11,)) == one_block
     assert drawn == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
@@ -1243,6 +1327,7 @@ def test_mc_signal_of_a_mask_without_damage_draws_nothing(mask, shots, monkeypat
         raise AssertionError("a plan without damaging flips drew shots")
 
     monkeypatch.setattr(noise, "draw_flips", spy)
+    monkeypatch.setattr(noise, "_negated_counts", spy)
     means, stderrs = harness._mc_signal(mask, (0.0, 0.25, 0.5), shots, (1, 2, 3))
     assert means == [1.0] * 3 and stderrs == [0.0] * 3
     assert all(type(v) is float for v in means + stderrs)
@@ -1257,10 +1342,11 @@ def test_mc_signal_of_a_mask_without_damage_draws_nothing(mask, shots, monkeypat
     ],
 )
 def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
-    # run draws step by step over the whole grid, whatever the exact batches
+    # run counts step by step over the whole grid, whatever the exact batches
     # (_E_BLOCK // 3 cells): each unprotected step in turn, in batches of
-    # _SHOT_BLOCK // shots cells, at least one, each drawn in shot blocks of
-    # _SHOT_BLOCK; protected plans have no damaging flip and draw nothing
+    # _SHOT_BLOCK // shots cells, at least one, each one noise._negated_counts
+    # call per shot block of _SHOT_BLOCK; protected plans have no damaging
+    # flip and draw nothing
     grid = tuple(k / 64 for k in range(33))
     cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=modes)
     one_cell_at_a_time = []
@@ -1270,13 +1356,13 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
             for e, key in zip(grid, keys):
                 one_cell_at_a_time += zip(*harness._mc_signal(mask, (e,), shots, (key,)))
     drawn = []
-    batched = noise.draw_flips
+    batched = noise._negated_counts
 
-    def spy(e, seeds, count, points, first=0):
+    def spy(e, seeds, count, mask, first=0):
         drawn.append((len(seeds), count, first))
-        return batched(e, seeds, count, points, first=first)
+        return batched(e, seeds, count, mask, first=first)
 
-    monkeypatch.setattr(noise, "draw_flips", spy)
+    monkeypatch.setattr(noise, "_negated_counts", spy)
     monkeypatch.setattr(harness, "_E_BLOCK", 8)
     monkeypatch.setattr(harness, "_SHOT_BLOCK", 12)
     rows = run_sweep(cfg)
@@ -1293,20 +1379,21 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
 
 def test_fine_grid_sweep_draws_once_per_step(monkeypatch):
     # 513 Deutsch-Jozsa e values at 2 shots: each of the three unprotected
-    # steps draws its 1026 shots in one call.  With a _SHOT_BLOCK of 100, a
-    # step draws 50 cells (100 shots) a call: 11 calls, the last of 13 cells
+    # steps counts its 1026 shots in one noise._negated_counts call.  With a
+    # _SHOT_BLOCK of 100, a step counts 50 cells (100 shots) a call: 11 calls,
+    # the last of 13 cells
     cfg = SweepConfig(
         e_grid=tuple(k / 1024 for k in range(513)), shots=2, modes=circuits.MODES,
         algorithm="deutsch-jozsa",
     )
     drawn = []
-    batched = noise.draw_flips
+    batched = noise._negated_counts
 
-    def spy(e, seeds, count, points, first=0):
+    def spy(e, seeds, count, mask, first=0):
         drawn.append(len(seeds) * count)
-        return batched(e, seeds, count, points, first=first)
+        return batched(e, seeds, count, mask, first=first)
 
-    monkeypatch.setattr(noise, "draw_flips", spy)
+    monkeypatch.setattr(noise, "_negated_counts", spy)
     rows = run_sweep(cfg)
     assert drawn == [513 * 2] * 3
     drawn.clear()
@@ -1378,8 +1465,15 @@ def test_verify_draws_each_unprotected_step_once_whatever_the_e_block(modes, mon
     assert keyed == keys * 2
     assert not protected & set(keyed)  # verify draws no protected cell
     keyed.clear()
+    counted = noise._negated_counts
+
+    def count_spy(e, seeds, count, mask, first=0):
+        keyed.append(tuple(seeds))
+        return counted(e, seeds, count, mask, first=first)
+
+    monkeypatch.setattr(noise, "_negated_counts", count_spy)
     run_sweep(cfg)
-    assert keyed == keys  # run draws no protected cell
+    assert keyed == keys  # run counts no protected cell
 
 
 def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):

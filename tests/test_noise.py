@@ -1,9 +1,12 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dfsim import circuits, dfs, noise, qcore, readout
+from dfsim import circuits, dfs, harness, noise, qcore, readout
 from dfsim.noise import (
     ErrorModelSpec,
     apply_channel,
@@ -488,6 +491,95 @@ def test_draw_flips_holds_a_word_budget_whatever_the_points():
         tracemalloc.stop()
     assert flips.shape == (8192, 900, 2)
     assert peak - flips.nbytes < 2 * 2**20
+
+
+def _parity_counts(e, seeds, shots, mask, first):
+    """The negated shots of each cell, counted from the drawn flips."""
+    flips = draw_flips(e, seeds, shots, len(mask), first=first)
+    return np.count_nonzero(harness._parity(flips, mask), axis=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "uniform_words, unit_words",
+    [(4096 * 18, 16 * 1024), (36, 16 * 1024), (36, 5), (36, 130)],
+    ids=["serial", "threaded", "one-shot-units", "odd-units"],
+)
+def test_negated_counts_equal_the_parity_of_the_drawn_flips(
+    workers, uniform_words, unit_words, monkeypatch
+):
+    # a cell spanning 2 * workers slices of _UNIFORM_WORDS words is counted in
+    # units of _UNIT_WORDS words on the worker threads (at 36 words, from
+    # 4 * workers shots at nine points), any other one on the calling thread;
+    # first = 3 starts at word 54 of the stream, inside a Philox block, and
+    # units of 7 shots (126 words) start inside blocks too
+    monkeypatch.setattr(noise, "_WORKERS", workers)
+    monkeypatch.setattr(noise, "_UNIFORM_WORDS", uniform_words)
+    monkeypatch.setattr(noise, "_UNIT_WORDS", unit_words)
+    e = (0.0, 0.1, 0.25, 0.5, 0.3)
+    seeds = (0, 17, 2**64 - 1, 2**128 - 1, 2**100 + 3)
+    rng = np.random.default_rng(4)
+    for points in (9, 1, 4):
+        masks = [np.ones((points, 2), dtype=bool), np.zeros((points, 2), dtype=bool),
+                 rng.random((points, 2)) < 0.5]
+        for mask in masks:
+            for shots, first in ((0, 0), (1, 0), (5, 3), (37, 3), (200, 0), (201, 7)):
+                counts = noise._negated_counts(e, seeds, shots, mask, first=first)
+                assert counts.dtype == np.int64
+                np.testing.assert_array_equal(
+                    counts, _parity_counts(e, seeds, shots, mask, first))
+    mask = np.ones((9, 2), dtype=bool)
+    assert noise._negated_counts(0.3, 5, 40, mask).shape == ()
+    assert noise._negated_counts(0.3, 5, 40, mask) == _parity_counts(0.3, [5], 40, mask, 0)[0]
+
+
+def test_negated_counts_lose_no_unit_under_fast_thread_switching(monkeypatch):
+    # more workers than CPUs, one shot a unit, and a thread switch every
+    # microsecond: a unit's count added into a shared per-cell total would
+    # lose updates, one written into the unit's own slot cannot
+    monkeypatch.setattr(noise, "_WORKERS", (os.cpu_count() or 1) + 1)
+    monkeypatch.setattr(noise, "_UNIFORM_WORDS", 18)
+    monkeypatch.setattr(noise, "_UNIT_WORDS", 18)
+    e, seeds, mask = (0.1, 0.25, 0.5), (3, 2**64 + 9, 2**127), np.ones((9, 2), dtype=bool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = noise._negated_counts(e, seeds, 600, mask, first=1)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(counts, _parity_counts(e, seeds, 600, mask, 1))
+
+
+def test_negated_counts_reject_what_draw_flips_rejects():
+    mask = np.ones((9, 2), dtype=bool)
+    for e, seed in ((0.3, -1), (0.3, 2**128), ((0.1, 0.2), 5), ((0.1, 0.6), (1, 2))):
+        with pytest.raises(ValueError):
+            noise._negated_counts(e, seed, 2, mask)
+    for shots, first in ((-1, 0), (2, -1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            noise._negated_counts(0.3, 5, shots, mask, first=first)
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_negated_counts_join_every_thread_before_a_unit_raises(failing, monkeypatch):
+    # a unit that raises on either thread is raised in the caller, and only
+    # after every worker thread has been joined; the other thread's first
+    # unit waits for the failure, so the failing thread surely takes one
+    monkeypatch.setattr(noise, "_WORKERS", 2)
+    draw, caller, failed = noise._draw, threading.current_thread(), threading.Event()
+
+    def fail_on_one_thread(*args):
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            failed.set()
+            raise ValueError("a unit's draw failed")
+        assert failed.wait(timeout=60)
+        return draw(*args)
+
+    monkeypatch.setattr(noise, "_draw", fail_on_one_thread)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="a unit's draw failed"):
+        noise._negated_counts((0.25,) * 3, (1, 2, 3), 32768, np.ones((9, 2), dtype=bool))
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("cells", [0, 1, 6])
