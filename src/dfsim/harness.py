@@ -25,7 +25,7 @@ import json
 import math
 import numbers
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -159,28 +159,33 @@ def mode_stacks(
 #: flips at nine noise points, and a few 8 B indices per shot in the dense oracle.
 _SHOT_BLOCK = 65536
 
-#: (state, e) rows of one noise.run_plan_exact call, 2 KiB each in each of its
-#: two float64 planes.  A fine-grid pass (513 e values, 2-vCPU VM) took 55, 51,
-#: 48 and 54 ms at 64, 96, 128 and 256 rows, at 44.1, 44.1, 44.4 and 46.3 MiB
-#: peak RSS: from 128 rows a batch outgrows the CSV output's peak (tested: no result depends on it).
-_E_BLOCK = 96
+#: (state, e) rows of one exact walk, 2 KiB each in each of its two float64
+#: planes.  With run reading real rows, a fine-grid pass (513 e values, 2-vCPU
+#: VM, median speed-adjusted wall time over three rounds of 6 to 8 runs) took
+#: 42-43, 38-40 and 36-40 ms at 96, 128 and 192 rows, at 44.2-44.3 MiB peak RSS
+#: each; its traced Python peak was 1.04, 1.24 and 1.65 MB, against 1.44 MB when
+#: run read complex finals at 96 rows.  192 rows tie 128 on time but hold more
+#: than that (tested: no result depends on it).
+_E_BLOCK = 128
 
 
 def _cell_batches(
-    e_grid: tuple[float, ...], plan: circuits.ExperimentPlan, initial: np.ndarray
+    walk: Callable[..., np.ndarray], e_grid: tuple[float, ...], plan: circuits.ExperimentPlan,
+    initial: np.ndarray,
 ) -> Iterator[tuple[int, tuple[float, ...], np.ndarray]]:
     """(start, e, finals) over e_grid in order, e = e_grid[start : start + cells].
 
     ``initial`` is a stack of k states, such as a mode's preparations, and
-    finals (k, cells, 16, 16) are the stack through plan at e, one
-    run_plan_exact call.  This is the one place that blocks exact rows: a
-    batch holds _E_BLOCK // k cells, and at least one, so no caller holds
-    more than one batch of finals.
+    finals (k, cells, 16, 16) are the stack through plan at e, one call of
+    ``walk``: noise._exact_rows, whose real rows run reads, or
+    noise.run_plan_exact, whose complex finals verify reads.  This is the one
+    place that blocks exact rows: a batch holds _E_BLOCK // k cells, and at
+    least one, so no caller holds more than one batch of finals.
     """
     batch = max(1, _E_BLOCK // len(initial))
     for start in range(0, len(e_grid), batch):
         e = e_grid[start : start + batch]
-        yield start, e, noise.run_plan_exact(plan, e, initial)
+        yield start, e, walk(plan, e, initial)
 
 
 def _step_keys(cfg: SweepConfig, mode_idx: int, steps: int) -> list[range]:
@@ -248,14 +253,16 @@ def _step_columns(
     mode_stacks order, with its signal columns over cfg.e_grid: run's one walk.
 
     Each mode's steps go through its plan as one stack, walked once in
-    _cell_batches: one signal_intensity call gives a batch's exact signals.
+    _cell_batches, in float64: one signal_intensity call gives a batch's exact
+    signals from its real rows, the bits of the complex finals' signals.
     Each step's whole grid is then drawn by one _mc_signal call.
     """
     for mode_idx, plan, steps, preps, (_, masks), references in mode_stacks(cfg):
         keys = _step_keys(cfg, mode_idx, len(steps))
         exact = np.empty((len(steps), len(cfg.e_grid)))
-        for start, e, finals in _cell_batches(cfg.e_grid, plan, preps):
-            exact[:, start : start + len(e)] = readout.signal_intensity(finals, references[:, None])
+        for start, e, rows in _cell_batches(noise._exact_rows, cfg.e_grid, plan, preps):
+            exact[:, start : start + len(e)] = readout.signal_intensity(rows, references[:, None])
+            del rows  # its plane is freed before the next batch's walk
         for step, mask, signals, step_keys in zip(steps, masks, exact.tolist(), keys):
             mean, stderr = _mc_signal(mask, cfg.e_grid, cfg.shots, step_keys)
             yield plan.mode, step.label, int(mask.sum()), signals, mean, stderr
@@ -283,12 +290,14 @@ def _csv_text(e_reprs, cells: str, exact, mean, stderr, theory, n: str) -> str:
 
 def csv_steps(cfg: SweepConfig) -> Iterator[str]:
     """The CSV text, without the header, of each (mode, step) of cfg in run_sweep's
-    row order: formatted from _step_columns' columns, with no SignalResult made."""
-    e_reprs = [repr(e) for e in cfg.e_grid]
+    row order: formatted from _step_columns' columns, with no SignalResult made.
+    The theory column is computed once for each distinct damage count n."""
+    e_reprs, theories = [repr(e) for e in cfg.e_grid], {}
     for mode, label, n, exact, mean, stderr in _step_columns(cfg):
-        theory = [readout.theory_curve(n, e) for e in cfg.e_grid]
-        yield _csv_text(e_reprs, f",{label},{mode},{cfg.algorithm},", exact, mean, stderr, theory,
-                        f",{n}")
+        if n not in theories:
+            theories[n] = [readout.theory_curve(n, e) for e in cfg.e_grid]
+        yield _csv_text(e_reprs, f",{label},{mode},{cfg.algorithm},", exact, mean, stderr,
+                        theories[n], f",{n}")
 
 
 def results_to_csv(rows: list[SignalResult]) -> str:
@@ -477,7 +486,7 @@ def _grid_values(cfg: SweepConfig, walk: list) -> dict[str, np.ndarray]:
             drawn = False
         initial = np.concatenate([[sum(preps, identity), identity], preps])
         try:
-            for start, e, finals in _cell_batches(cfg.e_grid, plan, initial):
+            for start, e, finals in _cell_batches(noise.run_plan_exact, cfg.e_grid, plan, initial):
                 cells = slice(start, start + len(e))
                 if plan.mode == "protected":
                     values["protected-correctness"][:, cells] = _attempt(
@@ -490,6 +499,7 @@ def _grid_values(cfg: SweepConfig, walk: list) -> dict[str, np.ndarray]:
                 if drawn:
                     values["mc-convergence"][mode_idx, :, cells] = _attempt(
                         _mc_margins, cfg.shots, references, negated[:, cells], finals)
+                del finals  # freed before the next batch's walk
         except ValueError:  # the exact walk: the cells it did not reach stay inf
             pass
     return values

@@ -7,10 +7,12 @@ description of a channel that apply_channel and verify_error_model take.
 
 run_plan_exact evolves one initial state or a stack of them, at one e or a
 whole grid, in float64 (every dfsim state, gate and channel coefficient is
-real), at a noise point only on the entry classes that can be nonzero;
-apply_channel and the dense oracle stay complex, as independent references:
-every final equals, to the bit, the gate-by-gate walk with apply_channel(rho,
-engineered_model(e)), and holds no -0 (test_grid_evolution_leaves_no_negative_zero,
+real), at a noise point only on the entry classes that can be nonzero, and
+copies the finals out as complex; dfsim run reads the same walk's float64
+rows (_exact_rows) up to the signal.  apply_channel and the dense oracle stay
+complex, as independent references: every final equals, to the bit, the
+gate-by-gate walk with apply_channel(rho, engineered_model(e)), and holds no
+-0 (test_grid_evolution_leaves_no_negative_zero,
 test_grid_evolution_equals_per_e_kraus_sum_to_the_bit).
 
 The engineered decoherence is applied at chosen circuit points: XXII with
@@ -363,14 +365,17 @@ _CLASS_ENTRIES = 16 * np.arange(DIM) + (np.arange(DIM) ^ np.arange(DIM)[:, None]
 
 
 @functools.lru_cache(maxsize=8)
-def _schedule(points: tuple[int, ...], gates: tuple[tuple[str, bytes], ...], pattern: bytes):
+def _schedule(points: tuple[int, ...], gates: tuple[tuple[str, int], ...],
+              matrices: tuple[bytes, ...], pattern: bytes):
     """A plan's steps for states nonzero only on ``pattern`` (256 bools), its gates
-    given as (label, complex bytes): (u, None) at a gate, u real, and (None,
-    entries) at a noise point, entries (classes, 4, 4) of the classes the pattern
-    touches.  It becomes (u != 0) P (u != 0)^T at a gate and all of those classes
-    at a noise point; outside it, finite rows hold +-0.
+    given as (label, index into ``matrices``, the complex bytes of each distinct
+    gate array, so a repeated matrix is hashed once a call): (u, None) at a gate,
+    u real, and (None, entries) at a noise point, entries (classes, 4, 4) of the
+    classes the pattern touches.  It becomes (u != 0) P (u != 0)^T at a gate and
+    all of those classes at a noise point; outside it, finite rows hold +0.
     """
     live, steps, shared = np.frombuffer(pattern, dtype=bool), [], {}
+    gates = [(label, matrices[i]) for label, i in gates]
     for boundary, (label, matrix) in enumerate((*gates, ("", None))):
         for _ in range(points.count(boundary)):
             touched = live[_CLASS_ENTRIES].any(axis=1)
@@ -386,26 +391,21 @@ def _schedule(points: tuple[int, ...], gates: tuple[tuple[str, bytes], ...], pat
     return tuple(steps)
 
 
-def run_plan_exact(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> np.ndarray:
-    """Deterministic evolution: gates interleaved with the exact channel, at every e.
-
-    ``e`` is a float or a 1-D grid, and ``initial`` one state (16, 16) or a
-    stack (k, 16, 16) of them; the result is C-contiguous, of shape
-    initial.shape[:-2] + np.shape(e) + (16, 16).
-    Each (state, e) row's final equals, to the bit, evolving that state alone
-    with apply_channel(rho, engineered_model(e)) at every noise point and
-    u rho u^dagger at every gate.  Callers that must not hold every final at
-    once pass the grid in blocks, as harness._cell_batches does.  Raises
-    ValueError if an e lies outside [0, 0.5], or ``initial`` or a gate is not
-    real and finite.
+def _exact_rows(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> np.ndarray:
+    """run_plan_exact's walk, its finals as float64: a view of shape
+    initial.shape[:-2] + np.shape(e) + (16, 16) into the rows' plane, not
+    C-contiguous, and every entry as run_plan_exact's real part.  dfsim run
+    reads it through readout.signal_intensity, which takes real finals.
 
     The rows are the columns, state-major, of a float64 (16, 16, rows) plane
-    beside one work plane.  A noise point sums the terms (rho c_k) c_k in
-    operator order, flips read through reversed axes, on the classes that
-    ``initial``'s nonzero pattern reaches (_schedule, before any row is
-    evolved), and leaves +0 on the rest.  A gate is twice u rho and a
-    transposing copy.  OpenBLAS sums a 16 x 16 by 16 x (16 rows) product's k
-    terms in order, but not always a 16 x few one's (Haswell kernels, few <= 4).
+    beside one work plane.  ``initial`` + 0.0 starts them, so no entry holds
+    -0.  A noise point sums the terms (rho c_k) c_k in operator order, flips
+    read through reversed axes, on the classes that ``initial``'s nonzero
+    pattern reaches (_schedule, before any row is evolved), and writes those
+    classes alone: every other entry is +0 already, from the start or as a
+    gate's sum of zero products.  A gate is twice u rho and a transposing
+    copy.  OpenBLAS sums a 16 x 16 by 16 x (16 rows) product's k terms in
+    order, but not always a 16 x few one's (Haswell kernels, few <= 4).
     """
     e = _validate_probability(e)
     grid = e.ravel()
@@ -419,9 +419,12 @@ def run_plan_exact(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> n
         raise ValueError(f"initial must have shape ({DIM}, {DIM}) or (k, {DIM}, {DIM})")
     if prep.imag.any() or not np.isfinite(prep.real).all():
         raise ValueError("initial must be real and finite (the exact channel evolves float64 rows)")
-    states = prep.real.reshape(-1, DIM * DIM)
-    gates = tuple((g.label, np.asarray(g.physical, dtype=complex).tobytes()) for g in plan.gates)
-    steps = _schedule(plan.decoherence_points, gates, (states != 0).any(axis=0).tobytes())
+    states = prep.real.reshape(-1, DIM * DIM) + 0.0  # turns -0 into +0
+    arrays = {id(g.physical): g.physical for g in plan.gates}  # Grover's 7 gates hold 3
+    index = {key: i for i, key in enumerate(arrays)}
+    gates = tuple((g.label, index[id(g.physical)]) for g in plan.gates)
+    matrices = tuple(np.asarray(u, dtype=complex).tobytes() for u in arrays.values())
+    steps = _schedule(plan.decoherence_points, gates, matrices, (states != 0).any(axis=0).tobytes())
     rows = len(states) * grid.size
     rho = np.repeat(states.T, grid.size, axis=1).reshape(DIM, DIM, rows)  # (state, e) columns
     acc, plane = np.empty_like(rho), rho.reshape(DIM * DIM, rows)  # plane: rho's entries by row
@@ -434,15 +437,32 @@ def run_plan_exact(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> n
             total += terms[1][:, :, ::-1]  # IIXX
             total += terms[2][:, ::-1, ::-1]  # XXXX
             total += 0.0  # turns -0 into +0, as apply_channel's sum from +0 leaves none
-            rho.fill(0.0)
             plane[entries] = total
-            del terms, total  # freed before the next gather and the complex result
+            del terms, total  # freed before the next gather
         else:  # u rho u^T = (u (u rho)^T)^T
             for _ in range(2):
                 np.matmul(u, rho.reshape(DIM, -1), out=acc.reshape(DIM, -1))
                 np.copyto(rho, acc.transpose(1, 0, 2))
-    del acc
-    return plane.T.astype(complex, order="C").reshape(prep.shape[:-2] + e.shape + (DIM, DIM))
+    return plane.T.reshape(prep.shape[:-2] + e.shape + (DIM, DIM))
+
+
+def run_plan_exact(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> np.ndarray:
+    """Deterministic evolution: gates interleaved with the exact channel, at every e.
+
+    ``e`` is a float or a 1-D grid, and ``initial`` one state (16, 16) or a
+    stack (k, 16, 16) of them; the result is complex and C-contiguous, of shape
+    initial.shape[:-2] + np.shape(e) + (16, 16).
+    Each (state, e) row's final equals, to the bit, evolving that state alone
+    with apply_channel(rho, engineered_model(e)) at every noise point and
+    u rho u^dagger at every gate.  Callers that must not hold every final at
+    once pass the grid in blocks, as harness._cell_batches does.  Raises
+    ValueError if an e lies outside [0, 0.5], or ``initial`` or a gate is not
+    real and finite.
+
+    The walk is _exact_rows', in float64; this copies its rows out once, as
+    complex with +0 imaginary parts.  The walk's work plane is freed first.
+    """
+    return _exact_rows(plan, e, initial).astype(complex, order="C")
 
 
 #: Each error word's perm, (W rho W^dagger).ravel() == rho.ravel()[perm], in dfs.ERROR_BASIS

@@ -69,24 +69,32 @@ def steps_for_mode(mode: str) -> tuple[PreparationStep, ...]:
 
 
 def signal_intensity(final: np.ndarray, reference: np.ndarray) -> float | np.ndarray:
-    """Signed intensity of ``final`` relative to the noiseless ``reference``.
+    """Signed intensity of ``final``, complex or real, relative to the noiseless ``reference``.
 
     Returns Re Tr(reference^dagger final) / Tr(reference^dagger reference);
     equals 1 when final == reference and -1 when the output is phase inverted.
     The last two axes are the matrix and the leading axes broadcast: one final
     gives a float, and finals (k, cells, 16, 16) against references[:, None]
     give (k, cells) signals, each against its row's nonzero reference.  Each
-    sum of real products (ufuncs, no fused multiply-add) is reduced pairwise,
-    in a fixed order, over C-contiguous entries: the same bits alone or in a
-    stack of any memory layout, on any BLAS kernel.
+    entry's product is ref.real * final.real + ref.imag * final.imag; a real
+    final reads as one whose imaginary parts are +0, so its second term is
+    ref.imag * +0.0, taken once per reference (an infinite ref.imag still
+    gives NaN), and no complex copy is made.
+    Each sum of real products (ufuncs, no fused multiply-add) is reduced
+    pairwise, in a fixed order, over C-contiguous products: the same bits
+    alone or in a stack of any memory layout, real or complex, on any BLAS kernel.
     """
     ref = np.reshape(reference, np.shape(reference)[:-2] + (-1,))
     norm = np.add.reduce(ref.real * ref.real + ref.imag * ref.imag, axis=-1)
     if np.any(norm <= DEFAULT_TOL):
         raise ValueError("signal reference must be nonzero")
-    final = np.ascontiguousarray(final)  # np.add.reduce is pairwise only along contiguous axes
+    final = np.asarray(final)
     stack = final.reshape(final.shape[:-2] + ref.shape[-1:])
-    signals = np.add.reduce(ref.real * stack.real + ref.imag * stack.imag, axis=-1) / norm
+    real, imag = (stack.real, stack.imag) if np.iscomplexobj(stack) else (stack, 0.0)
+    # np.add.reduce is pairwise only along contiguous axes
+    products = np.multiply(ref.real, real, order="C")
+    products += ref.imag * imag
+    signals = np.add.reduce(products, axis=-1) / norm
     return float(signals) if signals.ndim == 0 else signals
 
 

@@ -594,14 +594,15 @@ def test_acceptance_radius_memory_does_not_grow_with_the_shots():
 def _count_calls(monkeypatch) -> dict[str, int]:
     """Count the calls of circuits.assemble, circuits._audit (damage_audit's
     core, which harness.mode_stacks calls), the noise-free walks
-    (circuits.ideal_boundary_deviations) and noise.run_plan_exact, and the
+    (circuits.ideal_boundary_deviations), the exact walks (noise._exact_rows,
+    which run reads directly and verify through noise.run_plan_exact), and the
     plans built (ExperimentPlan.__post_init__)."""
-    calls = {"assemble": 0, "audit": 0, "noise-free walk": 0, "run_plan_exact": 0,
+    calls = {"assemble": 0, "audit": 0, "noise-free walk": 0, "exact walk": 0,
              "ExperimentPlan": 0}
     for key, owner, name in (
         ("assemble", circuits, "assemble"), ("audit", circuits, "_audit"),
         ("noise-free walk", circuits, "ideal_boundary_deviations"),
-        ("run_plan_exact", noise, "run_plan_exact"),
+        ("exact walk", noise, "_exact_rows"),
         ("ExperimentPlan", circuits.ExperimentPlan, "__post_init__"),
     ):
         def spy(*args, _real=getattr(owner, name), _key=key, **kwargs):
@@ -614,8 +615,8 @@ def _count_calls(monkeypatch) -> dict[str, int]:
 #: One plan, one audit and one exact walk of each mode's stack over the nine
 #: e values: per mode, one assembly (and so one plan built), one noise-free
 #: walk of the stack, which gives both its damage audit and its references
-#: (not an e = 0 exact call), and one run_plan_exact.
-ONE_PLAN_PER_MODE = {"assemble": 2, "audit": 2, "noise-free walk": 2, "run_plan_exact": 2,
+#: (not an e = 0 exact call), and one exact walk.
+ONE_PLAN_PER_MODE = {"assemble": 2, "audit": 2, "noise-free walk": 2, "exact walk": 2,
                      "ExperimentPlan": 2}
 
 
@@ -635,7 +636,7 @@ def test_count_n_audits_each_mode_stack_once(monkeypatch, capsys):
     # nothing through the noisy channel
     calls = _count_calls(monkeypatch)
     assert cli.main(["count-n"]) == 0
-    assert calls == {**ONE_PLAN_PER_MODE, "run_plan_exact": 0}
+    assert calls == {**ONE_PLAN_PER_MODE, "exact walk": 0}
     assert capsys.readouterr().out.count(": n = ") == 6
 
 
@@ -659,12 +660,12 @@ def test_sweep_evolves_each_mode_as_one_stack(monkeypatch):
 
 @pytest.mark.parametrize("shots", [2048, 40000])
 def test_sweep_exact_batches_do_not_depend_on_the_shots(shots, monkeypatch):
-    # 129 protected e values in batches of _E_BLOCK // 3 cells (32 at 96
-    # rows: 5 batches), at any shot count
+    # 129 protected e values in batches of _E_BLOCK // 3 cells (42 at 128
+    # rows: 4 batches), at any shot count
     grid = tuple(k / 256 for k in range(129))
     calls = _count_calls(monkeypatch)
     run_sweep(SweepConfig(e_grid=grid, shots=shots, modes=("protected",)))
-    assert calls["run_plan_exact"] == -(-len(grid) // (harness._E_BLOCK // 3))
+    assert calls["exact walk"] == -(-len(grid) // (harness._E_BLOCK // 3))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -678,8 +679,8 @@ def test_fidelity_of_a_decoded_batch_equals_each_final_alone(seed):
     [(_, plan, _, preps, _, _)] = harness.mode_stacks(cfg)
     identity = np.eye(16, dtype=complex) / 16
     initial = np.concatenate([[sum(preps, identity), identity], preps])
-    decoded = np.concatenate([dfs.decode(finals)[0] for _, _, finals in
-                              harness._cell_batches(cfg.e_grid, plan, initial)])
+    batches = harness._cell_batches(noise.run_plan_exact, cfg.e_grid, plan, initial)
+    decoded = np.concatenate([dfs.decode(finals)[0] for _, _, finals in batches])
     rng = np.random.default_rng(seed)
     target = rng.normal(size=4) + 1j * rng.normal(size=4)
     target /= np.linalg.norm(target)
@@ -1041,6 +1042,21 @@ def test_run_memory_does_not_grow_with_the_noise_points():
     assert peak(300) < 2.5 * peak(9)
 
 
+def test_csv_steps_computes_one_theory_column_per_damage_count(monkeypatch, capsys):
+    # Deutsch-Jozsa's n are 0/0/0 and 4/8/4: three distinct counts, so three
+    # theory columns over the 65 e values of its golden, which keeps its bytes
+    calls = []
+    theory = readout.theory_curve
+
+    def spy(n, e):
+        calls.append(n)
+        return theory(n, e)
+
+    monkeypatch.setattr(readout, "theory_curve", spy)
+    _assert_golden_stdout(DJ_BATCHES, GOLDEN_BATCH_SHA256[DJ_BATCHES], capsys)
+    assert sorted(set(calls)) == [0, 4, 8] and len(calls) == 3 * 65
+
+
 def test_cli_run_csv_makes_no_signal_result(monkeypatch, capsys):
     def no_rows(*args):
         raise AssertionError("run --format csv made a SignalResult")
@@ -1178,8 +1194,8 @@ def test_cli_rejects_options_the_command_does_not_read(argv, tmp_path, monkeypat
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 #: The run over 65 e values per mode at 2 shots.  Each mode's stack of three
-#: steps is evolved in exact batches of harness._E_BLOCK // 3 e values (32,
-#: 32 and 1 at 96 rows); each gate is two 16 x 16 by 16 x (16 rows)
+#: steps is evolved in exact batches of harness._E_BLOCK // 3 e values (42
+#: and 23 at 128 rows); each gate is two 16 x 16 by 16 x (16 rows)
 #: products, whose k sums must depend neither on the BLAS kernel nor on the
 #: batch's width.
 DJ_BATCHES = "run --seed 3 --algorithm deutsch-jozsa --mode both --shots 2 --e-grid " + ",".join(
@@ -1573,14 +1589,14 @@ WORKFLOW_INVOCATIONS = [
     # the keys run at the top of the 128-bit range end to end
     pytest.param("verify --seed 18446744073709551615 --mode unprotected", 0,
                  id="verify-at-the-largest-seed"),
-    # 40 exact e values in batches of 19, 19 and 2 (harness._E_BLOCK // 5
-    # for each mode's stack of 5, at 96 rows), each step's 40 cells in one
+    # 40 exact e values in batches of 25 and 15 (harness._E_BLOCK // 5
+    # for each mode's stack of 5, at 128 rows), each step's 40 cells in one
     # draw call, unprotected walked first; every check must pass
     pytest.param("verify --seed 0 --mode unprotected,protected --shots 3 --e-grid "
                  + ",".join(str(k / 80) for k in range(40)), 0,
                  id="verify-several-cell-batches-in-reversed-mode-order"),
     # 70 e values x 3 steps are 210 (state, e) rows per mode, evolved in
-    # three batches of at most 32 e values (harness._E_BLOCK // 3, at 96 rows)
+    # two batches of at most 42 e values (harness._E_BLOCK // 3, at 128 rows)
     pytest.param("run --seed 0 --algorithm deutsch-jozsa --mode both --shots 2 --e-grid "
                  + ",".join(str(k / 138) for k in range(70)) + " --output {tmp}/dj.csv", 0,
                  id="run-a-mode-stack-over-several-exact-blocks"),

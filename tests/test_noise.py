@@ -192,18 +192,60 @@ def test_grid_evolution_equals_per_e_kraus_sum_to_the_bit(algorithm, mode, step)
             assert run_plan_exact(plan, e, initial=initial).tobytes() == final.tobytes()
 
 
-def test_grid_evolution_leaves_no_negative_zero():
-    # apply_channel sums from +0, so no entry of its output is -0; a plan
-    # without gates hands the channel's output back as it is
-    step = readout.unprotected_steps()[0]
-    plan = circuits.ExperimentPlan("unprotected", (), (0, 0))
-    initial = np.stack([-np.zeros((16, 16), dtype=complex), -step.deviation])
+def _assert_no_negative_zero(plan, initial):
+    """run_plan_exact's finals of ``initial`` equal the apply_channel walk to the bit
+    and, as apply_channel sums from +0, hold no -0."""
     finals = run_plan_exact(plan, MIXED_E_GRID, initial)
     for state, row in zip(initial, finals):
         for e, final in zip(MIXED_E_GRID, row):
             assert final.tobytes() == _per_e_exact(plan, e, state).tobytes()
     parts = finals.view(float)
     assert not np.signbit(parts[parts == 0.0]).any()
+
+
+def test_grid_evolution_leaves_no_negative_zero():
+    # apply_channel sums from +0, so no entry of its output is -0; a plan
+    # without gates hands the channel's output back as it is
+    step = readout.unprotected_steps()[0]
+    plan = circuits.ExperimentPlan("unprotected", (), (0, 0))
+    _assert_no_negative_zero(plan, np.stack([-np.zeros((16, 16), dtype=complex), -step.deviation]))
+
+
+@pytest.mark.parametrize("mode", circuits.MODES)
+def test_grid_evolution_ending_in_a_gate_leaves_no_negative_zero(mode):
+    # -0 off the live entries of the initial states, a noise point first, two
+    # in a row and gates after the last: a noise point writes only the classes
+    # it touches, so it must find +0 on the rest, from the start, after a
+    # noise point and after a gate's sums of zero products
+    step = readout.steps_for_mode(mode)[0]
+    plan = circuits.assemble(mode, placement=(0, 0, 2))
+    initial = np.stack([-np.zeros((16, 16), dtype=complex), -step.deviation])
+    assert np.signbit(initial.real[1][initial.real[1] == 0.0]).all()
+    _assert_no_negative_zero(plan, initial)
+
+
+def test_schedule_is_keyed_by_each_distinct_gate_array_once(monkeypatch):
+    # protected and unprotected Grover share their gate labels and noise
+    # points, so only the gate bytes tell their schedules apart; Grover's 7
+    # gates hold 3 distinct arrays, whose bytes the key holds once each
+    seen = []
+    schedule = noise._schedule
+
+    def spy(points, gates, matrices, pattern):
+        seen.append((gates, matrices))
+        return schedule(points, gates, matrices, pattern)
+
+    monkeypatch.setattr(noise, "_schedule", spy)
+    dense = np.random.default_rng(3).normal(size=(16, 16))
+    plans = [circuits.assemble(mode) for mode in circuits.MODES]
+    assert [g.label for g in plans[0].gates] == [g.label for g in plans[1].gates]
+    for plan in plans:
+        final = run_plan_exact(plan, 0.25, dense)
+        assert final.tobytes() == _per_e_exact(plan, 0.25, dense).tobytes()
+    for plan, (gates, matrices) in zip(plans, seen):
+        assert len(gates) == 7 and len(matrices) == 3
+        for gate, (label, index) in zip(plan.gates, gates):
+            assert label == gate.label and matrices[index] == gate.physical.tobytes()
 
 
 def test_word_permutations_are_reversals():

@@ -128,6 +128,41 @@ def test_signal_intensity_of_a_stack_equals_each_final_alone():
     assert together == [signal_intensity(d, decoded[0]) for d in decoded]
 
 
+@pytest.mark.parametrize("placement", [None, (1, 2)], ids=["default", "ends-in-a-gate"])
+@pytest.mark.parametrize("mode", circuits.MODES)
+@pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
+def test_signal_of_real_rows_equals_the_complex_finals_to_the_bit(algorithm, mode, placement):
+    # run reads noise._exact_rows' float64 rows, a strided view; each signal
+    # must be the bits of the complex finals' signal, whose imaginary parts are
+    # +0, and of the complex formula itself, also against references whose
+    # imaginary parts are -0 (then ref.imag * +0.0 is -0), at e = 0 and 0.5 too
+    steps = readout.steps_for_mode(mode)
+    plan = circuits.assemble(mode, algorithm, placement=placement)
+    preps = np.stack([step.deviation for step in steps])
+    grid = (0.0, 1 / 1024, 0.125, 0.25, 0.375, 0.5)
+    rows = noise._exact_rows(plan, grid, preps)
+    finals = noise.run_plan_exact(plan, grid, preps)
+    assert rows.dtype == np.float64 and not rows.flags.c_contiguous
+    assert rows.tobytes() == finals.real.tobytes()
+    references = noise.run_plan_exact(plan, 0.0, preps)
+    negative = references.copy()
+    negative.imag = -0.0
+    for refs in (references[:, None], negative[:, None]):
+        signals = signal_intensity(rows, refs)
+        assert signals.tobytes() == signal_intensity(finals, refs).tobytes()
+        ref, stack = refs.reshape(3, 1, 256), finals.reshape(3, len(grid), 256)
+        norm = np.add.reduce(ref.real * ref.real + ref.imag * ref.imag, axis=-1)
+        formula = np.add.reduce(ref.real * stack.real + ref.imag * stack.imag, axis=-1) / norm
+        assert signals.tobytes() == formula.tobytes()
+    # the imaginary term of a real final is ref.imag * +0.0, not left out: an
+    # infinite imaginary part of the reference makes the signal NaN either way
+    reference = np.array(references[0])
+    reference[0, 0] += complex(0.0, np.inf)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        assert np.isnan(signal_intensity(rows[0, 0], reference))
+        assert np.isnan(signal_intensity(finals[0, 0], reference))
+
+
 def test_signal_matches_closed_form_at_quarter():
     plan = circuits.assemble("unprotected", "grover")
     prep = unprotected_steps()[1].deviation
