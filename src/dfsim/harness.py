@@ -10,13 +10,15 @@ As in the experiment, a mode is one circuit run from each of its three
 temporal-averaging preparations: one plan and its steps' stack of
 preparations (mode_stacks).  The sweep and the verifier walk each mode the
 same two ways: its stack once through _cell_batches for the exact finals,
-and each step's whole e grid once, in the _shot_blocks blocks, for the
-shots.  The sweep's walk, _step_columns, yields each step's signal columns,
-which csv_steps formats and run_sweep turns into rows; it holds no flips,
-only each cell's count of negated shots (noise._negated_counts).  Only the
-verifier draws flips, through _step_draws, for its dense oracle: its walk,
-_grid_values, hands each draw block and exact batch to the reduction of
-each grid check that reads it, which fills that check's own values array.
+float64 rows of noise._exact_rows, and each step's whole e grid once for
+the shots, drawn in blocks of at most noise._BLOCK_FLIPS flips.  The
+sweep's walk, _step_columns, yields each step's signal columns, which
+csv_steps formats and run_sweep turns into rows; it holds no flips, only
+each cell's count of negated shots (noise._negated_counts, one call a
+step).  Only the verifier draws flips, through _step_draws, for its dense
+oracle: its walk, _grid_values, hands each draw block and exact batch to
+the reduction of each grid check that reads it, which fills that check's
+own values array.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 import math
 import numbers
 import operator
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -153,39 +155,32 @@ def mode_stacks(
         yield mode_idx, plan, steps, preps, circuits._audit(plan, walk), walk[-1]
 
 
-#: Shots drawn at a time over the cells of a _shot_blocks group.  Results do
-#: not depend on it (tested).  run holds no flips, only counts; in verify,
-#: which alone draws through _step_draws, it bounds memory: 18 B per shot of
-#: flips at nine noise points, and a few 8 B indices per shot in the dense oracle.
-_SHOT_BLOCK = 65536
-
 #: (state, e) rows of one exact walk, 2 KiB each in each of its two float64
 #: planes.  With run reading real rows, a fine-grid pass (513 e values, 2-vCPU
 #: VM, median speed-adjusted wall time over three rounds of 6 to 8 runs) took
 #: 42-43, 38-40 and 36-40 ms at 96, 128 and 192 rows, at 44.2-44.3 MiB peak RSS
 #: each; its traced Python peak was 1.04, 1.24 and 1.65 MB, against 1.44 MB when
 #: run read complex finals at 96 rows.  192 rows tie 128 on time but hold more
-#: than that (tested: no result depends on it).
+#: than that (tested: no result depends on it).  verify reads the same real
+#: rows, its stack of five states in batches of 25 cells.
 _E_BLOCK = 128
 
 
 def _cell_batches(
-    walk: Callable[..., np.ndarray], e_grid: tuple[float, ...], plan: circuits.ExperimentPlan,
-    initial: np.ndarray,
+    e_grid: tuple[float, ...], plan: circuits.ExperimentPlan, initial: np.ndarray
 ) -> Iterator[tuple[int, tuple[float, ...], np.ndarray]]:
-    """(start, e, finals) over e_grid in order, e = e_grid[start : start + cells].
+    """(start, e, rows) over e_grid in order, e = e_grid[start : start + cells].
 
     ``initial`` is a stack of k states, such as a mode's preparations, and
-    finals (k, cells, 16, 16) are the stack through plan at e, one call of
-    ``walk``: noise._exact_rows, whose real rows run reads, or
-    noise.run_plan_exact, whose complex finals verify reads.  This is the one
-    place that blocks exact rows: a batch holds _E_BLOCK // k cells, and at
-    least one, so no caller holds more than one batch of finals.
+    rows (k, cells, 16, 16) are the float64 finals of the stack through plan
+    at e, one noise._exact_rows call, which run and verify both read.  This
+    is the one place that blocks exact rows: a batch holds _E_BLOCK // k
+    cells, and at least one, so no caller holds more than one batch of rows.
     """
     batch = max(1, _E_BLOCK // len(initial))
     for start in range(0, len(e_grid), batch):
         e = e_grid[start : start + batch]
-        yield start, e, walk(plan, e, initial)
+        yield start, e, noise._exact_rows(plan, e, initial)
 
 
 def _step_keys(cfg: SweepConfig, mode_idx: int, steps: int) -> list[range]:
@@ -204,24 +199,22 @@ def _parity(flips: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(flips[..., mask], axis=-1)
 
 
-def _shot_blocks(cells: int, shots: int) -> Iterator[tuple[slice, int, int]]:
-    """(cells, first, count) of each draw over a step's cells: max(1, _SHOT_BLOCK
-    // shots) cells a group, each group in blocks of _SHOT_BLOCK shots, in shot order."""
-    batch = max(1, _SHOT_BLOCK // shots)
-    for start in range(0, cells, batch):
-        for first in range(0, shots, _SHOT_BLOCK):
-            yield slice(start, start + batch), first, min(_SHOT_BLOCK, shots - first)
-
-
 def _step_draws(
     mask: np.ndarray, e: tuple[float, ...], shots: int, keys: Sequence[int]
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """(cells, flips, _parity(flips, mask)) over one step's cells (e[i], keys[i]):
-    verify's draws, one noise.draw_flips call per _shot_blocks block.  A cell's
-    flips come from its own Philox key (_step_keys), whatever its group."""
-    for cells, first, count in _shot_blocks(len(keys), shots):
-        flips = noise.draw_flips(e[cells], keys[cells], count, len(mask), first=first)
-        yield cells, flips, _parity(flips, mask)
+    verify's draws, each one noise.draw_flips call of at most noise._BLOCK_FLIPS
+    flips (or one shot's): blocks of _BLOCK_FLIPS // (2 points) shots over as
+    many cells as fill one, at least one.  A cell's flips come from its own
+    Philox key (_step_keys), whatever its group or block."""
+    block = max(1, noise._BLOCK_FLIPS // max(mask.size, 1))  # shots
+    batch = max(1, block // shots)  # cells
+    for start in range(0, len(keys), batch):
+        cells = slice(start, start + batch)
+        for first in range(0, shots, block):
+            count = min(block, shots - first)
+            flips = noise.draw_flips(e[cells], keys[cells], count, len(mask), first=first)
+            yield cells, flips, _parity(flips, mask)
 
 
 def _mc_signal(
@@ -233,14 +226,12 @@ def _mc_signal(
     final deviation is the ideal one negated once per damaging flip drawn, so
     its signal is +1 or -1 by its _parity.  The mean is then 1 - 2 (odd shots)
     / shots, and the standard error is the sample standard deviation (ddof 1)
-    of the +-1 shot signals over sqrt(shots).  The odd shots are counted by
-    noise._negated_counts over the _shot_blocks blocks, which holds no flips,
-    unless no entry of the mask is true: every protected plan, and every plan
-    without noise points, draws nothing.
+    of the +-1 shot signals over sqrt(shots).  The odd shots of every cell are
+    counted by one noise._negated_counts call, which holds no flips and blocks
+    its own draws, unless no entry of the mask is true: every protected plan,
+    and every plan without noise points, draws nothing.
     """
-    odd = np.zeros(len(seeds), dtype=np.int64)
-    for cells, first, count in _shot_blocks(len(seeds), shots) if mask.any() else ():
-        odd[cells] += noise._negated_counts(e[cells], seeds[cells], count, mask, first=first)
+    odd = noise._negated_counts(e, seeds, shots, mask) if mask.any() else np.zeros(len(seeds))
     mean = 1.0 - 2.0 * odd / shots
     stderr = np.sqrt((1.0 - mean * mean) / (shots - 1)) if shots > 1 else np.zeros_like(mean)
     return mean.tolist(), stderr.tolist()
@@ -260,7 +251,7 @@ def _step_columns(
     for mode_idx, plan, steps, preps, (_, masks), references in mode_stacks(cfg):
         keys = _step_keys(cfg, mode_idx, len(steps))
         exact = np.empty((len(steps), len(cfg.e_grid)))
-        for start, e, rows in _cell_batches(noise._exact_rows, cfg.e_grid, plan, preps):
+        for start, e, rows in _cell_batches(cfg.e_grid, plan, preps):
             exact[:, start : start + len(e)] = readout.signal_intensity(rows, references[:, None])
             del rows  # its plane is freed before the next batch's walk
         for step, mask, signals, step_keys in zip(steps, masks, exact.tolist(), keys):
@@ -478,7 +469,8 @@ def _grid_values(cfg: SweepConfig, walk: list) -> dict[str, np.ndarray]:
                 apart = []
                 for cells, flips, parity in _step_draws(mask, cfg.e_grid, cfg.shots, keys):
                     negated[step_idx, cells] += np.count_nonzero(parity, axis=1)
-                    states, index = noise.monte_carlo_states(plan, np.concatenate(flips), initial)
+                    histories = flips.reshape(parity.size, *mask.shape)  # a view, at 0 points too
+                    states, index = noise.monte_carlo_states(plan, histories, initial)
                     sign = parity.ravel().astype(np.intp)  # 1: negated
                     apart.append(_attempt(_frame_apart, states, index, sign, reference))
                 values["frame-dense-shots"][mode_idx, step_idx] = np.max(apart)
@@ -486,7 +478,7 @@ def _grid_values(cfg: SweepConfig, walk: list) -> dict[str, np.ndarray]:
             drawn = False
         initial = np.concatenate([[sum(preps, identity), identity], preps])
         try:
-            for start, e, finals in _cell_batches(noise.run_plan_exact, cfg.e_grid, plan, initial):
+            for start, e, finals in _cell_batches(cfg.e_grid, plan, initial):
                 cells = slice(start, start + len(e))
                 if plan.mode == "protected":
                     values["protected-correctness"][:, cells] = _attempt(

@@ -8,11 +8,12 @@ description of a channel that apply_channel and verify_error_model take.
 run_plan_exact evolves one initial state or a stack of them, at one e or a
 whole grid, in float64 (every dfsim state, gate and channel coefficient is
 real), at a noise point only on the entry classes that can be nonzero, and
-copies the finals out as complex; dfsim run reads the same walk's float64
-rows (_exact_rows) up to the signal.  apply_channel and the dense oracle stay
-complex, as independent references: every final equals, to the bit, the
-gate-by-gate walk with apply_channel(rho, engineered_model(e)), and holds no
--0 (test_grid_evolution_leaves_no_negative_zero,
+copies the finals out as complex, for library callers; dfsim run and verify
+read the same walk's float64 rows (_exact_rows).  apply_channel and the
+dense oracle stay complex, as independent references: every final equals,
+to the bit, the gate-by-gate walk with apply_channel(rho,
+engineered_model(e)), and holds no -0
+(test_grid_evolution_leaves_no_negative_zero,
 test_grid_evolution_equals_per_e_kraus_sum_to_the_bit).
 
 The engineered decoherence is applied at chosen circuit points: XXII with
@@ -41,9 +42,9 @@ gives bit-identical flips (draw_flips,
 test_draw_flips_over_many_cells_stacks_the_one_cell_draws).  The sweep
 relies on it: _negated_counts reduces each range of shots to its count of
 negated shots as soon as it is drawn, and splits a large cell into units
-drawn on _WORKERS threads, each unit counted in its own slot; the counts,
-and so the output bytes, do not depend on the worker count
-(test_cli_run_bytes_do_not_depend_on_the_worker_count).
+drawn on _WORKERS threads, each thread adding its units' counts to its own
+column; the counts, and so the output bytes, do not depend on the worker
+count (test_cli_run_bytes_do_not_depend_on_the_worker_count).
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ _PHILOX_BLOCK = 4
 _UNIT_WORDS = 16 * 1024
 
 #: Flips, 1 B each, of the cells and shots that one parity of a serial
-#: _negated_counts reduces: 65 536 shots at nine noise points, whatever the points.
+#: _negated_counts reduces, and that one of verify's draws (harness._step_draws)
+#: holds: 65 536 shots at nine noise points, whatever the points.
 _BLOCK_FLIPS = 16 * _UNIFORM_WORDS
 
 
@@ -296,10 +298,11 @@ def _negated_counts(
     cell whose shots span at least two _UNIFORM_WORDS slices per worker is
     split into one-cell units of _UNIT_WORDS words, counted on _WORKERS
     threads: each thread takes the next unit when it is free, which keeps
-    both busy when one is interrupted, and writes only that unit's count;
-    the counts are summed after every thread is joined.  Other draws stay on
-    the calling thread, in units of one _UNIFORM_WORDS slice of each cell and
-    at most _BLOCK_FLIPS flips.  Either way the counts are the same.
+    both busy when one is interrupted, and adds that unit's count to its own
+    column of a (cells, workers) array; the columns are summed after every
+    thread is joined, so nothing held grows with the shots.  Other draws stay
+    on the calling thread, in units of one _UNIFORM_WORDS slice of each cell
+    and at most _BLOCK_FLIPS flips.  Either way the counts are the same.
     """
     shape, keys, thresholds = _keyed_cells(e, seed)
     if min(shots, first) < 0:
@@ -312,7 +315,7 @@ def _negated_counts(
     span = max(1, min(shots, (_UNIT_WORDS if threaded else _UNIFORM_WORDS) // words))  # shots
     batch = 1 if threaded else max(1, min(len(keys), _BLOCK_FLIPS // (span * words)))  # cells
     slices, groups = -(-shots // span), -(-len(keys) // batch)
-    counts, errors = np.zeros((len(keys), slices), dtype=np.int64), [None] * workers
+    counts, errors = np.zeros((len(keys), workers), dtype=np.int64), [None] * workers
     # each worker's generator and flips, made here: what a thread allocates
     # stays in its own malloc arena, and numpy.random is imported on first use
     philoxes = [_philox() for _ in range(workers)]
@@ -332,7 +335,7 @@ def _negated_counts(
                 for key, threshold, out in zip(keys[cells], thresholds[cells], block):
                     _draw(philoxes[worker], key, threshold, (first + start) * words, out)
                 parity = np.bitwise_xor.reduce(block[..., columns], axis=-1)
-                counts[cells, unit] = np.count_nonzero(parity, axis=-1)
+                counts[cells, worker] += np.count_nonzero(parity, axis=-1)
         except BaseException as exc:  # raised in the caller, after every join
             errors[worker] = exc
 
@@ -395,7 +398,8 @@ def _exact_rows(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> np.n
     """run_plan_exact's walk, its finals as float64: a view of shape
     initial.shape[:-2] + np.shape(e) + (16, 16) into the rows' plane, not
     C-contiguous, and every entry as run_plan_exact's real part.  dfsim run
-    reads it through readout.signal_intensity, which takes real finals.
+    and verify read it through harness._cell_batches; readout.signal_intensity
+    and dfs.decode take real finals.
 
     The rows are the columns, state-major, of a float64 (16, 16, rows) plane
     beside one work plane.  ``initial`` + 0.0 starts them, so no entry holds
@@ -455,7 +459,8 @@ def run_plan_exact(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> n
     Each (state, e) row's final equals, to the bit, evolving that state alone
     with apply_channel(rho, engineered_model(e)) at every noise point and
     u rho u^dagger at every gate.  Callers that must not hold every final at
-    once pass the grid in blocks, as harness._cell_batches does.  Raises
+    once pass the grid in blocks, as harness._cell_batches does with the
+    walk's float64 rows; no dfsim command calls this.  Raises
     ValueError if an e lies outside [0, 0.5], or ``initial`` or a gate is not
     real and finite.
 

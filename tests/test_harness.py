@@ -247,24 +247,24 @@ def test_verify_fails_on_an_exact_final_off_the_reference(monkeypatch, capsys):
     refs = [noise.run_plan_exact(plan, 0.0, step.deviation) for step in readout.protected_steps()]
     words = qcore._word_matrices()[1:]
     word = next(w for w in words if all(abs(np.vdot(w, ref)) < 1e-12 for ref in refs))
-    exact = noise.run_plan_exact
+    exact = noise._exact_rows
 
     def off_reference(plan, e, initial):
         finals = exact(plan, e, initial)
         return finals + 1e-6 * word if plan.mode == "protected" and np.ndim(e) else finals
 
-    monkeypatch.setattr(noise, "run_plan_exact", off_reference)
+    monkeypatch.setattr(noise, "_exact_rows", off_reference)
     assert cli.main(["verify"]) == 1
     assert "FAIL mc-convergence" in capsys.readouterr().out
 
 
 def _exact_without_the_last_noise_point(monkeypatch):
-    exact = noise.run_plan_exact
+    exact = noise._exact_rows
 
     def faulty(plan, e, initial):
         return exact(replace(plan, decoherence_points=plan.decoherence_points[:-1]), e, initial)
 
-    monkeypatch.setattr(noise, "run_plan_exact", faulty)
+    monkeypatch.setattr(noise, "_exact_rows", faulty)
 
 
 def _damage_audit_without_the_last_point(monkeypatch):
@@ -321,14 +321,14 @@ def _channel_with_its_xxxx_coefficient_scaled(monkeypatch):
 
 
 def _exact_finals_with_a_nan(monkeypatch):
-    exact = noise.run_plan_exact
+    exact = noise._exact_rows
 
     def faulty(plan, e, initial):
         finals = exact(plan, e, initial)
         finals[..., 0, 0] = np.nan
         return finals
 
-    monkeypatch.setattr(noise, "run_plan_exact", faulty)
+    monkeypatch.setattr(noise, "_exact_rows", faulty)
 
 
 def _channel_output_with_a_nan(monkeypatch):
@@ -595,8 +595,7 @@ def _count_calls(monkeypatch) -> dict[str, int]:
     """Count the calls of circuits.assemble, circuits._audit (damage_audit's
     core, which harness.mode_stacks calls), the noise-free walks
     (circuits.ideal_boundary_deviations), the exact walks (noise._exact_rows,
-    which run reads directly and verify through noise.run_plan_exact), and the
-    plans built (ExperimentPlan.__post_init__)."""
+    which run and verify read), and the plans built (ExperimentPlan.__post_init__)."""
     calls = {"assemble": 0, "audit": 0, "noise-free walk": 0, "exact walk": 0,
              "ExperimentPlan": 0}
     for key, owner, name in (
@@ -679,7 +678,7 @@ def test_fidelity_of_a_decoded_batch_equals_each_final_alone(seed):
     [(_, plan, _, preps, _, _)] = harness.mode_stacks(cfg)
     identity = np.eye(16, dtype=complex) / 16
     initial = np.concatenate([[sum(preps, identity), identity], preps])
-    batches = harness._cell_batches(noise.run_plan_exact, cfg.e_grid, plan, initial)
+    batches = harness._cell_batches(cfg.e_grid, plan, initial)
     decoded = np.concatenate([dfs.decode(finals)[0] for _, _, finals in batches])
     rng = np.random.default_rng(seed)
     target = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -1042,6 +1041,30 @@ def test_run_memory_does_not_grow_with_the_noise_points():
     assert peak(300) < 2.5 * peak(9)
 
 
+def test_verify_memory_does_not_grow_with_the_noise_points(monkeypatch):
+    # 2048 shots at e = 0.25 with every noise point at boundary 3: verify
+    # draws each step in blocks of at most noise._BLOCK_FLIPS flips, and the
+    # dense oracle reads each block's flips reshaped, not copied, so 300
+    # points peak near 9 (1.4 times); every shot's flips in one block,
+    # copied once more for the oracle, would peak at 3.3 times.  The budget
+    # is cut to a quarter, five blocks a step at 300 points, to keep the
+    # test short
+    monkeypatch.setattr(noise, "_BLOCK_FLIPS", noise._BLOCK_FLIPS // 4)
+
+    def peak(points: int) -> int:
+        cfg = SweepConfig(e_grid=(0.25,), shots=2048, modes=("unprotected",),
+                          placement=(3,) * points)
+        tracemalloc.start()
+        try:
+            assert all(c.passed for c in harness.verify(cfg))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(9)  # warm-up
+    assert peak(300) < 2 * peak(9)
+
+
 def test_csv_steps_computes_one_theory_column_per_damage_count(monkeypatch, capsys):
     # Deutsch-Jozsa's n are 0/0/0 and 4/8/4: three distinct counts, so three
     # theory columns over the 65 e values of its golden, which keeps its bytes
@@ -1317,20 +1340,31 @@ def test_cli_count_n_draws_no_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize("shots", [1, 7, 8, 64, 2048])
 def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
+    # one noise._negated_counts call over all the shots; with every budget
+    # of noise at 7 shots of the mask's 18 words, it draws them in units of
+    # 7 shots, on the calling thread below 28 shots and on the workers above
     plan = circuits.assemble("unprotected")
     _, mask = circuits.damage_audit(plan, readout.unprotected_steps()[1].deviation)
+    assert mask.size == 18
     one_block = harness._mc_signal(mask, (0.3,), shots, (11,))
-    drawn = []
-    unblocked = noise._negated_counts
+    counted, drawn = [], []
+    unblocked, draw = noise._negated_counts, noise._draw
 
     def spy(e, seed, count, mask, first=0):
-        drawn.append((first, count))
+        counted.append((first, count))
         return unblocked(e, seed, count, mask, first=first)
 
+    def draw_spy(philox, key, threshold, offset, out):
+        drawn.append((offset // 18, len(out)))
+        return draw(philox, key, threshold, offset, out)
+
     monkeypatch.setattr(noise, "_negated_counts", spy)
-    monkeypatch.setattr(harness, "_SHOT_BLOCK", 7)
+    monkeypatch.setattr(noise, "_draw", draw_spy)
+    for budget in ("_BLOCK_FLIPS", "_UNIFORM_WORDS", "_UNIT_WORDS"):
+        monkeypatch.setattr(noise, budget, 7 * 18)
     assert harness._mc_signal(mask, (0.3,), shots, (11,)) == one_block
-    assert drawn == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
+    assert counted == [(0, shots)]
+    assert sorted(drawn) == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
 
 
 @pytest.mark.parametrize("shots", [1, 70000])
@@ -1359,10 +1393,10 @@ def test_mc_signal_of_a_mask_without_damage_draws_nothing(mask, shots, monkeypat
 )
 def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
     # run counts step by step over the whole grid, whatever the exact batches
-    # (_E_BLOCK // 3 cells): each unprotected step in turn, in batches of
-    # _SHOT_BLOCK // shots cells, at least one, each one noise._negated_counts
-    # call per shot block of _SHOT_BLOCK; protected plans have no damaging
-    # flip and draw nothing
+    # (_E_BLOCK // 3 cells): each unprotected step in turn, in one
+    # noise._negated_counts call, which draws units of 12 // shots cells, at
+    # least one, under a budget of 12 shots of 18 flips; protected plans
+    # have no damaging flip and draw nothing
     grid = tuple(k / 64 for k in range(33))
     cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=modes)
     one_cell_at_a_time = []
@@ -1380,42 +1414,45 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
 
     monkeypatch.setattr(noise, "_negated_counts", spy)
     monkeypatch.setattr(harness, "_E_BLOCK", 8)
-    monkeypatch.setattr(harness, "_SHOT_BLOCK", 12)
+    monkeypatch.setattr(noise, "_BLOCK_FLIPS", 12 * 18)
     rows = run_sweep(cfg)
     assert [(r.signal_mc, r.mc_stderr) for r in rows] == one_cell_at_a_time
-    batch = max(1, 12 // shots)
-    cells = [min(batch, 33 - start) for start in range(0, 33, batch)]
-    firsts = range(0, shots, 12)
     steps = range(3)  # three unprotected steps
-    expected = [
-        (c, min(12, shots - first), first) for _ in steps for c in cells for first in firsts
-    ]
+    expected = [(33, shots, 0) for _ in steps]
     assert drawn == expected
 
 
 def test_fine_grid_sweep_draws_once_per_step(monkeypatch):
     # 513 Deutsch-Jozsa e values at 2 shots: each of the three unprotected
-    # steps counts its 1026 shots in one noise._negated_counts call.  With a
-    # _SHOT_BLOCK of 100, a step counts 50 cells (100 shots) a call: 11 calls,
-    # the last of 13 cells
+    # steps counts its 1026 shots in one noise._negated_counts call, which
+    # draws each cell once.  With a _BLOCK_FLIPS of 100 shots' flips that
+    # call counts 50 cells (100 shots) a unit, not all 513 at once, with the
+    # same calls, draws and rows
     cfg = SweepConfig(
         e_grid=tuple(k / 1024 for k in range(513)), shots=2, modes=circuits.MODES,
         algorithm="deutsch-jozsa",
     )
-    drawn = []
-    batched = noise._negated_counts
+    drawn, sizes = [], set()
+    batched, draw = noise._negated_counts, noise._draw
 
     def spy(e, seeds, count, mask, first=0):
         drawn.append(len(seeds) * count)
+        sizes.add(mask.size)
         return batched(e, seeds, count, mask, first=first)
 
+    def draw_spy(philox, key, threshold, offset, out):
+        drawn.append((offset, out.shape))
+        return draw(philox, key, threshold, offset, out)
+
     monkeypatch.setattr(noise, "_negated_counts", spy)
+    monkeypatch.setattr(noise, "_draw", draw_spy)
     rows = run_sweep(cfg)
-    assert drawn == [513 * 2] * 3
+    [words] = sizes  # a shot's flips
+    assert drawn == ([513 * 2] + [(0, (2, words))] * 513) * 3
     drawn.clear()
-    monkeypatch.setattr(harness, "_SHOT_BLOCK", 100)
+    monkeypatch.setattr(noise, "_BLOCK_FLIPS", 100 * words)
     assert run_sweep(cfg) == rows
-    assert drawn == ([100] * 10 + [26]) * 3
+    assert drawn == ([513 * 2] + [(0, (2, words))] * 513) * 3
 
 
 @pytest.mark.parametrize("length", [1, 7, 8, 20])
@@ -1440,13 +1477,14 @@ def test_sweep_does_not_depend_on_the_e_block(length, monkeypatch):
 )
 def test_verify_does_not_depend_on_the_cell_batch(modes, shots, block, monkeypatch):
     # 20 cells per mode: two batches of 12 and 8 by default, one cell per
-    # batch (7 // 5 rows) with the small blocks; at 5 shots in shot blocks of
-    # 2, each cell is drawn in three blocks.  Every residual and the reported
-    # worst cell must agree
+    # batch (7 // 5 rows) with the small blocks; with a _BLOCK_FLIPS of 2
+    # shots at the unprotected steps' nine noise points, each cell of 5
+    # shots is drawn in three blocks.  Every residual and the reported worst
+    # cell must agree
     cfg = SweepConfig(e_grid=tuple(k / 40 for k in range(20)), shots=shots, modes=modes)
     default = [repr(check) for check in harness.verify(cfg)]
     monkeypatch.setattr(harness, "_E_BLOCK", 7)
-    monkeypatch.setattr(harness, "_SHOT_BLOCK", block)
+    monkeypatch.setattr(noise, "_BLOCK_FLIPS", block * 18)
     assert [repr(check) for check in harness.verify(cfg)] == default
 
 
@@ -1605,15 +1643,17 @@ WORKFLOW_INVOCATIONS = [
     pytest.param("run --seed 0 --shots 16 --e-grid 0,0.25 --output {tmp}/run.csv", 0,
                  id="run-to-an-output-file"),
     # the protected run draws nothing (no flip damages a protected plan),
-    # though its 70000 shots exceed one harness._SHOT_BLOCK
+    # though its 70000 shots exceed one noise._BLOCK_FLIPS of flips
+    # (65536 shots at the nine noise points)
     pytest.param("run --seed 0 --mode protected --shots 70000 --e-grid 0.25 --output {tmp}/p.csv",
                  0, id="run-protected-past-one-shot-block"),
     # flag values go through the config-file parser, so both exit 2
     pytest.param("run --shots abc", 2, id="reject-a-bad-flag-value"),
     pytest.param("run --config {tmp}/bad.cfg", 2, id="reject-a-bad-config-file-value"),
-    # 2 e values x 40000 shots per plan exceed one harness._SHOT_BLOCK
-    # (65536), so the dense oracle takes one cell per draw call; each exact
-    # batch still holds both e values
+    # 2 e values x 40000 shots per plan exceed one draw block of
+    # noise._BLOCK_FLIPS flips (65536 shots at the nine noise points), so
+    # the dense oracle takes one cell per draw call; each exact batch still
+    # holds both e values
     pytest.param("verify --seed 0 --mode unprotected --e-grid 0.25,0.5 --shots 40000", 0,
                  id="verify-past-one-shot-block"),
     # placement 0 leaves gates after the last noise point, so the exact
@@ -1764,10 +1804,11 @@ GOLDEN_JSON_SHA256 = {
 
 
 #: sha256 of the stdout of runs whose cells are drawn in batches: 65 cells
-#: per plan at 2 shots (batches of 64 and 1), and cells of more than one
-#: _SHOT_BLOCK.  Re-pinned when each cell's Philox key became
-#: (seed, mode, step, e index); test_sweep_does_not_depend_on_the_cell_batch
-#: checks the batches against per-cell draws.
+#: per plan at 2 shots, and cells of more than one noise._BLOCK_FLIPS of
+#: flips, counted in units on the worker threads.  Re-pinned when each
+#: cell's Philox key became (seed, mode, step, e index);
+#: test_sweep_does_not_depend_on_the_cell_batch checks the batches against
+#: per-cell draws.
 GOLDEN_BATCH_SHA256 = {
     DJ_BATCHES:
         "a8adf190462724e345a7b0ac93164de7aae1aaae437123447d1269c223ebe296",

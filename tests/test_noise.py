@@ -578,7 +578,7 @@ def test_negated_counts_equal_the_parity_of_the_drawn_flips(
 def test_negated_counts_lose_no_unit_under_fast_thread_switching(monkeypatch):
     # more workers than CPUs, one shot a unit, and a thread switch every
     # microsecond: a unit's count added into a shared per-cell total would
-    # lose updates, one written into the unit's own slot cannot
+    # lose updates, one added into its worker's own column cannot
     monkeypatch.setattr(noise, "_WORKERS", (os.cpu_count() or 1) + 1)
     monkeypatch.setattr(noise, "_UNIFORM_WORDS", 18)
     monkeypatch.setattr(noise, "_UNIT_WORDS", 18)
@@ -590,6 +590,28 @@ def test_negated_counts_lose_no_unit_under_fast_thread_switching(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(counts, _parity_counts(e, seeds, 600, mask, 1))
+
+
+def test_negated_counts_hold_no_count_per_unit(monkeypatch):
+    # one shot a unit: 10 cells of 200 shots are 2000 units, whose counts are
+    # added up in the worker's own column, so the call peaks as one of 200
+    # units (20 shots) does; an int64 kept per unit would peak 2.7 times as
+    # high.  One worker, so only the caller's thread allocates
+    monkeypatch.setattr(noise, "_WORKERS", 1)
+    monkeypatch.setattr(noise, "_UNIFORM_WORDS", 18)
+    monkeypatch.setattr(noise, "_UNIT_WORDS", 18)
+    mask = np.ones((9, 2), dtype=bool)
+
+    def peak(shots: int) -> int:
+        tracemalloc.start()
+        try:
+            noise._negated_counts((0.25,) * 10, range(1, 11), shots, mask)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # warm-up
+    assert peak(200) < 1.25 * peak(20)
 
 
 def test_negated_counts_reject_what_draw_flips_rejects():

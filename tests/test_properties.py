@@ -180,12 +180,13 @@ def test_stacked_exact_evolution_equals_each_state_alone(index, picks, grid):
 @example(np.ones((9, 2), dtype=bool), [0.25, 0.5], 7, 40, 16)
 @example(np.eye(9, 2, -8, dtype=bool), [0.3], 8, 33, 5)  # one true column
 def test_masked_column_parity_equals_the_masked_sum(mask, e, seed, shots, block):
-    # the sweep xors only the mask's true columns, a _SHOT_BLOCK at a time
+    # the sweep xors only the mask's true columns, in units of max(1, block
+    # // shots) cells under a budget of ``block`` shots' flips
     seeds = tuple(seed + i for i in range(len(e)))
     flips = noise.draw_flips(e, seeds, shots, len(mask))
     odd = np.count_nonzero((flips & mask).sum(axis=(-2, -1)) % 2, axis=-1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_SHOT_BLOCK", block)
+        patch.setattr(noise, "_BLOCK_FLIPS", block * mask.size)
         means, _ = harness._mc_signal(mask, tuple(e), shots, seeds)
     assert means == [1.0 - 2.0 * k / shots for k in odd.tolist()]
 
