@@ -204,10 +204,12 @@ def _step_draws(
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """(cells, flips, _parity(flips, mask)) over one step's cells (e[i], keys[i]):
     verify's draws, each one noise.draw_flips call of at most noise._BLOCK_FLIPS
-    flips (or one shot's): blocks of _BLOCK_FLIPS // (2 points) shots over as
-    many cells as fill one, at least one.  A cell's flips come from its own
-    Philox key (_step_keys), whatever its group or block."""
-    block = max(1, noise._BLOCK_FLIPS // max(mask.size, 1))  # shots
+    flips (or one shot's): blocks of _BLOCK_FLIPS // (2 points) shots, and of
+    65 536 shots at nine points or fewer, since the dense oracle keeps a few
+    8 B indices a shot, over as many cells as fill one, at least one.  A
+    cell's flips come from its own Philox key (_step_keys), whatever its
+    group or block."""
+    block = max(1, noise._BLOCK_FLIPS // max(mask.size, 18))  # shots
     batch = max(1, block // shots)  # cells
     for start in range(0, len(keys), batch):
         cells = slice(start, start + batch)

@@ -190,7 +190,7 @@ _UNIT_WORDS = 16 * 1024
 
 #: Flips, 1 B each, of the cells and shots that one parity of a serial
 #: _negated_counts reduces, and that one of verify's draws (harness._step_draws)
-#: holds: 65 536 shots at nine noise points, whatever the points.
+#: holds at most: 65 536 shots at nine noise points, whatever the points.
 _BLOCK_FLIPS = 16 * _UNIFORM_WORDS
 
 
@@ -287,12 +287,12 @@ def draw_flips(
 
 
 def _negated_counts(
-    e: ArrayLike, seed: ArrayLike, shots: int, mask: np.ndarray, first: int = 0
+    e: ArrayLike, seed: ArrayLike, shots: int, mask: np.ndarray
 ) -> np.ndarray:
-    """How many of shots first .. first+shots-1 of each cell have flips that
-    xor to 1 on the true entries of ``mask`` (points, 2), an int64 array of
-    seed's shape: np.count_nonzero(xor of draw_flips(e, seed, shots, points,
-    first)[..., mask], axis=-1), without holding those flips.
+    """How many of the shots of each cell have flips that xor to 1 on the
+    true entries of ``mask`` (points, 2), an int64 array of seed's shape:
+    np.count_nonzero(xor of draw_flips(e, seed, shots, points)[..., mask],
+    axis=-1), without holding those flips.
 
     A unit is a group of cells over a range of shots, with one parity.  A
     cell whose shots span at least two _UNIFORM_WORDS slices per worker is
@@ -305,8 +305,8 @@ def _negated_counts(
     and at most _BLOCK_FLIPS flips.  Either way the counts are the same.
     """
     shape, keys, thresholds = _keyed_cells(e, seed)
-    if min(shots, first) < 0:
-        raise ValueError("shots and first must be >= 0")
+    if shots < 0:
+        raise ValueError("shots must be >= 0")
     mask = np.asarray(mask, dtype=bool)
     words = max(mask.size, 1)  # a shot's words
     columns = np.flatnonzero(mask)
@@ -333,7 +333,7 @@ def _negated_counts(
                 cells, start = slice(group * batch, (group + 1) * batch), unit * span
                 block = blocks[worker, : len(keys[cells]), : shots - start]  # (cells, shots, words)
                 for key, threshold, out in zip(keys[cells], thresholds[cells], block):
-                    _draw(philoxes[worker], key, threshold, (first + start) * words, out)
+                    _draw(philoxes[worker], key, threshold, start * words, out)
                 parity = np.bitwise_xor.reduce(block[..., columns], axis=-1)
                 counts[cells, worker] += np.count_nonzero(parity, axis=-1)
         except BaseException as exc:  # raised in the caller, after every join

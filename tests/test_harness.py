@@ -964,9 +964,9 @@ def test_cli_run_that_fails_after_its_first_step_writes_nothing(
 DEEP_SHOTS = "run --seed 0 --mode unprotected --e-grid 0.25 --shots 32768"
 
 
-def _parity_counts(e, seeds, shots, mask, first=0):
+def _parity_counts(e, seeds, shots, mask):
     """noise._negated_counts' oracle: the negated shots counted from the drawn flips."""
-    flips = noise.draw_flips(e, seeds, shots, len(mask), first=first)
+    flips = noise.draw_flips(e, seeds, shots, len(mask))
     return np.count_nonzero(harness._parity(flips, mask), axis=1)
 
 
@@ -1046,13 +1046,16 @@ def test_verify_memory_does_not_grow_with_the_noise_points(monkeypatch):
     # draws each step in blocks of at most noise._BLOCK_FLIPS flips, and the
     # dense oracle reads each block's flips reshaped, not copied, so 300
     # points peak near 9 (1.4 times); every shot's flips in one block,
-    # copied once more for the oracle, would peak at 3.3 times.  The budget
-    # is cut to a quarter, five blocks a step at 300 points, to keep the
-    # test short
+    # copied once more for the oracle, would peak at 3.3 times.  Below nine
+    # points a block holds no more shots than at nine, as the oracle keeps a
+    # few indices a shot: 65536 shots at one point peak below nine's, and
+    # 2.2 times as high in one block of the budget's flips.  The budget is
+    # cut to a quarter, five blocks a step at 300 points, to keep the test
+    # short
     monkeypatch.setattr(noise, "_BLOCK_FLIPS", noise._BLOCK_FLIPS // 4)
 
-    def peak(points: int) -> int:
-        cfg = SweepConfig(e_grid=(0.25,), shots=2048, modes=("unprotected",),
+    def peak(points: int, shots: int = 2048) -> int:
+        cfg = SweepConfig(e_grid=(0.25,), shots=shots, modes=("unprotected",),
                           placement=(3,) * points)
         tracemalloc.start()
         try:
@@ -1063,6 +1066,7 @@ def test_verify_memory_does_not_grow_with_the_noise_points(monkeypatch):
 
     peak(9)  # warm-up
     assert peak(300) < 2 * peak(9)
+    assert peak(1, 65536) < 1.25 * peak(9, 65536)
 
 
 def test_csv_steps_computes_one_theory_column_per_damage_count(monkeypatch, capsys):
@@ -1350,9 +1354,9 @@ def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
     counted, drawn = [], []
     unblocked, draw = noise._negated_counts, noise._draw
 
-    def spy(e, seed, count, mask, first=0):
-        counted.append((first, count))
-        return unblocked(e, seed, count, mask, first=first)
+    def spy(e, seed, count, mask):
+        counted.append(count)
+        return unblocked(e, seed, count, mask)
 
     def draw_spy(philox, key, threshold, offset, out):
         drawn.append((offset // 18, len(out)))
@@ -1363,7 +1367,7 @@ def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
     for budget in ("_BLOCK_FLIPS", "_UNIFORM_WORDS", "_UNIT_WORDS"):
         monkeypatch.setattr(noise, budget, 7 * 18)
     assert harness._mc_signal(mask, (0.3,), shots, (11,)) == one_block
-    assert counted == [(0, shots)]
+    assert counted == [shots]
     assert sorted(drawn) == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
 
 
@@ -1395,8 +1399,9 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
     # run counts step by step over the whole grid, whatever the exact batches
     # (_E_BLOCK // 3 cells): each unprotected step in turn, in one
     # noise._negated_counts call, which draws units of 12 // shots cells, at
-    # least one, under a budget of 12 shots of 18 flips; protected plans
-    # have no damaging flip and draw nothing
+    # least one, under a budget of 12 shots of 18 flips (the cells of the
+    # flips each _draw fills); protected plans have no damaging flip and
+    # draw nothing
     grid = tuple(k / 64 for k in range(33))
     cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=modes)
     one_cell_at_a_time = []
@@ -1405,54 +1410,60 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
             _, mask = circuits.damage_audit(plan, step.deviation)
             for e, key in zip(grid, keys):
                 one_cell_at_a_time += zip(*harness._mc_signal(mask, (e,), shots, (key,)))
-    drawn = []
-    batched = noise._negated_counts
+    drawn, units = [], set()
+    batched, draw = noise._negated_counts, noise._draw
 
-    def spy(e, seeds, count, mask, first=0):
-        drawn.append((len(seeds), count, first))
-        return batched(e, seeds, count, mask, first=first)
+    def spy(e, seeds, count, mask):
+        drawn.append((len(seeds), count))
+        return batched(e, seeds, count, mask)
+
+    def draw_spy(philox, key, threshold, offset, out):
+        units.add(out.base.shape[1])  # out is one cell's row of the unit's flips
+        return draw(philox, key, threshold, offset, out)
 
     monkeypatch.setattr(noise, "_negated_counts", spy)
+    monkeypatch.setattr(noise, "_draw", draw_spy)
     monkeypatch.setattr(harness, "_E_BLOCK", 8)
     monkeypatch.setattr(noise, "_BLOCK_FLIPS", 12 * 18)
     rows = run_sweep(cfg)
     assert [(r.signal_mc, r.mc_stderr) for r in rows] == one_cell_at_a_time
-    steps = range(3)  # three unprotected steps
-    expected = [(33, shots, 0) for _ in steps]
-    assert drawn == expected
+    assert drawn == [(33, shots)] * 3  # three unprotected steps
+    assert units == {max(1, 12 // shots)}
 
 
 def test_fine_grid_sweep_draws_once_per_step(monkeypatch):
     # 513 Deutsch-Jozsa e values at 2 shots: each of the three unprotected
     # steps counts its 1026 shots in one noise._negated_counts call, which
-    # draws each cell once.  With a _BLOCK_FLIPS of 100 shots' flips that
-    # call counts 50 cells (100 shots) a unit, not all 513 at once, with the
-    # same calls, draws and rows
+    # draws each cell once, all 513 in one unit.  With a _BLOCK_FLIPS of
+    # 100 shots' flips that call counts 50 cells (100 shots) a unit, with
+    # the same calls, draws and rows
     cfg = SweepConfig(
         e_grid=tuple(k / 1024 for k in range(513)), shots=2, modes=circuits.MODES,
         algorithm="deutsch-jozsa",
     )
-    drawn, sizes = [], set()
+    drawn, sizes, units = [], set(), set()
     batched, draw = noise._negated_counts, noise._draw
 
-    def spy(e, seeds, count, mask, first=0):
+    def spy(e, seeds, count, mask):
         drawn.append(len(seeds) * count)
         sizes.add(mask.size)
-        return batched(e, seeds, count, mask, first=first)
+        return batched(e, seeds, count, mask)
 
     def draw_spy(philox, key, threshold, offset, out):
         drawn.append((offset, out.shape))
+        units.add(out.base.shape[1])  # out is one cell's row of the unit's flips
         return draw(philox, key, threshold, offset, out)
 
     monkeypatch.setattr(noise, "_negated_counts", spy)
     monkeypatch.setattr(noise, "_draw", draw_spy)
     rows = run_sweep(cfg)
     [words] = sizes  # a shot's flips
-    assert drawn == ([513 * 2] + [(0, (2, words))] * 513) * 3
+    assert drawn == ([513 * 2] + [(0, (2, words))] * 513) * 3 and units == {513}
     drawn.clear()
+    units.clear()
     monkeypatch.setattr(noise, "_BLOCK_FLIPS", 100 * words)
     assert run_sweep(cfg) == rows
-    assert drawn == ([513 * 2] + [(0, (2, words))] * 513) * 3
+    assert drawn == ([513 * 2] + [(0, (2, words))] * 513) * 3 and units == {50}
 
 
 @pytest.mark.parametrize("length", [1, 7, 8, 20])
@@ -1521,9 +1532,9 @@ def test_verify_draws_each_unprotected_step_once_whatever_the_e_block(modes, mon
     keyed.clear()
     counted = noise._negated_counts
 
-    def count_spy(e, seeds, count, mask, first=0):
+    def count_spy(e, seeds, count, mask):
         keyed.append(tuple(seeds))
-        return counted(e, seeds, count, mask, first=first)
+        return counted(e, seeds, count, mask)
 
     monkeypatch.setattr(noise, "_negated_counts", count_spy)
     run_sweep(cfg)

@@ -535,9 +535,9 @@ def test_draw_flips_holds_a_word_budget_whatever_the_points():
     assert peak - flips.nbytes < 2 * 2**20
 
 
-def _parity_counts(e, seeds, shots, mask, first):
+def _parity_counts(e, seeds, shots, mask):
     """The negated shots of each cell, counted from the drawn flips."""
-    flips = draw_flips(e, seeds, shots, len(mask), first=first)
+    flips = draw_flips(e, seeds, shots, len(mask))
     return np.count_nonzero(harness._parity(flips, mask), axis=1)
 
 
@@ -553,8 +553,8 @@ def test_negated_counts_equal_the_parity_of_the_drawn_flips(
     # a cell spanning 2 * workers slices of _UNIFORM_WORDS words is counted in
     # units of _UNIT_WORDS words on the worker threads (at 36 words, from
     # 4 * workers shots at nine points), any other one on the calling thread;
-    # first = 3 starts at word 54 of the stream, inside a Philox block, and
-    # units of 7 shots (126 words) start inside blocks too
+    # units of 7 shots (126 words) at nine points, or of 65 shots (130 words)
+    # at one, start inside a Philox block
     monkeypatch.setattr(noise, "_WORKERS", workers)
     monkeypatch.setattr(noise, "_UNIFORM_WORDS", uniform_words)
     monkeypatch.setattr(noise, "_UNIT_WORDS", unit_words)
@@ -565,14 +565,13 @@ def test_negated_counts_equal_the_parity_of_the_drawn_flips(
         masks = [np.ones((points, 2), dtype=bool), np.zeros((points, 2), dtype=bool),
                  rng.random((points, 2)) < 0.5]
         for mask in masks:
-            for shots, first in ((0, 0), (1, 0), (5, 3), (37, 3), (200, 0), (201, 7)):
-                counts = noise._negated_counts(e, seeds, shots, mask, first=first)
+            for shots in (0, 1, 5, 37, 200, 201):
+                counts = noise._negated_counts(e, seeds, shots, mask)
                 assert counts.dtype == np.int64
-                np.testing.assert_array_equal(
-                    counts, _parity_counts(e, seeds, shots, mask, first))
+                np.testing.assert_array_equal(counts, _parity_counts(e, seeds, shots, mask))
     mask = np.ones((9, 2), dtype=bool)
     assert noise._negated_counts(0.3, 5, 40, mask).shape == ()
-    assert noise._negated_counts(0.3, 5, 40, mask) == _parity_counts(0.3, [5], 40, mask, 0)[0]
+    assert noise._negated_counts(0.3, 5, 40, mask) == _parity_counts(0.3, [5], 40, mask)[0]
 
 
 def test_negated_counts_lose_no_unit_under_fast_thread_switching(monkeypatch):
@@ -586,10 +585,10 @@ def test_negated_counts_lose_no_unit_under_fast_thread_switching(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        counts = noise._negated_counts(e, seeds, 600, mask, first=1)
+        counts = noise._negated_counts(e, seeds, 600, mask)
     finally:
         sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(counts, _parity_counts(e, seeds, 600, mask, 1))
+    np.testing.assert_array_equal(counts, _parity_counts(e, seeds, 600, mask))
 
 
 def test_negated_counts_hold_no_count_per_unit(monkeypatch):
@@ -619,9 +618,8 @@ def test_negated_counts_reject_what_draw_flips_rejects():
     for e, seed in ((0.3, -1), (0.3, 2**128), ((0.1, 0.2), 5), ((0.1, 0.6), (1, 2))):
         with pytest.raises(ValueError):
             noise._negated_counts(e, seed, 2, mask)
-    for shots, first in ((-1, 0), (2, -1)):
-        with pytest.raises(ValueError, match="must be >= 0"):
-            noise._negated_counts(0.3, 5, shots, mask, first=first)
+    with pytest.raises(ValueError, match="shots must be >= 0"):
+        noise._negated_counts(0.3, 5, -1, mask)
 
 
 @pytest.mark.parametrize("failing", ["caller", "worker"])
