@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import compress
@@ -102,7 +103,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = harness.verify(cfg)
     failed = [c for c in checks if not c.passed]
     if cfg.format == "json":
-        print(json.dumps([vars(c) for c in checks], indent=2))
+        # strict JSON has no inf or NaN: the residual of a check that raised
+        # or judged a NaN is written as null (that check's passed is false)
+        rows = [{**vars(c), "residual": c.residual if math.isfinite(c.residual) else None}
+                for c in checks]
+        print(json.dumps(rows, indent=2, allow_nan=False))
     else:
         for check in checks:
             status = "PASS" if check.passed else "FAIL"

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -528,6 +529,33 @@ def test_verify_fails_its_checks_on_a_fault(fault, failed, monkeypatch, capsys):
     assert {line[5:].split(":")[0] for line in lines if line.startswith("FAIL ")} == failed
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "fault, failed",
+    [
+        (_raising(dfs, "gram_defect"), {"dfs-gram-identity"}),
+        (
+            _exact_finals_with_a_nan,
+            {"protected-correctness", "temporal-averaging", "damage-count-consistency",
+             "mc-convergence"},
+        ),
+    ],
+    ids=["raising-check-has-a-null-residual", "nan-residuals-are-null"],
+)
+def test_verify_json_of_a_failed_check_is_strict_json(fault, failed, monkeypatch, capsys):
+    # an infinite or NaN residual has no JSON value: json.dumps would write
+    # Infinity or NaN, which a strict reader rejects
+    fault(monkeypatch)
+    assert cli.main(["verify", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert {c["name"] for c in checks if not c["passed"]} == failed
+    assert all(c["residual"] is None for c in checks if c["name"] in failed)
+    assert all(math.isfinite(c["residual"]) for c in checks if c["name"] not in failed)
+
+
 def test_verify_of_a_placement_past_the_gates_exits_2(capsys):
     # the plans are built before any check runs: a bad placement is an
     # invalid configuration, not a failed check
@@ -990,6 +1018,30 @@ def test_cli_run_bytes_do_not_depend_on_the_worker_count(
     _assert_golden_stdout("run --seed 0", GOLDEN_RUN_SEED_0_SHA256, capsys)
     assert cli.main(DEEP_SHOTS.split()) == 0
     assert capsys.readouterr().out == deep
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_cli_run_bytes_do_not_depend_on_the_cpu_affinity(capsys):
+    # noise._WORKERS is read from the CPU affinity when dfsim is imported: a
+    # child held to one CPU counts each deep cell's units on the calling
+    # thread alone, this process on min(2, usable CPUs) threads, and the
+    # bytes must be the same
+    src = str(Path(dfsim.__file__).resolve().parents[1])
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from dfsim import cli, noise\n"
+        "assert noise._WORKERS == 1, noise._WORKERS\n"
+        f"sys.exit(cli.main({DEEP_SHOTS.split()!r}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert cli.main(DEEP_SHOTS.split()) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
@@ -1629,10 +1681,9 @@ def test_cli_runs_the_largest_seed(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
-#: The console-script invocations of the tier1 workflow that no other test
-#: runs as written, each with the exit code the workflow expects
-#: and, beside it, the workflow's reason.  {tmp} is a fresh directory, as
-#: $RUNNER_TEMP is there.
+#: Tier-1's own end-to-end invocations that no golden pins: each dfsim
+#: command, the exit code it must give, and, beside it, the path it takes.
+#: {tmp} is a fresh directory.
 WORKFLOW_INVOCATIONS = [
     # seed 2**64 - 1 fills the low 64 bits of every cell's Philox key, so
     # the keys run at the top of the 128-bit range end to end
@@ -1649,8 +1700,7 @@ WORKFLOW_INVOCATIONS = [
     pytest.param("run --seed 0 --algorithm deutsch-jozsa --mode both --shots 2 --e-grid "
                  + ",".join(str(k / 138) for k in range(70)) + " --output {tmp}/dj.csv", 0,
                  id="run-a-mode-stack-over-several-exact-blocks"),
-    # run and count-n through the console script: a run that writes its
-    # table to --output
+    # a run that writes its table to --output
     pytest.param("run --seed 0 --shots 16 --e-grid 0,0.25 --output {tmp}/run.csv", 0,
                  id="run-to-an-output-file"),
     # the protected run draws nothing (no flip damages a protected plan),
@@ -1678,6 +1728,23 @@ WORKFLOW_INVOCATIONS = [
 def test_cli_exits_as_the_workflow_expects(command, code, tmp_path):
     (tmp_path / "bad.cfg").write_text("algorithm = foo\n")
     assert cli.main(command.format(tmp=tmp_path).split()) == code
+
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+
+
+def test_workflow_runs_no_dfsim_command_that_tier1_does_not():
+    # every end-to-end check lives in Tier-1: a dfsim command the CI workflow
+    # runs must be a golden's or one of WORKFLOW_INVOCATIONS, so Tier-1 runs
+    # it in-process on every test run
+    lines = WORKFLOW.read_text().replace("\\\n", " ").splitlines()
+    steps = [line for line in lines if not line.lstrip().startswith("#")]
+    commands = re.findall(r"(?<![\w.-])dfsim\s+([^\n#;|&>]*)", "\n".join(steps))
+    assert commands
+    tier1 = {*GOLDEN_FILES, *(param.values[0] for param in WORKFLOW_INVOCATIONS)}
+    for command in commands:
+        command = " ".join(command.replace('"', "").replace("$RUNNER_TEMP", "{tmp}").split())
+        assert command in tier1, f"tier1.yml runs dfsim {command}, which Tier-1 does not"
 
 
 @pytest.mark.parametrize("field, value", [("seed", 1.5), ("shots", 2.5)])
