@@ -11,14 +11,14 @@ temporal-averaging preparations: one plan and its steps' stack of
 preparations (mode_stacks).  The sweep and the verifier walk each mode the
 same two ways: its stack once through _cell_batches for the exact finals,
 float64 rows of noise._exact_rows, and each step's whole e grid once for
-the shots, drawn in blocks of at most noise._BLOCK_FLIPS flips.  The
-sweep's walk, _step_columns, yields each step's signal columns, which
-csv_steps formats and run_sweep turns into rows; it holds no flips, only
-each cell's count of negated shots (noise._negated_counts, one call a
-step).  Only the verifier draws flips, through _step_draws, for its dense
-oracle: its walk, _grid_values, hands each draw block and exact batch to
-the reduction of each grid check that reads it, which fills that check's
-own values array.
+the shots, through _step_draws: blocks of at most noise._BLOCK_FLIPS flips,
+each one noise.draw_flips call with its parity and each cell's count of
+negated shots.  The sweep's walk, _step_columns, yields each step's signal
+columns, which csv_steps formats and run_sweep turns into rows; it sums the
+counts (_mc_signal) and drops each block's flips.  The verifier's walk,
+_grid_values, adds the same counts for mc-convergence and hands each draw
+block to its dense oracle, and each exact batch to the reduction of each
+grid check that reads it, which fills that check's own values array.
 """
 
 from __future__ import annotations
@@ -201,14 +201,15 @@ def _parity(flips: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _step_draws(
     mask: np.ndarray, e: tuple[float, ...], shots: int, keys: Sequence[int]
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """(cells, flips, _parity(flips, mask)) over one step's cells (e[i], keys[i]):
-    verify's draws, each one noise.draw_flips call of at most noise._BLOCK_FLIPS
-    flips (or one shot's): blocks of _BLOCK_FLIPS // (2 points) shots, and of
-    65 536 shots at nine points or fewer, since the dense oracle keeps a few
-    8 B indices a shot, over as many cells as fill one, at least one.  A
-    cell's flips come from its own Philox key (_step_keys), whatever its
-    group or block."""
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """(cells, flips, parity, counts) over one step's cells (e[i], keys[i]):
+    the one walk over a step's shots, which run and verify both read.  Each
+    block is one noise.draw_flips call of at most noise._BLOCK_FLIPS flips (or
+    one shot's): _BLOCK_FLIPS // (2 points) shots, and 65 536 at nine points or
+    fewer, since the dense oracle keeps a few 8 B indices a shot, over as many
+    cells as fill one, at least one.  parity is _parity(flips, mask), and
+    counts each cell's negated shots in the block.  A cell's flips come from
+    its own Philox key (_step_keys), whatever its group or block."""
     block = max(1, noise._BLOCK_FLIPS // max(mask.size, 18))  # shots
     batch = max(1, block // shots)  # cells
     for start in range(0, len(keys), batch):
@@ -216,7 +217,8 @@ def _step_draws(
         for first in range(0, shots, block):
             count = min(block, shots - first)
             flips = noise.draw_flips(e[cells], keys[cells], count, len(mask), first=first)
-            yield cells, flips, _parity(flips, mask)
+            parity = _parity(flips, mask)
+            yield cells, flips, parity, np.count_nonzero(parity, axis=1)
 
 
 def _mc_signal(
@@ -228,12 +230,15 @@ def _mc_signal(
     final deviation is the ideal one negated once per damaging flip drawn, so
     its signal is +1 or -1 by its _parity.  The mean is then 1 - 2 (odd shots)
     / shots, and the standard error is the sample standard deviation (ddof 1)
-    of the +-1 shot signals over sqrt(shots).  The odd shots of every cell are
-    counted by one noise._negated_counts call, which holds no flips and blocks
-    its own draws, unless no entry of the mask is true: every protected plan,
-    and every plan without noise points, draws nothing.
+    of the +-1 shot signals over sqrt(shots).  The odd shots are the sum of
+    _step_draws' counts, the very counts verify's mc-convergence judges; a
+    block's flips are dropped as the next is drawn.  A mask with no true
+    entry draws nothing: every protected plan, and every plan without noise
+    points.
     """
-    odd = noise._negated_counts(e, seeds, shots, mask) if mask.any() else np.zeros(len(seeds))
+    odd = np.zeros(len(seeds), dtype=np.int64)
+    for cells, _, _, counts in _step_draws(mask, e, shots, seeds) if mask.any() else ():
+        odd[cells] += counts
     mean = 1.0 - 2.0 * odd / shots
     stderr = np.sqrt((1.0 - mean * mean) / (shots - 1)) if shots > 1 else np.zeros_like(mean)
     return mean.tolist(), stderr.tolist()
@@ -469,8 +474,8 @@ def _grid_values(cfg: SweepConfig, walk: list) -> dict[str, np.ndarray]:
                         _frame_apart, final[None], 0, 0, reference)
                     continue
                 apart = []
-                for cells, flips, parity in _step_draws(mask, cfg.e_grid, cfg.shots, keys):
-                    negated[step_idx, cells] += np.count_nonzero(parity, axis=1)
+                for cells, flips, parity, counts in _step_draws(mask, cfg.e_grid, cfg.shots, keys):
+                    negated[step_idx, cells] += counts
                     histories = flips.reshape(parity.size, *mask.shape)  # a view, at 0 points too
                     states, index = noise.monte_carlo_states(plan, histories, initial)
                     sign = parity.ravel().astype(np.intp)  # 1: negated

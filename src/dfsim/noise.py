@@ -39,12 +39,13 @@ Reproducibility contract: the flips of one cell come from one counter-based
 Philox stream (Salmon et al., SC'11) keyed by the cell's seed, so any range
 of shots, drawn in any order, on any worker or with other cells in one call,
 gives bit-identical flips (draw_flips,
-test_draw_flips_over_many_cells_stacks_the_one_cell_draws).  The sweep
-relies on it: _negated_counts reduces each range of shots to its count of
-negated shots as soon as it is drawn, and splits a large cell into units
-drawn on _WORKERS threads, each thread adding its units' counts to its own
-column; the counts, and so the output bytes, do not depend on the worker
-count (test_cli_run_bytes_do_not_depend_on_the_worker_count).
+test_draw_flips_over_many_cells_stacks_the_one_cell_draws).  draw_flips is
+the one drawer, of run and verify alike: it splits a call into units, disjoint
+(cells, shots) views of the flips it returns, and draws them on _WORKERS
+threads when there are enough, each thread re-keying its own generator;
+nothing is reduced across threads, so the flips, and so the output bytes, do
+not depend on the worker count
+(test_cli_run_bytes_do_not_depend_on_the_worker_count).
 """
 
 from __future__ import annotations
@@ -174,30 +175,26 @@ def verify_error_model(spec: ErrorModelSpec) -> EigenvalueAudit:
     return EigenvalueAudit(eigenvalues, weights, float(np.max(residuals)))
 
 
-#: Raw 8 B words of one cell that draw_flips, and _negated_counts on the
-#: calling thread, hold at a time: 4096 shots of 2 words per point at nine
-#: noise points, whatever the points.  Results do not depend on it (tested).
-_UNIFORM_WORDS = 4096 * 18
-
 #: 64-bit words per Philox counter value; a state's counter counts these blocks.
 _PHILOX_BLOCK = 4
 
-#: Raw words a _negated_counts worker draws at a time: 128 KiB, glibc's default
-#: mmap threshold, which a unit's 16 380 words at nine noise points stay below,
-#: so they come from a heap the worker reuses; two workers hold less than
-#: _UNIFORM_WORDS.  Results do not depend on it (tested).
+#: Words of one draw_flips unit: a cell is sliced at _UNIT_WORDS // (2 points)
+#: shots, 910 at nine noise points, and a unit groups as many cells' slices as
+#: fit.  A slice's raw words stay below 128 KiB, glibc's default mmap
+#: threshold, so they come from a heap the unit's thread reuses.  Results do
+#: not depend on it (tested).
 _UNIT_WORDS = 16 * 1024
 
-#: Flips, 1 B each, of the cells and shots that one parity of a serial
-#: _negated_counts reduces, and that one of verify's draws (harness._step_draws)
-#: holds at most: 65 536 shots at nine noise points, whatever the points.
-_BLOCK_FLIPS = 16 * _UNIFORM_WORDS
+#: Flips, 1 B each, that one block of harness._step_draws holds at most, and
+#: so one draw_flips call of run or verify returns: 65 536 shots at nine noise
+#: points, whatever the points.
+_BLOCK_FLIPS = 65536 * 18
 
-
-#: Threads that draw a large _negated_counts, the caller's one included, at
-#: most one per CPU this process may run on (not every platform has CPU
-#: affinity).  Philox's random_raw and the comparisons release the GIL, and
-#: a third thread gained nothing on two CPUs.  Results do not depend on it (tested).
+#: Threads that draw a draw_flips call of at least 2 * _WORKERS units, the
+#: caller's one included, at most one per CPU this process may run on (not
+#: every platform has CPU affinity).  Philox's random_raw and the comparisons
+#: release the GIL, and a third thread gained nothing on two CPUs.  Results do
+#: not depend on it (tested).
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -222,7 +219,7 @@ def _keyed_cells(e: ArrayLike, seed: ArrayLike) -> tuple[tuple[int, ...], list, 
 
 
 def _philox() -> tuple[np.random.Philox, dict]:
-    """A Philox generator and its state, which _draw re-keys for each unit."""
+    """A Philox generator and its state, which _draw re-keys for each cell's slice."""
     bit_generator = np.random.Philox(0)  # seeded, so it reads no OS entropy
     return bit_generator, bit_generator.state
 
@@ -230,8 +227,8 @@ def _philox() -> tuple[np.random.Philox, dict]:
 def _draw(philox: tuple[np.random.Philox, dict], key: list, threshold, offset: int,
           out: np.ndarray) -> None:
     """out = whether each of words offset .. offset + out.size - 1 of the Philox
-    stream keyed ``key`` lies below ``threshold``: the walk of one unit, a
-    cell's range of shots.  The generator is re-keyed through its state, with
+    stream keyed ``key`` lies below ``threshold``: one cell's slice of a
+    draw_flips unit.  The generator is re-keyed through its state, with
     the counter at the block of word ``offset``, and the words of earlier shots
     in that block are discarded.  At threshold 0 (e = 0) no word lies below it,
     so none is drawn."""
@@ -266,60 +263,28 @@ def draw_flips(
     word < ceil(e * 2**53) << 11, and the raw words (BitGenerator.random_raw)
     are compared with that integer, with no conversion to float.
 
-    One Philox generator is re-keyed for each cell and slice (_draw).  Shots
-    are drawn in slices of _UNIFORM_WORDS // (2 * points) shots, at least one,
-    each slice as if it were its own ``first``, and one cell's words of one
-    slice are held at a time; only the returned flips grow with the shots,
-    the points and the cells.
+    A unit is a group of cells over one slice of their shots, a disjoint view
+    of the returned flips, drawn by one _draw per cell: each cell is sliced at
+    _UNIT_WORDS // (2 points) shots, at least one, and a unit holds as many
+    cells as keep it within _UNIT_WORDS words.  With at least 2 * _WORKERS
+    units, _WORKERS threads draw them, each re-keying its own Philox and
+    taking the next unit when it is free; otherwise the calling thread draws
+    them all.  Every thread is joined before a unit's exception is raised.
+    Only the returned flips grow with the shots, the points and the cells.
     """
     shape, keys, thresholds = _keyed_cells(e, seed)
     if min(shots, points, first) < 0:
         raise ValueError("shots, points and first must be >= 0")
-    philox = _philox()
     flips = np.empty(shape + (shots, points, 2), dtype=bool)
     cells = flips.reshape((len(keys), shots, points, 2))
-    slice_shots = max(1, _UNIFORM_WORDS // (2 * max(points, 1)))
-    for start in range(0, shots, slice_shots):
-        offset = (first + start) * 2 * points
-        for key, threshold, out in zip(keys, thresholds, cells[:, start : start + slice_shots]):
-            _draw(philox, key, threshold, offset, out)
-    return flips
-
-
-def _negated_counts(
-    e: ArrayLike, seed: ArrayLike, shots: int, mask: np.ndarray
-) -> np.ndarray:
-    """How many of the shots of each cell have flips that xor to 1 on the
-    true entries of ``mask`` (points, 2), an int64 array of seed's shape:
-    np.count_nonzero(xor of draw_flips(e, seed, shots, points)[..., mask],
-    axis=-1), without holding those flips.
-
-    A unit is a group of cells over a range of shots, with one parity.  A
-    cell whose shots span at least two _UNIFORM_WORDS slices per worker is
-    split into one-cell units of _UNIT_WORDS words, counted on _WORKERS
-    threads: each thread takes the next unit when it is free, which keeps
-    both busy when one is interrupted, and adds that unit's count to its own
-    column of a (cells, workers) array; the columns are summed after every
-    thread is joined, so nothing held grows with the shots.  Other draws stay
-    on the calling thread, in units of one _UNIFORM_WORDS slice of each cell
-    and at most _BLOCK_FLIPS flips.  Either way the counts are the same.
-    """
-    shape, keys, thresholds = _keyed_cells(e, seed)
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
-    mask = np.asarray(mask, dtype=bool)
-    words = max(mask.size, 1)  # a shot's words
-    columns = np.flatnonzero(mask)
-    threaded = shots * words >= 2 * _WORKERS * _UNIFORM_WORDS
-    workers = _WORKERS if threaded else 1
-    span = max(1, min(shots, (_UNIT_WORDS if threaded else _UNIFORM_WORDS) // words))  # shots
-    batch = 1 if threaded else max(1, min(len(keys), _BLOCK_FLIPS // (span * words)))  # cells
+    words = 2 * max(points, 1)  # a shot's words
+    span = max(1, min(shots, _UNIT_WORDS // words))  # shots a slice
+    batch = max(1, _UNIT_WORDS // (span * words))  # cells a unit
     slices, groups = -(-shots // span), -(-len(keys) // batch)
-    counts, errors = np.zeros((len(keys), workers), dtype=np.int64), [None] * workers
-    # each worker's generator and flips, made here: what a thread allocates
-    # stays in its own malloc arena, and numpy.random is imported on first use
-    philoxes = [_philox() for _ in range(workers)]
-    blocks = np.empty((workers, batch, span, words), dtype=bool)
+    workers = _WORKERS if slices * groups >= 2 * _WORKERS else 1
+    # each worker's generator, made here: what a thread allocates stays in its
+    # own malloc arena, and numpy.random is imported on first use
+    philoxes, errors = [_philox() for _ in range(workers)], [None] * workers
     pending, taking = iter(range(slices * groups)), threading.Lock()
 
     def work(worker: int) -> None:
@@ -330,12 +295,11 @@ def _negated_counts(
                 if i is None:
                     return
                 unit, group = divmod(i, groups)
-                cells, start = slice(group * batch, (group + 1) * batch), unit * span
-                block = blocks[worker, : len(keys[cells]), : shots - start]  # (cells, shots, words)
-                for key, threshold, out in zip(keys[cells], thresholds[cells], block):
-                    _draw(philoxes[worker], key, threshold, start * words, out)
-                parity = np.bitwise_xor.reduce(block[..., columns], axis=-1)
-                counts[cells, worker] += np.count_nonzero(parity, axis=-1)
+                rows, start = slice(group * batch, (group + 1) * batch), unit * span
+                offset = (first + start) * 2 * points
+                for key, threshold, out in zip(keys[rows], thresholds[rows],
+                                               cells[rows, start : start + span]):
+                    _draw(philoxes[worker], key, threshold, offset, out)
         except BaseException as exc:  # raised in the caller, after every join
             errors[worker] = exc
 
@@ -352,7 +316,7 @@ def _negated_counts(
     for exc in errors:
         if exc is not None:
             raise exc
-    return counts.sum(axis=1).reshape(shape)
+    return flips
 
 
 def shot_seed(seed: int, index: int) -> int:

@@ -415,6 +415,18 @@ def _raising(owner, name):
     return fault
 
 
+def _step_draws_counting_no_shot(monkeypatch):
+    # every block's counts are 0 and its flips and parity are left as drawn:
+    # run writes signal_mc 1.0 from these counts, and verify judges them
+    draws = harness._step_draws
+
+    def faulty(*args):
+        for cells, flips, parity, counts in draws(*args):
+            yield cells, flips, parity, np.zeros_like(counts)
+
+    monkeypatch.setattr(harness, "_step_draws", faulty)
+
+
 def _last_dense_evolution_raising(monkeypatch):
     # a default verify evolves three draw blocks, one per unprotected step:
     # the third raises once every count is taken
@@ -477,6 +489,7 @@ _REDUCTIONS = {
         (_raising(noise, "_engineered_coefficients"), _CHANNEL_FAULT_FAILS),
         (_raising(noise, "draw_flips"), {"frame-dense-shots", "mc-convergence"}),
         (_last_dense_evolution_raising, {"frame-dense-shots", "mc-convergence"}),
+        (_step_draws_counting_no_shot, {"mc-convergence"}),
         *[(_raising(harness, name), {check}) for check, name in _REDUCTIONS.items()],
     ],
     ids=[
@@ -497,6 +510,7 @@ _REDUCTIONS = {
         "raising-channel-coefficients-fail-every-check-that-reads-a-channel",
         "raising-draws-fail-frame-dense-shots-and-mc-convergence-only",
         "raising-last-dense-evolution-fails-frame-dense-shots-and-mc-convergence-only",
+        "zero-shot-counts-fail-mc-convergence-only",
         *[f"raising-reduction-fails-{check}-only" for check in _REDUCTIONS],
     ],
 )
@@ -527,6 +541,22 @@ def test_verify_fails_its_checks_on_a_fault(fault, failed, monkeypatch, capsys):
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert {line[5:].split(":")[0] for line in lines if line.startswith("FAIL ")} == failed
+
+
+def test_run_writes_the_counts_verify_judges(monkeypatch, capsys):
+    # run's signal_mc comes from _step_draws' counts, the ones verify's
+    # mc-convergence judges: counts of 0 write a mean of 1.0 and a standard
+    # error of 0.0 in every unprotected cell, far from the exact signal
+    # (1-2e)^n, and verify FAILs (test_verify_fails_its_checks_on_a_fault)
+    _step_draws_counting_no_shot(monkeypatch)
+    assert cli.main(["run", "--mode", "unprotected", "--e-grid", "0.25"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 4
+    for row in csv.DictReader(lines):
+        assert float(row["signal_mc"]) == 1.0 and float(row["mc_stderr"]) == 0.0
+        assert float(row["signal_exact"]) < 0.02
+    assert cli.main(["verify", "--seed", "0"]) == 1
+    assert "FAIL mc-convergence" in capsys.readouterr().out
 
 
 def _reject_constant(name):
@@ -965,19 +995,19 @@ def test_cli_run_writes_the_same_bytes_to_stdout_and_to_the_output_file(fmt, tmp
 def test_cli_run_that_fails_after_its_first_step_writes_nothing(
     fmt, to_file, tmp_path, monkeypatch, capsys
 ):
-    # the protected steps draw nothing and each unprotected step counts its
-    # negated shots once, so the second count fails after four steps'
+    # the protected steps draw nothing and each unprotected step draws its
+    # 65 cells in one block, so the second draw fails after four steps'
     # columns are made
     drawn = []
-    count = noise._negated_counts
+    draw = noise.draw_flips
 
     def fail_on_the_second_call(*args, **kwargs):
         drawn.append(args)
         if len(drawn) == 2:
             raise ValueError("the second draw failed")
-        return count(*args, **kwargs)
+        return draw(*args, **kwargs)
 
-    monkeypatch.setattr(noise, "_negated_counts", fail_on_the_second_call)
+    monkeypatch.setattr(noise, "draw_flips", fail_on_the_second_call)
     path = tmp_path / "results"
     path.write_text("old rows\n")
     output = ["--output", str(path)] if to_file else []
@@ -987,45 +1017,42 @@ def test_cli_run_that_fails_after_its_first_step_writes_nothing(
     assert path.read_text() == "old rows\n" and len(drawn) == 2
 
 
-#: A deep-shots-shaped run: 3 cells x 32768 shots, each cell counted in units
+#: A deep-shots-shaped run: 3 cells x 32768 shots, each cell drawn in units
 #: on the worker threads.
 DEEP_SHOTS = "run --seed 0 --mode unprotected --e-grid 0.25 --shots 32768"
 
 
-def _parity_counts(e, seeds, shots, mask):
-    """noise._negated_counts' oracle: the negated shots counted from the drawn flips."""
-    flips = noise.draw_flips(e, seeds, shots, len(mask))
-    return np.count_nonzero(harness._parity(flips, mask), axis=1)
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("uniform_words", [4096 * 18, 4096], ids=["default-slices", "small-slices"])
+@pytest.mark.parametrize("unit_words", [16 * 1024, 1000], ids=["default-units", "small-units"])
 def test_cli_run_bytes_do_not_depend_on_the_worker_count(
-    workers, uniform_words, monkeypatch, capsys
+    workers, unit_words, monkeypatch, capsys
 ):
-    # units of 1000 words hold 55 shots (990 words), so most start inside a
-    # Philox block; with slices of 4096 words the default run's cells, and
-    # the 70001-shot run's last 4465 shots, are counted in units too
-    monkeypatch.setattr(noise, "_negated_counts", _parity_counts)
+    # the reference draws each block in one unit, on the calling thread.
+    # Units of 1000 words hold 55 shots (990 words), so most start inside a
+    # Philox block.  Verify draws on the threads too: with units of 54 words
+    # (3 shots), each of its steps is 6147 units
+    monkeypatch.setattr(noise, "_WORKERS", 1)
+    monkeypatch.setattr(noise, "_UNIT_WORDS", noise._BLOCK_FLIPS)
     assert cli.main(DEEP_SHOTS.split()) == 0
     deep = capsys.readouterr().out
-    monkeypatch.undo()
     monkeypatch.setattr(noise, "_WORKERS", workers)
-    monkeypatch.setattr(noise, "_UNIT_WORDS", 1000)
-    monkeypatch.setattr(noise, "_UNIFORM_WORDS", uniform_words)
+    monkeypatch.setattr(noise, "_UNIT_WORDS", unit_words)
     command = "run --seed 5 --mode unprotected --shots 70001 --e-grid 0.125,0.375"
     _assert_golden_stdout(command, GOLDEN_BATCH_SHA256[command], capsys)
     _assert_golden_stdout("run --seed 0", GOLDEN_RUN_SEED_0_SHA256, capsys)
     assert cli.main(DEEP_SHOTS.split()) == 0
     assert capsys.readouterr().out == deep
+    monkeypatch.setattr(noise, "_UNIT_WORDS", 54)
+    _assert_golden_stdout("verify --seed 0", GOLDEN_VERIFY_SEED_0_SHA256, capsys)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
 def test_cli_run_bytes_do_not_depend_on_the_cpu_affinity(capsys):
     # noise._WORKERS is read from the CPU affinity when dfsim is imported: a
-    # child held to one CPU counts each deep cell's units on the calling
-    # thread alone, this process on min(2, usable CPUs) threads, and the
-    # bytes must be the same
+    # child held to one CPU draws every unit on the calling thread alone,
+    # this process on min(2, usable CPUs) threads, and the bytes must be the
+    # same.  The child prints the default run, whose steps of 27 units each
+    # draw on the threads, and then the deep cells
     src = str(Path(dfsim.__file__).resolve().parents[1])
     env = {**os.environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -1034,19 +1061,22 @@ def test_cli_run_bytes_do_not_depend_on_the_cpu_affinity(capsys):
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
         "from dfsim import cli, noise\n"
         "assert noise._WORKERS == 1, noise._WORKERS\n"
+        "assert cli.main(['run', '--seed', '0']) == 0\n"
         f"sys.exit(cli.main({DEEP_SHOTS.split()!r}))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()
+    golden = (GOLDEN_DIR / GOLDEN_FILES["run --seed 0"]).read_bytes()
+    assert hashlib.sha256(golden).hexdigest() == GOLDEN_RUN_SEED_0_SHA256
     assert cli.main(DEEP_SHOTS.split()) == 0
-    assert proc.stdout == capsys.readouterr().out.encode()
+    assert proc.stdout == golden + capsys.readouterr().out.encode()
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
 def test_cli_run_whose_worker_unit_fails_writes_nothing(to_file, tmp_path, monkeypatch, capsys):
-    # the first step's cell is counted on two threads; a unit that raises on
+    # the first step's cell is drawn on two threads; a unit that raises on
     # the worker thread fails the run as any draw does, after every thread
     # is joined.  The caller's first unit waits for the failure, so the
     # worker surely takes a unit
@@ -1074,7 +1104,7 @@ def test_cli_run_whose_worker_unit_fails_writes_nothing(to_file, tmp_path, monke
 
 def test_run_memory_does_not_grow_with_the_noise_points():
     # 65536 shots at e = 0.25 with every noise point at boundary 3: the shots
-    # are counted in units of _UNIT_WORDS words, the damage audit transforms
+    # are drawn in blocks of noise._BLOCK_FLIPS flips, the damage audit transforms
     # each boundary once, and points that touch the same entry classes share
     # one schedule array, so 300 points peak near 9 (1.6 to 1.9 times); drawn
     # as flips, 300 points held 118 MB of RSS
@@ -1394,33 +1424,55 @@ def test_cli_count_n_draws_no_seed(tmp_path, capsys):
     assert "step=Z1Z4: n = 12" in captured.out
 
 
+def _spy_on_threads(monkeypatch) -> list:
+    """The worker threads started from here on, one entry each."""
+    started, thread = [], threading.Thread
+
+    def spy(*args, **kwargs):
+        started.append(kwargs)
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", spy)
+    return started
+
+
 @pytest.mark.parametrize("shots", [1, 7, 8, 64, 2048])
 def test_mc_signal_does_not_depend_on_the_shot_block(shots, monkeypatch):
-    # one noise._negated_counts call over all the shots; with every budget
-    # of noise at 7 shots of the mask's 18 words, it draws them in units of
-    # 7 shots, on the calling thread below 28 shots and on the workers above
+    # one noise.draw_flips call over all the shots; with a unit budget of 7
+    # shots of the mask's 18 words, it draws them in units of 7 shots, on the
+    # calling thread below 2 * _WORKERS units and on the workers from there.
+    # With the block budget at 7 shots too, each call is one such unit
     plan = circuits.assemble("unprotected")
     _, mask = circuits.damage_audit(plan, readout.unprotected_steps()[1].deviation)
     assert mask.size == 18
     one_block = harness._mc_signal(mask, (0.3,), shots, (11,))
     counted, drawn = [], []
-    unblocked, draw = noise._negated_counts, noise._draw
+    batched, draw = noise.draw_flips, noise._draw
 
-    def spy(e, seed, count, mask):
+    def spy(e, seeds, count, points, first=0):
         counted.append(count)
-        return unblocked(e, seed, count, mask)
+        return batched(e, seeds, count, points, first=first)
 
     def draw_spy(philox, key, threshold, offset, out):
         drawn.append((offset // 18, len(out)))
         return draw(philox, key, threshold, offset, out)
 
-    monkeypatch.setattr(noise, "_negated_counts", spy)
+    monkeypatch.setattr(noise, "draw_flips", spy)
     monkeypatch.setattr(noise, "_draw", draw_spy)
-    for budget in ("_BLOCK_FLIPS", "_UNIFORM_WORDS", "_UNIT_WORDS"):
-        monkeypatch.setattr(noise, budget, 7 * 18)
+    monkeypatch.setattr(noise, "_WORKERS", 2)
+    monkeypatch.setattr(noise, "_UNIT_WORDS", 7 * 18)
+    started = _spy_on_threads(monkeypatch)
+    units = [(first, min(7, shots - first)) for first in range(0, shots, 7)]
     assert harness._mc_signal(mask, (0.3,), shots, (11,)) == one_block
     assert counted == [shots]
-    assert sorted(drawn) == [(first, min(7, shots - first)) for first in range(0, shots, 7)]
+    assert sorted(drawn) == units
+    assert len(started) == (len(units) >= 4)
+    counted.clear()
+    drawn.clear()
+    monkeypatch.setattr(noise, "_BLOCK_FLIPS", 7 * 18)
+    assert harness._mc_signal(mask, (0.3,), shots, (11,)) == one_block
+    assert counted == [count for _, count in units]
+    assert sorted(drawn) == units
 
 
 @pytest.mark.parametrize("shots", [1, 70000])
@@ -1433,7 +1485,7 @@ def test_mc_signal_of_a_mask_without_damage_draws_nothing(mask, shots, monkeypat
         raise AssertionError("a plan without damaging flips drew shots")
 
     monkeypatch.setattr(noise, "draw_flips", spy)
-    monkeypatch.setattr(noise, "_negated_counts", spy)
+    monkeypatch.setattr(harness, "_step_draws", spy)
     means, stderrs = harness._mc_signal(mask, (0.0, 0.25, 0.5), shots, (1, 2, 3))
     assert means == [1.0] * 3 and stderrs == [0.0] * 3
     assert all(type(v) is float for v in means + stderrs)
@@ -1448,12 +1500,12 @@ def test_mc_signal_of_a_mask_without_damage_draws_nothing(mask, shots, monkeypat
     ],
 )
 def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
-    # run counts step by step over the whole grid, whatever the exact batches
+    # run draws step by step over the whole grid, whatever the exact batches
     # (_E_BLOCK // 3 cells): each unprotected step in turn, in one
-    # noise._negated_counts call, which draws units of 12 // shots cells, at
-    # least one, under a budget of 12 shots of 18 flips (the cells of the
-    # flips each _draw fills); protected plans have no damaging flip and
-    # draw nothing
+    # noise.draw_flips call, which slices each cell at 12 shots and draws
+    # units of 12 // shots cells, at least one, under a budget of 12 shots
+    # of 18 words: 3, 9 and 66 units at 1, 3 and 20 shots, so threads at 3
+    # and 20; protected plans have no damaging flip and draw nothing
     grid = tuple(k / 64 for k in range(33))
     cfg = SweepConfig(e_grid=grid, shots=shots, seed=6, modes=modes)
     one_cell_at_a_time = []
@@ -1462,60 +1514,66 @@ def test_sweep_does_not_depend_on_the_cell_batch(shots, modes, monkeypatch):
             _, mask = circuits.damage_audit(plan, step.deviation)
             for e, key in zip(grid, keys):
                 one_cell_at_a_time += zip(*harness._mc_signal(mask, (e,), shots, (key,)))
-    drawn, units = [], set()
-    batched, draw = noise._negated_counts, noise._draw
+    drawn, slices = [], set()
+    batched, draw = noise.draw_flips, noise._draw
 
-    def spy(e, seeds, count, mask):
+    def spy(e, seeds, count, points, first=0):
         drawn.append((len(seeds), count))
-        return batched(e, seeds, count, mask)
+        return batched(e, seeds, count, points, first=first)
 
     def draw_spy(philox, key, threshold, offset, out):
-        units.add(out.base.shape[1])  # out is one cell's row of the unit's flips
+        slices.add(len(out))
         return draw(philox, key, threshold, offset, out)
 
-    monkeypatch.setattr(noise, "_negated_counts", spy)
+    monkeypatch.setattr(noise, "draw_flips", spy)
     monkeypatch.setattr(noise, "_draw", draw_spy)
+    monkeypatch.setattr(noise, "_WORKERS", 2)
     monkeypatch.setattr(harness, "_E_BLOCK", 8)
-    monkeypatch.setattr(noise, "_BLOCK_FLIPS", 12 * 18)
+    monkeypatch.setattr(noise, "_UNIT_WORDS", 12 * 18)
+    started = _spy_on_threads(monkeypatch)
     rows = run_sweep(cfg)
     assert [(r.signal_mc, r.mc_stderr) for r in rows] == one_cell_at_a_time
     assert drawn == [(33, shots)] * 3  # three unprotected steps
-    assert units == {max(1, 12 // shots)}
+    assert slices == ({shots} if shots <= 12 else {12, shots - 12})
+    assert len(started) == (0 if shots == 1 else 3)
 
 
 def test_fine_grid_sweep_draws_once_per_step(monkeypatch):
     # 513 Deutsch-Jozsa e values at 2 shots: each of the three unprotected
-    # steps counts its 1026 shots in one noise._negated_counts call, which
-    # draws each cell once, all 513 in one unit.  With a _BLOCK_FLIPS of
-    # 100 shots' flips that call counts 50 cells (100 shots) a unit, with
-    # the same calls, draws and rows
+    # steps draws its 1026 shots in one noise.draw_flips call, which draws
+    # each cell once, all 513 in one unit on the calling thread.  With a
+    # _UNIT_WORDS of 100 shots' words that call draws 50 cells (100 shots) a
+    # unit, 11 units on the worker threads, with the same calls, draws and rows
     cfg = SweepConfig(
         e_grid=tuple(k / 1024 for k in range(513)), shots=2, modes=circuits.MODES,
         algorithm="deutsch-jozsa",
     )
-    drawn, sizes, units = [], set(), set()
-    batched, draw = noise._negated_counts, noise._draw
+    drawn, calls, noise_points = [], [], set()
+    batched, draw = noise.draw_flips, noise._draw
 
-    def spy(e, seeds, count, mask):
-        drawn.append(len(seeds) * count)
-        sizes.add(mask.size)
-        return batched(e, seeds, count, mask)
+    def spy(e, seeds, count, points, first=0):
+        calls.append(len(seeds) * count)
+        noise_points.add(points)
+        return batched(e, seeds, count, points, first=first)
 
     def draw_spy(philox, key, threshold, offset, out):
         drawn.append((offset, out.shape))
-        units.add(out.base.shape[1])  # out is one cell's row of the unit's flips
         return draw(philox, key, threshold, offset, out)
 
-    monkeypatch.setattr(noise, "_negated_counts", spy)
+    monkeypatch.setattr(noise, "draw_flips", spy)
     monkeypatch.setattr(noise, "_draw", draw_spy)
+    monkeypatch.setattr(noise, "_WORKERS", 2)
+    started = _spy_on_threads(monkeypatch)
     rows = run_sweep(cfg)
-    [words] = sizes  # a shot's flips
-    assert drawn == ([513 * 2] + [(0, (2, words))] * 513) * 3 and units == {513}
+    [points] = noise_points
+    assert calls == [513 * 2] * 3 and drawn == [(0, (2, points, 2))] * 513 * 3
+    assert started == []
+    calls.clear()
     drawn.clear()
-    units.clear()
-    monkeypatch.setattr(noise, "_BLOCK_FLIPS", 100 * words)
+    monkeypatch.setattr(noise, "_UNIT_WORDS", 100 * 2 * points)
     assert run_sweep(cfg) == rows
-    assert drawn == ([513 * 2] + [(0, (2, words))] * 513) * 3 and units == {50}
+    assert calls == [513 * 2] * 3 and drawn == [(0, (2, points, 2))] * 513 * 3
+    assert len(started) == 3
 
 
 @pytest.mark.parametrize("length", [1, 7, 8, 20])
@@ -1581,16 +1639,11 @@ def test_verify_draws_each_unprotected_step_once_whatever_the_e_block(modes, mon
     protected = {tuple(step) for step in harness._step_keys(cfg, 1 - unprotected, 3)}
     assert keyed == keys * 2
     assert not protected & set(keyed)  # verify draws no protected cell
+    drawn.clear()
     keyed.clear()
-    counted = noise._negated_counts
-
-    def count_spy(e, seeds, count, mask):
-        keyed.append(tuple(seeds))
-        return counted(e, seeds, count, mask)
-
-    monkeypatch.setattr(noise, "_negated_counts", count_spy)
     run_sweep(cfg)
-    assert keyed == keys  # run counts no protected cell
+    assert drawn == [(9, 2048, 0)] * 3
+    assert keyed == keys  # run draws no protected cell, with verify's keys
 
 
 def test_mc_convergence_reports_the_first_worst_cell_in_step_order(monkeypatch):

@@ -508,22 +508,46 @@ def test_draw_flips_is_exact_at_the_uniforms_own_values():
             np.testing.assert_array_equal(flips, uniforms < e)
 
 
-@pytest.mark.parametrize("uniform_words", [1, 36, 54, 4096 * 18])
-def test_draw_flips_does_not_depend_on_the_uniform_slice(uniform_words, monkeypatch):
-    # a cell's uniforms are drawn _UNIFORM_WORDS // (2 * points) shots at a
-    # time, at least one (1, 2, 3 or 4096 shots at nine points; 1, 18, 27 or
-    # 36864 at one), on from where the last slice stopped in the stream
-    monkeypatch.setattr(noise, "_UNIFORM_WORDS", uniform_words)
-    for points in (9, 1):
-        for shots, first in ((0, 0), (1, 0), (5, 3), (7, 0), (40, 1)):
-            reference = _fresh_philox_draw(0.3, 2**64 - 1, shots, points, first)
-            flips = draw_flips((0.3, 0.3), (2**64 - 1,) * 2, shots, points, first=first)
-            np.testing.assert_array_equal(flips, np.array([reference] * 2))
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "unit_words", [16 * 1024, 5, 36, 54, 130],
+    ids=["default", "one-shot", "two-shot", "three-shot", "odd"],
+)
+def test_draw_flips_does_not_depend_on_the_unit_or_the_worker_count(
+    workers, unit_words, monkeypatch
+):
+    # a cell is sliced at _UNIT_WORDS // (2 * points) shots, at least one (1,
+    # 2, 3 or 7 shots at nine points; 2, 18, 27 or 65 at one), a unit groups as many
+    # cells as fit, and 2 * workers units or more are drawn on the worker
+    # threads; slices of 3 or 7 shots (54 or 126 words) at nine points, or of
+    # 65 shots (130 words) at one, start inside a Philox block.  _step_draws counts
+    # each cell's negated shots from the same flips
+    monkeypatch.setattr(noise, "_WORKERS", workers)
+    monkeypatch.setattr(noise, "_UNIT_WORDS", unit_words)
+    e = (0.0, 0.1, 0.25, 0.5, 0.3)
+    seeds = (0, 17, 2**64 - 1, 2**128 - 1, 2**100 + 3)
+    rng = np.random.default_rng(4)
+    for points in (9, 1, 4):
+        masks = [np.ones((points, 2), dtype=bool), np.zeros((points, 2), dtype=bool),
+                 rng.random((points, 2)) < 0.5]
+        for shots, first in ((0, 0), (1, 0), (5, 3), (37, 0), (40, 1), (201, 0)):
+            references = np.array([_fresh_philox_draw(x, s, shots, points, first)
+                                   for x, s in zip(e, seeds)])
+            np.testing.assert_array_equal(draw_flips(e, seeds, shots, points, first=first),
+                                          references.reshape(len(e), shots, points, 2))
+            for mask in masks if shots and not first else ():  # _step_draws starts at shot 0
+                [(_, _, _, counts)] = harness._step_draws(mask, e, shots, seeds)
+                assert counts.dtype == np.int64
+                parity = (references & mask).sum(axis=(-2, -1)) % 2
+                np.testing.assert_array_equal(counts, np.count_nonzero(parity, axis=-1))
+    assert draw_flips(0.3, 5, 40, 9).shape == (40, 9, 2)
+    np.testing.assert_array_equal(draw_flips(0.3, 5, 40, 9), _fresh_philox_draw(0.3, 5, 40, 9, 0))
 
 
 def test_draw_flips_holds_a_word_budget_whatever_the_points():
-    # at 900 noise points a slice of 4096 shots would hold 59 MB of raw words;
-    # the budget of 4096 * 18 words (576 KiB) gives 40 shots a slice instead
+    # at 900 noise points a slice of 910 shots would hold 13 MB of raw words;
+    # the unit budget of 16 * 1024 words (128 KiB) gives 9 shots a slice
+    # instead, drawn on the worker threads, each holding one slice's words
     draw_flips(0.3, 5, 2, 900)  # warm-up
     tracemalloc.start()
     try:
@@ -535,77 +559,36 @@ def test_draw_flips_holds_a_word_budget_whatever_the_points():
     assert peak - flips.nbytes < 2 * 2**20
 
 
-def _parity_counts(e, seeds, shots, mask):
-    """The negated shots of each cell, counted from the drawn flips."""
-    flips = draw_flips(e, seeds, shots, len(mask))
-    return np.count_nonzero(harness._parity(flips, mask), axis=1)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize(
-    "uniform_words, unit_words",
-    [(4096 * 18, 16 * 1024), (36, 16 * 1024), (36, 5), (36, 130)],
-    ids=["serial", "threaded", "one-shot-units", "odd-units"],
-)
-def test_negated_counts_equal_the_parity_of_the_drawn_flips(
-    workers, uniform_words, unit_words, monkeypatch
-):
-    # a cell spanning 2 * workers slices of _UNIFORM_WORDS words is counted in
-    # units of _UNIT_WORDS words on the worker threads (at 36 words, from
-    # 4 * workers shots at nine points), any other one on the calling thread;
-    # units of 7 shots (126 words) at nine points, or of 65 shots (130 words)
-    # at one, start inside a Philox block
-    monkeypatch.setattr(noise, "_WORKERS", workers)
-    monkeypatch.setattr(noise, "_UNIFORM_WORDS", uniform_words)
-    monkeypatch.setattr(noise, "_UNIT_WORDS", unit_words)
-    e = (0.0, 0.1, 0.25, 0.5, 0.3)
-    seeds = (0, 17, 2**64 - 1, 2**128 - 1, 2**100 + 3)
-    rng = np.random.default_rng(4)
-    for points in (9, 1, 4):
-        masks = [np.ones((points, 2), dtype=bool), np.zeros((points, 2), dtype=bool),
-                 rng.random((points, 2)) < 0.5]
-        for mask in masks:
-            for shots in (0, 1, 5, 37, 200, 201):
-                counts = noise._negated_counts(e, seeds, shots, mask)
-                assert counts.dtype == np.int64
-                np.testing.assert_array_equal(counts, _parity_counts(e, seeds, shots, mask))
-    mask = np.ones((9, 2), dtype=bool)
-    assert noise._negated_counts(0.3, 5, 40, mask).shape == ()
-    assert noise._negated_counts(0.3, 5, 40, mask) == _parity_counts(0.3, [5], 40, mask)[0]
-
-
-def test_negated_counts_lose_no_unit_under_fast_thread_switching(monkeypatch):
+def test_draw_flips_loses_no_unit_under_fast_thread_switching(monkeypatch):
     # more workers than CPUs, one shot a unit, and a thread switch every
-    # microsecond: a unit's count added into a shared per-cell total would
-    # lose updates, one added into its worker's own column cannot
+    # microsecond: a unit taken by two threads, or by none, would leave its
+    # flips drawn twice or never written
     monkeypatch.setattr(noise, "_WORKERS", (os.cpu_count() or 1) + 1)
-    monkeypatch.setattr(noise, "_UNIFORM_WORDS", 18)
     monkeypatch.setattr(noise, "_UNIT_WORDS", 18)
-    e, seeds, mask = (0.1, 0.25, 0.5), (3, 2**64 + 9, 2**127), np.ones((9, 2), dtype=bool)
+    e, seeds = (0.1, 0.25, 0.5), (3, 2**64 + 9, 2**127)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        counts = noise._negated_counts(e, seeds, 600, mask)
+        flips = draw_flips(e, seeds, 600, 9)
     finally:
         sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(counts, _parity_counts(e, seeds, 600, mask))
+    references = [_fresh_philox_draw(x, s, 600, 9, 0) for x, s in zip(e, seeds)]
+    np.testing.assert_array_equal(flips, np.array(references))
 
 
-def test_negated_counts_hold_no_count_per_unit(monkeypatch):
-    # one shot a unit: 10 cells of 200 shots are 2000 units, whose counts are
-    # added up in the worker's own column, so the call peaks as one of 200
-    # units (20 shots) does; an int64 kept per unit would peak 2.7 times as
+def test_draw_flips_holds_nothing_per_unit(monkeypatch):
+    # one shot a unit: 10 cells of 200 shots are 2000 units, taken from a
+    # counter, so beyond the flips it returns the call peaks as one of 200
+    # units (20 shots) does; a list of the units would peak many times as
     # high.  One worker, so only the caller's thread allocates
     monkeypatch.setattr(noise, "_WORKERS", 1)
-    monkeypatch.setattr(noise, "_UNIFORM_WORDS", 18)
     monkeypatch.setattr(noise, "_UNIT_WORDS", 18)
-    mask = np.ones((9, 2), dtype=bool)
 
     def peak(shots: int) -> int:
         tracemalloc.start()
         try:
-            noise._negated_counts((0.25,) * 10, range(1, 11), shots, mask)
-            return tracemalloc.get_traced_memory()[1]
+            flips = draw_flips((0.25,) * 10, range(1, 11), shots, 9)
+            return tracemalloc.get_traced_memory()[1] - flips.nbytes
         finally:
             tracemalloc.stop()
 
@@ -613,17 +596,8 @@ def test_negated_counts_hold_no_count_per_unit(monkeypatch):
     assert peak(200) < 1.25 * peak(20)
 
 
-def test_negated_counts_reject_what_draw_flips_rejects():
-    mask = np.ones((9, 2), dtype=bool)
-    for e, seed in ((0.3, -1), (0.3, 2**128), ((0.1, 0.2), 5), ((0.1, 0.6), (1, 2))):
-        with pytest.raises(ValueError):
-            noise._negated_counts(e, seed, 2, mask)
-    with pytest.raises(ValueError, match="shots must be >= 0"):
-        noise._negated_counts(0.3, 5, -1, mask)
-
-
 @pytest.mark.parametrize("failing", ["caller", "worker"])
-def test_negated_counts_join_every_thread_before_a_unit_raises(failing, monkeypatch):
+def test_draw_flips_joins_every_thread_before_a_unit_raises(failing, monkeypatch):
     # a unit that raises on either thread is raised in the caller, and only
     # after every worker thread has been joined; the other thread's first
     # unit waits for the failure, so the failing thread surely takes one
@@ -640,7 +614,7 @@ def test_negated_counts_join_every_thread_before_a_unit_raises(failing, monkeypa
     monkeypatch.setattr(noise, "_draw", fail_on_one_thread)
     before = threading.active_count()
     with pytest.raises(ValueError, match="a unit's draw failed"):
-        noise._negated_counts((0.25,) * 3, (1, 2, 3), 32768, np.ones((9, 2), dtype=bool))
+        draw_flips((0.25,) * 3, (1, 2, 3), 32768, 9)
     assert threading.active_count() == before
 
 
