@@ -10,7 +10,7 @@ As in the experiment, a mode is one circuit run from each of its three
 temporal-averaging preparations: one plan and its steps' stack of
 preparations (mode_stacks).  The sweep and the verifier walk each mode the
 same two ways: its stack once through _cell_batches for the exact finals,
-float64 rows of noise._exact_rows, and each step's whole e grid once for
+one noise._exact_batches walk's rows, and each step's whole e grid once for
 the shots, through _step_draws: blocks of at most noise._BLOCK_FLIPS flips,
 each one noise.draw_flips call with its parity and each cell's count of
 negated shots.  The sweep's walk, _step_columns, yields each step's signal
@@ -155,14 +155,12 @@ def mode_stacks(
         yield mode_idx, plan, steps, preps, circuits._audit(plan, walk), walk[-1]
 
 
-#: (state, e) rows of one exact walk, 2 KiB each in each of its two float64
-#: planes.  With run reading real rows, a fine-grid pass (513 e values, 2-vCPU
-#: VM, median speed-adjusted wall time over three rounds of 6 to 8 runs) took
-#: 42-43, 38-40 and 36-40 ms at 96, 128 and 192 rows, at 44.2-44.3 MiB peak RSS
-#: each; its traced Python peak was 1.04, 1.24 and 1.65 MB, against 1.44 MB when
-#: run read complex finals at 96 rows.  192 rows tie 128 on time but hold more
-#: than that (tested: no result depends on it).  verify reads the same real
-#: rows, its stack of five states in batches of 25 cells.
+#: (state, e) rows of one exact batch, 2 KiB each in its own float64 plane and
+#: in its walk's one work plane.  With each stack set up once, a fine-grid pass
+#: (513 e values, 2-vCPU VM, median speed-adjusted wall time of 5 interleaved
+#: runs each) took 39.4, 33.3 and 34.9 ms at 96, 128 and 192 rows, at 44.0, 44.0
+#: and 44.4 MiB peak RSS (tested: no result depends on it).  verify reads the
+#: same rows, its stack of five states in batches of 25 cells.
 _E_BLOCK = 128
 
 
@@ -172,15 +170,15 @@ def _cell_batches(
     """(start, e, rows) over e_grid in order, e = e_grid[start : start + cells].
 
     ``initial`` is a stack of k states, such as a mode's preparations, and
-    rows (k, cells, 16, 16) are the float64 finals of the stack through plan
-    at e, one noise._exact_rows call, which run and verify both read.  This
-    is the one place that blocks exact rows: a batch holds _E_BLOCK // k
-    cells, and at least one, so no caller holds more than one batch of rows.
+    rows (k, cells, 16, 16) are its float64 finals through plan at e: a batch
+    of the stack's one noise._exact_batches walk, set up once, each batch's
+    rows on a plane of their own.  This is the one place that blocks exact
+    rows: a batch holds _E_BLOCK // k cells, and at least one.
     """
     batch = max(1, _E_BLOCK // len(initial))
-    for start in range(0, len(e_grid), batch):
-        e = e_grid[start : start + batch]
-        yield start, e, noise._exact_rows(plan, e, initial)
+    for start, rows in zip(range(0, len(e_grid), batch),
+                           noise._exact_batches(plan, e_grid, initial, batch)):
+        yield start, e_grid[start : start + batch], rows
 
 
 def _step_keys(cfg: SweepConfig, mode_idx: int, steps: int) -> list[range]:
@@ -195,7 +193,10 @@ def _step_keys(cfg: SweepConfig, mode_idx: int, steps: int) -> list[range]:
 
 
 def _parity(flips: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """(cells, shots): the xor of each shot's flips on the true entries of a damage mask."""
+    """(cells, shots): the xor of each shot's flips on the true entries of a damage mask.  The
+    masked copy, at most one more noise._BLOCK_FLIPS (1.18 MB), stays: on run's 9 x 2048-shot
+    blocks an xor loop over its columns took 2.5-2.8x as long, reduce(where=) 20-51x, a uint8
+    matmul 3-6x."""
     return np.bitwise_xor.reduce(flips[..., mask], axis=-1)
 
 

@@ -7,13 +7,12 @@ description of a channel that apply_channel and verify_error_model take.
 
 run_plan_exact evolves one initial state or a stack of them, at one e or a
 whole grid, in float64 (every dfsim state, gate and channel coefficient is
-real), at a noise point only on the entry classes that can be nonzero, and
-copies the finals out as complex, for library callers; dfsim run and verify
-read the same walk's float64 rows (_exact_rows).  apply_channel and the
-dense oracle stay complex, as independent references: every final equals,
-to the bit, the gate-by-gate walk with apply_channel(rho,
-engineered_model(e)), and holds no -0
-(test_grid_evolution_leaves_no_negative_zero,
+real), at a noise point only on the entry classes that hold a byte, and copies
+the finals out as complex, for library callers; dfsim run and verify read the
+same walk's float64 rows, in batches set up once a stack (_exact_batches).
+apply_channel and the dense oracle stay complex, as independent references:
+every final equals, to the bit, the gate-by-gate walk with apply_channel(rho,
+engineered_model(e)), and holds no -0 (test_grid_evolution_leaves_no_negative_zero,
 test_grid_evolution_equals_per_e_kraus_sum_to_the_bit).
 
 The engineered decoherence is applied at chosen circuit points: XXII with
@@ -54,6 +53,7 @@ import functools
 import operator
 import os
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -336,7 +336,7 @@ def _schedule(points: tuple[int, ...], gates: tuple[tuple[str, int], ...],
               matrices: tuple[bytes, ...], pattern: bytes):
     """A plan's steps for states nonzero only on ``pattern`` (256 bools), its gates
     given as (label, index into ``matrices``, the complex bytes of each distinct
-    gate array, so a repeated matrix is hashed once a call): (u, None) at a gate,
+    gate array, so a repeated matrix is hashed once a stack): (u, None) at a gate,
     u real, and (None, entries) at a noise point, entries (classes, 4, 4) of the
     classes the pattern touches.  It becomes (u != 0) P (u != 0)^T at a gate and
     all of those classes at a noise point; outside it, finite rows hold +0.
@@ -358,22 +358,25 @@ def _schedule(points: tuple[int, ...], gates: tuple[tuple[str, int], ...],
     return tuple(steps)
 
 
-def _exact_rows(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> np.ndarray:
-    """run_plan_exact's walk, its finals as float64: a view of shape
-    initial.shape[:-2] + np.shape(e) + (16, 16) into the rows' plane, not
-    C-contiguous, and every entry as run_plan_exact's real part.  dfsim run
-    and verify read it through harness._cell_batches; readout.signal_intensity
-    and dfs.decode take real finals.
+def _held(plane: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The classes of ``entries`` (classes, 4, 4) where a row of the (256, rows) plane holds a
+    byte, -0 too: on a class of +0 alone the channel (coefficients >= 0) writes what is there."""
+    return entries[plane.view(np.uint64).take(entries, axis=0).any(axis=(1, 2, 3))]
 
-    The rows are the columns, state-major, of a float64 (16, 16, rows) plane
-    beside one work plane.  ``initial`` + 0.0 starts them, so no entry holds
-    -0.  A noise point sums the terms (rho c_k) c_k in operator order, flips
-    read through reversed axes, on the classes that ``initial``'s nonzero
-    pattern reaches (_schedule, before any row is evolved), and writes those
-    classes alone: every other entry is +0 already, from the start or as a
-    gate's sum of zero products.  A gate is twice u rho and a transposing
-    copy.  OpenBLAS sums a 16 x 16 by 16 x (16 rows) product's k terms in
-    order, but not always a 16 x few one's (Haswell kernels, few <= 4).
+
+def _exact_batches(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray,
+                   cells: int) -> Iterator[np.ndarray]:
+    """run_plan_exact's walk of each ``cells`` values of e in turn: float64 rows of shape
+    initial.shape[:-2] + (cells or fewer, 16, 16), a view (not C-contiguous) of a
+    (16, 16, rows) plane of the batch's own.  e, its coefficients and ``initial``
+    are checked, _schedule looked up and the gate step's work plane made once a stack.
+
+    The rows are the plane's columns, state-major; ``initial`` + 0.0 starts them,
+    so none holds -0.  A noise point sums the terms (rho c_k) c_k in operator
+    order, flips read through reversed axes, on the _schedule classes that hold
+    a byte (_held), and writes those alone.  A gate is twice u rho and a
+    transposing copy.  OpenBLAS sums a 16 x 16 by 16 x (16 rows) product's k
+    terms in order, but not always a 16 x few one's (Haswell kernels, few <= 4).
     """
     e = _validate_probability(e)
     grid = e.ravel()
@@ -393,25 +396,35 @@ def _exact_rows(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> np.n
     gates = tuple((g.label, index[id(g.physical)]) for g in plan.gates)
     matrices = tuple(np.asarray(u, dtype=complex).tobytes() for u in arrays.values())
     steps = _schedule(plan.decoherence_points, gates, matrices, (states != 0).any(axis=0).tobytes())
-    rows = len(states) * grid.size
-    rho = np.repeat(states.T, grid.size, axis=1).reshape(DIM, DIM, rows)  # (state, e) columns
-    acc, plane = np.empty_like(rho), rho.reshape(DIM * DIM, rows)  # plane: rho's entries by row
-    scale = np.tile(coeffs[[0, 1, 3], None, None, None], len(states))  # c_0, c_1 = c_2, c_3 by row
-    for u, entries in steps:
-        if u is None:
-            terms = np.take(plane, entries, axis=0) * scale  # (3, classes, 4, 4, rows)
-            total = np.multiply(terms, scale, out=terms)[0]
-            total += terms[1][:, ::-1]  # XXII
-            total += terms[1][:, :, ::-1]  # IIXX
-            total += terms[2][:, ::-1, ::-1]  # XXXX
-            total += 0.0  # turns -0 into +0, as apply_channel's sum from +0 leaves none
-            plane[entries] = total
-            del terms, total  # freed before the next gather
-        else:  # u rho u^T = (u (u rho)^T)^T
-            for _ in range(2):
-                np.matmul(u, rho.reshape(DIM, -1), out=acc.reshape(DIM, -1))
-                np.copyto(rho, acc.transpose(1, 0, 2))
-    return plane.T.reshape(prep.shape[:-2] + e.shape + (DIM, DIM))
+    spare = np.empty(DIM * DIM * len(states) * min(cells, grid.size))
+    for start in range(0, max(grid.size, 1), cells):  # an empty grid is one empty batch
+        batch = coeffs[[0, 1, 3], start : start + cells]  # c_0, c_1 = c_2, c_3
+        rho = np.repeat(states.T, batch.shape[1], axis=1).reshape(DIM, DIM, -1)  # (state, e)
+        acc, plane = spare[: rho.size].reshape(rho.shape), rho.reshape(DIM * DIM, -1)
+        scale = np.concatenate([batch] * len(states), axis=1)[:, None, None, None]  # by row
+        for u, entries in steps:
+            if u is None:
+                entries = _held(plane, entries)
+                terms = plane.take(entries, axis=0) * scale  # (3, classes, 4, 4, rows)
+                total = np.multiply(terms, scale, out=terms)[0]
+                total += terms[1][:, ::-1]  # XXII
+                total += terms[1][:, :, ::-1]  # IIXX
+                total += terms[2][:, ::-1, ::-1]  # XXXX
+                total += 0.0  # turns -0 into +0, as apply_channel's sum from +0 leaves none
+                plane[entries] = total
+                del terms, total  # freed before the next gather
+            else:  # u rho u^T = (u (u rho)^T)^T
+                for _ in range(2):
+                    np.matmul(u, rho.reshape(DIM, -1), out=acc.reshape(DIM, -1))
+                    np.copyto(rho, acc.transpose(1, 0, 2))
+        yield plane.T.reshape(prep.shape[:-2] + (batch.shape[1], DIM, DIM))
+        del rho, plane  # freed with the consumer's rows, before the next batch's
+
+
+def _exact_rows(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> np.ndarray:
+    """_exact_batches' one batch of all of e, shape initial.shape[:-2] + np.shape(e) + (16, 16)."""
+    [rows] = _exact_batches(plan, e, initial, max(1, np.size(e)))
+    return rows.reshape(np.shape(initial)[:-2] + np.shape(e) + (DIM, DIM))
 
 
 def run_plan_exact(plan: ExperimentPlan, e: ArrayLike, initial: np.ndarray) -> np.ndarray:

@@ -248,24 +248,24 @@ def test_verify_fails_on_an_exact_final_off_the_reference(monkeypatch, capsys):
     refs = [noise.run_plan_exact(plan, 0.0, step.deviation) for step in readout.protected_steps()]
     words = qcore._word_matrices()[1:]
     word = next(w for w in words if all(abs(np.vdot(w, ref)) < 1e-12 for ref in refs))
-    exact = noise._exact_rows
+    exact = noise._exact_batches
 
-    def off_reference(plan, e, initial):
-        finals = exact(plan, e, initial)
-        return finals + 1e-6 * word if plan.mode == "protected" and np.ndim(e) else finals
+    def off_reference(plan, e, initial, cells):
+        for finals in exact(plan, e, initial, cells):
+            yield finals + 1e-6 * word if plan.mode == "protected" and np.ndim(e) else finals
 
-    monkeypatch.setattr(noise, "_exact_rows", off_reference)
+    monkeypatch.setattr(noise, "_exact_batches", off_reference)
     assert cli.main(["verify"]) == 1
     assert "FAIL mc-convergence" in capsys.readouterr().out
 
 
 def _exact_without_the_last_noise_point(monkeypatch):
-    exact = noise._exact_rows
+    exact = noise._exact_batches
 
-    def faulty(plan, e, initial):
-        return exact(replace(plan, decoherence_points=plan.decoherence_points[:-1]), e, initial)
+    def faulty(plan, e, initial, cells):
+        return exact(replace(plan, decoherence_points=plan.decoherence_points[:-1]), e, initial, cells)
 
-    monkeypatch.setattr(noise, "_exact_rows", faulty)
+    monkeypatch.setattr(noise, "_exact_batches", faulty)
 
 
 def _damage_audit_without_the_last_point(monkeypatch):
@@ -322,14 +322,14 @@ def _channel_with_its_xxxx_coefficient_scaled(monkeypatch):
 
 
 def _exact_finals_with_a_nan(monkeypatch):
-    exact = noise._exact_rows
+    exact = noise._exact_batches
 
-    def faulty(plan, e, initial):
-        finals = exact(plan, e, initial)
-        finals[..., 0, 0] = np.nan
-        return finals
+    def faulty(plan, e, initial, cells):
+        for finals in exact(plan, e, initial, cells):
+            finals[..., 0, 0] = np.nan
+            yield finals
 
-    monkeypatch.setattr(noise, "_exact_rows", faulty)
+    monkeypatch.setattr(noise, "_exact_batches", faulty)
 
 
 def _channel_output_with_a_nan(monkeypatch):
@@ -652,14 +652,15 @@ def test_acceptance_radius_memory_does_not_grow_with_the_shots():
 def _count_calls(monkeypatch) -> dict[str, int]:
     """Count the calls of circuits.assemble, circuits._audit (damage_audit's
     core, which harness.mode_stacks calls), the noise-free walks
-    (circuits.ideal_boundary_deviations), the exact walks (noise._exact_rows,
-    which run and verify read), and the plans built (ExperimentPlan.__post_init__)."""
+    (circuits.ideal_boundary_deviations), the exact walks of a stack
+    (noise._exact_batches, which run and verify read through
+    harness._cell_batches), and the plans built (ExperimentPlan.__post_init__)."""
     calls = {"assemble": 0, "audit": 0, "noise-free walk": 0, "exact walk": 0,
              "ExperimentPlan": 0}
     for key, owner, name in (
         ("assemble", circuits, "assemble"), ("audit", circuits, "_audit"),
         ("noise-free walk", circuits, "ideal_boundary_deviations"),
-        ("exact walk", noise, "_exact_rows"),
+        ("exact walk", noise, "_exact_batches"),
         ("ExperimentPlan", circuits.ExperimentPlan, "__post_init__"),
     ):
         def spy(*args, _real=getattr(owner, name), _key=key, **kwargs):
@@ -715,14 +716,54 @@ def test_sweep_evolves_each_mode_as_one_stack(monkeypatch):
     assert calls == ONE_PLAN_PER_MODE
 
 
+def _count_exact_batches(monkeypatch) -> list[int]:
+    """The batches each noise._exact_batches walk yields, one count per walk."""
+    batches, exact = [], noise._exact_batches
+
+    def spy(*args):
+        batches.append(0)
+        for rows in exact(*args):
+            batches[-1] += 1
+            yield rows
+
+    monkeypatch.setattr(noise, "_exact_batches", spy)
+    return batches
+
+
 @pytest.mark.parametrize("shots", [2048, 40000])
 def test_sweep_exact_batches_do_not_depend_on_the_shots(shots, monkeypatch):
     # 129 protected e values in batches of _E_BLOCK // 3 cells (42 at 128
-    # rows: 4 batches), at any shot count
+    # rows: 4 batches) of the stack's one walk, at any shot count
     grid = tuple(k / 256 for k in range(129))
-    calls = _count_calls(monkeypatch)
+    calls, batches = _count_calls(monkeypatch), _count_exact_batches(monkeypatch)
     run_sweep(SweepConfig(e_grid=grid, shots=shots, modes=("protected",)))
-    assert calls["exact walk"] == -(-len(grid) // (harness._E_BLOCK // 3))
+    assert calls["exact walk"] == 1
+    assert batches == [-(-len(grid) // (harness._E_BLOCK // 3))]
+
+
+@pytest.mark.parametrize("mode", circuits.MODES)
+def test_cell_batches_set_up_each_stack_once(mode, monkeypatch):
+    # one _cell_batches call checks the stack and looks up its schedule once,
+    # and still walks its 4 batches; each batch's rows own their plane, so a
+    # batch kept past the next one keeps the bytes of its own walk (the
+    # unprotected finals change with e, so a shared plane would show)
+    grid = tuple(k / 256 for k in range(129))
+    [(_, plan, _, preps, _, _)] = harness.mode_stacks(SweepConfig(e_grid=grid, modes=(mode,)))
+    schedules, schedule = [], noise._schedule
+
+    def spy(*args):
+        schedules.append(args)
+        return schedule(*args)
+
+    monkeypatch.setattr(noise, "_schedule", spy)
+    batches = _count_exact_batches(monkeypatch)
+    kept = list(harness._cell_batches(grid, plan, preps))
+    assert len(schedules) == 1 and batches == [4]
+    assert [start for start, _, _ in kept] == [0, 42, 84, 126]
+    monkeypatch.undo()
+    for start, e, rows in kept:
+        assert e == grid[start : start + 42] and rows.shape == (3, len(e), 16, 16)
+        assert rows.tobytes() == noise._exact_rows(plan, e, preps).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -333,6 +333,66 @@ def test_grid_evolution_of_dense_states_equals_per_e_kraus_sum_to_the_bit(mode):
                 assert final.tobytes() == _per_e_exact(plan, e, state).tobytes()
 
 
+#: Up to seven e values, 0 and 0.5 first, 0 twice: the small-stack walks take the first 1 to 7.
+SMALL_E_GRID = (0.0, 0.5, 1 / 1024, 0.25, 0.0, 0.125, 0.3)
+
+
+@pytest.mark.parametrize("states", [1, 2, 3, 5])
+@pytest.mark.parametrize("mode", circuits.MODES)
+@pytest.mark.parametrize("algorithm", circuits.ALGORITHMS)
+def test_small_stacks_equal_the_apply_channel_walk_to_the_bit(algorithm, mode, states):
+    # OpenBLAS sums a 16 x 16 by 16 x (16 rows) product's k terms in order,
+    # but the Haswell kernels not always a 16 x few one's (few <= 4): stacks
+    # of 1 to 35 rows, the mode's own states and a random real stack, walked
+    # as one batch and in batches of one e value, each row to the bit of the
+    # state's own apply_channel walk
+    plan = circuits.assemble(mode, algorithm)
+    steps = [step.deviation for step in readout.steps_for_mode(mode)]
+    identity = np.eye(16) / 16
+    ours = np.stack([sum(steps, identity), identity, *steps][:states])
+    dense = np.random.default_rng(states).normal(size=(states, 16, 16))
+    for stack in (ours, dense):
+        alone = {(i, e): _per_e_exact(plan, e, state).tobytes()
+                 for i, state in enumerate(stack) for e in set(SMALL_E_GRID)}
+        for n in range(1, len(SMALL_E_GRID) + 1):
+            grid = SMALL_E_GRID[:n]
+            whole = noise._exact_rows(plan, grid, stack)
+            batched = np.concatenate(list(noise._exact_batches(plan, grid, stack, 1)), axis=1)
+            for rows in (whole, batched):
+                assert rows.shape == (states, n, 16, 16)
+                for i, row in enumerate(rows):
+                    for e, final in zip(grid, row):
+                        assert final.astype(complex).tobytes() == alone[i, e]
+
+
+def test_a_noise_point_evolves_only_the_classes_that_hold_a_byte(monkeypatch):
+    # after the first noise point each Deutsch-Jozsa point schedules 4
+    # classes, and the rows hold a byte in 1 or 3 of them.  A class of +0
+    # alone is left as it is; a -0 is a byte held, so a class of -0 alone,
+    # set here at the last point (after the last gate), is evolved and comes
+    # out +0, as the apply_channel walk's sums from +0 leave it
+    plan = circuits.assemble("unprotected", "deutsch-jozsa")
+    stack = np.stack([step.deviation for step in readout.unprotected_steps()])
+    held, last, real = [], len(plan.decoherence_points) - 1, noise._held
+
+    def spy(plane, entries):
+        words = plane.view(np.uint64)
+        if len(held) == last:
+            plane[next(c for c in entries if not words[c].any())] = -0.0
+        kept = real(plane, entries)
+        assert {int(c.flat[0]) for c in kept} == {int(c.flat[0]) for c in entries if words[c].any()}
+        held.append((len(entries), len(kept)))
+        return kept
+
+    monkeypatch.setattr(noise, "_held", spy)
+    finals = noise._exact_rows(plan, MIXED_E_GRID, stack)
+    assert held == [(1, 1), (4, 3), (4, 3), (4, 1), (4, 3), (4, 1), (4, 2)]
+    assert not np.signbit(finals[finals == 0.0]).any()
+    for state, row in zip(stack, finals):
+        for e, final in zip(MIXED_E_GRID, row):
+            assert final.astype(complex).tobytes() == _per_e_exact(plan, e, state).tobytes()
+
+
 @pytest.mark.parametrize("mode", circuits.MODES)
 def test_grid_evolution_through_a_non_clifford_gate_equals_per_e_kraus_sum_to_the_bit(mode):
     # the classes a noise point keeps come from the gates' nonzero patterns,
